@@ -1,63 +1,17 @@
 # Verification tiers. tier1 is the gate every change must keep green;
-# tier2 adds static analysis and the race detector over the concurrent
-# paths (runner pool, two-tier solve cache incl. runner/diskcache, the
-# replica engine, the parallel experiment fan-outs, simulators, and the
-# observability registry hammered from concurrent announces). The
-# explicit replica runs exercise the engine at R >= 2 — multiple replicas
-# of one cell sharing a Sim value across pool workers — which is exactly
-# where an accidental shared-state mutation would race. The resilience
-# runs cover the fault-injection layer: deterministic fault plans, panic
-# isolation with retries, checkpoint/resume, the chaos-golden check
-# (same chaos seed ⇒ identical tables at any worker count), and the
-# client's disconnect/watchdog/announce-retry paths. The fabric run
-# covers the distributed sweep layer end to end — coordinator HTTP
-# protocol, lease expiry and work-stealing, duplicate absorption,
-# checkpoint resume, and the distributed-equals-local byte-identity
-# guarantee — with the race detector watching the coordinator's shared
-# lease/cell state. The sim-kind and sample-store runs cover the
-# replica-simulation job layer: the sim-replica kind through the fabric
-# (payload byte-identity, sample reuse across coordinators, adaptive
-# lease sizing), the keyed sample store's corruption/eviction behavior,
-# and the sequential-stopping engine's never-resample contract. The
-# telemetry run hammers the fleet-telemetry paths — heartbeat pushes,
-# span shipping, and /metrics + /v1/fleet scrapes concurrent with
-# lease/complete traffic — under the race detector, and the chaos/
-# hardening runs re-check the deterministic fault layer and the
-# degradation paths it guards (seeded drop/delay/5xx/corrupt schedules,
-# blackout middleware, lease renewal, park-and-rejoin, coordinator
-# restart absorption) before the soak — a full distributed sim-replica
-# sweep under sustained chaos, a coordinator blackout and a mid-run
-# worker kill, asserting byte-identical results at a fixed chaos seed.
-# tier2 finishes with the bench-check benchmark regression gate.
+# tier2 adds static analysis, the race detector over every package, and
+# the benchmark's own smoke test. DESIGN.md, "Verification tiers", says
+# what the race run is there to catch, package by package.
 
-.PHONY: tier1 tier2 bench bench-check soak profile
+.PHONY: tier1 tier2 bench soak profile
 
 tier1:
 	go build ./... && go test ./...
 
 tier2:
-	go vet ./... && go test -race -timeout 30m ./...
-	go test -race -count=1 -run 'Replica|Merge|WorkerCountInvariance' ./internal/replica/ ./internal/stats/
-	go test -race -count=1 -run 'ReplicatedDeterminism|ReplicasExtend' ./internal/experiments/
-	go test -race -count=1 ./internal/obs/
-	go test -race -count=1 -run 'Metrics|CountersMonotonic|ObservedConcurrent' ./internal/tracker/
-	go test -race -count=1 ./internal/faults/
-	go test -race -count=1 -run 'Panic|Retr|Checkpoint' ./internal/runner/ ./internal/runner/diskcache/
-	go test -race -count=1 -run 'ChurnSweepDeterministic' ./internal/experiments/
-	go test -race -count=1 -run 'Disconnect|Watchdog|AnnounceWithRetry|Reconnect' ./internal/client/
-	go test -race -count=1 -run 'TestStepAllocs' ./internal/swarm/ ./internal/eventsim/
-	go test -race -count=1 ./internal/fabric/
-	go test -race -count=1 -run 'SampleStore' ./internal/runner/diskcache/
-	go test -race -count=1 -run 'Sample|Sequential' ./internal/replica/
-	go test -race -count=1 -run 'Job' ./internal/sim/
-	go test -race -count=1 -run 'SimJob|SimCoordinator|AdaptiveLease|WorkerRejectsUnknownKind' ./internal/fabric/
-	go test -race -count=1 -run 'Telemetry|WorkerShipsCollectedSpans|WorkerCompletionLossSurfaces' ./internal/fabric/
-	go test -race -count=1 ./internal/fabric/chaos/
-	go test -race -count=1 -run 'Renew|Park|WorkLoop|CoordinatorRestartAbsorbs|FabricBodyCaps|LeaseExpiresWithoutRenewal' ./internal/fabric/
-	$(MAKE) soak
-	$(MAKE) bench-check
+	go vet ./... && go test -race -timeout 30m ./... && go -C benchmark test ./...
 
-# soak runs the tier-2 chaos soak on its own under the race detector: a
+# soak runs the chaos soak (part of tier2's race run) on its own: a
 # distributed sim-replica sweep with four workers plus one killed
 # mid-run, seeded drop/delay/5xx/corrupt chaos on every worker's
 # transport, server-side injected errors and an early coordinator
@@ -69,48 +23,10 @@ tier2:
 soak:
 	go test -race -count=1 -run 'TestChaosSoak' -v ./internal/fabric/
 
-# tier2 ends with bench-check, the benchmark regression gate: it reruns
-# two benchmarks and fails (via benchjson -compare) when the fresh
-# numbers regress past tolerance vs. the recorded trajectory files. The
-# telemetry-merge benchmark is pure CPU over in-memory snapshots — no
-# HTTP, no simulator — so it gates at the default 10%. The end-to-end
-# sim-replica throughput benchmark drives real goroutine pools through
-# an HTTP coordinator and its numbers move with machine load (the
-# recorded trajectory itself shows workers=4 below workers=1), so it
-# gates at 35% — wide enough to ignore scheduler jitter, tight enough
-# to catch a telemetry push on the completion path halving throughput.
-bench-check:
-	go test -run '^$$' -bench 'BenchmarkTelemetryMergeThroughput' -benchtime 200x \
-		./internal/obs/ | \
-		go run ./cmd/benchjson -compare BENCH_PR9.json
-	go test -run '^$$' -bench 'BenchmarkSimReplicaThroughput' -benchtime 5x \
-		./internal/fabric/ | \
-		go run ./cmd/benchjson -compare BENCH_PR8.json -tolerance 0.35
-
-# bench regenerates every paper artifact under timing, including the
-# serial-vs-parallel sweep comparison, then remeasures the simulator step
-# benchmarks and refreshes the "current" section of BENCH_PR6.json (the
-# first point of the ROADMAP's performance trajectory; the committed
-# "baseline" section — the pre-refactor numbers — is preserved). It also
-# measures the distributed sweep fabric's end-to-end throughput —
-# cells/sec through the coordinator HTTP protocol at 1, 4, and 8
-# workers — into BENCH_PR7.json, the sim-replica kind's distributed
-# replica throughput the same way into BENCH_PR8.json, and the
-# coordinator-side telemetry snapshot merge rate into BENCH_PR9.json.
+# bench runs the repository's one benchmark (BENCHMARK.json, benchmark/):
+# five workloads, end-to-end metrics, and with -trace 1 the per-layer table.
 bench:
-	go test -bench=. -benchtime=1x .
-	go test -run '^$$' -bench 'BenchmarkSwarmStep|BenchmarkEventsimStep' -benchtime 20x \
-		./internal/swarm/ ./internal/eventsim/ | \
-		go run ./cmd/benchjson -o BENCH_PR6.json -label "struct-of-arrays hot paths, indexed event timers"
-	go test -run '^$$' -bench 'BenchmarkFabricThroughput' -benchtime 5x \
-		./internal/fabric/ | \
-		go run ./cmd/benchjson -o BENCH_PR7.json -label "distributed sweep fabric throughput"
-	go test -run '^$$' -bench 'BenchmarkSimReplicaThroughput' -benchtime 5x \
-		./internal/fabric/ | \
-		go run ./cmd/benchjson -o BENCH_PR8.json -label "distributed sim-replica throughput"
-	go test -run '^$$' -bench 'BenchmarkTelemetryMergeThroughput' -benchtime 200x \
-		./internal/obs/ | \
-		go run ./cmd/benchjson -o BENCH_PR9.json -label "fleet telemetry snapshot merge"
+	go -C benchmark run . -seed 1
 
 # profile runs a small instrumented sweep with every observability sink
 # attached: a JSON metrics snapshot and a Chrome trace land in ./prof/,

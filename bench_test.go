@@ -14,6 +14,7 @@ import (
 
 	"mfdl/internal/adapt"
 	"mfdl/internal/experiments"
+	"mfdl/internal/obs"
 	"mfdl/internal/runner"
 	"mfdl/internal/scheme"
 	"mfdl/internal/swarm"
@@ -79,7 +80,8 @@ func BenchmarkSweepParallel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := experiments.Sweep(context.Background(), experiments.SweepSpec{
 					Config: experiments.PaperConfig, P: 0.9,
-					Scheme: scheme.CMFSD, Grid: grid, Workers: workers,
+					Scheme: scheme.CMFSD, Grid: grid,
+					Options: experiments.Options{Workers: workers},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -119,15 +121,16 @@ func BenchmarkSweepDiskCache(b *testing.B) {
 		if _, err := experiments.Sweep(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
+		reg := obs.New()
+		spec.Obs = reg
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := experiments.Sweep(context.Background(), spec)
-			if err != nil {
+			if _, err := experiments.Sweep(context.Background(), spec); err != nil {
 				b.Fatal(err)
 			}
-			if res.Cache.Solves() != 0 {
-				b.Fatalf("warm run re-solved %d cells", res.Cache.Solves())
-			}
+		}
+		if n := reg.Counter("solvecache_solves_total").Value(); n != 0 {
+			b.Fatalf("warm runs re-solved %d cells", n)
 		}
 	})
 }

@@ -215,7 +215,7 @@ func run(args []string) error {
 		Params:  fluid.Params{Mu: *mu, Eta: *eta, Gamma: *gamma},
 		K:       *k,
 		Lambda0: *lambda0,
-		Cache:   cache,
+		Options: experiments.Options{Cache: cache},
 	}
 	emit := func(tb *table.Table) error {
 		if err := tb.Write(os.Stdout, *format); err != nil {

@@ -640,9 +640,9 @@ func (sh *serveHost) serveSimValidate(set experiments.SimSettings, ps []float64,
 	}
 	sh.printStats(lastStatus.Done, lastStatus.Total)
 	if sh.stats {
-		st := samples.Stats()
+		count := func(name string) uint64 { return sh.reg.Counter("samplestore_" + name + "_total").Value() }
 		fmt.Fprintf(os.Stderr, "sweepd: sample store: %d hits / %d misses (%d stored, %d corrupt, %d evicted)\n",
-			st.Hits, st.Misses, st.Stores, st.Corrupt, st.Evicted)
+			count("hits"), count("misses"), count("stores"), count("corrupt"), count("evicted"))
 	}
 	return sh.writeFleet()
 }

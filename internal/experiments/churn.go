@@ -159,7 +159,7 @@ func ChurnSweep(ctx context.Context, set SimSettings, p float64, chaosSeed uint6
 	// The fault plan rides inside the configs (Faults.Seed), so it is part
 	// of every cell's job and sample-store identity: a different chaos seed
 	// never replays another seed's samples.
-	spec, err := sim.NewJobSpec(cells, set.effSeed(), set.effReplicas())
+	spec, err := sim.NewJobSpec(cells, set.Seed, set.Replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -194,8 +194,8 @@ func ChurnSweep(ctx context.Context, set SimSettings, p float64, chaosSeed uint6
 			Aborted:   int(agg.Count(replica.Aborted)),
 		})
 	}
-	set.effObs().Counter("faults_aborts_total").Add(aborts)
-	set.effObs().Counter("faults_seed_quits_total").Add(quits)
+	set.Obs.Counter("faults_aborts_total").Add(aborts)
+	set.Obs.Counter("faults_seed_quits_total").Add(quits)
 	return res, nil
 }
 

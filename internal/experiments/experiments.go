@@ -102,20 +102,6 @@ type Config struct {
 	// Options is the shared execution-option surface; Config consumes its
 	// Cache field.
 	Options
-	// Cache is the pre-Options spelling of Options.Cache.
-	//
-	// Deprecated: set Options.Cache. A non-nil value here still wins, so
-	// existing callers are unaffected.
-	Cache *runner.Cache
-}
-
-// cache returns the effective solve cache: the deprecated field when set,
-// the embedded Options otherwise.
-func (c Config) cache() *runner.Cache {
-	if c.Cache != nil {
-		return c.Cache
-	}
-	return c.Options.Cache
 }
 
 // PaperConfig reproduces the parameters used in every figure of the paper:
@@ -143,8 +129,8 @@ func (c Config) corr(p float64) (*correlation.Model, error) {
 // eval solves one scheme at one operating point, through the shared cache
 // when the Config carries one.
 func (c Config) eval(sc scheme.Scheme, p, rho float64) (*metrics.SchemeResult, error) {
-	if cc := c.cache(); cc != nil {
-		return cc.Evaluate(runner.Key{
+	if c.Cache != nil {
+		return c.Cache.Evaluate(runner.Key{
 			Scheme: sc, Params: c.Params, K: c.K, P: p, Lambda0: c.Lambda0, Rho: rho,
 		})
 	}

@@ -84,7 +84,7 @@ func Hetero(ctx context.Context, set SimSettings, lambda0 float64, classes []Het
 		return nil, err
 	}
 	agg := aggs[0]
-	res := &HeteroResult{Eta: set.Params.Eta, Replicas: set.effReplicas()}
+	res := &HeteroResult{Eta: set.Params.Eta, Replicas: set.Replicas}
 	for i, c := range classes {
 		got := agg.Mean(replica.BandwidthKey(c.Name, replica.DownloadPerFile))
 		res.Rows = append(res.Rows, HeteroRow{

@@ -8,25 +8,23 @@ import (
 	"mfdl/internal/scheme"
 )
 
-// The consolidation contract: a spec written with the deprecated
-// per-struct fields and one written with the embedded Options surface
-// must produce byte-identical tables.
+// Options is embedded, so a spec can name an option through the promoted
+// selector (spec.Workers = 3) or inside an Options literal. Both reach the
+// same field and must produce byte-identical tables.
 
 func TestSweepOptionsSpellingGolden(t *testing.T) {
 	g, err := runner.NewGrid(runner.Dim{Name: "rho", Values: runner.Linspace(0, 1, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldStyle := SweepSpec{
-		Config: PaperConfig, P: 0.9, Scheme: scheme.CMFSD, Grid: g,
-		Workers: 3, // deprecated field
-	}
-	newStyle := SweepSpec{
+	promoted := SweepSpec{Config: PaperConfig, P: 0.9, Scheme: scheme.CMFSD, Grid: g}
+	promoted.Workers = 3
+	literal := SweepSpec{
 		Config: PaperConfig, P: 0.9, Scheme: scheme.CMFSD, Grid: g,
 		Options: Options{Workers: 3},
 	}
 	var tables []string
-	for _, spec := range []SweepSpec{oldStyle, newStyle} {
+	for _, spec := range []SweepSpec{promoted, literal} {
 		res, err := Sweep(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
@@ -44,13 +42,12 @@ func TestSimValidateOptionsSpellingGolden(t *testing.T) {
 	}
 	base := DefaultSimSettings
 	base.Horizon, base.Warmup = 600, 100
-	oldStyle := base
-	oldStyle.Seed, oldStyle.Replicas, oldStyle.Workers = 7, 2, 2 // deprecated fields
-	newStyle := base
-	newStyle.Seed = 0 // DefaultSimSettings seeds the deprecated field; clear it
-	newStyle.Options = Options{Seed: 7, Replicas: 2, Workers: 2}
+	promoted := base
+	promoted.Seed, promoted.Replicas, promoted.Workers = 7, 2, 2
+	literal := base
+	literal.Options = Options{Seed: 7, Replicas: 2, Workers: 2}
 	var tables []string
-	for _, set := range []SimSettings{oldStyle, newStyle} {
+	for _, set := range []SimSettings{promoted, literal} {
 		res, err := SimValidate(context.Background(), set, []float64{0.9})
 		if err != nil {
 			t.Fatal(err)
@@ -62,19 +59,33 @@ func TestSimValidateOptionsSpellingGolden(t *testing.T) {
 	}
 }
 
-// Deprecated fields must win over the embedded Options when both are set —
-// existing callers mutating the old fields keep their meaning even if a
-// future default populates Options.
-func TestDeprecatedFieldsTakePrecedence(t *testing.T) {
-	s := SimSettings{Seed: 5, Options: Options{Seed: 9, Replicas: 3}}
-	if got := s.effSeed(); got != 5 {
-		t.Errorf("effSeed = %d, want the deprecated 5", got)
+// DefaultSimSettings used to seed a deprecated SimSettings.Seed that
+// overrode Options.Seed, so a copy with Options.Seed = 7 silently ran seed
+// 1. There is one Seed now: the copy must equal an explicit seed-7 run and
+// differ from the default's seed 1.
+func TestDefaultSimSettingsSeedIsOverridable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation comparison")
 	}
-	if got := s.effReplicas(); got != 3 {
-		t.Errorf("effReplicas = %d, want the Options 3", got)
+	run := func(set SimSettings) string {
+		set.Horizon, set.Warmup = 600, 100
+		res, err := SimValidate(context.Background(), set, []float64{0.9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Table().String()
 	}
-	sw := SweepSpec{Workers: 2, Options: Options{Workers: 8}}
-	if got := sw.effWorkers(); got != 2 {
-		t.Errorf("effWorkers = %d, want the deprecated 2", got)
+	viaOptions := DefaultSimSettings
+	viaOptions.Options.Seed = 7
+	explicit := SimSettings{
+		Params: DefaultSimSettings.Params, K: DefaultSimSettings.K, Lambda0: DefaultSimSettings.Lambda0,
+		Options: Options{Seed: 7},
+	}
+	got := run(viaOptions)
+	if want := run(explicit); got != want {
+		t.Fatalf("Options.Seed = 7 on a DefaultSimSettings copy is not a seed-7 run:\n%s\nvs\n%s", got, want)
+	}
+	if got == run(DefaultSimSettings) {
+		t.Fatal("Options.Seed = 7 on a DefaultSimSettings copy still runs the default seed 1")
 	}
 }

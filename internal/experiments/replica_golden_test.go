@@ -24,7 +24,7 @@ func goldenSettings() SimSettings {
 		Lambda0: 1,
 		Horizon: 1500,
 		Warmup:  300,
-		Seed:    7,
+		Options: Options{Seed: 7},
 	}
 }
 

@@ -36,22 +36,6 @@ type SimSettings struct {
 	// any count), and Obs instruments the replica engine and the runner
 	// pool beneath it (byte-identical with or without).
 	Options
-	// Seed is the pre-Options spelling of Options.Seed.
-	//
-	// Deprecated: set Options.Seed. A non-zero value here still wins.
-	Seed uint64
-	// Replicas is the pre-Options spelling of Options.Replicas.
-	//
-	// Deprecated: set Options.Replicas. A non-zero value here still wins.
-	Replicas int
-	// Workers is the pre-Options spelling of Options.Workers.
-	//
-	// Deprecated: set Options.Workers. A non-zero value here still wins.
-	Workers int
-	// Obs is the pre-Options spelling of Options.Obs.
-	//
-	// Deprecated: set Options.Obs. A non-nil value here still wins.
-	Obs *obs.Registry
 }
 
 // DefaultSimSettings is the fast validation operating point.
@@ -61,48 +45,17 @@ var DefaultSimSettings = SimSettings{
 	Lambda0: 1,
 	Horizon: 4000,
 	Warmup:  800,
-	Seed:    1,
-}
-
-// effSeed, effReplicas, effWorkers and effObs merge the deprecated
-// pass-through fields with the embedded Options (deprecated wins when
-// set), so both spellings keep producing byte-identical tables.
-func (s SimSettings) effSeed() uint64 {
-	if s.Seed != 0 {
-		return s.Seed
-	}
-	return s.Options.Seed
-}
-
-func (s SimSettings) effReplicas() int {
-	if s.Replicas != 0 {
-		return s.Replicas
-	}
-	return s.Options.Replicas
-}
-
-func (s SimSettings) effWorkers() int {
-	if s.Workers != 0 {
-		return s.Workers
-	}
-	return s.Options.Workers
-}
-
-func (s SimSettings) effObs() *obs.Registry {
-	if s.Obs != nil {
-		return s.Obs
-	}
-	return s.Options.Obs
+	Options: Options{Seed: 1},
 }
 
 // replicated reports whether the settings ask for error bars.
-func (s SimSettings) replicated() bool { return s.effReplicas() > 1 }
+func (s SimSettings) replicated() bool { return s.Replicas > 1 }
 
 // options assembles the replica-engine options for these settings.
 func (s SimSettings) options() replica.Options {
 	return replica.Options{
-		Replicas: s.effReplicas(), Workers: s.effWorkers(),
-		Seed: s.effSeed(), Obs: s.effObs(),
+		Replicas: s.Replicas, Workers: s.Workers,
+		Seed: s.Seed, Obs: s.Obs,
 	}
 }
 
@@ -127,11 +80,11 @@ func (s SimSettings) stopping(metric string) replica.Stopping {
 // numerically identical to the pre-job-layer replica.Run over the same
 // cells.
 func (s SimSettings) runSimJob(ctx context.Context, spec runner.JobSpec, metric string) ([]replica.Agg, error) {
-	env := runner.JobEnv{Samples: s.Options.Samples, Obs: s.effObs()}
+	env := runner.JobEnv{Samples: s.Options.Samples, Obs: s.Obs}
 	if stop := s.stopping(metric); stop.Enabled() {
-		return sim.RunJobStopping(ctx, spec, env, s.effWorkers(), stop)
+		return sim.RunJobStopping(ctx, spec, env, s.Workers, stop)
 	}
-	return sim.RunJob(ctx, spec, env, runner.Options{Workers: s.effWorkers(), Obs: s.effObs()})
+	return sim.RunJob(ctx, spec, env, runner.Options{Workers: s.Workers, Obs: s.Obs})
 }
 
 // ciCell formats a ± cell with table.Fmt precision.
@@ -242,7 +195,7 @@ func PlanSimValidate(set SimSettings, ps []float64) (*SimValidatePlan, error) {
 		}
 		cells[i] = sim.JobCell{Scheme: sp.simScheme, Config: sim.Config{Flow: &sc}}
 	}
-	spec, err := sim.NewJobSpec(cells, set.effSeed(), set.effReplicas())
+	spec, err := sim.NewJobSpec(cells, set.Seed, set.Replicas)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"mfdl/internal/obs"
 	"mfdl/internal/runner"
 	"mfdl/internal/runner/diskcache"
 	"mfdl/internal/scheme"
@@ -44,10 +43,6 @@ type SweepSpec struct {
 	// Options is the shared execution-option surface (workers, obs, seed,
 	// cache). Options.Cache, when set, takes precedence over CacheDir.
 	Options
-	// Workers is the pre-Options spelling of Options.Workers.
-	//
-	// Deprecated: set Options.Workers. A non-zero value here still wins.
-	Workers int
 	// Retries is how many times a panicking cell is re-attempted before
 	// failing the sweep (see runner.Options.Retries).
 	Retries int
@@ -64,26 +59,6 @@ type SweepSpec struct {
 	CheckpointDir string
 	// Hooks observe per-cell progress.
 	Hooks runner.Hooks
-	// Obs is the pre-Options spelling of Options.Obs.
-	//
-	// Deprecated: set Options.Obs. A non-nil value here still wins.
-	Obs *obs.Registry
-}
-
-// effWorkers/effObs merge the deprecated pass-through fields with the
-// embedded Options (deprecated wins when set).
-func (s SweepSpec) effWorkers() int {
-	if s.Workers != 0 {
-		return s.Workers
-	}
-	return s.Options.Workers
-}
-
-func (s SweepSpec) effObs() *obs.Registry {
-	if s.Obs != nil {
-		return s.Obs
-	}
-	return s.Options.Obs
 }
 
 // JobSpec lowers the sweep to its serializable job description — the one
@@ -114,9 +89,6 @@ type SweepCell = runner.CellValue
 type SweepResult struct {
 	Spec  SweepSpec
 	Cells []SweepCell
-	// Cache reports how the grid's cells collapsed into shared (memory
-	// tier) and pre-computed (disk tier) solves.
-	Cache runner.CacheStats
 }
 
 // applyDim overrides one knob of a solve key, keeping the experiment
@@ -156,7 +128,7 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 			cache = runner.NewDiskCache(disk)
 		}
 	}
-	ob := spec.effObs()
+	ob := spec.Obs
 	cache.WithObs(ob)
 	var ckpt *runner.Checkpoint
 	if spec.CheckpointDir != "" {
@@ -168,7 +140,7 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 		ckpt = runner.NewCheckpoint(store, job.Fingerprint())
 	}
 	cells, err := runner.RunJob(ctx, job, cache, runner.Options{
-		Workers: spec.effWorkers(), Hooks: spec.Hooks, Obs: ob,
+		Workers: spec.Workers, Hooks: spec.Hooks, Obs: ob,
 		Retries: spec.Retries, Checkpoint: ckpt,
 	})
 	if err != nil {
@@ -176,7 +148,7 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 	}
 	// The sweep completed: its checkpoints have served their purpose.
 	_ = ckpt.Clear()
-	return &SweepResult{Spec: spec, Cells: cells, Cache: cache.Stats()}, nil
+	return &SweepResult{Spec: spec, Cells: cells}, nil
 }
 
 // Table renders the sweep with one row per cell: the swept values followed

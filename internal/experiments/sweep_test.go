@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mfdl/internal/obs"
 	"mfdl/internal/runner"
 	"mfdl/internal/scheme"
 )
@@ -54,14 +55,17 @@ func TestSweepMemoizesInsensitiveDims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.New()
 	res, err := Sweep(context.Background(), SweepSpec{
-		Config: PaperConfig, P: 0.9, Scheme: scheme.MTSD, Grid: g, Workers: 4,
+		Config: PaperConfig, P: 0.9, Scheme: scheme.MTSD, Grid: g,
+		Options: Options{Workers: 4, Obs: reg},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cache.Misses != 1 || res.Cache.Hits != 9 {
-		t.Fatalf("hits=%d misses=%d, want 9/1", res.Cache.Hits, res.Cache.Misses)
+	hits, misses := reg.Counter("solvecache_hits_total").Value(), reg.Counter("solvecache_misses_total").Value()
+	if misses != 1 || hits != 9 {
+		t.Fatalf("hits=%d misses=%d, want 9/1", hits, misses)
 	}
 	for _, c := range res.Cells[1:] {
 		if c.AvgOnline != res.Cells[0].AvgOnline {
@@ -119,7 +123,7 @@ func TestSweepDiskCacheDeterministicAndWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := SweepSpec{Config: PaperConfig, P: 0.9, Scheme: scheme.CMFSD, Grid: g, Workers: 4}
+	spec := SweepSpec{Config: PaperConfig, P: 0.9, Scheme: scheme.CMFSD, Grid: g, Options: Options{Workers: 4}}
 	plain, err := Sweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +131,9 @@ func TestSweepDiskCacheDeterministicAndWarm(t *testing.T) {
 	want := plain.Table().String()
 
 	spec.CacheDir = t.TempDir()
+	// Each run reports into a fresh registry.
+	count := func(name string) uint64 { return spec.Obs.Counter(name + "_total").Value() }
+	spec.Obs = obs.New()
 	cold, err := Sweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -134,10 +141,11 @@ func TestSweepDiskCacheDeterministicAndWarm(t *testing.T) {
 	if got := cold.Table().String(); got != want {
 		t.Fatalf("cold cached run differs from uncached:\n%s\nvs\n%s", got, want)
 	}
-	if s := cold.Cache; s.Disk.Hits != 0 || s.Disk.Stores != s.Misses {
-		t.Fatalf("cold stats: %+v", s)
+	if h, st, m := count("diskcache_hits"), count("diskcache_stores"), count("solvecache_misses"); h != 0 || st != m {
+		t.Fatalf("cold run: %d disk hits, %d stores for %d memory misses", h, st, m)
 	}
 
+	spec.Obs = obs.New()
 	warm, err := Sweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +153,8 @@ func TestSweepDiskCacheDeterministicAndWarm(t *testing.T) {
 	if got := warm.Table().String(); got != want {
 		t.Fatalf("warm cached run differs from uncached:\n%s\nvs\n%s", got, want)
 	}
-	s := warm.Cache
-	if s.Disk.Hits != s.Misses || s.Disk.Misses != 0 || s.Solves() != 0 {
-		t.Fatalf("warm run re-solved: %+v", s)
+	if h, dm, m, n := count("diskcache_hits"), count("diskcache_misses"), count("solvecache_misses"), count("solvecache_solves"); h != m || dm != 0 || n != 0 {
+		t.Fatalf("warm run: %d disk hits / %d misses for %d memory misses, %d solves", h, dm, m, n)
 	}
 }
 
@@ -158,7 +165,8 @@ func TestSweepKDimensionMatchesDirectEvaluation(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Sweep(context.Background(), SweepSpec{
-		Config: PaperConfig, P: 0.9, Scheme: scheme.CMFSD, Grid: g, Workers: 2,
+		Config: PaperConfig, P: 0.9, Scheme: scheme.CMFSD, Grid: g,
+		Options: Options{Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

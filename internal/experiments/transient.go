@@ -105,7 +105,7 @@ func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) 
 	if scale < 1 {
 		scale = 1
 	}
-	rCount := set.effReplicas()
+	rCount := set.Replicas
 	if rCount < 1 {
 		rCount = 1
 	}

@@ -48,7 +48,7 @@ func BenchmarkLiveInstrumentation(b *testing.B) {
 // latency histograms across several label sets — and the encode step
 // runs outside the timed region because it is paid by the workers, not
 // the coordinator. The custom merges/sec metric counts worker snapshots
-// absorbed per second and is what `make bench` records in BENCH_PR9.json.
+// absorbed per second.
 func BenchmarkTelemetryMergeThroughput(b *testing.B) {
 	const workers = 8
 	encoded := make([][]byte, workers)

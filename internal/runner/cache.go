@@ -58,19 +58,6 @@ func (k Key) Fingerprint() string {
 		b(k.P), b(k.Lambda0), b(k.Rho), b(k.Theta))
 }
 
-// CacheStats aggregates the counters of both cache tiers.
-type CacheStats struct {
-	// Hits and Misses count Evaluate calls against the in-memory tier.
-	Hits, Misses int
-	// Disk holds the persistent tier's counters; all zero when no disk
-	// store is attached.
-	Disk diskcache.Stats
-}
-
-// Solves returns the number of keys that actually ran a solver: memory
-// misses not served by the disk tier.
-func (s CacheStats) Solves() int { return s.Misses - s.Disk.Hits }
-
 // Cache memoizes scheme solves across grid cells, optionally backed by a
 // persistent cross-process tier. It is safe for concurrent use; when
 // several workers request the same key the solve runs once and the rest
@@ -80,14 +67,11 @@ func (s CacheStats) Solves() int { return s.Misses - s.Disk.Hits }
 type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*cacheEntry
-	misses  int
-	hits    int
 	disk    *diskcache.Store
 
-	// Observability: when a registry is attached via WithObs the cache
-	// reports its traffic through solvecache_* counters and a
-	// solvecache_solve_seconds histogram. All fields are nil (no-op)
-	// until then.
+	// When a registry is attached via WithObs the cache reports its
+	// traffic through solvecache_* counters and a solvecache_solve_seconds
+	// histogram. All fields are nil (no-op) until then.
 	obsHits      *obs.Counter
 	obsMisses    *obs.Counter
 	obsSolves    *obs.Counter
@@ -119,9 +103,8 @@ func (c *Cache) Disk() *diskcache.Store { return c.disk }
 // WithObs routes the cache's counters through the registry —
 // solvecache_hits_total / solvecache_misses_total / solvecache_solves_total
 // plus a solvecache_solve_seconds latency histogram — and wires the disk
-// tier's diskcache_* counters too. CacheStats remains available as a
-// compatibility view of the same traffic. A nil registry is a no-op.
-// Returns the cache for chaining.
+// tier's diskcache_* counters too. A nil registry is a no-op. Returns the
+// cache for chaining.
 func (c *Cache) WithObs(reg *obs.Registry) *Cache {
 	c.obsHits = reg.Counter("solvecache_hits_total")
 	c.obsMisses = reg.Counter("solvecache_misses_total")
@@ -144,9 +127,6 @@ func (c *Cache) Evaluate(k Key) (*metrics.SchemeResult, error) {
 	if !ok {
 		e = &cacheEntry{}
 		c.entries[k] = e
-		c.misses++
-	} else {
-		c.hits++
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -180,18 +160,4 @@ func (c *Cache) Evaluate(k Key) (*metrics.SchemeResult, error) {
 		}
 	})
 	return e.res, e.err
-}
-
-// Stats reports both tiers' counters: how many Evaluate calls collapsed
-// into an in-memory entry, and how the fall-through traffic fared against
-// the persistent store.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	hits, misses := c.hits, c.misses
-	c.mu.Unlock()
-	s := CacheStats{Hits: hits, Misses: misses}
-	if c.disk != nil {
-		s.Disk = c.disk.Stats()
-	}
-	return s
 }

@@ -6,13 +6,22 @@ import (
 	"testing"
 
 	"mfdl/internal/fluid"
+	"mfdl/internal/obs"
 	"mfdl/internal/rng"
 	"mfdl/internal/runner/diskcache"
 	"mfdl/internal/scheme"
 )
 
+// observed returns a cache over disk (nil for memory only) together with a
+// reader of its registry's counters by name, less the _total suffix.
+func observed(disk *diskcache.Store) (*Cache, func(name string) uint64) {
+	reg := obs.New()
+	c := NewDiskCache(disk).WithObs(reg)
+	return c, func(name string) uint64 { return reg.Counter(name + "_total").Value() }
+}
+
 func TestCacheSolvesOnce(t *testing.T) {
-	c := NewCache()
+	c, count := observed(nil)
 	k := Key{Scheme: scheme.MTSD, Params: fluid.PaperParams, K: 10, P: 0.9, Lambda0: 1}
 	a, err := c.Evaluate(k)
 	if err != nil {
@@ -25,14 +34,14 @@ func TestCacheSolvesOnce(t *testing.T) {
 	if a != b {
 		t.Fatal("second Evaluate did not return the cached result pointer")
 	}
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d", s.Hits, s.Misses)
+	if h, m := count("solvecache_hits"), count("solvecache_misses"); h != 1 || m != 1 {
+		t.Fatalf("hits=%d misses=%d", h, m)
 	}
 }
 
 // Sweeping ρ under a scheme that ignores ρ must cost exactly one solve.
 func TestCacheNormalizesRho(t *testing.T) {
-	c := NewCache()
+	c, count := observed(nil)
 	base := Key{Scheme: scheme.MTCD, Params: fluid.PaperParams, K: 10, P: 0.9, Lambda0: 1}
 	for _, rho := range []float64{0, 0.25, 0.5, 1} {
 		k := base
@@ -41,19 +50,19 @@ func TestCacheNormalizesRho(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := c.Stats(); s.Misses != 1 || s.Hits != 3 {
-		t.Fatalf("hits=%d misses=%d, want 3/1", s.Hits, s.Misses)
+	if h, m := count("solvecache_hits"), count("solvecache_misses"); m != 1 || h != 3 {
+		t.Fatalf("hits=%d misses=%d, want 3/1", h, m)
 	}
 	// CMFSD does depend on ρ: distinct solves.
-	cm := NewCache()
+	cm, count := observed(nil)
 	for _, rho := range []float64{0, 0.5} {
 		k := Key{Scheme: scheme.CMFSD, Params: fluid.PaperParams, K: 5, P: 0.9, Lambda0: 1, Rho: rho}
 		if _, err := cm.Evaluate(k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s := cm.Stats(); s.Misses != 2 {
-		t.Fatalf("CMFSD rho collapsed: misses=%d", s.Misses)
+	if m := count("solvecache_misses"); m != 2 {
+		t.Fatalf("CMFSD rho collapsed: misses=%d", m)
 	}
 }
 
@@ -70,7 +79,7 @@ func TestCacheErrorsAreCachedToo(t *testing.T) {
 
 // Concurrent workers hammering the same key must agree on one result.
 func TestCacheConcurrent(t *testing.T) {
-	c := NewCache()
+	c, count := observed(nil)
 	k := Key{Scheme: scheme.CMFSD, Params: fluid.PaperParams, K: 5, P: 0.8, Lambda0: 1, Rho: 0.3}
 	var wg sync.WaitGroup
 	results := make([]float64, 16)
@@ -92,8 +101,8 @@ func TestCacheConcurrent(t *testing.T) {
 			t.Fatalf("divergent cached results: %v vs %v", v, results[0])
 		}
 	}
-	if s := c.Stats(); s.Misses != 1 {
-		t.Fatalf("misses=%d, want 1", s.Misses)
+	if m := count("solvecache_misses"); m != 1 {
+		t.Fatalf("misses=%d, want 1", m)
 	}
 }
 
@@ -104,7 +113,7 @@ func TestCacheInsideRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCache()
+	c, count := observed(nil)
 	out, err := Run(context.Background(), g,
 		func(ctx context.Context, p Point, src *rng.Source) (float64, error) {
 			rho, _ := p.Value("rho")
@@ -125,8 +134,8 @@ func TestCacheInsideRun(t *testing.T) {
 			t.Fatalf("MTSD varied with rho: %v", out)
 		}
 	}
-	if s := c.Stats(); s.Misses != 1 {
-		t.Fatalf("misses=%d, want 1", s.Misses)
+	if m := count("solvecache_misses"); m != 1 {
+		t.Fatalf("misses=%d, want 1", m)
 	}
 }
 
@@ -159,29 +168,28 @@ func TestDiskCacheCrossProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := Key{Scheme: scheme.CMFSD, Params: fluid.PaperParams, K: 5, P: 0.8, Lambda0: 1, Rho: 0.3}
-	first := NewDiskCache(d1)
+	first, cold := observed(d1)
 	a, err := first.Evaluate(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := first.Stats(); s.Disk.Hits != 0 || s.Disk.Misses != 1 || s.Disk.Stores != 1 {
-		t.Fatalf("cold stats: %+v", s.Disk)
+	if h, m, st := cold("diskcache_hits"), cold("diskcache_misses"), cold("diskcache_stores"); h != 0 || m != 1 || st != 1 {
+		t.Fatalf("cold disk tier: %d hits, %d misses, %d stores", h, m, st)
 	}
 	d2, err := diskcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := NewDiskCache(d2)
+	second, warm := observed(d2)
 	b, err := second.Evaluate(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := second.Stats()
-	if s.Misses != 1 || s.Disk.Hits != 1 || s.Disk.Misses != 0 {
-		t.Fatalf("warm stats: mem=%d/%d disk=%+v", s.Hits, s.Misses, s.Disk)
+	if m, dh, dm := warm("solvecache_misses"), warm("diskcache_hits"), warm("diskcache_misses"); m != 1 || dh != 1 || dm != 0 {
+		t.Fatalf("warm run: %d memory misses, disk %d hits / %d misses", m, dh, dm)
 	}
-	if s.Solves() != 0 {
-		t.Fatalf("warm run solved %d keys, want 0", s.Solves())
+	if n := warm("solvecache_solves"); n != 0 {
+		t.Fatalf("warm run solved %d keys, want 0", n)
 	}
 	if a.AvgOnlinePerFile() != b.AvgOnlinePerFile() || len(a.Classes) != len(b.Classes) {
 		t.Fatalf("disk round-trip changed the result: %v vs %v",
@@ -204,7 +212,7 @@ func TestDiskCacheSkipsErrors(t *testing.T) {
 	if _, err := c.Evaluate(Key{Scheme: scheme.MTSD, Params: fluid.PaperParams, K: 10, P: 2, Lambda0: 1}); err == nil {
 		t.Fatal("p=2 accepted")
 	}
-	if n, err := d.Len(); err != nil || n != 0 {
+	if n, _, err := d.Usage(); err != nil || n != 0 {
 		t.Fatalf("error persisted: %d entries (err=%v)", n, err)
 	}
 }

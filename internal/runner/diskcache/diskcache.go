@@ -1,65 +1,43 @@
-// Package diskcache is the persistent tier of the solve cache: a
-// directory of JSON entries, one per solved steady state, shared by every
-// process that points at the same directory. Repeated cmd/sweep or
-// cmd/mfdl invocations over the same grid then skip straight to decoding
-// instead of re-running the RK4 relaxations and closed forms.
+// Package diskcache holds the runner's three persistent stores: the solve
+// cache's disk tier (Store), per-cell checkpoints of interrupted runs
+// (CheckpointStore) and simulator replica samples (SampleStore), each a
+// layout over one keyed atomic file store. DESIGN.md, "Keyed atomic file
+// store", has the layout table and the durability contract.
 //
-// The store is deliberately forgiving. Writes are atomic (temp file +
-// rename), so a killed process never leaves a half-written entry under the
-// final name. Reads are corruption-tolerant: a truncated, garbled or
-// foreign file decodes into a miss — never an error — and the offending
-// entry is evicted so the next Put replaces it. Entries record the schema
-// version and the full key string they were stored under; a version bump
-// or a (vanishingly unlikely) hash collision also reads as a miss.
-//
-// Keys are opaque strings. The caller is expected to fold everything the
-// solve depends on — scheme, parameters, solver tolerance — into the key
-// (see runner.Key.Fingerprint); the store itself only hashes the string
-// into a file name.
-//
-// Floats cross the JSON boundary as IEEE-754 bit patterns, so every value
-// round-trips bit-exactly — including the NaN times that classes with zero
-// entry rate legitimately carry, which plain JSON numbers cannot encode.
+// Keys are opaque strings into which the caller folds everything the value
+// depends on (see runner.Key.Fingerprint). A store hashes the key into a
+// file or directory name and echoes it in full inside every entry, so a
+// hash collision can never serve the wrong value.
 package diskcache
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
-	"sync"
-	"time"
 
 	"mfdl/internal/metrics"
 	"mfdl/internal/obs"
 )
 
-// SchemaVersion is recorded in every entry and checked on read. Bump it
-// whenever the entry format or the meaning of stored results changes;
-// entries written under any other version are evicted as stale.
+// SchemaVersion is recorded in every entry; bump it whenever the entry
+// format or the meaning of stored results changes. Entries written under
+// any other version are evicted as stale.
 const SchemaVersion = 1
 
-// entry is the on-disk representation of one cached solve.
+// entry is the on-disk envelope of one cached solve.
 type entry struct {
-	// Schema is the SchemaVersion the entry was written under.
-	Schema int `json:"schema"`
-	// Key is the full (unhashed) cache key, kept so that a file-name hash
-	// collision can never serve the wrong result.
-	Key string `json:"key"`
-	// Result is the cached solve.
+	Schema int         `json:"schema"`
+	Key    string      `json:"key"` // in full, unhashed
 	Result *wireResult `json:"result"`
 }
 
-// bits carries a float64 across JSON as its IEEE-754 bit pattern in hex.
-// encoding/json rejects NaN and ±Inf, but classes with zero entry rate
-// legitimately carry NaN times (see metrics.PerClass), and bit patterns
-// round-trip every value bit-exactly by construction — the byte-identical
-// output guarantee does not hinge on float formatting.
+// bits carries a float64 across JSON as its IEEE-754 bit pattern in hex:
+// encoding/json rejects the NaN times that classes with zero entry rate
+// legitimately carry (see metrics.PerClass), and bit patterns round-trip
+// every value exactly, so byte-identical output never hinges on float
+// formatting.
 type bits float64
 
 func (b bits) MarshalJSON() ([]byte, error) {
@@ -72,11 +50,8 @@ func (b *bits) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	u, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return err
-	}
 	*b = bits(math.Float64frombits(u))
-	return nil
+	return err
 }
 
 // wireResult mirrors metrics.SchemeResult with bit-pattern floats.
@@ -114,117 +89,51 @@ func (w *wireResult) result() *metrics.SchemeResult {
 	return r
 }
 
-// Stats counts the store's traffic since Open.
-type Stats struct {
-	// Hits and Misses count Get outcomes.
-	Hits, Misses int
-	// Stores counts successful Puts.
-	Stores int
-	// Corrupt counts entries that existed but failed to decode or
-	// validate; each is also a miss.
-	Corrupt int
-	// Evicted counts entries removed because they were corrupt, written
-	// under another schema version, or stored under a colliding key.
-	Evicted int
-}
-
-// Store is a directory-backed result cache. Safe for concurrent use by
-// any number of goroutines; concurrent processes are safe too because
-// every write is a rename.
-type Store struct {
-	dir string
-
-	mu    sync.Mutex
-	stats Stats
-
-	// Observability mirrors of the Stats counters, attached by WithObs;
-	// nil (no-op) until then. Stats stays the compatibility view.
-	obsHits    *obs.Counter
-	obsMisses  *obs.Counter
-	obsStores  *obs.Counter
-	obsCorrupt *obs.Counter
-	obsEvicted *obs.Counter
-}
+// Store is the disk tier of the solve cache: one entry per solved steady
+// state, shared by every process that points at the same directory.
+type Store struct{ fileStore }
 
 // Open ensures dir exists and returns a store over it.
 func Open(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("diskcache: empty directory")
+	fs, err := open(dir, "", layout{counters: "diskcache", file: "*.json", touch: true})
+	if err != nil {
+		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("diskcache: %w", err)
-	}
-	return &Store{dir: dir}, nil
+	return &Store{fs}, nil
 }
 
-// Dir returns the backing directory.
-func (s *Store) Dir() string { return s.dir }
-
-// WithObs routes the store's counters through the registry as
-// diskcache_hits_total, diskcache_misses_total, diskcache_stores_total,
-// diskcache_corrupt_total and diskcache_evicted_total. Stats remains
-// available as a compatibility view of the same traffic. A nil registry
-// is a no-op. Returns the store for chaining.
+// WithObs counts the store's traffic in the registry (nil is a no-op) as
+// diskcache_{hits,misses,stores,corrupt,evicted}_total.
 func (s *Store) WithObs(reg *obs.Registry) *Store {
-	s.obsHits = reg.Counter("diskcache_hits_total")
-	s.obsMisses = reg.Counter("diskcache_misses_total")
-	s.obsStores = reg.Counter("diskcache_stores_total")
-	s.obsCorrupt = reg.Counter("diskcache_corrupt_total")
-	s.obsEvicted = reg.Counter("diskcache_evicted_total")
+	s.observe(reg)
 	return s
 }
 
-// path maps a key to its entry file.
 func (s *Store) path(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(s.dir, hex.EncodeToString(sum[:])+".json")
+	return filepath.Join(s.dir, hashName(key)+".json")
 }
 
-// Get returns the cached result for key, or false on any kind of miss.
-// Unreadable or stale entries are evicted so they do not stay in the way.
-func (s *Store) Get(key string) (*metrics.SchemeResult, bool) {
-	path := s.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		s.count(func(st *Stats) { st.Misses++ })
-		s.obsMisses.Inc()
-		return nil, false
-	}
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil || e.Result == nil {
-		s.evict(path)
-		s.count(func(st *Stats) { st.Misses++; st.Corrupt++ })
-		s.obsMisses.Inc()
-		s.obsCorrupt.Inc()
-		return nil, false
-	}
-	res := e.Result.result()
-	if res.Validate() != nil {
-		s.evict(path)
-		s.count(func(st *Stats) { st.Misses++; st.Corrupt++ })
-		s.obsMisses.Inc()
-		s.obsCorrupt.Inc()
-		return nil, false
-	}
-	if e.Schema != SchemaVersion || e.Key != key {
-		s.evict(path)
-		s.count(func(st *Stats) { st.Misses++ })
-		s.obsMisses.Inc()
-		return nil, false
-	}
-	// Touch the entry so mtime approximates recency of use and Prune's
-	// size-based eviction is LRU rather than write-order. Best effort: a
-	// read-only cache directory still serves hits.
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
-	s.count(func(st *Stats) { st.Hits++ })
-	s.obsHits.Inc()
-	return res, true
+// Get returns the cached result for key, or false on a miss.
+func (s *Store) Get(key string) (res *metrics.SchemeResult, ok bool) {
+	ok = s.read(s.path(key), func(data []byte) verdict {
+		var e entry
+		if err := json.Unmarshal(data, &e); err != nil || e.Result == nil {
+			return corrupt
+		}
+		r := e.Result.result()
+		if r.Validate() != nil {
+			return corrupt
+		}
+		if e.Schema != SchemaVersion || e.Key != key {
+			return stale
+		}
+		res = r
+		return hit
+	})
+	return res, ok
 }
 
-// Put stores the result under key, atomically replacing any previous
-// entry. The temp file lives in the cache directory itself so the rename
-// never crosses a filesystem boundary.
+// Put stores the result under key, replacing any previous entry.
 func (s *Store) Put(key string, res *metrics.SchemeResult) error {
 	if res == nil {
 		return fmt.Errorf("diskcache: nil result")
@@ -233,157 +142,216 @@ func (s *Store) Put(key string, res *metrics.SchemeResult) error {
 	if err != nil {
 		return fmt.Errorf("diskcache: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("diskcache: %w", err)
-	}
-	s.count(func(st *Stats) { st.Stores++ })
-	s.obsStores.Inc()
-	return nil
+	return s.write(s.path(key), data)
 }
 
-// Len returns the number of entries currently on disk.
-func (s *Store) Len() (int, error) {
-	names, err := filepath.Glob(filepath.Join(s.dir, "*.json"))
-	if err != nil {
-		return 0, err
-	}
-	return len(names), nil
+// Usage reports the store's entry count and total size.
+func (s *Store) Usage() (entries int, bytes int64, err error) { return s.usage() }
+
+// Prune evicts entries by age and/or total size, least recently used first.
+func (s *Store) Prune(opts PruneOptions) (PruneStats, error) { return s.prune(opts) }
+
+// CheckpointSchemaVersion is the checkpoint entries' (and so the fabric
+// wire format's) own schema version.
+const CheckpointSchemaVersion = 1
+
+// Entry is the envelope of one completed cell — both the on-disk
+// checkpoint format and the fabric wire format (a worker POSTs exactly
+// the bytes the coordinator persists). The payload is opaque here (the
+// runner encodes it with gob, which unlike JSON round-trips NaN and ±Inf);
+// the envelope carries the identity that keeps a cell out of the wrong run.
+type Entry struct {
+	Schema int `json:"schema"`
+	// Key is the full (unhashed) run key: everything that determines the
+	// run's cell values.
+	Key string `json:"key"`
+	// Cell is the linear cell index the payload belongs to.
+	Cell    int    `json:"cell"`
+	Payload []byte `json:"payload"`
 }
 
-// Usage reports how many entries the store holds and how many bytes they
-// occupy. Entries that vanish mid-scan (a concurrent prune or eviction)
-// are skipped, not errors.
-func (s *Store) Usage() (entries int, bytes int64, err error) {
-	names, err := filepath.Glob(filepath.Join(s.dir, "*.json"))
-	if err != nil {
-		return 0, 0, err
+// Encode renders the entry as its canonical JSON envelope.
+func (e Entry) Encode() ([]byte, error) {
+	if e.Payload == nil {
+		return nil, fmt.Errorf("diskcache: nil checkpoint payload")
 	}
-	for _, name := range names {
-		info, err := os.Stat(name)
+	data, err := json.Marshal(e)
+	if err != nil {
+		return nil, fmt.Errorf("diskcache: %w", err)
+	}
+	return data, nil
+}
+
+// DecodeEntry parses an entry envelope. It rejects structural garbage
+// (unparsable JSON, missing payload) but leaves schema and identity checks
+// to the caller, which knows which run the entry is supposed to belong to.
+func DecodeEntry(data []byte) (Entry, error) {
+	var e Entry
+	if err := json.Unmarshal(data, &e); err != nil {
+		return Entry{}, fmt.Errorf("diskcache: entry: %w", err)
+	}
+	if e.Payload == nil {
+		return Entry{}, fmt.Errorf("diskcache: entry has no payload")
+	}
+	return e, nil
+}
+
+// CheckpointStore persists per-cell results of interrupted runs — one
+// subdirectory per run key, one file per completed cell — so a run killed
+// at any instant resumes cleanly. Checkpoints are cleared, never pruned.
+type CheckpointStore struct{ fileStore }
+
+// OpenCheckpoint ensures dir exists and returns a checkpoint store over
+// it. The directory may be shared with the other two stores.
+func OpenCheckpoint(dir string) (*CheckpointStore, error) {
+	fs, err := open(dir, "checkpoint ", layout{counters: "checkpoint", sub: "run-", file: "cell-*.json"})
+	if err != nil {
+		return nil, err
+	}
+	return &CheckpointStore{fs}, nil
+}
+
+// WithObs counts the store's traffic in the registry (nil is a no-op) as
+// checkpoint_{hits,misses,stores,corrupt,evicted}_total.
+func (s *CheckpointStore) WithObs(reg *obs.Registry) *CheckpointStore {
+	s.observe(reg)
+	return s
+}
+
+func (s *CheckpointStore) cellPath(runKey string, cell int) string {
+	return filepath.Join(s.keyDir(runKey), fmt.Sprintf("cell-%d.json", cell))
+}
+
+// Get returns the payload checkpointed for (runKey, cell), or false on a miss.
+func (s *CheckpointStore) Get(runKey string, cell int) (payload []byte, ok bool) {
+	ok = s.read(s.cellPath(runKey, cell), func(data []byte) verdict {
+		e, err := DecodeEntry(data)
 		if err != nil {
-			continue
+			return corrupt
 		}
-		entries++
-		bytes += info.Size()
+		if e.Schema != CheckpointSchemaVersion || e.Key != runKey || e.Cell != cell {
+			return stale
+		}
+		payload = e.Payload
+		return hit
+	})
+	return payload, ok
+}
+
+// Put checkpoints one cell's payload, replacing any previous entry.
+func (s *CheckpointStore) Put(runKey string, cell int, payload []byte) error {
+	return s.PutEntry(Entry{
+		Schema: CheckpointSchemaVersion, Key: runKey, Cell: cell, Payload: payload,
+	})
+}
+
+// PutEntry persists a pre-assembled entry of the current schema under its
+// own key and cell: the path a coordinator takes with an envelope off the wire.
+func (s *CheckpointStore) PutEntry(e Entry) error {
+	if e.Schema != CheckpointSchemaVersion {
+		return fmt.Errorf("diskcache: entry schema %d, this build speaks %d", e.Schema, CheckpointSchemaVersion)
 	}
-	return entries, bytes, nil
-}
-
-// PruneOptions selects what Prune removes. Zero values disable the
-// corresponding criterion; with both zero, Prune removes nothing.
-type PruneOptions struct {
-	// MaxAge evicts entries not read or written for longer than this
-	// (recency is tracked by mtime; Get touches entries it serves).
-	MaxAge time.Duration
-	// MaxBytes caps the store's total size: least-recently-used entries
-	// are evicted until the remainder fits.
-	MaxBytes int64
-}
-
-// PruneStats reports what one Prune pass did.
-type PruneStats struct {
-	// Removed counts evicted entries; Freed sums their sizes in bytes.
-	Removed int
-	Freed   int64
-	// Kept counts surviving entries; Remaining sums their sizes.
-	Kept      int
-	Remaining int64
-}
-
-// Prune removes entries by age and/or total size (oldest mtime first —
-// approximately least recently used, since Get touches entries on a hit).
-// Entries that disappear mid-pass are treated as already pruned. Stray
-// temp files from crashed writers older than MaxAge are removed too.
-func (s *Store) Prune(opts PruneOptions) (PruneStats, error) {
-	var st PruneStats
-	names, err := filepath.Glob(filepath.Join(s.dir, "*.json"))
+	data, err := e.Encode()
 	if err != nil {
-		return st, err
+		return err
 	}
-	type fileInfo struct {
-		path  string
-		size  int64
-		mtime time.Time
+	return s.write(s.cellPath(e.Key, e.Cell), data)
+}
+
+// Len returns the number of cells checkpointed under runKey.
+func (s *CheckpointStore) Len(runKey string) (int, error) { return s.count(runKey) }
+
+// Clear removes every checkpoint of the run, as a run that completes does.
+func (s *CheckpointStore) Clear(runKey string) error { return s.clear(runKey) }
+
+// SampleStoreSchemaVersion is the sample entries' own schema version.
+const SampleStoreSchemaVersion = 1
+
+// sampleEntry is the on-disk envelope of one simulator replica sample.
+// The seed crosses JSON as a hex string because a uint64 does not survive
+// a float64-typed JSON number.
+type sampleEntry struct {
+	Schema int `json:"schema"`
+	// Key is the full (unhashed) sample key: everything that determines
+	// the sample except the replica seed.
+	Key  string `json:"key"`
+	Seed string `json:"seed"`
+	// Payload is the caller-encoded sample (see replica.EncodeSample).
+	Payload []byte `json:"payload"`
+}
+
+// SampleStore persists simulator replica samples keyed by (configuration
+// key, replica seed): one subdirectory per key, one file per seed. A
+// sample is a pure function of its key and seed, so a re-run with a larger
+// replica count finds every earlier sample on disk and simulates only the
+// new seeds. The same store backs local runs, sequential stopping and the
+// distributed fabric.
+type SampleStore struct{ fileStore }
+
+// OpenSamples ensures dir exists and returns a sample store over it. The
+// directory may be shared with the other two stores.
+func OpenSamples(dir string) (*SampleStore, error) {
+	fs, err := open(dir, "sample ", layout{counters: "samplestore", sub: "samples-", file: "s-*.json", touch: true})
+	if err != nil {
+		return nil, err
 	}
-	var files []fileInfo
-	now := time.Now()
-	for _, name := range names {
-		info, err := os.Stat(name)
+	return &SampleStore{fs}, nil
+}
+
+// WithObs counts the store's traffic in the registry (nil is a no-op) as
+// samplestore_{hits,misses,stores,corrupt,evicted}_total.
+func (s *SampleStore) WithObs(reg *obs.Registry) *SampleStore {
+	s.observe(reg)
+	return s
+}
+
+func (s *SampleStore) samplePath(key string, seed uint64) string {
+	return filepath.Join(s.keyDir(key), fmt.Sprintf("s-%016x.json", seed))
+}
+
+// Get returns the payload stored for (key, seed), or false on a miss.
+func (s *SampleStore) Get(key string, seed uint64) (payload []byte, ok bool) {
+	ok = s.read(s.samplePath(key, seed), func(data []byte) verdict {
+		var e sampleEntry
+		if err := json.Unmarshal(data, &e); err != nil || e.Payload == nil {
+			return corrupt
+		}
+		stored, err := strconv.ParseUint(e.Seed, 16, 64)
 		if err != nil {
-			continue
+			return corrupt
 		}
-		files = append(files, fileInfo{path: name, size: info.Size(), mtime: info.ModTime()})
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	var total int64
-	for _, f := range files {
-		total += f.size
-	}
-	remove := func(f fileInfo) {
-		if os.Remove(f.path) == nil {
-			st.Removed++
-			st.Freed += f.size
-			s.count(func(c *Stats) { c.Evicted++ })
-			s.obsEvicted.Inc()
+		if e.Schema != SampleStoreSchemaVersion || e.Key != key || stored != seed {
+			return stale
 		}
-		total -= f.size
-	}
-	for _, f := range files {
-		switch {
-		case opts.MaxAge > 0 && now.Sub(f.mtime) > opts.MaxAge:
-			remove(f)
-		case opts.MaxBytes > 0 && total > opts.MaxBytes:
-			remove(f)
-		default:
-			st.Kept++
-			st.Remaining += f.size
-		}
-	}
-	if opts.MaxAge > 0 {
-		tmps, err := filepath.Glob(filepath.Join(s.dir, "put-*.tmp"))
-		if err == nil {
-			for _, name := range tmps {
-				info, err := os.Stat(name)
-				if err != nil || now.Sub(info.ModTime()) <= opts.MaxAge {
-					continue
-				}
-				os.Remove(name)
-			}
-		}
-	}
-	return st, nil
+		payload = e.Payload
+		return hit
+	})
+	return payload, ok
 }
 
-// Stats returns a snapshot of the counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-func (s *Store) count(f func(*Stats)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f(&s.stats)
-}
-
-func (s *Store) evict(path string) {
-	if os.Remove(path) == nil {
-		s.count(func(st *Stats) { st.Evicted++ })
-		s.obsEvicted.Inc()
+// Put stores one sample payload, replacing any previous entry.
+func (s *SampleStore) Put(key string, seed uint64, payload []byte) error {
+	if payload == nil {
+		return fmt.Errorf("diskcache: nil sample payload")
 	}
+	data, err := json.Marshal(sampleEntry{
+		Schema: SampleStoreSchemaVersion, Key: key,
+		Seed: fmt.Sprintf("%016x", seed), Payload: payload,
+	})
+	if err != nil {
+		return fmt.Errorf("diskcache: %w", err)
+	}
+	return s.write(s.samplePath(key, seed), data)
 }
+
+// Len returns the number of samples currently stored under key.
+func (s *SampleStore) Len(key string) (int, error) { return s.count(key) }
+
+// Clear removes every sample stored under key.
+func (s *SampleStore) Clear(key string) error { return s.clear(key) }
+
+// Usage reports the store's sample count and total size across all keys.
+func (s *SampleStore) Usage() (entries int, bytes int64, err error) { return s.usage() }
+
+// Prune evicts samples by age and/or total size, least recently used first.
+func (s *SampleStore) Prune(opts PruneOptions) (PruneStats, error) { return s.prune(opts) }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mfdl/internal/obs"
 	"mfdl/internal/replica"
 	"mfdl/internal/runner"
 	"mfdl/internal/runner/diskcache"
@@ -259,24 +260,25 @@ func TestRunJobReusesStoredSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.New()
+	store.WithObs(reg)
+	hits, stores := reg.Counter("samplestore_hits_total"), reg.Counter("samplestore_stores_total")
 	spec := testJobSpec(t, 2, 2)
 	env := runner.JobEnv{Samples: store}
 	want, err := RunJob(context.Background(), spec, env, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := store.Stats()
-	if before.Stores != 4 { // 2 cells × 2 replicas
-		t.Fatalf("first run stored %d samples, want 4", before.Stores)
+	if n := stores.Value(); n != 4 { // 2 cells × 2 replicas
+		t.Fatalf("first run stored %d samples, want 4", n)
 	}
+	hitsBefore := hits.Value()
 	got, err := RunJob(context.Background(), spec, env, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := store.Stats()
-	if after.Hits-before.Hits != 4 || after.Stores != before.Stores {
-		t.Fatalf("re-run hits %d stores %d, want 4 replays and no new stores",
-			after.Hits-before.Hits, after.Stores-before.Stores)
+	if h, n := hits.Value()-hitsBefore, stores.Value(); h != 4 || n != 4 {
+		t.Fatalf("re-run hits %d stores %d, want 4 replays and no new stores", h, n-4)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("replayed aggregates differ")
@@ -291,6 +293,9 @@ func TestRunJobStoppingSharesSampleKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.New()
+	store.WithObs(reg)
+	hits, stores := reg.Counter("samplestore_hits_total"), reg.Counter("samplestore_stores_total")
 	spec := testJobSpec(t, 6, 2)
 	env := runner.JobEnv{Samples: store}
 	// A huge target converges every cell at the starting R = 2, so the
@@ -300,15 +305,13 @@ func TestRunJobStoppingSharesSampleKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := store.Stats()
+	hitsBefore, storesBefore := hits.Value(), stores.Value()
 	plain, err := RunJob(context.Background(), spec, env, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := store.Stats()
-	if after.Hits-before.Hits != 4 || after.Stores != before.Stores {
-		t.Fatalf("RunJob after RunJobStopping: %d hits, %d new stores — keys diverge",
-			after.Hits-before.Hits, after.Stores-before.Stores)
+	if h, n := hits.Value()-hitsBefore, stores.Value()-storesBefore; h != 4 || n != 0 {
+		t.Fatalf("RunJob after RunJobStopping: %d hits, %d new stores — keys diverge", h, n)
 	}
 	if !reflect.DeepEqual(seq, plain) {
 		t.Fatal("sequential and plain aggregates differ at equal R")
