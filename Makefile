@@ -19,9 +19,14 @@ tier2:
 # local run, with every surviving worker riding the blackout out parked
 # instead of failing. The chaos seed is fixed in the test, so the fault
 # schedule it survives is the same one every time (and is pinned
-# byte-for-byte by the chaos package's golden schedule test).
+# byte-for-byte by the chaos package's golden schedule test). With it run
+# the two tests that guard the coordinator's locking: the exhaustive
+# lease/renew/complete/reap/restart interleavings over a three-cell job,
+# and the stalled-store test (a completion parked inside a store write must
+# not hold up a lease, a renewal, a status read or another cell's
+# completion).
 soak:
-	go test -race -count=1 -run 'TestChaosSoak' -v ./internal/fabric/
+	go test -race -count=1 -run 'TestChaosSoak|TestHostileSchedules|TestStalledStore' -v ./internal/fabric/
 
 # bench runs the repository's one benchmark (BENCHMARK.json, benchmark/):
 # five workloads, end-to-end metrics, and with -trace 1 the per-layer table.

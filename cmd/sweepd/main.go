@@ -518,11 +518,8 @@ func (sh *serveHost) serveFluid(spec experiments.SweepSpec, copts fabric.Coordin
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	sh.startProgress(ctx)
-	workerErrs := sh.startWorkers(ctx, url, nil)
-	for i := 0; i < sh.localWorkers; i++ {
-		if err := <-workerErrs; err != nil {
-			return err
-		}
+	if err := sh.runRound(ctx, coord, url, nil); err != nil {
+		return err
 	}
 	cells, err := coord.Result(ctx)
 	if err != nil {
@@ -605,7 +602,10 @@ func (sh *serveHost) serveSimValidate(set experiments.SimSettings, ps []float64,
 		st := coord.Status()
 		fmt.Fprintf(os.Stderr, "sweepd: round %d: serving %d cells (%d resumed, R=%d) on %s\n",
 			round, st.Total, st.Done, r, url)
-		payloads, err := awaitPayloads(ctx, coord, sh.startWorkers(ctx, url, samples), sh.localWorkers)
+		if err := sh.runRound(ctx, coord, url, samples); err != nil {
+			return err
+		}
+		payloads, err := coord.Payloads(ctx)
 		if err != nil {
 			return err
 		}
@@ -647,29 +647,35 @@ func (sh *serveHost) serveSimValidate(set experiments.SimSettings, ps []float64,
 	return sh.writeFleet()
 }
 
-// awaitPayloads waits for one round's payloads while watching the
-// in-process workers: a worker error aborts the round (their normal nil
-// completions are swallowed — remote workers may finish the job).
-func awaitPayloads(ctx context.Context, coord *fabric.Coordinator, workerErrs <-chan error, workers int) ([][]byte, error) {
-	type result struct {
-		payloads [][]byte
-		err      error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		p, err := coord.Payloads(ctx)
-		ch <- result{p, err}
-	}()
-	for {
+// runRound runs the in-process workers against one coordinator until its
+// job completes — by their hands or remote workers' — or a local worker
+// fails, which aborts the round. It waits on the coordinator, not on the
+// workers: one still sitting out an idle poll when the last cell lands is
+// cancelled, and returns as soon as its farewell telemetry push is out.
+func (sh *serveHost) runRound(ctx context.Context, coord *fabric.Coordinator, url string, samples *diskcache.SampleStore) error {
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	workerErrs := sh.startWorkers(wctx, url, samples)
+	running := sh.localWorkers
+	var err error
+	for waiting := true; waiting; {
 		select {
-		case r := <-ch:
-			return r.payloads, r.err
-		case err := <-workerErrs:
-			if err != nil {
-				return nil, err
+		case <-coord.Done():
+			waiting = false
+		case <-ctx.Done():
+			err, waiting = ctx.Err(), false
+		case werr := <-workerErrs:
+			running--
+			if werr != nil {
+				err, waiting = werr, false
 			}
 		}
 	}
+	cancel()
+	for ; running > 0; running-- {
+		<-workerErrs
+	}
+	return err
 }
 
 func work(args []string) error {

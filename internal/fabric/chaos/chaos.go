@@ -354,7 +354,7 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, rerr
 		}
 		t.plan.corrupted.Inc()
-		resp.Body = io.NopCloser(bytes.NewReader(corrupt(body)))
+		resp.Body = io.NopCloser(bytes.NewReader(Corrupt(body)))
 		resp.ContentLength = -1
 		resp.Header.Del("Content-Length")
 		return resp, nil
@@ -378,11 +378,13 @@ func injected503(req *http.Request) *http.Response {
 	}
 }
 
-// corrupt deterministically garbles a response body: the first byte is
+// Corrupt deterministically garbles a response body: the first byte is
 // inverted (0x7b '{' becomes an invalid JSON lead byte) and the tail is
 // truncated, so both structured decoders and length-sensitive consumers
-// notice. An empty body gains a garbage byte instead.
-func corrupt(body []byte) []byte {
+// notice. An empty body gains a garbage byte instead. It is exported so
+// decoders' fuzz targets can seed their corpora with exactly the bytes the
+// chaos transport would hand them.
+func Corrupt(body []byte) []byte {
 	if len(body) == 0 {
 		return []byte{0xff}
 	}

@@ -10,7 +10,7 @@
 //   - A completed cell travels as the diskcache.Entry envelope — the exact
 //     bytes the coordinator persists, so the checkpoint store doubles as
 //     the wire format and the shared resume state.
-//   - Cell streams are pre-split per cell (runner.CellStream), so a grid
+//   - Cell streams are pre-split per cell (runner.Job.Stream), so a grid
 //     computed by one process or twenty, in any interleaving, is
 //     byte-identical.
 //
@@ -21,6 +21,7 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -56,10 +57,13 @@ const (
 	// very large fleets' registries without letting one client make the
 	// coordinator buffer arbitrary data.
 	maxTelemetryBody = 8 << 20
-	// maxCompleteBody bounds a POST /v1/complete body: one cell's Entry
-	// envelope. Sim-replica event samples run to a few megabytes at long
-	// horizons; 32 MiB is far above any real cell yet still a cap.
+	// maxCompleteBody bounds a POST /v1/complete body: the Entry envelopes
+	// of one lease's cells, concatenated. Sim-replica event samples run to
+	// a few megabytes at long horizons; 32 MiB is far above any real lease
+	// yet still a cap.
 	maxCompleteBody = 32 << 20
+	// minIdleHint is the shortest retry hint an empty-queue lease carries.
+	minIdleHint = 25 * time.Millisecond
 	// maxControlBody bounds the small control bodies (/v1/lease,
 	// /v1/renew): a worker name and a few integers.
 	maxControlBody = 1 << 16
@@ -122,35 +126,53 @@ type lease struct {
 	expires time.Time
 }
 
+// pace accumulates observed cell durations — one worker's for the adaptive
+// lease policy, the whole fleet's for the idle hint — next to the
+// fabric_cell_seconds series they are also recorded in.
+type pace struct {
+	sum  float64
+	n    int
+	hist *obs.Histogram
+}
+
+func (p *pace) observe(sec float64) {
+	p.sum += sec
+	p.n++
+	p.hist.Observe(sec)
+}
+
 // Coordinator owns the authoritative state of one distributed job: which
 // cells are idle, leased or done. All completed cells live in the
 // checkpoint store under the job's fingerprint, which makes the
 // coordinator itself restartable — reopening the same store resumes with
 // every previously completed cell already marked done.
-// pace accumulates one worker's observed cell durations for the adaptive
-// lease policy.
-type pace struct {
-	sum float64
-	n   int
-}
-
+//
+// mu guards the cell, lease and pace state and nothing else: no store is
+// read or written, and nothing is encoded, while it is held.
 type Coordinator struct {
 	spec     runner.JobSpec
 	specJSON []byte
 	fp       string
-	kind     runner.JobKind
+	job      *runner.Job
 	store    *diskcache.CheckpointStore
 	opts     CoordinatorOptions
 
-	mu        sync.Mutex
-	state     []cellState
-	pending   []int // FIFO queue of idle cells
+	mu           sync.Mutex
+	state        []cellState
+	leased, done int // how many cells are cellLeased, cellDone
+	// pending[head:] is the FIFO queue of idle cells. A reaped cell that
+	// completes while queued stays in the slice and is skipped when popped.
+	pending []int
+	head    int
+	// writing holds a channel per cell whose completion is between claim
+	// and commit, closed at the commit: a second completion of the cell
+	// waits on it instead of writing the stores again.
+	writing   map[int]chan struct{}
 	leases    map[string]*lease
 	nextLease int
-	done      int
 	doneCh    chan struct{}
-	closed    bool
 	pace      map[string]*pace
+	fleet     pace
 
 	obsGranted   *obs.Counter
 	obsExpired   *obs.Counter
@@ -182,18 +204,13 @@ func NewCoordinator(spec runner.JobSpec, store *diskcache.CheckpointStore, opts 
 	if store == nil {
 		return nil, fmt.Errorf("fabric: nil checkpoint store")
 	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	specJSON, err := spec.Canonical()
+	job, err := spec.Prepare()
 	if err != nil {
 		return nil, err
 	}
-	kind, ok := runner.LookupJobKind(spec.Kind)
-	if !ok {
-		return nil, fmt.Errorf("fabric: unknown job kind %q", spec.Kind)
-	}
-	n, err := spec.CellCount()
+	spec = job.Spec()
+	// Prepare has validated the spec, so this is its canonical encoding.
+	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -217,12 +234,14 @@ func NewCoordinator(spec runner.JobSpec, store *diskcache.CheckpointStore, opts 
 		treg = obs.New()
 	}
 	c := &Coordinator{
-		spec: spec, specJSON: specJSON, fp: spec.Fingerprint(), kind: kind,
+		spec: spec, specJSON: specJSON, fp: spec.Fingerprint(), job: job,
 		store: store, opts: opts,
-		state:  make([]cellState, n),
-		leases: map[string]*lease{},
-		doneCh: make(chan struct{}),
-		pace:   map[string]*pace{},
+		state:   make([]cellState, job.Cells),
+		writing: map[int]chan struct{}{},
+		leases:  map[string]*lease{},
+		doneCh:  make(chan struct{}),
+		pace:    map[string]*pace{},
+		fleet:   pace{hist: treg.Histogram("fabric_cell_seconds", obs.LatencyBuckets)},
 
 		obsGranted:   treg.Counter("fabric_leases_granted_total"),
 		obsExpired:   treg.Counter("fabric_leases_expired_total"),
@@ -251,29 +270,35 @@ func NewCoordinator(spec runner.JobSpec, store *diskcache.CheckpointStore, opts 
 		// run's own bookkeeping (and Result/Payloads assembly) sees it as
 		// done. This is what makes a doubled -replicas re-run distribute
 		// only the new replicas.
-		if opts.Samples != nil && kind.SampleRef != nil {
-			if key, seed, ok := kind.SampleRef(spec, i); ok {
-				if payload, hit := opts.Samples.Get(key, seed); hit {
-					if store.Put(c.fp, i, payload) == nil {
-						c.state[i] = cellDone
-						c.done++
-						c.obsResumed.Inc()
-						continue
-					}
+		if key, seed, ok := c.sampleRef(i); ok {
+			if payload, hit := opts.Samples.Get(key, seed); hit {
+				if store.Put(c.fp, i, payload) == nil {
+					c.state[i] = cellDone
+					c.done++
+					c.obsResumed.Inc()
+					continue
 				}
 			}
 		}
 		c.pending = append(c.pending, i)
 	}
 	if c.done == len(c.state) {
-		c.closed = true
 		close(c.doneCh)
 	}
 	return c, nil
 }
 
-// Fingerprint returns the job identity workers must echo on every
-// completion.
+// sampleRef is cell's identity in the replica-sample store; ok is false
+// when the coordinator has no sample store or the kind no sample identity.
+func (c *Coordinator) sampleRef(cell int) (key string, seed uint64, ok bool) {
+	if c.opts.Samples == nil || c.job.SampleRef == nil {
+		return "", 0, false
+	}
+	return c.job.SampleRef(cell)
+}
+
+// Fingerprint returns the job identity workers must echo on every lease,
+// renewal and completion.
 func (c *Coordinator) Fingerprint() string { return c.fp }
 
 // Spec returns the job being distributed.
@@ -288,6 +313,7 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		for _, cell := range l.cells {
 			if c.state[cell] == cellLeased {
 				c.state[cell] = cellIdle
+				c.leased--
 				c.pending = append(c.pending, cell)
 			}
 		}
@@ -307,26 +333,24 @@ func (c *Coordinator) Lease(worker string, max int) (grant *lease, retry time.Du
 	if c.done == len(c.state) {
 		return nil, 0, true
 	}
-	if len(c.pending) == 0 {
-		retry = c.opts.LeaseTTL / 4
-		if retry < 25*time.Millisecond {
-			retry = 25 * time.Millisecond
-		}
-		return nil, retry, false
-	}
 	n := c.batchSizeLocked(worker)
 	if max > 0 && max < n {
 		n = max
 	}
-	if n > len(c.pending) {
-		n = len(c.pending)
+	cells := make([]int, 0, n)
+	for ; len(cells) < n && c.head < len(c.pending); c.head++ {
+		if cell := c.pending[c.head]; c.state[cell] == cellIdle {
+			c.state[cell] = cellLeased
+			cells = append(cells, cell)
+		}
 	}
-	cells := make([]int, n)
-	copy(cells, c.pending[:n])
-	c.pending = append(c.pending[:0], c.pending[n:]...)
-	for _, cell := range cells {
-		c.state[cell] = cellLeased
+	if c.head == len(c.pending) {
+		c.pending, c.head = c.pending[:0], 0
 	}
+	if len(cells) == 0 {
+		return nil, c.idleHintLocked(), false
+	}
+	c.leased += len(cells)
 	c.nextLease++
 	l := &lease{
 		id: fmt.Sprintf("lease-%d", c.nextLease), worker: worker,
@@ -335,6 +359,16 @@ func (c *Coordinator) Lease(worker string, max int) (grant *lease, retry time.Du
 	c.leases[l.id] = l
 	c.obsGranted.Inc()
 	return l, 0, false
+}
+
+// idleHintLocked is how long a worker that found the queue empty should
+// wait before asking again: about as long as the cells in flight need at
+// the fleet's observed mean pace — the soonest the answer can change,
+// short of a lease expiring — kept within [minIdleHint, LeaseTTL/4].
+func (c *Coordinator) idleHintLocked() time.Duration {
+	sec := c.fleet.sum / float64(max(c.fleet.n, 1)) * float64(c.leased)
+	sec = min(sec, (c.opts.LeaseTTL / 4).Seconds())
+	return max(time.Duration(sec*float64(time.Second)), minIdleHint)
 }
 
 // Renew extends a live lease by a fresh TTL. A slow-but-alive worker
@@ -383,28 +417,30 @@ func (c *Coordinator) batchSizeLocked(worker string) int {
 	return batch
 }
 
-// ObserveCellSeconds feeds the adaptive lease policy and the straggler
-// histograms one observed cell duration for worker: the per-worker
-// fabric_cell_seconds{worker=...} series and the unlabeled fleet series
-// whose medians /v1/fleet compares. The HTTP handler calls it for every
-// non-duplicate completion carrying the X-Fabric-Cell-Seconds header;
-// non-positive and non-finite observations are ignored.
+// ObserveCellSeconds feeds the adaptive lease policy, the idle hint and
+// the straggler histograms one observed cell duration for worker: the
+// per-worker fabric_cell_seconds{worker=...} series and the unlabeled
+// fleet series whose medians /v1/fleet compares. The HTTP handler folds
+// the same observation into the commit of every non-duplicate completion
+// that carries the X-Fabric-Cell-Seconds header; non-positive and
+// non-finite observations are ignored.
 func (c *Coordinator) ObserveCellSeconds(worker string, sec float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.observeLocked(worker, sec)
+}
+
+func (c *Coordinator) observeLocked(worker string, sec float64) {
 	if worker == "" || sec <= 0 || math.IsNaN(sec) || math.IsInf(sec, 0) {
 		return
 	}
-	c.treg.Histogram("fabric_cell_seconds", obs.LatencyBuckets).Observe(sec)
-	c.treg.Histogram("fabric_cell_seconds", obs.LatencyBuckets,
-		obs.L("worker", worker)).Observe(sec)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	p := c.pace[worker]
 	if p == nil {
-		p = &pace{}
+		p = &pace{hist: c.treg.Histogram("fabric_cell_seconds", obs.LatencyBuckets, obs.L("worker", worker))}
 		c.pace[worker] = p
 	}
-	p.sum += sec
-	p.n++
+	p.observe(sec)
+	c.fleet.observe(sec)
 }
 
 // Complete records one finished cell. The entry must carry the current
@@ -414,6 +450,14 @@ func (c *Coordinator) ObserveCellSeconds(worker string, sec float64) {
 // contributes), and repeats are acknowledged as duplicates rather than
 // errors.
 func (c *Coordinator) Complete(e diskcache.Entry) (duplicate bool, err error) {
+	return c.complete(e, "", 0)
+}
+
+// complete is Complete plus the worker's observed cell seconds, folded
+// into the commit. It runs claim → persist → commit: only the claim and
+// the commit take c.mu, so completions of different cells write in
+// parallel and a slow disk never stalls a lease, a renewal or a status.
+func (c *Coordinator) complete(e diskcache.Entry, worker string, sec float64) (duplicate bool, err error) {
 	if e.Schema != diskcache.CheckpointSchemaVersion {
 		return false, fmt.Errorf("fabric: entry schema %d, this coordinator speaks %d",
 			e.Schema, diskcache.CheckpointSchemaVersion)
@@ -425,41 +469,62 @@ func (c *Coordinator) Complete(e diskcache.Entry) (duplicate bool, err error) {
 	if e.Cell < 0 || e.Cell >= len(c.state) {
 		return false, fmt.Errorf("fabric: cell %d outside grid of %d", e.Cell, len(c.state))
 	}
+
+	// Claim. A cell someone else is writing is answered by that write's
+	// outcome: a duplicate if it commits, this completion's turn if not.
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	for c.state[e.Cell] != cellDone && c.writing[e.Cell] != nil {
+		first := c.writing[e.Cell]
+		c.mu.Unlock()
+		<-first
+		c.mu.Lock()
+	}
 	if c.state[e.Cell] == cellDone {
+		c.mu.Unlock()
 		c.obsDuplicate.Inc()
 		return true, nil
 	}
-	if err := c.store.PutEntry(e); err != nil {
-		return false, err
+	claim := make(chan struct{})
+	c.writing[e.Cell] = claim
+	c.mu.Unlock()
+
+	err = c.persist(e)
+
+	c.mu.Lock()
+	delete(c.writing, e.Cell)
+	if err == nil {
+		// A cell reaped back into the queue stays there; Lease skips it.
+		if c.state[e.Cell] == cellLeased {
+			c.leased--
+		}
+		c.state[e.Cell] = cellDone
+		c.done++
+		c.obsCompleted.Inc()
+		c.observeLocked(worker, sec)
+		if c.done == len(c.state) {
+			close(c.doneCh)
+		}
 	}
-	// Write the payload through to the replica-sample store (best-effort):
-	// a later run over the same configurations — even a different grid or
-	// spec — finds the sample without redistributing it.
-	if c.opts.Samples != nil && c.kind.SampleRef != nil {
-		if key, seed, ok := c.kind.SampleRef(c.spec, e.Cell); ok {
+	c.mu.Unlock()
+	close(claim)
+	return false, err
+}
+
+// persist writes a claimed cell to the checkpoint store and, best-effort,
+// through to the replica-sample store, so a later run over the same
+// configurations — even a different grid or spec — finds the sample
+// without redistributing it. A worker sharing the coordinator's sample
+// store has already stored it; it is not written twice.
+func (c *Coordinator) persist(e diskcache.Entry) error {
+	if err := c.store.PutEntry(e); err != nil {
+		return err
+	}
+	if key, seed, ok := c.sampleRef(e.Cell); ok {
+		if _, stored := c.opts.Samples.Get(key, seed); !stored {
 			_ = c.opts.Samples.Put(key, seed, e.Payload)
 		}
 	}
-	if c.state[e.Cell] == cellIdle {
-		// The cell had been reaped back into the queue; pull it out so it
-		// is not granted again.
-		for i, cell := range c.pending {
-			if cell == e.Cell {
-				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				break
-			}
-		}
-	}
-	c.state[e.Cell] = cellDone
-	c.done++
-	c.obsCompleted.Inc()
-	if c.done == len(c.state) && !c.closed {
-		c.closed = true
-		close(c.doneCh)
-	}
-	return false, nil
+	return nil
 }
 
 // Status is a point-in-time summary of the job's progress.
@@ -477,15 +542,9 @@ func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked(c.opts.Clock())
-	leased := 0
-	for _, s := range c.state {
-		if s == cellLeased {
-			leased++
-		}
-	}
 	return Status{
 		Fingerprint: c.fp, Total: len(c.state), Done: c.done,
-		Leased: leased, Idle: len(c.pending), Leases: len(c.leases),
+		Leased: c.leased, Idle: len(c.state) - c.done - c.leased, Leases: len(c.leases),
 	}
 }
 
@@ -544,7 +603,10 @@ func (c *Coordinator) Payloads(ctx context.Context) ([][]byte, error) {
 // Wire bodies.
 type leaseRequest struct {
 	Worker string `json:"worker"`
-	Max    int    `json:"max"`
+	// Max, when positive, caps the grant below the coordinator's own batch.
+	Max int `json:"max,omitempty"`
+	// Fingerprint is the job the worker believes it is leasing from.
+	Fingerprint string `json:"fingerprint"`
 }
 
 type leaseGrant struct {
@@ -560,17 +622,23 @@ type leaseResponse struct {
 }
 
 type renewRequest struct {
-	Worker string `json:"worker"`
-	Lease  string `json:"lease"`
+	Worker      string `json:"worker"`
+	Lease       string `json:"lease"`
+	Fingerprint string `json:"fingerprint"`
 }
 
 // Handler returns the coordinator's HTTP surface:
 //
 //	GET  /v1/job      → the job's canonical JSON (what workers execute)
-//	POST /v1/lease    → {"worker","max"} → grant | retry hint | done
-//	POST /v1/renew    → {"worker","lease"} → ok | 409 (expired/stolen)
-//	POST /v1/complete → a diskcache.Entry envelope; idempotent
+//	POST /v1/lease    → {"worker","fingerprint"} → grant | retry hint | done | 409 (another job)
+//	POST /v1/renew    → {"worker","lease","fingerprint"} → ok | 409 (expired/stolen/another job)
+//	POST /v1/complete → one or more concatenated diskcache.Entry envelopes; idempotent
 //	GET  /v1/status   → progress summary
+//
+// Lease and renew requests name the job by fingerprint, as completions
+// always have: behind an address that serves a sequence of coordinators, a
+// worker still holding the previous job is told so (409) instead of being
+// granted cells it would compute against the wrong spec.
 //
 // Every body-carrying endpoint is capped (maxControlBody for the small
 // control messages, maxCompleteBody for cell payloads, maxTelemetryBody
@@ -589,6 +657,10 @@ func (c *Coordinator) Handler() http.Handler {
 			http.Error(w, "fabric: bad lease request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
+		if req.Fingerprint != c.fp {
+			http.Error(w, errOtherJob, http.StatusConflict)
+			return
+		}
 		l, retry, done := c.Lease(req.Worker, req.Max)
 		resp := leaseResponse{Done: done, RetryMilli: retry.Milliseconds()}
 		if l != nil {
@@ -603,6 +675,10 @@ func (c *Coordinator) Handler() http.Handler {
 		var req renewRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, "fabric: bad renew request: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		if req.Fingerprint != c.fp {
+			http.Error(w, errOtherJob, http.StatusConflict)
 			return
 		}
 		if err := c.Renew(req.Worker, req.Lease); err != nil {
@@ -621,24 +697,46 @@ func (c *Coordinator) Handler() http.Handler {
 			http.Error(w, "fabric: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		e, err := diskcache.DecodeEntry(data)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		dup, err := c.Complete(e)
-		if err != nil {
-			status := http.StatusBadRequest
-			if e.Key != c.fp {
-				status = http.StatusConflict
+		// The body is a lease's worth of Entry envelopes back to back, one
+		// in the simplest case; X-Fabric-Cell-Seconds lists their cell
+		// seconds in the same order. Each entry is ingested on its own,
+		// idempotently: the first bad one fails the request, the ones ahead
+		// of it are already committed, and a retry sees those as duplicates.
+		worker := r.Header.Get(headerWorker)
+		seconds := strings.Split(r.Header.Get(headerCellSeconds), ",")
+		dec := json.NewDecoder(bytes.NewReader(data))
+		entries, duplicates := 0, 0
+		for ; ; entries++ {
+			var raw json.RawMessage
+			if err := dec.Decode(&raw); err == io.EOF && entries > 0 {
+				break
+			} else if err != nil {
+				http.Error(w, fmt.Sprintf("fabric: completion entry %d: %v", entries, err), http.StatusBadRequest)
+				return
 			}
-			http.Error(w, err.Error(), status)
-			return
+			e, err := diskcache.DecodeEntry(raw)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			var sec float64
+			if entries < len(seconds) {
+				sec, _ = strconv.ParseFloat(strings.TrimSpace(seconds[entries]), 64)
+			}
+			dup, err := c.complete(e, worker, sec)
+			if err != nil {
+				status := http.StatusBadRequest
+				if e.Key != c.fp {
+					status = http.StatusConflict
+				}
+				http.Error(w, err.Error(), status)
+				return
+			}
+			if dup {
+				duplicates++
+			}
 		}
-		if sec, err := strconv.ParseFloat(r.Header.Get(headerCellSeconds), 64); err == nil && !dup {
-			c.ObserveCellSeconds(r.Header.Get(headerWorker), sec)
-		}
-		writeJSON(w, map[string]bool{"ok": true, "duplicate": dup})
+		writeJSON(w, map[string]bool{"ok": true, "duplicate": duplicates == entries})
 	})
 	mux.HandleFunc("GET "+pathStatus, func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, c.Status())
@@ -678,6 +776,9 @@ func (c *Coordinator) Handler() http.Handler {
 	}
 	return mux
 }
+
+// errOtherJob answers a lease or renewal that names another job.
+const errOtherJob = "fabric: the coordinator is serving a different job"
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -196,9 +196,10 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	spec := testSpec(t)
 	want := localCells(t, spec)
 	dir := t.TempDir()
-	coord1, srv1 := newFabric(t, spec, dir, CoordinatorOptions{})
+	coord1, srv1 := newFabric(t, spec, dir, CoordinatorOptions{LeaseCells: 2})
 
-	// The first worker posts a few cells, then its process dies.
+	// The first worker posts a lease of cells, then its process dies with
+	// the next lease computed but not posted.
 	ctx1, kill := context.WithCancel(context.Background())
 	var posted atomic.Int32
 	err := Work(ctx1, srv1.URL, WorkerOptions{

@@ -32,19 +32,23 @@ type slowParams struct {
 
 func init() {
 	runner.RegisterJobKind(runner.JobKind{
-		Name:  slowKindName,
-		Cells: func(spec runner.JobSpec) (int, error) { return len(spec.Dims[0].Values), nil },
-		Evaluate: func(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, cell int, src *rng.Source) ([]byte, error) {
+		Name: slowKindName,
+		Prepare: func(spec runner.JobSpec) (*runner.Job, error) {
 			var p slowParams
 			if err := json.Unmarshal(spec.Params, &p); err != nil {
 				return nil, err
 			}
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(time.Duration(p.SleepMilli) * time.Millisecond):
-			}
-			return []byte(fmt.Sprintf(`{"cell":%d}`, cell)), nil
+			return &runner.Job{
+				Cells: len(spec.Dims[0].Values),
+				Evaluate: func(ctx context.Context, env runner.JobEnv, cell int, src *rng.Source) ([]byte, error) {
+					select {
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					case <-time.After(time.Duration(p.SleepMilli) * time.Millisecond):
+					}
+					return []byte(fmt.Sprintf(`{"cell":%d}`, cell)), nil
+				},
+			}, nil
 		},
 	})
 }
@@ -475,5 +479,73 @@ func TestFabricBodyCaps(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized lease body got %d, want a 4xx rejection", resp.StatusCode)
+	}
+}
+
+// A worker still polling the previous round's job when the next round's
+// coordinator takes over the address must not be granted the new job's
+// cells — it would compute them against the old spec, have every
+// completion refused as foreign, and leave the cells leased until the TTL.
+// Its lease request names the old job, the new coordinator answers 409,
+// and the loop worker refetches and joins the new round.
+func TestStaleWorkerDoesNotStealFromNextRound(t *testing.T) {
+	spec1 := testSpec(t)
+	spec2 := testSpec(t)
+	spec2.Seed++
+	reg := obs.New()
+	coord1, _ := newFabric(t, spec1, t.TempDir(), CoordinatorOptions{LeaseCells: 64})
+	coord2, _ := newFabric(t, spec2, t.TempDir(), CoordinatorOptions{Obs: reg})
+
+	// Round one is entirely in someone else's hands, so the worker under
+	// test idles in its empty-queue poll.
+	if l, _, _ := coord1.Lease("holder", 0); l == nil || len(l.cells) != coord1.Status().Total {
+		t.Fatalf("holder's lease = %+v, want every cell", l)
+	}
+	sh := &swapHandler{}
+	sh.Set(coord1.Handler())
+	idled := make(chan struct{})
+	var once atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sh.ServeHTTP(w, r)
+		if r.URL.Path == pathLease && !once.Swap(true) {
+			close(idled)
+		}
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	var leases atomic.Int32
+	go func() {
+		done <- WorkLoop(ctx, srv.URL, WorkerOptions{
+			Name: "straggler", Backoff: time.Millisecond, Heartbeat: -1,
+			OnLease: func(string, []int) { leases.Add(1) },
+		})
+	}()
+	<-idled
+	sh.Set(coord2.Handler())
+
+	// The straggler's next poll is refused, it refetches, and finishes
+	// round two by itself.
+	wctx, wcancel := context.WithTimeout(ctx, 20*time.Second)
+	defer wcancel()
+	if err := coord2.Wait(wctx); err != nil {
+		select {
+		case werr := <-done:
+			t.Fatalf("the stale worker exited with %v instead of joining the next round", werr)
+		default:
+			t.Fatalf("round two never finished: %v (status %+v)", err, coord2.Status())
+		}
+	}
+	if n := reg.Counter("fabric_cells_foreign_total").Value(); n != 0 {
+		t.Fatalf("%d completions computed against the old spec reached the new coordinator", n)
+	}
+	if n, granted := leases.Load(), reg.Counter("fabric_leases_granted_total").Value(); uint64(n) != granted {
+		t.Fatalf("worker saw %d leases, round two granted %d: a grant went to a worker that could not use it", n, granted)
+	}
+	cancel()
+	if err := <-done; err != context.Canceled {
+		t.Fatalf("cancelled WorkLoop returned %v", err)
 	}
 }

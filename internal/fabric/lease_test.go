@@ -1,9 +1,12 @@
 package fabric
 
 import (
+	"context"
 	"math"
 	"testing"
+	"time"
 
+	"mfdl/internal/runner"
 	"mfdl/internal/runner/diskcache"
 )
 
@@ -37,7 +40,7 @@ func mustLease(t *testing.T, c *Coordinator, worker string, max int) int {
 // get the full batch, and a worker with no history falls back to the
 // fixed LeaseCells.
 func TestAdaptiveLeaseSizing(t *testing.T) {
-	// testSpec has 10 cells; LeaseCells 8 keeps every scenario below the
+	// testSpec has 12 cells; LeaseCells 8 keeps every scenario below the
 	// pending count so sizes reflect policy, not depletion.
 	opts := CoordinatorOptions{LeaseCells: 8, TargetLeaseSeconds: 1}
 
@@ -110,4 +113,102 @@ func TestAdaptiveLeaseSizing(t *testing.T) {
 			t.Fatalf("fixed policy granted %d cells, want LeaseCells=8", n)
 		}
 	})
+}
+
+// The empty-queue retry hint follows what the coordinator has observed —
+// mean cell seconds times the cells in flight — instead of a flat
+// LeaseTTL/4, and stays inside [minIdleHint, LeaseTTL/4].
+func TestIdleHintTracksCellsInFlight(t *testing.T) {
+	hint := func(t *testing.T, c *Coordinator) time.Duration {
+		t.Helper()
+		grant, retry, done := c.Lease("idler", 0)
+		if grant != nil || done {
+			t.Fatalf("Lease on a drained queue = grant %v, done %v", grant, done)
+		}
+		return retry
+	}
+	// One worker holds all of testSpec's 12 cells.
+	drained := func(t *testing.T) *Coordinator {
+		c := newCoord(t, CoordinatorOptions{LeaseCells: 12, LeaseTTL: 40 * time.Second})
+		if n := mustLease(t, c, "holder", 0); n != 12 {
+			t.Fatalf("holder got %d cells, want 12", n)
+		}
+		return c
+	}
+
+	t.Run("no-observations-polls-at-the-floor", func(t *testing.T) {
+		if got := hint(t, drained(t)); got != minIdleHint {
+			t.Fatalf("hint = %v, want %v", got, minIdleHint)
+		}
+	})
+	t.Run("mean-times-in-flight", func(t *testing.T) {
+		c := drained(t)
+		c.ObserveCellSeconds("holder", 0.04)
+		c.ObserveCellSeconds("other", 0.06) // fleet mean 50ms x 12 in flight
+		if got := hint(t, c).Round(time.Millisecond); got != 600*time.Millisecond {
+			t.Fatalf("hint = %v, want 600ms", got)
+		}
+	})
+	t.Run("fast-cells-clamp-to-the-floor", func(t *testing.T) {
+		c := drained(t)
+		c.ObserveCellSeconds("holder", 0.0001)
+		if got := hint(t, c); got != minIdleHint {
+			t.Fatalf("hint = %v, want %v", got, minIdleHint)
+		}
+	})
+	t.Run("slow-cells-clamp-to-a-quarter-ttl", func(t *testing.T) {
+		c := drained(t)
+		c.ObserveCellSeconds("holder", 60)
+		if got := hint(t, c); got != 10*time.Second {
+			t.Fatalf("hint = %v, want LeaseTTL/4 = 10s", got)
+		}
+	})
+}
+
+// A cell reaped back into the queue and then completed by its original
+// (slow) worker is never granted again: the queue entry it left behind is
+// skipped when popped.
+func TestReapedThenCompletedCellIsNotRegranted(t *testing.T) {
+	now := time.Unix(0, 0)
+	c := newCoord(t, CoordinatorOptions{
+		LeaseCells: 4, LeaseTTL: time.Second, Clock: func() time.Time { return now },
+	})
+	slow, _, _ := c.Lease("slow", 0)
+	now = now.Add(2 * time.Second)
+	if st := c.Status(); st.Leased != 0 || st.Idle != st.Total {
+		t.Fatalf("after expiry: %+v, want everything idle again", st)
+	}
+	want, err := runner.RunJobPayloads(context.Background(), c.Spec(), runner.JobEnv{}, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range slow.cells[:2] {
+		dup, err := c.Complete(diskcache.Entry{
+			Schema: diskcache.CheckpointSchemaVersion, Key: c.Fingerprint(), Cell: cell, Payload: want[cell],
+		})
+		if dup || err != nil {
+			t.Fatalf("late completion of reaped cell %d = duplicate %v, error %v", cell, dup, err)
+		}
+	}
+	granted := map[int]bool{}
+	for {
+		l, _, _ := c.Lease("thief", 0)
+		if l == nil {
+			break
+		}
+		for _, cell := range l.cells {
+			if granted[cell] {
+				t.Fatalf("cell %d granted twice", cell)
+			}
+			granted[cell] = true
+		}
+	}
+	for _, cell := range slow.cells[:2] {
+		if granted[cell] {
+			t.Fatalf("cell %d was completed while queued, then granted anyway", cell)
+		}
+	}
+	if st := c.Status(); len(granted) != 10 || st.Done != 2 || st.Leased != 10 || st.Idle != 0 {
+		t.Fatalf("granted %d cells, status %+v; want 10 granted, 2 done, 10 leased, 0 idle", len(granted), st)
+	}
 }

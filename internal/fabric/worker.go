@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -25,8 +26,8 @@ type WorkerOptions struct {
 	// "worker-<pid>").
 	Name string
 	// Parallelism bounds how many cells of a lease are computed
-	// concurrently, and is also the lease size the worker asks for
-	// (default 1).
+	// concurrently (default 1). The lease size is the coordinator's to
+	// choose (LeaseCells, TargetLeaseSeconds).
 	Parallelism int
 	// Client is the HTTP client (default http.DefaultClient).
 	Client *http.Client
@@ -78,10 +79,12 @@ type WorkerOptions struct {
 	// instead of simulated, and freshly simulated samples are persisted
 	// for later runs. Fluid cells ignore it.
 	Samples *diskcache.SampleStore
-	// OnLease, when non-nil, observes every granted lease.
+	// OnLease, when non-nil, observes every granted lease before any of
+	// its cells is computed.
 	OnLease func(id string, cells []int)
-	// OnCell, when non-nil, observes every completed cell before its
-	// result is posted.
+	// OnCell, when non-nil, observes every computed cell, on the goroutine
+	// that computed it and before the lease's results are posted. At
+	// Parallelism 1 the two hooks are therefore never concurrent.
 	OnCell func(cell int)
 }
 
@@ -149,13 +152,15 @@ func (w *worker) jitterSleep(ctx context.Context, d time.Duration) error {
 
 // Work runs one worker against the coordinator at baseURL until the job
 // completes (returns nil), the context is cancelled (returns ctx.Err()),
-// or a cell or protocol error is hit. The worker fetches the job spec
-// once, then loops: lease a batch of cells, compute each through the
-// spec's registered job kind (runner.EvaluateJobCell) with its pre-split
-// random stream, and post each result as the same diskcache.Entry
-// envelope the checkpoint store persists. A spec whose kind this build
-// does not register is rejected up front — a worker never leases cells it
-// cannot execute.
+// or a cell or protocol error is hit. The worker fetches the job spec and
+// prepares it once, then loops: lease a batch of cells, compute each
+// through the prepared job (runner.Job.EvaluateCell) with its pre-split
+// random stream, and post the lease's results in one request, each as the
+// same diskcache.Entry envelope the checkpoint store persists. A spec
+// whose kind this build does not register is rejected up front — a worker
+// never leases cells it cannot execute. A coordinator that answers a lease
+// with 409 has moved on to another job: Work returns nil, as it does when
+// the job completes, and WorkLoop fetches the next one.
 func Work(ctx context.Context, baseURL string, opts WorkerOptions) error {
 	opts = opts.withDefaults()
 	w := newWorker(opts, baseURL)
@@ -172,17 +177,17 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) error {
 	// The job spec decode rides inside the retry loop: a corrupted or
 	// truncated response body is network weather, exactly like a 5xx, not
 	// a protocol disagreement.
-	var spec runner.JobSpec
 	_, err := w.do(ctx, http.MethodGet, pathJob, nil, nil, func(data []byte) error {
-		var perr error
-		spec, perr = runner.ParseJobSpec(data)
+		spec, perr := runner.ParseJobSpec(data)
+		if perr == nil {
+			w.fp = spec.Fingerprint()
+			w.job, perr = spec.Prepare()
+		}
 		return perr
 	})
 	if err != nil {
 		return err
 	}
-	w.spec = spec
-	w.fp = spec.Fingerprint()
 	w.env = runner.JobEnv{
 		Cache:   runner.NewCache().WithObs(opts.Obs),
 		Samples: opts.Samples,
@@ -220,19 +225,22 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) error {
 		}()
 	}
 
+	leaseBody, _ := json.Marshal(leaseRequest{Worker: opts.Name, Fingerprint: w.fp})
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		body, _ := json.Marshal(leaseRequest{Worker: opts.Name, Max: opts.Parallelism})
 		var resp leaseResponse
-		_, err := w.do(ctx, http.MethodPost, pathLease, body, nil, func(data []byte) error {
+		_, err := w.do(ctx, http.MethodPost, pathLease, leaseBody, nil, func(data []byte) error {
 			resp = leaseResponse{}
 			if err := json.Unmarshal(data, &resp); err != nil {
 				return fmt.Errorf("fabric: lease response: %w", err)
 			}
 			return nil
 		})
+		if errors.Is(err, errConflict) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
@@ -285,7 +293,7 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) error {
 // harmless). Renewals are best-effort single attempts: a dropped one
 // just leaves the next tick to succeed, well inside the TTL.
 func (w *worker) renewLease(ctx context.Context, leaseID string, ttl time.Duration) {
-	body, _ := json.Marshal(renewRequest{Worker: w.opts.Name, Lease: leaseID})
+	body, _ := json.Marshal(renewRequest{Worker: w.opts.Name, Lease: leaseID, Fingerprint: w.fp})
 	t := time.NewTicker(ttl / 2)
 	defer t.Stop()
 	for {
@@ -376,7 +384,7 @@ func WorkLoop(ctx context.Context, baseURL string, opts WorkerOptions) error {
 type worker struct {
 	opts     WorkerOptions
 	base     string
-	spec     runner.JobSpec
+	job      *runner.Job
 	fp       string
 	env      runner.JobEnv
 	cells    *obs.Counter
@@ -485,84 +493,112 @@ func (w *worker) pushTelemetry(ctx context.Context) {
 	}
 }
 
-// runLease computes and posts every cell of one lease, at most
-// Parallelism at a time. The first failure cancels the rest.
+// runLease computes every cell of one lease, at most Parallelism at a
+// time, and posts what it computed as one completion body: the Entry
+// envelopes one per line, their cell seconds listed in the same order in
+// X-Fabric-Cell-Seconds. The first failure cancels the cells not yet
+// started; those already computed are still posted, so an error costs only
+// the work it interrupted.
 func (w *worker) runLease(ctx context.Context, cells []int) error {
-	ctx, cancel := context.WithCancel(ctx)
+	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sem := make(chan struct{}, w.opts.Parallelism)
-	errs := make(chan error, len(cells))
-	var wg sync.WaitGroup
+	queue := make(chan int, len(cells))
 	for _, cell := range cells {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			errs <- ctx.Err()
-			goto drain
-		}
+		queue <- cell
+	}
+	close(queue)
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex // guards body, seconds and firstErr
+		body     bytes.Buffer
+		seconds  []string
+		firstErr error
+	)
+	for p := 0; p < min(w.opts.Parallelism, len(cells)); p++ {
 		wg.Add(1)
-		go func(cell int) {
+		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			if err := w.runCell(ctx, cell); err != nil {
-				errs <- err
-				cancel()
+			for cell := range queue {
+				if cctx.Err() != nil {
+					return
+				}
+				entry, sec, err := w.runCell(cctx, cell)
+				mu.Lock()
+				if err != nil {
+					if firstErr == nil {
+						firstErr = err
+					}
+					cancel()
+				} else {
+					body.Write(entry)
+					body.WriteByte('\n')
+					seconds = append(seconds, sec)
+				}
+				mu.Unlock()
 			}
-		}(cell)
+		}()
 	}
-drain:
 	wg.Wait()
-	select {
-	case err := <-errs:
+	if err := ctx.Err(); err != nil {
+		// A cancelled worker is shutdown, not loss: nothing can be posted.
 		return err
-	default:
-		return nil
 	}
+	if err := w.postCells(ctx, body.Bytes(), seconds); firstErr == nil {
+		firstErr = err
+	}
+	return firstErr
 }
 
-// runCell computes one cell through the job kind and posts its Entry
-// envelope.
-func (w *worker) runCell(ctx context.Context, cell int) error {
+// runCell computes one cell through the prepared job and returns its
+// encoded Entry envelope and how many seconds that took.
+func (w *worker) runCell(ctx context.Context, cell int) (entry []byte, seconds string, err error) {
 	start := time.Now()
 	// Remote cells bypass the runner pool's span site, so span them here;
 	// inert (no clock read) unless a sink is attached.
 	sp := w.opts.Obs.StartSpan("cell", obs.L("cell", strconv.Itoa(cell)))
-	payload, err := runner.EvaluateJobCell(ctx, w.spec, w.env, cell)
+	payload, err := w.job.EvaluateCell(ctx, w.env, cell)
 	sp.End()
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	entry := diskcache.Entry{
+	entry, err = diskcache.Entry{
 		Schema: diskcache.CheckpointSchemaVersion,
 		Key:    w.fp, Cell: cell, Payload: payload,
-	}
-	body, err := entry.Encode()
+	}.Encode()
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	hdr := http.Header{}
-	hdr.Set(headerWorker, w.opts.Name)
-	hdr.Set(headerCellSeconds, strconv.FormatFloat(time.Since(start).Seconds(), 'g', -1, 64))
+	seconds = strconv.FormatFloat(time.Since(start).Seconds(), 'g', -1, 64)
 	if w.opts.OnCell != nil {
 		w.opts.OnCell(cell)
 	}
+	return entry, seconds, nil
+}
+
+// postCells posts one lease's computed cells; seconds has one element per
+// entry in body.
+func (w *worker) postCells(ctx context.Context, body []byte, seconds []string) error {
+	n := uint64(len(seconds))
+	if n == 0 {
+		return nil
+	}
+	hdr := http.Header{}
+	hdr.Set(headerWorker, w.opts.Name)
+	hdr.Set(headerCellSeconds, strings.Join(seconds, ","))
 	if _, err := w.do(ctx, http.MethodPost, pathComplete, body, hdr, nil); err != nil {
-		// A cancelled worker is shutdown, not loss — report it as such.
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		// The cell was computed but its result never reached the
-		// coordinator: that is lost work (someone else will recompute it),
-		// not a silent skip — count it and surface the post error.
-		w.failed.Inc()
-		return fmt.Errorf("fabric: cell %d completion lost after retries: %w", cell, err)
+		// The cells were computed but their results never reached the
+		// coordinator: that is lost work (someone else will recompute
+		// them), not a silent skip — count it and surface the post error.
+		w.failed.Add(n)
+		return fmt.Errorf("fabric: completion lost after retries (%d cells): %w", n, err)
 	}
-	w.cells.Inc()
+	w.cells.Add(n)
 	w.tmu.Lock()
-	w.done++
-	if w.inflight > 0 {
-		w.inflight--
-	}
+	w.done += n
+	w.inflight = max(w.inflight-len(seconds), 0)
 	w.tmu.Unlock()
 	return nil
 }
@@ -681,11 +717,18 @@ func (w *worker) attempt(ctx context.Context, method, path string, body []byte, 
 	case resp.StatusCode >= 500:
 		return nil, fmt.Errorf("fabric: %s %s: %s: %s",
 			method, path, resp.Status, strings.TrimSpace(string(data))), true
+	case resp.StatusCode == http.StatusConflict:
+		return nil, fmt.Errorf("fabric: %s %s: %w: %s",
+			method, path, errConflict, strings.TrimSpace(string(data))), false
 	default:
 		return nil, fmt.Errorf("fabric: %s %s: %s: %s",
 			method, path, resp.Status, strings.TrimSpace(string(data))), false
 	}
 }
+
+// errConflict marks a 409: the coordinator and this worker disagree about
+// which job (or whose lease) the request belongs to.
+var errConflict = errors.New("409 Conflict")
 
 func readAll(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()

@@ -14,18 +14,7 @@ import (
 // cell, payload gob-encoded CellValue — exactly the bytes the checkpoint
 // store and the fabric wire have always carried.
 func init() {
-	RegisterJobKind(JobKind{
-		Name:     JobKindFluidSweep,
-		Validate: validateFluidSweep,
-		Cells: func(s JobSpec) (int, error) {
-			g, err := s.Grid()
-			if err != nil {
-				return 0, err
-			}
-			return g.Size(), nil
-		},
-		Evaluate: evaluateFluidCell,
-	})
+	RegisterJobKind(JobKind{Name: JobKindFluidSweep, Validate: validateFluidSweep, Prepare: prepareFluidSweep})
 }
 
 // validateFluidSweep holds the fluid-specific half of JobSpec.Validate:
@@ -52,16 +41,26 @@ func validateFluidSweep(s JobSpec) error {
 	return nil
 }
 
-func evaluateFluidCell(_ context.Context, spec JobSpec, env JobEnv, cell int, src *rng.Source) ([]byte, error) {
-	g, err := spec.Grid()
+// prepareFluidSweep keeps the grid, so a cell is one Point lookup away
+// from its solve.
+func prepareFluidSweep(s JobSpec) (*Job, error) {
+	if err := validateFluidSweep(s); err != nil {
+		return nil, err
+	}
+	g, err := s.Grid()
 	if err != nil {
 		return nil, err
 	}
-	v, err := spec.EvaluateCell(env.Cache, g.Point(cell), src)
-	if err != nil {
-		return nil, err
-	}
-	return EncodeCellValue(v)
+	return &Job{
+		Cells: g.Size(),
+		Evaluate: func(_ context.Context, env JobEnv, cell int, src *rng.Source) ([]byte, error) {
+			v, err := s.EvaluateCell(env.Cache, g.Point(cell), src)
+			if err != nil {
+				return nil, err
+			}
+			return EncodeCellValue(v)
+		},
+	}, nil
 }
 
 // EncodeCellValue renders one fluid cell as its payload bytes. Gob

@@ -29,35 +29,94 @@ type JobEnv struct {
 	Obs *obs.Registry
 }
 
-// JobKind defines one registrable cell computation — how a JobSpec of this
-// kind validates, how many executable cells it fans out to, and how one
-// cell evaluates to a payload. The payload is opaque bytes chosen by the
-// kind (gob for fluid cells, canonical JSON for replica samples); it is
-// what crosses checkpoint files and the fabric wire, so it must be a pure
-// function of (spec, cell): two processes evaluating the same cell of
-// equal specs must produce identical bytes.
+// JobKind defines one registrable cell computation: how a JobSpec of this
+// kind validates and decodes into a Job. Everything per-cell lives on the
+// Job — a kind has no spec-taking evaluate, so nothing a cell needs is
+// re-derived from the spec's bytes cell by cell.
 type JobKind struct {
 	// Name is the kind's wire name (JobSpec.Kind).
 	Name string
-	// Validate checks kind-specific invariants beyond the generic schema,
-	// grid and replica checks. Optional.
+	// Prepare checks the kind-specific invariants beyond the generic schema,
+	// grid and replica checks and decodes the spec once for execution. It
+	// fills in the Job's exported fields; JobSpec.Prepare owns the rest.
+	Prepare func(spec JobSpec) (*Job, error)
+	// Validate, when non-nil, makes exactly Prepare's checks without
+	// building the Job — for kinds whose checks are cheaper than their
+	// decoding. Nil means JobSpec.Validate prepares and drops the result.
 	Validate func(spec JobSpec) error
-	// Cells returns how many executable cells the spec fans out to. For a
-	// plain sweep this is the grid size; a replicated kind multiplies in
-	// its replica count.
-	Cells func(spec JobSpec) (int, error)
-	// Evaluate computes cell i's payload. src is the cell's pre-split
-	// random stream (see CellStream); kinds that draw nothing from it must
-	// still accept it, because deriving it is part of the determinism
-	// contract every executor honors.
-	Evaluate func(ctx context.Context, spec JobSpec, env JobEnv, cell int, src *rng.Source) ([]byte, error)
+	// SampleRef is the spec-taking spelling of Job.SampleRef, kept for
+	// callers that hold a kind and a spec rather than a Job. RegisterJobKind
+	// installs it; it reaches the Job through the spec's handle (see
+	// JobSpec.Prepare) and reports ok=false for kinds without sample
+	// identities.
+	SampleRef func(spec JobSpec, cell int) (key string, seed uint64, ok bool)
+}
+
+// Job is a JobSpec validated and decoded once for execution: the cell
+// count, the per-cell closures and the cell streams. It is immutable after
+// Prepare and safe for concurrent use — one Job serves every cell of a
+// run, locally or in a fabric worker or coordinator.
+type Job struct {
+	// Cells is how many executable cells the spec fans out to: the grid
+	// size for a plain sweep, times the replica count for a replicated
+	// kind. It is the unit the fabric leases and the checkpoint store
+	// indexes.
+	Cells int
+	// Evaluate computes cell i's payload — opaque bytes chosen by the kind
+	// (gob for fluid cells, canonical JSON for replica samples). The
+	// payload is what crosses checkpoint files and the fabric wire, so it
+	// must be a pure function of (spec, cell): two processes evaluating the
+	// same cell of equal specs must produce identical bytes. src is the
+	// cell's pre-split random stream (see Stream); kinds that draw nothing
+	// from it must still accept it, because deriving it is part of the
+	// determinism contract every executor honors.
+	Evaluate func(ctx context.Context, env JobEnv, cell int, src *rng.Source) ([]byte, error)
 	// SampleRef, when non-nil, maps a cell to its sample-store identity —
 	// the (key, seed) pair under which the cell's payload is persisted in
 	// a diskcache.SampleStore. Executors that hold a sample store use it
 	// to skip cells whose samples already exist and to write completed
-	// cells back, locally and through the fabric. ok=false means the cell
-	// has no store identity and is always computed.
-	SampleRef func(spec JobSpec, cell int) (key string, seed uint64, ok bool)
+	// cells back. ok=false means the cell has no store identity and is
+	// always computed.
+	SampleRef func(cell int) (key string, seed uint64, ok bool)
+
+	spec        JobSpec
+	streamsOnce sync.Once
+	streams     []rng.Source
+}
+
+// Spec returns the job's spec, carrying the handle that lets the
+// spec-taking entry points (EvaluateJobCell, JobKind.SampleRef,
+// JobSpec.CellCount) reach this Job without preparing again.
+func (j *Job) Spec() JobSpec { return j.spec }
+
+// Stream returns the random stream cell i receives — the i-th split of the
+// seed's parent stream, exactly what Run hands cell i and what
+// CellStream(seed, i) derives standalone. All of the job's streams are
+// split in one pass on first use; each call returns a fresh copy, so a cell
+// evaluated twice draws the same values twice.
+func (j *Job) Stream(cell int) *rng.Source {
+	j.streamsOnce.Do(func() {
+		parent := rng.New(j.spec.Seed)
+		j.streams = make([]rng.Source, j.Cells)
+		for i := range j.streams {
+			j.streams[i] = *parent.Split()
+		}
+	})
+	src := j.streams[cell]
+	return &src
+}
+
+// EvaluateCell evaluates one cell with its own stream — what a fabric
+// worker runs per leased cell, and what keeps a distributed run
+// byte-identical to a local one.
+func (j *Job) EvaluateCell(ctx context.Context, env JobEnv, cell int) ([]byte, error) {
+	if cell < 0 || cell >= j.Cells {
+		return nil, fmt.Errorf("runner: cell %d outside job of %d", cell, j.Cells)
+	}
+	if env.Cache == nil {
+		env.Cache = NewCache()
+	}
+	return j.Evaluate(ctx, env, cell, j.Stream(cell))
 }
 
 var (
@@ -69,8 +128,15 @@ var (
 // init. It panics on a duplicate name or a structurally incomplete kind —
 // both are programmer errors that no run should limp past.
 func RegisterJobKind(k JobKind) {
-	if k.Name == "" || k.Cells == nil || k.Evaluate == nil {
-		panic("runner: RegisterJobKind needs a name, a Cells func and an Evaluate func")
+	if k.Name == "" || k.Prepare == nil {
+		panic("runner: RegisterJobKind needs a name and a Prepare func")
+	}
+	k.SampleRef = func(spec JobSpec, cell int) (string, uint64, bool) {
+		job, err := spec.Prepare()
+		if err != nil || job.SampleRef == nil {
+			return "", 0, false
+		}
+		return job.SampleRef(cell)
 	}
 	jobKindMu.Lock()
 	defer jobKindMu.Unlock()
@@ -103,25 +169,21 @@ func JobKindNames() []string {
 
 // errUnknownKind is the one rejection every consumer of a spec must agree
 // on — ParseJobSpec, the fabric's job fetch, and its completion endpoint
-// all funnel through Validate and therefore through this message.
+// all funnel through Prepare and therefore through this message.
 func errUnknownKind(kind string) error {
 	return fmt.Errorf("runner: unknown job kind %q (have %s)",
 		kind, strings.Join(JobKindNames(), ", "))
 }
 
-// EvaluateJobCell evaluates one cell of a validated spec through its
-// registered kind, deriving the cell's stream exactly as a local Run
-// would (CellStream) — the single entry point remote fabric workers use,
-// which is what keeps a distributed run byte-identical to a local one.
+// EvaluateJobCell evaluates one cell of a spec through its prepared Job
+// (see Job.EvaluateCell). A spec carrying its handle — from ParseJobSpec,
+// Job.Spec or a kind's constructor — pays no preparation here.
 func EvaluateJobCell(ctx context.Context, spec JobSpec, env JobEnv, cell int) ([]byte, error) {
-	kind, ok := LookupJobKind(spec.Kind)
-	if !ok {
-		return nil, errUnknownKind(spec.Kind)
+	job, err := spec.Prepare()
+	if err != nil {
+		return nil, err
 	}
-	if env.Cache == nil {
-		env.Cache = NewCache()
-	}
-	return kind.Evaluate(ctx, spec, env, cell, CellStream(spec.Seed, cell))
+	return job.EvaluateCell(ctx, env, cell)
 }
 
 // RunJobPayloads executes every cell of the job locally over the runner
@@ -131,18 +193,11 @@ func EvaluateJobCell(ctx context.Context, spec JobSpec, env JobEnv, cell int) ([
 // verbatim (no re-encoding), so a checkpoint written by a fabric
 // coordinator and one written here are interchangeable.
 func RunJobPayloads(ctx context.Context, spec JobSpec, env JobEnv, opts Options) ([][]byte, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	kind, ok := LookupJobKind(spec.Kind)
-	if !ok {
-		return nil, errUnknownKind(spec.Kind)
-	}
-	n, err := kind.Cells(spec)
+	job, err := spec.Prepare()
 	if err != nil {
 		return nil, err
 	}
-	g, err := Indexed("cell", n)
+	g, err := Indexed("cell", job.Cells)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +216,7 @@ func RunJobPayloads(ctx context.Context, spec JobSpec, env JobEnv, opts Options)
 			resumed.Inc()
 			return payload, nil
 		}
-		payload, err := kind.Evaluate(ctx, spec, env, p.Index, src)
+		payload, err := job.Evaluate(ctx, env, p.Index, src)
 		if err != nil {
 			return nil, err
 		}

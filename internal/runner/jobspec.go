@@ -62,6 +62,12 @@ type JobSpec struct {
 	// kind's params struct — so that equal specs still encode to equal
 	// bytes; the kind's Validate enforces whatever structure it expects.
 	Params json.RawMessage `json:"params,omitempty"`
+
+	// job is the process-local handle to the spec's prepared Job, carried
+	// by specs that came out of Prepare (ParseJobSpec, Job.Spec, the kinds'
+	// constructors). It never crosses the wire and is ignored once any
+	// field it was prepared from has been reassigned (see preparedFrom).
+	job *Job
 }
 
 // KeyDims lists the dimension names a JobSpec may sweep: every axis maps
@@ -97,47 +103,90 @@ func SetKeyDim(key *Key, name string, v float64) error {
 
 // Validate checks the spec's schema, kind, grid and dimension values —
 // every number must be finite (NaN or ±Inf would break the canonical JSON
-// encoding and can never name a meaningful cell) — and then hands off to
-// the registered kind's own Validate for kind-specific invariants.
+// encoding and can never name a meaningful cell) — and then the registered
+// kind's own invariants. It always checks in full, handle or not.
 func (s JobSpec) Validate() error {
+	kind, err := s.validate()
+	if err != nil {
+		return err
+	}
+	if kind.Validate != nil {
+		return kind.Validate(s)
+	}
+	_, err = kind.Prepare(s)
+	return err
+}
+
+// validate makes the checks every kind shares and returns the spec's kind.
+func (s JobSpec) validate() (JobKind, error) {
 	if s.Schema != JobSpecSchemaVersion {
-		return fmt.Errorf("runner: job schema %d, this build speaks %d", s.Schema, JobSpecSchemaVersion)
+		return JobKind{}, fmt.Errorf("runner: job schema %d, this build speaks %d", s.Schema, JobSpecSchemaVersion)
 	}
 	kind, ok := LookupJobKind(s.Kind)
 	if !ok {
-		return errUnknownKind(s.Kind)
+		return JobKind{}, errUnknownKind(s.Kind)
 	}
 	if s.Replicas < 0 {
-		return fmt.Errorf("runner: job replicas %d must be >= 0", s.Replicas)
+		return JobKind{}, fmt.Errorf("runner: job replicas %d must be >= 0", s.Replicas)
 	}
 	if _, err := s.Grid(); err != nil {
-		return err
+		return JobKind{}, err
 	}
 	for _, d := range s.Dims {
 		for _, v := range d.Values {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("runner: job dimension %q value %v is not finite", d.Name, v)
+				return JobKind{}, fmt.Errorf("runner: job dimension %q value %v is not finite", d.Name, v)
 			}
 		}
 	}
-	if kind.Validate != nil {
-		if err := kind.Validate(s); err != nil {
-			return err
-		}
+	return kind, nil
+}
+
+// Prepare validates the spec and decodes it once for execution. A spec that
+// already carries its Job returns it in O(1); any other spec pays the full
+// validation and the kind's decode, so callers that evaluate many cells
+// prepare once and keep the Job (or its Spec, which carries the handle).
+func (s JobSpec) Prepare() (*Job, error) {
+	if s.job != nil && s.job.preparedFrom(s) {
+		return s.job, nil
 	}
-	return nil
+	kind, err := s.validate()
+	if err != nil {
+		return nil, err
+	}
+	job, err := kind.Prepare(s)
+	if err != nil {
+		return nil, err
+	}
+	s.job = job
+	job.spec = s
+	return job, nil
+}
+
+// preparedFrom reports whether s is still the spec j was prepared from:
+// every scalar field equal and both slices the very arrays j decoded. A
+// reassigned field therefore drops the handle; writing through a shared
+// backing array does not, so a prepared spec's Dims values and Params
+// bytes must be treated as immutable.
+func (j *Job) preparedFrom(s JobSpec) bool {
+	o := j.spec
+	return s.Schema == o.Schema && s.Kind == o.Kind && s.Base == o.Base &&
+		s.Seed == o.Seed && s.Replicas == o.Replicas &&
+		sameArray(s.Dims, o.Dims) && sameArray(s.Params, o.Params)
+}
+
+func sameArray[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // CellCount returns how many executable cells the spec fans out to under
-// its registered kind — the unit the fabric leases and the checkpoint
-// store indexes. For a fluid sweep this is the grid size; replicated kinds
-// multiply in their replica count.
+// its registered kind (see Job.Cells).
 func (s JobSpec) CellCount() (int, error) {
-	kind, ok := LookupJobKind(s.Kind)
-	if !ok {
-		return 0, errUnknownKind(s.Kind)
+	job, err := s.Prepare()
+	if err != nil {
+		return 0, err
 	}
-	return kind.Cells(s)
+	return job.Cells, nil
 }
 
 // Grid returns the spec's swept grid.
@@ -234,23 +283,24 @@ func (s JobSpec) Canonical() ([]byte, error) {
 	return json.Marshal(s)
 }
 
-// ParseJobSpec decodes and validates a JobSpec from its JSON encoding.
+// ParseJobSpec decodes and prepares a JobSpec from its JSON encoding; the
+// returned spec carries its Job.
 func ParseJobSpec(data []byte) (JobSpec, error) {
 	var s JobSpec
 	if err := json.Unmarshal(data, &s); err != nil {
 		return JobSpec{}, fmt.Errorf("runner: job spec: %w", err)
 	}
-	if err := s.Validate(); err != nil {
+	job, err := s.Prepare()
+	if err != nil {
 		return JobSpec{}, err
 	}
-	return s, nil
+	return job.Spec(), nil
 }
 
 // CellStream returns the random stream cell i receives under base seed —
 // the i-th split of the seed's parent stream, exactly what Run hands cell
-// i at any worker count. A remote worker can therefore rebuild any cell's
-// stream without seeing the other cells, which is what makes a
-// distributed run byte-identical to a local one.
+// i at any worker count. It costs i splits; Job.Stream serves the same
+// streams from one pass over the whole job and is what executors use.
 func CellStream(seed uint64, i int) *rng.Source {
 	parent := rng.New(seed)
 	var src *rng.Source

@@ -37,6 +37,7 @@ func TestJobSpecCanonicalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	back.job = nil // the process-local handle is not part of the encoding
 	if !reflect.DeepEqual(spec, back) {
 		t.Fatalf("round trip changed the spec:\n  in  %+v\n  out %+v", spec, back)
 	}

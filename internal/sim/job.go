@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"mfdl/internal/replica"
 	"mfdl/internal/rng"
@@ -103,10 +104,11 @@ func NewJobSpec(cells []JobCell, seed uint64, replicas int) (runner.JobSpec, err
 		Replicas: replicas,
 		Params:   params,
 	}
-	if err := spec.Validate(); err != nil {
+	job, err := spec.Prepare()
+	if err != nil {
 		return runner.JobSpec{}, err
 	}
-	return spec, nil
+	return job.Spec(), nil
 }
 
 // Params decodes a sim-replica spec's cell configurations.
@@ -136,35 +138,60 @@ func jobReplicas(spec runner.JobSpec) int {
 // process without it rejects sim-replica specs as an unknown kind, which
 // is the correct refusal for a build that could not execute them anyway.
 func init() {
-	runner.RegisterJobKind(runner.JobKind{
-		Name:      JobKindSimReplica,
-		Validate:  validateJob,
-		Cells:     jobCells,
-		Evaluate:  evaluateJobCell,
-		SampleRef: jobSampleRef,
-	})
+	runner.RegisterJobKind(runner.JobKind{Name: JobKindSimReplica, Prepare: prepareJob})
 }
 
-func validateJob(spec runner.JobSpec) error {
+// decoded is a sim-replica spec's params decoded once: per grid cell the
+// simulator and the sample-store key, the two things every replica of the
+// cell shares. The keys cost a JSON encoding per cell and only executors
+// that hold a sample store need them, so they are rendered on first use.
+type decoded struct {
+	cells []JobCell
+	sims  []replica.Sim
+
+	keysOnce sync.Once
+	keys     []string
+	keysErr  error
+}
+
+func (d *decoded) key(cell int) (string, error) {
+	d.keysOnce.Do(func() {
+		d.keys = make([]string, len(d.cells))
+		for i, c := range d.cells {
+			if d.keys[i], d.keysErr = c.SampleKey(); d.keysErr != nil {
+				return
+			}
+		}
+	})
+	if d.keysErr != nil {
+		return "", d.keysErr
+	}
+	return d.keys[cell], nil
+}
+
+// decodeCells validates a sim-replica spec's params against its grid and
+// constructs every grid cell's simulator.
+func decodeCells(spec runner.JobSpec) (*decoded, error) {
 	p, err := Params(spec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(p.Cells) == 0 {
-		return fmt.Errorf("sim: job has no cells")
+		return nil, fmt.Errorf("sim: job has no cells")
 	}
 	if len(spec.Dims) != 1 || spec.Dims[0].Name != "cell" {
-		return fmt.Errorf("sim: job dims must be the single %q axis", "cell")
+		return nil, fmt.Errorf("sim: job dims must be the single %q axis", "cell")
 	}
 	if len(spec.Dims[0].Values) != len(p.Cells) {
-		return fmt.Errorf("sim: job sweeps %d cells but params carry %d",
+		return nil, fmt.Errorf("sim: job sweeps %d cells but params carry %d",
 			len(spec.Dims[0].Values), len(p.Cells))
 	}
 	for i, v := range spec.Dims[0].Values {
 		if v != float64(i) {
-			return fmt.Errorf("sim: job cell axis value %d is %v, want %d", i, v, i)
+			return nil, fmt.Errorf("sim: job cell axis value %d is %v, want %d", i, v, i)
 		}
 	}
+	d := &decoded{cells: p.Cells, sims: make([]replica.Sim, len(p.Cells))}
 	for i, c := range p.Cells {
 		var embeddedSeed uint64
 		var embeddedScheme scheme.SimScheme
@@ -175,76 +202,59 @@ func validateJob(spec runner.JobSpec) error {
 			embeddedSeed, embeddedScheme = c.Config.Flow.Seed, c.Config.Flow.Scheme
 		}
 		if embeddedSeed != 0 {
-			return fmt.Errorf("sim: job cell %d embeds seed %d; replica seeds are engine-derived (see NewJobSpec)",
+			return nil, fmt.Errorf("sim: job cell %d embeds seed %d; replica seeds are engine-derived (see NewJobSpec)",
 				i, embeddedSeed)
 		}
-		if _, err := New(c.Scheme, c.Config); err != nil {
-			return fmt.Errorf("sim: job cell %d: %w", i, err)
+		if d.sims[i], err = New(c.Scheme, c.Config); err != nil {
+			return nil, fmt.Errorf("sim: job cell %d: %w", i, err)
 		}
 		if embeddedScheme != c.Scheme {
-			return fmt.Errorf("sim: job cell %d embeds scheme %v, cell says %v", i, embeddedScheme, c.Scheme)
+			return nil, fmt.Errorf("sim: job cell %d embeds scheme %v, cell says %v", i, embeddedScheme, c.Scheme)
 		}
 	}
-	return nil
+	return d, nil
 }
 
-func jobCells(spec runner.JobSpec) (int, error) {
-	p, err := Params(spec)
-	if err != nil {
-		return 0, err
-	}
-	return len(p.Cells) * jobReplicas(spec), nil
-}
-
-// evaluateJobCell computes executable cell i — replica i%R of grid cell
-// i/R — and returns its canonical sample encoding. The replica's seed is
-// replica.SeedOf(spec.Seed, cell, rep), exactly what a local replica.Run
-// over the same cells derives, and the sample store (env.Samples) is
-// consulted before simulating, so stored samples are replayed identically
-// everywhere.
-func evaluateJobCell(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, i int, _ *rng.Source) ([]byte, error) {
-	p, err := Params(spec)
+// prepareJob decodes the spec once into its executable cells: cell i is
+// replica i%R of grid cell i/R, seeded replica.SeedOf(spec.Seed, cell, rep)
+// — exactly what a local replica.Run over the same cells derives. The
+// payload is the canonical sample encoding, and the sample store
+// (env.Samples) is consulted before simulating, so stored samples are
+// replayed identically everywhere.
+func prepareJob(spec runner.JobSpec) (*runner.Job, error) {
+	d, err := decodeCells(spec)
 	if err != nil {
 		return nil, err
 	}
-	r := jobReplicas(spec)
-	cell, rep := i/r, i%r
-	if cell >= len(p.Cells) {
-		return nil, fmt.Errorf("sim: cell %d outside job of %d", i, len(p.Cells)*r)
-	}
-	jc := p.Cells[cell]
-	s, err := New(jc.Scheme, jc.Config)
-	if err != nil {
-		return nil, err
-	}
-	key, err := jc.SampleKey()
-	if err != nil {
-		return nil, err
-	}
-	sample, err := replica.SimulateStored(ctx, s,
-		replica.Rep{Cell: cell, Replica: rep, Seed: replica.SeedOf(spec.Seed, cell, rep)},
-		key, env.Samples, env.Obs)
-	if err != nil {
-		return nil, err
-	}
-	return replica.EncodeSample(sample)
-}
-
-func jobSampleRef(spec runner.JobSpec, i int) (string, uint64, bool) {
-	p, err := Params(spec)
-	if err != nil {
-		return "", 0, false
-	}
-	r := jobReplicas(spec)
-	cell, rep := i/r, i%r
-	if cell >= len(p.Cells) {
-		return "", 0, false
-	}
-	key, err := p.Cells[cell].SampleKey()
-	if err != nil {
-		return "", 0, false
-	}
-	return key, replica.SeedOf(spec.Seed, cell, rep), true
+	r, seed, n := jobReplicas(spec), spec.Seed, len(d.sims)*jobReplicas(spec)
+	return &runner.Job{
+		Cells: n,
+		Evaluate: func(ctx context.Context, env runner.JobEnv, i int, _ *rng.Source) ([]byte, error) {
+			cell, rep := i/r, i%r
+			var key string
+			if env.Samples != nil {
+				k, err := d.key(cell)
+				if err != nil {
+					return nil, err
+				}
+				key = k
+			}
+			sample, err := replica.SimulateStored(ctx, d.sims[cell],
+				replica.Rep{Cell: cell, Replica: rep, Seed: replica.SeedOf(seed, cell, rep)},
+				key, env.Samples, env.Obs)
+			if err != nil {
+				return nil, err
+			}
+			return replica.EncodeSample(sample)
+		},
+		SampleRef: func(i int) (string, uint64, bool) {
+			if i < 0 || i >= n {
+				return "", 0, false
+			}
+			key, err := d.key(i / r)
+			return key, replica.SeedOf(seed, i/r, i%r), err == nil
+		},
+	}, nil
 }
 
 // RunJob executes a sim-replica job locally over the runner pool and
@@ -272,33 +282,28 @@ func RunJob(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, opts ru
 // replica count, replays the samples already drawn instead of resampling.
 // A disabled rule degrades to plain replica.Run over the same cells.
 func RunJobStopping(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, workers int, stop replica.Stopping) ([]replica.Agg, error) {
-	if err := spec.Validate(); err != nil {
+	// The generic checks (schema, replicas, grid); free for a spec that
+	// carries its job.
+	if _, err := spec.Prepare(); err != nil {
 		return nil, err
 	}
-	p, err := Params(spec)
+	d, err := decodeCells(spec)
 	if err != nil {
 		return nil, err
-	}
-	sims := make([]replica.Sim, len(p.Cells))
-	keys := make([]string, len(p.Cells))
-	for i, c := range p.Cells {
-		if sims[i], err = New(c.Scheme, c.Config); err != nil {
-			return nil, err
-		}
-		if keys[i], err = c.SampleKey(); err != nil {
-			return nil, err
-		}
 	}
 	opts := replica.Options{
 		Replicas: spec.Replicas, Workers: workers,
 		Seed: spec.Seed, Obs: env.Obs,
 	}
 	if env.Samples != nil {
+		if _, err := d.key(0); err != nil {
+			return nil, err
+		}
 		opts.Samples = env.Samples
-		opts.SampleKey = func(cell int) string { return keys[cell] }
+		opts.SampleKey = func(cell int) string { return d.keys[cell] }
 	}
-	return replica.RunSequential(ctx, len(p.Cells), func(cell int) replica.Sim {
-		return sims[cell]
+	return replica.RunSequential(ctx, len(d.sims), func(cell int) replica.Sim {
+		return d.sims[cell]
 	}, opts, stop)
 }
 
@@ -306,15 +311,18 @@ func RunJobStopping(ctx context.Context, spec runner.JobSpec, env runner.JobEnv,
 // as returned by RunJobPayloads or Coordinator.Payloads — into per-grid-
 // cell aggregates via the replica engine's reduction.
 func ReduceJob(spec runner.JobSpec, payloads [][]byte) ([]replica.Agg, error) {
-	p, err := Params(spec)
+	if spec.Kind != JobKindSimReplica {
+		return nil, fmt.Errorf("sim: spec kind %q is not %q", spec.Kind, JobKindSimReplica)
+	}
+	job, err := spec.Prepare()
 	if err != nil {
 		return nil, err
 	}
 	r := jobReplicas(spec)
-	if want := len(p.Cells) * r; len(payloads) != want {
-		return nil, fmt.Errorf("sim: job has %d payloads, want %d", len(payloads), want)
+	if len(payloads) != job.Cells {
+		return nil, fmt.Errorf("sim: job has %d payloads, want %d", len(payloads), job.Cells)
 	}
-	out := make([]replica.Agg, len(p.Cells))
+	out := make([]replica.Agg, job.Cells/r)
 	samples := make([]replica.Sample, r)
 	for cell := range out {
 		for rep := 0; rep < r; rep++ {
