@@ -3,7 +3,7 @@
 # the benchmark's own smoke test. DESIGN.md, "Verification tiers", says
 # what the race run is there to catch, package by package.
 
-.PHONY: tier1 tier2 bench soak profile
+.PHONY: tier1 tier2 bench soak profile pairs
 
 tier1:
 	go build ./... && go test ./...
@@ -32,6 +32,17 @@ soak:
 # five workloads, end-to-end metrics, and with -trace 1 the per-layer table.
 bench:
 	go -C benchmark run . -seed 1
+
+# pairs measures the working tree against a parent commit on one workload:
+# N alternating pairs of `go -C benchmark run . -workload W -seed S`, then
+# each side's median and quartiles per end-to-end metric and the pairs won
+# (choosing-metrics §8). ~25 s per pair.
+#	make pairs WORKLOAD=chunk_sim PARENT=HEAD^ N=10 SEED=1
+PARENT ?= HEAD^
+N ?= 10
+SEED ?= 1
+pairs:
+	go run ./scripts/pairs -workload $(WORKLOAD) -parent $(PARENT) -n $(N) -seed $(SEED)
 
 # profile runs a small instrumented sweep with every observability sink
 # attached: a JSON metrics snapshot and a Chrome trace land in ./prof/,

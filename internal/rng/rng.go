@@ -9,7 +9,11 @@
 // can be split deterministically for independent simulation entities.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 const (
 	pcgMultiplier = 6364136223846793005
@@ -88,25 +92,11 @@ func (s *Source) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := s.next64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aLo * bHi
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
 }
 
 // Perm returns a uniformly random permutation of [0, n) (Fisher–Yates).
@@ -123,15 +113,14 @@ func (s *Source) Perm(n int) []int {
 }
 
 // PermInto fills dst with a pseudo-random permutation of [0, n) and
-// returns it, growing dst only when its capacity is below n. The draw
-// sequence is identical to Perm's, so the two are interchangeable in
-// deterministic simulations; PermInto exists for hot paths that must not
-// allocate per call.
+// returns it, growing dst only when its capacity is below n — and then
+// geometrically, so a caller whose n creeps upward (one permutation per
+// arrival into a growing swarm) reallocates O(log n) times, not every
+// call. The draw sequence is identical to Perm's, so the two are
+// interchangeable in deterministic simulations; PermInto exists for hot
+// paths that must not allocate per call.
 func (s *Source) PermInto(dst []int, n int) []int {
-	if cap(dst) < n {
-		dst = make([]int, n)
-	}
-	dst = dst[:n]
+	dst = slices.Grow(dst[:0], n)[:n]
 	for i := range dst {
 		dst[i] = i
 	}

@@ -1,6 +1,9 @@
 package swarm
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestStepAllocsSteadyState pins the SoA refactor's core promise: once the
 // peer table, the scratch buffers and the per-slot pools are warm, a
@@ -39,6 +42,28 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	}
 	if len(s.order) != before {
 		t.Fatalf("population moved %d -> %d during measurement; test is not steady-state", before, len(s.order))
+	}
+}
+
+// TestRunAllocBudget covers what the steady-state test leaves out on
+// purpose: arrivals. A whole Run at the repository benchmark's large
+// chunk_sim point, cut to 60 rounds, admits ~6 000 peers into a swarm
+// that only grows, so every addPeer draws a permutation one longer than
+// the last. With scratch that grows to exactly the size asked, that is
+// one reallocation per arrival (158 MB here); grown geometrically the run
+// stays near 12 MB, nearly all of it the peer table itself.
+func TestRunAllocBudget(t *testing.T) {
+	cfg := chunkSimPoint(true, MFCD, 0)
+	cfg.Horizon, cfg.Warmup = 60, 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 25 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("Run allocated %.1f MB, budget %d MB", float64(got)/(1<<20), budget>>20)
 	}
 }
 

@@ -1,11 +1,6 @@
 package swarm
 
-import (
-	"testing"
-
-	"mfdl/internal/correlation"
-	"mfdl/internal/rng"
-)
+import "testing"
 
 // benchConfig is the fixed operating point of BenchmarkSwarmStep: the
 // default scheme mix at CMFSD with moderate chunk counts. Population size
@@ -19,26 +14,13 @@ func benchConfig() Config {
 	return cfg
 }
 
-// newBenchSwarm builds a sim without running it (mirrors Run's setup).
+// newBenchSwarm builds a sim without running it.
 func newBenchSwarm(b testing.TB, cfg Config) *sim {
 	b.Helper()
-	if cfg.OriginUpload == 0 {
-		cfg.OriginUpload = cfg.UploadPerRound
-	}
-	corr, err := correlation.New(cfg.K, cfg.P, cfg.Lambda0)
+	s, err := newSim(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := &sim{
-		cfg:  cfg,
-		corr: corr,
-		rng:  rng.New(cfg.Seed),
-		res:  &Result{Config: cfg, Classes: make([]ClassStats, cfg.K)},
-	}
-	for i := range s.res.Classes {
-		s.res.Classes[i].Class = i + 1
-	}
-	s.setup()
 	return s
 }
 
@@ -123,4 +105,45 @@ func BenchmarkSwarmStep(b *testing.B) {
 		}
 		benchmarkSwarmStep(b, 100_000)
 	})
+}
+
+// chunkSimPoint is DefaultConfig at one of the two operating points of the
+// repository benchmark's chunk_sim workload (benchmark/inputs.go): "small"
+// holds ~250 peers, "large" ramps to 3-6k inside its horizon, so arrivals
+// into a growing swarm — addPeer's permutation — are part of the run.
+func chunkSimPoint(large bool, scheme Scheme, rho float64) Config {
+	cfg := DefaultConfig
+	cfg.Scheme, cfg.Rho = scheme, rho
+	cfg.Lambda0, cfg.Horizon, cfg.Warmup = 8, 600, 120
+	if large {
+		cfg.Lambda0, cfg.Horizon, cfg.Warmup = 100, 120, 45
+	}
+	return cfg
+}
+
+// BenchmarkSwarmRun measures whole runs, arrivals included, which
+// BenchmarkSwarmStep's synthetic population leaves out.
+func BenchmarkSwarmRun(b *testing.B) {
+	for _, size := range []string{"small", "large"} {
+		for _, sc := range []struct {
+			name   string
+			scheme Scheme
+			rho    float64
+		}{{"MFCD", MFCD, 0}, {"CMFSD-rho0.3", CMFSD, 0.3}} {
+			cfg := chunkSimPoint(size == "large", sc.scheme, sc.rho)
+			b.Run(size+"/"+sc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				peerRounds := 0.0
+				for i := 0; i < b.N; i++ {
+					cfg.Seed = uint64(i + 1)
+					res, err := Run(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					peerRounds += (res.MeanDownloaders + res.MeanSeeds) * float64(cfg.Horizon)
+				}
+				b.ReportMetric(peerRounds/b.Elapsed().Seconds(), "peer-rounds/s")
+			})
+		}
+	}
 }

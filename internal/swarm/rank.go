@@ -1,7 +1,5 @@
 package swarm
 
-import "sort"
-
 // rankEntry is one candidate of the tit-for-tat unchoke ranking.
 type rankEntry struct {
 	slot int32
@@ -9,31 +7,66 @@ type rankEntry struct {
 	id   int64 // unique id: deterministic ascending tiebreak
 }
 
-// ranker sorts unchoke candidates by (received desc, id asc). It lives on
-// the sim and reuses its entry buffer, so ranking allocates nothing — the
-// former sort.Slice closure allocated per call. The comparator is a
-// strict total order (ids are unique), so any sorting algorithm produces
-// the byte-identical ranking the goldens pin.
-//
-// The ranking is a full sort, not a top-(Slots−1) partial sort, on
-// purpose: the tail beyond the unchoke slots is the optimistic-unchoke
-// candidate pool, and the RNG index drawn against it only reproduces the
-// pre-SoA engine if the tail order matches the fully sorted order (see
-// the determinism contract in DESIGN.md).
-type ranker struct {
-	e []rankEntry
-}
-
-func (r *ranker) Len() int { return len(r.e) }
-
-func (r *ranker) Less(i, j int) bool {
-	if r.e[i].key != r.e[j].key {
-		return r.e[i].key > r.e[j].key
+// before is the ranking order: received desc, id asc. Ids are unique, so
+// it is a strict total order and the fully sorted ranking the goldens pin
+// is unique: every rank can be found by selection, without sorting and
+// whatever the algorithm. An unchoke needs the first Slots−1 ranks in
+// order and, on the rounds the optimistic slot re-draws, the one rank
+// the RNG index lands on in the tail behind them.
+func (a rankEntry) before(b rankEntry) bool {
+	if a.key != b.key {
+		return a.key > b.key
 	}
-	return r.e[i].id < r.e[j].id
+	return a.id < b.id
 }
 
-func (r *ranker) Swap(i, j int) { r.e[i], r.e[j] = r.e[j], r.e[i] }
+// selectTop moves the best min(n, len(e)) entries to the front of e, in
+// rank order, and returns how many that is. The rest stay in e[n:] in no
+// particular order.
+func selectTop(e []rankEntry, n int) int {
+	if n > len(e) {
+		n = len(e)
+	}
+	for i := 0; i < n; i++ {
+		best := i
+		for j := i + 1; j < len(e); j++ {
+			if e[j].before(e[best]) {
+				best = j
+			}
+		}
+		e[i], e[best] = e[best], e[i]
+	}
+	return n
+}
 
-// sortRanked sorts the filled entries.
-func (r *ranker) sortRanked() { sort.Sort(r) }
+// nth returns the entry a full sort of e would leave at index k, by
+// quickselect (middle pivot: no RNG draw). It reorders e.
+func nth(e []rankEntry, k int) rankEntry {
+	lo, hi := 0, len(e)-1
+	for lo < hi {
+		pivot := e[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for e[i].before(pivot) {
+				i++
+			}
+			for pivot.before(e[j]) {
+				j--
+			}
+			if i <= j {
+				e[i], e[j] = e[j], e[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return e[k]
+		}
+	}
+	return e[k]
+}

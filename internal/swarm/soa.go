@@ -27,7 +27,8 @@ type recvPair struct {
 type peerTable struct {
 	k          int // files per torrent
 	chunks     int // total chunks
-	chunkWords int // bitset words per peer
+	chunkWords int // chunk-bitset words per peer
+	fileWords  int // file-bitset words per peer
 
 	// Scalar columns, one entry per slot.
 	id             []int64
@@ -68,6 +69,12 @@ type peerTable struct {
 	have      []uint64 // stride chunkWords: chunk bitset
 	sched     []uint64 // stride chunkWords: chunks scheduled this round
 
+	// File masks, stride fileWords: bit f of want is set when the peer
+	// wants chunks of file f, of hasAny when it holds at least one, of
+	// hasAll when it holds them all. sim.setMasks rebuilds them from the
+	// columns above at the top of every round; nothing else writes them.
+	want, hasAny, hasAll []uint64
+
 	free []int32 // recycled slots, LIFO
 }
 
@@ -76,6 +83,7 @@ func newPeerTable(k, chunks int) *peerTable {
 		k:          k,
 		chunks:     chunks,
 		chunkWords: (chunks + 63) / 64,
+		fileWords:  (k + 63) / 64,
 	}
 }
 
@@ -124,6 +132,9 @@ func (t *peerTable) alloc() int32 {
 	t.haveCount = append(t.haveCount, make([]int32, t.k)...)
 	t.have = append(t.have, make([]uint64, t.chunkWords)...)
 	t.sched = append(t.sched, make([]uint64, t.chunkWords)...)
+	t.want = append(t.want, make([]uint64, t.fileWords)...)
+	t.hasAny = append(t.hasAny, make([]uint64, t.fileWords)...)
+	t.hasAll = append(t.hasAll, make([]uint64, t.fileWords)...)
 	return s
 }
 
@@ -195,6 +206,23 @@ func (t *peerTable) haveOf(s int32) []uint64 {
 func (t *peerTable) schedOf(s int32) []uint64 {
 	base := int(s) * t.chunkWords
 	return t.sched[base : base+t.chunkWords]
+}
+
+func (t *peerTable) wantOf(s int32) []uint64 {
+	base := int(s) * t.fileWords
+	return t.want[base : base+t.fileWords]
+}
+
+// offerOf is the file mask slot s can serve from: the files it has
+// finished when fullOnly (a partial seed's altruistic share), else every
+// file it holds a chunk of.
+func (t *peerTable) offerOf(s int32, fullOnly bool) []uint64 {
+	col := t.hasAny
+	if fullOnly {
+		col = t.hasAll
+	}
+	base := int(s) * t.fileWords
+	return col[base : base+t.fileWords]
 }
 
 func (t *peerTable) hasChunk(s int32, c int32) bool {

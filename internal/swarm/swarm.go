@@ -257,80 +257,60 @@ const (
 	stateSeeding
 )
 
-// wantsFile reports whether slot p currently wants chunks of file f.
-func (s *sim) wantsFile(p int32, f int) bool {
+// setMasks rebuilds slot p's file masks from its current state. step calls
+// it for every live peer after arrivals and before any transfer is
+// planned; peer state is frozen until the planned transfers are applied,
+// so the masks hold for the whole planning phase.
+func (s *sim) setMasks(p int32) {
 	t := s.t
+	want, hasAny, hasAll := t.wantOf(p), t.offerOf(p, false), t.offerOf(p, true)
+	clear(want)
+	clear(hasAny)
+	clear(hasAll)
+	cpf := int32(s.cfg.ChunksPerFile)
+	held := t.haveCountOf(p)
+	for f, n := range held {
+		if n > 0 {
+			hasAny[f>>6] |= 1 << (uint(f) & 63)
+		}
+		if n == cpf {
+			hasAll[f>>6] |= 1 << (uint(f) & 63)
+		}
+	}
 	if t.state[p] != stateDownloading {
-		return false
+		return
 	}
-	if t.haveCountOf(p)[f] == int32(s.cfg.ChunksPerFile) {
-		return false
-	}
-	switch s.cfg.Scheme {
-	case MFCD:
-		for _, rf := range t.files[p] {
-			if int(rf) == f {
-				return true
-			}
-		}
-		return false
-	default: // CMFSD/MTSD: only the current file, and not during a pause
-		if t.fileSeedLeft[p] > 0 {
-			return false
-		}
+	// MFCD wants every unfinished requested file; CMFSD/MTSD only the
+	// current one, and none during a per-file seeding pause.
+	files := t.files[p]
+	if s.cfg.Scheme != MFCD {
 		cur := int(t.cursor[p])
-		return cur < len(t.files[p]) && int(t.files[p][cur]) == f
+		if t.fileSeedLeft[p] > 0 || cur >= len(files) {
+			return
+		}
+		files = files[cur : cur+1]
+	}
+	for _, f := range files {
+		if held[f] != cpf {
+			want[f>>6] |= 1 << (uint(f) & 63)
+		}
 	}
 }
 
-// interested reports whether q could use any chunk p is offering from file
-// set judged at file granularity (cheap over-approximation; a useless
-// unchoke just transfers nothing).
-//
-// This is the hottest predicate in the simulator (every unchoke decision
-// scans it across the neighbor set), so it inlines wantsFile: sequential
-// schemes can only want the cursor file, and for MFCD the existence check
-// is order-independent, so scanning q's requested files instead of all K
-// returns the same boolean with fewer haveCount probes.
+// interested reports whether q could use any chunk p is offering (only
+// from p's finished files when virtualOnly), judged at file granularity:
+// a cheap over-approximation, a useless unchoke just transfers nothing.
+// A peer that is not downloading wants nothing, so callers need no state
+// check of their own. It is the hottest predicate in the simulator — every
+// unchoke decision scans it across the neighbor set.
 func (s *sim) interested(q, p int32, virtualOnly bool) bool {
-	t := s.t
-	if t.state[q] != stateDownloading {
-		return false
-	}
-	pc := t.haveCountOf(p)
-	qc := t.haveCountOf(q)
-	cpf := int32(s.cfg.ChunksPerFile)
-	if s.cfg.Scheme == MFCD {
-		for _, rf := range t.files[q] {
-			f := int(rf)
-			if qc[f] == cpf {
-				continue
-			}
-			if virtualOnly && pc[f] != cpf {
-				continue
-			}
-			if pc[f] > 0 {
-				return true
-			}
+	offer := s.t.offerOf(p, virtualOnly)
+	for i, w := range s.t.wantOf(q) {
+		if w&offer[i] != 0 {
+			return true
 		}
-		return false
 	}
-	// CMFSD/MTSD: q wants only its current file, and none mid-pause.
-	if t.fileSeedLeft[q] > 0 {
-		return false
-	}
-	cur := int(t.cursor[q])
-	if cur >= len(t.files[q]) {
-		return false
-	}
-	f := int(t.files[q][cur])
-	if qc[f] == cpf {
-		return false
-	}
-	if virtualOnly && pc[f] != cpf {
-		return false
-	}
-	return pc[f] > 0
+	return false
 }
 
 // fileFinished reports whether slot p holds all chunks of file f.
@@ -354,13 +334,12 @@ type sim struct {
 
 	// Round scratch, reused every round so a steady-state step allocates
 	// nothing (ownership rules in DESIGN.md).
-	planned       []transfer
-	schedTouched  []int32 // slots whose sched bitset needs clearing
-	interestedBuf []int32
-	targetsBuf    []int32
-	poolBuf       []int32
-	permBuf       []int
-	rank          ranker
+	planned      []transfer
+	schedTouched []int32 // slots whose sched bitset needs clearing
+	rankBuf      []rankEntry
+	targetsBuf   []int32
+	poolBuf      []int32
+	permBuf      []int
 
 	res       *Result
 	dlPop     stats.TimeWeighted
@@ -374,6 +353,20 @@ type sim struct {
 
 // Run executes one swarm simulation.
 func Run(cfg Config) (*Result, error) {
+	s, err := newSim(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for s.round = 0; s.round < s.cfg.Horizon; s.round++ {
+		s.step()
+	}
+	s.finish()
+	return s.res, nil
+}
+
+// newSim validates cfg and returns a swarm holding only the origin seed,
+// at round 0.
+func newSim(cfg Config) (*sim, error) {
 	if cfg.OriginUpload == 0 {
 		cfg.OriginUpload = cfg.UploadPerRound
 	}
@@ -404,11 +397,7 @@ func Run(cfg Config) (*Result, error) {
 		s.res.Classes[i].Class = i + 1
 	}
 	s.setup()
-	for s.round = 0; s.round < cfg.Horizon; s.round++ {
-		s.step()
-	}
-	s.finish()
-	return s.res, nil
+	return s, nil
 }
 
 func (s *sim) totalChunks() int { return s.cfg.K * s.cfg.ChunksPerFile }
@@ -430,6 +419,7 @@ func (s *sim) setup() {
 	for f := 0; f < s.cfg.K; f++ {
 		hc[f] = int32(s.cfg.ChunksPerFile)
 	}
+	s.setMasks(origin) // the origin never changes: set once
 	s.origin = origin
 	s.nextID = 1
 	acc := 0.0
@@ -590,6 +580,10 @@ func (s *sim) step() {
 			_ = s.res.Trace.Record("downloaders", float64(s.round), float64(dl))
 			_ = s.res.Trace.Record("seeds", float64(s.round), float64(sd))
 		}
+	}
+
+	for _, p := range s.order {
+		s.setMasks(p)
 	}
 
 	// Plan all transfers with the pre-round state, then apply. The origin
@@ -807,35 +801,21 @@ func (s *sim) depart(dead int32) {
 // The returned slice is round scratch, valid until the next unchoke call.
 func (s *sim) tftUnchoke(p int32) []int32 {
 	t := s.t
-	s.interestedBuf = s.interestedBuf[:0]
+	e := s.rankBuf[:0]
 	for _, q := range t.neighbors[p] {
-		if q == p || t.state[q] != stateDownloading {
-			continue
-		}
-		if s.interested(q, p, false) {
-			s.interestedBuf = append(s.interestedBuf, q)
+		if q != p && s.interested(q, p, false) {
+			e = append(e, rankEntry{slot: q, key: t.recvCount(p, t.id[q]), id: t.id[q]})
 		}
 	}
-	if len(s.interestedBuf) == 0 {
+	s.rankBuf = e
+	if len(e) == 0 {
 		return nil
 	}
-	s.rank.e = s.rank.e[:0]
-	for _, q := range s.interestedBuf {
-		s.rank.e = append(s.rank.e, rankEntry{
-			slot: q,
-			key:  t.recvCount(p, t.id[q]),
-			id:   t.id[q],
-		})
+	n := selectTop(e, s.cfg.Slots-1)
+	s.targetsBuf = s.targetsBuf[:0]
+	for _, c := range e[:n] {
+		s.targetsBuf = append(s.targetsBuf, c.slot)
 	}
-	s.rank.sortRanked()
-	for i, e := range s.rank.e {
-		s.interestedBuf[i] = e.slot
-	}
-	n := s.cfg.Slots - 1
-	if n > len(s.interestedBuf) {
-		n = len(s.interestedBuf)
-	}
-	s.targetsBuf = append(s.targetsBuf[:0], s.interestedBuf[:n]...)
 	// Optimistic slot: rotate a random interested peer not already chosen.
 	// The target is remembered as (slot, generation); a generation mismatch
 	// means the peer departed — exactly when the former *peer pointer
@@ -844,9 +824,8 @@ func (s *sim) tftUnchoke(p int32) []int32 {
 	if t.optSlot[p] == noSlot || int(t.optAge[p]) >= s.cfg.OptimisticEvery || !s.stillInterested(p, t.optSlot[p], t.optGen[p]) {
 		t.optSlot[p] = noSlot
 		t.optAge[p] = 0
-		pool := s.interestedBuf[n:]
-		if len(pool) > 0 {
-			q := pool[s.rng.Intn(len(pool))]
+		if pool := e[n:]; len(pool) > 0 {
+			q := nth(pool, s.rng.Intn(len(pool))).slot
 			t.optSlot[p] = q
 			t.optGen[p] = t.gen[q]
 		}
@@ -864,9 +843,6 @@ func (s *sim) stillInterested(p, q int32, qGen uint32) bool {
 	t := s.t
 	if t.gen[q] != qGen {
 		return false // departed (and possibly recycled)
-	}
-	if t.state[q] != stateDownloading {
-		return false
 	}
 	for _, r := range t.neighbors[p] {
 		if r == q {
@@ -887,10 +863,7 @@ func (s *sim) altruisticUnchoke(p int32, virtualOnly bool) []int32 {
 		neighbors = s.order
 	}
 	for _, q := range neighbors {
-		if q == p || t.state[q] != stateDownloading {
-			continue
-		}
-		if s.interested(q, p, virtualOnly) {
+		if q != p && s.interested(q, p, virtualOnly) {
 			s.poolBuf = append(s.poolBuf, q)
 		}
 	}
@@ -953,38 +926,31 @@ func (s *sim) pickChunk(q, p int32, virtual bool) int32 {
 	t := s.t
 	best := int32(-1)
 	bestCount := int32(math.MaxInt32)
-	cpf := s.cfg.ChunksPerFile
+	cpf := int32(s.cfg.ChunksPerFile)
 	pHave := t.haveOf(p)
 	qHave := t.haveOf(q)
 	qSched := t.schedOf(q)
-	pCount := t.haveCountOf(p)
-	for f := 0; f < s.cfg.K; f++ {
-		if !s.wantsFile(q, f) {
-			continue
-		}
-		if virtual && pCount[f] != int32(cpf) {
-			continue
-		}
-		if pCount[f] == 0 {
-			continue
-		}
-		lo := int32(f * cpf)
-		hi := lo + int32(cpf)
-		for w := int(lo) >> 6; w <= int(hi-1)>>6; w++ {
-			cand := pHave[w] &^ qHave[w] &^ qSched[w]
-			base := int32(w << 6)
-			if base < lo {
-				cand &^= 1<<uint(lo-base) - 1
-			}
-			if base+64 > hi {
-				cand &= 1<<uint(hi-base) - 1
-			}
-			for cand != 0 {
-				c := base + int32(bits.TrailingZeros64(cand))
-				cand &= cand - 1
-				if s.chunkCount[c] < bestCount {
-					bestCount = s.chunkCount[c]
-					best = c
+	offer := t.offerOf(p, virtual)
+	for i, wanted := range t.wantOf(q) {
+		for files := wanted & offer[i]; files != 0; files &= files - 1 {
+			lo := int32(i<<6+bits.TrailingZeros64(files)) * cpf
+			hi := lo + cpf
+			for w := int(lo) >> 6; w <= int(hi-1)>>6; w++ {
+				cand := pHave[w] &^ qHave[w] &^ qSched[w]
+				base := int32(w << 6)
+				if base < lo {
+					cand &^= 1<<uint(lo-base) - 1
+				}
+				if base+64 > hi {
+					cand &= 1<<uint(hi-base) - 1
+				}
+				for cand != 0 {
+					c := base + int32(bits.TrailingZeros64(cand))
+					cand &= cand - 1
+					if s.chunkCount[c] < bestCount {
+						bestCount = s.chunkCount[c]
+						best = c
+					}
 				}
 			}
 		}
