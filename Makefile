@@ -33,11 +33,15 @@ soak:
 bench:
 	go -C benchmark run . -seed 1
 
-# pairs measures the working tree against a parent commit on one workload:
-# N alternating pairs of `go -C benchmark run . -workload W -seed S`, then
-# each side's median and quartiles per end-to-end metric and the pairs won
-# (choosing-metrics §8). ~25 s per pair.
+# pairs measures the working tree against a parent commit: per workload, N
+# alternating pairs of `go -C benchmark run . -workload W -seed S`, then one
+# closing table, a row per (workload, end-to-end metric): each side's median
+# and quartiles, the pairs won, and the verdict — improved / within bound /
+# unresolved / worse — against the metric's bound in BENCHMARK.json
+# (choosing-metrics §6.5, §8). WORKLOAD is a name, a comma list or `all`.
+# ~30 s per pair.
 #	make pairs WORKLOAD=chunk_sim PARENT=HEAD^ N=10 SEED=1
+#	make pairs WORKLOAD=all PARENT=HEAD
 PARENT ?= HEAD^
 N ?= 10
 SEED ?= 1

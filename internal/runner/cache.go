@@ -1,8 +1,8 @@
 package runner
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -51,11 +51,29 @@ const solveTolerance = 1e-10
 // two keys share a fingerprint iff they solve bit-identically.
 func (k Key) Fingerprint() string {
 	k = k.normalize()
-	b := math.Float64bits
-	return fmt.Sprintf("tol=%g scheme=%s k=%d mu=%016x eta=%016x gamma=%016x p=%016x lambda0=%016x rho=%016x theta=%016x",
-		solveTolerance, k.Scheme, k.K,
-		b(k.Params.Mu), b(k.Params.Eta), b(k.Params.Gamma),
-		b(k.P), b(k.Lambda0), b(k.Rho), b(k.Theta))
+	b := make([]byte, 0, 192)
+	b = append(b, "tol="...)
+	b = strconv.AppendFloat(b, solveTolerance, 'g', -1, 64)
+	b = append(append(b, " scheme="...), k.Scheme...)
+	b = strconv.AppendInt(append(b, " k="...), int64(k.K), 10)
+	b = appendBits(b, " mu=", k.Params.Mu)
+	b = appendBits(b, " eta=", k.Params.Eta)
+	b = appendBits(b, " gamma=", k.Params.Gamma)
+	b = appendBits(b, " p=", k.P)
+	b = appendBits(b, " lambda0=", k.Lambda0)
+	b = appendBits(b, " rho=", k.Rho)
+	b = appendBits(b, " theta=", k.Theta)
+	return string(b)
+}
+
+// appendBits appends name and v's bit pattern as sixteen hex digits (%016x).
+func appendBits(b []byte, name string, v float64) []byte {
+	b = append(b, name...)
+	u := math.Float64bits(v)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[u>>shift&15])
+	}
+	return b
 }
 
 // Cache memoizes scheme solves across grid cells, optionally backed by a

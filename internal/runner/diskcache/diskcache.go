@@ -26,14 +26,15 @@ import (
 // any other version are evicted as stale.
 const SchemaVersion = 1
 
-// entry is the on-disk envelope of one cached solve.
+// entry is the on-disk envelope of one cached solve, as Put renders it;
+// decodeSolve reads it back.
 type entry struct {
 	Schema int         `json:"schema"`
 	Key    string      `json:"key"` // in full, unhashed
 	Result *wireResult `json:"result"`
 }
 
-// bits carries a float64 across JSON as its IEEE-754 bit pattern in hex:
+// bits renders a float64 in JSON as its IEEE-754 bit pattern in hex:
 // encoding/json rejects the NaN times that classes with zero entry rate
 // legitimately carry (see metrics.PerClass), and bit patterns round-trip
 // every value exactly, so byte-identical output never hinges on float
@@ -42,16 +43,6 @@ type bits float64
 
 func (b bits) MarshalJSON() ([]byte, error) {
 	return json.Marshal(strconv.FormatUint(math.Float64bits(float64(b)), 16))
-}
-
-func (b *bits) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	u, err := strconv.ParseUint(s, 16, 64)
-	*b = bits(math.Float64frombits(u))
-	return err
 }
 
 // wireResult mirrors metrics.SchemeResult with bit-pattern floats.
@@ -76,17 +67,6 @@ func toWire(r *metrics.SchemeResult) *wireResult {
 		}
 	}
 	return w
-}
-
-func (w *wireResult) result() *metrics.SchemeResult {
-	r := &metrics.SchemeResult{Scheme: w.Scheme, Classes: make([]metrics.PerClass, len(w.Classes))}
-	for i, c := range w.Classes {
-		r.Classes[i] = metrics.PerClass{
-			Class:     c.Class,
-			EntryRate: float64(c.EntryRate), DownloadTime: float64(c.DownloadTime), OnlineTime: float64(c.OnlineTime),
-		}
-	}
-	return r
 }
 
 // Store is the disk tier of the solve cache: one entry per solved steady
@@ -116,15 +96,17 @@ func (s *Store) path(key string) string {
 // Get returns the cached result for key, or false on a miss.
 func (s *Store) Get(key string) (res *metrics.SchemeResult, ok bool) {
 	ok = s.read(s.path(key), func(data []byte) verdict {
-		var e entry
-		if err := json.Unmarshal(data, &e); err != nil || e.Result == nil {
+		schema, echo, r, ok := decodeSolve(data)
+		switch {
+		case !ok:
 			return corrupt
-		}
-		r := e.Result.result()
-		if r.Validate() != nil {
+		case schema != SchemaVersion:
+			// Another build's entry: its result answers to that build's
+			// Validate, not this one's.
+			return stale
+		case r.Validate() != nil:
 			return corrupt
-		}
-		if e.Schema != SchemaVersion || e.Key != key {
+		case string(echo) != key:
 			return stale
 		}
 		res = r

@@ -28,7 +28,10 @@ type kit struct {
 	// malformed holds well-formed JSON for entry ("k", 7) that the layout
 	// must still reject as corrupt.
 	malformed map[string]string
-	open      func(dir string) (handle, error)
+	// skewed holds entries for ("k", 7) of another schema version that this
+	// build could not use either: version skew, so stale, not corrupt.
+	skewed map[string]string
+	open   func(dir string) (handle, error)
 }
 
 type handle struct {
@@ -54,9 +57,28 @@ func sample() *metrics.SchemeResult {
 	}
 }
 
+// canonSolve is the solve entry Put writes for key "k", one class.
+const canonSolve = `{"schema":1,"key":"k","result":{"scheme":"x","classes":[` +
+	`{"class":1,"lambda":"3fe0000000000000","download":"4049000000000000","online":"4051800000000000"}]}}`
+
 var solve = kit{
 	counters: "diskcache", prunable: true,
-	malformed: map[string]string{"nullres": `{"schema":1,"key":"k","result":null}`},
+	// All but the first are valid JSON that encoding/json would read as a
+	// hit; Put never spells an entry so, and the decoder accepts only what
+	// Put writes (TestNonCanonicalRowsAreValidJSON checks the first half).
+	malformed: map[string]string{
+		"nullres":     `{"schema":1,"key":"k","result":null}`,
+		"whitespace":  strings.Replace(canonSolve, `"schema":1`, `"schema": 1`, 1),
+		"reordered":   strings.Replace(canonSolve, `"schema":1,"key":"k"`, `"key":"k","schema":1`, 1),
+		"unknownkey":  strings.Replace(canonSolve, `,"result"`, `,"extra":true,"result"`, 1),
+		"uppercase":   strings.Replace(canonSolve, `3fe`, `3FE`, 1),
+		"longhex":     strings.Replace(canonSolve, `"3fe`, `"03fe`, 1),
+		"leadingzero": strings.Replace(canonSolve, `"3fe0000000000000"`, `"00"`, 1),
+	},
+	skewed: map[string]string{
+		"noscheme": strings.NewReplacer(`"schema":1`, `"schema":2`, `"scheme":"x"`, `"scheme":""`).Replace(canonSolve),
+		"classes":  strings.NewReplacer(`"schema":1`, `"schema":2`, `"class":1`, `"class":5`).Replace(canonSolve),
+	},
 	open: func(dir string) (handle, error) {
 		s, err := Open(dir)
 		if err != nil {
@@ -338,13 +360,22 @@ func corruptIsMiss(t *testing.T, k kit) {
 // An entry written under another schema version is stale: miss + evict,
 // but not corrupt.
 func staleSchema(t *testing.T, k kit) {
-	e := k.start(t)
-	e.mustPut("k", 7, "x")
-	bumped := bytes.Replace(e.raw("k", 7), []byte(`"schema":1`), []byte(`"schema":2`), 1)
-	path := e.plant("k", 7, bumped)
-	e.misses("k", 7, "stale-schema entry served")
-	e.counted("evicted", 1, "misses", 1, "corrupt", 0)
-	e.gone(path, "stale entry not evicted")
+	cases := map[string]func([]byte) []byte{
+		"bumped": func(b []byte) []byte { return bytes.Replace(b, []byte(`"schema":1`), []byte(`"schema":2`), 1) },
+	}
+	for name, text := range k.skewed {
+		cases[name] = func([]byte) []byte { return []byte(text) }
+	}
+	for name, skew := range cases {
+		t.Run(name, func(t *testing.T) {
+			e := k.start(t)
+			e.mustPut("k", 7, "x")
+			path := e.plant("k", 7, skew(e.raw("k", 7)))
+			e.misses("k", 7, "stale-schema entry served")
+			e.counted("evicted", 1, "misses", 1, "corrupt", 0)
+			e.gone(path, "stale entry not evicted")
+		})
+	}
 }
 
 // misplaced simulates a name collision: the intact entry of (srcKey, srcN)

@@ -239,9 +239,9 @@ func Run[T any](ctx context.Context, g Grid, job func(ctx context.Context, p Poi
 	// i-th stream standalone — remote fabric workers depend on the two
 	// derivations staying identical.
 	parent := rng.New(opts.Seed)
-	srcs := make([]*rng.Source, n)
+	srcs := make([]rng.Source, n)
 	for i := range srcs {
-		srcs[i] = parent.Split()
+		srcs[i] = *parent.Split()
 	}
 
 	workers := opts.Workers
@@ -321,12 +321,27 @@ func Run[T any](ctx context.Context, g Grid, job func(ctx context.Context, p Poi
 		}
 	}
 
+	block := claimBlock(n, workers)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
+			// Both escape, so they are declared per worker, not per attempt
+			// (one heap object each per cell otherwise); src is reset to the
+			// cell's stream before every attempt.
+			var (
+				src rng.Source
+				pe  *CellPanicError
+			)
+			for i, hi := 0, 0; ; i++ {
+				if i == hi {
+					// Claim a run of consecutive cells per atomic add.
+					// Neighbours tend to share a solve key, and a worker handed
+					// the cell next to one whose key is still being read from
+					// disk would only sleep on that key's Once.
+					hi = int(next.Add(int64(block)))
+					i, hi = hi-block, min(hi, n)
+				}
 				if i >= n || runCtx.Err() != nil {
 					return
 				}
@@ -358,10 +373,9 @@ func Run[T any](ctx context.Context, g Grid, job func(ctx context.Context, p Poi
 					err error
 				)
 				for attempt := 0; ; attempt++ {
-					src := *srcs[i]
+					src = srcs[i]
 					v, err = runCell(runCtx, job, p, &src)
-					var pe *CellPanicError
-					if err == nil || !errors.As(err, &pe) || attempt >= opts.Retries {
+					if err == nil || attempt >= opts.Retries || !errors.As(err, &pe) {
 						break
 					}
 					retriedC.Inc()
@@ -424,6 +438,14 @@ func Run[T any](ctx context.Context, g Grid, job func(ctx context.Context, p Poi
 	default:
 		return nil, errors.Join(ctx.Err(), cellErr)
 	}
+}
+
+// claimBlock is how many consecutive cells a worker claims at a time: about
+// 32 claims per worker over the run, so the tail stays balanced, capped at
+// 64 cells, and 1 — a cell at a time — for every grid under 64 cells per
+// worker.
+func claimBlock(n, workers int) int {
+	return max(1, min(n/(32*workers), 64))
 }
 
 // runCell executes one job attempt with panic isolation: a panic in the

@@ -1,9 +1,15 @@
 // Command pairs measures a change against a parent commit the way the
-// choosing-metrics guide (§8) asks: N pairs of runs of one benchmark
+// choosing-metrics guide (§8) asks: N pairs of runs of a benchmark
 // workload, parent and change alternating which goes first, then each
-// side's median and quartiles per end-to-end metric and the pairs won.
+// side's median and quartiles per end-to-end metric, the pairs won and the
+// §6.5 verdict against the bound BENCHMARK.json fixes for the metric.
 //
 //	make pairs WORKLOAD=chunk_sim PARENT=HEAD^ N=10 SEED=1
+//	make pairs WORKLOAD=all                  (or a comma list)
+//
+// Several workloads run one after the other and share the closing table, a
+// row per (workload, metric), so "the others did not move" is a recorded
+// table.
 //
 // The change is the working tree; the parent is exported with git archive
 // into a temporary directory that is removed on exit. Both sides run the
@@ -26,12 +32,20 @@ import (
 )
 
 type benchmarkDecl struct {
-	Command  []string `json:"command"`
-	EndToEnd []struct {
-		Name   string `json:"name"`
-		Unit   string `json:"unit"`
-		Better string `json:"better"`
-	} `json:"end_to_end"`
+	Command   []string `json:"command"`
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metricDecl `json:"end_to_end"`
+}
+
+type metricDecl struct {
+	Name   string `json:"name"`
+	Unit   string `json:"unit"`
+	Better string `json:"better"`
+	// Bound is the relative worsening of the median that counts as a
+	// regression.
+	Bound float64 `json:"bound"`
 }
 
 // result is the last line a single-workload run prints, plus the output
@@ -47,7 +61,7 @@ type result struct {
 }
 
 func main() {
-	workload := flag.String("workload", "", "benchmark workload to run (required)")
+	workload := flag.String("workload", "", `benchmark workload to run: a name, a comma list, or "all" (required)`)
 	parent := flag.String("parent", "HEAD^", "commit to compare the working tree against")
 	n := flag.Int("n", 10, "pairs of runs")
 	seed := flag.Uint64("seed", 1, "workload seed, the same on both sides")
@@ -87,53 +101,104 @@ func run(workload, parent string, n int, seed uint64) error {
 		return fmt.Errorf("export %s: %v: %s", parent, err, out)
 	}
 
-	sides := []struct{ name, dir string }{{"parent", parentDir}, {"change", change}}
-	runs := [2][]result{}
-	for i := 0; i < n; i++ {
-		for k := 0; k < 2; k++ {
-			side := (i + k) % 2 // even pairs start with the parent, odd with the change
-			r, err := runOnce(decl.Command, sides[side].dir, workload, seed)
-			if err != nil {
-				return fmt.Errorf("pair %d, %s: %w", i+1, sides[side].name, err)
+	workloads := strings.Split(workload, ",")
+	if workload == "all" {
+		workloads = nil
+		for _, w := range decl.Workloads {
+			workloads = append(workloads, w.Name)
+		}
+	}
+	sides := [2]struct{ name, dir string }{{"parent", parentDir}, {"change", change}}
+	var table []string
+	for _, w := range workloads {
+		fmt.Printf("%s, seed %d\n", w, seed)
+		runs := [2][]result{}
+		for i := 0; i < n; i++ {
+			for k := 0; k < 2; k++ {
+				side := (i + k) % 2 // even pairs start with the parent, odd with the change
+				r, err := runOnce(decl.Command, sides[side].dir, w, seed)
+				if err != nil {
+					return fmt.Errorf("%s pair %d, %s: %w", w, i+1, sides[side].name, err)
+				}
+				runs[side] = append(runs[side], r)
 			}
-			runs[side] = append(runs[side], r)
+			fmt.Printf("pair %2d (%s first):", i+1, sides[i%2].name)
+			for _, m := range decl.EndToEnd {
+				fmt.Printf("  %s %.4g/%.4g", m.Name, runs[0][i].Metrics[m.Name].Value, runs[1][i].Metrics[m.Name].Value)
+			}
+			fmt.Println()
 		}
-		fmt.Printf("pair %2d (%s first):", i+1, sides[i%2].name)
 		for _, m := range decl.EndToEnd {
-			fmt.Printf("  %s %.4g/%.4g", m.Name, runs[0][i].Metrics[m.Name].Value, runs[1][i].Metrics[m.Name].Value)
+			var side [2][]float64
+			for k := range side {
+				for _, r := range runs[k] {
+					side[k] = append(side[k], r.Metrics[m.Name].Value)
+				}
+			}
+			pq, cq := quartiles(side[0]), quartiles(side[1])
+			won, verdict := judge(m, side[0], side[1])
+			table = append(table, fmt.Sprintf("%-12s %-16s %-32s %-32s %7.3f  %2d/%-2d  %s",
+				w, m.Name+" "+m.Unit, show(pq), show(cq), cq[1]/pq[1], won, n, verdict))
 		}
-		fmt.Println()
+		failed, same := [2]int{}, true
+		for i := 0; i < n; i++ {
+			for k := 0; k < 2; k++ {
+				failed[k] += runs[k][i].Failed
+			}
+			same = same && runs[0][i].OutputSHA256 == runs[1][i].OutputSHA256
+		}
+		table = append(table, fmt.Sprintf("%-12s failed operations: parent %d, change %d; output_sha256 equal on every pair: %v (%s)",
+			w, failed[0], failed[1], same, runs[1][0].OutputSHA256))
 	}
 
-	fmt.Printf("\n%s, seed %d, %d pairs, parent %s; median [q1, q3]\n", workload, seed, n, parent)
-	fmt.Printf("%-16s %-32s %-32s %7s  %s\n", "metric", "parent", "change", "ratio", "pairs won by change")
-	for _, m := range decl.EndToEnd {
-		var side [2][]float64
-		won := 0
-		for i := 0; i < n; i++ {
-			p, c := runs[0][i].Metrics[m.Name].Value, runs[1][i].Metrics[m.Name].Value
-			side[0], side[1] = append(side[0], p), append(side[1], c)
-			if (m.Better == "higher" && c > p) || (m.Better != "higher" && c < p) {
-				won++ // a tie counts for neither side
-			}
-		}
-		pq, cq := quartiles(side[0]), quartiles(side[1])
-		verdict := ""
-		if n >= 10 && 10*won >= 9*n && math.Abs(cq[1]-pq[1]) > pq[2]-pq[0] {
-			verdict = "  gain" // >= 9/10 of >= 10 pairs, medians apart by more than the parent's IQR
-		}
-		fmt.Printf("%-16s %-32s %-32s %7.3f  %d/%d%s\n", m.Name+" "+m.Unit, show(pq), show(cq), cq[1]/pq[1], won, n, verdict)
-	}
-	failed, same := [2]int{}, true
-	for i := 0; i < n; i++ {
-		for k := 0; k < 2; k++ {
-			failed[k] += runs[k][i].Failed
-		}
-		same = same && runs[0][i].OutputSHA256 == runs[1][i].OutputSHA256
-	}
-	fmt.Printf("failed operations: parent %d, change %d; output_sha256 equal on every pair: %v (%s)\n",
-		failed[0], failed[1], same, runs[1][0].OutputSHA256)
+	fmt.Printf("\nseed %d, %d pairs, parent %s; median [q1, q3]\n", seed, n, parent)
+	fmt.Printf("%-12s %-16s %-32s %-32s %7s  %-5s  %s\n", "workload", "metric", "parent", "change", "ratio", "won", "verdict")
+	fmt.Println(strings.Join(table, "\n"))
 	return nil
+}
+
+// judge counts the pairs the change won (a tie counts for neither side)
+// and gives the verdict of choosing-metrics §6.5 and §8:
+//
+//   - improved: at least ten pairs, the change won nine tenths of them, and
+//     the medians are apart by more than the parent's interquartile range;
+//   - worse: the change's median is worse than the parent's by more than
+//     the metric's bound;
+//   - unresolved: either side's interquartile range is wider than the
+//     bound, so "no worse" cannot be told from these runs — unless every
+//     run of the change beats every run of the parent;
+//   - within bound: otherwise.
+func judge(m metricDecl, parent, change []float64) (won int, verdict string) {
+	better := func(c, p float64) bool {
+		if m.Better == "higher" {
+			return c > p
+		}
+		return c < p
+	}
+	n, allBetter := len(parent), true
+	for i := range parent {
+		if better(change[i], parent[i]) {
+			won++
+		}
+		for _, p := range parent {
+			allBetter = allBetter && better(change[i], p)
+		}
+	}
+	pq, cq := quartiles(parent), quartiles(change)
+	worsening := (cq[1] - pq[1]) / pq[1]
+	if m.Better == "higher" {
+		worsening = -worsening
+	}
+	wide := (pq[2]-pq[0])/pq[1] > m.Bound || (cq[2]-cq[0])/cq[1] > m.Bound
+	switch {
+	case n >= 10 && 10*won >= 9*n && better(cq[1], pq[1]) && math.Abs(cq[1]-pq[1]) > pq[2]-pq[0]:
+		return won, "improved"
+	case worsening > m.Bound:
+		return won, "worse"
+	case wide && !allBetter:
+		return won, "unresolved"
+	}
+	return won, "within bound"
 }
 
 // runOnce runs the benchmark command for one workload in dir and parses
