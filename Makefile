@@ -3,7 +3,7 @@
 # the benchmark's own smoke test. DESIGN.md, "Verification tiers", says
 # what the race run is there to catch, package by package.
 
-.PHONY: tier1 tier2 bench soak profile pairs
+.PHONY: tier1 tier2 bench soak profile pairs loc
 
 tier1:
 	go build ./... && go test ./...
@@ -47,6 +47,14 @@ N ?= 10
 SEED ?= 1
 pairs:
 	go run ./scripts/pairs -workload $(WORKLOAD) -parent $(PARENT) -n $(N) -seed $(SEED)
+
+# loc prints the non-test Go lines of every package directory and their
+# total, leaving out benchmark/ and scripts/. Run it on two trees to get a
+# change's per-package before/after line counts.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './scripts/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); n[d == "" ? "." : d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }'
 
 # profile runs a small instrumented sweep with every observability sink
 # attached: a JSON metrics snapshot and a Chrome trace land in ./prof/,

@@ -15,7 +15,7 @@
 //	btsim [flags] run        one flow-level run of -scheme with full stats
 //
 // Every simulator-backed table runs -replicas independently seeded
-// replicas per row on the replica engine (internal/replica) and, with
+// replicas per row as a sim-replica job (internal/sim) and, with
 // -replicas > 1, reports each simulated metric as mean ± 95% CI. The
 // default of one replica reproduces the unreplicated tables exactly, and
 // for fixed (-seed, -replicas) the output is byte-identical at any
@@ -36,6 +36,7 @@ import (
 	"mfdl/internal/fluid"
 	"mfdl/internal/obs"
 	"mfdl/internal/replica"
+	"mfdl/internal/runner"
 	"mfdl/internal/scheme"
 	"mfdl/internal/sim"
 	"mfdl/internal/swarm"
@@ -206,17 +207,15 @@ func run(args []string) error {
 			if err != nil {
 				return fmt.Errorf("unknown scheme %q", *schemeFl)
 			}
-			rsim, err := sim.New(sc, sim.Config{Flow: &eventsim.Config{
+			spec, err := sim.NewJobSpec([]sim.JobCell{{Scheme: sc, Config: sim.Config{Flow: &eventsim.Config{
 				Params: params, K: *k, Lambda0: *lambda0, P: *p,
 				Rho:     *rho,
 				Horizon: *horizon, Warmup: *warmup,
-			}})
+			}}}}, *seed, *replicas)
 			if err != nil {
 				return err
 			}
-			aggs, err := replica.Run(ctx, 1, func(int) replica.Sim {
-				return rsim
-			}, replica.Options{Replicas: *replicas, Workers: *workers, Seed: *seed, Obs: ob})
+			aggs, err := sim.RunJob(ctx, spec, runner.JobEnv{Obs: ob}, runner.Options{Workers: *workers, Obs: ob})
 			if err != nil {
 				return err
 			}

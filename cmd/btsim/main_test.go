@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -160,6 +161,25 @@ func TestReplicatedRun(t *testing.T) {
 	}
 	if !strings.Contains(out, "R=3") || !strings.Contains(out, "±95%") {
 		t.Fatalf("replicated run output:\n%s", out)
+	}
+}
+
+// TestReplicatedRunGolden pins the `run` table at R = 3, where replicas
+// 1 and 2 run at derived seeds rather than the base seed.
+func TestReplicatedRunGolden(t *testing.T) {
+	out, err := capture(t, func() error {
+		return run([]string{"-horizon", "400", "-warmup", "100", "-seed", "7",
+			"-replicas", "3", "-rho", "0.5", "run"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_run_r3.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("run output diverged from golden\n--- got ---\n%s--- want ---\n%s", out, want)
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"mfdl/internal/adapt"
-	"mfdl/internal/eventsim"
 	"mfdl/internal/replica"
-	"mfdl/internal/scheme"
 	"mfdl/internal/sim"
 	"mfdl/internal/table"
 )
@@ -43,8 +41,8 @@ type AdaptParamsResult struct {
 
 // AdaptParams sweeps the controller parameters. thresholds are symmetric
 // |φ| values as fractions of μ; steps are (υ₁, υ₂) pairs; periods are
-// observation windows. All settings × {clean, cheated} × replicas fan out
-// over one replica-engine pool.
+// observation windows. All settings × {clean, cheated} are the cells of one
+// sim-replica job (see runSimJob), led by the final ρ.
 func AdaptParams(ctx context.Context, set SimSettings, p, cheaterFraction float64,
 	thresholds, stepUps, periods []float64) (*AdaptParamsResult, error) {
 	res := &AdaptParamsResult{Settings: set, P: p, CheaterFraction: cheaterFraction}
@@ -77,22 +75,11 @@ func AdaptParams(ctx context.Context, set SimSettings, p, cheaterFraction float6
 	if len(specs) == 0 {
 		return res, nil
 	}
-	sims := make([]replica.Sim, len(specs))
+	cells := make([]sim.JobCell, len(specs))
 	for i, sp := range specs {
-		ac := sp.ac
-		s, err := sim.New(scheme.SimCMFSD, sim.Config{Flow: &eventsim.Config{
-			Params: set.Params, K: set.K, Lambda0: set.Lambda0, P: p,
-			Adapt: &ac, CheaterFraction: sp.cheat,
-			Horizon: set.Horizon, Warmup: set.Warmup,
-		}})
-		if err != nil {
-			return nil, err
-		}
-		sims[i] = s
+		cells[i] = adaptCell(set, p, sp.ac, sp.cheat)
 	}
-	aggs, err := replica.Run(ctx, len(specs), func(cell int) replica.Sim {
-		return sims[cell]
-	}, set.options())
+	aggs, err := set.runCells(ctx, cells, replica.FinalRho)
 	if err != nil {
 		return nil, err
 	}

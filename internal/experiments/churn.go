@@ -159,11 +159,7 @@ func ChurnSweep(ctx context.Context, set SimSettings, p float64, chaosSeed uint6
 	// The fault plan rides inside the configs (Faults.Seed), so it is part
 	// of every cell's job and sample-store identity: a different chaos seed
 	// never replays another seed's samples.
-	spec, err := sim.NewJobSpec(cells, set.Seed, set.Replicas)
-	if err != nil {
-		return nil, err
-	}
-	aggs, err := set.runSimJob(ctx, spec, replica.DownloadPerFile)
+	aggs, err := set.runCells(ctx, cells, replica.DownloadPerFile)
 	if err != nil {
 		return nil, err
 	}

@@ -283,9 +283,10 @@ type Fig4AResult struct {
 }
 
 // Fig4A evaluates the CMFSD average online time per file over the given
-// correlation and allocation-ratio grids (Figure 4(a)). The grid cells are
-// independent 65-state relaxations, fanned out over all cores by the
-// runner engine; canceling ctx aborts the remaining cells promptly.
+// correlation and allocation-ratio grids (Figure 4(a)). The surface is a
+// p × ρ Sweep with cfg.Options: cells are independent 65-state relaxations
+// fanned out over the runner pool, and canceling ctx aborts the remaining
+// cells promptly.
 func Fig4A(ctx context.Context, cfg Config, pGrid, rhoGrid []float64) (*Fig4AResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -305,21 +306,12 @@ func Fig4A(ctx context.Context, cfg Config, pGrid, rhoGrid []float64) (*Fig4ARes
 	if err != nil {
 		return nil, err
 	}
-	online, err := runner.Run(ctx, grid,
-		func(_ context.Context, pt runner.Point, _ *rng.Source) (float64, error) {
-			p, _ := pt.Value("p")
-			rho, _ := pt.Value("rho")
-			r, err := cfg.eval(scheme.CMFSD, p, rho)
-			if err != nil {
-				return 0, fmt.Errorf("experiments: CMFSD: %w", err)
-			}
-			return r.AvgOnlinePerFile(), nil
-		}, runner.Options{})
+	sw, err := Sweep(ctx, SweepSpec{Config: cfg, Scheme: scheme.CMFSD, Grid: grid, Options: cfg.Options})
 	if err != nil {
 		return nil, err
 	}
-	for i := range pGrid {
-		copy(res.Online[i], online[i*len(rhoGrid):(i+1)*len(rhoGrid)])
+	for i, c := range sw.Cells {
+		res.Online[i/len(rhoGrid)][i%len(rhoGrid)] = c.AvgOnline
 	}
 	return res, nil
 }

@@ -44,8 +44,8 @@ type HeteroClass struct {
 }
 
 // Hetero runs the heterogeneous-swarm validation: one torrent (K = 1),
-// the given bandwidth classes, MTSD peers. The simulation side runs
-// Settings.Replicas independently seeded replicas on the replica engine.
+// the given bandwidth classes, MTSD peers. The simulation side is a
+// one-cell sim-replica job (see runSimJob), led by the download time.
 func Hetero(ctx context.Context, set SimSettings, lambda0 float64, classes []HeteroClass) (*HeteroResult, error) {
 	bw := make([]eventsim.BandwidthClass, len(classes))
 	fl := make([]fluid.Class, len(classes))
@@ -65,7 +65,7 @@ func Hetero(ctx context.Context, set SimSettings, lambda0 float64, classes []Het
 	if err != nil {
 		return nil, err
 	}
-	hsim, err := sim.New(scheme.SimMTSD, sim.Config{Flow: &eventsim.Config{
+	aggs, err := set.runCells(ctx, []sim.JobCell{{Scheme: scheme.SimMTSD, Config: sim.Config{Flow: &eventsim.Config{
 		Params:    set.Params,
 		K:         1,
 		Lambda0:   lambda0,
@@ -73,13 +73,7 @@ func Hetero(ctx context.Context, set SimSettings, lambda0 float64, classes []Het
 		Horizon:   set.Horizon,
 		Warmup:    set.Warmup,
 		Bandwidth: bw,
-	}})
-	if err != nil {
-		return nil, err
-	}
-	aggs, err := replica.Run(ctx, 1, func(int) replica.Sim {
-		return hsim
-	}, set.options())
+	}}}}, replica.DownloadPerFile)
 	if err != nil {
 		return nil, err
 	}

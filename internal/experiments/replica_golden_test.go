@@ -9,6 +9,8 @@ import (
 
 	"mfdl/internal/adapt"
 	"mfdl/internal/fluid"
+	"mfdl/internal/obs"
+	"mfdl/internal/runner/diskcache"
 	"mfdl/internal/swarm"
 	"mfdl/internal/table"
 )
@@ -109,32 +111,165 @@ func TestAdaptParamsGolden(t *testing.T) {
 	checkGolden(t, "golden_adaptparams.txt", render(t, res.Table()))
 }
 
+// replicatedCase is one simulator-backed experiment rendered from a
+// SimSettings. job marks the experiments that run their grid as a
+// sim-replica job at the settings' workers and sample store; their cells
+// × R replicas reach the store.
+type replicatedCase struct {
+	name  string
+	job   bool
+	cells int
+	run   func(ctx context.Context, set SimSettings) (*table.Table, error)
+}
+
+// replicatedCases are the simulator-backed experiments at the golden
+// operating points. SwarmCompare takes its horizon, seed, replica count and
+// registry from the settings.
+func replicatedCases() []replicatedCase {
+	return []replicatedCase{
+		{"simvalidate", true, 6, func(ctx context.Context, set SimSettings) (*table.Table, error) {
+			res, err := SimValidate(ctx, set, []float64{0.9})
+			if err != nil {
+				return nil, err
+			}
+			return res.Table(), nil
+		}},
+		{"adaptsweep", true, 2, func(ctx context.Context, set SimSettings) (*table.Table, error) {
+			res, err := AdaptSweep(ctx, set, 0.9, adaptGoldenConfig(), []float64{0, 0.8})
+			if err != nil {
+				return nil, err
+			}
+			return res.Table(), nil
+		}},
+		{"adaptparams", true, 4, func(ctx context.Context, set SimSettings) (*table.Table, error) {
+			res, err := AdaptParams(ctx, set, 0.9, 0.8, []float64{0.1, 0.25}, []float64{0.2}, []float64{10})
+			if err != nil {
+				return nil, err
+			}
+			return res.Table(), nil
+		}},
+		{"hetero", true, 1, func(ctx context.Context, set SimSettings) (*table.Table, error) {
+			res, err := Hetero(ctx, set, 2, heteroGoldenClasses())
+			if err != nil {
+				return nil, err
+			}
+			return res.Table(), nil
+		}},
+		{"swarmcompare", false, 4, func(ctx context.Context, set SimSettings) (*table.Table, error) {
+			base := swarm.DefaultConfig
+			base.Horizon, base.Warmup, base.Seed = int(set.Horizon), int(set.Warmup), set.Seed
+			res, err := SwarmCompare(ctx, base, []float64{0, 1}, set.Replicas, set.Obs)
+			if err != nil {
+				return nil, err
+			}
+			return res.Table(), nil
+		}},
+		{"transient", false, 1, func(ctx context.Context, set SimSettings) (*table.Table, error) {
+			set.Horizon = 150
+			res, err := Transient(ctx, set, 0.9, 0, 300)
+			if err != nil {
+				return nil, err
+			}
+			return res.Table(), nil
+		}},
+	}
+}
+
+// shortReplicated is goldenSettings at a short horizon with r replicas.
+func shortReplicated(r int) SimSettings {
+	set := goldenSettings()
+	set.Horizon = 400
+	set.Warmup = 100
+	set.Replicas = r
+	return set
+}
+
+// TestReplicatedGoldens pins R = 3 tables. At R = 1 every cell's only
+// replica runs at the base seed, so the R = 1 goldens cannot see a slip in
+// the seeding of replicas >= 1 or in how the engine merges them; these can.
+func TestReplicatedGoldens(t *testing.T) {
+	for _, tc := range replicatedCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			tb, err := tc.run(context.Background(), shortReplicated(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "golden_r3_"+tc.name+".txt", render(t, tb))
+		})
+	}
+}
+
 // TestSimValidateReplicatedDeterminism is the acceptance check for the
-// replica engine at R > 1: the full rendered table, confidence columns
-// included, must be byte-identical at every worker count.
+// replica engine at R > 1: the full rendered table of every experiment
+// that runs its grid as a sim-replica job, confidence columns included,
+// must be byte-identical at every worker count.
 func TestSimValidateReplicatedDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated determinism check is slow")
 	}
-	run := func(workers int) string {
-		set := goldenSettings()
-		set.Horizon = 400
-		set.Warmup = 100
-		set.Replicas = 4
-		set.Workers = workers
-		res, err := SimValidate(context.Background(), set, []float64{0.9})
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range replicatedCases() {
+		if !tc.job {
+			continue
 		}
-		return render(t, res.Table())
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) string {
+				set := shortReplicated(4)
+				set.Workers = workers
+				tb, err := tc.run(context.Background(), set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return render(t, tb)
+			}
+			want := run(1)
+			got := run(8)
+			if got != want {
+				t.Errorf("R=4 table differs between workers=1 and workers=8\n--- workers=8 ---\n%s--- workers=1 ---\n%s", got, want)
+			}
+			if !bytes.Contains([]byte(want), []byte("±")) {
+				t.Errorf("replicated table carries no ± column:\n%s", want)
+			}
+		})
 	}
-	want := run(1)
-	got := run(8)
-	if got != want {
-		t.Errorf("R=4 table differs between workers=1 and workers=8\n--- workers=8 ---\n%s--- workers=1 ---\n%s", got, want)
-	}
-	if !bytes.Contains([]byte(want), []byte("±")) {
-		t.Errorf("replicated table carries no ± column:\n%s", want)
+}
+
+// TestReplicatedExperimentsReplaySamples checks that the experiments honour
+// Options.Samples: a second identical run over the same store replays every
+// replica (cells × R hits), stores nothing new and prints the same table.
+func TestReplicatedExperimentsReplaySamples(t *testing.T) {
+	for _, tc := range replicatedCases() {
+		if !tc.job {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := diskcache.OpenSamples(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.New()
+			store.WithObs(reg)
+			hits, stores := reg.Counter("samplestore_hits_total"), reg.Counter("samplestore_stores_total")
+			set := shortReplicated(2)
+			set.Samples = store
+			first, err := tc.run(context.Background(), set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := stores.Value(); n != uint64(tc.cells*2) {
+				t.Fatalf("first run stored %d samples, want %d", n, tc.cells*2)
+			}
+			hitsBefore, storesBefore := hits.Value(), stores.Value()
+			second, err := tc.run(context.Background(), set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h, n := hits.Value()-hitsBefore, stores.Value()-storesBefore; h != uint64(tc.cells*2) || n != 0 {
+				t.Fatalf("re-run: %d hits, %d new stores; want %d hits, 0 stores", h, n, tc.cells*2)
+			}
+			if a, b := render(t, first), render(t, second); a != b {
+				t.Fatalf("replayed table differs\n--- first ---\n%s--- replay ---\n%s", a, b)
+			}
+		})
 	}
 }
 

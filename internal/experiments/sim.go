@@ -51,14 +51,6 @@ var DefaultSimSettings = SimSettings{
 // replicated reports whether the settings ask for error bars.
 func (s SimSettings) replicated() bool { return s.Replicas > 1 }
 
-// options assembles the replica-engine options for these settings.
-func (s SimSettings) options() replica.Options {
-	return replica.Options{
-		Replicas: s.Replicas, Workers: s.Workers,
-		Seed: s.Seed, Obs: s.Obs,
-	}
-}
-
 // stopping assembles the sequential-stopping rule for these settings;
 // metric is the experiment's headline metric, overridden by CIMetric.
 func (s SimSettings) stopping(metric string) replica.Stopping {
@@ -76,15 +68,34 @@ func (s SimSettings) stopping(metric string) replica.Stopping {
 // attached sample store (Options.Samples) is shared between local and
 // distributed runs: a re-run with more replicas replays every stored
 // sample. With CITarget set the replica counts grow per cell under the
-// sequential-stopping rule; otherwise the spec's fixed count runs,
-// numerically identical to the pre-job-layer replica.Run over the same
-// cells.
+// sequential-stopping rule, led by metric unless CIMetric names another;
+// otherwise the spec's fixed count runs.
 func (s SimSettings) runSimJob(ctx context.Context, spec runner.JobSpec, metric string) ([]replica.Agg, error) {
 	env := runner.JobEnv{Samples: s.Options.Samples, Obs: s.Obs}
 	if stop := s.stopping(metric); stop.Enabled() {
 		return sim.RunJobStopping(ctx, spec, env, s.Workers, stop)
 	}
 	return sim.RunJob(ctx, spec, env, runner.Options{Workers: s.Workers, Obs: s.Obs})
+}
+
+// runCells lowers cells into a sim-replica job at these settings' seed and
+// replica count and runs it (see runSimJob).
+func (s SimSettings) runCells(ctx context.Context, cells []sim.JobCell, metric string) ([]replica.Agg, error) {
+	spec, err := sim.NewJobSpec(cells, s.Seed, s.Replicas)
+	if err != nil {
+		return nil, err
+	}
+	return s.runSimJob(ctx, spec, metric)
+}
+
+// adaptCell is one CMFSD flow-level cell with the Adapt controller on every
+// obedient peer and the given fraction of cheaters.
+func adaptCell(set SimSettings, p float64, ac adapt.Config, cheaterFraction float64) sim.JobCell {
+	return sim.JobCell{Scheme: scheme.SimCMFSD, Config: sim.Config{Flow: &eventsim.Config{
+		Params: set.Params, K: set.K, Lambda0: set.Lambda0, P: p,
+		Adapt: &ac, CheaterFraction: cheaterFraction,
+		Horizon: set.Horizon, Warmup: set.Warmup,
+	}}}
 }
 
 // ciCell formats a ± cell with table.Fmt precision.
@@ -298,27 +309,18 @@ type AdaptSweepResult struct {
 // AdaptSweep evaluates the Adapt mechanism (the paper's future-work item)
 // under increasing cheater fractions: obedient peers should converge to
 // small ρ in a healthy swarm and drift toward ρ = 1 (MFCD behaviour) as
-// cheating spreads. Every fraction runs R replicas on the replica engine.
+// cheating spreads. Every fraction is one cell of a sim-replica job (see
+// runSimJob), led by the final ρ.
 func AdaptSweep(ctx context.Context, set SimSettings, p float64, ac adapt.Config, cheaterFractions []float64) (*AdaptSweepResult, error) {
 	res := &AdaptSweepResult{Settings: set, P: p, Adapt: ac}
 	if len(cheaterFractions) == 0 {
 		return res, nil
 	}
-	sims := make([]replica.Sim, len(cheaterFractions))
+	cells := make([]sim.JobCell, len(cheaterFractions))
 	for i, frac := range cheaterFractions {
-		s, err := sim.New(scheme.SimCMFSD, sim.Config{Flow: &eventsim.Config{
-			Params: set.Params, K: set.K, Lambda0: set.Lambda0, P: p,
-			Adapt: &ac, CheaterFraction: frac,
-			Horizon: set.Horizon, Warmup: set.Warmup,
-		}})
-		if err != nil {
-			return nil, err
-		}
-		sims[i] = s
+		cells[i] = adaptCell(set, p, ac, frac)
 	}
-	aggs, err := replica.Run(ctx, len(cheaterFractions), func(cell int) replica.Sim {
-		return sims[cell]
-	}, set.options())
+	aggs, err := set.runCells(ctx, cells, replica.FinalRho)
 	if err != nil {
 		return nil, err
 	}
@@ -402,21 +404,19 @@ func SwarmCompare(ctx context.Context, base swarm.Config, rhos []float64, replic
 	for _, rho := range rhos {
 		specs = append(specs, rowSpec{scheme.SimCMFSD, rho})
 	}
-	sims := make([]replica.Sim, len(specs))
+	cells := make([]sim.JobCell, len(specs))
 	for i, sp := range specs {
 		c := base
 		if !math.IsNaN(sp.rho) {
 			c.Rho = sp.rho
 		}
-		s, err := sim.New(sp.scheme, sim.Config{Chunk: &c})
-		if err != nil {
-			return nil, err
-		}
-		sims[i] = s
+		cells[i] = sim.JobCell{Scheme: sp.scheme, Config: sim.Config{Chunk: &c}}
 	}
-	aggs, err := replica.Run(ctx, len(specs), func(cell int) replica.Sim {
-		return sims[cell]
-	}, replica.Options{Replicas: replicas, Seed: base.Seed, Obs: ob})
+	spec, err := sim.NewJobSpec(cells, base.Seed, replicas)
+	if err != nil {
+		return nil, err
+	}
+	aggs, err := sim.RunJob(ctx, spec, runner.JobEnv{Obs: ob}, runner.Options{Obs: ob})
 	if err != nil {
 		return nil, err
 	}

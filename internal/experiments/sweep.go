@@ -129,7 +129,10 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 		}
 	}
 	ob := spec.Obs
-	cache.WithObs(ob)
+	if ob != nil {
+		// A caller's cache keeps the registry it was wired to.
+		cache.WithObs(ob)
+	}
 	var ckpt *runner.Checkpoint
 	if spec.CheckpointDir != "" {
 		store, err := diskcache.OpenCheckpoint(spec.CheckpointDir)

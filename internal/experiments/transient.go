@@ -100,7 +100,10 @@ func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) 
 
 	// Simulated paths: R independently seeded replicas, each compared
 	// against the (fully built, read-only) fluid trajectory. Traces leave
-	// the engine out of band, one slot per replica.
+	// the engine out of band, one slot per replica. This is the one
+	// experiment that calls the replica engine directly rather than
+	// running a sim-replica job: its replicas' output is a trace compared
+	// in-process with the fluid path, and no job payload carries a trace.
 	scale := float64(flash)
 	if scale < 1 {
 		scale = 1
@@ -138,7 +141,7 @@ func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) 
 				transientPeakSimT:       peakT,
 			}}, nil
 		})
-	}, set.options())
+	}, replica.Options{Replicas: set.Replicas, Workers: set.Workers, Seed: set.Seed, Obs: set.Obs})
 	if err != nil {
 		return nil, err
 	}

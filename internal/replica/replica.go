@@ -17,6 +17,17 @@
 //	mean := aggs[0].Mean(replica.OnlinePerFile)
 //	ci   := aggs[0].CI95(replica.OnlinePerFile)
 //
+// # One path
+//
+// The engine has one loop, RunSequential; Run is its fixed-R case. Every
+// replica, whoever asks for it, is computed by SimulateStored, and every
+// cell is folded by Reduce. Experiments do not call the engine directly:
+// they lower their grids to the sim-replica job kind (internal/sim), whose
+// cells call SimulateStored one (cell, replica) at a time — locally, from a
+// checkpoint or on a fabric worker — and whose sequential-stopping path is
+// RunSequential. The one direct caller left is the flash-crowd transient,
+// whose replicas return traces no job payload carries.
+//
 // # Seed derivation
 //
 // Replica seeds are a pure function of (base seed, cell index, replica
@@ -48,7 +59,6 @@ import (
 
 	"mfdl/internal/obs"
 	"mfdl/internal/rng"
-	"mfdl/internal/runner"
 	"mfdl/internal/runner/diskcache"
 	"mfdl/internal/stats"
 )
@@ -123,7 +133,7 @@ func (f SimFunc) Simulate(ctx context.Context, r Rep) (Sample, error) {
 	return f(ctx, r)
 }
 
-// Options configure one Run.
+// Options configure one engine run (Run or RunSequential).
 type Options struct {
 	// Replicas is R, the number of independently seeded replicas per
 	// cell; 0 means 1. Negative values are an error.
@@ -132,8 +142,6 @@ type Options struct {
 	Workers int
 	// Seed is the base seed of the derivation scheme.
 	Seed uint64
-	// Hooks observe per-(cell, replica) progress.
-	Hooks runner.Hooks
 	// Obs, when non-nil, instruments the run: a replica_simulate_seconds
 	// histogram per (cell, replica) Simulate, a replica_reduce_seconds
 	// histogram per cell reduction, and — with a span sink attached —
@@ -221,74 +229,23 @@ func Seeds(base uint64, cells, r int) [][]uint64 {
 }
 
 // Run executes R replicas of each of cells simulations over one bounded
-// worker pool and reduces each cell's samples into an Agg. sim is called
-// once per cell (serially, before any replica starts) to obtain the
-// cell's simulator; the same Sim value then receives all R Simulate
-// calls, possibly concurrently, so implementations must treat their
-// configuration as immutable.
+// worker pool and reduces each cell's samples into an Agg: the fixed-R
+// case of RunSequential. sim is called once per cell (serially, before any
+// replica starts) to obtain the cell's simulator; the same Sim value then
+// receives all R Simulate calls, possibly concurrently, so implementations
+// must treat their configuration as immutable.
 //
 // The result is indexed like the cells and byte-identical at any worker
 // count. The first error (by flattened (cell, replica) index) cancels the
 // remaining replicas and is returned.
 func Run(ctx context.Context, cells int, sim func(cell int) Sim, opts Options) ([]Agg, error) {
-	if opts.Replicas < 0 {
-		return nil, fmt.Errorf("replica: Replicas = %d must be >= 0", opts.Replicas)
-	}
-	if cells < 0 {
-		return nil, fmt.Errorf("replica: cells = %d must be >= 0", cells)
-	}
-	if cells == 0 {
-		return nil, ctx.Err()
-	}
-	r := opts.replicas()
-	seeds := Seeds(opts.Seed, cells, r)
-	sims := make([]Sim, cells)
-	for i := range sims {
-		sims[i] = sim(i)
-		if sims[i] == nil {
-			return nil, fmt.Errorf("replica: sim(%d) returned nil", i)
-		}
-	}
-	grid, err := runner.Indexed("job", cells*r)
-	if err != nil {
-		return nil, err
-	}
-	ob := opts.Obs
-	samples, err := runner.Run(ctx, grid,
-		func(ctx context.Context, pt runner.Point, _ *rng.Source) (Sample, error) {
-			cell, rep := pt.Index/r, pt.Index%r
-			return simulateOne(ctx, sims[cell], Rep{Cell: cell, Replica: rep, Seed: seeds[cell][rep]}, opts)
-		}, runner.Options{Workers: opts.Workers, Seed: opts.Seed, Hooks: opts.Hooks, Obs: ob})
-	if err != nil {
-		return nil, err
-	}
-	reduceSeconds := ob.Histogram("replica_reduce_seconds", obs.LatencyBuckets)
-	tracing := ob.Tracing()
-	out := make([]Agg, cells)
-	for i := range out {
-		var (
-			redStart time.Time
-			sp       obs.Span
-		)
-		if ob != nil {
-			redStart = time.Now()
-			if tracing {
-				sp = ob.StartSpan("reduce", obs.L("cell", strconv.Itoa(i)))
-			}
-		}
-		out[i] = reduce(samples[i*r : (i+1)*r])
-		if ob != nil {
-			reduceSeconds.Since(redStart)
-			sp.End()
-		}
-	}
-	return out, nil
+	return RunSequential(ctx, cells, sim, opts, Stopping{})
 }
 
 // simulateOne runs — or replays from the sample store — one replica of one
-// cell: the single path every executor (Run, RunSequential, the fabric's
-// sim-replica kind via SimulateStored) shares, so a sample is computed the
-// same way no matter which engine asked for it.
+// cell: the single path the engine and the sim-replica job kind (via
+// SimulateStored) share, so a sample is computed the same way no matter
+// which executor asked for it.
 func simulateOne(ctx context.Context, s Sim, r Rep, opts Options) (Sample, error) {
 	key := ""
 	if opts.Samples != nil && opts.SampleKey != nil {

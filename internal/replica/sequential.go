@@ -3,7 +3,11 @@ package replica
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
+	"time"
 
+	"mfdl/internal/obs"
 	"mfdl/internal/rng"
 	"mfdl/internal/runner"
 )
@@ -11,7 +15,8 @@ import (
 // Stopping configures sequential stopping: per cell, the replica count
 // grows (doubling, bounded by MaxReplicas) until the 95% confidence
 // half-width of the named scalar metric reaches Target. A zero Target or
-// empty Metric disables stopping, making RunSequential identical to Run.
+// empty Metric disables stopping: every cell runs the fixed replica count,
+// which is Run.
 type Stopping struct {
 	// Metric is the scalar metric (a Sample.Values key, e.g.
 	// OnlinePerFile) whose confidence interval drives the stopping rule. A
@@ -28,19 +33,17 @@ type Stopping struct {
 // Enabled reports whether the rule actually stops anything.
 func (st Stopping) Enabled() bool { return st.Target > 0 && st.Metric != "" }
 
-// RunSequential is Run with sequential stopping layered on top: every cell
-// starts at the configured replica count (at least 2, so a CI exists),
-// and after each round the cells whose CI95(stop.Metric) still exceeds
-// stop.Target double their replica count — bounded by stop.MaxReplicas —
-// and only the missing replicas are simulated. Because replica seeds are a
-// pure function of (base seed, cell, replica index) and samples are
-// reduced in replica order, the result is byte-identical at any worker
-// count, and with a sample store attached (Options.Samples) every round —
-// and every later re-run — reuses the samples already drawn.
+// RunSequential is the engine's one loop. Every cell starts at the
+// configured replica count; with stop enabled the start is at least 2, so
+// a CI exists, and after each round the cells whose CI95(stop.Metric)
+// still exceeds stop.Target double their replica count — bounded by
+// stop.MaxReplicas — and only the missing replicas are simulated. With
+// stop disabled there is exactly one round (see Run). Because replica
+// seeds are a pure function of (base seed, cell, replica index) and
+// samples are reduced in replica order, the result is byte-identical at
+// any worker count, and with a sample store attached (Options.Samples)
+// every round — and every later re-run — reuses the samples already drawn.
 func RunSequential(ctx context.Context, cells int, sim func(cell int) Sim, opts Options, stop Stopping) ([]Agg, error) {
-	if !stop.Enabled() {
-		return Run(ctx, cells, sim, opts)
-	}
 	if opts.Replicas < 0 {
 		return nil, fmt.Errorf("replica: Replicas = %d must be >= 0", opts.Replicas)
 	}
@@ -50,13 +53,10 @@ func RunSequential(ctx context.Context, cells int, sim func(cell int) Sim, opts 
 	if cells == 0 {
 		return nil, ctx.Err()
 	}
-	start := opts.replicas()
-	if start < 2 {
-		start = 2
-	}
-	maxR := stop.MaxReplicas
-	if maxR < start {
-		maxR = start
+	start, maxR := opts.replicas(), opts.replicas()
+	if stop.Enabled() {
+		start = max(start, 2)
+		maxR = max(stop.MaxReplicas, start)
 	}
 	sims := make([]Sim, cells)
 	for i := range sims {
@@ -77,17 +77,13 @@ func RunSequential(ctx context.Context, cells int, sim func(cell int) Sim, opts 
 		// (cell, replica) order, so appending round results keeps every
 		// cell's samples in replica order — the order reduce requires.
 		var work []pair
-		maxWant := 0
 		for i := 0; i < cells; i++ {
 			for j := len(have[i]); j < want[i]; j++ {
 				work = append(work, pair{cell: i, rep: j})
 			}
-			if want[i] > maxWant {
-				maxWant = want[i]
-			}
 		}
 		if len(work) > 0 {
-			seeds := Seeds(opts.Seed, cells, maxWant)
+			seeds := Seeds(opts.Seed, cells, slices.Max(want))
 			grid, err := runner.Indexed("job", len(work))
 			if err != nil {
 				return nil, err
@@ -97,7 +93,7 @@ func RunSequential(ctx context.Context, cells int, sim func(cell int) Sim, opts 
 					p := work[pt.Index]
 					return simulateOne(ctx, sims[p.cell],
 						Rep{Cell: p.cell, Replica: p.rep, Seed: seeds[p.cell][p.rep]}, opts)
-				}, runner.Options{Workers: opts.Workers, Seed: opts.Seed, Hooks: opts.Hooks, Obs: opts.Obs})
+				}, runner.Options{Workers: opts.Workers, Seed: opts.Seed, Obs: opts.Obs})
 			if err != nil {
 				return nil, err
 			}
@@ -107,15 +103,8 @@ func RunSequential(ctx context.Context, cells int, sim func(cell int) Sim, opts 
 		}
 		grew := false
 		for i := range have {
-			if want[i] >= maxR {
-				continue
-			}
-			agg := reduce(have[i])
-			if agg.CI95(stop.Metric) > stop.Target {
-				want[i] *= 2
-				if want[i] > maxR {
-					want[i] = maxR
-				}
+			if want[i] < maxR && reduce(have[i]).CI95(stop.Metric) > stop.Target {
+				want[i] = min(2*want[i], maxR)
 				grew = true
 			}
 		}
@@ -123,9 +112,26 @@ func RunSequential(ctx context.Context, cells int, sim func(cell int) Sim, opts 
 			break
 		}
 	}
+	ob := opts.Obs
+	reduceSeconds := ob.Histogram("replica_reduce_seconds", obs.LatencyBuckets)
+	tracing := ob.Tracing()
 	out := make([]Agg, cells)
 	for i := range out {
+		var (
+			redStart time.Time
+			sp       obs.Span
+		)
+		if ob != nil {
+			redStart = time.Now()
+			if tracing {
+				sp = ob.StartSpan("reduce", obs.L("cell", strconv.Itoa(i)))
+			}
+		}
 		out[i] = reduce(have[i])
+		if ob != nil {
+			reduceSeconds.Since(redStart)
+			sp.End()
+		}
 	}
 	return out, nil
 }

@@ -36,7 +36,6 @@ import (
 
 	"mfdl/internal/obs"
 	"mfdl/internal/rng"
-	"mfdl/internal/trace"
 )
 
 // Dim is one axis of a parameter grid: a name and the values swept along
@@ -176,10 +175,6 @@ func (p Point) Label() string {
 type Hooks struct {
 	// OnCell fires after every cell completes, successfully or not.
 	OnCell func(p Point, err error)
-	// Recorder, when non-nil, accumulates a "completed" (and, if any cell
-	// fails, a "failed") series of cumulative counts against wall-clock
-	// seconds since Run started.
-	Recorder *trace.Recorder
 }
 
 // Options configure one Run call.
@@ -308,13 +303,6 @@ func Run[T any](ctx context.Context, g Grid, job func(ctx context.Context, p Poi
 			failedC.Inc()
 		} else {
 			completedC.Inc()
-		}
-		if rec := opts.Hooks.Recorder; rec != nil {
-			t := time.Since(start).Seconds()
-			_ = rec.Record("completed", t, float64(done))
-			if failed > 0 {
-				_ = rec.Record("failed", t, float64(failed))
-			}
 		}
 		if opts.Hooks.OnCell != nil {
 			opts.Hooks.OnCell(p, err)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mfdl/internal/rng"
-	"mfdl/internal/trace"
 )
 
 func grid2x3(t *testing.T) Grid {
@@ -203,7 +202,6 @@ func TestRunCancellation(t *testing.T) {
 
 func TestRunHooks(t *testing.T) {
 	g := grid2x3(t)
-	rec := trace.NewRecorder()
 	var cells int
 	var fails int
 	_, err := Run(context.Background(), g, func(ctx context.Context, p Point, src *rng.Source) (int, error) {
@@ -218,20 +216,12 @@ func TestRunHooks(t *testing.T) {
 				fails++
 			}
 		},
-		Recorder: rec,
 	}})
 	if err == nil {
 		t.Fatal("error swallowed")
 	}
 	if cells == 0 || fails == 0 {
 		t.Fatalf("hooks saw %d cells, %d failures", cells, fails)
-	}
-	s := rec.Series("completed")
-	if s == nil || s.Final() != float64(cells) {
-		t.Fatalf("recorder completed series = %v, want %d", s, cells)
-	}
-	if f := rec.Series("failed"); f == nil || f.Final() != float64(fails) {
-		t.Fatalf("recorder failed series = %v, want %d", f, fails)
 	}
 }
 

@@ -1,9 +1,9 @@
 // The sim-replica job kind: simulator replica batches as distributable
 // jobs. A spec's params carry one simulator configuration per grid cell;
 // the executable cells are the (grid cell × replica index) pairs, seeded
-// by the replica engine's derivation scheme, so a distributed run draws
-// exactly the samples a local replica.Run would — byte-identical at any
-// worker count, with R = 1 pinned to the unreplicated goldens.
+// by the replica engine's derivation scheme, so every executor — RunJob,
+// RunJobStopping, a fabric worker — draws the same samples, byte-identical
+// at any worker count, with R = 1 pinned to the unreplicated goldens.
 package sim
 
 import (
@@ -217,7 +217,7 @@ func decodeCells(spec runner.JobSpec) (*decoded, error) {
 
 // prepareJob decodes the spec once into its executable cells: cell i is
 // replica i%R of grid cell i/R, seeded replica.SeedOf(spec.Seed, cell, rep)
-// — exactly what a local replica.Run over the same cells derives. The
+// — exactly what the replica engine derives for the same cells. The
 // payload is the canonical sample encoding, and the sample store
 // (env.Samples) is consulted before simulating, so stored samples are
 // replayed identically everywhere.

@@ -1,14 +1,12 @@
-// Package sim unifies the two simulators' entry points behind one
-// constructor. The repository has a flow-level event simulator
-// (internal/eventsim) and a chunk-level swarm simulator (internal/swarm);
-// both adapt to the replica engine through structurally identical
-// Sim{Config} wrappers, so every experiment used to switch on the package
-// itself. sim.New is that switch, written once: callers pick a scheme and
-// fill in whichever simulator configuration they mean, and get back a
-// replica.Sim ready for replica.Run.
+// Package sim unifies the flow-level (internal/eventsim) and chunk-level
+// (internal/swarm) simulators behind one constructor, New, and one job
+// kind, sim-replica. Experiments list their rows as JobCells and run them
+// through the job layer, so every simulated table can be distributed,
+// checkpointed and replayed from the sample store:
 //
-//	s, err := sim.New(scheme.SimCMFSD, sim.Config{Flow: &eventsim.Config{...}})
-//	aggs, err := replica.Run(ctx, 1, func(int) replica.Sim { return s }, opts)
+//	spec, err := sim.NewJobSpec([]sim.JobCell{{Scheme: scheme.SimCMFSD,
+//	    Config: sim.Config{Flow: &eventsim.Config{...}}}}, seed, replicas)
+//	aggs, err := sim.RunJob(ctx, spec, runner.JobEnv{}, runner.Options{})
 //
 // The concrete packages remain available for callers that need
 // simulator-specific machinery (result structs, traces, population series).
