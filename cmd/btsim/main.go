@@ -26,7 +26,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 
@@ -34,6 +33,7 @@ import (
 	"mfdl/internal/eventsim"
 	"mfdl/internal/experiments"
 	"mfdl/internal/fluid"
+	"mfdl/internal/gridflag"
 	"mfdl/internal/obs"
 	"mfdl/internal/replica"
 	"mfdl/internal/runner"
@@ -48,11 +48,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "btsim:", err)
 		os.Exit(1)
 	}
-}
-
-// formats lists the table formats the -format flag accepts.
-var formats = map[string]bool{
-	"": true, "ascii": true, "csv": true, "tsv": true, "markdown": true, "md": true,
 }
 
 func run(args []string) error {
@@ -71,10 +66,13 @@ func run(args []string) error {
 		seed     = fs.Uint64("seed", 1, "RNG seed (base of the replica seed derivation)")
 		replicas = fs.Int("replicas", 1, "independently seeded simulation replicas per table row (>= 1)")
 		workers  = fs.Int("workers", 0, "replica worker pool size (0 = all cores)")
-		format   = fs.String("format", "ascii", "output format: ascii, csv, tsv, or markdown")
 	)
-	var ofl obs.Flags
+	var (
+		ofl  obs.Flags
+		ofmt gridflag.Format
+	)
 	ofl.Register(fs)
+	ofmt.Register(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: btsim [flags] validate|adapt|swarm|transient|hetero|adaptparams|run")
 		fs.PrintDefaults()
@@ -89,16 +87,8 @@ func run(args []string) error {
 	// Strict flag validation: every float must be finite, the replica
 	// count positive, the worker count non-negative and the format known —
 	// the same rejection style cmd/sweep uses.
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"mu", *mu}, {"eta", *eta}, {"gamma", *gamma}, {"lambda0", *lambda0},
-		{"p", *p}, {"rho", *rho}, {"horizon", *horizon}, {"warmup", *warmup},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("-%s: value %v is not finite", f.name, f.v)
-		}
+	if err := gridflag.Finite(fs, "mu", "eta", "gamma", "lambda0", "p", "rho", "horizon", "warmup"); err != nil {
+		return err
 	}
 	if *replicas < 1 {
 		return fmt.Errorf("-replicas must be >= 1, got %d", *replicas)
@@ -106,8 +96,8 @@ func run(args []string) error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
-	if !formats[*format] {
-		return fmt.Errorf("unknown format %q (want ascii, csv, tsv, or markdown)", *format)
+	if err := ofmt.Validate(); err != nil {
+		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -127,34 +117,33 @@ func run(args []string) error {
 		},
 	}
 	emit := func(tb *table.Table) error {
-		if err := tb.Write(os.Stdout, *format); err != nil {
+		if err := tb.Write(os.Stdout, string(ofmt)); err != nil {
 			return err
 		}
 		fmt.Println()
 		return nil
+	}
+	// show emits an experiment's table, or passes its error on.
+	show := func(res interface{ Table() *table.Table }, err error) error {
+		if err != nil {
+			return err
+		}
+		return emit(res.Table())
 	}
 	// The subcommands run inside a closure so the metrics snapshot and
 	// trace stream are flushed on every return path.
 	runErr := func() error {
 		switch fs.Arg(0) {
 		case "validate":
-			res, err := experiments.SimValidate(ctx, set, []float64{*p})
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.SimValidate(ctx, set, []float64{*p}))
 		case "adapt":
 			ac := adapt.DefaultConfig
 			// Scale the thresholds with μ (they are bandwidth differences).
 			ac.Lower = -0.25 * params.Mu
 			ac.Upper = 0.25 * params.Mu
 			ac.Period = 5 / params.Gamma
-			res, err := experiments.AdaptSweep(ctx, set, *p, ac,
-				[]float64{0, 0.2, 0.4, 0.6, 0.8, 1})
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.AdaptSweep(ctx, set, *p, ac,
+				[]float64{0, 0.2, 0.4, 0.6, 0.8, 1}))
 		case "swarm":
 			base := swarm.DefaultConfig
 			base.P = *p
@@ -162,11 +151,7 @@ func run(args []string) error {
 			base.Horizon = int(*horizon)
 			base.Warmup = int(*warmup)
 			base.Seed = *seed
-			res, err := experiments.SwarmCompare(ctx, base, []float64{0, 0.25, 0.5, 0.75, 1}, *replicas, ob)
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.SwarmCompare(ctx, base, []float64{0, 0.25, 0.5, 0.75, 1}, *replicas, ob))
 		case "adaptparams":
 			res, err := experiments.AdaptParams(ctx, set, *p, 0.8,
 				[]float64{0.05, 0.1, 0.25, 0.5},
@@ -183,25 +168,17 @@ func run(args []string) error {
 				res.Clean[best].Label, res.Clean[best].MeanFinalRho, res.Cheated[best].MeanFinalRho)
 			return nil
 		case "hetero":
-			res, err := experiments.Hetero(ctx, set, 2**lambda0, []experiments.HeteroClass{
+			return show(experiments.Hetero(ctx, set, 2**lambda0, []experiments.HeteroClass{
 				{Name: "broadband", Mu: 2 * params.Mu, Weight: 4, Fraction: 0.3},
 				{Name: "cable", Mu: params.Mu, Weight: 2, Fraction: 0.4},
 				{Name: "dsl", Mu: params.Mu / 2, Weight: 1, Fraction: 0.3},
-			})
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			}))
 		case "transient":
 			tset := set
 			if tset.Horizon > 300 {
 				tset.Horizon = 150 // a dozen residence times at the rescaled rates
 			}
-			res, err := experiments.Transient(ctx, tset, *p, *rho, 300)
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.Transient(ctx, tset, *p, *rho, 300))
 		case "run":
 			sc, err := scheme.ParseSim(*schemeFl)
 			if err != nil {

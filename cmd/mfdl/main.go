@@ -45,15 +45,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"time"
 
 	"mfdl/internal/experiments"
 	"mfdl/internal/fluid"
+	"mfdl/internal/gridflag"
 	"mfdl/internal/obs"
 	"mfdl/internal/runner"
 	"mfdl/internal/runner/diskcache"
@@ -67,26 +65,6 @@ func main() {
 	}
 }
 
-// parseRates parses a comma-separated list of non-negative finite rates;
-// an empty string means the axis is skipped.
-func parseRates(name, s string) ([]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("-%s: %w", name, err)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return nil, fmt.Errorf("-%s: rate %v must be finite and >= 0", name, v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("mfdl", flag.ContinueOnError)
 	var (
@@ -96,25 +74,24 @@ func run(args []string) error {
 		gamma    = fs.Float64("gamma", 0.05, "seed departure rate γ")
 		lambda0  = fs.Float64("lambda0", 1, "web-server visiting rate λ₀")
 		steps    = fs.Int("steps", 20, "grid resolution for swept axes")
-		seed     = fs.Uint64("seed", 7, "RNG seed for the simulator subcommands (base of the replica seed derivation)")
-		replicas = fs.Int("replicas", 1, "independently seeded simulation replicas per simulator row (>= 1)")
 		workers  = fs.Int("workers", 0, "replica worker pool size for the simulator subcommands (0 = all cores)")
-		samples  = fs.String("sample-dir", "", "keyed replica-sample store for the simulator subcommands: re-runs with more replicas replay stored samples instead of resampling (empty = off)")
-		smplAge  = fs.Duration("sample-prune-age", 0, "evict stored samples unused for longer than this before the run (0 = off; requires -sample-dir)")
-		smplSize = fs.Int64("sample-prune-size", 0, "evict least-recently-used stored samples down to this many bytes before the run (0 = off; requires -sample-dir)")
-		ciTarget = fs.Float64("ci-target", 0, "sequential stopping: grow each simulator row's replicas until the 95% CI half-width of -ci-metric reaches this (0 = fixed -replicas)")
-		ciMetric = fs.String("ci-metric", "", "stopping metric for -ci-target (default: the subcommand's headline metric)")
-		replMax  = fs.Int("replicas-max", 64, "replica growth bound per row under -ci-target")
 		chaos    = fs.Uint64("chaos-seed", 42, "fault-plan seed for 'churn' (same seed ⇒ identical chaos)")
 		abortsFl = fs.String("abort-rate", "0,0.0005,0.001,0.002", "comma-separated downloader abort rates θ for 'churn' (empty skips the axis)")
 		quitsFl  = fs.String("quit-rate", "0.02,0.05,0.1", "comma-separated virtual-seed quit rates for 'churn' (empty skips the axis)")
-		format   = fs.String("format", "ascii", "output format: ascii, csv, tsv, or markdown")
 		out      = fs.String("out", "artifacts", "output directory for the 'report' subcommand")
 		cacheDir = fs.String("cache-dir", "", "persistent solve-cache directory shared across runs (empty = in-memory only)")
 		stats    = fs.Bool("stats", false, "print per-phase wall-clock and solve-cache hit rates on stderr")
 	)
-	var ofl obs.Flags
+	var (
+		ofl  obs.Flags
+		ofmt gridflag.Format
+		rf   = gridflag.Replicas{Seed: 7, Replicas: 1, ReplicasMax: 64}
+		sf   = gridflag.Store{Name: "sample"}
+	)
 	ofl.Register(fs)
+	ofmt.Register(fs)
+	rf.Register(fs)
+	sf.Register(fs, "keyed replica-sample store for the simulator subcommands: re-runs with more replicas replay stored samples instead of resampling (empty = off)")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: mfdl [flags] fig2|fig3|fig4a|fig4b|fig4c|validate|stability|crossover|eta|cheating|kscaling|simvalidate|churn|report|params|all")
 		fs.PrintDefaults()
@@ -129,41 +106,18 @@ func run(args []string) error {
 	// Strict flag validation, in cmd/sweep's rejection style: model floats
 	// must be finite, the replica count positive, the worker count
 	// non-negative and the format known.
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"mu", *mu}, {"eta", *eta}, {"gamma", *gamma}, {"lambda0", *lambda0},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("-%s: value %v is not finite", f.name, f.v)
-		}
+	if err := gridflag.Finite(fs, "mu", "eta", "gamma", "lambda0"); err != nil {
+		return err
 	}
-	if *replicas < 1 {
-		return fmt.Errorf("-replicas must be >= 1, got %d", *replicas)
+	simOpts, err := rf.Options()
+	if err != nil {
+		return err
 	}
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
-	if math.IsNaN(*ciTarget) || math.IsInf(*ciTarget, 0) || *ciTarget < 0 {
-		return fmt.Errorf("-ci-target must be finite and >= 0, got %v", *ciTarget)
-	}
-	if *replMax < 1 {
-		return fmt.Errorf("-replicas-max must be >= 1, got %d", *replMax)
-	}
-	if *smplAge < 0 {
-		return fmt.Errorf("-sample-prune-age must be >= 0, got %v", *smplAge)
-	}
-	if *smplSize < 0 {
-		return fmt.Errorf("-sample-prune-size must be >= 0, got %d", *smplSize)
-	}
-	if (*smplAge > 0 || *smplSize > 0) && *samples == "" {
-		return fmt.Errorf("-sample-prune-age and -sample-prune-size require -sample-dir")
-	}
-	switch *format {
-	case "ascii", "csv", "tsv", "markdown", "md":
-	default:
-		return fmt.Errorf("unknown format %q (want ascii, csv, tsv, or markdown)", *format)
+	if err := ofmt.Validate(); err != nil {
+		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -190,89 +144,59 @@ func run(args []string) error {
 	// One sample store for the simulator subcommands: a later run with a
 	// larger -replicas (or a tighter -ci-target) replays every sample this
 	// run stored instead of resampling it.
-	var sampleStore *diskcache.SampleStore
-	if *samples != "" {
-		sampleStore, err = diskcache.OpenSamples(*samples)
-		if err != nil {
-			return err
-		}
-		sampleStore.WithObs(reg)
-		if *smplAge > 0 || *smplSize > 0 {
-			pst, err := sampleStore.Prune(diskcache.PruneOptions{MaxAge: *smplAge, MaxBytes: *smplSize})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "mfdl: sample prune: removed %d samples (%d bytes), kept %d (%d bytes)\n",
-				pst.Removed, pst.Freed, pst.Kept, pst.Remaining)
-		}
+	if simOpts.Samples, err = sf.Samples("mfdl", reg); err != nil {
+		return err
 	}
-	simOpts := experiments.Options{
-		Seed: *seed, Replicas: *replicas, Workers: *workers, Obs: reg,
-		Samples: sampleStore, CITarget: *ciTarget, CIMetric: *ciMetric,
-		ReplicasMax: *replMax,
-	}
+	simOpts.Workers, simOpts.Obs = *workers, reg
 	cfg := experiments.Config{
 		Params:  fluid.Params{Mu: *mu, Eta: *eta, Gamma: *gamma},
 		K:       *k,
 		Lambda0: *lambda0,
 		Options: experiments.Options{Cache: cache},
 	}
+	// The simulator subcommands run the model at the validation horizon.
+	set := experiments.SimSettings{
+		Params: cfg.Params, K: cfg.K, Lambda0: cfg.Lambda0,
+		Horizon: 4000, Warmup: 800, Options: simOpts,
+	}
 	emit := func(tb *table.Table) error {
-		if err := tb.Write(os.Stdout, *format); err != nil {
+		if err := tb.Write(os.Stdout, string(ofmt)); err != nil {
 			return err
 		}
 		fmt.Println()
 		return nil
 	}
+	// show emits an experiment's table, or passes its error on.
+	show := func(res interface{ Table() *table.Table }, err error) error {
+		if err != nil {
+			return err
+		}
+		return emit(res.Table())
+	}
 	cmds := map[string]func() error{
 		"fig2": func() error {
-			res, err := experiments.Fig2(cfg, experiments.PGrid(0, 1, *steps))
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.Fig2(cfg, experiments.PGrid(0, 1, *steps)))
 		},
 		"fig3": func() error {
 			for _, p := range []float64{0.1, 1.0} {
-				res, err := experiments.Fig3(cfg, p)
-				if err != nil {
-					return err
-				}
-				if err := emit(res.Table()); err != nil {
+				if err := show(experiments.Fig3(cfg, p)); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
 		"fig4a": func() error {
-			pGrid := experiments.PGrid(0.1, 1, *steps/2)
-			rhoGrid := experiments.PGrid(0, 1, 10)
-			res, err := experiments.Fig4A(ctx, cfg, pGrid, rhoGrid)
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.Fig4A(ctx, cfg,
+				experiments.PGrid(0.1, 1, *steps/2), experiments.PGrid(0, 1, 10)))
 		},
 		"fig4b": func() error {
-			res, err := experiments.Fig4BC(cfg, 0.9, 0.1, 0.9)
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.Fig4BC(cfg, 0.9, 0.1, 0.9))
 		},
 		"fig4c": func() error {
-			res, err := experiments.Fig4BC(cfg, 0.1, 0.1, 0.9)
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.Fig4BC(cfg, 0.1, 0.1, 0.9))
 		},
 		"validate": func() error {
-			res, err := experiments.Validate(cfg)
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.Validate(cfg))
 		},
 		"stability": func() error {
 			_, tb, err := experiments.StabilityTable(cfg)
@@ -282,67 +206,35 @@ func run(args []string) error {
 			return emit(tb)
 		},
 		"crossover": func() error {
-			res, err := experiments.Crossover(cfg)
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.Crossover(cfg))
 		},
 		"eta": func() error {
-			res, err := experiments.EtaAblation(ctx, cfg,
-				[]float64{0.25, 0.5, 0.75, 1.0}, experiments.PGrid(0, 1, *steps))
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.EtaAblation(ctx, cfg,
+				[]float64{0.25, 0.5, 0.75, 1.0}, experiments.PGrid(0, 1, *steps)))
 		},
 		"kscaling": func() error {
-			res, err := experiments.KScaling(cfg, 0.9, []int{1, 2, 3, 5, 8, 10, 12, 15, 20})
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.KScaling(cfg, 0.9, []int{1, 2, 3, 5, 8, 10, 12, 15, 20}))
 		},
 		"cheating": func() error {
-			res, err := experiments.CheatingSweep(cfg, 0.9, 0,
-				[]float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1})
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.CheatingSweep(cfg, 0.9, 0,
+				[]float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}))
 		},
 		"simvalidate": func() error {
-			set := experiments.SimSettings{
-				Params:  cfg.Params,
-				K:       cfg.K,
-				Lambda0: cfg.Lambda0,
-				Horizon: 4000, Warmup: 800,
-				Options: simOpts,
-			}
-			res, err := experiments.SimValidate(ctx, set, []float64{0.5, 0.9})
-			if err != nil {
-				return err
-			}
-			return emit(res.Table())
+			return show(experiments.SimValidate(ctx, set, []float64{0.5, 0.9}))
 		},
 		"churn": func() error {
-			thetas, err := parseRates("abort-rate", *abortsFl)
+			// An empty list skips its axis; ChurnSweep rejects a negative
+			// rate before simulating anything.
+			thetas, err := gridflag.List("abort-rate", *abortsFl)
 			if err != nil {
 				return err
 			}
-			quits, err := parseRates("quit-rate", *quitsFl)
+			quits, err := gridflag.List("quit-rate", *quitsFl)
 			if err != nil {
 				return err
 			}
 			if len(thetas) == 0 && len(quits) == 0 {
 				return fmt.Errorf("churn: both -abort-rate and -quit-rate are empty, nothing to sweep")
-			}
-			set := experiments.SimSettings{
-				Params:  cfg.Params,
-				K:       cfg.K,
-				Lambda0: cfg.Lambda0,
-				Horizon: 4000, Warmup: 800,
-				Options: simOpts,
 			}
 			res, err := experiments.ChurnSweep(ctx, set, 0.9, *chaos, thetas, quits)
 			if err != nil {

@@ -34,13 +34,16 @@
 // resumes on the next invocation from the completed cells and emits the
 // byte-identical final table. -retries re-attempts panicking cells a
 // bounded number of times before giving up on the run.
+//
+// -fabric ADDR serves the same job through a fabric.Campaign bound to ADDR
+// with -workers in-process HTTP workers — the serving `sweepd serve`
+// uses — and prints the same table, byte for byte.
 package main
 
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
+	"log"
 	"os"
 	"os/signal"
 	"runtime"
@@ -65,11 +68,6 @@ func main() {
 	}
 }
 
-// formats lists the table formats the -format flag accepts.
-var formats = map[string]bool{
-	"": true, "ascii": true, "csv": true, "tsv": true, "markdown": true, "md": true,
-}
-
 func run(args []string) error {
 	start := time.Now()
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
@@ -91,15 +89,17 @@ func run(args []string) error {
 		retries   = fs.Int("retries", 0, "re-attempts for a panicking cell before the run fails")
 		ckptDir   = fs.String("checkpoint-dir", "", "flush completed cells here so a killed run resumes (empty = off)")
 		verbose   = fs.Bool("progress", false, "report per-cell progress on stderr")
-		format    = fs.String("format", "ascii", "output format: ascii, csv, tsv, or markdown")
-		cacheDir  = fs.String("cache-dir", "", "persistent solve-cache directory shared across runs (empty = in-memory only)")
-		pruneAge  = fs.Duration("cache-prune-age", 0, "evict cache entries unused for longer than this before the sweep (0 = off; requires -cache-dir)")
-		pruneSize = fs.Int64("cache-prune-size", 0, "evict least-recently-used cache entries down to this many bytes before the sweep (0 = off; requires -cache-dir)")
 		stats     = fs.Bool("stats", false, "print cache hit rates, disk usage and per-phase wall-clock on stderr")
 		fabricAdr = fs.String("fabric", "", "run the sweep through an in-process fabric coordinator bound to this address (e.g. 127.0.0.1:0) with -workers HTTP workers; output is byte-identical to a local run")
 	)
-	var ofl obs.Flags
+	var (
+		ofl  obs.Flags
+		ofmt gridflag.Format
+		cf   = gridflag.Store{Name: "cache"}
+	)
 	ofl.Register(fs)
+	ofmt.Register(fs)
+	cf.Register(fs, "persistent solve-cache directory shared across runs (empty = in-memory only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -110,8 +110,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if !formats[*format] {
-		return fmt.Errorf("unknown format %q (want ascii, csv, tsv, or markdown)", *format)
+	if err := ofmt.Validate(); err != nil {
+		return err
 	}
 	if *workers < 0 {
 		return fmt.Errorf("workers must be >= 0, got %d", *workers)
@@ -119,26 +119,8 @@ func run(args []string) error {
 	if *retries < 0 {
 		return fmt.Errorf("-retries must be >= 0, got %d", *retries)
 	}
-	if *pruneAge < 0 {
-		return fmt.Errorf("-cache-prune-age must be >= 0, got %v", *pruneAge)
-	}
-	if *pruneSize < 0 {
-		return fmt.Errorf("-cache-prune-size must be >= 0, got %d", *pruneSize)
-	}
-	if (*pruneAge > 0 || *pruneSize > 0) && *cacheDir == "" {
-		return fmt.Errorf("-cache-prune-age and -cache-prune-size require -cache-dir")
-	}
-	if *pruneAge > 0 || *pruneSize > 0 {
-		store, err := diskcache.Open(*cacheDir)
-		if err != nil {
-			return err
-		}
-		pst, err := store.Prune(diskcache.PruneOptions{MaxAge: *pruneAge, MaxBytes: *pruneSize})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "sweep: cache prune: removed %d entries (%d bytes), kept %d (%d bytes)\n",
-			pst.Removed, pst.Freed, pst.Kept, pst.Remaining)
+	if _, err := gridflag.Open(&cf, "sweep", diskcache.Open); err != nil {
+		return err
 	}
 
 	grid, err := gridflag.Grid(*dim, *from, *to, *steps)
@@ -166,7 +148,7 @@ func run(args []string) error {
 		Grid:          grid,
 		Options:       experiments.Options{Workers: *workers, Obs: reg},
 		Retries:       *retries,
-		CacheDir:      *cacheDir,
+		CacheDir:      cf.Dir,
 		CheckpointDir: *ckptDir,
 	}
 	if *verbose {
@@ -199,7 +181,16 @@ func run(args []string) error {
 	setup := time.Since(start)
 	var res *experiments.SweepResult
 	if *fabricAdr != "" {
-		res, err = runFabric(ctx, spec, *fabricAdr, *workers)
+		camp := &fabric.Campaign{
+			Addr: *fabricAdr, CheckpointDir: *ckptDir, LocalWorkers: *workers,
+			Coordinator: fabric.CoordinatorOptions{Obs: reg},
+			Log:         log.New(os.Stderr, "sweep: ", 0),
+		}
+		if camp.LocalWorkers == 0 {
+			camp.LocalWorkers = runtime.GOMAXPROCS(0)
+		}
+		defer camp.Close()
+		res, err = spec.Serve(ctx, camp.Serve)
 	} else {
 		res, err = experiments.Sweep(ctx, spec)
 	}
@@ -207,7 +198,7 @@ func run(args []string) error {
 		return err
 	}
 	solve := time.Since(start) - setup
-	if err := res.Table().Write(os.Stdout, *format); err != nil {
+	if err := res.Table().Write(os.Stdout, string(ofmt)); err != nil {
 		return err
 	}
 	render := time.Since(start) - setup - solve
@@ -215,70 +206,12 @@ func run(args []string) error {
 	phase("sweep_phase_seconds", obs.L("phase", "solve")).Set(solve.Seconds())
 	phase("sweep_phase_seconds", obs.L("phase", "render")).Set(render.Seconds())
 	if reg != nil {
-		snapshotDerived(reg, len(res.Cells), *cacheDir)
+		snapshotDerived(reg, len(res.Cells), cf.Dir)
 	}
 	if *stats || *verbose {
-		printStats(os.Stderr, reg, *cacheDir)
+		printStats(os.Stderr, reg, cf.Dir)
 	}
 	return finishObs()
-}
-
-// runFabric executes the sweep through the distributed fabric entirely
-// in-process: a coordinator HTTP server bound to addr, plus `workers`
-// (default all cores) HTTP worker loops against it. The cells come back
-// through the coordinator's checkpoint store (spec.CheckpointDir, or a
-// private temp dir), so the final table is byte-identical to a local run —
-// -fabric exists to exercise exactly that equivalence from the shell.
-func runFabric(ctx context.Context, spec experiments.SweepSpec, addr string, workers int) (*experiments.SweepResult, error) {
-	dir := spec.CheckpointDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "sweep-fabric-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	store, err := diskcache.OpenCheckpoint(dir)
-	if err != nil {
-		return nil, err
-	}
-	coord, err := fabric.NewCoordinator(spec.JobSpec(), store, fabric.CoordinatorOptions{
-		Obs: spec.Options.Obs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: coord.Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "sweep: fabric coordinator on http://%s\n", ln.Addr())
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	url := "http://" + ln.Addr().String()
-	errs := make(chan error, workers)
-	for i := 0; i < workers; i++ {
-		go func(i int) {
-			errs <- fabric.Work(ctx, url, fabric.WorkerOptions{
-				Name: fmt.Sprintf("local-%d", i),
-			})
-		}(i)
-	}
-	for i := 0; i < workers; i++ {
-		if err := <-errs; err != nil {
-			return nil, err
-		}
-	}
-	cells, err := coord.Result(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &experiments.SweepResult{Spec: spec, Cells: cells}, nil
 }
 
 // snapshotDerived folds end-of-run derived values into the registry so

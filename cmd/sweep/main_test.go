@@ -313,3 +313,20 @@ func TestSweepCachePruneAndUsage(t *testing.T) {
 		t.Fatalf("age prune kept nothing or cache went cold:\n%s", stderr)
 	}
 }
+
+// -fabric serves the sweep through a fabric campaign with in-process HTTP
+// workers and prints the local table byte for byte.
+func TestSweepFabricMatchesLocal(t *testing.T) {
+	args := []string{"-dim", "p,rho", "-from", "0.1,0", "-to", "0.9,1", "-steps", "3,3", "-scheme", "CMFSD", "-workers", "2"}
+	local, err := capture(t, func() error { return run(args) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := capture(t, func() error { return run(append(args, "-fabric", "127.0.0.1:0")) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served != local {
+		t.Fatalf("-fabric table differs from the local sweep:\n%s\nwant:\n%s", served, local)
+	}
+}

@@ -20,67 +20,53 @@
 // Every worker pushes periodic telemetry — a heartbeat, a mergeable
 // metrics snapshot and its completed trace spans — so the coordinator
 // serves a fleet-merged Prometheus exposition on /metrics and a
-// per-worker liveness/straggler view on GET /v1/fleet. Watch it live
-// from a third terminal:
-//
-//	sweepd top -join http://localhost:8700
-//
-// `serve -fleet-out fleet.json` records the final fleet view,
-// `-progress 5s` prints a fleet line on stderr while running, and a
-// serve-side -trace-out file interleaves spans from every worker
-// process into one Chrome trace. Telemetry is fire-and-forget and
-// strictly off the completion path: results are byte-identical with it
-// on or off.
+// per-worker liveness/straggler view on GET /v1/fleet, which
+// `sweepd top -join URL` renders live. `serve -fleet-out F` records the
+// final fleet view, `-progress 5s` prints fleet lines on stderr, and a
+// serve-side -trace-out interleaves every worker's spans into one Chrome
+// trace. Telemetry is strictly off the completion path: results are
+// byte-identical with it on or off.
 //
 // Two job kinds can be served (-job):
 //
 //	fluid        the default: a fluid-model steady-state sweep over the
-//	             same grid and model flags as `sweep` (-dim, -from, -to,
-//	             -steps, -scheme, -k, -mu, -eta, -gamma, -lambda0, -p,
-//	             -rho, -theta).
-//	simvalidate  the fluid-vs-simulation validation (mfdl's simvalidate):
-//	             every scheme at every correlation in -ps, with -replicas
-//	             independently seeded simulation replicas per row. The
-//	             cells are (row × replica) pairs; the finished table is
-//	             byte-identical to a local `mfdl simvalidate` at the same
-//	             seed and replica count.
+//	             same grid and model flags as `sweep`; the table is
+//	             byte-identical to `sweep`'s.
+//	simvalidate  the fluid-vs-simulation validation: every scheme at every
+//	             correlation in -ps, -replicas seeded replicas per row. The
+//	             table is byte-identical to `mfdl simvalidate` at the same
+//	             seed, replica count and stopping rule.
 //
-// Simulation cells persist in a keyed sample store (-sample-dir): a later
-// serve with a larger -replicas replays every stored sample and only
-// simulates the new ones. With -ci-target the serve runs multiple rounds,
-// doubling the replica count (up to -replicas-max) until every row's 95%
-// confidence half-width of -ci-metric reaches the target; each round is a
-// fresh job at the same address, so workers started with `work -loop`
-// keep pulling rounds until the coordinator exits.
+// This file is flag parsing and output. The serving — listener and
+// -addr-file, chaos middleware, local workers, -progress, -fleet-out and
+// the temporary stores — is a fabric.Campaign, and -ci-target is the
+// replica engine's own per-row stopping loop (sim.RunRounds): each round
+// is a fresh job at the same address serving only the replicas of the
+// rows whose CI95 of -ci-metric still misses the target, so workers
+// started with `work -loop` follow the rounds. Simulation cells persist in
+// a keyed sample store (-sample-dir), so a later serve with more replicas
+// simulates only the new ones.
 //
-// -lease-target sizes leases adaptively: the coordinator tracks each
-// worker's observed seconds per cell and grants batches that take roughly
-// the target wall-time, so slow workers hold fewer cells hostage.
-//
-// `serve` prints the finished table on stdout and exits. With -addr-file
-// the actual listen address (useful with port 0) is written to a file for
-// scripts to pick up. `work` needs only -join; it fetches the job
-// description from the coordinator and refuses kinds its build does not
-// register.
+// -lease-target sizes each worker's leases to roughly that wall-time from
+// its observed pace. With -addr-file the actual listen address (useful
+// with port 0) is written for scripts. `work` needs only -join; it refuses
+// job kinds its build does not register, and a worker still polling when
+// the coordinator finishes and exits ends cleanly.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
-	"math"
-	"net"
+	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
-	"sync"
 	"text/tabwriter"
 	"time"
-
-	"flag"
 
 	"mfdl/internal/experiments"
 	"mfdl/internal/fabric"
@@ -89,9 +75,8 @@ import (
 	"mfdl/internal/gridflag"
 	"mfdl/internal/obs"
 	"mfdl/internal/replica"
-	"mfdl/internal/runner/diskcache"
 	"mfdl/internal/scheme"
-	"mfdl/internal/sim"
+	"mfdl/internal/table"
 )
 
 func main() {
@@ -115,30 +100,6 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown subcommand %q (want serve, work, or top)", args[0])
 	}
-}
-
-// formats lists the table formats the -format flag accepts.
-var formats = map[string]bool{
-	"": true, "ascii": true, "csv": true, "tsv": true, "markdown": true, "md": true,
-}
-
-// parseFloats parses a comma-separated list of finite floats.
-func parseFloats(name, s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("-%s: %w", name, err)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("-%s: value %v is not finite", name, v)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-%s: empty list", name)
-	}
-	return out, nil
 }
 
 // parseWindows parses comma-separated start-end duration pairs
@@ -186,22 +147,16 @@ func serve(args []string) error {
 		rho      = fs.Float64("rho", 0, "fluid: CMFSD allocation ratio ρ")
 		theta    = fs.Float64("theta", 0, "fluid: downloader abort rate θ (0 = paper's churn-free model)")
 		// Simulation flags (-job simvalidate).
-		ps       = fs.String("ps", "0.5,0.9", "simvalidate: comma-separated file correlations, one scheme matrix per value")
-		horizon  = fs.Float64("horizon", 4000, "simvalidate: simulated horizon")
-		warmup   = fs.Float64("warmup", 800, "simvalidate: measurement warmup")
-		seed     = fs.Uint64("seed", 1, "simvalidate: base of the replica seed derivation")
-		replicas = fs.Int("replicas", 1, "simvalidate: independently seeded replicas per row (>= 1)")
-		ciTarget = fs.Float64("ci-target", 0, "simvalidate: run growing rounds until every row's 95% CI half-width of -ci-metric reaches this (0 = one round at -replicas)")
-		ciMetric = fs.String("ci-metric", replica.OnlinePerFile, "simvalidate: stopping metric for -ci-target")
-		replMax  = fs.Int("replicas-max", 64, "simvalidate: replica growth bound per serve under -ci-target")
-		smplDir  = fs.String("sample-dir", "", "simvalidate: keyed replica-sample store; later serves with more replicas replay stored samples (empty = private temp dir, no reuse)")
+		ps      = fs.String("ps", "0.5,0.9", "simvalidate: comma-separated file correlations, one scheme matrix per value")
+		horizon = fs.Float64("horizon", 4000, "simvalidate: simulated horizon")
+		warmup  = fs.Float64("warmup", 800, "simvalidate: measurement warmup")
+		smplDir = fs.String("sample-dir", "", "simvalidate: keyed replica-sample store; later serves with more replicas replay stored samples (empty = private temp dir, no reuse)")
 		// Fabric flags.
 		ckptDir     = fs.String("checkpoint-dir", "", "checkpoint store for completed cells; a restarted coordinator resumes from it (empty = private temp dir, no resume)")
 		leaseCells  = fs.Int("lease-cells", 8, "cells granted per lease (the adaptive upper bound with -lease-target)")
 		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "lease exclusivity window; a worker silent for longer forfeits its cells")
 		leaseTarget = fs.Duration("lease-target", 0, "size each worker's leases to roughly this wall-time from its observed cell pace (0 = fixed -lease-cells batches)")
 		localW      = fs.Int("local-workers", 0, "also run this many in-process workers (0 = rely on `sweepd work` processes)")
-		format      = fs.String("format", "ascii", "output format: ascii, csv, tsv, or markdown")
 		stats       = fs.Bool("stats", false, "print fabric progress counters on stderr")
 		fleetOut    = fs.String("fleet-out", "", "write the final fleet view (per-worker liveness, rates, stragglers) as JSON to this file")
 		progress    = fs.Duration("progress", 0, "print a fleet progress line (workers, cells/sec, stragglers) on stderr at this interval (0 = off)")
@@ -211,50 +166,34 @@ func serve(args []string) error {
 		chaosDelay = fs.Duration("chaos-delay-max", 0, "chaos: delay each served request by a deterministic uniform draw from [0, this) (0 = off)")
 		chaosBlack = fs.String("chaos-blackout", "", "chaos: comma-separated start-end elapsed-time windows (e.g. 2s-4s,30s-35s) during which every request is rejected with 503")
 	)
-	var ofl obs.Flags
+	var (
+		ofl  obs.Flags
+		ofmt gridflag.Format
+		rf   = gridflag.Replicas{Seed: 1, Replicas: 1, CIMetric: replica.OnlinePerFile, ReplicasMax: 64}
+	)
 	ofl.Register(fs)
+	ofmt.Register(fs)
+	rf.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if !formats[*format] {
-		return fmt.Errorf("unknown format %q (want ascii, csv, tsv, or markdown)", *format)
+	if err := ofmt.Validate(); err != nil {
+		return err
 	}
 	if *leaseTarget < 0 {
 		return fmt.Errorf("-lease-target must be >= 0, got %v", *leaseTarget)
 	}
-	reg, finishObs, err := ofl.Setup(*stats)
-	if err != nil {
-		return err
-	}
-	// Coordinator-side spans carry the serve process's real pid, so a
-	// -trace-out file interleaves cleanly with the worker spans shipped
-	// in over telemetry (each tagged with its own origin pid).
-	reg.SetSpanIdentity(os.Getpid())
 	windows, err := parseWindows(*chaosBlack)
 	if err != nil {
 		return err
 	}
-	chaosPlan, err := chaos.NewPlan(chaos.Config{
-		Seed: *chaosSeed, Error5xxProb: *chaos5xx,
-		DelayMax: *chaosDelay, BlackoutWindows: windows,
-	}, reg)
-	if err != nil {
-		return err
-	}
+	// Lower the job before anything opens: every invalid value is an error
+	// here, and the campaign's listener only opens once there is a job.
 	params := fluid.Params{Mu: *mu, Eta: *eta, Gamma: *gamma}
-	copts := fabric.CoordinatorOptions{
-		LeaseCells: *leaseCells, LeaseTTL: *leaseTTL,
-		TargetLeaseSeconds: leaseTarget.Seconds(), Obs: reg,
-	}
-	sh := &serveHost{
-		addr: *addr, addrFile: *addrFile, ckptDir: *ckptDir,
-		localWorkers: *localW, format: *format, stats: *stats, reg: reg,
-		fleetOut: *fleetOut, progress: *progress, chaos: chaosPlan,
-	}
-	var serveErr error
+	var runJob func(context.Context, *fabric.Campaign) (interface{ Table() *table.Table }, error)
 	switch *job {
 	case "fluid":
 		grid, err := gridflag.Grid(*dim, *from, *to, *steps)
@@ -266,416 +205,91 @@ func serve(args []string) error {
 			return err
 		}
 		spec := experiments.SweepSpec{
-			Config: experiments.Config{
-				Params: params, K: *k, Lambda0: *lambda0,
-			},
-			P: *p, Rho: *rho, Theta: *theta,
-			Scheme:  sc,
-			Grid:    grid,
-			Options: experiments.Options{Obs: reg},
+			Config: experiments.Config{Params: params, K: *k, Lambda0: *lambda0},
+			P:      *p, Rho: *rho, Theta: *theta, Scheme: sc, Grid: grid,
 		}
 		if err := spec.Config.Validate(); err != nil {
 			return err
 		}
-		serveErr = sh.serveFluid(spec, copts)
+		runJob = func(ctx context.Context, camp *fabric.Campaign) (interface{ Table() *table.Table }, error) {
+			return spec.Serve(ctx, camp.Serve)
+		}
 	case "simvalidate":
-		if *replicas < 1 {
-			return fmt.Errorf("-replicas must be >= 1, got %d", *replicas)
-		}
-		if math.IsNaN(*ciTarget) || math.IsInf(*ciTarget, 0) || *ciTarget < 0 {
-			return fmt.Errorf("-ci-target must be finite and >= 0, got %v", *ciTarget)
-		}
-		if *replMax < 1 {
-			return fmt.Errorf("-replicas-max must be >= 1, got %d", *replMax)
-		}
-		psList, err := parseFloats("ps", *ps)
+		opts, err := rf.Options()
 		if err != nil {
 			return err
 		}
-		set := experiments.SimSettings{
-			Params: params, K: *k, Lambda0: *lambda0,
-			Horizon: *horizon, Warmup: *warmup,
-			Options: experiments.Options{Seed: *seed, Replicas: *replicas, Obs: reg},
+		psList, err := gridflag.List("ps", *ps)
+		if err != nil {
+			return err
 		}
-		serveErr = sh.serveSimValidate(set, psList, *smplDir, simStop{
-			target: *ciTarget, metric: *ciMetric, maxReplicas: *replMax,
-		}, copts)
+		plan, err := experiments.PlanSimValidate(experiments.SimSettings{
+			Params: params, K: *k, Lambda0: *lambda0,
+			Horizon: *horizon, Warmup: *warmup, Options: opts,
+		}, psList)
+		if err != nil {
+			return err
+		}
+		runJob = func(ctx context.Context, camp *fabric.Campaign) (interface{ Table() *table.Table }, error) {
+			return plan.Serve(ctx, camp.Serve)
+		}
 	default:
 		return fmt.Errorf("unknown -job %q (want fluid or simvalidate)", *job)
 	}
-	if serveErr != nil {
-		return serveErr
-	}
-	return finishObs()
-}
 
-// serveHost is the per-invocation serving machinery shared by both job
-// kinds: the listener, the swappable handler (sequential-stopping rounds
-// replace the coordinator under one address), the checkpoint store, and
-// the in-process workers.
-type serveHost struct {
-	addr, addrFile string
-	ckptDir        string
-	localWorkers   int
-	format         string
-	stats          bool
-	reg            *obs.Registry
-	fleetOut       string
-	progress       time.Duration
-	chaos          *chaos.Plan
-
-	mu      sync.Mutex
-	handler http.Handler
-	coord   *fabric.Coordinator
-}
-
-// ServeHTTP dispatches to the current round's coordinator.
-func (sh *serveHost) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	sh.mu.Lock()
-	h := sh.handler
-	sh.mu.Unlock()
-	if h == nil {
-		http.Error(w, "no job yet", http.StatusServiceUnavailable)
-		return
-	}
-	h.ServeHTTP(w, r)
-}
-
-// swap installs the next round's coordinator.
-func (sh *serveHost) swap(coord *fabric.Coordinator) {
-	sh.mu.Lock()
-	sh.coord = coord
-	sh.handler = coord.Handler()
-	sh.mu.Unlock()
-}
-
-// currentCoord returns the coordinator of the round in progress, if any.
-func (sh *serveHost) currentCoord() *fabric.Coordinator {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.coord
-}
-
-// startProgress emits the periodic fleet line on stderr until ctx ends.
-func (sh *serveHost) startProgress(ctx context.Context) {
-	if sh.progress <= 0 {
-		return
-	}
-	go func() {
-		t := time.NewTicker(sh.progress)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				coord := sh.currentCoord()
-				if coord == nil {
-					continue
-				}
-				f := coord.Fleet()
-				var stragglers []string
-				for _, w := range f.Workers {
-					if w.Straggler {
-						stragglers = append(stragglers, w.Worker)
-					}
-				}
-				line := fmt.Sprintf("sweepd: fleet: %d/%d cells, %d workers (%d healthy, %d stale, %d lost), %.1f cells/s",
-					f.Status.Done, f.Status.Total, len(f.Workers), f.Healthy, f.Stale, f.Lost, f.CellsPerSec)
-				if len(stragglers) > 0 {
-					line += ", stragglers: " + strings.Join(stragglers, ",")
-				}
-				fmt.Fprintln(os.Stderr, line)
-			}
-		}
-	}()
-}
-
-// writeFleet writes the final fleet view as JSON to -fleet-out.
-func (sh *serveHost) writeFleet() error {
-	if sh.fleetOut == "" {
-		return nil
-	}
-	coord := sh.currentCoord()
-	if coord == nil {
-		return nil
-	}
-	data, err := json.MarshalIndent(coord.Fleet(), "", "  ")
+	reg, finishObs, err := ofl.Setup(*stats)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(sh.fleetOut, append(data, '\n'), 0o644)
-}
-
-// openCheckpoint opens the configured checkpoint directory, or a private
-// temp dir removed by cleanup.
-func (sh *serveHost) openCheckpoint() (*diskcache.CheckpointStore, func(), error) {
-	dir, cleanup := sh.ckptDir, func() {}
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "sweepd-*")
-		if err != nil {
-			return nil, nil, err
-		}
-		dir, cleanup = tmp, func() { os.RemoveAll(tmp) }
-	}
-	store, err := diskcache.OpenCheckpoint(dir)
-	if err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	return store, cleanup, nil
-}
-
-// listen binds the address, writes -addr-file, and returns the server
-// (already accepting, dispatching through the swappable handler) and its
-// base URL.
-func (sh *serveHost) listen() (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", sh.addr)
-	if err != nil {
-		return nil, "", err
-	}
-	if sh.addrFile != "" {
-		if err := os.WriteFile(sh.addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			ln.Close()
-			return nil, "", err
-		}
-	}
-	// Chaos middleware (a transparent no-op on a nil plan) wraps the
-	// swappable handler so sequential-stopping rounds share one fault
-	// schedule; the header timeout keeps a stalled client from pinning an
-	// accept slot (per-request timeouts live inside the coordinator
-	// handler itself).
-	srv := &http.Server{
-		Handler:           sh.chaos.Middleware(sh),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	go srv.Serve(ln)
-	return srv, "http://" + ln.Addr().String(), nil
-}
-
-// startWorkers launches the in-process workers for one round and returns
-// their error channel (one send per worker; nil on normal completion).
-//
-// Each worker gets a private registry, exactly like a `sweepd work`
-// process: its counters reach the fleet /metrics view through the
-// telemetry merge, and its cell spans ride the telemetry envelope into
-// the coordinator's trace sink. Sharing the coordinator's registry
-// would make every push ship (and MergedSnapshot re-sum) the whole
-// shared registry — coordinator counters plus every other worker's —
-// inflating /metrics roughly (N+1)x.
-func (sh *serveHost) startWorkers(ctx context.Context, url string, samples *diskcache.SampleStore) <-chan error {
-	errs := make(chan error, sh.localWorkers)
-	for i := 0; i < sh.localWorkers; i++ {
-		name := fmt.Sprintf("local-%d", i)
-		wreg := obs.New()
-		wreg.SetSpanIdentity(os.Getpid(), obs.L("worker", name))
-		col := obs.NewSpanCollector(0)
-		wreg.SetSpanSink(col)
-		go func() {
-			errs <- fabric.Work(ctx, url, fabric.WorkerOptions{
-				Name: name, Obs: wreg, Spans: col, Samples: samples,
-			})
-		}()
-	}
-	return errs
-}
-
-// printStats renders the fabric progress counters after the last round.
-func (sh *serveHost) printStats(done, total int) {
-	if !sh.stats {
-		return
-	}
-	count := func(name string) uint64 { return sh.reg.Counter(name).Value() }
-	fmt.Fprintf(os.Stderr, "sweepd: %d/%d cells done; leases granted %d, expired %d; completions %d (+%d duplicate, %d resumed)\n",
-		done, total,
-		count("fabric_leases_granted_total"),
-		count("fabric_leases_expired_total"),
-		count("fabric_cells_completed_total"),
-		count("fabric_cells_duplicate_total"),
-		count("fabric_cells_resumed_total"))
-}
-
-// serveFluid runs the classic single-round fluid sweep.
-func (sh *serveHost) serveFluid(spec experiments.SweepSpec, copts fabric.CoordinatorOptions) error {
-	store, cleanup, err := sh.openCheckpoint()
+	// Coordinator-side spans carry the serve process's real pid, so a
+	// -trace-out file interleaves cleanly with the worker spans shipped
+	// in over telemetry (each tagged with its own origin pid).
+	reg.SetSpanIdentity(os.Getpid())
+	chaosPlan, err := chaos.NewPlan(chaos.Config{
+		Seed: *chaosSeed, Error5xxProb: *chaos5xx,
+		DelayMax: *chaosDelay, BlackoutWindows: windows,
+	}, reg)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
-	coord, err := fabric.NewCoordinator(spec.JobSpec(), store, copts)
-	if err != nil {
-		return err
+	camp := &fabric.Campaign{
+		Addr: *addr, AddrFile: *addrFile,
+		CheckpointDir: *ckptDir, SampleDir: *smplDir,
+		LocalWorkers: *localW,
+		Coordinator: fabric.CoordinatorOptions{
+			LeaseCells: *leaseCells, LeaseTTL: *leaseTTL,
+			TargetLeaseSeconds: leaseTarget.Seconds(), Obs: reg,
+		},
+		Chaos: chaosPlan, Progress: *progress, FleetOut: *fleetOut,
+		Log: log.New(os.Stderr, "sweepd: ", 0),
 	}
-	sh.swap(coord)
-	srv, url, err := sh.listen()
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	st := coord.Status()
-	fmt.Fprintf(os.Stderr, "sweepd: serving %d cells (%d resumed) on %s\n", st.Total, st.Done, url)
-
+	defer camp.Close()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	sh.startProgress(ctx)
-	if err := sh.runRound(ctx, coord, url, nil); err != nil {
-		return err
-	}
-	cells, err := coord.Result(ctx)
+	res, err := runJob(ctx, camp)
 	if err != nil {
 		return err
 	}
-	res := &experiments.SweepResult{Spec: spec, Cells: cells}
-	if err := res.Table().Write(os.Stdout, sh.format); err != nil {
+	if err := res.Table().Write(os.Stdout, string(ofmt)); err != nil {
 		return err
 	}
-	final := coord.Status()
-	sh.printStats(final.Done, final.Total)
-	return sh.writeFleet()
-}
-
-// simStop is the serve-level sequential-stopping rule.
-type simStop struct {
-	target      float64
-	metric      string
-	maxReplicas int
-}
-
-// serveSimValidate runs the simvalidate job, one round per replica count.
-// Every round is a fresh coordinator (new spec, new fingerprint) behind
-// the same address; the shared sample store carries the samples forward,
-// so round n+1 pre-marks everything round n computed and only the new
-// replicas are simulated — the distributed spelling of "R grows, never
-// resamples".
-func (sh *serveHost) serveSimValidate(set experiments.SimSettings, ps []float64, sampleDir string, stop simStop, copts fabric.CoordinatorOptions) error {
-	sdir, cleanupS := sampleDir, func() {}
-	if sdir == "" {
-		tmp, err := os.MkdirTemp("", "sweepd-samples-*")
-		if err != nil {
-			return err
-		}
-		sdir, cleanupS = tmp, func() { os.RemoveAll(tmp) }
-	}
-	defer cleanupS()
-	samples, err := diskcache.OpenSamples(sdir)
-	if err != nil {
-		return err
-	}
-	samples.WithObs(sh.reg)
-	copts.Samples = samples
-	store, cleanup, err := sh.openCheckpoint()
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	srv, url, err := sh.listen()
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	ctx, sigStop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer sigStop()
-	sh.startProgress(ctx)
-
-	r := set.Options.Replicas
-	if stop.target > 0 && r < 2 {
-		r = 2 // a confidence interval needs at least two samples
-	}
-	maxR := stop.maxReplicas
-	if maxR < r {
-		maxR = r
-	}
-	var plan *experiments.SimValidatePlan
-	var aggs []replica.Agg
-	var lastStatus fabric.Status
-	for round := 1; ; round++ {
-		set.Options.Replicas = r
-		plan, err = experiments.PlanSimValidate(set, ps)
-		if err != nil {
-			return err
-		}
-		coord, err := fabric.NewCoordinator(plan.Spec, store, copts)
-		if err != nil {
-			return err
-		}
-		sh.swap(coord)
-		st := coord.Status()
-		fmt.Fprintf(os.Stderr, "sweepd: round %d: serving %d cells (%d resumed, R=%d) on %s\n",
-			round, st.Total, st.Done, r, url)
-		if err := sh.runRound(ctx, coord, url, samples); err != nil {
-			return err
-		}
-		payloads, err := coord.Payloads(ctx)
-		if err != nil {
-			return err
-		}
-		lastStatus = coord.Status()
-		if aggs, err = sim.ReduceJob(plan.Spec, payloads); err != nil {
-			return err
-		}
-		if stop.target <= 0 {
-			break
-		}
-		worst := 0.0
-		for _, agg := range aggs {
-			if ci := agg.CI95(stop.metric); ci > worst {
-				worst = ci
-			}
-		}
-		if worst <= stop.target || r >= maxR {
-			fmt.Fprintf(os.Stderr, "sweepd: round %d: max CI95(%s) = %g (target %g), stopping at R=%d\n",
-				round, stop.metric, worst, stop.target, r)
-			break
-		}
-		if r *= 2; r > maxR {
-			r = maxR
+	if *stats {
+		count := func(name string) uint64 { return reg.Counter(name).Value() }
+		st := camp.Status()
+		fmt.Fprintf(os.Stderr, "sweepd: %d/%d cells done; leases granted %d, expired %d; completions %d (+%d duplicate, %d resumed)\n",
+			st.Done, st.Total,
+			count("fabric_leases_granted_total"),
+			count("fabric_leases_expired_total"),
+			count("fabric_cells_completed_total"),
+			count("fabric_cells_duplicate_total"),
+			count("fabric_cells_resumed_total"))
+		if *job == "simvalidate" {
+			fmt.Fprintf(os.Stderr, "sweepd: sample store: %d hits / %d misses (%d stored, %d corrupt, %d evicted)\n",
+				count("samplestore_hits_total"), count("samplestore_misses_total"), count("samplestore_stores_total"),
+				count("samplestore_corrupt_total"), count("samplestore_evicted_total"))
 		}
 	}
-	res, err := plan.Result(aggs)
-	if err != nil {
-		return err
-	}
-	if err := res.Table().Write(os.Stdout, sh.format); err != nil {
-		return err
-	}
-	sh.printStats(lastStatus.Done, lastStatus.Total)
-	if sh.stats {
-		count := func(name string) uint64 { return sh.reg.Counter("samplestore_" + name + "_total").Value() }
-		fmt.Fprintf(os.Stderr, "sweepd: sample store: %d hits / %d misses (%d stored, %d corrupt, %d evicted)\n",
-			count("hits"), count("misses"), count("stores"), count("corrupt"), count("evicted"))
-	}
-	return sh.writeFleet()
-}
-
-// runRound runs the in-process workers against one coordinator until its
-// job completes — by their hands or remote workers' — or a local worker
-// fails, which aborts the round. It waits on the coordinator, not on the
-// workers: one still sitting out an idle poll when the last cell lands is
-// cancelled, and returns as soon as its farewell telemetry push is out.
-func (sh *serveHost) runRound(ctx context.Context, coord *fabric.Coordinator, url string, samples *diskcache.SampleStore) error {
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	workerErrs := sh.startWorkers(wctx, url, samples)
-	running := sh.localWorkers
-	var err error
-	for waiting := true; waiting; {
-		select {
-		case <-coord.Done():
-			waiting = false
-		case <-ctx.Done():
-			err, waiting = ctx.Err(), false
-		case werr := <-workerErrs:
-			running--
-			if werr != nil {
-				err, waiting = werr, false
-			}
-		}
-	}
-	cancel()
-	for ; running > 0; running-- {
-		<-workerErrs
-	}
-	return err
+	return finishObs()
 }
 
 func work(args []string) error {
@@ -685,9 +299,6 @@ func work(args []string) error {
 		parallel = fs.Int("parallel", 1, "cells computed concurrently by this worker")
 		name     = fs.String("name", "", "worker name reported to the coordinator (default worker-<pid>)")
 		loop     = fs.Bool("loop", false, "keep pulling jobs as the coordinator swaps them (sequential-stopping rounds); exit cleanly when it shuts down")
-		smplDir  = fs.String("sample-dir", "", "keyed replica-sample store: simulation cells replay stored samples and persist fresh ones (empty = off)")
-		smplAge  = fs.Duration("sample-prune-age", 0, "evict stored samples unused for longer than this before working (0 = off; requires -sample-dir)")
-		smplSize = fs.Int64("sample-prune-size", 0, "evict least-recently-used stored samples down to this many bytes before working (0 = off; requires -sample-dir)")
 		outage   = fs.Duration("max-outage", 0, "ride out coordinator outages up to this long by parking with capped jittered backoff instead of failing (0 = fail once retries are exhausted)")
 		stats    = fs.Bool("stats", false, "print this worker's cell count on stderr when done")
 		beat     = fs.Duration("heartbeat", time.Second, "telemetry push interval: heartbeat, metrics snapshot and completed spans go to the coordinator this often (negative = off)")
@@ -698,8 +309,12 @@ func work(args []string) error {
 		chaos5xx     = fs.Float64("chaos-5xx", 0, "chaos: probability in [0,1) of substituting a 503 for a response (0 = off)")
 		chaosCorrupt = fs.Float64("chaos-corrupt", 0, "chaos: probability in [0,1) of corrupting a response body in flight (0 = off)")
 	)
-	var ofl obs.Flags
+	var (
+		ofl obs.Flags
+		sf  = gridflag.Store{Name: "sample"}
+	)
 	ofl.Register(fs)
+	sf.Register(fs, "keyed replica-sample store: simulation cells replay stored samples and persist fresh ones (empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -712,15 +327,6 @@ func work(args []string) error {
 	if *outage < 0 {
 		return fmt.Errorf("-max-outage must be >= 0, got %v", *outage)
 	}
-	if *smplAge < 0 {
-		return fmt.Errorf("-sample-prune-age must be >= 0, got %v", *smplAge)
-	}
-	if *smplSize < 0 {
-		return fmt.Errorf("-sample-prune-size must be >= 0, got %d", *smplSize)
-	}
-	if (*smplAge > 0 || *smplSize > 0) && *smplDir == "" {
-		return fmt.Errorf("-sample-prune-age and -sample-prune-size require -sample-dir")
-	}
 	reg, finishObs, err := ofl.Setup(*stats)
 	if err != nil {
 		return err
@@ -731,11 +337,15 @@ func work(args []string) error {
 		// metrics snapshot and spans to the coordinator's fleet view.
 		reg = obs.New()
 	}
+	samples, err := sf.Samples("sweepd", reg)
+	if err != nil {
+		return err
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	opts := fabric.WorkerOptions{
 		Name: *name, Parallelism: *parallel, Obs: reg,
-		Heartbeat: *beat, MaxOutage: *outage,
+		Heartbeat: *beat, MaxOutage: *outage, Samples: samples,
 	}
 	if opts.Name == "" {
 		opts.Name = fmt.Sprintf("worker-%d", os.Getpid())
@@ -759,21 +369,6 @@ func work(args []string) error {
 		col := obs.NewSpanCollector(0)
 		reg.SetSpanSink(obs.Tee(reg.SpanSink(), col))
 		opts.Spans = col
-	}
-	if *smplDir != "" {
-		samples, err := diskcache.OpenSamples(*smplDir)
-		if err != nil {
-			return err
-		}
-		opts.Samples = samples.WithObs(reg)
-		if *smplAge > 0 || *smplSize > 0 {
-			pst, err := samples.Prune(diskcache.PruneOptions{MaxAge: *smplAge, MaxBytes: *smplSize})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "sweepd: sample prune: removed %d samples (%d bytes), kept %d (%d bytes)\n",
-				pst.Removed, pst.Freed, pst.Kept, pst.Remaining)
-		}
 	}
 	runWorker := fabric.Work
 	if *loop {

@@ -108,28 +108,18 @@ func AdaptParams(ctx context.Context, set SimSettings, p, cheaterFraction float6
 // and performance in the clean and cheated swarms. Replicated settings
 // add ±95% columns after each ρ.
 func (r *AdaptParamsResult) Table() *table.Table {
-	cols := []string{"setting", "clean rho", "clean online/file", "cheated rho", "cheated online/file"}
-	if r.Settings.replicated() {
-		cols = []string{"setting", "clean rho", "±95%", "clean online/file", "cheated rho", "±95%", "cheated online/file"}
-	}
-	tb := table.New(
+	tb := newCITable(
 		fmt.Sprintf("Adapt parameter study (p=%.1f; cheated runs at %.0f%% cheaters)",
 			r.P, 100*r.CheaterFraction),
-		cols...)
-	for i := range r.Clean {
-		cells := []string{r.Clean[i].Label, fmt.Sprintf("%.3f", r.Clean[i].MeanFinalRho)}
-		if r.Settings.replicated() {
-			cells = append(cells, fmt.Sprintf("±%.3f", r.Clean[i].RhoCI95))
-		}
-		cells = append(cells, table.Fmt(r.Clean[i].AvgOnline),
-			fmt.Sprintf("%.3f", r.Cheated[i].MeanFinalRho))
-		if r.Settings.replicated() {
-			cells = append(cells, fmt.Sprintf("±%.3f", r.Cheated[i].RhoCI95))
-		}
-		cells = append(cells, table.Fmt(r.Cheated[i].AvgOnline))
-		tb.MustAddRow(cells...)
+		r.Settings.replicated(),
+		"setting", "clean rho", "±95%", "clean online/file", "cheated rho", "±95%", "cheated online/file")
+	for i, clean := range r.Clean {
+		cheated := r.Cheated[i]
+		tb.add(clean.Label, fmt.Sprintf("%.3f", clean.MeanFinalRho), fmt.Sprintf("±%.3f", clean.RhoCI95),
+			table.Fmt(clean.AvgOnline), fmt.Sprintf("%.3f", cheated.MeanFinalRho),
+			fmt.Sprintf("±%.3f", cheated.RhoCI95), table.Fmt(cheated.AvgOnline))
 	}
-	return tb
+	return tb.Table
 }
 
 // Score summarizes one setting's quality: lower is better. It charges the

@@ -198,51 +198,34 @@ func ChurnSweep(ctx context.Context, set SimSettings, p float64, chaosSeed uint6
 // Table renders the abort axis: fluid vs simulated mean download time per
 // file as θ grows. Replicated settings add a ±95% column.
 func (r *ChurnSweepResult) Table() *table.Table {
-	cols := []string{"scheme", "theta", "rho", "fluid", "simulated", "rel err", "completed", "aborted"}
-	if r.Settings.replicated() {
-		cols = []string{"scheme", "theta", "rho", "fluid", "simulated", "±95%", "rel err", "completed", "aborted"}
-	}
-	tb := table.New(
+	tb := newCITable(
 		fmt.Sprintf("Churn: mean download time per file vs abort rate θ (p=%.2f, chaos seed %d)",
 			r.P, r.ChaosSeed),
-		cols...)
+		r.Settings.replicated(),
+		"scheme", "theta", "rho", "fluid", "simulated", "±95%", "rel err", "completed", "aborted")
 	for _, row := range r.Rows {
 		rho := "-"
 		if !math.IsNaN(row.Rho) {
 			rho = fmt.Sprintf("%.1f", row.Rho)
 		}
-		cells := []string{row.Scheme, table.Fmt(row.Theta), rho,
-			table.Fmt(row.Fluid), table.Fmt(row.Simulated)}
-		if r.Settings.replicated() {
-			cells = append(cells, ciCell(row.SimCI95))
-		}
-		cells = append(cells, fmt.Sprintf("%.1f%%", 100*row.RelErr),
+		tb.add(row.Scheme, table.Fmt(row.Theta), rho, table.Fmt(row.Fluid), table.Fmt(row.Simulated),
+			ciCell(row.SimCI95), fmt.Sprintf("%.1f%%", 100*row.RelErr),
 			fmt.Sprintf("%d", row.Completed), fmt.Sprintf("%d", row.Aborted))
-		tb.MustAddRow(cells...)
 	}
-	return tb
+	return tb.Table
 }
 
 // QuitTable renders the virtual-seed-departure axis.
 func (r *ChurnSweepResult) QuitTable() *table.Table {
-	cols := []string{"quit rate", "fluid ideal", "simulated", "completed", "seed quits"}
-	if r.Settings.replicated() {
-		cols = []string{"quit rate", "fluid ideal", "simulated", "±95%", "completed", "seed quits"}
-	}
-	tb := table.New(
+	tb := newCITable(
 		fmt.Sprintf("Churn: CMFSD (ρ=0.5) download time per file vs virtual-seed departure (p=%.2f, chaos seed %d)",
 			r.P, r.ChaosSeed),
-		cols...)
+		r.Settings.replicated(), "quit rate", "fluid ideal", "simulated", "±95%", "completed", "seed quits")
 	for _, row := range r.QuitRows {
-		cells := []string{table.Fmt(row.QuitRate),
-			table.Fmt(row.Ideal), table.Fmt(row.Simulated)}
-		if r.Settings.replicated() {
-			cells = append(cells, ciCell(row.SimCI95))
-		}
-		cells = append(cells, fmt.Sprintf("%d", row.Completed), fmt.Sprintf("%d", row.SeedQuits))
-		tb.MustAddRow(cells...)
+		tb.add(table.Fmt(row.QuitRate), table.Fmt(row.Ideal), table.Fmt(row.Simulated), ciCell(row.SimCI95),
+			fmt.Sprintf("%d", row.Completed), fmt.Sprintf("%d", row.SeedQuits))
 	}
-	return tb
+	return tb.Table
 }
 
 // Tables returns the rendered axes that have rows, abort axis first.

@@ -96,21 +96,11 @@ func Hetero(ctx context.Context, set SimSettings, lambda0 float64, classes []Het
 // Table renders the heterogeneous validation; with more than one replica
 // a ±95% column follows the simulated mean.
 func (r *HeteroResult) Table() *table.Table {
-	cols := []string{"class", "fluid download", "sim download", "rel err", "completed"}
-	if r.Replicas > 1 {
-		cols = []string{"class", "fluid download", "sim download", "±95%", "rel err", "completed"}
-	}
-	tb := table.New(
-		fmt.Sprintf("Heterogeneous swarm: multi-class fluid vs simulation (η=%.2f)", r.Eta),
-		cols...)
+	tb := newCITable(fmt.Sprintf("Heterogeneous swarm: multi-class fluid vs simulation (η=%.2f)", r.Eta),
+		r.Replicas > 1, "class", "fluid download", "sim download", "±95%", "rel err", "completed")
 	for _, row := range r.Rows {
-		cells := []string{row.Name,
-			table.Fmt(row.FluidDownload), table.Fmt(row.SimDownload)}
-		if r.Replicas > 1 {
-			cells = append(cells, ciCell(row.SimCI95))
-		}
-		cells = append(cells, fmt.Sprintf("%.1f%%", 100*row.RelErr), fmt.Sprintf("%d", row.Completed))
-		tb.MustAddRow(cells...)
+		tb.add(row.Name, table.Fmt(row.FluidDownload), table.Fmt(row.SimDownload), ciCell(row.SimCI95),
+			fmt.Sprintf("%.1f%%", 100*row.RelErr), fmt.Sprintf("%d", row.Completed))
 	}
-	return tb
+	return tb.Table
 }

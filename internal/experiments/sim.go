@@ -48,19 +48,18 @@ var DefaultSimSettings = SimSettings{
 	Options: Options{Seed: 1},
 }
 
-// replicated reports whether the settings ask for error bars.
-func (s SimSettings) replicated() bool { return s.Replicas > 1 }
+// replicated reports whether every table row runs at least two replicas,
+// and so has error bars: a fixed count above one, or sequential stopping,
+// whose rows start at two.
+func (s SimSettings) replicated() bool { return s.Replicas > 1 || s.CITarget > 0 }
 
 // stopping assembles the sequential-stopping rule for these settings;
 // metric is the experiment's headline metric, overridden by CIMetric.
 func (s SimSettings) stopping(metric string) replica.Stopping {
-	if s.Options.CIMetric != "" {
-		metric = s.Options.CIMetric
+	if s.CIMetric != "" {
+		metric = s.CIMetric
 	}
-	return replica.Stopping{
-		Metric: metric, Target: s.Options.CITarget,
-		MaxReplicas: s.Options.ReplicasMax,
-	}
+	return replica.Stopping{Metric: metric, Target: s.CITarget, MaxReplicas: s.ReplicasMax}
 }
 
 // runSimJob executes a sim-replica job for these settings through the job
@@ -101,6 +100,36 @@ func adaptCell(set SimSettings, p float64, ac adapt.Config, cheaterFraction floa
 // ciCell formats a ± cell with table.Fmt precision.
 func ciCell(ci float64) string { return "±" + table.Fmt(ci) }
 
+// ciTable is a table whose "±95%" columns exist only when its rows carry
+// error bars: rows pass a cell for every column, and the ± cells are
+// dropped otherwise.
+type ciTable struct {
+	*table.Table
+	keep []bool
+}
+
+func newCITable(title string, replicated bool, cols ...string) ciTable {
+	t := ciTable{keep: make([]bool, len(cols))}
+	for i, c := range cols {
+		t.keep[i] = replicated || c != "±95%"
+	}
+	t.Table = table.New(title, t.kept(cols)...)
+	return t
+}
+
+func (t ciTable) kept(cells []string) []string {
+	var out []string
+	for i, c := range cells {
+		if t.keep[i] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// add appends one row, given a cell for every column.
+func (t ciTable) add(cells ...string) { t.MustAddRow(t.kept(cells)...) }
+
 // SimValidateRow compares one scheme's simulated and fluid-predicted
 // average online time per file.
 type SimValidateRow struct {
@@ -137,9 +166,8 @@ type simValidateSpec struct {
 // SimValidatePlan is the job-layer decomposition of SimValidate: the
 // sim-replica JobSpec whose grid cells are the table rows, plus the fluid
 // predictions needed to fold the simulated aggregates back into the
-// result. A fabric coordinator can serve Spec to remote workers, reduce
-// the collected payloads with sim.ReduceJob, and hand the aggregates to
-// Result — rendering the same table a local SimValidate produces.
+// result. Serve runs it round by round through any executor — a fabric
+// campaign — and renders the same table a local SimValidate produces.
 type SimValidatePlan struct {
 	// Spec is the runnable sim-replica job, one grid cell per table row.
 	Spec  runner.JobSpec
@@ -213,9 +241,19 @@ func PlanSimValidate(set SimSettings, ps []float64) (*SimValidatePlan, error) {
 	return &SimValidatePlan{Spec: spec, set: set, specs: specs}, nil
 }
 
-// Result folds the per-cell aggregates — computed locally or reduced from
-// a coordinator's payloads — into the experiment result.
-func (pl *SimValidatePlan) Result(aggs []replica.Agg) (*SimValidateResult, error) {
+// Serve runs the plan under the settings' stopping rule (led by the online
+// time per file, as SimValidate is) with every round's spec served by
+// serve — see sim.RunRounds — and folds the aggregates into the result.
+func (pl *SimValidatePlan) Serve(ctx context.Context, serve func(context.Context, runner.JobSpec) ([][]byte, error)) (*SimValidateResult, error) {
+	aggs, err := sim.RunRounds(ctx, pl.Spec, pl.set.stopping(replica.OnlinePerFile), serve)
+	if err != nil {
+		return nil, err
+	}
+	return pl.result(aggs)
+}
+
+// result folds the per-cell aggregates into the experiment result.
+func (pl *SimValidatePlan) result(aggs []replica.Agg) (*SimValidateResult, error) {
 	if len(aggs) != len(pl.specs) {
 		return nil, fmt.Errorf("experiments: SimValidate has %d aggregates, want %d", len(aggs), len(pl.specs))
 	}
@@ -257,31 +295,23 @@ func SimValidate(ctx context.Context, set SimSettings, ps []float64) (*SimValida
 	if err != nil {
 		return nil, err
 	}
-	return plan.Result(aggs)
+	return plan.result(aggs)
 }
 
 // Table renders the fluid-vs-simulation comparison. With more than one
 // replica a ±95% column follows the simulated mean.
 func (r *SimValidateResult) Table() *table.Table {
-	cols := []string{"scheme", "p", "rho", "fluid", "simulated", "rel err", "completed"}
-	if r.Settings.replicated() {
-		cols = []string{"scheme", "p", "rho", "fluid", "simulated", "±95%", "rel err", "completed"}
-	}
-	tb := table.New("Fluid model vs flow-level simulation: average online time per file", cols...)
+	tb := newCITable("Fluid model vs flow-level simulation: average online time per file", r.Settings.replicated(),
+		"scheme", "p", "rho", "fluid", "simulated", "±95%", "rel err", "completed")
 	for _, row := range r.Rows {
 		rho := "-"
 		if !math.IsNaN(row.Rho) {
 			rho = fmt.Sprintf("%.1f", row.Rho)
 		}
-		cells := []string{row.Scheme, fmt.Sprintf("%.2f", row.P), rho,
-			table.Fmt(row.Fluid), table.Fmt(row.Simulated)}
-		if r.Settings.replicated() {
-			cells = append(cells, ciCell(row.SimCI95))
-		}
-		cells = append(cells, fmt.Sprintf("%.1f%%", 100*row.RelErr), fmt.Sprintf("%d", row.Completed))
-		tb.MustAddRow(cells...)
+		tb.add(row.Scheme, fmt.Sprintf("%.2f", row.P), rho, table.Fmt(row.Fluid), table.Fmt(row.Simulated),
+			ciCell(row.SimCI95), fmt.Sprintf("%.1f%%", 100*row.RelErr), fmt.Sprintf("%d", row.Completed))
 	}
-	return tb
+	return tb.Table
 }
 
 // AdaptRow is one cheater-fraction setting of the Adapt sweep.
@@ -339,28 +369,17 @@ func AdaptSweep(ctx context.Context, set SimSettings, p float64, ac adapt.Config
 
 // Table renders the Adapt sweep; replicated settings add ±95% columns.
 func (r *AdaptSweepResult) Table() *table.Table {
-	cols := []string{"cheater fraction", "mean final rho", "avg online/file", "completed"}
-	if r.Settings.replicated() {
-		cols = []string{"cheater fraction", "mean final rho", "±95%", "avg online/file", "±95%", "completed"}
-	}
-	tb := table.New(
+	tb := newCITable(
 		fmt.Sprintf("Adapt mechanism under cheating (p=%.1f, φ=[%.3f,%.3f], υ=[%.2f,%.2f])",
 			r.P, r.Adapt.Lower, r.Adapt.Upper, r.Adapt.StepUp, r.Adapt.StepDown),
-		cols...)
+		r.Settings.replicated(),
+		"cheater fraction", "mean final rho", "±95%", "avg online/file", "±95%", "completed")
 	for _, row := range r.Rows {
-		cells := []string{fmt.Sprintf("%.2f", row.CheaterFraction),
-			fmt.Sprintf("%.3f", row.MeanFinalRho)}
-		if r.Settings.replicated() {
-			cells = append(cells, fmt.Sprintf("±%.3f", row.RhoCI95))
-		}
-		cells = append(cells, table.Fmt(row.AvgOnline))
-		if r.Settings.replicated() {
-			cells = append(cells, ciCell(row.OnlineCI95))
-		}
-		cells = append(cells, fmt.Sprintf("%d", row.Completed))
-		tb.MustAddRow(cells...)
+		tb.add(fmt.Sprintf("%.2f", row.CheaterFraction), fmt.Sprintf("%.3f", row.MeanFinalRho),
+			fmt.Sprintf("±%.3f", row.RhoCI95), table.Fmt(row.AvgOnline), ciCell(row.OnlineCI95),
+			fmt.Sprintf("%d", row.Completed))
 	}
-	return tb
+	return tb.Table
 }
 
 // SwarmRow is one scheme/ρ setting of the chunk-level comparison.
@@ -435,25 +454,16 @@ func SwarmCompare(ctx context.Context, base swarm.Config, rhos []float64, replic
 // Table renders the chunk-level comparison; with more than one replica a
 // ±95% column follows the online-rounds mean.
 func (r *SwarmCompareResult) Table() *table.Table {
-	cols := []string{"scheme", "rho", "online rounds/file", "completed"}
-	if r.Replicas > 1 {
-		cols = []string{"scheme", "rho", "online rounds/file", "±95%", "completed"}
-	}
-	tb := table.New(
+	tb := newCITable(
 		fmt.Sprintf("Chunk-level swarm: online rounds per file (K=%d, %d chunks/file, p=%.1f, η=%.2f)",
 			r.Config.K, r.Config.ChunksPerFile, r.Config.P, r.Config.TFTEfficiency),
-		cols...)
+		r.Replicas > 1, "scheme", "rho", "online rounds/file", "±95%", "completed")
 	for _, row := range r.Rows {
 		rho := "-"
 		if !math.IsNaN(row.Rho) {
 			rho = fmt.Sprintf("%.1f", row.Rho)
 		}
-		cells := []string{row.Scheme, rho, table.Fmt(row.OnlinePerFile)}
-		if r.Replicas > 1 {
-			cells = append(cells, ciCell(row.OnlineCI95))
-		}
-		cells = append(cells, fmt.Sprintf("%d", row.Completed))
-		tb.MustAddRow(cells...)
+		tb.add(row.Scheme, rho, table.Fmt(row.OnlinePerFile), ciCell(row.OnlineCI95), fmt.Sprintf("%d", row.Completed))
 	}
-	return tb
+	return tb.Table
 }

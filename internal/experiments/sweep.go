@@ -154,6 +154,23 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 	return &SweepResult{Spec: spec, Cells: cells}, nil
 }
 
+// Serve runs the sweep's job through serve — a fabric campaign's Serve —
+// and decodes the payloads it returns in cell order: the same cells, bit
+// for bit, that Sweep computes locally.
+func (s SweepSpec) Serve(ctx context.Context, serve func(context.Context, runner.JobSpec) ([][]byte, error)) (*SweepResult, error) {
+	payloads, err := serve(ctx, s.JobSpec())
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]SweepCell, len(payloads))
+	for i, p := range payloads {
+		if cells[i], err = runner.DecodeCellValue(p); err != nil {
+			return nil, err
+		}
+	}
+	return &SweepResult{Spec: s, Cells: cells}, nil
+}
+
 // Table renders the sweep with one row per cell: the swept values followed
 // by the per-file aggregates.
 func (r *SweepResult) Table() *table.Table {

@@ -47,8 +47,9 @@ type TransientResult struct {
 
 // Transient runs the flash-crowd comparison for CMFSD with the given
 // correlation and allocation ratio. Settings.Replicas independent
-// simulation paths are compared against the one deterministic fluid
-// trajectory; their RMS gaps are reported as mean ± 95% CI.
+// simulation paths (grown under CITarget like every simulated row) are
+// compared against the one deterministic fluid trajectory; their RMS gaps
+// are reported as mean ± 95% CI.
 func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) (*TransientResult, error) {
 	cfg := Config{Params: set.Params, K: set.K, Lambda0: set.Lambda0}
 	if err := cfg.Validate(); err != nil {
@@ -98,9 +99,10 @@ func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) 
 		}
 	}
 
-	// Simulated paths: R independently seeded replicas, each compared
-	// against the (fully built, read-only) fluid trajectory. Traces leave
-	// the engine out of band, one slot per replica. This is the one
+	// Simulated paths: independently seeded replicas, each compared
+	// against the (fully built, read-only) fluid trajectory, under the
+	// settings' stopping rule led by the downloader distance. Replica 0's
+	// trace leaves the engine out of band for the table. This is the one
 	// experiment that calls the replica engine directly rather than
 	// running a sim-replica job: its replicas' output is a trace compared
 	// in-process with the fluid path, and no job payload carries a trace.
@@ -108,12 +110,8 @@ func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) 
 	if scale < 1 {
 		scale = 1
 	}
-	rCount := set.Replicas
-	if rCount < 1 {
-		rCount = 1
-	}
-	traces := make([]*trace.Recorder, rCount)
-	aggs, err := replica.Run(ctx, 1, func(int) replica.Sim {
+	var first *trace.Recorder
+	aggs, err := replica.RunSequential(ctx, 1, func(int) replica.Sim {
 		return replica.SimFunc(func(_ context.Context, rep replica.Rep) (replica.Sample, error) {
 			sc := eventsim.Config{
 				Params: set.Params, K: set.K, Lambda0: set.Lambda0, P: p,
@@ -125,7 +123,9 @@ func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) 
 			if err != nil {
 				return replica.Sample{}, err
 			}
-			traces[rep.Replica] = out.Trace
+			if rep.Replica == 0 {
+				first = out.Trace
+			}
 			dDl, err := trace.RMSDistance(fluidRec.Series("downloaders"), out.Trace.Series("downloaders"), 200)
 			if err != nil {
 				return replica.Sample{}, err
@@ -141,7 +141,8 @@ func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) 
 				transientPeakSimT:       peakT,
 			}}, nil
 		})
-	}, replica.Options{Replicas: set.Replicas, Workers: set.Workers, Seed: set.Seed, Obs: set.Obs})
+	}, replica.Options{Replicas: set.Replicas, Workers: set.Workers, Seed: set.Seed, Obs: set.Obs},
+		set.stopping(transientRMSDownloaders))
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +150,7 @@ func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) 
 
 	res := &TransientResult{
 		Settings: set, P: p, Rho: rho, FlashCrowd: flash,
-		Fluid: fluidRec, Sim: traces[0],
+		Fluid: fluidRec, Sim: first,
 		RMSDownloaders:     agg.Mean(transientRMSDownloaders),
 		RMSDownloadersCI95: agg.CI95(transientRMSDownloaders),
 		RMSSeeds:           agg.Mean(transientRMSSeeds),

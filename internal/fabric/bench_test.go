@@ -75,7 +75,7 @@ func BenchmarkFabricThroughput(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if _, err := coord.Result(ctx); err != nil {
+				if _, err := result(ctx, coord); err != nil {
 					b.Fatal(err)
 				}
 				srv.Close()

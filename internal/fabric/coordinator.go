@@ -18,6 +18,11 @@
 // its cells are re-issued to whoever asks next (work stealing). Because
 // completions are idempotent — keyed by (fingerprint, cell), duplicates
 // acknowledged and dropped — a slow worker racing its thief is harmless.
+//
+// A Campaign is the serving shell around coordinators: one address, one
+// checkpoint and sample store, local workers, progress and fleet output,
+// and one Serve per job — a single sweep, or each round of a sequential-
+// stopping run. The package knows job kinds only through runner.JobSpec.
 package fabric
 
 import (
@@ -267,7 +272,7 @@ func NewCoordinator(spec runner.JobSpec, store *diskcache.CheckpointStore, opts 
 		}
 		// A cell whose sample is already in the replica-sample store needs
 		// no worker: copy the stored payload into the checkpoint so the
-		// run's own bookkeeping (and Result/Payloads assembly) sees it as
+		// run's own bookkeeping (and Payloads assembly) sees it as
 		// done. This is what makes a doubled -replicas re-run distribute
 		// only the new replicas.
 		if key, seed, ok := c.sampleRef(i); ok {
@@ -296,13 +301,6 @@ func (c *Coordinator) sampleRef(cell int) (key string, seed uint64, ok bool) {
 	}
 	return c.job.SampleRef(cell)
 }
-
-// Fingerprint returns the job identity workers must echo on every lease,
-// renewal and completion.
-func (c *Coordinator) Fingerprint() string { return c.fp }
-
-// Spec returns the job being distributed.
-func (c *Coordinator) Spec() runner.JobSpec { return c.spec }
 
 // reapLocked re-queues the unfinished cells of every expired lease.
 func (c *Coordinator) reapLocked(now time.Time) {
@@ -561,29 +559,10 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	}
 }
 
-// Result waits for completion and assembles the final cell slice by
-// replaying every checkpointed cell through the local runner — the same
-// decode path a resumed single-process run takes, so the result is
-// byte-identical to runner.RunJob of the same spec. On success the job's
-// checkpoints are cleared.
-func (c *Coordinator) Result(ctx context.Context) ([]runner.CellValue, error) {
-	if err := c.Wait(ctx); err != nil {
-		return nil, err
-	}
-	ckpt := runner.NewCheckpoint(c.store, c.fp)
-	cells, err := runner.RunJob(ctx, c.spec, nil, runner.Options{Checkpoint: ckpt})
-	if err != nil {
-		return nil, err
-	}
-	_ = ckpt.Clear()
-	return cells, nil
-}
-
 // Payloads waits for completion and returns every cell's raw payload
-// bytes in cell order — the kind-agnostic result path (sim-replica
-// callers hand the slice to sim.ReduceJob; Result is the fluid-sweep
-// decoding of the same bytes). On success the job's checkpoints are
-// cleared.
+// bytes in cell order — the one result path for every kind (sim.ReduceJob
+// and experiments.SweepSpec.Serve decode it). On success the job's
+// checkpoints are cleared.
 func (c *Coordinator) Payloads(ctx context.Context) ([][]byte, error) {
 	if err := c.Wait(ctx); err != nil {
 		return nil, err

@@ -65,6 +65,22 @@ func newFabric(t *testing.T, spec runner.JobSpec, dir string, opts CoordinatorOp
 	return coord, srv
 }
 
+// result waits for the job and decodes its fluid cells from the payloads,
+// as experiments.SweepSpec.Serve does.
+func result(ctx context.Context, c *Coordinator) ([]runner.CellValue, error) {
+	payloads, err := c.Payloads(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]runner.CellValue, len(payloads))
+	for i, p := range payloads {
+		if cells[i], err = runner.DecodeCellValue(p); err != nil {
+			return nil, err
+		}
+	}
+	return cells, nil
+}
+
 // assertIdentical demands bit-identical cells (reflect.DeepEqual compares
 // float64s exactly; the values here are finite).
 func assertIdentical(t *testing.T, got, want []runner.CellValue) {
@@ -96,7 +112,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := coord.Result(ctx)
+	got, err := result(ctx, coord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +152,7 @@ func TestWorkerKilledMidLeaseIsStolen(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.Result(context.Background())
+	got, err := result(context.Background(), coord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +196,7 @@ func TestWorkerKilledMidWriteDuplicatesAreAbsorbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.Result(context.Background())
+	got, err := result(context.Background(), coord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +244,7 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	if err := Work(context.Background(), srv2.URL, WorkerOptions{Name: "finisher"}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord2.Result(context.Background())
+	got, err := result(context.Background(), coord2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +280,7 @@ func TestCoordinatorRejectsForeignCompletions(t *testing.T) {
 	}
 	badSchema := diskcache.Entry{
 		Schema: diskcache.CheckpointSchemaVersion + 1,
-		Key:    coord.Fingerprint(), Cell: 0, Payload: []byte("x"),
+		Key:    coord.fp, Cell: 0, Payload: []byte("x"),
 	}
 	if code := post(badSchema); code != http.StatusBadRequest {
 		t.Fatalf("wrong-schema completion got %d, want %d", code, http.StatusBadRequest)

@@ -290,7 +290,7 @@ func TestCoordinatorRestartAbsorbsInflightCompletions(t *testing.T) {
 	if c2 == nil {
 		t.Fatal("no completion ever hit the restart window")
 	}
-	got, err := c2.Result(context.Background())
+	got, err := result(context.Background(), c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestParkedWorkerRejoinsAfterBlackout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("worker died instead of parking: %v", err)
 	}
-	got, err := coord.Result(context.Background())
+	got, err := result(context.Background(), coord)
 	if err != nil {
 		t.Fatal(err)
 	}

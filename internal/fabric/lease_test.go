@@ -178,13 +178,13 @@ func TestReapedThenCompletedCellIsNotRegranted(t *testing.T) {
 	if st := c.Status(); st.Leased != 0 || st.Idle != st.Total {
 		t.Fatalf("after expiry: %+v, want everything idle again", st)
 	}
-	want, err := runner.RunJobPayloads(context.Background(), c.Spec(), runner.JobEnv{}, runner.Options{})
+	want, err := runner.RunJobPayloads(context.Background(), c.spec, runner.JobEnv{}, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cell := range slow.cells[:2] {
 		dup, err := c.Complete(diskcache.Entry{
-			Schema: diskcache.CheckpointSchemaVersion, Key: c.Fingerprint(), Cell: cell, Payload: want[cell],
+			Schema: diskcache.CheckpointSchemaVersion, Key: c.fp, Cell: cell, Payload: want[cell],
 		})
 		if dup || err != nil {
 			t.Fatalf("late completion of reaped cell %d = duplicate %v, error %v", cell, dup, err)

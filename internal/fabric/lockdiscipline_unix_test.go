@@ -43,7 +43,7 @@ func TestStalledStoreBlocksOnlyItsCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry := func(cell int) diskcache.Entry {
-		return diskcache.Entry{Schema: diskcache.CheckpointSchemaVersion, Key: coord.Fingerprint(), Cell: cell, Payload: want[cell]}
+		return diskcache.Entry{Schema: diskcache.CheckpointSchemaVersion, Key: coord.fp, Cell: cell, Payload: want[cell]}
 	}
 
 	// Find cell 0's sample path by storing it once, then swap in the FIFO.

@@ -213,7 +213,7 @@ func TestSimCoordinatorRejectsForeignCompletions(t *testing.T) {
 	}
 	badSchema := diskcache.Entry{
 		Schema: diskcache.CheckpointSchemaVersion + 1,
-		Key:    coord.Fingerprint(), Cell: 0, Payload: []byte("x"),
+		Key:    coord.fp, Cell: 0, Payload: []byte("x"),
 	}
 	if code := post(badSchema); code != http.StatusBadRequest {
 		t.Fatalf("wrong-schema completion got %d, want %d", code, http.StatusBadRequest)

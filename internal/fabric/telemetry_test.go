@@ -132,7 +132,7 @@ func TestTelemetryMergedMetrics(t *testing.T) {
 	if len(f.Workers) != 2 {
 		t.Fatalf("fleet lists %d workers, want 2", len(f.Workers))
 	}
-	got, err := coord.Result(ctx)
+	got, err := result(ctx, coord)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestTelemetryConcurrentWithTraffic(t *testing.T) {
 	close(stop)
 	scrapes.Wait()
 
-	got, err := coord.Result(ctx)
+	got, err := result(ctx, coord)
 	if err != nil {
 		t.Fatal(err)
 	}

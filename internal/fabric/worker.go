@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -160,7 +161,11 @@ func (w *worker) jitterSleep(ctx context.Context, d time.Duration) error {
 // whose kind this build does not register is rejected up front — a worker
 // never leases cells it cannot execute. A coordinator that answers a lease
 // with 409 has moved on to another job: Work returns nil, as it does when
-// the job completes, and WorkLoop fetches the next one.
+// the job completes, and WorkLoop fetches the next one. So does a lease
+// that no retry gets a response to after the job has answered this worker
+// (an idle hint or an accepted completion): the coordinator finished and
+// retired while the worker polled. Without such an answer, or under
+// MaxOutage, it is an error.
 func Work(ctx context.Context, baseURL string, opts WorkerOptions) error {
 	opts = opts.withDefaults()
 	w := newWorker(opts, baseURL)
@@ -226,6 +231,7 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) error {
 	}
 
 	leaseBody, _ := json.Marshal(leaseRequest{Worker: opts.Name, Fingerprint: w.fp})
+	answered := false
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -238,7 +244,8 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) error {
 			}
 			return nil
 		})
-		if errors.Is(err, errConflict) {
+		var gone unreachable
+		if errors.Is(err, errConflict) || answered && errors.As(err, &gone) {
 			return nil
 		}
 		if err != nil {
@@ -248,6 +255,7 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) error {
 		case resp.Done:
 			return nil
 		case resp.Lease == nil:
+			answered = true
 			retry := time.Duration(resp.RetryMilli) * time.Millisecond
 			if retry <= 0 {
 				retry = 25 * time.Millisecond
@@ -283,6 +291,7 @@ func Work(ctx context.Context, baseURL string, opts WorkerOptions) error {
 			if err != nil {
 				return err
 			}
+			answered = true
 		}
 	}
 }
@@ -610,10 +619,12 @@ func (w *worker) postCells(ctx context.Context, body []byte, seconds []string) e
 // like any other transient fault instead of killing the worker. When the
 // retry budget runs out on a retryable failure and MaxOutage is set, the
 // request parks — capped jittered backoff for up to MaxOutage — instead
-// of failing.
+// of failing. A request that never got a response on any attempt fails
+// as unreachable.
 func (w *worker) do(ctx context.Context, method, path string, body []byte, hdr http.Header, decode func([]byte) error) ([]byte, error) {
 	backoff := w.opts.Backoff
 	var lastErr error
+	reached := false
 	for attempt := 0; attempt <= w.opts.Retries; attempt++ {
 		if attempt > 0 {
 			if err := w.jitterSleep(ctx, backoff); err != nil {
@@ -628,13 +639,24 @@ func (w *worker) do(ctx context.Context, method, path string, body []byte, hdr h
 		if !retryable {
 			return nil, err
 		}
+		var noResponse *url.Error
+		reached = reached || !errors.As(err, &noResponse)
 		lastErr = err
 	}
-	if w.opts.MaxOutage <= 0 {
-		return nil, lastErr
+	switch {
+	case w.opts.MaxOutage > 0:
+		return w.park(ctx, method, path, body, hdr, decode, lastErr)
+	case !reached:
+		return nil, unreachable{lastErr}
 	}
-	return w.park(ctx, method, path, body, hdr, decode, lastErr)
+	return nil, lastErr
 }
+
+// unreachable marks a request whose every attempt failed before any
+// response arrived: the connection was refused, reset or timed out.
+type unreachable struct{ error }
+
+func (u unreachable) Unwrap() error { return u.error }
 
 // park rides out a coordinator outage: keep retrying with backoff capped
 // at parkBackoffCap until the request succeeds, fails terminally, or

@@ -1,56 +1,72 @@
-// Package gridflag parses the grid-description flag vocabulary shared by
-// the sweep front-ends (cmd/sweep, cmd/sweepd): a comma-separated list of
-// dimension names plus -from/-to/-steps lists that are either one value
-// per dimension or a single value broadcast to all of them.
+// Package gridflag holds the flag families the CLIs share, each spelled
+// once in the shape of obs.Flags — Register on a flag set, then one
+// validate/open step after parsing:
+//
+//   - the sweep grid (Grid): -dim names plus -from/-to/-steps lists of one
+//     value per dimension or a single value broadcast to all, and the
+//     plain comma lists (List) and finite floats (Finite) other flags take;
+//   - Format: -format;
+//   - Replicas: -seed, -replicas, -ci-target, -ci-metric, -replicas-max;
+//   - Store: -<name>-dir, -<name>-prune-age, -<name>-prune-size for the
+//     replica-sample store and the solve cache.
+//
+// A family's defaults are its struct's values at Register time, so CLIs
+// share a family and keep their own defaults (mfdl's -seed is 7, sweepd's
+// 1).
 package gridflag
 
 import (
+	"flag"
 	"fmt"
 	"math"
+	"os"
 	"strconv"
 	"strings"
+	"time"
 
+	"mfdl/internal/experiments"
+	"mfdl/internal/obs"
 	"mfdl/internal/runner"
+	"mfdl/internal/runner/diskcache"
 )
 
-// Floats parses a comma-separated float list and broadcasts a single
-// value to n entries. NaN and ±Inf are rejected: they would silently
-// produce a degenerate grid.
-func Floats(flagName, s string, n int) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, part := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("-%s: invalid value %q", flagName, part)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("-%s: value %q is not finite", flagName, part)
-		}
-		out = append(out, v)
+// parse splits a comma-separated list and converts every element; a blank
+// string is the empty list.
+func parse[T any](flagName, s string, conv func(string) (T, error)) ([]T, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
 	}
-	return broadcast(flagName, out, n)
-}
-
-// Ints is Floats for integer lists.
-func Ints(flagName, s string, n int) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, part := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
+	var out []T
+	for _, part := range strings.Split(s, ",") {
+		v, err := conv(strings.TrimSpace(part))
 		if err != nil {
 			return nil, fmt.Errorf("-%s: invalid value %q", flagName, part)
 		}
 		out = append(out, v)
 	}
-	return broadcast(flagName, out, n)
+	return out, nil
 }
 
-// broadcast expands a 1-element list to n entries and rejects any other
-// length mismatch.
-func broadcast[T any](flagName string, vals []T, n int) ([]T, error) {
-	if len(vals) == n {
-		return vals, nil
+// finite parses one float, rejecting NaN and ±Inf: they would silently
+// produce a degenerate grid or run.
+func finite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("not finite")
+	}
+	return v, err
+}
+
+// List parses a comma-separated list of finite floats; a blank string is
+// the empty list.
+func List(flagName, s string) ([]float64, error) { return parse(flagName, s, finite) }
+
+// broadcast parses a list that holds either n values or one value for all
+// n.
+func broadcast[T any](flagName, s string, n int, conv func(string) (T, error)) ([]T, error) {
+	vals, err := parse(flagName, s, conv)
+	if err != nil || len(vals) == n {
+		return vals, err
 	}
 	if len(vals) == 1 {
 		out := make([]T, n)
@@ -69,15 +85,15 @@ func Grid(dim, from, to, steps string) (runner.Grid, error) {
 	for i, name := range names {
 		names[i] = strings.TrimSpace(name)
 	}
-	froms, err := Floats("from", from, len(names))
+	froms, err := broadcast("from", from, len(names), finite)
 	if err != nil {
 		return runner.Grid{}, err
 	}
-	tos, err := Floats("to", to, len(names))
+	tos, err := broadcast("to", to, len(names), finite)
 	if err != nil {
 		return runner.Grid{}, err
 	}
-	stepsN, err := Ints("steps", steps, len(names))
+	stepsN, err := broadcast("steps", steps, len(names), strconv.Atoi)
 	if err != nil {
 		return runner.Grid{}, err
 	}
@@ -92,4 +108,121 @@ func Grid(dim, from, to, steps string) (runner.Grid, error) {
 		dims[i] = runner.Dim{Name: name, Values: runner.Linspace(froms[i], tos[i], stepsN[i])}
 	}
 	return runner.NewGrid(dims...)
+}
+
+// Finite rejects a NaN or infinite value in any of the named float flags
+// of fs.
+func Finite(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(float64); math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("-%s: value %v is not finite", name, v)
+		}
+	}
+	return nil
+}
+
+// Format is the -format flag: how a table is rendered.
+type Format string
+
+// Register declares -format, defaulting to ascii.
+func (f *Format) Register(fs *flag.FlagSet) {
+	fs.StringVar((*string)(f), "format", "ascii", "output format: ascii, csv, tsv, or markdown")
+}
+
+// Validate rejects a format table.Write does not render.
+func (f Format) Validate() error {
+	switch f {
+	case "", "ascii", "csv", "tsv", "markdown", "md":
+		return nil
+	}
+	return fmt.Errorf("unknown format %q (want ascii, csv, tsv, or markdown)", string(f))
+}
+
+// Replicas are the replica engine's flags.
+type Replicas struct {
+	Seed                  uint64
+	Replicas, ReplicasMax int
+	CITarget              float64
+	CIMetric              string
+}
+
+// Register declares -seed, -replicas, -ci-target, -ci-metric and
+// -replicas-max.
+func (r *Replicas) Register(fs *flag.FlagSet) {
+	fs.Uint64Var(&r.Seed, "seed", r.Seed, "base seed of the replica seed derivation for simulated rows")
+	fs.IntVar(&r.Replicas, "replicas", r.Replicas, "independently seeded simulation replicas per simulated row (>= 1)")
+	fs.Float64Var(&r.CITarget, "ci-target", r.CITarget, "sequential stopping: grow each simulated row's replicas until the 95% CI half-width of -ci-metric reaches this (0 = fixed -replicas)")
+	fs.StringVar(&r.CIMetric, "ci-metric", r.CIMetric, "stopping metric for -ci-target (empty = the experiment's headline metric)")
+	fs.IntVar(&r.ReplicasMax, "replicas-max", r.ReplicasMax, "replica growth bound per row under -ci-target")
+}
+
+// Options validates the flags and returns them as experiment options.
+func (r *Replicas) Options() (experiments.Options, error) {
+	switch {
+	case r.Replicas < 1:
+		return experiments.Options{}, fmt.Errorf("-replicas must be >= 1, got %d", r.Replicas)
+	case math.IsNaN(r.CITarget) || math.IsInf(r.CITarget, 0) || r.CITarget < 0:
+		return experiments.Options{}, fmt.Errorf("-ci-target must be finite and >= 0, got %v", r.CITarget)
+	case r.ReplicasMax < 1:
+		return experiments.Options{}, fmt.Errorf("-replicas-max must be >= 1, got %d", r.ReplicasMax)
+	}
+	return experiments.Options{Seed: r.Seed, Replicas: r.Replicas,
+		CITarget: r.CITarget, CIMetric: r.CIMetric, ReplicasMax: r.ReplicasMax}, nil
+}
+
+// Store is a keyed disk store's flags: -<Name>-dir, -<Name>-prune-age and
+// -<Name>-prune-size ("sample" for the replica-sample store, "cache" for
+// the solve cache).
+type Store struct {
+	Name, Dir string
+	PruneAge  time.Duration
+	PruneSize int64
+}
+
+// Register declares the three flags; usage describes -<Name>-dir.
+func (s *Store) Register(fs *flag.FlagSet, usage string) {
+	fs.StringVar(&s.Dir, s.Name+"-dir", "", usage)
+	fs.DurationVar(&s.PruneAge, s.Name+"-prune-age", 0, "evict entries unused for longer than this first (0 = off; requires -"+s.Name+"-dir)")
+	fs.Int64Var(&s.PruneSize, s.Name+"-prune-size", 0, "evict least-recently-used entries down to this many bytes first (0 = off; requires -"+s.Name+"-dir)")
+}
+
+// Open validates the flags and, given a directory, opens the store there
+// with open — pruning it first when the flags ask, with the summary on
+// stderr under prog's name. Without a directory it returns the zero S.
+func Open[S interface {
+	Prune(diskcache.PruneOptions) (diskcache.PruneStats, error)
+}](s *Store, prog string, open func(dir string) (S, error)) (S, error) {
+	var zero S
+	prune := s.PruneAge > 0 || s.PruneSize > 0
+	switch pre := "-" + s.Name + "-prune-age and -" + s.Name + "-prune-size"; {
+	case s.PruneAge < 0 || s.PruneSize < 0:
+		return zero, fmt.Errorf("%s must be >= 0, got %v and %d", pre, s.PruneAge, s.PruneSize)
+	case prune && s.Dir == "":
+		return zero, fmt.Errorf("%s require -%s-dir", pre, s.Name)
+	case s.Dir == "":
+		return zero, nil
+	}
+	store, err := open(s.Dir)
+	if err != nil || !prune {
+		return store, err
+	}
+	pst, err := store.Prune(diskcache.PruneOptions{MaxAge: s.PruneAge, MaxBytes: s.PruneSize})
+	if err != nil {
+		return zero, err
+	}
+	fmt.Fprintf(os.Stderr, "%s: %s prune: removed %d entries (%d bytes), kept %d (%d bytes)\n",
+		prog, s.Name, pst.Removed, pst.Freed, pst.Kept, pst.Remaining)
+	return store, nil
+}
+
+// Samples opens the replica-sample store (see Open) reporting to reg; nil
+// without -sample-dir.
+func (s *Store) Samples(prog string, reg *obs.Registry) (*diskcache.SampleStore, error) {
+	return Open(s, prog, func(dir string) (*diskcache.SampleStore, error) {
+		store, err := diskcache.OpenSamples(dir)
+		if err != nil {
+			return nil, err
+		}
+		return store.WithObs(reg), nil
+	})
 }

@@ -19,14 +19,17 @@
 //
 // # One path
 //
-// The engine has one loop, RunSequential; Run is its fixed-R case. Every
-// replica, whoever asks for it, is computed by SimulateStored, and every
-// cell is folded by Reduce. Experiments do not call the engine directly:
-// they lower their grids to the sim-replica job kind (internal/sim), whose
-// cells call SimulateStored one (cell, replica) at a time — locally, from a
-// checkpoint or on a fabric worker — and whose sequential-stopping path is
-// RunSequential. The one direct caller left is the flash-crowd transient,
-// whose replicas return traces no job payload carries.
+// The engine has one stopping loop, Sequential, which sets each round's
+// per-cell replica counts and leaves the round to its caller:
+// RunSequential's in memory (Run is its fixed-R case), internal/sim's
+// RunRounds' as a spec served through the runner pool or a fabric
+// campaign. Every replica, whoever asks for it, is computed by
+// SimulateStored, and every cell is folded by Reduce. Experiments do not
+// call the engine directly: they lower their grids to the sim-replica job
+// kind, whose cells call SimulateStored one (cell, replica) at a time —
+// locally, from a checkpoint or on a fabric worker. The one direct caller
+// left is the flash-crowd transient, whose replicas return traces no job
+// payload carries.
 //
 // # Seed derivation
 //

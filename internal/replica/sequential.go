@@ -33,16 +33,53 @@ type Stopping struct {
 // Enabled reports whether the rule actually stops anything.
 func (st Stopping) Enabled() bool { return st.Target > 0 && st.Metric != "" }
 
-// RunSequential is the engine's one loop. Every cell starts at the
-// configured replica count; with stop enabled the start is at least 2, so
-// a CI exists, and after each round the cells whose CI95(stop.Metric)
-// still exceeds stop.Target double their replica count — bounded by
-// stop.MaxReplicas — and only the missing replicas are simulated. With
-// stop disabled there is exactly one round (see Run). Because replica
-// seeds are a pure function of (base seed, cell, replica index) and
-// samples are reduced in replica order, the result is byte-identical at
-// any worker count, and with a sample store attached (Options.Samples)
-// every round — and every later re-run — reuses the samples already drawn.
+// Round runs one round of a sequential-stopping campaign: every cell i must
+// end the round with want[i] replicas (replica indices [0, want[i])), and
+// the round returns one Agg per cell reduced over exactly those replicas.
+// want belongs to the caller and changes between rounds; a Round must not
+// keep it.
+type Round func(ctx context.Context, want []int) ([]Agg, error)
+
+// Sequential is the one stopping loop; every executor supplies only its
+// Round. All cells start at replicas (at least 1; at least 2 with stop
+// enabled, so a CI exists); after each round the cells whose
+// CI95(stop.Metric) still exceeds stop.Target double their count, bounded
+// by stop.MaxReplicas. It returns the aggregates of the first round in
+// which no cell grew — with stop disabled, the only round.
+func Sequential(ctx context.Context, cells, replicas int, stop Stopping, round Round) ([]Agg, error) {
+	start, maxR := max(replicas, 1), max(replicas, 1)
+	if stop.Enabled() {
+		start = max(start, 2)
+		maxR = max(stop.MaxReplicas, start)
+	}
+	want := make([]int, cells)
+	for i := range want {
+		want[i] = start
+	}
+	for {
+		aggs, err := round(ctx, want)
+		if err != nil {
+			return nil, err
+		}
+		grew := false
+		for i, agg := range aggs {
+			if want[i] < maxR && agg.CI95(stop.Metric) > stop.Target {
+				want[i] = min(2*want[i], maxR)
+				grew = true
+			}
+		}
+		if !grew {
+			return aggs, nil
+		}
+	}
+}
+
+// RunSequential runs Sequential in memory: a round simulates, over one
+// bounded worker pool, only the (cell, replica) pairs no earlier round
+// drew. Replica seeds are a pure function of (base seed, cell, replica)
+// and samples are reduced in replica order, so the result is byte-
+// identical at any worker count; a sample store (Options.Samples) lets
+// every round and re-run reuse drawn samples. Stop disabled, this is Run.
 func RunSequential(ctx context.Context, cells int, sim func(cell int) Sim, opts Options, stop Stopping) ([]Agg, error) {
 	if opts.Replicas < 0 {
 		return nil, fmt.Errorf("replica: Replicas = %d must be >= 0", opts.Replicas)
@@ -53,11 +90,6 @@ func RunSequential(ctx context.Context, cells int, sim func(cell int) Sim, opts 
 	if cells == 0 {
 		return nil, ctx.Err()
 	}
-	start, maxR := opts.replicas(), opts.replicas()
-	if stop.Enabled() {
-		start = max(start, 2)
-		maxR = max(stop.MaxReplicas, start)
-	}
 	sims := make([]Sim, cells)
 	for i := range sims {
 		sims[i] = sim(i)
@@ -65,57 +97,45 @@ func RunSequential(ctx context.Context, cells int, sim func(cell int) Sim, opts 
 			return nil, fmt.Errorf("replica: sim(%d) returned nil", i)
 		}
 	}
-
 	type pair struct{ cell, rep int }
 	have := make([][]Sample, cells)
-	want := make([]int, cells)
-	for i := range want {
-		want[i] = start
-	}
-	for {
+	return Sequential(ctx, cells, opts.Replicas, stop, func(ctx context.Context, want []int) ([]Agg, error) {
 		// The work list enumerates missing (cell, replica) pairs in
 		// (cell, replica) order, so appending round results keeps every
 		// cell's samples in replica order — the order reduce requires.
 		var work []pair
-		for i := 0; i < cells; i++ {
+		for i := range want {
 			for j := len(have[i]); j < want[i]; j++ {
 				work = append(work, pair{cell: i, rep: j})
 			}
 		}
-		if len(work) > 0 {
-			seeds := Seeds(opts.Seed, cells, slices.Max(want))
-			grid, err := runner.Indexed("job", len(work))
-			if err != nil {
-				return nil, err
-			}
-			samples, err := runner.Run(ctx, grid,
-				func(ctx context.Context, pt runner.Point, _ *rng.Source) (Sample, error) {
-					p := work[pt.Index]
-					return simulateOne(ctx, sims[p.cell],
-						Rep{Cell: p.cell, Replica: p.rep, Seed: seeds[p.cell][p.rep]}, opts)
-				}, runner.Options{Workers: opts.Workers, Seed: opts.Seed, Obs: opts.Obs})
-			if err != nil {
-				return nil, err
-			}
-			for k, s := range samples {
-				have[work[k].cell] = append(have[work[k].cell], s)
-			}
+		seeds := Seeds(opts.Seed, cells, slices.Max(want))
+		grid, err := runner.Indexed("job", len(work))
+		if err != nil {
+			return nil, err
 		}
-		grew := false
-		for i := range have {
-			if want[i] < maxR && reduce(have[i]).CI95(stop.Metric) > stop.Target {
-				want[i] = min(2*want[i], maxR)
-				grew = true
-			}
+		samples, err := runner.Run(ctx, grid,
+			func(ctx context.Context, pt runner.Point, _ *rng.Source) (Sample, error) {
+				p := work[pt.Index]
+				return simulateOne(ctx, sims[p.cell],
+					Rep{Cell: p.cell, Replica: p.rep, Seed: seeds[p.cell][p.rep]}, opts)
+			}, runner.Options{Workers: opts.Workers, Seed: opts.Seed, Obs: opts.Obs})
+		if err != nil {
+			return nil, err
 		}
-		if !grew {
-			break
+		for k, s := range samples {
+			have[work[k].cell] = append(have[work[k].cell], s)
 		}
-	}
-	ob := opts.Obs
+		return reduceCells(have, opts.Obs), nil
+	})
+}
+
+// reduceCells folds every cell's samples, timing each reduction into the
+// replica_reduce_seconds histogram and a "reduce" span when ob is set.
+func reduceCells(have [][]Sample, ob *obs.Registry) []Agg {
 	reduceSeconds := ob.Histogram("replica_reduce_seconds", obs.LatencyBuckets)
 	tracing := ob.Tracing()
-	out := make([]Agg, cells)
+	out := make([]Agg, len(have))
 	for i := range out {
 		var (
 			redStart time.Time
@@ -133,5 +153,5 @@ func RunSequential(ctx context.Context, cells int, sim func(cell int) Sim, opts 
 			sp.End()
 		}
 	}
-	return out, nil
+	return out
 }

@@ -2,14 +2,16 @@
 // jobs. A spec's params carry one simulator configuration per grid cell;
 // the executable cells are the (grid cell × replica index) pairs, seeded
 // by the replica engine's derivation scheme, so every executor — RunJob,
-// RunJobStopping, a fabric worker — draws the same samples, byte-identical
-// at any worker count, with R = 1 pinned to the unreplicated goldens.
+// RunJobStopping, RunRounds, a fabric worker — draws the same samples,
+// byte-identical at any worker count, with R = 1 pinned to the
+// unreplicated goldens.
 package sim
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mfdl/internal/replica"
@@ -53,6 +55,12 @@ type JobParams struct {
 	// Cells holds one simulator configuration per grid cell, in cell
 	// order.
 	Cells []JobCell `json:"cells"`
+	// Replicas, when present, gives every grid cell its own replica count,
+	// in cell order, and the spec's Replicas is then 0. Uniform counts are
+	// always spelled as the spec's Replicas with this field absent, so a
+	// uniform job has one encoding, and its fingerprint and sample keys
+	// match those that checkpoints and sample stores already hold.
+	Replicas []int `json:"replicas,omitempty"`
 }
 
 // NewJobSpec lowers a list of simulator cells into a runnable JobSpec:
@@ -88,11 +96,16 @@ func NewJobSpec(cells []JobCell, seed uint64, replicas int) (runner.JobSpec, err
 		}
 		norm[i] = nc
 	}
-	params, err := json.Marshal(JobParams{Cells: norm})
+	return newSpec(JobParams{Cells: norm}, seed, replicas)
+}
+
+// newSpec frames normalized params as a prepared spec.
+func newSpec(p JobParams, seed uint64, replicas int) (runner.JobSpec, error) {
+	params, err := json.Marshal(p)
 	if err != nil {
 		return runner.JobSpec{}, fmt.Errorf("sim: job params: %w", err)
 	}
-	g, err := runner.Indexed("cell", len(norm))
+	g, err := runner.Indexed("cell", len(p.Cells))
 	if err != nil {
 		return runner.JobSpec{}, err
 	}
@@ -123,13 +136,29 @@ func Params(spec runner.JobSpec) (JobParams, error) {
 	return p, nil
 }
 
-// jobReplicas normalizes the spec's replica count (0 means 1, as in the
-// replica engine).
-func jobReplicas(spec runner.JobSpec) int {
-	if spec.Replicas <= 0 {
-		return 1
+// offsets returns where every grid cell's executable cells start, plus the
+// total: grid cell i owns [off[i], off[i+1]), its replicas in order. The
+// counts are perCell when present, else replicas (0 meaning 1, as in the
+// replica engine) for every cell.
+func offsets(replicas int, perCell []int, cells int) []int {
+	off := make([]int, cells+1)
+	for i := range cells {
+		r := max(replicas, 1)
+		if len(perCell) > 0 {
+			r = perCell[i]
+		}
+		off[i+1] = off[i] + r
 	}
-	return spec.Replicas
+	return off
+}
+
+// locate maps executable cell e to its grid cell and replica index.
+func locate(off []int, e int) (cell, rep int) {
+	cell, found := slices.BinarySearch(off, e)
+	if !found {
+		cell--
+	}
+	return cell, e - off[cell]
 }
 
 // init registers the sim-replica kind. The registration reaches every
@@ -143,11 +172,13 @@ func init() {
 
 // decoded is a sim-replica spec's params decoded once: per grid cell the
 // simulator and the sample-store key, the two things every replica of the
-// cell shares. The keys cost a JSON encoding per cell and only executors
-// that hold a sample store need them, so they are rendered on first use.
+// cell shares, and the executable-cell offsets. The keys cost a JSON
+// encoding per cell and only executors that hold a sample store need
+// them, so they are rendered on first use.
 type decoded struct {
-	cells []JobCell
-	sims  []replica.Sim
+	params JobParams
+	sims   []replica.Sim
+	off    []int
 
 	keysOnce sync.Once
 	keys     []string
@@ -156,8 +187,8 @@ type decoded struct {
 
 func (d *decoded) key(cell int) (string, error) {
 	d.keysOnce.Do(func() {
-		d.keys = make([]string, len(d.cells))
-		for i, c := range d.cells {
+		d.keys = make([]string, len(d.params.Cells))
+		for i, c := range d.params.Cells {
 			if d.keys[i], d.keysErr = c.SampleKey(); d.keysErr != nil {
 				return
 			}
@@ -191,7 +222,15 @@ func decodeCells(spec runner.JobSpec) (*decoded, error) {
 			return nil, fmt.Errorf("sim: job cell axis value %d is %v, want %d", i, v, i)
 		}
 	}
-	d := &decoded{cells: p.Cells, sims: make([]replica.Sim, len(p.Cells))}
+	// Per-cell counts have one spelling: one count >= 1 per cell, not all
+	// equal (uniform counts are the spec's Replicas), beside Replicas 0.
+	if n := len(p.Replicas); n > 0 && (spec.Replicas != 0 || n != len(p.Cells) ||
+		slices.Min(p.Replicas) < 1 || slices.Min(p.Replicas) == slices.Max(p.Replicas)) {
+		return nil, fmt.Errorf("sim: per-cell replica counts %v beside replicas %d for %d cells are not canonical",
+			p.Replicas, spec.Replicas, len(p.Cells))
+	}
+	d := &decoded{params: p, sims: make([]replica.Sim, len(p.Cells)),
+		off: offsets(spec.Replicas, p.Replicas, len(p.Cells))}
 	for i, c := range p.Cells {
 		var embeddedSeed uint64
 		var embeddedScheme scheme.SimScheme
@@ -215,22 +254,22 @@ func decodeCells(spec runner.JobSpec) (*decoded, error) {
 	return d, nil
 }
 
-// prepareJob decodes the spec once into its executable cells: cell i is
-// replica i%R of grid cell i/R, seeded replica.SeedOf(spec.Seed, cell, rep)
-// — exactly what the replica engine derives for the same cells. The
-// payload is the canonical sample encoding, and the sample store
-// (env.Samples) is consulted before simulating, so stored samples are
-// replayed identically everywhere.
+// prepareJob decodes the spec once into its executable cells: cell e is
+// replica e-off[c] of the grid cell c owning it, seeded
+// replica.SeedOf(spec.Seed, c, rep) — exactly what the replica engine
+// derives for the same cells. The payload is the canonical sample
+// encoding, and the sample store (env.Samples) is consulted before
+// simulating, so stored samples are replayed identically everywhere.
 func prepareJob(spec runner.JobSpec) (*runner.Job, error) {
 	d, err := decodeCells(spec)
 	if err != nil {
 		return nil, err
 	}
-	r, seed, n := jobReplicas(spec), spec.Seed, len(d.sims)*jobReplicas(spec)
+	seed, n := spec.Seed, d.off[len(d.sims)]
 	return &runner.Job{
 		Cells: n,
 		Evaluate: func(ctx context.Context, env runner.JobEnv, i int, _ *rng.Source) ([]byte, error) {
-			cell, rep := i/r, i%r
+			cell, rep := locate(d.off, i)
 			var key string
 			if env.Samples != nil {
 				k, err := d.key(cell)
@@ -251,8 +290,9 @@ func prepareJob(spec runner.JobSpec) (*runner.Job, error) {
 			if i < 0 || i >= n {
 				return "", 0, false
 			}
-			key, err := d.key(i / r)
-			return key, replica.SeedOf(seed, i/r, i%r), err == nil
+			cell, rep := locate(d.off, i)
+			key, err := d.key(cell)
+			return key, replica.SeedOf(seed, cell, rep), err == nil
 		},
 	}, nil
 }
@@ -273,21 +313,13 @@ func RunJob(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, opts ru
 	return ReduceJob(spec, payloads)
 }
 
-// RunJobStopping executes a sim-replica job locally through the replica
-// engine's sequential-stopping rule: every grid cell starts at the spec's
-// replica count and grows until the CI95 half-width of stop.Metric reaches
-// stop.Target (see replica.RunSequential). The spec's Seed keeps the
-// derivation identical to RunJob, and env.Samples — keyed exactly as the
-// fabric keys them — means every round, and every later re-run at any
-// replica count, replays the samples already drawn instead of resampling.
-// A disabled rule degrades to plain replica.Run over the same cells.
+// RunJobStopping executes a sim-replica job through the stopping loop in
+// memory (replica.RunSequential), seeded as RunJob is. env.Samples, keyed
+// exactly as the fabric keys them, lets every round and every later re-run
+// replay the samples already drawn. A disabled rule is replica.Run over
+// the same cells.
 func RunJobStopping(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, workers int, stop replica.Stopping) ([]replica.Agg, error) {
-	// The generic checks (schema, replicas, grid); free for a spec that
-	// carries its job.
-	if _, err := spec.Prepare(); err != nil {
-		return nil, err
-	}
-	d, err := decodeCells(spec)
+	d, err := uniformJob(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -307,30 +339,73 @@ func RunJobStopping(ctx context.Context, spec runner.JobSpec, env runner.JobEnv,
 	}, opts, stop)
 }
 
+// RunRounds executes a sim-replica job through the stopping loop with each
+// round's spec — lowered to the round's per-cell replica counts — served
+// by serve, which returns its payloads in executable-cell order
+// (runner.RunJobPayloads, or a fabric campaign's Serve). With a sample
+// store behind serve the aggregates equal RunJobStopping's.
+func RunRounds(ctx context.Context, spec runner.JobSpec, stop replica.Stopping, serve func(context.Context, runner.JobSpec) ([][]byte, error)) ([]replica.Agg, error) {
+	d, err := uniformJob(spec)
+	if err != nil {
+		return nil, err
+	}
+	return replica.Sequential(ctx, len(d.sims), spec.Replicas, stop, func(ctx context.Context, want []int) ([]replica.Agg, error) {
+		p, r := JobParams{Cells: d.params.Cells}, want[0]
+		if slices.Min(want) != slices.Max(want) {
+			p.Replicas, r = want, 0
+		}
+		round, err := newSpec(p, spec.Seed, r)
+		if err != nil {
+			return nil, err
+		}
+		payloads, err := serve(ctx, round)
+		if err != nil {
+			return nil, err
+		}
+		return ReduceJob(round, payloads)
+	})
+}
+
+// uniformJob validates and decodes a spec whose cells share one replica
+// count, the start of a stopping run. Prepare makes the generic checks
+// (schema, replicas, grid), free for a spec that carries its job.
+func uniformJob(spec runner.JobSpec) (*decoded, error) {
+	if _, err := spec.Prepare(); err != nil {
+		return nil, err
+	}
+	d, err := decodeCells(spec)
+	if err == nil && len(d.params.Replicas) > 0 {
+		err = fmt.Errorf("sim: a stopping run starts from a uniform replica count")
+	}
+	return d, err
+}
+
 // ReduceJob folds a sim-replica job's payloads — in executable-cell order,
 // as returned by RunJobPayloads or Coordinator.Payloads — into per-grid-
 // cell aggregates via the replica engine's reduction.
 func ReduceJob(spec runner.JobSpec, payloads [][]byte) ([]replica.Agg, error) {
-	if spec.Kind != JobKindSimReplica {
-		return nil, fmt.Errorf("sim: spec kind %q is not %q", spec.Kind, JobKindSimReplica)
+	p, err := Params(spec)
+	if err != nil {
+		return nil, err
 	}
 	job, err := spec.Prepare()
 	if err != nil {
 		return nil, err
 	}
-	r := jobReplicas(spec)
 	if len(payloads) != job.Cells {
 		return nil, fmt.Errorf("sim: job has %d payloads, want %d", len(payloads), job.Cells)
 	}
-	out := make([]replica.Agg, job.Cells/r)
-	samples := make([]replica.Sample, r)
+	off := offsets(spec.Replicas, p.Replicas, len(p.Cells))
+	out := make([]replica.Agg, len(off)-1)
+	samples := make([]replica.Sample, 0, off[1])
 	for cell := range out {
-		for rep := 0; rep < r; rep++ {
-			s, err := replica.DecodeSample(payloads[cell*r+rep])
+		samples = samples[:0]
+		for e := off[cell]; e < off[cell+1]; e++ {
+			s, err := replica.DecodeSample(payloads[e])
 			if err != nil {
-				return nil, fmt.Errorf("sim: cell %d replica %d: %w", cell, rep, err)
+				return nil, fmt.Errorf("sim: cell %d replica %d: %w", cell, e-off[cell], err)
 			}
-			samples[rep] = s
+			samples = append(samples, s)
 		}
 		out[cell] = replica.Reduce(samples)
 	}

@@ -349,3 +349,105 @@ func TestReduceJobErrors(t *testing.T) {
 		t.Error("undecodable payloads accepted")
 	}
 }
+
+// Per-cell replica counts have one spelling: one count >= 1 per cell, not
+// all equal, beside a zero spec Replicas. A valid spec fans every grid cell
+// out to its own count, replicas in order, seeded as the engine seeds them.
+func TestPerCellReplicaCounts(t *testing.T) {
+	withCounts := func(replicas int, counts []int) runner.JobSpec {
+		spec := testJobSpec(t, 7, replicas)
+		p, err := Params(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Replicas = counts
+		if spec.Params, err = json.Marshal(p); err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
+	for name, spec := range map[string]runner.JobSpec{
+		"uniform":        withCounts(0, []int{3, 3}),
+		"beside-spec-R":  withCounts(2, []int{2, 4}),
+		"short":          withCounts(0, []int{2}),
+		"zero-count":     withCounts(0, []int{0, 2}),
+		"negative-count": withCounts(0, []int{-1, 2}),
+	} {
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%s: per-cell counts accepted", name)
+		}
+	}
+	job, err := withCounts(0, []int{2, 3}).Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Cells != 5 {
+		t.Fatalf("job has %d executable cells, want 2+3", job.Cells)
+	}
+	for i, want := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {1, 2}} {
+		_, seed, ok := job.SampleRef(i)
+		if !ok || seed != replica.SeedOf(7, want[0], want[1]) {
+			t.Errorf("executable cell %d: seed %d, want grid cell %d replica %d", i, seed, want[0], want[1])
+		}
+	}
+}
+
+// RunRounds is the stopping loop served one round spec at a time. Served by
+// RunJobPayloads over a sample store it returns exactly RunJobStopping's
+// aggregates; the rows stop at different replica counts; the first round
+// is the input spec byte for byte; and no replica is simulated twice.
+func TestRunRoundsMatchesRunJobStopping(t *testing.T) {
+	ctx := context.Background()
+	spec := testJobSpec(t, 11, 2)
+	start, err := RunJob(ctx, spec, runner.JobEnv{}, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := start[0].CI95(replica.OnlinePerFile), start[1].CI95(replica.OnlinePerFile)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if !(lo < hi) {
+		t.Fatalf("cells start with equal CI95 %v; the test needs rows that stop apart", lo)
+	}
+	// Between the two: one row stops at the start, the other grows.
+	stop := replica.Stopping{Metric: replica.OnlinePerFile, Target: (lo + hi) / 2, MaxReplicas: 8}
+	want, err := RunJobStopping(ctx, spec, runner.JobEnv{}, 0, stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := diskcache.OpenSamples(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	store.WithObs(reg)
+	var rounds []runner.JobSpec
+	got, err := RunRounds(ctx, spec, stop, func(ctx context.Context, round runner.JobSpec) ([][]byte, error) {
+		rounds = append(rounds, round)
+		return runner.RunJobPayloads(ctx, round, runner.JobEnv{Samples: store}, runner.Options{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("RunRounds aggregates differ from RunJobStopping's")
+	}
+	if got[0].Replicas == got[1].Replicas {
+		t.Fatalf("both rows stopped at R=%d; want per-row stopping", got[0].Replicas)
+	}
+	if n := reg.Counter("samplestore_stores_total").Value(); n != uint64(got[0].Replicas+got[1].Replicas) {
+		t.Errorf("stored %d samples for %d replicas: a round resampled", n, got[0].Replicas+got[1].Replicas)
+	}
+	first, err := rounds[0].Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orig, _ := spec.Canonical(); string(first) != string(orig) {
+		t.Errorf("first round re-encoded the uniform spec:\n%s\nvs\n%s", first, orig)
+	}
+	if p, err := Params(rounds[1]); err != nil || len(p.Replicas) != 2 {
+		t.Errorf("second round carries per-cell counts %v (%v), want one per cell", p.Replicas, err)
+	}
+}

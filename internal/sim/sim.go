@@ -8,6 +8,12 @@
 //	    Config: sim.Config{Flow: &eventsim.Config{...}}}}, seed, replicas)
 //	aggs, err := sim.RunJob(ctx, spec, runner.JobEnv{}, runner.Options{})
 //
+// Sequential stopping runs the replica engine's one loop either in memory
+// (RunJobStopping) or round by round through any executor (RunRounds):
+// each round is the spec lowered to per-cell replica counts, which the
+// params carry beside the cells only when they differ, so a uniform spec
+// keeps its bytes, fingerprint and sample keys.
+//
 // The concrete packages remain available for callers that need
 // simulator-specific machinery (result structs, traces, population series).
 package sim
