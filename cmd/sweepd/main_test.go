@@ -244,7 +244,7 @@ func TestSimValidateCITargetMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	aggs, err := sim.RunJobStopping(context.Background(), plan.Spec, runner.JobEnv{Samples: store}, 0,
-		replica.Stopping{Metric: replica.OnlinePerFile, Target: 0.02, MaxReplicas: 8})
+		sim.Stopping{Metric: replica.OnlinePerFile, Target: 0.02, MaxReplicas: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,10 @@
 // cancellable and parallel while rendering byte-identical tables at any
 // worker count.
 //
-// Simulator-backed numbers run through internal/replica, the replica
-// engine: each simulation cell fans out into R independently seeded
-// replicas (SimSettings.Replicas, or -replicas on cmd/btsim and
+// Simulator-backed numbers run through the replica engine in
+// internal/sim, over the simulator contract both backends implement
+// (internal/replica): each simulation cell fans out into R independently
+// seeded replicas (SimSettings.Replicas, or -replicas on cmd/btsim and
 // cmd/mfdl) and every simulated metric reduces to mean / 95% confidence
 // interval / min / max. Replica seeds are a pure function of (base seed,
 // cell, replica) with replica 0 pinned to the base seed, so R = 1

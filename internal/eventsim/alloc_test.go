@@ -1,6 +1,10 @@
 package eventsim
 
-import "testing"
+import (
+	"testing"
+
+	"mfdl/internal/scheme"
+)
 
 // TestStepAllocsPerEvent pins the event loop's allocation budget: after the
 // scratch buffers and the timer heap are warm, processing an event
@@ -9,7 +13,7 @@ import "testing"
 // buffers). A regression to per-event scans or per-event map churn shows
 // up here as a multiple-allocations-per-event average.
 func TestStepAllocsPerEvent(t *testing.T) {
-	for _, sc := range []Scheme{CMFSD, MTCD, MTSD} {
+	for _, sc := range []scheme.SimScheme{scheme.SimCMFSD, scheme.SimMTCD, scheme.SimMTSD} {
 		s := newBenchSim(t, benchConfig(sc, 2000))
 		for i := 0; i < 500; i++ {
 			if !s.stepOnce() {
@@ -33,7 +37,7 @@ func TestEventsimSmoke100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	s := newBenchSim(t, benchConfig(CMFSD, 100_000))
+	s := newBenchSim(t, benchConfig(scheme.SimCMFSD, 100_000))
 	for i := 0; i < 20_000; i++ {
 		if !s.stepOnce() {
 			t.Fatalf("horizon hit at event %d", i)

@@ -5,13 +5,14 @@ import (
 
 	"mfdl/internal/correlation"
 	"mfdl/internal/rng"
+	"mfdl/internal/scheme"
 )
 
 // benchConfig holds a flash crowd of n peers with a horizon far enough
 // away that the benchmark only ever measures steady event processing.
-func benchConfig(scheme Scheme, n int) Config {
-	cfg := baseConfig(scheme)
-	if scheme == CMFSD {
+func benchConfig(sc scheme.SimScheme, n int) Config {
+	cfg := baseConfig(sc)
+	if sc == scheme.SimCMFSD {
 		cfg.Rho = 0.3
 	}
 	cfg.P = 0.9
@@ -50,8 +51,8 @@ func newBenchSim(b testing.TB, cfg Config) *sim {
 // benchmarkEventsimStep measures one event at a population of about n
 // peers (the flash crowd dwarfs the Poisson arrivals over the measured
 // window, so the population stays near n).
-func benchmarkEventsimStep(b *testing.B, scheme Scheme, n int) {
-	s := newBenchSim(b, benchConfig(scheme, n))
+func benchmarkEventsimStep(b *testing.B, sc scheme.SimScheme, n int) {
+	s := newBenchSim(b, benchConfig(sc, n))
 	// Settle: process a slice of events so leg states and rates mix.
 	for i := 0; i < 50; i++ {
 		if !s.stepOnce() {
@@ -72,7 +73,7 @@ func benchmarkEventsimStep(b *testing.B, scheme Scheme, n int) {
 }
 
 func BenchmarkEventsimStep(b *testing.B) {
-	for _, sc := range []Scheme{CMFSD, MTCD} {
+	for _, sc := range []scheme.SimScheme{scheme.SimCMFSD, scheme.SimMTCD} {
 		b.Run(sc.String()+"/n=1000", func(b *testing.B) { benchmarkEventsimStep(b, sc, 1_000) })
 		b.Run(sc.String()+"/n=10000", func(b *testing.B) { benchmarkEventsimStep(b, sc, 10_000) })
 		b.Run(sc.String()+"/n=100000", func(b *testing.B) {

@@ -11,6 +11,7 @@ import (
 
 	"mfdl/internal/adapt"
 	"mfdl/internal/faults"
+	"mfdl/internal/scheme"
 )
 
 var updateBitGolden = flag.Bool("update-bitgolden", false, "rewrite the bit-exact simulator goldens")
@@ -33,8 +34,8 @@ func bitGoldenCases() map[string]Config {
 		SlowPeerFraction: 0.2,
 		SlowFactor:       0.5,
 	}
-	mk := func(scheme Scheme, mutate func(*Config)) Config {
-		c := baseConfig(scheme)
+	mk := func(sc scheme.SimScheme, mutate func(*Config)) Config {
+		c := baseConfig(sc)
 		c.Horizon = 1200
 		c.Warmup = 200
 		c.P = 0.9
@@ -44,30 +45,30 @@ func bitGoldenCases() map[string]Config {
 		return c
 	}
 	return map[string]Config{
-		"mtcd": mk(MTCD, nil),
-		"mtsd": mk(MTSD, nil),
-		"mfcd": mk(MFCD, nil),
-		"cmfsd-rho05": mk(CMFSD, func(c *Config) {
+		"mtcd": mk(scheme.SimMTCD, nil),
+		"mtsd": mk(scheme.SimMTSD, nil),
+		"mfcd": mk(scheme.SimMFCD, nil),
+		"cmfsd-rho05": mk(scheme.SimCMFSD, func(c *Config) {
 			c.Rho = 0.5
 		}),
-		"cmfsd-adapt-cheaters": mk(CMFSD, func(c *Config) {
+		"cmfsd-adapt-cheaters": mk(scheme.SimCMFSD, func(c *Config) {
 			c.Adapt = &adaptCfg
 			c.CheaterFraction = 0.3
 		}),
-		"mtsd-faults": mk(MTSD, func(c *Config) {
+		"mtsd-faults": mk(scheme.SimMTSD, func(c *Config) {
 			c.Faults = chaos
 		}),
-		"cmfsd-faults": mk(CMFSD, func(c *Config) {
+		"cmfsd-faults": mk(scheme.SimCMFSD, func(c *Config) {
 			c.Rho = 0.4
 			c.Faults = chaos
 		}),
-		"mtcd-bandwidth": mk(MTCD, func(c *Config) {
+		"mtcd-bandwidth": mk(scheme.SimMTCD, func(c *Config) {
 			c.Bandwidth = []BandwidthClass{
 				{Name: "slow", Mu: 0.1, Weight: 1, Fraction: 0.5},
 				{Name: "fast", Mu: 0.4, Weight: 2, Fraction: 0.5},
 			}
 		}),
-		"cmfsd-flash-trace": mk(CMFSD, func(c *Config) {
+		"cmfsd-flash-trace": mk(scheme.SimCMFSD, func(c *Config) {
 			c.FlashCrowd = 50
 			c.SampleEvery = 5
 			c.Horizon = 600

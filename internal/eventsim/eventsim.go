@@ -30,25 +30,8 @@ import (
 	"mfdl/internal/trace"
 )
 
-// Scheme selects the downloading scheme to simulate. It aliases the
-// shared scheme.SimScheme identifier (this package's original numbering),
-// so values flow between the CLIs, internal/sim and both simulators
-// without translation.
-type Scheme = scheme.SimScheme
-
-// The four schemes of the paper.
-//
-// Deprecated: these local names are aliases kept so existing callers
-// compile unchanged; new code should use the scheme.Sim* constants.
-const (
-	MTCD  = scheme.SimMTCD
-	MTSD  = scheme.SimMTSD
-	MFCD  = scheme.SimMFCD
-	CMFSD = scheme.SimCMFSD
-)
-
 // concurrent reports whether legs run simultaneously with split bandwidth.
-func concurrent(s Scheme) bool { return s == MTCD || s == MFCD }
+func concurrent(s scheme.SimScheme) bool { return s == scheme.SimMTCD || s == scheme.SimMFCD }
 
 // Config parameterizes one simulation run.
 type Config struct {
@@ -60,7 +43,7 @@ type Config struct {
 	// P is the file correlation.
 	P float64
 	// Scheme is the downloading scheme.
-	Scheme Scheme
+	Scheme scheme.SimScheme
 	// Rho is the fixed CMFSD allocation ratio when Adapt is nil.
 	Rho float64
 	// Adapt, when non-nil, runs the Adapt controller on every obedient
@@ -123,7 +106,7 @@ func (c Config) Validate() error {
 	if c.P <= 0 || c.P > 1 {
 		return fmt.Errorf("eventsim: p = %v outside (0,1]", c.P)
 	}
-	if c.Scheme < MTCD || c.Scheme > CMFSD {
+	if c.Scheme < scheme.SimMTCD || c.Scheme > scheme.SimCMFSD {
 		return fmt.Errorf("eventsim: unknown scheme %d", int(c.Scheme))
 	}
 	if c.Rho < 0 || c.Rho > 1 {
@@ -431,7 +414,7 @@ func (s *sim) newPeer() *peer {
 		// All fault draws come from per-peer streams keyed by id, so the
 		// main RNG above is untouched relative to a faults-off run.
 		p.abortBudget = s.plan.AbortAfter(p.id)
-		if s.cfg.Scheme == CMFSD && p.class > 1 {
+		if s.cfg.Scheme == scheme.SimCMFSD && p.class > 1 {
 			p.vsQuitBudget = s.plan.SeedQuitAfter(p.id)
 		}
 		if f := s.plan.UploadFactor(p.id); f < 1 {
@@ -449,7 +432,7 @@ func (s *sim) newPeer() *peer {
 	} else {
 		p.legs[0].state = legDownloading
 	}
-	if s.cfg.Scheme == CMFSD {
+	if s.cfg.Scheme == scheme.SimCMFSD {
 		if s.rng.Bernoulli(s.cfg.CheaterFraction) {
 			p.cheater = true
 			p.rho = 1
@@ -483,9 +466,9 @@ func (s *sim) admit(p *peer) {
 // tit-for-tat in its current torrent.
 func (s *sim) tftUpload(p *peer) float64 {
 	switch s.cfg.Scheme {
-	case MTCD, MFCD:
+	case scheme.SimMTCD, scheme.SimMFCD:
 		return p.mu / float64(p.class)
-	case MTSD:
+	case scheme.SimMTSD:
 		return p.mu
 	default: // CMFSD
 		if p.class == 1 || p.finished == 0 {
@@ -498,7 +481,7 @@ func (s *sim) tftUpload(p *peer) float64 {
 // virtualUpload returns the CMFSD virtual-seed bandwidth of a downloading
 // peer (zero for other schemes and for peers with nothing finished).
 func (s *sim) virtualUpload(p *peer) float64 {
-	if s.cfg.Scheme != CMFSD || p.class == 1 || p.finished == 0 || p.seeding || p.vsQuit {
+	if s.cfg.Scheme != scheme.SimCMFSD || p.class == 1 || p.finished == 0 || p.seeding || p.vsQuit {
 		return 0
 	}
 	return (1 - p.rho) * p.mu
@@ -574,7 +557,7 @@ func (s *sim) init() bool {
 	}
 	s.nextArrival = s.rng.Exp(s.lambdaTot)
 	s.nextAdapt = never
-	if s.cfg.Scheme == CMFSD && s.cfg.Adapt != nil {
+	if s.cfg.Scheme == scheme.SimCMFSD && s.cfg.Adapt != nil {
 		s.nextAdapt = s.cfg.Adapt.Period
 	}
 	return true
@@ -607,7 +590,7 @@ func (s *sim) stepOnce() bool {
 	}
 
 	eta := s.cfg.Eta
-	if s.cfg.Scheme == CMFSD {
+	if s.cfg.Scheme == scheme.SimCMFSD {
 		// Pooled seed-like service: virtual seeds plus real seeds,
 		// split over all downloaders by weight (Eq. 5's S term; equal
 		// weights make it per capita).
@@ -681,7 +664,7 @@ func (s *sim) stepOnce() bool {
 				l := &p.legs[i]
 				switch l.state {
 				case legSeeding:
-					if s.cfg.Scheme == MTSD {
+					if s.cfg.Scheme == scheme.SimMTSD {
 						seedCap[l.torrent] += p.mu
 					} else {
 						seedCap[l.torrent] += p.mu / float64(p.class)
@@ -724,7 +707,7 @@ func (s *sim) stepOnce() bool {
 		if h.at < tNext ||
 			(h.at == tNext && (h.p.pos < curPos || (h.p.pos == curPos && h.sub < curSub))) {
 			tNext, actor = h.at, h.p
-			if s.cfg.Scheme == CMFSD {
+			if s.cfg.Scheme == scheme.SimCMFSD {
 				kind = evPeerDepart
 			} else {
 				kind, actorLeg = evLegDepart, int(h.sub)
@@ -850,13 +833,13 @@ func (s *sim) completeLeg(p *peer, li int) {
 	p.finished++
 	p.lastCompletionAt = s.now
 	switch s.cfg.Scheme {
-	case MTCD, MFCD:
+	case scheme.SimMTCD, scheme.SimMFCD:
 		l.state = legSeeding
 		l.seedDepartAt = s.now + s.rng.Exp(s.cfg.Gamma)
 		s.dlCount--
 		s.seedCount++
 		s.timers.push(l.seedDepartAt, p, int32(li))
-	case MTSD:
+	case scheme.SimMTSD:
 		l.state = legSeeding
 		l.seedDepartAt = s.now + s.rng.Exp(s.cfg.Gamma)
 		s.dlCount--
@@ -864,7 +847,7 @@ func (s *sim) completeLeg(p *peer, li int) {
 		s.timers.push(l.seedDepartAt, p, int32(li))
 		// The next file starts only after this seeding phase
 		// (sequential: download, seed, move on).
-	case CMFSD:
+	case scheme.SimCMFSD:
 		l.state = legDone
 		s.dlCount--
 		if p.finished == p.class {
@@ -882,7 +865,7 @@ func (s *sim) completeLeg(p *peer, li int) {
 
 // afterLegDeparture resumes a sequential peer or retires a concurrent one.
 func (s *sim) afterLegDeparture(p *peer, li int) {
-	if s.cfg.Scheme == MTSD {
+	if s.cfg.Scheme == scheme.SimMTSD {
 		if li == p.cursor && p.cursor+1 < len(p.legs) {
 			p.cursor++
 			p.legs[p.cursor].state = legDownloading
@@ -967,7 +950,7 @@ func (s *sim) departPeer(dead *peer) {
 		}
 	}
 	s.sumFiles += files
-	if s.cfg.Scheme == CMFSD && dead.class > 1 {
+	if s.cfg.Scheme == scheme.SimCMFSD && dead.class > 1 {
 		s.res.FinalRho.Add(dead.rho)
 	}
 }

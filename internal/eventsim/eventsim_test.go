@@ -6,6 +6,7 @@ import (
 
 	"mfdl/internal/adapt"
 	"mfdl/internal/fluid"
+	"mfdl/internal/scheme"
 	"mfdl/internal/stats"
 )
 
@@ -14,13 +15,13 @@ import (
 // predictions rescale exactly: T = (γ−μ)/(γμη) = 6, online per file = 8.
 var fastParams = fluid.Params{Mu: 0.2, Eta: 0.5, Gamma: 0.5}
 
-func baseConfig(scheme Scheme) Config {
+func baseConfig(sc scheme.SimScheme) Config {
 	return Config{
 		Params:  fastParams,
 		K:       10,
 		Lambda0: 1,
 		P:       1,
-		Scheme:  scheme,
+		Scheme:  sc,
 		Horizon: 4000,
 		Warmup:  800,
 		Seed:    1,
@@ -40,7 +41,7 @@ func run(t *testing.T, cfg Config) *Result {
 }
 
 func TestConfigValidation(t *testing.T) {
-	good := baseConfig(MTSD)
+	good := baseConfig(scheme.SimMTSD)
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Lambda0 = 0 },
 		func(c *Config) { c.P = 0 },
 		func(c *Config) { c.P = 1.5 },
-		func(c *Config) { c.Scheme = Scheme(9) },
+		func(c *Config) { c.Scheme = scheme.SimScheme(9) },
 		func(c *Config) { c.Rho = -1 },
 		func(c *Config) { c.Horizon = 0 },
 		func(c *Config) { c.Warmup = c.Horizon },
@@ -57,7 +58,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Adapt = &adapt.Config{} },
 	}
 	for i, mutate := range cases {
-		bad := baseConfig(MTSD)
+		bad := baseConfig(scheme.SimMTSD)
 		mutate(&bad)
 		if bad.Validate() == nil {
 			t.Fatalf("case %d accepted", i)
@@ -66,19 +67,19 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestSchemeString(t *testing.T) {
-	names := map[Scheme]string{MTCD: "MTCD", MTSD: "MTSD", MFCD: "MFCD", CMFSD: "CMFSD"}
+	names := map[scheme.SimScheme]string{scheme.SimMTCD: "MTCD", scheme.SimMTSD: "MTSD", scheme.SimMFCD: "MFCD", scheme.SimCMFSD: "CMFSD"}
 	for s, want := range names {
 		if s.String() != want {
 			t.Fatalf("%v", s)
 		}
 	}
-	if Scheme(42).String() == "" {
+	if scheme.SimScheme(42).String() == "" {
 		t.Fatal("unknown scheme has empty name")
 	}
 }
 
 func TestMTSDMatchesFluidPrediction(t *testing.T) {
-	res := run(t, baseConfig(MTSD))
+	res := run(t, baseConfig(scheme.SimMTSD))
 	// Fluid: online per file = T + 1/γ = 8; download per file = 6.
 	if e := stats.RelErr(res.AvgOnlinePerFile, 8, 1); e > 0.15 {
 		t.Fatalf("MTSD online per file %v, fluid predicts 8 (err %v)", res.AvgOnlinePerFile, e)
@@ -89,7 +90,7 @@ func TestMTSDMatchesFluidPrediction(t *testing.T) {
 }
 
 func TestMTCDMatchesFluidPrediction(t *testing.T) {
-	res := run(t, baseConfig(MTCD))
+	res := run(t, baseConfig(scheme.SimMTCD))
 	// Fluid at p=1, K=10 (rescaled): A = (γ−μ/10)/(γμη) = 9.6;
 	// online per file = A + 1/(10γ) = 9.8.
 	if e := stats.RelErr(res.AvgOnlinePerFile, 9.8, 1); e > 0.15 {
@@ -101,8 +102,8 @@ func TestMTCDMatchesFluidPrediction(t *testing.T) {
 }
 
 func TestMFCDBehavesLikeMTCD(t *testing.T) {
-	a := run(t, baseConfig(MTCD))
-	b := run(t, baseConfig(MFCD))
+	a := run(t, baseConfig(scheme.SimMTCD))
+	b := run(t, baseConfig(scheme.SimMFCD))
 	if e := stats.RelErr(b.AvgOnlinePerFile, a.AvgOnlinePerFile, 1); e > 0.1 {
 		t.Fatalf("MFCD %v vs MTCD %v", b.AvgOnlinePerFile, a.AvgOnlinePerFile)
 	}
@@ -110,8 +111,8 @@ func TestMFCDBehavesLikeMTCD(t *testing.T) {
 
 func TestMTCDBeatsNobodyAtFullCorrelation(t *testing.T) {
 	// The paper's headline: at p=1 MTCD is worse than MTSD.
-	seq := run(t, baseConfig(MTSD))
-	con := run(t, baseConfig(MTCD))
+	seq := run(t, baseConfig(scheme.SimMTSD))
+	con := run(t, baseConfig(scheme.SimMTCD))
 	if con.AvgOnlinePerFile <= seq.AvgOnlinePerFile {
 		t.Fatalf("MTCD %v should exceed MTSD %v at p=1",
 			con.AvgOnlinePerFile, seq.AvgOnlinePerFile)
@@ -119,11 +120,11 @@ func TestMTCDBeatsNobodyAtFullCorrelation(t *testing.T) {
 }
 
 func TestCMFSDRho0BeatsMFCD(t *testing.T) {
-	cfg := baseConfig(CMFSD)
+	cfg := baseConfig(scheme.SimCMFSD)
 	cfg.P = 0.9
 	cfg.Rho = 0
 	collab := run(t, cfg)
-	base := baseConfig(MFCD)
+	base := baseConfig(scheme.SimMFCD)
 	base.P = 0.9
 	mfcd := run(t, base)
 	if collab.AvgOnlinePerFile >= 0.85*mfcd.AvgOnlinePerFile {
@@ -133,10 +134,10 @@ func TestCMFSDRho0BeatsMFCD(t *testing.T) {
 }
 
 func TestCMFSDRho1ApproachesMFCD(t *testing.T) {
-	cfg := baseConfig(CMFSD)
+	cfg := baseConfig(scheme.SimCMFSD)
 	cfg.Rho = 1
 	seq := run(t, cfg)
-	mfcd := run(t, baseConfig(MFCD))
+	mfcd := run(t, baseConfig(scheme.SimMFCD))
 	if e := stats.RelErr(seq.AvgOnlinePerFile, mfcd.AvgOnlinePerFile, 1); e > 0.15 {
 		t.Fatalf("CMFSD ρ=1 (%v) far from MFCD (%v)",
 			seq.AvgOnlinePerFile, mfcd.AvgOnlinePerFile)
@@ -144,7 +145,7 @@ func TestCMFSDRho1ApproachesMFCD(t *testing.T) {
 }
 
 func TestDeterministicBySeed(t *testing.T) {
-	cfg := baseConfig(MTSD)
+	cfg := baseConfig(scheme.SimMTSD)
 	cfg.Horizon = 500
 	cfg.Warmup = 100
 	a, err := Run(cfg)
@@ -173,7 +174,7 @@ func TestLittlesLawInSimulation(t *testing.T) {
 	// time. For MTSD at p=1, λ_files = λ₀·K·p = 10, per-file T = 6, so
 	// mean downloaders ≈ 60... legs count one at a time per user: the
 	// user is a downloader for 6 units per file → L = 10·6 = 60.
-	res := run(t, baseConfig(MTSD))
+	res := run(t, baseConfig(scheme.SimMTSD))
 	want := 10.0 * res.AvgDownloadPerFile
 	if e := stats.RelErr(res.MeanDownloaders, want, 1); e > 0.2 {
 		t.Fatalf("L = %v, λW = %v", res.MeanDownloaders, want)
@@ -183,14 +184,14 @@ func TestLittlesLawInSimulation(t *testing.T) {
 func TestSeedPopulationMatchesGamma(t *testing.T) {
 	// Every completed file yields one seeding interval of mean 1/γ = 2:
 	// seed legs ≈ file completion rate × 2 = 10·2 = 20 (MTSD).
-	res := run(t, baseConfig(MTSD))
+	res := run(t, baseConfig(scheme.SimMTSD))
 	if e := stats.RelErr(res.MeanSeeds, 20, 1); e > 0.2 {
 		t.Fatalf("mean seeds %v, want ≈20", res.MeanSeeds)
 	}
 }
 
 func TestPerClassStatsPopulated(t *testing.T) {
-	cfg := baseConfig(MTCD)
+	cfg := baseConfig(scheme.SimMTCD)
 	cfg.P = 0.5
 	res := run(t, cfg)
 	total := 0
@@ -213,7 +214,7 @@ func TestOnlineEqualsDownloadPlusSeedingMTCD(t *testing.T) {
 	// Under MTCD a user stays online 1/γ past its last completion (per
 	// leg, overlapping): mean online − mean download per user should be
 	// positive and bounded by a few 1/γ.
-	res := run(t, baseConfig(MTCD))
+	res := run(t, baseConfig(scheme.SimMTCD))
 	diff := res.AvgOnlinePerFile - res.AvgDownloadPerFile
 	if diff <= 0 || diff > 3*(1/fastParams.Gamma) {
 		t.Fatalf("online−download per file = %v implausible", diff)
@@ -224,7 +225,7 @@ func TestAdaptDriftsUpWithCheaters(t *testing.T) {
 	// With most peers cheating, obedient peers give via virtual seeds but
 	// receive little: Δ > 0 and Adapt must push ρ toward 1 (the paper's
 	// degeneration-to-MFCD prediction).
-	cfg := baseConfig(CMFSD)
+	cfg := baseConfig(scheme.SimCMFSD)
 	cfg.P = 0.9
 	cfg.CheaterFraction = 0.8
 	ac := adapt.Config{
@@ -244,7 +245,7 @@ func TestAdaptDriftsUpWithCheaters(t *testing.T) {
 func TestAdaptStaysLowWhenAllObedient(t *testing.T) {
 	// With everyone collaborating at high correlation, contributions and
 	// benefits roughly balance: ρ should stay well below 1.
-	cfg := baseConfig(CMFSD)
+	cfg := baseConfig(scheme.SimCMFSD)
 	cfg.P = 1
 	ac := adapt.Config{
 		Lower: -0.05, Upper: 0.05, StepUp: 0.2, StepDown: 0.1,
@@ -261,11 +262,11 @@ func TestAdaptStaysLowWhenAllObedient(t *testing.T) {
 }
 
 func TestCheaterFractionOneIsMFCDLike(t *testing.T) {
-	cfg := baseConfig(CMFSD)
+	cfg := baseConfig(scheme.SimCMFSD)
 	cfg.CheaterFraction = 1
 	cfg.Rho = 0 // ignored by cheaters
 	res := run(t, cfg)
-	mfcd := run(t, baseConfig(MFCD))
+	mfcd := run(t, baseConfig(scheme.SimMFCD))
 	if e := stats.RelErr(res.AvgOnlinePerFile, mfcd.AvgOnlinePerFile, 1); e > 0.15 {
 		t.Fatalf("all-cheaters CMFSD %v far from MFCD %v",
 			res.AvgOnlinePerFile, mfcd.AvgOnlinePerFile)
@@ -273,7 +274,7 @@ func TestCheaterFractionOneIsMFCDLike(t *testing.T) {
 }
 
 func TestNoCompletionsWithoutArrivals(t *testing.T) {
-	cfg := baseConfig(MTSD)
+	cfg := baseConfig(scheme.SimMTSD)
 	cfg.P = 1e-12 // essentially no arrivals, but valid
 	cfg.Horizon = 10
 	cfg.Warmup = 1
@@ -290,7 +291,7 @@ func TestNoCompletionsWithoutArrivals(t *testing.T) {
 }
 
 func BenchmarkMTSDRun(b *testing.B) {
-	cfg := baseConfig(MTSD)
+	cfg := baseConfig(scheme.SimMTSD)
 	cfg.Horizon = 1000
 	cfg.Warmup = 200
 	for i := 0; i < b.N; i++ {
@@ -302,7 +303,7 @@ func BenchmarkMTSDRun(b *testing.B) {
 }
 
 func BenchmarkCMFSDRun(b *testing.B) {
-	cfg := baseConfig(CMFSD)
+	cfg := baseConfig(scheme.SimCMFSD)
 	cfg.P = 0.9
 	cfg.Horizon = 1000
 	cfg.Warmup = 200
@@ -317,7 +318,7 @@ func BenchmarkCMFSDRun(b *testing.B) {
 func TestMTSDPerClassScaling(t *testing.T) {
 	// Class-i users take ≈ i × (T + 1/γ) = 8i online under the rescaled
 	// parameters; check classes with decent samples at p = 0.5.
-	cfg := baseConfig(MTSD)
+	cfg := baseConfig(scheme.SimMTSD)
 	cfg.P = 0.5
 	cfg.Horizon = 6000
 	cfg.Warmup = 1000
@@ -335,7 +336,7 @@ func TestMTSDPerClassScaling(t *testing.T) {
 }
 
 func TestFlashCrowdAndTraceRecorded(t *testing.T) {
-	cfg := baseConfig(CMFSD)
+	cfg := baseConfig(scheme.SimCMFSD)
 	cfg.FlashCrowd = 100
 	cfg.SampleEvery = 5
 	cfg.Horizon = 200
@@ -361,12 +362,12 @@ func TestFlashCrowdAndTraceRecorded(t *testing.T) {
 }
 
 func TestFlashCrowdValidation(t *testing.T) {
-	cfg := baseConfig(MTSD)
+	cfg := baseConfig(scheme.SimMTSD)
 	cfg.FlashCrowd = -1
 	if cfg.Validate() == nil {
 		t.Fatal("negative flash crowd accepted")
 	}
-	cfg = baseConfig(MTSD)
+	cfg = baseConfig(scheme.SimMTSD)
 	cfg.SampleEvery = -1
 	if cfg.Validate() == nil {
 		t.Fatal("negative sample interval accepted")
@@ -385,7 +386,7 @@ func TestHeterogeneousMatchesMultiClassFluid(t *testing.T) {
 		K:         1,
 		Lambda0:   4, // bigger swarm to tame mean-field noise
 		P:         1,
-		Scheme:    MTSD,
+		Scheme:    scheme.SimMTSD,
 		Horizon:   3000,
 		Warmup:    600,
 		Seed:      3,
@@ -431,7 +432,7 @@ func TestHeterogeneousMatchesMultiClassFluid(t *testing.T) {
 }
 
 func TestBandwidthValidation(t *testing.T) {
-	cfg := baseConfig(MTSD)
+	cfg := baseConfig(scheme.SimMTSD)
 	cfg.Bandwidth = []BandwidthClass{{Name: "a", Mu: 0.1, Weight: 1, Fraction: 0.5}}
 	if cfg.Validate() == nil {
 		t.Fatal("fractions not summing to 1 accepted")

@@ -6,6 +6,7 @@ import (
 	"mfdl/internal/correlation"
 	"mfdl/internal/faults"
 	"mfdl/internal/rng"
+	"mfdl/internal/scheme"
 )
 
 // checkHeapInvariant verifies the min-heap property and the index
@@ -128,13 +129,13 @@ func TestTimerHeapRandomOps(t *testing.T) {
 // incrementally maintained population counters against the populations()
 // scan after every event.
 func TestPopulationCountersMatchScan(t *testing.T) {
-	for _, scheme := range []Scheme{MTCD, MTSD, MFCD, CMFSD} {
-		cfg := baseConfig(scheme)
+	for _, sc := range []scheme.SimScheme{scheme.SimMTCD, scheme.SimMTSD, scheme.SimMFCD, scheme.SimCMFSD} {
+		cfg := baseConfig(sc)
 		cfg.Horizon = 400
 		cfg.Warmup = 50
 		cfg.Faults.Seed = 3
 		cfg.Faults.AbortRate = 0.01
-		if scheme == CMFSD {
+		if sc == scheme.SimCMFSD {
 			cfg.Rho = 0.4
 			cfg.Faults.SeedQuitRate = 0.05
 		}
@@ -160,7 +161,7 @@ func TestPopulationCountersMatchScan(t *testing.T) {
 			s.res.Classes[i].Class = i + 1
 		}
 		if !s.init() {
-			t.Fatalf("%v: event loop refused to start", scheme)
+			t.Fatalf("%v: event loop refused to start", sc)
 		}
 		events := 0
 		for s.stepOnce() {
@@ -168,11 +169,11 @@ func TestPopulationCountersMatchScan(t *testing.T) {
 			dl, seeds := s.populations()
 			if dl != s.dlCount || seeds != s.seedCount {
 				t.Fatalf("%v event %d: counters (%d,%d) != scan (%d,%d)",
-					scheme, events, s.dlCount, s.seedCount, dl, seeds)
+					sc, events, s.dlCount, s.seedCount, dl, seeds)
 			}
 		}
 		if events == 0 {
-			t.Fatalf("%v: no events processed", scheme)
+			t.Fatalf("%v: no events processed", sc)
 		}
 	}
 }

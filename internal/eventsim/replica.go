@@ -1,67 +1,24 @@
 package eventsim
 
-import (
-	"context"
+import "mfdl/internal/replica"
 
-	"mfdl/internal/replica"
-	"mfdl/internal/stats"
-)
-
-// Sim adapts a Config to the replica engine: every replica reruns the
-// same configuration at the engine-derived seed. The Config is treated as
-// immutable; Simulate may be called concurrently.
-type Sim struct {
-	Config Config
-}
-
-// Simulate implements replica.Sim.
-func (s Sim) Simulate(_ context.Context, r replica.Rep) (replica.Sample, error) {
-	cfg := s.Config
-	cfg.Seed = r.Seed
-	out, err := Run(cfg)
-	if err != nil {
-		return replica.Sample{}, err
-	}
-	return out.Sample(), nil
-}
-
-// Sample flattens the run's metrics into the replica engine's named form:
-// scalar aggregates under the standard replica keys, post-warmup user
-// counts, and the per-class / per-bandwidth-class summaries for pooled
-// merging.
+// Sample flattens the run's metrics into the replica contract's named
+// form, including the per-bandwidth-class ones.
 func (r *Result) Sample() replica.Sample {
-	s := replica.Sample{
-		Values: map[string]float64{
-			replica.OnlinePerFile:   r.AvgOnlinePerFile,
-			replica.DownloadPerFile: r.AvgDownloadPerFile,
-			replica.MeanDownloaders: r.MeanDownloaders,
-			replica.MeanSeeds:       r.MeanSeeds,
-			replica.FinalRho:        r.FinalRho.Mean(),
-		},
-		Counts: map[string]float64{
-			replica.Completed: float64(r.CompletedUsers),
-			replica.Arrived:   float64(r.ArrivedUsers),
-			replica.Aborted:   float64(r.AbortedUsers),
-			replica.SeedQuits: float64(r.SeedQuits),
-		},
-		Summaries: map[string]stats.Summary{
-			replica.FinalRho: r.FinalRho,
-		},
+	o := replica.Outcome{
+		OnlinePerFile: r.AvgOnlinePerFile, DownloadPerFile: r.AvgDownloadPerFile,
+		MeanDownloaders: r.MeanDownloaders, MeanSeeds: r.MeanSeeds,
+		FinalRho:  r.FinalRho,
+		Completed: r.CompletedUsers, Arrived: r.ArrivedUsers,
+		Aborted: r.AbortedUsers, SeedQuits: r.SeedQuits,
+		Classes:   make([]replica.Class, len(r.Classes)),
+		Bandwidth: make([]replica.Class, len(r.Bandwidth)),
 	}
-	for _, c := range r.Classes {
-		if c.Completed == 0 {
-			continue
-		}
-		s.Counts[replica.ClassKey(c.Class, replica.Completed)] = float64(c.Completed)
-		s.Summaries[replica.ClassKey(c.Class, replica.OnlinePerFile)] = c.OnlineTime
-		s.Summaries[replica.ClassKey(c.Class, replica.DownloadPerFile)] = c.DownloadTime
+	for i, c := range r.Classes {
+		o.Classes[i] = replica.Class{ID: c.Class, Completed: c.Completed, Online: c.OnlineTime, Download: c.DownloadTime}
 	}
-	for _, b := range r.Bandwidth {
-		s.Values[replica.BandwidthKey(b.Name, replica.OnlinePerFile)] = b.OnlineTime.Mean()
-		s.Values[replica.BandwidthKey(b.Name, replica.DownloadPerFile)] = b.DownloadTime.Mean()
-		s.Counts[replica.BandwidthKey(b.Name, replica.Completed)] = float64(b.Completed)
-		s.Summaries[replica.BandwidthKey(b.Name, replica.OnlinePerFile)] = b.OnlineTime
-		s.Summaries[replica.BandwidthKey(b.Name, replica.DownloadPerFile)] = b.DownloadTime
+	for i, b := range r.Bandwidth {
+		o.Bandwidth[i] = replica.Class{Name: b.Name, Completed: b.Completed, Online: b.OnlineTime, Download: b.DownloadTime}
 	}
-	return s
+	return o.Sample()
 }

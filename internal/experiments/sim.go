@@ -55,11 +55,11 @@ func (s SimSettings) replicated() bool { return s.Replicas > 1 || s.CITarget > 0
 
 // stopping assembles the sequential-stopping rule for these settings;
 // metric is the experiment's headline metric, overridden by CIMetric.
-func (s SimSettings) stopping(metric string) replica.Stopping {
+func (s SimSettings) stopping(metric string) sim.Stopping {
 	if s.CIMetric != "" {
 		metric = s.CIMetric
 	}
-	return replica.Stopping{Metric: metric, Target: s.CITarget, MaxReplicas: s.ReplicasMax}
+	return sim.Stopping{Metric: metric, Target: s.CITarget, MaxReplicas: s.ReplicasMax}
 }
 
 // runSimJob executes a sim-replica job for these settings through the job

@@ -10,6 +10,7 @@ import (
 	"mfdl/internal/numeric/ode"
 	"mfdl/internal/replica"
 	"mfdl/internal/scheme"
+	"mfdl/internal/sim"
 	"mfdl/internal/table"
 	"mfdl/internal/trace"
 )
@@ -111,7 +112,7 @@ func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) 
 		scale = 1
 	}
 	var first *trace.Recorder
-	aggs, err := replica.RunSequential(ctx, 1, func(int) replica.Sim {
+	aggs, err := sim.RunSequential(ctx, 1, func(int) replica.Sim {
 		return replica.SimFunc(func(_ context.Context, rep replica.Rep) (replica.Sample, error) {
 			sc := eventsim.Config{
 				Params: set.Params, K: set.K, Lambda0: set.Lambda0, P: p,
@@ -141,7 +142,7 @@ func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) 
 				transientPeakSimT:       peakT,
 			}}, nil
 		})
-	}, replica.Options{Replicas: set.Replicas, Workers: set.Workers, Seed: set.Seed, Obs: set.Obs},
+	}, sim.Options{Replicas: set.Replicas, Workers: set.Workers, Seed: set.Seed, Obs: set.Obs},
 		set.stopping(transientRMSDownloaders))
 	if err != nil {
 		return nil, err

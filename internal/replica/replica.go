@@ -1,35 +1,17 @@
-// Package replica is the replica engine behind every simulator-backed
-// number in the repository: it fans R independently seeded replicas of
-// each simulation cell out over the runner's worker pool and reduces the
-// per-replica samples into mean / 95% confidence interval / min / max per
-// metric.
+// Package replica is the simulator contract: what a simulation backend
+// implements and the replica engine (internal/sim) consumes. A backend
+// reruns a fixed configuration at the seed it is given and reports each
+// run as a Sample of named metrics, written under the standard keys by
+// Outcome.Sample; it links neither the engine nor the worker pool nor the
+// stores. Beside Sample and Sim the contract holds the sample codec (the
+// bytes the sample store persists and the fabric carries), the seed
+// derivation every executor shares, and Reduce, which folds a cell's
+// samples into mean / 95% confidence interval / min / max per metric:
 //
-// A single simulation trajectory is one draw from the stochastic system,
-// so a fluid-vs-simulation comparison based on it has no error bars. The
-// engine turns any seedable simulation — anything implementing Sim, which
-// both internal/eventsim and internal/swarm do — into a replicated
-// estimate:
-//
-//	aggs, err := replica.Run(ctx, len(specs), func(cell int) replica.Sim {
-//	    cfg := ... // the cell's simulator configuration
-//	    return eventsim.Sim{Config: cfg}
-//	}, replica.Options{Replicas: 8, Seed: 1})
-//	mean := aggs[0].Mean(replica.OnlinePerFile)
-//	ci   := aggs[0].CI95(replica.OnlinePerFile)
-//
-// # One path
-//
-// The engine has one stopping loop, Sequential, which sets each round's
-// per-cell replica counts and leaves the round to its caller:
-// RunSequential's in memory (Run is its fixed-R case), internal/sim's
-// RunRounds' as a spec served through the runner pool or a fabric
-// campaign. Every replica, whoever asks for it, is computed by
-// SimulateStored, and every cell is folded by Reduce. Experiments do not
-// call the engine directly: they lower their grids to the sim-replica job
-// kind, whose cells call SimulateStored one (cell, replica) at a time —
-// locally, from a checkpoint or on a fabric worker. The one direct caller
-// left is the flash-crowd transient, whose replicas return traces no job
-// payload carries.
+//	res, err := eventsim.Run(cfg) // cfg.Seed is the replica's seed
+//	samples = append(samples, res.Sample())
+//	agg := replica.Reduce(samples) // samples in replica order
+//	mean, ci := agg.Mean(replica.OnlinePerFile), agg.CI95(replica.OnlinePerFile)
 //
 // # Seed derivation
 //
@@ -48,21 +30,17 @@
 //
 // # Determinism
 //
-// All cells × replicas execute on one bounded runner pool; samples are
-// reduced in (cell, replica) order with sorted metric keys, so the output
-// is byte-identical at any worker count for fixed (seed, R).
+// Reduce folds samples in the order given over the sorted union of metric
+// keys, so an executor that hands it a cell's samples in replica order
+// gets the same aggregate no matter where or when they were drawn.
 package replica
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
-	"time"
 
-	"mfdl/internal/obs"
 	"mfdl/internal/rng"
-	"mfdl/internal/runner/diskcache"
 	"mfdl/internal/stats"
 )
 
@@ -88,6 +66,9 @@ const (
 	// keys): users who left mid-download and virtual seeds that quit.
 	Aborted   = "aborted"
 	SeedQuits = "seed_quits"
+	// Chunks counts chunk transfers (a Counts key of the chunk-level
+	// simulator only).
+	Chunks = "chunks"
 )
 
 // ClassKey names a per-class metric, e.g. ClassKey(3, OnlinePerFile).
@@ -110,6 +91,75 @@ type Sample struct {
 	Summaries map[string]stats.Summary
 }
 
+// Outcome is one simulator run in the contract's terms. Both backends
+// fill one from their result and call Sample, so the key schema is
+// written once.
+type Outcome struct {
+	OnlinePerFile, DownloadPerFile float64
+	MeanDownloaders, MeanSeeds     float64
+	// FinalRho is the per-peer distribution of final allocation ratios.
+	FinalRho                               stats.Summary
+	Completed, Arrived, Aborted, SeedQuits int
+	// Chunks is the number of chunk transfers; nil for a flow-level run.
+	Chunks *int
+	// Classes holds the per-class statistics (a class nobody completed is
+	// left out); Bandwidth the per-bandwidth-class ones, flow level only.
+	Classes, Bandwidth []Class
+}
+
+// Class is the statistics of one group of users: a file-count class,
+// keyed by ClassKey(ID, …), or a bandwidth class, keyed by
+// BandwidthKey(Name, …).
+type Class struct {
+	ID               int
+	Name             string
+	Completed        int
+	Online, Download stats.Summary
+}
+
+// Sample flattens the outcome under the standard keys: scalar aggregates,
+// post-warmup counts, and the per-class and per-bandwidth-class summaries
+// for pooled merging.
+func (o Outcome) Sample() Sample {
+	s := Sample{
+		Values: map[string]float64{
+			OnlinePerFile:   o.OnlinePerFile,
+			DownloadPerFile: o.DownloadPerFile,
+			MeanDownloaders: o.MeanDownloaders,
+			MeanSeeds:       o.MeanSeeds,
+			FinalRho:        o.FinalRho.Mean(),
+		},
+		Counts: map[string]float64{
+			Completed: float64(o.Completed),
+			Arrived:   float64(o.Arrived),
+			Aborted:   float64(o.Aborted),
+			SeedQuits: float64(o.SeedQuits),
+		},
+		Summaries: map[string]stats.Summary{
+			FinalRho: o.FinalRho,
+		},
+	}
+	if o.Chunks != nil {
+		s.Counts[Chunks] = float64(*o.Chunks)
+	}
+	for _, c := range o.Classes {
+		if c.Completed == 0 {
+			continue
+		}
+		s.Counts[ClassKey(c.ID, Completed)] = float64(c.Completed)
+		s.Summaries[ClassKey(c.ID, OnlinePerFile)] = c.Online
+		s.Summaries[ClassKey(c.ID, DownloadPerFile)] = c.Download
+	}
+	for _, b := range o.Bandwidth {
+		s.Values[BandwidthKey(b.Name, OnlinePerFile)] = b.Online.Mean()
+		s.Values[BandwidthKey(b.Name, DownloadPerFile)] = b.Download.Mean()
+		s.Counts[BandwidthKey(b.Name, Completed)] = float64(b.Completed)
+		s.Summaries[BandwidthKey(b.Name, OnlinePerFile)] = b.Online
+		s.Summaries[BandwidthKey(b.Name, DownloadPerFile)] = b.Download
+	}
+	return s
+}
+
 // Rep identifies one replica of one cell together with its derived seed.
 type Rep struct {
 	// Cell is the cell index in [0, cells).
@@ -121,9 +171,10 @@ type Rep struct {
 	Seed uint64
 }
 
-// Sim runs one independently seeded replica of a simulation. The
-// implementations in internal/eventsim and internal/swarm rerun a fixed
-// configuration at the given seed.
+// Sim runs one independently seeded replica of a simulation: it reruns a
+// fixed configuration at r.Seed. The engine may call Simulate
+// concurrently, so implementations treat their configuration as
+// immutable.
 type Sim interface {
 	Simulate(ctx context.Context, r Rep) (Sample, error)
 }
@@ -134,44 +185,6 @@ type SimFunc func(ctx context.Context, r Rep) (Sample, error)
 // Simulate implements Sim.
 func (f SimFunc) Simulate(ctx context.Context, r Rep) (Sample, error) {
 	return f(ctx, r)
-}
-
-// Options configure one engine run (Run or RunSequential).
-type Options struct {
-	// Replicas is R, the number of independently seeded replicas per
-	// cell; 0 means 1. Negative values are an error.
-	Replicas int
-	// Workers bounds the shared worker pool; <= 0 means all cores.
-	Workers int
-	// Seed is the base seed of the derivation scheme.
-	Seed uint64
-	// Obs, when non-nil, instruments the run: a replica_simulate_seconds
-	// histogram per (cell, replica) Simulate, a replica_reduce_seconds
-	// histogram per cell reduction, and — with a span sink attached —
-	// "simulate" and "reduce" phase spans labeled with cell/replica
-	// indices. The registry is also passed down to the runner pool. Nil
-	// disables instrumentation (no clock reads, no allocations).
-	Obs *obs.Registry
-	// Samples, when non-nil together with SampleKey, persists every
-	// computed replica sample under (SampleKey(cell), seed) and replays
-	// stored samples instead of simulating them. Because a sample is a
-	// pure function of its configuration and seed, and growing R only
-	// appends seeds (see Seeds), a re-run with a larger replica count
-	// reuses every earlier sample — R grows, it never resamples.
-	Samples *diskcache.SampleStore
-	// SampleKey names cell's sample-store identity: everything that
-	// determines the cell's samples except the seed (typically a
-	// fingerprint of the simulator configuration). Required for Samples to
-	// take effect.
-	SampleKey func(cell int) string
-}
-
-// replicas normalizes the replica count.
-func (o Options) replicas() int {
-	if o.Replicas <= 0 {
-		return 1
-	}
-	return o.Replicas
 }
 
 // Agg is the reduction of one cell's R replica samples.
@@ -231,77 +244,12 @@ func Seeds(base uint64, cells, r int) [][]uint64 {
 	return out
 }
 
-// Run executes R replicas of each of cells simulations over one bounded
-// worker pool and reduces each cell's samples into an Agg: the fixed-R
-// case of RunSequential. sim is called once per cell (serially, before any
-// replica starts) to obtain the cell's simulator; the same Sim value then
-// receives all R Simulate calls, possibly concurrently, so implementations
-// must treat their configuration as immutable.
-//
-// The result is indexed like the cells and byte-identical at any worker
-// count. The first error (by flattened (cell, replica) index) cancels the
-// remaining replicas and is returned.
-func Run(ctx context.Context, cells int, sim func(cell int) Sim, opts Options) ([]Agg, error) {
-	return RunSequential(ctx, cells, sim, opts, Stopping{})
-}
-
-// simulateOne runs — or replays from the sample store — one replica of one
-// cell: the single path the engine and the sim-replica job kind (via
-// SimulateStored) share, so a sample is computed the same way no matter
-// which executor asked for it.
-func simulateOne(ctx context.Context, s Sim, r Rep, opts Options) (Sample, error) {
-	key := ""
-	if opts.Samples != nil && opts.SampleKey != nil {
-		key = opts.SampleKey(r.Cell)
-	}
-	return SimulateStored(ctx, s, r, key, opts.Samples, opts.Obs)
-}
-
-// SimulateStored runs one replica through the sample store: a stored
-// sample under (key, r.Seed) is decoded and returned without simulating;
-// otherwise the simulation runs and its encoded sample is persisted
-// (best-effort) before returning. An empty key or nil store disables the
-// store entirely. A stored payload that fails to decode — corrupt, or
-// written under another sample schema — reads as a miss and is recomputed.
-func SimulateStored(ctx context.Context, s Sim, r Rep, key string, store *diskcache.SampleStore, ob *obs.Registry) (Sample, error) {
-	if store != nil && key != "" {
-		if payload, ok := store.Get(key, r.Seed); ok {
-			if sample, err := DecodeSample(payload); err == nil {
-				return sample, nil
-			}
-		}
-	}
-	var (
-		simStart time.Time
-		sp       obs.Span
-	)
-	if ob != nil {
-		simStart = time.Now()
-		if ob.Tracing() {
-			sp = ob.StartSpan("simulate",
-				obs.L("cell", strconv.Itoa(r.Cell)), obs.L("replica", strconv.Itoa(r.Replica)))
-		}
-	}
-	sample, err := s.Simulate(ctx, r)
-	if ob != nil {
-		ob.Histogram("replica_simulate_seconds", obs.LatencyBuckets).Since(simStart)
-		sp.End()
-	}
-	if err != nil {
-		return Sample{}, fmt.Errorf("cell %d replica %d (seed %d): %w", r.Cell, r.Replica, r.Seed, err)
-	}
-	if store != nil && key != "" {
-		if payload, err := EncodeSample(sample); err == nil {
-			_ = store.Put(key, r.Seed, payload)
-		}
-	}
-	return sample, nil
-}
-
-// reduce folds one cell's samples, in replica order, into an Agg.
-// Iteration is over the sorted union of keys so the reduction itself is
-// deterministic regardless of map layout.
-func reduce(samples []Sample) Agg {
+// Reduce folds one cell's samples, in replica order, into an Agg — the one
+// reduction every executor applies, so samples gathered through any route
+// (in memory, the sample store, the distributed fabric) produce
+// numerically identical aggregates. Iteration is over the sorted union of
+// keys so the reduction itself is deterministic regardless of map layout.
+func Reduce(samples []Sample) Agg {
 	agg := Agg{
 		Replicas:  len(samples),
 		Values:    map[string]stats.Summary{},

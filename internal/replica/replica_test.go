@@ -1,15 +1,9 @@
 package replica
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math"
 	"reflect"
-	"strings"
 	"testing"
-
-	"mfdl/internal/stats"
 )
 
 // TestSeedsScheme pins the seed-derivation contract DESIGN.md documents:
@@ -65,157 +59,6 @@ func TestSeedsPanics(t *testing.T) {
 			}()
 			Seeds(1, tc.cells, tc.r)
 		}()
-	}
-}
-
-// echoSim emits deterministic metrics derived from the replica identity,
-// so aggregation results can be predicted exactly.
-func echoSim(cell int) Sim {
-	return SimFunc(func(_ context.Context, r Rep) (Sample, error) {
-		v := float64(r.Cell*1000 + r.Replica)
-		var sum stats.Summary
-		sum.Add(v)
-		sum.Add(v + 1)
-		return Sample{
-			Values:    map[string]float64{"v": v, "seedlo": float64(r.Seed % 997)},
-			Counts:    map[string]float64{"n": 1, "cell": float64(r.Cell)},
-			Summaries: map[string]stats.Summary{"s": sum},
-		}, nil
-	})
-}
-
-func TestRunAggregation(t *testing.T) {
-	const cells, r = 3, 4
-	aggs, err := Run(context.Background(), cells, echoSim, Options{Replicas: r, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aggs) != cells {
-		t.Fatalf("got %d aggs, want %d", len(aggs), cells)
-	}
-	for c, agg := range aggs {
-		if agg.Replicas != r {
-			t.Errorf("cell %d: Replicas = %d, want %d", c, agg.Replicas, r)
-		}
-		// Values: the across-replica distribution of v = 1000c + j over
-		// j = 0..3 has mean 1000c + 1.5, min 1000c, max 1000c + 3.
-		v := agg.Value("v")
-		if v.N() != r {
-			t.Errorf("cell %d: v.N = %d, want %d", c, v.N(), r)
-		}
-		wantMean := float64(1000*c) + 1.5
-		if math.Abs(agg.Mean("v")-wantMean) > 1e-12 {
-			t.Errorf("cell %d: mean %v, want %v", c, agg.Mean("v"), wantMean)
-		}
-		if v.Min() != float64(1000*c) || v.Max() != float64(1000*c+3) {
-			t.Errorf("cell %d: min/max %v/%v, want %d/%d", c, v.Min(), v.Max(), 1000*c, 1000*c+3)
-		}
-		// CI95 of {0,1,2,3}: sd = sqrt(5/3), stderr = sd/2.
-		wantCI := 1.959963984540054 * math.Sqrt(5.0/3.0) / 2
-		if math.Abs(agg.CI95("v")-wantCI) > 1e-12 {
-			t.Errorf("cell %d: CI95 %v, want %v", c, agg.CI95("v"), wantCI)
-		}
-		// Counts sum across replicas.
-		if got := agg.Count("n"); got != r {
-			t.Errorf("cell %d: count n = %v, want %d", c, got, r)
-		}
-		if got := agg.Count("cell"); got != float64(c*r) {
-			t.Errorf("cell %d: count cell = %v, want %d", c, got, c*r)
-		}
-		// Summaries pool: 2 observations per replica.
-		pooled := agg.Summary("s")
-		if got := pooled.N(); got != 2*r {
-			t.Errorf("cell %d: summary N = %d, want %d", c, got, 2*r)
-		}
-		// Missing keys read as zero values.
-		if agg.Mean("absent") != 0 || agg.CI95("absent") != 0 || agg.Count("absent") != 0 {
-			t.Errorf("cell %d: absent keys should aggregate to zero", c)
-		}
-	}
-}
-
-// TestRunWorkerCountInvariance is the engine's core guarantee: for fixed
-// (seed, R), the reduction is bit-identical at any worker count.
-func TestRunWorkerCountInvariance(t *testing.T) {
-	run := func(workers int) []Agg {
-		t.Helper()
-		aggs, err := Run(context.Background(), 4, echoSim,
-			Options{Replicas: 5, Workers: workers, Seed: 1234})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return aggs
-	}
-	want := run(1)
-	for _, workers := range []int{2, 3, 8} {
-		if got := run(workers); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d produced a different aggregation than workers=1", workers)
-		}
-	}
-}
-
-// TestRunReplicaZeroSeed checks the byte-compat linchpin: with R = 1 the
-// only replica runs at the base seed itself.
-func TestRunReplicaZeroSeed(t *testing.T) {
-	const base = uint64(77)
-	var got []uint64
-	_, err := Run(context.Background(), 3, func(int) Sim {
-		return SimFunc(func(_ context.Context, r Rep) (Sample, error) {
-			if r.Replica == 0 {
-				got = append(got, r.Seed)
-			}
-			return Sample{}, nil
-		})
-	}, Options{Replicas: 1, Workers: 1, Seed: base})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range got {
-		if s != base {
-			t.Errorf("cell %d replica 0 ran at seed %d, want base %d", i, s, base)
-		}
-	}
-}
-
-func TestRunErrors(t *testing.T) {
-	ctx := context.Background()
-	if _, err := Run(ctx, 1, echoSim, Options{Replicas: -1}); err == nil {
-		t.Error("negative Replicas accepted")
-	}
-	if _, err := Run(ctx, -1, echoSim, Options{}); err == nil {
-		t.Error("negative cells accepted")
-	}
-	if _, err := Run(ctx, 1, func(int) Sim { return nil }, Options{}); err == nil {
-		t.Error("nil sim accepted")
-	}
-	if aggs, err := Run(ctx, 0, echoSim, Options{}); err != nil || aggs != nil {
-		t.Errorf("0 cells: got (%v, %v), want (nil, nil)", aggs, err)
-	}
-	// A replica error is labeled with its (cell, replica, seed) and
-	// propagated; the lowest flattened index wins.
-	boom := errors.New("boom")
-	_, err := Run(ctx, 2, func(cell int) Sim {
-		return SimFunc(func(_ context.Context, r Rep) (Sample, error) {
-			if r.Cell == 1 && r.Replica == 2 {
-				return Sample{}, boom
-			}
-			return Sample{}, nil
-		})
-	}, Options{Replicas: 3, Workers: 1, Seed: 5})
-	if !errors.Is(err, boom) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	if !strings.Contains(err.Error(), "cell 1 replica 2") {
-		t.Errorf("error %q does not identify the failing replica", err)
-	}
-}
-
-func TestRunContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Run(ctx, 2, echoSim, Options{Replicas: 2})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 

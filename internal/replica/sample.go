@@ -151,11 +151,3 @@ func SeedOf(base uint64, cell, rep int) uint64 {
 	}
 	return seed
 }
-
-// Reduce folds one cell's samples, in replica order, into an Agg — the
-// exact reduction Run applies, exported so that executors which gather
-// samples through other routes (the sample store, the distributed fabric)
-// produce numerically identical aggregates.
-func Reduce(samples []Sample) Agg {
-	return reduce(samples)
-}

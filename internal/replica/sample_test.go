@@ -2,7 +2,6 @@ package replica
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -144,30 +143,5 @@ func TestSeedOfPanicsOnNegativeIndex(t *testing.T) {
 			}()
 			SeedOf(1, tc.cell, tc.rep)
 		}()
-	}
-}
-
-// Reduce over a cell's raw samples must equal the Agg Run computes for the
-// same cell — the equivalence that lets the fabric reduce shipped samples.
-func TestReduceMatchesRun(t *testing.T) {
-	const cells, r = 3, 4
-	aggs, err := Run(context.Background(), cells, echoSim, Options{Replicas: r, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := Seeds(11, cells, r)
-	for c := 0; c < cells; c++ {
-		samples := make([]Sample, r)
-		for j := 0; j < r; j++ {
-			s, err := echoSim(c).Simulate(context.Background(),
-				Rep{Cell: c, Replica: j, Seed: seeds[c][j]})
-			if err != nil {
-				t.Fatal(err)
-			}
-			samples[j] = s
-		}
-		if got := Reduce(samples); !reflect.DeepEqual(got, aggs[c]) {
-			t.Errorf("cell %d: Reduce != Run agg", c)
-		}
 	}
 }

@@ -4,9 +4,10 @@ import "fmt"
 
 // SimScheme is the shared numeric scheme identifier of the two simulators.
 // internal/eventsim (flow-level) and internal/swarm (chunk-level) used to
-// declare private copies of this enum with conflicting numberings; both now
-// alias this type, so a scheme value can flow from a CLI flag through
-// internal/sim into either simulator without a translation table.
+// declare private copies of this enum with conflicting numberings; both
+// Config.Scheme fields now have this type, so a scheme value can flow from
+// a CLI flag through internal/sim into either simulator without a
+// translation table.
 //
 // The numbering follows the flow-level simulator's original iota order —
 // the only one of the two that covers all four schemes. The chunk-level

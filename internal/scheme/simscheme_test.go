@@ -3,7 +3,7 @@ package scheme
 import "testing"
 
 // TestSimSchemeNumbering pins the shared numeric values: both simulators
-// alias these constants, so renumbering them would silently change any
+// use these constants, so renumbering them would silently change any
 // caller that stores scheme values numerically.
 func TestSimSchemeNumbering(t *testing.T) {
 	want := map[SimScheme]int{SimMTCD: 0, SimMTSD: 1, SimMFCD: 2, SimCMFSD: 3}

@@ -77,24 +77,12 @@ func NewJobSpec(cells []JobCell, seed uint64, replicas int) (runner.JobSpec, err
 	}
 	norm := make([]JobCell, len(cells))
 	for i, c := range cells {
-		nc := JobCell{Scheme: c.Scheme}
-		switch {
-		case c.Config.Chunk != nil && c.Config.Flow != nil:
-			return runner.JobSpec{}, fmt.Errorf("sim: job cell %d: Chunk and Flow are mutually exclusive", i)
-		case c.Config.Chunk != nil:
-			cfg := *c.Config.Chunk
-			cfg.Seed = 0
-			cfg.Scheme = c.Scheme
-			nc.Config.Chunk = &cfg
-		case c.Config.Flow != nil:
-			cfg := *c.Config.Flow
-			cfg.Seed = 0
-			cfg.Scheme = c.Scheme
-			nc.Config.Flow = &cfg
-		default:
-			return runner.JobSpec{}, fmt.Errorf("sim: job cell %d: one of Chunk or Flow must be set", i)
+		cfg, embScheme, embSeed, err := c.Config.pick()
+		if err != nil {
+			return runner.JobSpec{}, fmt.Errorf("sim: job cell %d: %w", i, err)
 		}
-		norm[i] = nc
+		*embScheme, *embSeed = c.Scheme, 0
+		norm[i] = JobCell{Scheme: c.Scheme, Config: cfg}
 	}
 	return newSpec(JobParams{Cells: norm}, seed, replicas)
 }
@@ -232,23 +220,16 @@ func decodeCells(spec runner.JobSpec) (*decoded, error) {
 	d := &decoded{params: p, sims: make([]replica.Sim, len(p.Cells)),
 		off: offsets(spec.Replicas, p.Replicas, len(p.Cells))}
 	for i, c := range p.Cells {
-		var embeddedSeed uint64
-		var embeddedScheme scheme.SimScheme
-		switch {
-		case c.Config.Chunk != nil:
-			embeddedSeed, embeddedScheme = c.Config.Chunk.Seed, c.Config.Chunk.Scheme
-		case c.Config.Flow != nil:
-			embeddedSeed, embeddedScheme = c.Config.Flow.Seed, c.Config.Flow.Scheme
-		}
-		if embeddedSeed != 0 {
+		_, embScheme, embSeed, err := c.Config.pick()
+		if err == nil && *embSeed != 0 {
 			return nil, fmt.Errorf("sim: job cell %d embeds seed %d; replica seeds are engine-derived (see NewJobSpec)",
-				i, embeddedSeed)
+				i, *embSeed)
 		}
 		if d.sims[i], err = New(c.Scheme, c.Config); err != nil {
 			return nil, fmt.Errorf("sim: job cell %d: %w", i, err)
 		}
-		if embeddedScheme != c.Scheme {
-			return nil, fmt.Errorf("sim: job cell %d embeds scheme %v, cell says %v", i, embeddedScheme, c.Scheme)
+		if *embScheme != c.Scheme {
+			return nil, fmt.Errorf("sim: job cell %d embeds scheme %v, cell says %v", i, *embScheme, c.Scheme)
 		}
 	}
 	return d, nil
@@ -278,7 +259,7 @@ func prepareJob(spec runner.JobSpec) (*runner.Job, error) {
 				}
 				key = k
 			}
-			sample, err := replica.SimulateStored(ctx, d.sims[cell],
+			sample, err := simulateStored(ctx, d.sims[cell],
 				replica.Rep{Cell: cell, Replica: rep, Seed: replica.SeedOf(seed, cell, rep)},
 				key, env.Samples, env.Obs)
 			if err != nil {
@@ -299,9 +280,9 @@ func prepareJob(spec runner.JobSpec) (*runner.Job, error) {
 
 // RunJob executes a sim-replica job locally over the runner pool and
 // reduces each grid cell's replicas into an Agg — numerically identical
-// to replica.Run over the same cells, and byte-identical whether the
-// payloads were computed here, replayed from a checkpoint, or assembled by
-// a fabric coordinator.
+// to RunSequential over the same cells at the spec's fixed replica count,
+// and byte-identical whether the payloads were computed here, replayed
+// from a checkpoint, or assembled by a fabric coordinator.
 func RunJob(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, opts runner.Options) ([]replica.Agg, error) {
 	if spec.Kind != JobKindSimReplica {
 		return nil, fmt.Errorf("sim: spec kind %q is not %q", spec.Kind, JobKindSimReplica)
@@ -314,16 +295,16 @@ func RunJob(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, opts ru
 }
 
 // RunJobStopping executes a sim-replica job through the stopping loop in
-// memory (replica.RunSequential), seeded as RunJob is. env.Samples, keyed
-// exactly as the fabric keys them, lets every round and every later re-run
-// replay the samples already drawn. A disabled rule is replica.Run over
-// the same cells.
-func RunJobStopping(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, workers int, stop replica.Stopping) ([]replica.Agg, error) {
+// memory (RunSequential), seeded as RunJob is. env.Samples, keyed exactly
+// as the fabric keys them, lets every round and every later re-run replay
+// the samples already drawn. A disabled rule runs the spec's fixed
+// replica count.
+func RunJobStopping(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, workers int, stop Stopping) ([]replica.Agg, error) {
 	d, err := uniformJob(spec)
 	if err != nil {
 		return nil, err
 	}
-	opts := replica.Options{
+	opts := Options{
 		Replicas: spec.Replicas, Workers: workers,
 		Seed: spec.Seed, Obs: env.Obs,
 	}
@@ -334,7 +315,7 @@ func RunJobStopping(ctx context.Context, spec runner.JobSpec, env runner.JobEnv,
 		opts.Samples = env.Samples
 		opts.SampleKey = func(cell int) string { return d.keys[cell] }
 	}
-	return replica.RunSequential(ctx, len(d.sims), func(cell int) replica.Sim {
+	return RunSequential(ctx, len(d.sims), func(cell int) replica.Sim {
 		return d.sims[cell]
 	}, opts, stop)
 }
@@ -344,25 +325,25 @@ func RunJobStopping(ctx context.Context, spec runner.JobSpec, env runner.JobEnv,
 // by serve, which returns its payloads in executable-cell order
 // (runner.RunJobPayloads, or a fabric campaign's Serve). With a sample
 // store behind serve the aggregates equal RunJobStopping's.
-func RunRounds(ctx context.Context, spec runner.JobSpec, stop replica.Stopping, serve func(context.Context, runner.JobSpec) ([][]byte, error)) ([]replica.Agg, error) {
+func RunRounds(ctx context.Context, spec runner.JobSpec, stop Stopping, serve func(context.Context, runner.JobSpec) ([][]byte, error)) ([]replica.Agg, error) {
 	d, err := uniformJob(spec)
 	if err != nil {
 		return nil, err
 	}
-	return replica.Sequential(ctx, len(d.sims), spec.Replicas, stop, func(ctx context.Context, want []int) ([]replica.Agg, error) {
+	return sequential(ctx, len(d.sims), spec.Replicas, stop, func(ctx context.Context, want []int) ([]replica.Agg, error) {
 		p, r := JobParams{Cells: d.params.Cells}, want[0]
 		if slices.Min(want) != slices.Max(want) {
 			p.Replicas, r = want, 0
 		}
-		round, err := newSpec(p, spec.Seed, r)
+		roundSpec, err := newSpec(p, spec.Seed, r)
 		if err != nil {
 			return nil, err
 		}
-		payloads, err := serve(ctx, round)
+		payloads, err := serve(ctx, roundSpec)
 		if err != nil {
 			return nil, err
 		}
-		return ReduceJob(round, payloads)
+		return ReduceJob(roundSpec, payloads)
 	})
 }
 

@@ -194,8 +194,8 @@ func TestParamsWrongKind(t *testing.T) {
 	}
 }
 
-// The job route is the replica engine: RunJob over a spec equals
-// replica.Run over the same simulators, bit for bit.
+// The job route is the replica engine: RunJob over a spec equals the
+// engine's fixed-R run over the same simulators, bit for bit.
 func TestRunJobMatchesReplicaRun(t *testing.T) {
 	spec := testJobSpec(t, 9, 3)
 	got, err := RunJob(context.Background(), spec, runner.JobEnv{}, runner.Options{Workers: 2})
@@ -212,14 +212,14 @@ func TestRunJobMatchesReplicaRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := replica.Run(context.Background(), len(p.Cells),
+	want, err := RunSequential(context.Background(), len(p.Cells),
 		func(cell int) replica.Sim { return sims[cell] },
-		replica.Options{Replicas: 3, Seed: 9, Workers: 2})
+		Options{Replicas: 3, Seed: 9, Workers: 2}, Stopping{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("RunJob != replica.Run")
+		t.Fatal("RunJob != the engine's fixed-R run")
 	}
 }
 
@@ -300,7 +300,7 @@ func TestRunJobStoppingSharesSampleKeys(t *testing.T) {
 	env := runner.JobEnv{Samples: store}
 	// A huge target converges every cell at the starting R = 2, so the
 	// store ends up with exactly the samples RunJob(R=2) needs.
-	stop := replica.Stopping{Metric: replica.OnlinePerFile, Target: 1e9, MaxReplicas: 4}
+	stop := Stopping{Metric: replica.OnlinePerFile, Target: 1e9, MaxReplicas: 4}
 	seq, err := RunJobStopping(context.Background(), spec, env, 0, stop)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +322,7 @@ func TestRunJobStoppingSharesSampleKeys(t *testing.T) {
 // RunJob.
 func TestRunJobStoppingDisabledMatchesRunJob(t *testing.T) {
 	spec := testJobSpec(t, 5, 2)
-	seq, err := RunJobStopping(context.Background(), spec, runner.JobEnv{}, 0, replica.Stopping{})
+	seq, err := RunJobStopping(context.Background(), spec, runner.JobEnv{}, 0, Stopping{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestRunRoundsMatchesRunJobStopping(t *testing.T) {
 		t.Fatalf("cells start with equal CI95 %v; the test needs rows that stop apart", lo)
 	}
 	// Between the two: one row stops at the start, the other grows.
-	stop := replica.Stopping{Metric: replica.OnlinePerFile, Target: (lo + hi) / 2, MaxReplicas: 8}
+	stop := Stopping{Metric: replica.OnlinePerFile, Target: (lo + hi) / 2, MaxReplicas: 8}
 	want, err := RunJobStopping(ctx, spec, runner.JobEnv{}, 0, stop)
 	if err != nil {
 		t.Fatal(err)

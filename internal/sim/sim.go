@@ -1,24 +1,28 @@
-// Package sim unifies the flow-level (internal/eventsim) and chunk-level
-// (internal/swarm) simulators behind one constructor, New, and one job
-// kind, sim-replica. Experiments list their rows as JobCells and run them
-// through the job layer, so every simulated table can be distributed,
-// checkpointed and replayed from the sample store:
+// Package sim composes the simulator backends with the job layer. New
+// turns a scheme plus a flow-level (internal/eventsim) or chunk-level
+// (internal/swarm) configuration into a replica.Sim; the replica engine
+// fans replicas out over the runner pool, replays them from the sample
+// store and grows them under sequential stopping; and the sim-replica job
+// kind makes every simulated table distributable, checkpointable and
+// replayable. The backends implement only the internal/replica contract.
 //
 //	spec, err := sim.NewJobSpec([]sim.JobCell{{Scheme: scheme.SimCMFSD,
 //	    Config: sim.Config{Flow: &eventsim.Config{...}}}}, seed, replicas)
 //	aggs, err := sim.RunJob(ctx, spec, runner.JobEnv{}, runner.Options{})
 //
-// Sequential stopping runs the replica engine's one loop either in memory
-// (RunJobStopping) or round by round through any executor (RunRounds):
-// each round is the spec lowered to per-cell replica counts, which the
-// params carry beside the cells only when they differ, so a uniform spec
-// keeps its bytes, fingerprint and sample keys.
+// The engine has one stopping loop, which sets each round's per-cell
+// replica counts and leaves the round to its caller: RunSequential runs
+// it in memory (RunJobStopping over a spec's cells), RunRounds serves
+// each round as the spec lowered to per-cell replica counts through any
+// executor. The params carry those counts beside the cells only when they
+// differ, so a uniform spec keeps its bytes, fingerprint and sample keys.
 //
 // The concrete packages remain available for callers that need
 // simulator-specific machinery (result structs, traces, population series).
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -38,53 +42,81 @@ type Config struct {
 	Flow *eventsim.Config
 }
 
+var (
+	errBoth    = errors.New("Chunk and Flow are mutually exclusive")
+	errNeither = errors.New("one of Chunk or Flow must be set")
+)
+
+// pick checks that exactly one simulator is selected, copies its
+// configuration and returns the copy with pointers to the copy's Scheme
+// and Seed, which callers read or normalise. The caller's configuration is
+// never mutated.
+func (c Config) pick() (Config, *scheme.SimScheme, *uint64, error) {
+	switch {
+	case c.Chunk != nil && c.Flow != nil:
+		return Config{}, nil, nil, errBoth
+	case c.Chunk != nil:
+		cfg := *c.Chunk
+		return Config{Chunk: &cfg}, &cfg.Scheme, &cfg.Seed, nil
+	case c.Flow != nil:
+		cfg := *c.Flow
+		return Config{Flow: &cfg}, &cfg.Scheme, &cfg.Seed, nil
+	}
+	return Config{}, nil, nil, errNeither
+}
+
 // Validate checks that exactly one simulator is selected and that its
 // configuration is valid. Underlying validation errors keep their package
 // prefixes ("swarm: ...", "eventsim: ...") so error-message goldens do not
 // depend on which entry point a caller used.
 func (c Config) Validate() error {
-	switch {
-	case c.Chunk != nil && c.Flow != nil:
-		return errors.New("sim: Chunk and Flow are mutually exclusive")
-	case c.Chunk != nil:
-		return c.Chunk.Validate()
-	case c.Flow != nil:
-		return c.Flow.Validate()
-	default:
-		return errors.New("sim: one of Chunk or Flow must be set")
+	if _, _, _, err := c.pick(); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
+	if c.Chunk != nil {
+		return c.Chunk.Validate()
+	}
+	return c.Flow.Validate()
 }
 
 // New returns a replica.Sim running the given scheme on whichever
 // simulator cfg selects. The pointed-to configuration is copied, its
 // Scheme field replaced by sc, and the result validated; the caller's
-// configuration is never mutated. Replica seeding follows the engine's
-// scheme: the wrapper reruns the copied configuration at each
-// engine-derived seed.
+// configuration is never mutated. Every replica reruns the copy at its
+// engine-derived seed and reports the run's Result.Sample.
 func New(sc scheme.SimScheme, cfg Config) (replica.Sim, error) {
-	switch {
-	case cfg.Chunk != nil && cfg.Flow != nil:
-		return nil, errors.New("sim: Chunk and Flow are mutually exclusive")
-	case cfg.Chunk != nil:
-		if sc == scheme.SimMTCD {
-			// Not a generic validation failure: the scheme exists, just not
-			// at chunk level. Point at the simulator that has it.
-			return nil, fmt.Errorf("sim: %v has no chunk-level simulator (one swarm per torrent); use Flow", sc)
-		}
-		c := *cfg.Chunk
-		c.Scheme = sc
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		return swarm.Sim{Config: c}, nil
-	case cfg.Flow != nil:
-		c := *cfg.Flow
-		c.Scheme = sc
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		return eventsim.Sim{Config: c}, nil
-	default:
-		return nil, errors.New("sim: one of Chunk or Flow must be set")
+	c, embScheme, _, err := cfg.pick()
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
+	if c.Chunk != nil && sc == scheme.SimMTCD {
+		// Not a generic validation failure: the scheme exists, just not
+		// at chunk level. Point at the simulator that has it.
+		return nil, fmt.Errorf("sim: %v has no chunk-level simulator (one swarm per torrent); use Flow", sc)
+	}
+	*embScheme = sc
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if chunk := c.Chunk; chunk != nil {
+		return replica.SimFunc(func(_ context.Context, r replica.Rep) (replica.Sample, error) {
+			run := *chunk
+			run.Seed = r.Seed
+			res, err := swarm.Run(run)
+			if err != nil {
+				return replica.Sample{}, err
+			}
+			return res.Sample(), nil
+		}), nil
+	}
+	flow := c.Flow
+	return replica.SimFunc(func(_ context.Context, r replica.Rep) (replica.Sample, error) {
+		run := *flow
+		run.Seed = r.Seed
+		res, err := eventsim.Run(run)
+		if err != nil {
+			return replica.Sample{}, err
+		}
+		return res.Sample(), nil
+	}), nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,28 +12,6 @@ import (
 	"mfdl/internal/scheme"
 	"mfdl/internal/swarm"
 )
-
-// The simulators' scheme enums must stay aliases of the shared identifier:
-// a constant from either package is the same value as the scheme.Sim* one.
-func TestSchemeAliases(t *testing.T) {
-	cases := []struct {
-		got  scheme.SimScheme
-		want scheme.SimScheme
-	}{
-		{eventsim.MTCD, scheme.SimMTCD},
-		{eventsim.MTSD, scheme.SimMTSD},
-		{eventsim.MFCD, scheme.SimMFCD},
-		{eventsim.CMFSD, scheme.SimCMFSD},
-		{swarm.MFCD, scheme.SimMFCD},
-		{swarm.CMFSD, scheme.SimCMFSD},
-		{swarm.MTSD, scheme.SimMTSD},
-	}
-	for _, c := range cases {
-		if c.got != c.want {
-			t.Errorf("alias %v != shared %v", c.got, c.want)
-		}
-	}
-}
 
 func flowConfig() *eventsim.Config {
 	return &eventsim.Config{
@@ -113,40 +92,33 @@ func TestNewErrors(t *testing.T) {
 }
 
 // TestNewMatchesDirectConstruction checks that the unified constructor is a
-// pure repackaging: the sample it produces is identical to wiring the
-// simulator's own Sim wrapper by hand, and the caller's config is left
+// pure repackaging: the sample it produces is identical to running the
+// simulator by hand at the replica's seed, and the caller's config is left
 // untouched.
 func TestNewMatchesDirectConstruction(t *testing.T) {
 	rep := replica.Rep{Cell: 0, Replica: 0, Seed: 7}
 
 	flow := flowConfig()
-	flow.Scheme = eventsim.MTSD // overwritten by New
+	flow.Scheme = scheme.SimMTSD // overwritten by New
 	s, err := New(scheme.SimCMFSD, Config{Flow: flow})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flow.Scheme != eventsim.MTSD {
+	if flow.Scheme != scheme.SimMTSD {
 		t.Fatalf("New mutated the caller's config: Scheme = %v", flow.Scheme)
 	}
 	direct := *flowConfig()
-	direct.Scheme = eventsim.CMFSD
+	direct.Scheme, direct.Seed = scheme.SimCMFSD, rep.Seed
 	got, err := s.Simulate(context.Background(), rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eventsim.Sim{Config: direct}.Simulate(context.Background(), rep)
+	res, err := eventsim.Run(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, v := range want.Values {
-		if got.Values[key] != v {
-			t.Errorf("flow value %q: %v != %v", key, got.Values[key], v)
-		}
-	}
-	for key, v := range want.Counts {
-		if got.Counts[key] != v {
-			t.Errorf("flow count %q: %v != %v", key, got.Counts[key], v)
-		}
+	if want := res.Sample(); !reflect.DeepEqual(got, want) {
+		t.Errorf("flow sample %v, want %v", got, want)
 	}
 
 	chunk := chunkConfig()
@@ -155,18 +127,16 @@ func TestNewMatchesDirectConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	directChunk := *chunkConfig()
-	directChunk.Scheme = swarm.MTSD
+	directChunk.Scheme, directChunk.Seed = scheme.SimMTSD, rep.Seed
 	gotC, err := cs.Simulate(context.Background(), rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantC, err := swarm.Sim{Config: directChunk}.Simulate(context.Background(), rep)
+	resC, err := swarm.Run(directChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, v := range wantC.Values {
-		if gotC.Values[key] != v {
-			t.Errorf("chunk value %q: %v != %v", key, gotC.Values[key], v)
-		}
+	if wantC := resC.Sample(); !reflect.DeepEqual(gotC, wantC) {
+		t.Errorf("chunk sample %v, want %v", gotC, wantC)
 	}
 }

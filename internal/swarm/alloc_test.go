@@ -3,6 +3,8 @@ package swarm
 import (
 	"runtime"
 	"testing"
+
+	"mfdl/internal/scheme"
 )
 
 // TestStepAllocsSteadyState pins the SoA refactor's core promise: once the
@@ -53,7 +55,7 @@ func TestStepAllocsSteadyState(t *testing.T) {
 // one reallocation per arrival (158 MB here); grown geometrically the run
 // stays near 12 MB, nearly all of it the peer table itself.
 func TestRunAllocBudget(t *testing.T) {
-	cfg := chunkSimPoint(true, MFCD, 0)
+	cfg := chunkSimPoint(true, scheme.SimMFCD, 0)
 	cfg.Horizon, cfg.Warmup = 60, 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

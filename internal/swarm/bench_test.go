@@ -1,13 +1,17 @@
 package swarm
 
-import "testing"
+import (
+	"testing"
+
+	"mfdl/internal/scheme"
+)
 
 // benchConfig is the fixed operating point of BenchmarkSwarmStep: the
 // default scheme mix at CMFSD with moderate chunk counts. Population size
 // is controlled by the benchmark, not by the arrival rate.
 func benchConfig() Config {
 	cfg := DefaultConfig
-	cfg.Scheme = CMFSD
+	cfg.Scheme = scheme.SimCMFSD
 	cfg.Rho = 0.3
 	cfg.Horizon = 1 << 30
 	cfg.Warmup = 0
@@ -111,9 +115,9 @@ func BenchmarkSwarmStep(b *testing.B) {
 // repository benchmark's chunk_sim workload (benchmark/inputs.go): "small"
 // holds ~250 peers, "large" ramps to 3-6k inside its horizon, so arrivals
 // into a growing swarm — addPeer's permutation — are part of the run.
-func chunkSimPoint(large bool, scheme Scheme, rho float64) Config {
+func chunkSimPoint(large bool, sc scheme.SimScheme, rho float64) Config {
 	cfg := DefaultConfig
-	cfg.Scheme, cfg.Rho = scheme, rho
+	cfg.Scheme, cfg.Rho = sc, rho
 	cfg.Lambda0, cfg.Horizon, cfg.Warmup = 8, 600, 120
 	if large {
 		cfg.Lambda0, cfg.Horizon, cfg.Warmup = 100, 120, 45
@@ -127,9 +131,9 @@ func BenchmarkSwarmRun(b *testing.B) {
 	for _, size := range []string{"small", "large"} {
 		for _, sc := range []struct {
 			name   string
-			scheme Scheme
+			scheme scheme.SimScheme
 			rho    float64
-		}{{"MFCD", MFCD, 0}, {"CMFSD-rho0.3", CMFSD, 0.3}} {
+		}{{"MFCD", scheme.SimMFCD, 0}, {"CMFSD-rho0.3", scheme.SimCMFSD, 0.3}} {
 			cfg := chunkSimPoint(size == "large", sc.scheme, sc.rho)
 			b.Run(size+"/"+sc.name, func(b *testing.B) {
 				b.ReportAllocs()

@@ -11,6 +11,7 @@ import (
 
 	"mfdl/internal/adapt"
 	"mfdl/internal/faults"
+	"mfdl/internal/scheme"
 )
 
 var updateBitGolden = flag.Bool("update-bitgolden", false, "rewrite the bit-exact simulator goldens")
@@ -41,37 +42,37 @@ func bitGoldenCases() map[string]Config {
 		return c
 	}
 	return map[string]Config{
-		"mfcd": mk(func(c *Config) { c.Scheme = MFCD }),
+		"mfcd": mk(func(c *Config) { c.Scheme = scheme.SimMFCD }),
 		"cmfsd-rho03": mk(func(c *Config) {
-			c.Scheme = CMFSD
+			c.Scheme = scheme.SimCMFSD
 			c.Rho = 0.3
 		}),
 		"cmfsd-adapt-cheaters": mk(func(c *Config) {
-			c.Scheme = CMFSD
+			c.Scheme = scheme.SimCMFSD
 			c.Adapt = &adaptCfg
 			c.CheaterFraction = 0.3
 			c.Horizon = 600
 		}),
 		"mtsd": mk(func(c *Config) {
-			c.Scheme = MTSD
+			c.Scheme = scheme.SimMTSD
 			c.Horizon = 600
 		}),
 		"mfcd-faults": mk(func(c *Config) {
-			c.Scheme = MFCD
+			c.Scheme = scheme.SimMFCD
 			c.Faults = chaos
 		}),
 		"cmfsd-faults": mk(func(c *Config) {
-			c.Scheme = CMFSD
+			c.Scheme = scheme.SimCMFSD
 			c.Rho = 0.4
 			c.Faults = chaos
 		}),
 		"k1-mfcd": mk(func(c *Config) {
 			c.K = 1
-			c.Scheme = MFCD
+			c.Scheme = scheme.SimMFCD
 			c.Horizon = 400
 		}),
 		"cmfsd-trace": mk(func(c *Config) {
-			c.Scheme = CMFSD
+			c.Scheme = scheme.SimCMFSD
 			c.SampleEvery = 7
 			c.Horizon = 400
 		}),

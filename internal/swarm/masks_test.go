@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mfdl/internal/scheme"
 )
 
 // refWantsFile and refInterested are the per-neighbour column walks the
@@ -22,7 +24,7 @@ func refWantsFile(s *sim, p int32, f int) bool {
 		return false
 	}
 	switch s.cfg.Scheme {
-	case MFCD:
+	case scheme.SimMFCD:
 		for _, rf := range t.files[p] {
 			if int(rf) == f {
 				return true
@@ -46,7 +48,7 @@ func refInterested(s *sim, q, p int32, virtualOnly bool) bool {
 	pc := t.haveCountOf(p)
 	qc := t.haveCountOf(q)
 	cpf := int32(s.cfg.ChunksPerFile)
-	if s.cfg.Scheme == MFCD {
+	if s.cfg.Scheme == scheme.SimMFCD {
 		for _, rf := range t.files[q] {
 			f := int(rf)
 			if qc[f] == cpf {
@@ -195,14 +197,14 @@ func driveChecked(t *testing.T, cfg Config) *sim {
 // TestMasksBeyond64Files runs the same checks where a file mask spans two
 // words: K is not capped by the mask width.
 func TestMasksBeyond64Files(t *testing.T) {
-	for _, scheme := range []Scheme{MFCD, CMFSD} {
+	for _, sc := range []scheme.SimScheme{scheme.SimMFCD, scheme.SimCMFSD} {
 		cfg := cfgWith(func(c *Config) {
 			c.K, c.ChunksPerFile, c.P = 70, 2, 0.3
-			c.Scheme, c.Rho = scheme, 0.3
+			c.Scheme, c.Rho = sc, 0.3
 			c.Horizon, c.Warmup = 200, 50
 		})
 		if s := driveChecked(t, cfg); s.res.CompletedUsers == 0 {
-			t.Errorf("%v: nobody completed a 70-file torrent", scheme)
+			t.Errorf("%v: nobody completed a 70-file torrent", sc)
 		}
 	}
 }

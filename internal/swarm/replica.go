@@ -1,59 +1,21 @@
 package swarm
 
-import (
-	"context"
+import "mfdl/internal/replica"
 
-	"mfdl/internal/replica"
-	"mfdl/internal/stats"
-)
-
-// Sim adapts a Config to the replica engine: every replica reruns the
-// same configuration at the engine-derived seed. The Config is treated as
-// immutable; Simulate may be called concurrently.
-type Sim struct {
-	Config Config
-}
-
-// Simulate implements replica.Sim.
-func (s Sim) Simulate(_ context.Context, r replica.Rep) (replica.Sample, error) {
-	cfg := s.Config
-	cfg.Seed = r.Seed
-	out, err := Run(cfg)
-	if err != nil {
-		return replica.Sample{}, err
-	}
-	return out.Sample(), nil
-}
-
-// Sample flattens the run's metrics into the replica engine's named form.
-// Time-like metrics are in rounds.
+// Sample flattens the run's metrics into the replica contract's named
+// form, chunk transfers included. Time-like metrics are in rounds.
 func (r *Result) Sample() replica.Sample {
-	s := replica.Sample{
-		Values: map[string]float64{
-			replica.OnlinePerFile:   r.AvgOnlinePerFile,
-			replica.DownloadPerFile: r.AvgDownloadPerFile,
-			replica.MeanDownloaders: r.MeanDownloaders,
-			replica.MeanSeeds:       r.MeanSeeds,
-			replica.FinalRho:        r.FinalRho.Mean(),
-		},
-		Counts: map[string]float64{
-			replica.Completed: float64(r.CompletedUsers),
-			replica.Arrived:   float64(r.ArrivedUsers),
-			replica.Aborted:   float64(r.AbortedUsers),
-			replica.SeedQuits: float64(r.SeedQuits),
-			"chunks":          float64(r.ChunksTransferred),
-		},
-		Summaries: map[string]stats.Summary{
-			replica.FinalRho: r.FinalRho,
-		},
+	o := replica.Outcome{
+		OnlinePerFile: r.AvgOnlinePerFile, DownloadPerFile: r.AvgDownloadPerFile,
+		MeanDownloaders: r.MeanDownloaders, MeanSeeds: r.MeanSeeds,
+		FinalRho:  r.FinalRho,
+		Completed: r.CompletedUsers, Arrived: r.ArrivedUsers,
+		Aborted: r.AbortedUsers, SeedQuits: r.SeedQuits,
+		Chunks:  &r.ChunksTransferred,
+		Classes: make([]replica.Class, len(r.Classes)),
 	}
-	for _, c := range r.Classes {
-		if c.Completed == 0 {
-			continue
-		}
-		s.Counts[replica.ClassKey(c.Class, replica.Completed)] = float64(c.Completed)
-		s.Summaries[replica.ClassKey(c.Class, replica.OnlinePerFile)] = c.OnlineRounds
-		s.Summaries[replica.ClassKey(c.Class, replica.DownloadPerFile)] = c.DownloadRounds
+	for i, c := range r.Classes {
+		o.Classes[i] = replica.Class{ID: c.Class, Completed: c.Completed, Online: c.OnlineRounds, Download: c.DownloadRounds}
 	}
-	return s
+	return o.Sample()
 }

@@ -48,30 +48,6 @@ import (
 	"mfdl/internal/trace"
 )
 
-// Scheme selects the downloading scheme. It aliases the shared
-// scheme.SimScheme identifier, so one scheme value addresses both
-// simulators. The chunk-level swarm supports MFCD, CMFSD and MTSD;
-// Validate rejects MTCD, which is flow-level only (in a single shared
-// swarm it is chunk-for-chunk identical to MFCD).
-type Scheme = scheme.SimScheme
-
-// The chunk-level schemes.
-//
-// Deprecated: these local names are aliases kept so existing callers
-// compile unchanged; new code should use the scheme.Sim* constants.
-const (
-	// MFCD wants every chunk of every requested file at once.
-	MFCD = scheme.SimMFCD
-	// CMFSD downloads files sequentially and partial-seeds finished ones
-	// while downloading.
-	CMFSD = scheme.SimCMFSD
-	// MTSD downloads files sequentially with a dedicated seeding pause
-	// of mean 1/γ rounds after each file — the multi-torrent sequential
-	// behaviour embedded in one swarm (a peer in an MTSD pause is
-	// indistinguishable from a per-file seed).
-	MTSD = scheme.SimMTSD
-)
-
 // Config parameterizes one swarm simulation.
 type Config struct {
 	// K is the number of files in the torrent.
@@ -83,7 +59,7 @@ type Config struct {
 	// P is the file correlation.
 	P float64
 	// Scheme is MFCD, CMFSD or MTSD.
-	Scheme Scheme
+	Scheme scheme.SimScheme
 	// Rho is the CMFSD partial-seed allocation ratio when Adapt is nil.
 	Rho float64
 	// Adapt, when non-nil, runs the Adapt controller per obedient peer.
@@ -143,7 +119,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("swarm: p = %v outside (0,1]", c.P)
 	}
 	switch c.Scheme {
-	case MFCD, CMFSD, MTSD:
+	case scheme.SimMFCD, scheme.SimCMFSD, scheme.SimMTSD:
 	default:
 		// MTCD in particular: one swarm per torrent makes it flow-level
 		// only (internal/eventsim); in a shared swarm it would be MFCD.
@@ -200,7 +176,7 @@ var DefaultConfig = Config{
 	ChunksPerFile:   16,
 	Lambda0:         0.5,
 	P:               0.9,
-	Scheme:          CMFSD,
+	Scheme:          scheme.SimCMFSD,
 	Rho:             0,
 	UploadPerRound:  4,
 	TFTEfficiency:   0.5,
@@ -283,7 +259,7 @@ func (s *sim) setMasks(p int32) {
 	// MFCD wants every unfinished requested file; CMFSD/MTSD only the
 	// current one, and none during a per-file seeding pause.
 	files := t.files[p]
-	if s.cfg.Scheme != MFCD {
+	if s.cfg.Scheme != scheme.SimMFCD {
 		cur := int(t.cursor[p])
 		if t.fileSeedLeft[p] > 0 || cur >= len(files) {
 			return
@@ -474,7 +450,7 @@ func (s *sim) addPeer() {
 		if a := s.plan.AbortAfter(id); a < math.MaxInt32 {
 			t.abortLeft[slot] = 1 + int(a)
 		}
-		if s.cfg.Scheme == CMFSD && class > 1 {
+		if s.cfg.Scheme == scheme.SimCMFSD && class > 1 {
 			if q := s.plan.SeedQuitAfter(id); q < math.MaxInt32 {
 				t.vsQuitLeft[slot] = 1 + int(q)
 			}
@@ -484,7 +460,7 @@ func (s *sim) addPeer() {
 			s.plan.NoteSlowPeer()
 		}
 	}
-	if s.cfg.Scheme == CMFSD {
+	if s.cfg.Scheme == scheme.SimCMFSD {
 		if s.rng.Bernoulli(s.cfg.CheaterFraction) {
 			t.cheater[slot] = true
 			t.rho[slot] = 1
@@ -530,11 +506,11 @@ func (s *sim) uploadBudgets(p int32) (tft, virtual int) {
 	if t.state[p] == stateSeeding {
 		return 0, u
 	}
-	if s.cfg.Scheme == MTSD && t.fileSeedLeft[p] > 0 {
+	if s.cfg.Scheme == scheme.SimMTSD && t.fileSeedLeft[p] > 0 {
 		// Per-file seeding pause: the whole upload serves finished files.
 		return 0, u
 	}
-	if s.cfg.Scheme == CMFSD && t.class[p] > 1 && t.finished[p] >= 1 {
+	if s.cfg.Scheme == scheme.SimCMFSD && t.class[p] > 1 && t.finished[p] >= 1 {
 		if t.vsQuit[p] {
 			// An injected virtual-seed quit: the peer turns selfish and
 			// spends its whole upload on tit-for-tat.
@@ -701,7 +677,7 @@ func (s *sim) step() {
 func (s *sim) checkCompletion(p int32) {
 	t := s.t
 	switch s.cfg.Scheme {
-	case MFCD:
+	case scheme.SimMFCD:
 		for _, f := range t.files[p] {
 			if !s.fileFinished(p, int(f)) {
 				return
@@ -709,7 +685,7 @@ func (s *sim) checkCompletion(p int32) {
 		}
 		t.finished[p] = int32(len(t.files[p]))
 		s.startSeeding(p)
-	case MTSD:
+	case scheme.SimMTSD:
 		if t.fileSeedLeft[p] > 0 {
 			return // mid-pause; cursor advances when the pause ends
 		}
@@ -784,14 +760,14 @@ func (s *sim) depart(dead int32) {
 	// downloader never charges the files past its cursor. MFCD starts
 	// every file at arrival, and completed users started them all.
 	files := int(t.class[dead])
-	if t.aborted[dead] && s.cfg.Scheme != MFCD {
+	if t.aborted[dead] && s.cfg.Scheme != scheme.SimMFCD {
 		files = int(t.cursor[dead]) + 1
 		if files > int(t.class[dead]) {
 			files = int(t.class[dead])
 		}
 	}
 	s.sumFiles += files
-	if s.cfg.Scheme == CMFSD && t.class[dead] > 1 && !t.cheater[dead] {
+	if s.cfg.Scheme == scheme.SimCMFSD && t.class[dead] > 1 && !t.cheater[dead] {
 		s.res.FinalRho.Add(t.rho[dead])
 	}
 }

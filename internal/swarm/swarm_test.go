@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mfdl/internal/adapt"
+	"mfdl/internal/scheme"
 )
 
 func cfgWith(mutate func(*Config)) Config {
@@ -33,7 +34,7 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.ChunksPerFile = 0 },
 		func(c *Config) { c.Lambda0 = 0 },
 		func(c *Config) { c.P = 0 },
-		func(c *Config) { c.Scheme = Scheme(7) },
+		func(c *Config) { c.Scheme = scheme.SimScheme(7) },
 		func(c *Config) { c.Rho = 2 },
 		func(c *Config) { c.CheaterFraction = -1 },
 		func(c *Config) { c.UploadPerRound = 0 },
@@ -53,7 +54,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestSchemeString(t *testing.T) {
-	if MFCD.String() != "MFCD" || CMFSD.String() != "CMFSD" {
+	if scheme.SimMFCD.String() != "MFCD" || scheme.SimCMFSD.String() != "CMFSD" {
 		t.Fatal("scheme names wrong")
 	}
 }
@@ -106,9 +107,9 @@ func TestClassTotalsConsistent(t *testing.T) {
 func TestDownloadScalesWithClass(t *testing.T) {
 	// A class-3 user needs 3× the chunks of a class-1 user; its download
 	// time must be clearly larger under either scheme.
-	for _, scheme := range []Scheme{MFCD, CMFSD} {
+	for _, sc := range []scheme.SimScheme{scheme.SimMFCD, scheme.SimCMFSD} {
 		c := cfgWith(func(c *Config) {
-			c.Scheme = scheme
+			c.Scheme = sc
 			c.P = 0.5
 			c.Horizon = 2000
 			c.Warmup = 300
@@ -116,11 +117,11 @@ func TestDownloadScalesWithClass(t *testing.T) {
 		res := run(t, c)
 		c1, c3 := res.Classes[0], res.Classes[2]
 		if c1.Completed < 20 || c3.Completed < 20 {
-			t.Fatalf("%v: thin classes (%d, %d)", scheme, c1.Completed, c3.Completed)
+			t.Fatalf("%v: thin classes (%d, %d)", sc, c1.Completed, c3.Completed)
 		}
 		if c3.DownloadRounds.Mean() <= c1.DownloadRounds.Mean() {
 			t.Fatalf("%v: class-3 download %v not larger than class-1 %v",
-				scheme, c3.DownloadRounds.Mean(), c1.DownloadRounds.Mean())
+				sc, c3.DownloadRounds.Mean(), c1.DownloadRounds.Mean())
 		}
 	}
 }
@@ -129,8 +130,8 @@ func TestCMFSDCollaborationBeatsMFCDAtHighCorrelation(t *testing.T) {
 	// The paper's central claim at the mechanism level: with high file
 	// correlation, sequential downloading with partial seeding (ρ = 0)
 	// beats concurrent random-chunk downloading.
-	mfcd := run(t, cfgWith(func(c *Config) { c.Scheme = MFCD; c.P = 0.9; c.Horizon = 2500; c.Warmup = 400 }))
-	cmfsd := run(t, cfgWith(func(c *Config) { c.Scheme = CMFSD; c.Rho = 0; c.P = 0.9; c.Horizon = 2500; c.Warmup = 400 }))
+	mfcd := run(t, cfgWith(func(c *Config) { c.Scheme = scheme.SimMFCD; c.P = 0.9; c.Horizon = 2500; c.Warmup = 400 }))
+	cmfsd := run(t, cfgWith(func(c *Config) { c.Scheme = scheme.SimCMFSD; c.Rho = 0; c.P = 0.9; c.Horizon = 2500; c.Warmup = 400 }))
 	if cmfsd.CompletedUsers < 100 || mfcd.CompletedUsers < 100 {
 		t.Fatalf("thin runs: %d, %d", cmfsd.CompletedUsers, mfcd.CompletedUsers)
 	}
@@ -144,8 +145,8 @@ func TestRho1CMFSDCloseToMFCDOrdering(t *testing.T) {
 	// With ρ = 1 there is no collaboration; CMFSD loses its advantage
 	// (it may differ from MFCD through sequential piece selection, but
 	// must be clearly worse than ρ = 0).
-	rho0 := run(t, cfgWith(func(c *Config) { c.Scheme = CMFSD; c.Rho = 0; c.Horizon = 2000; c.Warmup = 300 }))
-	rho1 := run(t, cfgWith(func(c *Config) { c.Scheme = CMFSD; c.Rho = 1; c.Horizon = 2000; c.Warmup = 300 }))
+	rho0 := run(t, cfgWith(func(c *Config) { c.Scheme = scheme.SimCMFSD; c.Rho = 0; c.Horizon = 2000; c.Warmup = 300 }))
+	rho1 := run(t, cfgWith(func(c *Config) { c.Scheme = scheme.SimCMFSD; c.Rho = 1; c.Horizon = 2000; c.Warmup = 300 }))
 	if rho0.AvgOnlinePerFile >= rho1.AvgOnlinePerFile {
 		t.Fatalf("ρ=0 (%v) should beat ρ=1 (%v)", rho0.AvgOnlinePerFile, rho1.AvgOnlinePerFile)
 	}
@@ -173,7 +174,7 @@ func TestAdaptRunsInSwarm(t *testing.T) {
 		Period: 5, InitialRho: 0, Consecutive: 1,
 	}
 	c := cfgWith(func(c *Config) {
-		c.Scheme = CMFSD
+		c.Scheme = scheme.SimCMFSD
 		c.Adapt = &ac
 		c.Horizon = 1200
 		c.Warmup = 200
@@ -195,13 +196,13 @@ func TestCheatersRaiseObedientRho(t *testing.T) {
 		Period: 10, InitialRho: 0, Consecutive: 1,
 	}
 	clean := run(t, cfgWith(func(c *Config) {
-		c.Scheme = CMFSD
+		c.Scheme = scheme.SimCMFSD
 		c.Adapt = &ac
 		c.Horizon = 2000
 		c.Warmup = 300
 	}))
 	cheated := run(t, cfgWith(func(c *Config) {
-		c.Scheme = CMFSD
+		c.Scheme = scheme.SimCMFSD
 		c.Adapt = &ac
 		c.CheaterFraction = 0.8
 		c.Horizon = 2000
@@ -220,7 +221,7 @@ func TestK1SingleFileTorrent(t *testing.T) {
 	c := cfgWith(func(c *Config) {
 		c.K = 1
 		c.P = 0.9
-		c.Scheme = MFCD
+		c.Scheme = scheme.SimMFCD
 		c.Horizon = 800
 		c.Warmup = 150
 	})
@@ -258,7 +259,7 @@ func TestSequentialPeersFinishFilesInRequestOrder(t *testing.T) {
 	// partial-seed invariant. We verify through the simulator's own
 	// bookkeeping: cursor equals the number of finished files.
 	c := cfgWith(func(c *Config) {
-		c.Scheme = CMFSD
+		c.Scheme = scheme.SimCMFSD
 		c.Horizon = 400
 		c.Warmup = 0
 	})
@@ -275,8 +276,8 @@ func TestSequentialPeersFinishFilesInRequestOrder(t *testing.T) {
 }
 
 func TestHigherEtaSpeedsSwarm(t *testing.T) {
-	slow := run(t, cfgWith(func(c *Config) { c.TFTEfficiency = 0.3; c.Scheme = MFCD }))
-	fast := run(t, cfgWith(func(c *Config) { c.TFTEfficiency = 1.0; c.Scheme = MFCD }))
+	slow := run(t, cfgWith(func(c *Config) { c.TFTEfficiency = 0.3; c.Scheme = scheme.SimMFCD }))
+	fast := run(t, cfgWith(func(c *Config) { c.TFTEfficiency = 1.0; c.Scheme = scheme.SimMFCD }))
 	if fast.AvgOnlinePerFile >= slow.AvgOnlinePerFile {
 		t.Fatalf("η=1 (%v) should beat η=0.3 (%v)",
 			fast.AvgOnlinePerFile, slow.AvgOnlinePerFile)
@@ -285,7 +286,7 @@ func TestHigherEtaSpeedsSwarm(t *testing.T) {
 
 func TestMTSDSchemeRuns(t *testing.T) {
 	c := cfgWith(func(c *Config) {
-		c.Scheme = MTSD
+		c.Scheme = scheme.SimMTSD
 		c.Horizon = 2000
 		c.Warmup = 300
 	})
@@ -298,7 +299,7 @@ func TestMTSDSchemeRuns(t *testing.T) {
 		t.Fatalf("MTSD pauses missing: online %v vs download %v",
 			res.AvgOnlinePerFile, res.AvgDownloadPerFile)
 	}
-	if MTSD.String() != "MTSD" {
+	if scheme.SimMTSD.String() != "MTSD" {
 		t.Fatal("scheme name")
 	}
 }
@@ -309,9 +310,9 @@ func TestChunkLevelSchemeOrderingByRegime(t *testing.T) {
 	// residence (T = 60 vs 1/γ = 20): sequential wins. In a seed-rich
 	// swarm where files download in a couple of rounds, MTSD's per-file
 	// pauses (mean 1/γ) dominate its online time and the ordering flips.
-	mk := func(scheme Scheme, gamma float64) *Result {
+	mk := func(sc scheme.SimScheme, gamma float64) *Result {
 		c := cfgWith(func(c *Config) {
-			c.Scheme = scheme
+			c.Scheme = sc
 			c.Rho = 0
 			c.P = 0.9
 			c.Gamma = gamma
@@ -323,8 +324,8 @@ func TestChunkLevelSchemeOrderingByRegime(t *testing.T) {
 	// Seed-rich regime (γ = 0.1 → 10-round pauses, ~2-round files):
 	// MTSD loses on online time but wins on download time per file
 	// (focused downloading), exactly the fluid model's split.
-	mfcdRich := mk(MFCD, 0.1)
-	mtsdRich := mk(MTSD, 0.1)
+	mfcdRich := mk(scheme.SimMFCD, 0.1)
+	mtsdRich := mk(scheme.SimMTSD, 0.1)
 	if mtsdRich.AvgOnlinePerFile <= mfcdRich.AvgOnlinePerFile {
 		t.Fatalf("seed-rich regime: MTSD online %v should exceed MFCD %v (pauses dominate)",
 			mtsdRich.AvgOnlinePerFile, mfcdRich.AvgOnlinePerFile)
@@ -335,8 +336,8 @@ func TestChunkLevelSchemeOrderingByRegime(t *testing.T) {
 	}
 	// Seed-scarce regime (γ = 0.8): the paper's ordering appears —
 	// sequential beats concurrent on online time too.
-	mfcdScarce := mk(MFCD, 0.8)
-	mtsdScarce := mk(MTSD, 0.8)
+	mfcdScarce := mk(scheme.SimMFCD, 0.8)
+	mtsdScarce := mk(scheme.SimMTSD, 0.8)
 	if mtsdScarce.AvgOnlinePerFile >= mfcdScarce.AvgOnlinePerFile {
 		t.Fatalf("seed-scarce regime: MTSD %v should beat MFCD %v",
 			mtsdScarce.AvgOnlinePerFile, mfcdScarce.AvgOnlinePerFile)
