@@ -1,15 +1,24 @@
-# Verification tiers. tier1 is the gate every change must keep green;
-# tier2 adds static analysis, the race detector over every package, and
-# the benchmark's own smoke test. DESIGN.md, "Verification tiers", says
-# what the race run is there to catch, package by package.
+# Verification tiers. tier1 is the gate every change must keep green; it
+# includes the static gates (import DAG, dead code), which `make gates`
+# runs alone. tier2 adds static analysis, the race detector over every
+# package, and the benchmark's own smoke test. DESIGN.md, "Verification
+# tiers", says what the gates check and what the race run is there to
+# catch, package by package.
 
-.PHONY: tier1 tier2 bench soak profile pairs loc
+.PHONY: tier1 tier2 gates bench soak profile pairs loc
 
 tier1:
 	go build ./... && go test ./...
 
 tier2:
 	go vet ./... && go test -race -timeout 30m ./... && go -C benchmark test ./...
+
+# gates runs only the static gates (gates_test.go): the import DAG and the
+# dead-code scan, plus their seeded-violation checks. -v prints the tier
+# table and the dead-code allowlist with each entry's reason — the queue
+# for the next deletion.
+gates:
+	go test -count=1 -run Gate -v .
 
 # soak runs the chaos soak (part of tier2's race run) on its own: a
 # distributed sim-replica sweep with four workers plus one killed

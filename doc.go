@@ -2,7 +2,7 @@
 // BitTorrent" (Tian, Wu, Ng — ICPP 2006) as a Go library: fluid models for
 // the four multiple-file downloading schemes (MTCD, MTSD, MFCD and the
 // paper's proposed CMFSD), the numerical machinery to solve them (hand-
-// rolled RK4/RK45, linear algebra for stability analysis), two BitTorrent
+// rolled RK4 and Newton, linear algebra for stability analysis), two BitTorrent
 // simulators that validate the models at the flow and chunk level, and the
 // Adapt mechanism for distributed tuning of the collaboration ratio ρ.
 //

@@ -1,0 +1,813 @@
+package mfdl_test
+
+// Static gates over the module's own source, written with the standard
+// library alone: `go list -deps -export` gives the import graph and the
+// standard library's export data, and go/parser + go/types check every
+// package from source. Two gates run in tier-1:
+//
+//   - TestGateImportDAG fails on an import that points up the tier list,
+//     or breaks one of the rows in importRows;
+//   - TestGateDeadCode fails on a top-level func, method, type, var or
+//     const under internal/ that no non-test code reaches, unless deadAllow
+//     lists it with its reason. An allowlist entry that is reached again,
+//     or no longer exists, fails too, so the list only shrinks.
+//
+// `go test -run Gate -v .` (make gates) prints the allowlist with its
+// reasons: it is the queue for the next deletion.
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"maps"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// A tier is one rung of the import DAG. A package may import packages of
+// its own tier and of the tiers below it, never above. Patterns are
+// module-relative directories; "x/..." covers x and everything below it,
+// and the longest matching pattern decides a package's tier.
+type tier struct {
+	name string
+	pkgs []string
+}
+
+// importTiers runs bottom to top. The BitTorrent stack sits just below the
+// binaries, so only cmd/ and examples/ reach it; its own row in importRows
+// keeps it from reaching into the rest.
+var importTiers = []tier{
+	{"leaf", []string{"internal/numeric/...", "internal/rng", "internal/stats", "internal/obs",
+		"internal/adapt", "internal/faults", "internal/trace", "internal/table"}},
+	{"model", []string{"internal/fluid", "internal/correlation", "internal/mtcd", "internal/mtsd",
+		"internal/cmfsd", "internal/scheme", "internal/metrics", "internal/core"}},
+	{"contract", []string{"internal/replica"}},
+	{"backends", []string{"internal/eventsim", "internal/swarm"}},
+	{"engine", []string{"internal/runner/..."}},
+	{"sim", []string{"internal/sim"}},
+	{"fabric", []string{"internal/fabric/..."}},
+	{"experiments", []string{"internal/experiments"}},
+	{"bittorrent codec", []string{"internal/bencode"}},
+	{"bittorrent metainfo", []string{"internal/metainfo"}},
+	{"bittorrent transport", []string{"internal/wire", "internal/storage"}},
+	{"bittorrent peers", []string{"internal/client", "internal/tracker"}},
+	{"bittorrent tracker", []string{"cmd/trackerd"}},
+	{"top", []string{"internal/gridflag", "cmd/...", "examples/...", "scripts/...", "."}},
+}
+
+var bittorrentStack = []string{"internal/bencode", "internal/metainfo", "internal/wire",
+	"internal/storage", "internal/client", "internal/tracker", "cmd/trackerd"}
+
+// An importRow narrows what some packages may import beyond the tier rule:
+// only lists every repository package they may import directly, and never
+// lists packages they must not depend on even indirectly.
+type importRow struct {
+	name  string
+	from  []string
+	only  []string
+	never []string
+}
+
+var importRows = []importRow{
+	// The simulator contract sits on rng and stats alone.
+	{name: "contract", from: []string{"internal/replica"},
+		only: []string{"internal/rng", "internal/stats"}},
+	// A backend links neither the job layer nor the replica engine.
+	{name: "backends_are_leaves", from: []string{"internal/eventsim", "internal/swarm"},
+		never: []string{"internal/runner/...", "internal/sim"}},
+	// The BitTorrent stack is an island: it may use rng and obs, nothing else.
+	{name: "bittorrent_island", from: bittorrentStack,
+		only: append([]string{"internal/rng", "internal/obs"}, bittorrentStack...)},
+}
+
+// Why a declaration that no non-test code reaches may stay. There are no
+// other reasons: code only its own tests use is deleted with them, and
+// moving it into a _test.go file is not a deletion.
+const (
+	oracle = "(a)" // reference or oracle: a test of other live code compares against it
+	seam   = "(b)" // test seam: a test of live code needs it
+	island = "(c)" // BitTorrent island: ROADMAP keeps the paper's Figure 1 stack whole
+)
+
+// An allowed entry names a declaration the dead-code gate tolerates.
+// Names read pkg.Func, pkg.Type, pkg.(*Type).Method or pkg.Type.Method,
+// with pkg the directory under internal/.
+type allowed struct {
+	name, reason, note string
+}
+
+var deadAllow = []allowed{
+	{"numeric/ode.DOPRI", oracle, "cmfsd's invariants test checks the RK4 path of Eq. (5) against it"},
+	{"numeric/ode.Integrate", oracle, "RK4's accuracy and convergence-order tests integrate through it"},
+	{"numeric/linalg.(*LU).Det", oracle, "the eigenvalue determinant property compares the product of eigenvalues with it"},
+	{"numeric/linalg.(*Matrix).MulVec", oracle, "LU's residual property multiplies the solution back through it"},
+	{"numeric/linalg.FromRows", oracle, "the LU and eigenvalue tests build their matrices with it"},
+	{"numeric/rootfind.Bisect", oracle, "Brent's property test compares its roots with bisection's"},
+	{"stats.BinomialCoeff", oracle, "BinomialPMF's test compares it with the coefficient form"},
+	{"stats.(*Summary).Min", oracle, "the Summary merge tests and replica's Reduce test read extrema through it"},
+	{"stats.(*Summary).Max", oracle, "the Summary merge tests and replica's Reduce test read extrema through it"},
+	{"obs.(*Histogram).Count", oracle, "the obs and tracker tests read a histogram's sample count through it"},
+	{"trace.(*Series).Final", oracle, "Transient's and the swarm's tests read a series' last value through it"},
+	{"fluid.Residual", oracle, "the cmfsd and mtcd tests check fixed points with it"},
+	{"fluid.(*SingleTorrent).SteadyStateClosed", oracle, "fluid's tests check the relaxed fixed point of Eq. (3) against it"},
+	{"cmfsd.(*Model).SteadyStateRelaxed", oracle, "cmfsd's invariants test checks the hybrid solve against pure relaxation"},
+	{"mtcd.(*Model).SteadyStateODE", oracle, "mtcd's test checks the Eq. (2) closed form against relaxation of Eq. (1)"},
+	{"eventsim.(*sim).populations", oracle, "the heap tests check the incremental leg counters against this scan"},
+	{"runner.CellStream", oracle, "the pool and job tests check the executors' cell streams against it"},
+	{"runner/diskcache.(*SampleStore).Len", oracle, "the fabric's sample-reuse test counts a cell's stored samples with it"},
+	{"fabric/chaos.(*Plan).SetClock", seam, "the blackout test drives the plan's clock"},
+	{"fabric.(*Coordinator).ObserveCellSeconds", seam, "the lease-sizing tests feed cell timings through it"},
+	{"bencode.Canonical", island, "canonical re-encoding of a bencoded value"},
+	{"wire.Bitfield.Count", island, "pieces held in a bitfield"},
+	{"storage.(*Store).Info", island, "the torrent a store holds"},
+	{"storage.(*Store).Get", island, "read back a verified piece"},
+	{"storage.(*Store).Count", island, "verified pieces held"},
+	{"storage.(*Store).Complete", island, "whether every piece is held"},
+	{"storage.(*Store).FileComplete", island, "whether one file's pieces are all held"},
+	{"storage.(*Store).CompletedFiles", island, "the files whose pieces are all held"},
+	{"storage.(*Store).AssembleFile", island, "one file's bytes from its pieces"},
+	{"client.Listen", island, "accept inbound peer connections"},
+	{"client.AnnounceWithRetry", island, "tracker announce with backoff, documented in README"},
+	{"client.Reconnect", island, "re-dial a dropped peer, documented in README"},
+	{"client.(*Client).Bootstrap", island, "announce, then dial the peers the tracker returns"},
+}
+
+func TestGateImportDAG(t *testing.T) {
+	p := loadRepo(t)
+	for _, problem := range importProblems(p.imports, importTiers, importRows) {
+		t.Error(problem)
+	}
+	for i, tr := range importTiers {
+		t.Logf("tier %2d %-20s %s", i, tr.name, strings.Join(tr.pkgs, " "))
+	}
+}
+
+func TestGateDeadCode(t *testing.T) {
+	p := loadRepo(t)
+	problems, kept, keptLines := deadProblems(p, deadAllow)
+	for _, problem := range problems {
+		t.Error(problem)
+	}
+	t.Logf("allowlist: %d entries keep %d lines alive, doc comments included; (a) reference or oracle, (b) test seam, (c) BitTorrent island", len(deadAllow), keptLines)
+	for i, a := range deadAllow {
+		lines := 0
+		if kept[i] != nil {
+			lines = kept[i].lines
+		}
+		t.Logf("  %s %-42s %3d  %s", a.reason, a.name, lines, a.note)
+	}
+}
+
+// synthModule is a small module both gates pass on: an enumerator no one
+// names, methods reached only through fmt.Stringer and an interface
+// literal, and a helper reached only from an allowlisted function.
+var synthModule = map[string]string{
+	"go.mod": "module synth\n\ngo 1.22\n",
+	"main.go": `package main
+
+import (
+	"fmt"
+
+	"synth/internal/high"
+	"synth/internal/low"
+)
+
+func main() {
+	var s interface{ Size() int } = low.New()
+	fmt.Println(low.New(), s.Size(), low.B, high.Run())
+}
+`,
+	"internal/low/low.go": `package low
+
+type Kind int
+
+const (
+	A Kind = iota
+	B
+	C
+)
+
+type T struct{ n int }
+
+func New() T { return T{n: int(A)} }
+
+func (t T) String() string { return "t" }
+
+func (t T) Size() int { return t.n }
+
+func Kept() int { return helper() }
+
+func helper() int { return 1 }
+`,
+	"internal/high/high.go": "package high\n\nfunc Run() int { return 2 }\n",
+}
+
+// TestGateSeededViolations shows each gate failing: every case adds one
+// violation to synthModule, and the gates must report exactly what it
+// breaks.
+func TestGateSeededViolations(t *testing.T) {
+	tiers := []tier{{"low", []string{"internal/low"}}, {"high", []string{"internal/high"}}, {"top", []string{"."}}}
+	rows := []importRow{{name: "low_stays_low", from: []string{"internal/low"}, never: []string{"internal/high"}}}
+	allow := []allowed{{"low.Kept", oracle, "kept for the test"}}
+	for _, c := range []struct {
+		name  string
+		file  string // added to internal/low
+		allow []allowed
+		want  []string // one substring per problem reported, in order
+	}{
+		{name: "clean"},
+		{name: "upward_edge", file: "import \"synth/internal/high\"\n\nvar _ = high.Run\n", want: []string{
+			"internal/low (tier low) imports internal/high (tier high): an upward edge",
+			"internal/low depends on internal/high (imported by internal/low); row low_stays_low forbids it"}},
+		{name: "unused_func", file: "func Unused() {}\n", want: []string{"low.Unused (1 lines) is reached by no non-test code"}},
+		{name: "unused_method", file: "func (*T) Unused() {}\n", want: []string{"low.(*T).Unused (1 lines) is reached by no non-test code"}},
+		{name: "stale_entry", allow: []allowed{{"low.New", oracle, "live"}}, want: []string{"allowlist entry low.New is reached by non-test code"}},
+		{name: "missing_entry", allow: []allowed{{"low.Gone", oracle, "deleted"}}, want: []string{"allowlist entry low.Gone names no declaration"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			files := maps.Clone(synthModule)
+			if c.file != "" {
+				files["internal/low/seeded.go"] = "package low\n\n" + c.file
+			}
+			for name, src := range files {
+				path := filepath.Join(dir, filepath.FromSlash(name))
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p, err := loadProgram(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dead, _, _ := deadProblems(p, append(slices.Clone(allow), c.allow...))
+			problems := append(importProblems(p.imports, tiers, rows), dead...)
+			if len(problems) != len(c.want) {
+				t.Fatalf("gates report %q, want %d problems", problems, len(c.want))
+			}
+			for i, want := range c.want {
+				if !strings.Contains(problems[i], want) {
+					t.Errorf("problem %d is %q, want %q", i, problems[i], want)
+				}
+			}
+		})
+	}
+}
+
+var (
+	repoOnce sync.Once
+	repo     *program
+	repoErr  error
+)
+
+func loadRepo(t *testing.T) *program {
+	t.Helper()
+	repoOnce.Do(func() { repo, repoErr = loadProgram(".") })
+	if repoErr != nil {
+		t.Fatal(repoErr)
+	}
+	return repo
+}
+
+// program is one module, type-checked from source, plus benchmark/ (a
+// module of its own under the root) when it exists.
+type program struct {
+	fset    *token.FileSet
+	pkgs    []*checked          // dependencies first; benchmark/ last
+	local   map[string]bool     // import paths of pkgs
+	imports map[string][]string // module-relative dir → repository imports, non-test files
+}
+
+type checked struct {
+	rel   string // module-relative directory, "." for the root
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// listed is the part of `go list -json` the gates read.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Imports    []string
+	Standard   bool
+	Export     string
+	Error      *struct{ Err string }
+}
+
+// loadProgram type-checks every non-test package of the module at root
+// and, when root/benchmark exists, every file there, tests included: that
+// directory cannot change, so whatever it uses counts as used.
+func loadProgram(root string) (*program, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	modPath := ""
+	for _, line := range strings.Split(string(mod), "\n") {
+		if rest, ok := strings.CutPrefix(line, "module "); ok {
+			modPath = strings.TrimSpace(rest)
+		}
+	}
+	inModule := func(path string) bool { return path == modPath || strings.HasPrefix(path, modPath+"/") }
+	rel := func(path string) string {
+		if path == modPath {
+			return "."
+		}
+		return strings.TrimPrefix(path, modPath+"/")
+	}
+	p := &program{fset: token.NewFileSet(), local: map[string]bool{}, imports: map[string][]string{}}
+	benchDir := filepath.Join(root, "benchmark")
+	var bench []*ast.File
+	if entries, err := os.ReadDir(benchDir); err == nil {
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), ".go") {
+				f, err := parser.ParseFile(p.fset, filepath.Join(benchDir, e.Name()), nil, parser.SkipObjectResolution)
+				if err != nil {
+					return nil, err
+				}
+				bench = append(bench, f)
+			}
+		}
+	}
+	args := []string{"list", "-e", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,Imports,Standard,Export,Error", "./..."}
+	seen := map[string]bool{}
+	for _, f := range bench {
+		for _, imp := range f.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			if !seen[path] && !inModule(path) {
+				seen[path] = true
+				args = append(args, path)
+			}
+		}
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	exports := map[string]string{}
+	var local []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var lp listed
+		if err := dec.Decode(&lp); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
+		if lp.Error != nil {
+			return nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		if lp.Standard {
+			exports[lp.ImportPath] = lp.Export
+		} else {
+			local = append(local, lp)
+		}
+	}
+
+	byPath := map[string]*types.Package{}
+	gc := importer.ForCompiler(p.fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(exports[path])
+	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if tp, ok := byPath[path]; ok {
+			return tp, nil
+		}
+		if inModule(path) {
+			return nil, fmt.Errorf("%s is not loaded", path)
+		}
+		return gc.Import(path)
+	})
+	check := func(path, dir string, files []*ast.File) error {
+		c := &checked{rel: dir, files: files, info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}}
+		var errs []error
+		conf := types.Config{Importer: imp, Error: func(err error) { errs = append(errs, err) }}
+		c.types, _ = conf.Check(path, p.fset, files, c.info)
+		if len(errs) > 0 {
+			return errors.Join(errs...)
+		}
+		byPath[path] = c.types
+		p.local[path] = true
+		p.pkgs = append(p.pkgs, c)
+		return nil
+	}
+	for _, lp := range local {
+		var files []*ast.File
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(p.fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		if err := check(lp.ImportPath, rel(lp.ImportPath), files); err != nil {
+			return nil, err
+		}
+		var deps []string
+		for _, d := range lp.Imports {
+			if inModule(d) {
+				deps = append(deps, rel(d))
+			}
+		}
+		p.imports[rel(lp.ImportPath)] = deps
+	}
+	if len(bench) > 0 {
+		if err := check(modPath+"/benchmark", "benchmark", bench); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// match reports how specifically pattern covers the module-relative
+// directory rel: 0 for not at all, more for a longer pattern.
+func match(pattern, rel string) int {
+	if base, ok := strings.CutSuffix(pattern, "/..."); ok {
+		if rel == base || strings.HasPrefix(rel, base+"/") {
+			return len(base)
+		}
+		return 0
+	}
+	if rel == pattern {
+		return len(pattern) + 1
+	}
+	return 0
+}
+
+func matchesAny(patterns []string, rel string) bool {
+	for _, pat := range patterns {
+		if match(pat, rel) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// importProblems checks the module's import graph against the tiers and
+// the rows.
+func importProblems(imports map[string][]string, tiers []tier, rows []importRow) []string {
+	var problems []string
+	tierOf := map[string]int{}
+	for rel := range imports {
+		best, at := 0, -1
+		for i, tr := range tiers {
+			for _, pat := range tr.pkgs {
+				if m := match(pat, rel); m > best {
+					best, at = m, i
+				}
+			}
+		}
+		if at < 0 {
+			problems = append(problems, fmt.Sprintf("%s is in no tier of the import DAG", rel))
+		}
+		tierOf[rel] = at
+	}
+	for rel, deps := range imports {
+		for _, dep := range deps {
+			if from, to := tierOf[rel], tierOf[dep]; from >= 0 && to > from {
+				problems = append(problems, fmt.Sprintf("%s (tier %s) imports %s (tier %s): an upward edge",
+					rel, tiers[from].name, dep, tiers[to].name))
+			}
+		}
+	}
+	for _, row := range rows {
+		for rel, deps := range imports {
+			if !matchesAny(row.from, rel) {
+				continue
+			}
+			for _, dep := range deps {
+				if row.only != nil && !matchesAny(row.only, dep) {
+					problems = append(problems, fmt.Sprintf("%s imports %s; row %s allows only %s",
+						rel, dep, row.name, strings.Join(row.only, ", ")))
+				}
+			}
+			if row.never == nil {
+				continue
+			}
+			via := map[string]string{rel: ""}
+			for queue := []string{rel}; len(queue) > 0; queue = queue[1:] {
+				for _, dep := range imports[queue[0]] {
+					if _, ok := via[dep]; !ok {
+						via[dep] = queue[0]
+						queue = append(queue, dep)
+					}
+				}
+			}
+			for dep, by := range via {
+				if dep != rel && matchesAny(row.never, dep) {
+					problems = append(problems, fmt.Sprintf("%s depends on %s (imported by %s); row %s forbids it",
+						rel, dep, by, row.name))
+				}
+			}
+		}
+	}
+	sort.Strings(problems)
+	return problems
+}
+
+// A decl is one tracked top-level declaration under internal/.
+type decl struct {
+	name  string
+	pos   token.Position
+	lines int // with its doc comment
+}
+
+// deadProblems runs the dead-code gate. It returns one problem per
+// unreached declaration that neither the allowlist nor an allowlisted
+// declaration keeps, and per stale allowlist entry; the declaration behind
+// each allowlist entry (nil where it is stale); and the lines the
+// allowlist keeps alive.
+func deadProblems(p *program, allow []allowed) (problems []string, kept []*decl, keptLines int) {
+	tracked := map[types.Object]*decl{}
+	byName := map[string]types.Object{}
+	edges := map[types.Object][]types.Object{}
+	var roots []types.Object
+	for _, c := range p.pkgs {
+		internal := strings.HasPrefix(c.rel, "internal/")
+		for _, f := range c.files {
+			for _, d := range f.Decls {
+				for _, u := range declUnits(c, d) {
+					// Uses inside a tracked declaration are edges from it;
+					// uses anywhere else are roots.
+					var owners []types.Object
+					if internal && !u.exempt {
+						owners = u.objs
+						for _, obj := range u.objs {
+							tracked[obj] = &decl{name: declName(c.rel, obj), pos: p.fset.Position(obj.Pos()),
+								lines: p.fset.Position(u.end).Line - p.fset.Position(u.start).Line + 1}
+							byName[tracked[obj].name] = obj
+						}
+					}
+					ast.Inspect(u.node, func(n ast.Node) bool {
+						id, ok := n.(*ast.Ident)
+						if !ok {
+							return true
+						}
+						used := origin(c.info.Uses[id])
+						if used == nil || used.Pkg() == nil || !p.local[used.Pkg().Path()] {
+							return true
+						}
+						if owners == nil {
+							roots = append(roots, used)
+						}
+						for _, o := range owners {
+							edges[o] = append(edges[o], used)
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	// A method is reached when its type is and it implements an interface
+	// the checked code mentions: calls through the interface name the
+	// interface's method, not this one.
+	ifaces := mentionedInterfaces(p)
+	for obj := range tracked {
+		tn, ok := obj.(*types.TypeName)
+		if !ok {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok || named.TypeParams().Len() > 0 {
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			m := named.Method(i)
+			for _, it := range ifaces[m.Name()] {
+				if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
+					edges[tn] = append(edges[tn], m)
+					break
+				}
+			}
+		}
+	}
+	reach := func(extra []types.Object) map[types.Object]bool {
+		seen := map[types.Object]bool{}
+		queue := append(append([]types.Object(nil), roots...), extra...)
+		for len(queue) > 0 {
+			o := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			if seen[o] {
+				continue
+			}
+			seen[o] = true
+			queue = append(queue, edges[o]...)
+		}
+		return seen
+	}
+
+	reached := reach(nil)
+	kept = make([]*decl, len(allow))
+	var extra []types.Object
+	for i, a := range allow {
+		obj, ok := byName[a.name]
+		switch {
+		case !ok:
+			problems = append(problems, fmt.Sprintf("allowlist entry %s names no declaration; delete the entry", a.name))
+		case reached[obj]:
+			problems = append(problems, fmt.Sprintf("allowlist entry %s is reached by non-test code; delete the entry", a.name))
+		default:
+			kept[i] = tracked[obj]
+			extra = append(extra, obj)
+		}
+	}
+	live := reach(extra)
+	var dead []*decl
+	for obj, d := range tracked {
+		switch {
+		case !live[obj]:
+			dead = append(dead, d)
+		case !reached[obj]:
+			keptLines += d.lines
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].name < dead[j].name })
+	for _, d := range dead {
+		problems = append(problems, fmt.Sprintf("%s:%d: %s (%d lines) is reached by no non-test code: delete it, or allowlist it with a reason",
+			d.pos.Filename, d.pos.Line, d.name, d.lines))
+	}
+	return problems, kept, keptLines
+}
+
+// A unit is what one top-level declaration, or one spec of a grouped
+// declaration, defines.
+type unit struct {
+	objs       []types.Object
+	node       ast.Node
+	start, end token.Pos // doc comment included
+	exempt     bool      // init, _, or an enumerator of an iota block
+}
+
+func declUnits(c *checked, d ast.Decl) []unit {
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		start := d.Pos()
+		if d.Doc != nil {
+			start = d.Doc.Pos()
+		}
+		obj := c.info.Defs[d.Name]
+		return []unit{{objs: []types.Object{obj}, node: d, start: start, end: d.End(),
+			exempt: d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main")}}
+	case *ast.GenDecl:
+		if d.Tok == token.IMPORT {
+			return nil
+		}
+		enum := d.Tok == token.CONST && usesIota(c, d)
+		var units []unit
+		for _, s := range d.Specs {
+			u := unit{node: s, start: s.Pos(), end: s.End(), exempt: enum}
+			doc := d.Doc
+			if d.Lparen.IsValid() {
+				doc = nil
+			}
+			switch s := s.(type) {
+			case *ast.TypeSpec:
+				u.objs = []types.Object{c.info.Defs[s.Name]}
+				if s.Doc != nil {
+					doc = s.Doc
+				}
+			case *ast.ValueSpec:
+				for _, n := range s.Names {
+					if n.Name == "_" {
+						u.exempt = true
+					} else if obj := c.info.Defs[n]; obj != nil {
+						u.objs = append(u.objs, obj)
+					}
+				}
+				if s.Doc != nil {
+					doc = s.Doc
+				}
+			}
+			if doc != nil {
+				u.start = doc.Pos()
+			}
+			if !d.Lparen.IsValid() {
+				u.end = d.End()
+			}
+			units = append(units, u)
+		}
+		return units
+	}
+	return nil
+}
+
+func usesIota(c *checked, d *ast.GenDecl) bool {
+	found := false
+	ast.Inspect(d, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && c.info.Uses[id] == types.Universe.Lookup("iota") {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// origin maps an instantiated generic object back to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+func declName(rel string, obj types.Object) string {
+	pkg := strings.TrimPrefix(rel, "internal/")
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if ptr, ok := recv.Type().(*types.Pointer); ok {
+				return fmt.Sprintf("%s.(*%s).%s", pkg, typeName(ptr.Elem()), fn.Name())
+			}
+			return fmt.Sprintf("%s.%s.%s", pkg, typeName(recv.Type()), fn.Name())
+		}
+	}
+	return pkg + "." + obj.Name()
+}
+
+func typeName(t types.Type) string {
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return t.String()
+}
+
+// mentionedInterfaces indexes by method name every interface with methods
+// that the checked code writes as a type, plus the exported interfaces of
+// the standard packages it imports (fmt.Stringer, sort.Interface, ...) and
+// the methods errors.Is, As and Unwrap look for without exporting an
+// interface.
+func mentionedInterfaces(p *program) map[string][]*types.Interface {
+	seen := map[*types.Interface]bool{}
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			seen[it] = true
+		}
+	}
+	for _, src := range []string{"interface{ Unwrap() error }", "interface{ Unwrap() []error }",
+		"interface{ Is(error) bool }", "interface{ As(any) bool }"} {
+		tv, err := types.Eval(p.fset, nil, token.NoPos, src)
+		if err != nil {
+			panic(err)
+		}
+		add(tv.Type)
+	}
+	for _, c := range p.pkgs {
+		for _, tv := range c.info.Types {
+			if tv.IsType() {
+				add(tv.Type)
+			}
+		}
+		for _, dep := range c.types.Imports() {
+			if !p.local[dep.Path()] {
+				for _, name := range dep.Scope().Names() {
+					if tn, ok := dep.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+						add(tn.Type())
+					}
+				}
+			}
+		}
+	}
+	byMethod := map[string][]*types.Interface{}
+	for it := range seen {
+		for i := 0; i < it.NumMethods(); i++ {
+			byMethod[it.Method(i).Name()] = append(byMethod[it.Method(i).Name()], it)
+		}
+	}
+	return byMethod
+}

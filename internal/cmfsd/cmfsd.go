@@ -88,9 +88,6 @@ func (m *Model) P(i, j int) float64 {
 	return m.Rho
 }
 
-// K returns the number of files/subtorrents.
-func (m *Model) K() int { return m.Corr.K }
-
 // Dim implements fluid.Model: K(K+1)/2 downloader groups plus K seed
 // classes.
 func (m *Model) Dim() int {

@@ -70,9 +70,6 @@ func NewMixed(p fluid.Params, corr *correlation.Model, groups []Group) (*Mixed, 
 	return &Mixed{Params: p, Corr: corr, Groups: groups}, nil
 }
 
-// K returns the number of files.
-func (m *Mixed) K() int { return m.Corr.K }
-
 // perGroup is the per-group state block size: K(K+1)/2 downloader cells
 // plus K seed cells.
 func (m *Mixed) perGroup() int {

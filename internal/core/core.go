@@ -29,25 +29,15 @@ import (
 // scheme.Scheme so core values flow directly into the scheme.New factory.
 type Scheme = scheme.Scheme
 
-// The four schemes of the paper (see the scheme package for details).
+// The two multiple-file schemes a deployment chooses between: the MFCD
+// baseline and the paper's proposal (the scheme package names all four).
 const (
-	MTCD  = scheme.MTCD
-	MTSD  = scheme.MTSD
 	MFCD  = scheme.MFCD
 	CMFSD = scheme.CMFSD
 )
 
 // Schemes lists all schemes in paper order.
 var Schemes = scheme.Schemes
-
-// ParseScheme converts a string to a Scheme.
-func ParseScheme(s string) (Scheme, error) {
-	sc, err := scheme.Parse(s)
-	if err != nil {
-		return "", fmt.Errorf("core: unknown scheme %q", s)
-	}
-	return sc, nil
-}
 
 // Config describes a server–torrent system.
 type Config struct {
@@ -77,12 +67,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	return &System{cfg: cfg, corr: corr}, nil
 }
-
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
-// Correlation returns the underlying file-correlation model.
-func (s *System) Correlation() *correlation.Model { return s.corr }
 
 // evalOptions collects per-call options.
 type evalOptions struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mfdl/internal/fluid"
+	"mfdl/internal/scheme"
 )
 
 func system(t *testing.T, p float64) *System {
@@ -14,18 +15,6 @@ func system(t *testing.T, p float64) *System {
 		t.Fatal(err)
 	}
 	return s
-}
-
-func TestParseScheme(t *testing.T) {
-	for _, sc := range Schemes {
-		got, err := ParseScheme(string(sc))
-		if err != nil || got != sc {
-			t.Fatalf("ParseScheme(%q) = %v, %v", sc, got, err)
-		}
-	}
-	if _, err := ParseScheme("FTP"); err == nil {
-		t.Fatal("unknown scheme parsed")
-	}
 }
 
 func TestNewSystemValidation(t *testing.T) {
@@ -63,7 +52,7 @@ func TestEvaluateUnknownScheme(t *testing.T) {
 func TestMFCDEqualsMTCDInFluidModel(t *testing.T) {
 	// Section 3.4: MFCD is equivalent to MTCD in the fluid model.
 	s := system(t, 0.7)
-	a, err := s.Evaluate(MTCD)
+	a, err := s.Evaluate(scheme.MTCD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +105,5 @@ func TestWithRhoDefaultIsZero(t *testing.T) {
 	}
 	if math.Abs(def.AvgOnlinePerFile()-explicit.AvgOnlinePerFile()) > 1e-9 {
 		t.Fatal("default ρ is not 0")
-	}
-}
-
-func TestConfigAccessors(t *testing.T) {
-	s := system(t, 0.4)
-	if s.Config().K != 10 || s.Correlation().P != 0.4 {
-		t.Fatal("accessors wrong")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"mfdl/internal/core"
 	"mfdl/internal/fluid"
+	"mfdl/internal/scheme"
 )
 
 // Evaluate all four downloading schemes on a highly correlated 10-file
@@ -20,12 +21,12 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, scheme := range []core.Scheme{core.MTSD, core.MFCD} {
-		res, err := sys.Evaluate(scheme)
+	for _, sc := range []core.Scheme{scheme.MTSD, core.MFCD} {
+		res, err := sys.Evaluate(sc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s %.2f\n", scheme, res.AvgOnlinePerFile())
+		fmt.Printf("%s %.2f\n", sc, res.AvgOnlinePerFile())
 	}
 	// Output:
 	// MTSD 80.00

@@ -62,15 +62,6 @@ func (m *Model) UserRate(i int) float64 {
 	return m.Lambda0 * stats.BinomialPMF(m.K, i, m.P)
 }
 
-// UserRates returns [λ_1, ..., λ_K] indexed from 0 (class i at index i-1).
-func (m *Model) UserRates() []float64 {
-	out := make([]float64, m.K)
-	for i := 1; i <= m.K; i++ {
-		out[i-1] = m.UserRate(i)
-	}
-	return out
-}
-
 // TorrentClassRate returns λ_j^i, the entry rate of class-i peers into one
 // particular torrent, for i in 1..K (0 outside that range). By symmetry it
 // is the same for every torrent j.
@@ -83,15 +74,6 @@ func (m *Model) TorrentClassRate(i int) float64 {
 	return m.UserRate(i) * float64(i) / float64(m.K)
 }
 
-// TorrentClassRates returns [λ_j^1, ..., λ_j^K] indexed from 0.
-func (m *Model) TorrentClassRates() []float64 {
-	out := make([]float64, m.K)
-	for i := 1; i <= m.K; i++ {
-		out[i-1] = m.TorrentClassRate(i)
-	}
-	return out
-}
-
 // TotalUserRate returns Σ_{i≥1} λ_i = λ₀·(1−(1−p)^K), the rate of users who
 // request at least one file.
 func (m *Model) TotalUserRate() float64 {
@@ -100,23 +82,4 @@ func (m *Model) TotalUserRate() float64 {
 		s += m.UserRate(i)
 	}
 	return s
-}
-
-// TotalFileRate returns Σ_i i·λ_i = λ₀·K·p, the aggregate rate at which
-// file requests enter the system.
-func (m *Model) TotalFileRate() float64 {
-	s := 0.0
-	for i := 1; i <= m.K; i++ {
-		s += float64(i) * m.UserRate(i)
-	}
-	return s
-}
-
-// MeanFilesPerUser returns E[i | i ≥ 1] = K·p / (1−(1−p)^K).
-func (m *Model) MeanFilesPerUser() float64 {
-	tot := m.TotalUserRate()
-	if tot == 0 {
-		return 0
-	}
-	return m.TotalFileRate() / tot
 }

@@ -32,7 +32,6 @@ package chaos
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -134,11 +133,6 @@ type Decision struct {
 	Corrupt bool
 }
 
-// Faulty reports whether the decision injects anything.
-func (d Decision) Faulty() bool {
-	return d.Drop || d.Delay > 0 || d.Error5xx || d.Corrupt
-}
-
 // Plan is a compiled chaos configuration. A nil *Plan is valid and
 // injects nothing: Transport returns the base transport and Middleware
 // returns the next handler, so call sites can hold a plan
@@ -175,14 +169,6 @@ func NewPlan(cfg Config, reg *obs.Registry) (*Plan, error) {
 		corrupted: reg.Counter("chaos_responses_corrupted_total"),
 		blackouts: reg.Counter("chaos_blackout_rejects_total"),
 	}, nil
-}
-
-// Config returns the plan's configuration (zero for a nil plan).
-func (p *Plan) Config() Config {
-	if p == nil {
-		return Config{}
-	}
-	return p.cfg
 }
 
 // streamID hashes (worker, endpoint, attempt) into a stable stream id
@@ -303,13 +289,6 @@ type transport struct {
 type chaosError struct{ msg string }
 
 func (e *chaosError) Error() string { return e.msg }
-
-// IsInjected reports whether err is a fault this package injected,
-// unwrapping any *url.Error the HTTP client layered on top.
-func IsInjected(err error) bool {
-	var ce *chaosError
-	return errors.As(err, &ce)
-}
 
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	endpoint := req.URL.Path

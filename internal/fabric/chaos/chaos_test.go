@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -183,7 +184,7 @@ func TestTransportInjectsSchedule(t *testing.T) {
 		switch {
 		case d.Drop && !d.DropAfterSend:
 			drops++
-			if !IsInjected(err) {
+			if !errors.As(err, new(*chaosError)) {
 				t.Fatalf("attempt %d: dropped request returned (%v, %v), want injected transport error", attempt, resp, err)
 			}
 			if served != before {
@@ -191,7 +192,7 @@ func TestTransportInjectsSchedule(t *testing.T) {
 			}
 		case d.Drop:
 			after++
-			if !IsInjected(err) {
+			if !errors.As(err, new(*chaosError)) {
 				t.Fatalf("attempt %d: drop-after-send returned (%v, %v), want injected transport error", attempt, resp, err)
 			}
 			if served != before+1 {
@@ -287,7 +288,7 @@ func TestMiddlewareBlackout(t *testing.T) {
 // A nil plan is a transparent no-op on both sides of the wire.
 func TestNilPlanIsTransparent(t *testing.T) {
 	var p *Plan
-	if d := p.Decide("w", "/v1/job", 0); d.Faulty() {
+	if d := p.Decide("w", "/v1/job", 0); d != (Decision{}) {
 		t.Fatalf("nil plan decided %+v", d)
 	}
 	if p.Blackout(time.Hour) {

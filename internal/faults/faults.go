@@ -1,7 +1,6 @@
 // Package faults is the deterministic fault-injection layer: it turns a
 // single chaos seed into a reproducible plan of peer aborts, virtual-seed
-// departures, slow-peer throttling, message loss, connection drops and
-// tracker outage windows.
+// departures, slow-peer throttling and message loss.
 //
 // Every per-entity draw is a pure function of (plan seed, fault kind,
 // entity id), computed on a dedicated rng stream that is never shared
@@ -15,9 +14,7 @@
 //     eight.
 //
 // The simulators (internal/eventsim, internal/swarm) consume the plan via
-// small hooks at arrival/transfer time; the real stack (internal/client,
-// internal/tracker) uses the retry/timeout machinery directly and the
-// outage windows in tests. Observability is optional: pass an
+// small hooks at arrival/transfer time. Observability is optional: pass an
 // obs.Registry to NewPlan and the plan maintains faults_* counters, pass
 // nil and every Note* call is a no-op.
 package faults
@@ -30,8 +27,8 @@ import (
 	"mfdl/internal/rng"
 )
 
-// Window is a half-open time interval [Start, End) during which the
-// tracker rejects announces.
+// Window is a half-open time interval [Start, End). It only types
+// Config.TrackerOutages, which Validate rejects.
 type Window struct {
 	Start, End float64
 }
@@ -59,28 +56,35 @@ type Config struct {
 	// MessageLoss is the probability that one chunk transfer or wire
 	// message is lost in flight and must be re-sent. In [0, 1).
 	MessageLoss float64
-	// ConnDropRate is the rate at which established peer links fail
-	// (each link draws an exponential lifetime). 0 disables.
-	ConnDropRate float64
-	// TrackerOutages lists windows during which the tracker is down.
+	// ConnDropRate and TrackerOutages are modelled by neither simulator,
+	// so Validate rejects any value but the zero one. They stay only
+	// because every sample key encodes them; they go at the next
+	// sample-key schema bump.
+	ConnDropRate   float64
 	TrackerOutages []Window
 }
 
 // Enabled reports whether the configuration injects any fault at all.
 func (c Config) Enabled() bool {
 	return c.AbortRate > 0 || c.SeedQuitRate > 0 || c.SlowPeerFraction > 0 ||
-		c.MessageLoss > 0 || c.ConnDropRate > 0 || len(c.TrackerOutages) > 0
+		c.MessageLoss > 0
 }
 
-// Validate rejects rates and fractions outside their domains.
+// Validate rejects rates and fractions outside their domains, and the
+// faults no simulator models.
 func (c Config) Validate() error {
+	if c.ConnDropRate != 0 {
+		return fmt.Errorf("faults: ConnDropRate %v is not modelled by either simulator", c.ConnDropRate)
+	}
+	if len(c.TrackerOutages) > 0 {
+		return fmt.Errorf("faults: TrackerOutages is not modelled by either simulator")
+	}
 	for _, f := range []struct {
 		name string
 		v    float64
 	}{
 		{"AbortRate", c.AbortRate},
 		{"SeedQuitRate", c.SeedQuitRate},
-		{"ConnDropRate", c.ConnDropRate},
 	} {
 		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("faults: %s must be a finite rate >= 0, got %v", f.name, f.v)
@@ -94,11 +98,6 @@ func (c Config) Validate() error {
 	}
 	if c.MessageLoss < 0 || c.MessageLoss >= 1 || math.IsNaN(c.MessageLoss) {
 		return fmt.Errorf("faults: MessageLoss must be in [0,1), got %v", c.MessageLoss)
-	}
-	for i, w := range c.TrackerOutages {
-		if w.Start < 0 || w.End <= w.Start || math.IsNaN(w.Start) || math.IsNaN(w.End) {
-			return fmt.Errorf("faults: TrackerOutages[%d] must satisfy 0 <= Start < End, got [%v, %v)", i, w.Start, w.End)
-		}
 	}
 	return nil
 }
@@ -124,7 +123,6 @@ const (
 	saltSeedQuit uint64 = 0x9fb21c651e98df25
 	saltSlow     uint64 = 0x6c62272e07bb0142
 	saltLoss     uint64 = 0x27d4eb2f165667c5
-	saltDrop     uint64 = 0x85ebca6b2e4f1d3b
 )
 
 // Plan answers per-entity fault queries for one configuration. A nil
@@ -137,8 +135,6 @@ type Plan struct {
 	seedQuits *obs.Counter
 	slow      *obs.Counter
 	lost      *obs.Counter
-	drops     *obs.Counter
-	rejects   *obs.Counter
 }
 
 // NewPlan validates cfg and builds its plan; a disabled configuration
@@ -156,17 +152,7 @@ func NewPlan(cfg Config, ob *obs.Registry) (*Plan, error) {
 		seedQuits: ob.Counter("faults_seed_quits_total"),
 		slow:      ob.Counter("faults_slow_peers_total"),
 		lost:      ob.Counter("faults_messages_lost_total"),
-		drops:     ob.Counter("faults_conn_drops_total"),
-		rejects:   ob.Counter("faults_tracker_rejects_total"),
 	}, nil
-}
-
-// Config returns the plan's configuration (zero for a nil plan).
-func (p *Plan) Config() Config {
-	if p == nil {
-		return Config{}
-	}
-	return p.cfg
 }
 
 // stream is the dedicated rng stream for one (kind, entity) pair.
@@ -204,15 +190,6 @@ func (p *Plan) UploadFactor(id uint64) float64 {
 	return 1
 }
 
-// ConnDropAfter returns the lifetime of entity id's connection (or
-// neighbor link). +Inf when connection drops are off.
-func (p *Plan) ConnDropAfter(id uint64) float64 {
-	if p == nil || p.cfg.ConnDropRate <= 0 {
-		return math.Inf(1)
-	}
-	return p.stream(saltDrop, id).Exp(p.cfg.ConnDropRate)
-}
-
 // LossStream returns a fresh per-entity stream for message-loss draws.
 // A single-threaded simulator owns one (keyed by its own seed) and
 // consumes it in event order; because it is distinct from the main RNG,
@@ -233,20 +210,6 @@ func (p *Plan) LossProb() float64 {
 	return p.cfg.MessageLoss
 }
 
-// TrackerDown reports whether the tracker is inside an outage window at
-// time t.
-func (p *Plan) TrackerDown(t float64) bool {
-	if p == nil {
-		return false
-	}
-	for _, w := range p.cfg.TrackerOutages {
-		if t >= w.Start && t < w.End {
-			return true
-		}
-	}
-	return false
-}
-
 // Note* record injected events on the faults_* counters. All are no-ops
 // on a nil plan or a nil registry, and safe for concurrent use.
 
@@ -254,13 +217,6 @@ func (p *Plan) TrackerDown(t float64) bool {
 func (p *Plan) NoteAbort() {
 	if p != nil {
 		p.aborts.Inc()
-	}
-}
-
-// NoteAborts records n injected downloader aborts at once.
-func (p *Plan) NoteAborts(n uint64) {
-	if p != nil {
-		p.aborts.Add(n)
 	}
 }
 
@@ -282,19 +238,5 @@ func (p *Plan) NoteSlowPeer() {
 func (p *Plan) NoteLoss() {
 	if p != nil {
 		p.lost.Inc()
-	}
-}
-
-// NoteConnDrop records one dropped connection.
-func (p *Plan) NoteConnDrop() {
-	if p != nil {
-		p.drops.Inc()
-	}
-}
-
-// NoteTrackerReject records one announce rejected by an outage window.
-func (p *Plan) NoteTrackerReject() {
-	if p != nil {
-		p.rejects.Inc()
 	}
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mfdl/internal/obs"
@@ -21,7 +22,7 @@ func mustPlan(t *testing.T, cfg Config) *Plan {
 func TestPlanDeterministic(t *testing.T) {
 	cfg := Config{
 		Seed: 42, AbortRate: 0.1, SeedQuitRate: 0.05,
-		SlowPeerFraction: 0.3, SlowFactor: 0.25, MessageLoss: 0.1, ConnDropRate: 0.01,
+		SlowPeerFraction: 0.3, SlowFactor: 0.25, MessageLoss: 0.1,
 	}
 	a, b := mustPlan(t, cfg), mustPlan(t, cfg)
 	// Query b in reverse order to prove order independence.
@@ -35,8 +36,7 @@ func TestPlanDeterministic(t *testing.T) {
 	for id := uint64(0); id < n; id++ {
 		if a.AbortAfter(id) != b.AbortAfter(id) ||
 			a.SeedQuitAfter(id) != b.SeedQuitAfter(id) ||
-			a.UploadFactor(id) != b.UploadFactor(id) ||
-			a.ConnDropAfter(id) != b.ConnDropAfter(id) {
+			a.UploadFactor(id) != b.UploadFactor(id) {
 			t.Fatalf("plan draws differ for id %d", id)
 		}
 		if a.LossStream(id).Uint64() != b.LossStream(id).Uint64() {
@@ -94,19 +94,16 @@ func TestDisabledAndNil(t *testing.T) {
 		t.Fatalf("disabled config should yield a nil plan")
 	}
 	// The nil plan injects nothing and never panics.
-	if !math.IsInf(p.AbortAfter(1), 1) || !math.IsInf(p.SeedQuitAfter(1), 1) ||
-		!math.IsInf(p.ConnDropAfter(1), 1) {
+	if !math.IsInf(p.AbortAfter(1), 1) || !math.IsInf(p.SeedQuitAfter(1), 1) {
 		t.Fatalf("nil plan must return +Inf deadlines")
 	}
-	if p.UploadFactor(1) != 1 || p.LossProb() != 0 || p.TrackerDown(5) {
+	if p.UploadFactor(1) != 1 || p.LossProb() != 0 {
 		t.Fatalf("nil plan must be a no-op")
 	}
 	p.NoteAbort()
 	p.NoteSeedQuit()
 	p.NoteLoss()
 	p.NoteSlowPeer()
-	p.NoteConnDrop()
-	p.NoteTrackerReject()
 }
 
 func TestValidateRejects(t *testing.T) {
@@ -127,22 +124,26 @@ func TestValidateRejects(t *testing.T) {
 			t.Errorf("config %d (%+v) should fail validation", i, cfg)
 		}
 	}
-	good := Config{AbortRate: 0.1, SlowPeerFraction: 0.2, SlowFactor: 0.5,
-		MessageLoss: 0.3, TrackerOutages: []Window{{Start: 0, End: 10}}}
+	good := Config{AbortRate: 0.1, SlowPeerFraction: 0.2, SlowFactor: 0.5, MessageLoss: 0.3}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
 
-func TestTrackerDown(t *testing.T) {
-	p := mustPlan(t, Config{TrackerOutages: []Window{{Start: 10, End: 20}, {Start: 30, End: 35}}})
-	cases := []struct {
-		t    float64
-		down bool
-	}{{0, false}, {10, true}, {19.9, true}, {20, false}, {32, true}, {40, false}}
-	for _, c := range cases {
-		if got := p.TrackerDown(c.t); got != c.down {
-			t.Errorf("TrackerDown(%v) = %v, want %v", c.t, got, c.down)
+// Connection drops and tracker outages are modelled by neither simulator,
+// so asking for them must fail rather than run a fault-free simulation
+// under a faulty sample key.
+func TestUnmodelledFaultsRejected(t *testing.T) {
+	for _, cfg := range []Config{
+		{ConnDropRate: 0.01},
+		{AbortRate: 0.1, ConnDropRate: 0.01},
+		{TrackerOutages: []Window{{Start: 0, End: 10}}},
+	} {
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "not modelled") {
+			t.Errorf("Validate(%+v) = %v, want a not-modelled error", cfg, err)
+		}
+		if _, err := NewPlan(cfg, nil); err == nil {
+			t.Errorf("NewPlan(%+v) accepted an unmodelled fault", cfg)
 		}
 	}
 }
@@ -169,7 +170,8 @@ func TestCountersLandInRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.NoteAbort()
-	p.NoteAborts(2)
+	p.NoteAbort()
+	p.NoteAbort()
 	p.NoteSeedQuit()
 	p.NoteLoss()
 	if got := ob.Counter("faults_aborts_total").Value(); got != 3 {

@@ -90,23 +90,3 @@ func (m *Model) Evaluate() (*metrics.SchemeResult, error) {
 	}
 	return res, nil
 }
-
-// TorrentPopulation returns the steady-state downloader and seed counts in
-// one torrent under MTSD. Each torrent j sees the aggregate arrival rate of
-// peers currently scheduled on it; in steady state with randomized
-// sequential order that is Σ_i λ_j^i (the same peer-arrival mass as MTCD,
-// spread over time instead of concurrently).
-func (m *Model) TorrentPopulation() (x, y float64, err error) {
-	lambda := 0.0
-	for i := 1; i <= m.Corr.K; i++ {
-		lambda += m.Corr.TorrentClassRate(i)
-	}
-	if lambda <= 0 {
-		return 0, 0, fmt.Errorf("mtsd: zero torrent arrival rate (p = %v)", m.Corr.P)
-	}
-	st, err := fluid.NewSingleTorrent(m.Params, lambda)
-	if err != nil {
-		return 0, 0, err
-	}
-	return st.SteadyStateClosed()
-}

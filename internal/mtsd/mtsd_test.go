@@ -85,26 +85,3 @@ func TestNotUploadConstrainedRejected(t *testing.T) {
 		t.Fatal("γ<μ accepted")
 	}
 }
-
-func TestTorrentPopulation(t *testing.T) {
-	m := model(t, 1)
-	x, y, err := m.TorrentPopulation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At p=1 each torrent sees λ = λ₀ = 1 peer-arrivals (class-10 users
-	// enter all 10 torrents over time at total rate 1 per torrent).
-	if math.Abs(y-1/0.05) > 1e-9 {
-		t.Fatalf("seeds %v, want 20", y)
-	}
-	if math.Abs(x-60) > 1e-9 {
-		t.Fatalf("downloaders %v, want 60 (λ·T)", x)
-	}
-}
-
-func TestTorrentPopulationZeroRate(t *testing.T) {
-	m := model(t, 0)
-	if _, _, err := m.TorrentPopulation(); err == nil {
-		t.Fatal("p=0 population computed")
-	}
-}

@@ -14,85 +14,6 @@ type Eigenvalue struct {
 	Re, Im float64
 }
 
-// SymmetricEigen computes all eigenvalues (ascending) and an orthonormal
-// eigenvector matrix of a symmetric matrix using the cyclic Jacobi method.
-// Column j of the returned matrix is the eigenvector for eigenvalue j.
-// Only the symmetric part of a is used.
-func SymmetricEigen(a *Matrix) ([]float64, *Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, nil, errors.New("linalg: eigen requires a square matrix")
-	}
-	n := a.Rows
-	// Work on the symmetrized copy.
-	w := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			w.Set(i, j, 0.5*(a.At(i, j)+a.At(j, i)))
-		}
-	}
-	v := Identity(n)
-	const maxSweeps = 100
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0.0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += w.At(i, j) * w.At(i, j)
-			}
-		}
-		if off < 1e-30 {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				if math.Abs(apq) < 1e-300 {
-					continue
-				}
-				app, aqq := w.At(p, p), w.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				// Apply rotation J(p,q,θ) on both sides.
-				for k := 0; k < n; k++ {
-					akp, akq := w.At(k, p), w.At(k, q)
-					w.Set(k, p, c*akp-s*akq)
-					w.Set(k, q, s*akp+c*akq)
-				}
-				for k := 0; k < n; k++ {
-					apk, aqk := w.At(p, k), w.At(q, k)
-					w.Set(p, k, c*apk-s*aqk)
-					w.Set(q, k, s*apk+c*aqk)
-				}
-				for k := 0; k < n; k++ {
-					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
-				}
-			}
-		}
-	}
-	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = w.At(i, i)
-	}
-	// Sort ascending, permuting eigenvectors along.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return vals[idx[i]] < vals[idx[j]] })
-	sortedVals := make([]float64, n)
-	sortedVecs := NewMatrix(n, n)
-	for newJ, oldJ := range idx {
-		sortedVals[newJ] = vals[oldJ]
-		for i := 0; i < n; i++ {
-			sortedVecs.Set(i, newJ, v.At(i, oldJ))
-		}
-	}
-	return sortedVals, sortedVecs, nil
-}
-
 // hessenberg reduces a (square) to upper Hessenberg form in place using
 // stabilized elementary transformations (EISPACK elmhes).
 func hessenberg(a *Matrix) {

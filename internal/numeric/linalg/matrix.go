@@ -1,8 +1,8 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
 // fluid-model stability analysis (E11 in DESIGN.md): vectors, row-major
-// matrices, LU factorization with partial pivoting, Householder QR, and
-// eigenvalue computation (cyclic Jacobi for symmetric matrices, Hessenberg
-// reduction plus Francis double-shift QR for general real matrices).
+// matrices, LU factorization with partial pivoting, and eigenvalues of
+// general real matrices (Hessenberg reduction plus Francis double-shift
+// QR).
 //
 // The matrices involved are tiny (the largest fluid model here has 65
 // states), so clarity is preferred over blocking or SIMD tricks.
@@ -44,15 +44,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -64,37 +55,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m·o.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
-	if m.Cols != o.Rows {
-		panic(fmt.Sprintf("linalg: dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	out := NewMatrix(m.Rows, o.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < o.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * o.At(k, j)
-			}
-		}
-	}
-	return out
 }
 
 // MulVec returns m·v.
@@ -111,38 +71,6 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 		out[i] = s
 	}
 	return out
-}
-
-// Add returns m + o.
-func (m *Matrix) Add(o *Matrix) *Matrix {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic("linalg: dimension mismatch in Add")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += o.Data[i]
-	}
-	return out
-}
-
-// Scale returns s·m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
-// MaxAbs returns the largest absolute entry.
-func (m *Matrix) MaxAbs() float64 {
-	mx := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // String renders the matrix for debugging.
@@ -261,101 +189,4 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Inverse returns A⁻¹.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}
-
-// QR holds a Householder QR factorization A = Q·R.
-type QR struct {
-	Q, R *Matrix
-}
-
-// NewQR computes the (thin, here full since square-or-tall inputs only)
-// QR factorization by Householder reflections. Requires Rows >= Cols.
-func NewQR(a *Matrix) (*QR, error) {
-	if a.Rows < a.Cols {
-		return nil, errors.New("linalg: QR requires rows >= cols")
-	}
-	m, n := a.Rows, a.Cols
-	r := a.Clone()
-	q := Identity(m)
-	v := make([]float64, m)
-	for k := 0; k < n && k < m-1; k++ {
-		// Householder vector for column k.
-		norm := 0.0
-		for i := k; i < m; i++ {
-			norm = math.Hypot(norm, r.At(i, k))
-		}
-		if norm == 0 {
-			continue
-		}
-		alpha := -norm
-		if r.At(k, k) < 0 {
-			alpha = norm
-		}
-		vnorm := 0.0
-		for i := k; i < m; i++ {
-			v[i] = r.At(i, k)
-			if i == k {
-				v[i] -= alpha
-			}
-			vnorm = math.Hypot(vnorm, v[i])
-		}
-		if vnorm == 0 {
-			continue
-		}
-		for i := k; i < m; i++ {
-			v[i] /= vnorm
-		}
-		// R <- (I - 2vvᵀ) R
-		for j := k; j < n; j++ {
-			dot := 0.0
-			for i := k; i < m; i++ {
-				dot += v[i] * r.At(i, j)
-			}
-			for i := k; i < m; i++ {
-				r.Set(i, j, r.At(i, j)-2*dot*v[i])
-			}
-		}
-		// Q <- Q (I - 2vvᵀ)
-		for i := 0; i < m; i++ {
-			dot := 0.0
-			for j := k; j < m; j++ {
-				dot += q.At(i, j) * v[j]
-			}
-			for j := k; j < m; j++ {
-				q.Set(i, j, q.At(i, j)-2*dot*v[j])
-			}
-		}
-	}
-	// Zero the numerically-negligible subdiagonal of R.
-	for i := 1; i < m; i++ {
-		for j := 0; j < i && j < n; j++ {
-			r.Set(i, j, 0)
-		}
-	}
-	return &QR{Q: q, R: r}, nil
 }

@@ -1,8 +1,9 @@
 // Package ode implements the ordinary-differential-equation machinery the
-// fluid models need: explicit fixed-step integrators (Euler, Heun, the
-// classic fourth-order Runge–Kutta), an adaptive Dormand–Prince RK45
-// integrator with PI step control, trajectory sampling, and a relaxation
-// driver that integrates a system until it reaches steady state.
+// fluid models need: the classic fourth-order Runge–Kutta stepper,
+// trajectory sampling, a relaxation driver that integrates a system until
+// it reaches steady state, and a damped Newton solve for the fixed point.
+// An adaptive Dormand–Prince RK45 integrator stays as the reference the
+// fixed-step path is tested against.
 //
 // Everything is hand-rolled over float64 slices; there are no external
 // dependencies. Systems are autonomous or time-dependent via the RHS
@@ -20,68 +21,6 @@ import (
 // slice.
 type RHS func(t float64, x, dst []float64)
 
-// Stepper advances a state by one step of size h. Implementations write the
-// new state into x in place, using scratch storage owned by the Stepper, so
-// a Stepper is not safe for concurrent use.
-type Stepper interface {
-	// Step advances x from time t by h in place.
-	Step(f RHS, t float64, x []float64, h float64)
-	// Order returns the classical order of accuracy.
-	Order() int
-	// Name returns a short identifier ("rk4", "euler", ...).
-	Name() string
-}
-
-// Euler is the explicit first-order Euler method.
-type Euler struct{ k, tmp []float64 }
-
-// NewEuler returns an Euler stepper for systems of dimension dim.
-func NewEuler(dim int) *Euler { return &Euler{k: make([]float64, dim)} }
-
-// Step implements Stepper.
-func (e *Euler) Step(f RHS, t float64, x []float64, h float64) {
-	f(t, x, e.k)
-	for i := range x {
-		x[i] += h * e.k[i]
-	}
-}
-
-// Order implements Stepper.
-func (e *Euler) Order() int { return 1 }
-
-// Name implements Stepper.
-func (e *Euler) Name() string { return "euler" }
-
-// Heun is the explicit second-order trapezoidal (improved Euler) method.
-type Heun struct{ k1, k2, tmp []float64 }
-
-// NewHeun returns a Heun stepper for systems of dimension dim.
-func NewHeun(dim int) *Heun {
-	return &Heun{
-		k1:  make([]float64, dim),
-		k2:  make([]float64, dim),
-		tmp: make([]float64, dim),
-	}
-}
-
-// Step implements Stepper.
-func (s *Heun) Step(f RHS, t float64, x []float64, h float64) {
-	f(t, x, s.k1)
-	for i := range x {
-		s.tmp[i] = x[i] + h*s.k1[i]
-	}
-	f(t+h, s.tmp, s.k2)
-	for i := range x {
-		x[i] += 0.5 * h * (s.k1[i] + s.k2[i])
-	}
-}
-
-// Order implements Stepper.
-func (s *Heun) Order() int { return 2 }
-
-// Name implements Stepper.
-func (s *Heun) Name() string { return "heun" }
-
 // RK4 is the classic fourth-order Runge–Kutta method — the integrator named
 // in the reproduction plan for the CMFSD model (Eq. 5 of the paper).
 type RK4 struct{ k1, k2, k3, k4, tmp []float64 }
@@ -97,7 +36,8 @@ func NewRK4(dim int) *RK4 {
 	}
 }
 
-// Step implements Stepper.
+// Step advances x from time t by h in place, using scratch storage owned by
+// the stepper, so an RK4 is not safe for concurrent use.
 func (s *RK4) Step(f RHS, t float64, x []float64, h float64) {
 	f(t, x, s.k1)
 	for i := range x {
@@ -117,30 +57,10 @@ func (s *RK4) Step(f RHS, t float64, x []float64, h float64) {
 	}
 }
 
-// Order implements Stepper.
-func (s *RK4) Order() int { return 4 }
-
-// Name implements Stepper.
-func (s *RK4) Name() string { return "rk4" }
-
-// NewStepper returns a stepper by name: "euler", "heun", or "rk4".
-func NewStepper(name string, dim int) (Stepper, error) {
-	switch name {
-	case "euler":
-		return NewEuler(dim), nil
-	case "heun":
-		return NewHeun(dim), nil
-	case "rk4":
-		return NewRK4(dim), nil
-	default:
-		return nil, fmt.Errorf("ode: unknown stepper %q", name)
-	}
-}
-
 // Integrate advances x in place from t0 to t1 with fixed steps of size h
 // (the final step is shortened to land exactly on t1). It returns the final
 // time. h must be positive and t1 >= t0.
-func Integrate(s Stepper, f RHS, t0, t1 float64, x []float64, h float64) (float64, error) {
+func Integrate(s *RK4, f RHS, t0, t1 float64, x []float64, h float64) (float64, error) {
 	if h <= 0 {
 		return t0, errors.New("ode: step size must be positive")
 	}
@@ -168,7 +88,7 @@ type Sample struct {
 // Trajectory integrates from t0 to t1 with fixed step h, recording the state
 // every 'every' steps (and always the initial and final states). The initial
 // state x is not modified; the returned samples own their storage.
-func Trajectory(s Stepper, f RHS, t0, t1 float64, x []float64, h float64, every int) ([]Sample, error) {
+func Trajectory(s *RK4, f RHS, t0, t1 float64, x []float64, h float64, every int) ([]Sample, error) {
 	if every <= 0 {
 		every = 1
 	}
@@ -246,7 +166,7 @@ var ErrNoConvergence = errors.New("ode: steady state not reached within MaxTime"
 // x is modified in place. The RHS must be autonomous in the sense that its
 // explicit t-dependence vanishes in the long run (all fluid models here are
 // autonomous).
-func SteadyState(s Stepper, f RHS, x []float64, opt SteadyStateOptions) (float64, error) {
+func SteadyState(s *RK4, f RHS, x []float64, opt SteadyStateOptions) (float64, error) {
 	opt.defaults()
 	dim := len(x)
 	resid := make([]float64, dim)

@@ -26,52 +26,30 @@ func logistic(t float64, x, dst []float64) {
 }
 
 func TestExactOnLinearProblem(t *testing.T) {
-	// All steppers integrate dx/dt = c exactly.
+	// RK4 integrates dx/dt = c exactly.
 	rhs := func(t float64, x, dst []float64) { dst[0] = 3 }
-	for _, name := range []string{"euler", "heun", "rk4"} {
-		s, err := NewStepper(name, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := []float64{1}
-		if _, err := Integrate(s, rhs, 0, 2, x, 0.1); err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(x[0]-7) > 1e-12 {
-			t.Fatalf("%s: x(2) = %v, want 7", name, x[0])
-		}
+	x := []float64{1}
+	if _, err := Integrate(NewRK4(1), rhs, 0, 2, x, 0.1); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestNewStepperUnknown(t *testing.T) {
-	if _, err := NewStepper("rk9000", 1); err == nil {
-		t.Fatal("expected error for unknown stepper")
+	if math.Abs(x[0]-7) > 1e-12 {
+		t.Fatalf("x(2) = %v, want 7", x[0])
 	}
 }
 
 func TestConvergenceOrders(t *testing.T) {
-	// Measure empirical order on exp decay by halving h; the error ratio
-	// must approach 2^order.
-	cases := []struct {
-		name      string
-		order     float64
-		tolerance float64
-	}{{"euler", 1, 0.15}, {"heun", 2, 0.15}, {"rk4", 4, 0.25}}
-	for _, c := range cases {
-		errAt := func(h float64) float64 {
-			s, _ := NewStepper(c.name, 1)
-			x := []float64{1}
-			if _, err := Integrate(s, expDecay, 0, 1, x, h); err != nil {
-				t.Fatal(err)
-			}
-			return math.Abs(x[0] - math.Exp(-1))
+	// Measure RK4's empirical order on exp decay by halving h; the error
+	// ratio must approach 2^4.
+	errAt := func(h float64) float64 {
+		x := []float64{1}
+		if _, err := Integrate(NewRK4(1), expDecay, 0, 1, x, h); err != nil {
+			t.Fatal(err)
 		}
-		e1, e2 := errAt(0.02), errAt(0.01)
-		gotOrder := math.Log2(e1 / e2)
-		if math.Abs(gotOrder-c.order) > c.tolerance {
-			t.Fatalf("%s empirical order %.3f, want ~%v (e1=%g e2=%g)",
-				c.name, gotOrder, c.order, e1, e2)
-		}
+		return math.Abs(x[0] - math.Exp(-1))
+	}
+	e1, e2 := errAt(0.02), errAt(0.01)
+	if gotOrder := math.Log2(e1 / e2); math.Abs(gotOrder-4) > 0.25 {
+		t.Fatalf("rk4 empirical order %.3f, want ~4 (e1=%g e2=%g)", gotOrder, e1, e2)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package rootfind provides scalar root-finding used by the crossover
 // analysis (where one downloading scheme starts beating another as the file
-// correlation p varies): bisection, Newton's method, and Brent's method.
+// correlation p varies): Brent's method, bracket search, and the bisection
+// Brent is tested against.
 package rootfind
 
 import (
@@ -46,31 +47,6 @@ func Bisect(f Func, a, b, tol float64) (float64, error) {
 		}
 	}
 	return 0.5 * (a + b), ErrNoConvergence
-}
-
-// Newton finds a root of f starting at x0 using the analytic derivative df,
-// to absolute step tolerance tol.
-func Newton(f, df Func, x0, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	x := x0
-	for i := 0; i < 100; i++ {
-		fx := f(x)
-		if fx == 0 {
-			return x, nil
-		}
-		d := df(x)
-		if d == 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-			return x, errors.New("rootfind: zero or invalid derivative")
-		}
-		step := fx / d
-		x -= step
-		if math.Abs(step) < tol {
-			return x, nil
-		}
-	}
-	return x, ErrNoConvergence
 }
 
 // Brent finds a root of f in the bracketing interval [a, b] using Brent's

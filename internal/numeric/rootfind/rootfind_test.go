@@ -34,26 +34,6 @@ func TestBisectNoBracket(t *testing.T) {
 	}
 }
 
-func TestNewtonCubeRoot(t *testing.T) {
-	f := func(x float64) float64 { return x*x*x - 27 }
-	df := func(x float64) float64 { return 3 * x * x }
-	root, err := Newton(f, df, 5, 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-3) > 1e-10 {
-		t.Fatalf("root = %v", root)
-	}
-}
-
-func TestNewtonZeroDerivative(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	df := func(x float64) float64 { return 2 * x }
-	if _, err := Newton(f, df, 0, 1e-12); err == nil {
-		t.Fatal("zero derivative not reported")
-	}
-}
-
 func TestBrentAgainstKnownRoots(t *testing.T) {
 	cases := []struct {
 		f    Func

@@ -100,14 +100,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Value()
 }
 
-// Bounds returns the bucket upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return h.bounds
-}
-
 // BucketCounts returns a snapshot of the per-bucket counts; the last
 // element is the +Inf overflow bucket.
 func (h *Histogram) BucketCounts() []uint64 {

@@ -78,14 +78,14 @@ func TestHistogramBoundsNormalized(t *testing.T) {
 	r := New()
 	h := r.Histogram("h_seconds", []float64{0.2, 0.1, 0.2, math.NaN(), math.Inf(1)})
 	want := []float64{0.1, 0.2}
-	got := h.Bounds()
+	got := h.bounds
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("bounds = %v, want %v", got, want)
 	}
 	// Empty bounds fall back to the default latency buckets.
 	d := r.Histogram("d_seconds", nil)
-	if len(d.Bounds()) != len(LatencyBuckets) {
-		t.Fatalf("default bounds = %v", d.Bounds())
+	if len(d.bounds) != len(LatencyBuckets) {
+		t.Fatalf("default bounds = %v", d.bounds)
 	}
 }
 
@@ -109,7 +109,7 @@ func TestNilRegistryAndInstrumentsAreInert(t *testing.T) {
 		t.Fatal("nil histogram quantile should be NaN")
 	}
 	sp := r.StartSpan("phase", L("k", "v"))
-	if sp.Active() {
+	if sp.sink != nil {
 		t.Fatal("nil registry span is active")
 	}
 	sp.End() // must not panic
@@ -127,7 +127,7 @@ func TestNilRegistryAndInstrumentsAreInert(t *testing.T) {
 func TestSpanWithoutSinkIsInert(t *testing.T) {
 	r := New()
 	sp := r.StartSpan("phase")
-	if sp.Active() {
+	if sp.sink != nil {
 		t.Fatal("span active with no sink attached")
 	}
 	sp.End()

@@ -113,9 +113,6 @@ func (r *Registry) StartSpan(name string, labels ...Label) Span {
 	return sp
 }
 
-// Active reports whether ending the span will record anything.
-func (s Span) Active() bool { return s.sink != nil }
-
 // End completes the span and delivers it to the sink. No-op on an inert
 // span.
 func (s Span) End() {
@@ -221,13 +218,12 @@ func (t teeSink) RecordSpan(e SpanEvent) {
 // SpanCollector is a SpanSink that buffers completed spans until they
 // are drained — the staging area between a worker's span stream and its
 // periodic telemetry pushes. The buffer is bounded: beyond the limit new
-// spans are counted as dropped rather than grown without bound, so a
-// worker that outpaces its heartbeat loses trace detail, never memory.
+// spans are discarded rather than grown without bound, so a worker that
+// outpaces its heartbeat loses trace detail, never memory.
 type SpanCollector struct {
-	mu      sync.Mutex
-	limit   int
-	buf     []SpanEvent
-	dropped uint64
+	mu    sync.Mutex
+	limit int
+	buf   []SpanEvent
 }
 
 // NewSpanCollector returns a collector holding at most limit undrained
@@ -244,7 +240,6 @@ func (c *SpanCollector) RecordSpan(e SpanEvent) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.buf) >= c.limit {
-		c.dropped++
 		return
 	}
 	c.buf = append(c.buf, e)
@@ -257,14 +252,6 @@ func (c *SpanCollector) Drain() []SpanEvent {
 	out := c.buf
 	c.buf = nil
 	return out
-}
-
-// Dropped returns how many spans were discarded because the buffer was
-// full.
-func (c *SpanCollector) Dropped() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
 }
 
 // Close terminates the JSON array. Safe to call once; further spans are

@@ -15,7 +15,7 @@ func TestTraceWriterChromeFormat(t *testing.T) {
 	r.SetSpanSink(tw)
 
 	sp := r.StartSpan("cell", L("cell", "p=0.5"))
-	if !sp.Active() {
+	if sp.sink == nil {
 		t.Fatal("span inactive with sink attached")
 	}
 	sp.End()
@@ -102,7 +102,7 @@ func TestSetSpanSinkDetach(t *testing.T) {
 	r := New()
 	r.SetSpanSink(tw)
 	r.SetSpanSink(nil)
-	if r.StartSpan("x").Active() {
+	if r.StartSpan("x").sink != nil {
 		t.Fatal("span active after sink detached")
 	}
 }

@@ -57,7 +57,7 @@ func TestRunAggregation(t *testing.T) {
 		}
 		// Values: the across-replica distribution of v = 1000c + j over
 		// j = 0..3 has mean 1000c + 1.5, min 1000c, max 1000c + 3.
-		v := agg.Value("v")
+		v := agg.Values["v"]
 		if v.N() != r {
 			t.Errorf("cell %d: v.N = %d, want %d", c, v.N(), r)
 		}

@@ -200,10 +200,6 @@ type Agg struct {
 	Summaries map[string]stats.Summary
 }
 
-// Value returns the across-replica distribution of a scalar metric (the
-// zero Summary when the metric was never emitted).
-func (a Agg) Value(key string) stats.Summary { return a.Values[key] }
-
 // Mean returns the across-replica mean of a scalar metric.
 func (a Agg) Mean(key string) float64 {
 	s := a.Values[key]

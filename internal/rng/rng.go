@@ -1,6 +1,6 @@
 // Package rng provides a small, deterministic, seedable pseudo-random
 // number generator together with the variate generators the simulators in
-// this repository need (uniform, exponential, Poisson, binomial, normal).
+// this repository need (uniform, exponential, Poisson, normal).
 //
 // The generator is PCG-XSH-RR 64/32 (O'Neill, 2014): a 64-bit linear
 // congruential state with an output permutation. It is hand-rolled here so
@@ -180,36 +180,6 @@ func (s *Source) Poisson(mean float64) int {
 	v := mean + math.Sqrt(mean)*s.Norm() + 0.5
 	if v < 0 {
 		return 0
-	}
-	return int(v)
-}
-
-// Binomial returns a Binomial(n, p) variate by inversion for small n and
-// by the normal approximation for large n·p·(1−p).
-func (s *Source) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if s.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	mean := float64(n) * p
-	sd := math.Sqrt(mean * (1 - p))
-	v := math.Round(mean + sd*s.Norm())
-	if v < 0 {
-		return 0
-	}
-	if v > float64(n) {
-		return n
 	}
 	return int(v)
 }

@@ -174,42 +174,6 @@ func TestPoissonZeroMean(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	s := New(12)
-	for _, tc := range []struct {
-		n int
-		p float64
-	}{{10, 0.3}, {50, 0.9}, {1000, 0.02}, {500, 0.5}} {
-		const draws = 50000
-		sum := 0.0
-		for i := 0; i < draws; i++ {
-			v := s.Binomial(tc.n, tc.p)
-			if v < 0 || v > tc.n {
-				t.Fatalf("Binomial(%d,%v) = %d out of range", tc.n, tc.p, v)
-			}
-			sum += float64(v)
-		}
-		mean := sum / draws
-		want := float64(tc.n) * tc.p
-		if math.Abs(mean-want) > 0.05*want+0.1 {
-			t.Fatalf("Binomial(%d,%v) mean %v, want ~%v", tc.n, tc.p, mean, want)
-		}
-	}
-}
-
-func TestBinomialEdges(t *testing.T) {
-	s := New(13)
-	if v := s.Binomial(10, 0); v != 0 {
-		t.Fatalf("Binomial(10,0) = %d", v)
-	}
-	if v := s.Binomial(10, 1); v != 10 {
-		t.Fatalf("Binomial(10,1) = %d", v)
-	}
-	if v := s.Binomial(0, 0.5); v != 0 {
-		t.Fatalf("Binomial(0,0.5) = %d", v)
-	}
-}
-
 func TestNormMoments(t *testing.T) {
 	s := New(14)
 	const n = 200000

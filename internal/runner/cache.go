@@ -115,9 +115,6 @@ func NewDiskCache(disk *diskcache.Store) *Cache {
 	return c
 }
 
-// Disk returns the attached persistent store, or nil.
-func (c *Cache) Disk() *diskcache.Store { return c.disk }
-
 // WithObs routes the cache's counters through the registry —
 // solvecache_hits_total / solvecache_misses_total / solvecache_solves_total
 // plus a solvecache_solve_seconds latency histogram — and wires the disk

@@ -1,10 +1,10 @@
 package runner
 
 import (
-	"bytes"
-	"encoding/gob"
+	"context"
 	"fmt"
 
+	"mfdl/internal/rng"
 	"mfdl/internal/runner/diskcache"
 )
 
@@ -25,14 +25,16 @@ func (e *CellPanicError) Error() string {
 	return fmt.Sprintf("runner: cell %s panicked: %v", e.Cell, e.Value)
 }
 
-// Checkpoint binds a diskcache.CheckpointStore to one run identity so Run
-// can persist each completed cell and replay persisted cells on a re-run.
-// The run key must capture everything that determines the cell values —
-// parameters, grid shape, solver revision — exactly as a cache key would;
-// two Runs with the same key must compute bit-identical cells.
+// Checkpoint binds a diskcache.CheckpointStore to one run identity so the
+// job executors (RunJob, RunJobPayloads) can persist each completed cell
+// and replay persisted cells on a re-run. The run key must capture
+// everything that determines the cell values — parameters, grid shape,
+// solver revision — exactly as a cache key would; two runs with the same
+// key must compute bit-identical cells.
 //
-// Payloads cross the disk as gob, which round-trips float64 bit patterns
-// (including NaN) exactly, so a resumed run emits byte-identical output.
+// A cell crosses the disk as its job payload bytes (gob for a fluid cell,
+// see EncodeCellValue), which round-trip float64 bit patterns (including
+// NaN) exactly, so a resumed run emits byte-identical output.
 type Checkpoint struct {
 	store *diskcache.CheckpointStore
 	key   string
@@ -47,22 +49,6 @@ func NewCheckpoint(store *diskcache.CheckpointStore, runKey string) *Checkpoint 
 	return &Checkpoint{store: store, key: runKey}
 }
 
-// Key returns the run key the checkpoint is bound to.
-func (c *Checkpoint) Key() string {
-	if c == nil {
-		return ""
-	}
-	return c.key
-}
-
-// Len returns how many cells are currently checkpointed for this run.
-func (c *Checkpoint) Len() (int, error) {
-	if c == nil {
-		return 0, nil
-	}
-	return c.store.Len(c.key)
-}
-
 // Clear drops the run's checkpoints; call it once the run has fully
 // completed and its results are delivered.
 func (c *Checkpoint) Clear() error {
@@ -73,9 +59,7 @@ func (c *Checkpoint) Clear() error {
 }
 
 // LoadRaw returns cell's checkpointed payload bytes verbatim, reporting
-// whether one existed — the replay path for payloads that are already an
-// encoding of their own (see RunJobPayloads), where the gob layer of
-// load/save would wrap the bytes a second time.
+// whether one existed.
 func (c *Checkpoint) LoadRaw(cell int) ([]byte, bool) {
 	if c == nil {
 		return nil, false
@@ -83,7 +67,8 @@ func (c *Checkpoint) LoadRaw(cell int) ([]byte, bool) {
 	return c.store.Get(c.key, cell)
 }
 
-// SaveRaw persists cell's payload bytes verbatim, best-effort like save.
+// SaveRaw persists cell's payload bytes verbatim, best-effort: a full or
+// read-only disk costs the resume capability, never the run.
 func (c *Checkpoint) SaveRaw(cell int, payload []byte) {
 	if c == nil {
 		return
@@ -91,33 +76,33 @@ func (c *Checkpoint) SaveRaw(cell int, payload []byte) {
 	_ = c.store.Put(c.key, cell, payload)
 }
 
-// load decodes cell's checkpointed result into v (a pointer), reporting
-// whether a valid checkpoint existed. Undecodable payloads read as
-// misses, so a stale or foreign entry re-runs the cell instead of
-// failing the run.
-func (c *Checkpoint) load(cell int, v any) bool {
-	if c == nil {
-		return false
+// resumable wraps a cell computation with opts.Checkpoint, the one resume
+// path both job executors share: a cell whose checkpointed payload decodes
+// is replayed, and counted on runner_cells_resumed_total, instead of
+// computed; a computed cell is encoded and persisted. An undecodable
+// payload reads as a miss, so a stale or foreign entry re-runs the cell
+// instead of failing the run.
+func resumable[T any](opts Options, encode func(T) ([]byte, error), decode func([]byte) (T, error),
+	compute func(context.Context, Point, *rng.Source) (T, error)) func(context.Context, Point, *rng.Source) (T, error) {
+	resumed := opts.Obs.Counter("runner_cells_resumed_total")
+	ckpt := opts.Checkpoint
+	if ckpt == nil {
+		return compute
 	}
-	payload, ok := c.store.Get(c.key, cell)
-	if !ok {
-		return false
+	return func(ctx context.Context, p Point, src *rng.Source) (T, error) {
+		if payload, ok := ckpt.LoadRaw(p.Index); ok {
+			if v, err := decode(payload); err == nil {
+				resumed.Inc()
+				return v, nil
+			}
+		}
+		v, err := compute(ctx, p, src)
+		if err != nil {
+			return v, err
+		}
+		if payload, err := encode(v); err == nil {
+			ckpt.SaveRaw(p.Index, payload)
+		}
+		return v, nil
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return false
-	}
-	return true
-}
-
-// save persists cell's result best-effort: a full or read-only disk costs
-// the resume capability, never the run.
-func (c *Checkpoint) save(cell int, v any) {
-	if c == nil {
-		return
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return
-	}
-	_ = c.store.Put(c.key, cell, buf.Bytes())
 }

@@ -240,9 +240,6 @@ func (s *CheckpointStore) PutEntry(e Entry) error {
 	return s.write(s.cellPath(e.Key, e.Cell), data)
 }
 
-// Len returns the number of cells checkpointed under runKey.
-func (s *CheckpointStore) Len(runKey string) (int, error) { return s.count(runKey) }
-
 // Clear removes every checkpoint of the run, as a run that completes does.
 func (s *CheckpointStore) Clear(runKey string) error { return s.clear(runKey) }
 
@@ -328,12 +325,6 @@ func (s *SampleStore) Put(key string, seed uint64, payload []byte) error {
 
 // Len returns the number of samples currently stored under key.
 func (s *SampleStore) Len(key string) (int, error) { return s.count(key) }
-
-// Clear removes every sample stored under key.
-func (s *SampleStore) Clear(key string) error { return s.clear(key) }
-
-// Usage reports the store's sample count and total size across all keys.
-func (s *SampleStore) Usage() (entries int, bytes int64, err error) { return s.usage() }
 
 // Prune evicts samples by age and/or total size, least recently used first.
 func (s *SampleStore) Prune(opts PruneOptions) (PruneStats, error) { return s.prune(opts) }

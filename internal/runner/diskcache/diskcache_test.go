@@ -126,7 +126,7 @@ var checkpoint = kit{
 			},
 			path:    s.cellPath,
 			observe: func(reg *obs.Registry) { s.WithObs(reg) },
-			count:   s.Len, clear: s.Clear,
+			count:   s.count, clear: s.Clear,
 		}, nil
 	},
 }
@@ -151,8 +151,8 @@ var samples = kit{
 			},
 			path:    func(key string, n int) string { return s.samplePath(key, uint64(n)) },
 			observe: func(reg *obs.Registry) { s.WithObs(reg) },
-			count:   s.Len, clear: s.Clear,
-			usage: s.Usage, prune: s.Prune,
+			count:   s.count, clear: s.clear,
+			usage: s.usage, prune: s.Prune,
 		}, nil
 	},
 }

@@ -190,8 +190,8 @@ func EvaluateJobCell(ctx context.Context, spec JobSpec, env JobEnv, cell int) ([
 // pool and returns the raw per-cell payloads in cell order — the generic
 // executor every kind shares. opts.Seed is overridden by the spec's seed;
 // opts.Checkpoint, when set, replays and persists the payload bytes
-// verbatim (no re-encoding), so a checkpoint written by a fabric
-// coordinator and one written here are interchangeable.
+// verbatim, so a checkpoint written by a fabric coordinator and one
+// written here are interchangeable.
 func RunJobPayloads(ctx context.Context, spec JobSpec, env JobEnv, opts Options) ([][]byte, error) {
 	job, err := spec.Prepare()
 	if err != nil {
@@ -204,23 +204,9 @@ func RunJobPayloads(ctx context.Context, spec JobSpec, env JobEnv, opts Options)
 	if env.Cache == nil {
 		env.Cache = NewCache()
 	}
-	// The generic Run checkpoint layer would gob-wrap the payload bytes;
-	// replay and persist them raw instead, keeping Entry.Payload the one
-	// payload encoding everywhere.
-	ckpt := opts.Checkpoint
-	opts.Checkpoint = nil
 	opts.Seed = spec.Seed
-	resumed := opts.Obs.Counter("runner_cells_resumed_total")
-	return Run(ctx, g, func(ctx context.Context, p Point, src *rng.Source) ([]byte, error) {
-		if payload, ok := ckpt.LoadRaw(p.Index); ok {
-			resumed.Inc()
-			return payload, nil
-		}
-		payload, err := job.Evaluate(ctx, env, p.Index, src)
-		if err != nil {
-			return nil, err
-		}
-		ckpt.SaveRaw(p.Index, payload)
-		return payload, nil
-	}, opts)
+	raw := func(payload []byte) ([]byte, error) { return payload, nil }
+	return Run(ctx, g, resumable(opts, raw, raw, func(ctx context.Context, p Point, src *rng.Source) ([]byte, error) {
+		return job.Evaluate(ctx, env, p.Index, src)
+	}), opts)
 }

@@ -313,10 +313,12 @@ func CellStream(seed uint64, i int) *rng.Source {
 // RunJob executes a fluid-sweep job locally over the runner pool and
 // returns the per-cell values in grid order. cache may be nil (a private
 // in-memory cache is used); opts.Seed is overridden by the spec's seed,
-// everything else (workers, retries, checkpointing, hooks, obs) applies as
-// in Run. The output is byte-identical to a distributed execution of the
-// same spec at any worker count. Other kinds return their payloads through
-// RunJobPayloads and decode them themselves.
+// everything else (workers, retries, hooks, obs) applies as in Run, and
+// opts.Checkpoint replays and persists each cell as its payload
+// (EncodeCellValue), the bytes RunJobPayloads and a fabric coordinator
+// checkpoint too. The output is byte-identical to a distributed execution
+// of the same spec at any worker count. Other kinds return their payloads
+// through RunJobPayloads and decode them themselves.
 func RunJob(ctx context.Context, spec JobSpec, cache *Cache, opts Options) ([]CellValue, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -333,7 +335,7 @@ func RunJob(ctx context.Context, spec JobSpec, cache *Cache, opts Options) ([]Ce
 		cache = NewCache()
 	}
 	opts.Seed = spec.Seed
-	return Run(ctx, g, func(_ context.Context, p Point, src *rng.Source) (CellValue, error) {
+	return Run(ctx, g, resumable(opts, EncodeCellValue, DecodeCellValue, func(_ context.Context, p Point, src *rng.Source) (CellValue, error) {
 		return spec.EvaluateCell(cache, p, src)
-	}, opts)
+	}), opts)
 }

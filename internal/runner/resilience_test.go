@@ -10,9 +10,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mfdl/internal/fluid"
 	"mfdl/internal/obs"
 	"mfdl/internal/rng"
 	"mfdl/internal/runner/diskcache"
+	"mfdl/internal/scheme"
 )
 
 // cleanJob is a deterministic job whose result depends on both the cell
@@ -117,90 +119,97 @@ func TestRunDoesNotRetryPlainErrors(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointResume is the crash-safety contract: a run killed
+// persisted counts the cells of a job of n cells that ck holds.
+func persisted(ck *Checkpoint, n int) int {
+	held := 0
+	for i := 0; i < n; i++ {
+		if _, ok := ck.LoadRaw(i); ok {
+			held++
+		}
+	}
+	return held
+}
+
+// TestRunCheckpointResume is the crash-safety contract: a job killed
 // mid-grid resumes from the checkpointed cells and produces results
-// bit-identical to an uninterrupted run, without re-running the cells
-// that had completed.
+// bit-identical to an uninterrupted run, without re-solving the cells that
+// had completed.
 func TestRunCheckpointResume(t *testing.T) {
-	g := indexedGrid(t, 10)
-	want, err := Run(context.Background(), g, cleanJob, Options{Workers: 1, Seed: 3})
+	spec := testJobSpec()
+	want, err := RunJob(context.Background(), spec, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := len(want)
 
 	store, err := diskcache.OpenCheckpoint(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runKey = "resilience-test seed=3 n=10"
+	ck := NewCheckpoint(store, spec.Fingerprint())
 
-	// First run "crashes": cell 6 fails after cells 0..5 completed and
-	// were flushed (Workers=1 makes the completed prefix deterministic).
-	_, err = Run(context.Background(), g,
-		func(ctx context.Context, p Point, src *rng.Source) (float64, error) {
-			if p.Index == 6 {
-				return 0, errors.New("simulated crash")
+	// First run is "killed" after four cells completed and were flushed
+	// (Workers=1 makes the completed prefix deterministic).
+	ctx, kill := context.WithCancel(context.Background())
+	done := 0
+	_, err = RunJob(ctx, spec, nil, Options{Workers: 1, Checkpoint: ck, Hooks: Hooks{
+		OnCell: func(Point, error) {
+			if done++; done == 4 {
+				kill()
 			}
-			return cleanJob(ctx, p, src)
-		}, Options{Workers: 1, Seed: 3, Checkpoint: NewCheckpoint(store, runKey)})
-	if err == nil {
-		t.Fatal("crashing run reported success")
+		},
+	}})
+	kill()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run returned %v, want context.Canceled", err)
 	}
-	ck := NewCheckpoint(store, runKey)
-	if n, err := ck.Len(); err != nil || n != 6 {
-		t.Fatalf("checkpointed cells = %d (%v), want 6", n, err)
+	if got := persisted(ck, n); got != 4 {
+		t.Fatalf("checkpointed cells = %d, want 4", got)
 	}
 
-	// Resume: the persisted cells replay, the rest compute fresh.
-	var ran atomic.Int64
+	// Resume: the persisted cells replay, the rest solve fresh.
 	ob := obs.New()
-	got, err := Run(context.Background(), g,
-		func(ctx context.Context, p Point, src *rng.Source) (float64, error) {
-			ran.Add(1)
-			return cleanJob(ctx, p, src)
-		}, Options{Workers: 4, Seed: 3, Checkpoint: ck, Obs: ob})
+	got, err := RunJob(context.Background(), spec, NewCache().WithObs(ob),
+		Options{Workers: 3, Checkpoint: ck, Obs: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed run diverged:\n got %v\nwant %v", got, want)
 	}
-	if n := ran.Load(); n != 4 {
-		t.Fatalf("resume re-ran %d cells, want 4", n)
+	if solves := ob.Counter("solvecache_solves_total").Value(); solves != uint64(n-4) {
+		t.Fatalf("resume solved %d cells, want %d", solves, n-4)
 	}
-	if n := ob.Counter("runner_cells_resumed_total").Value(); n != 6 {
-		t.Fatalf("resumed counter = %d, want 6", n)
+	if r := ob.Counter("runner_cells_resumed_total").Value(); r != 4 {
+		t.Fatalf("resumed counter = %d, want 4", r)
 	}
 	if err := ck.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := ck.Len(); n != 0 {
-		t.Fatalf("Clear left %d cells", n)
+	if left := persisted(ck, n); left != 0 {
+		t.Fatalf("Clear left %d cells", left)
 	}
 }
 
 // TestRunCheckpointIgnoresForeignRun: a different run key never replays
 // another run's cells, even over the same store.
 func TestRunCheckpointIgnoresForeignRun(t *testing.T) {
-	g := indexedGrid(t, 4)
+	spec := testJobSpec()
 	store, err := diskcache.OpenCheckpoint(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), g, cleanJob,
-		Options{Workers: 2, Seed: 1, Checkpoint: NewCheckpoint(store, "run A")}); err != nil {
+	if _, err := RunJob(context.Background(), spec, nil,
+		Options{Workers: 2, Checkpoint: NewCheckpoint(store, "run A")}); err != nil {
 		t.Fatal(err)
 	}
-	var ran atomic.Int64
-	if _, err := Run(context.Background(), g,
-		func(ctx context.Context, p Point, src *rng.Source) (float64, error) {
-			ran.Add(1)
-			return cleanJob(ctx, p, src)
-		}, Options{Workers: 2, Seed: 1, Checkpoint: NewCheckpoint(store, "run B")}); err != nil {
+	ob := obs.New()
+	if _, err := RunJob(context.Background(), spec, NewCache().WithObs(ob),
+		Options{Workers: 2, Checkpoint: NewCheckpoint(store, "run B"), Obs: ob}); err != nil {
 		t.Fatal(err)
 	}
-	if n := ran.Load(); n != 4 {
-		t.Fatalf("foreign checkpoints were replayed: ran %d cells, want 4", n)
+	if r := ob.Counter("runner_cells_resumed_total").Value(); r != 0 {
+		t.Fatalf("foreign checkpoints were replayed: %d cells", r)
 	}
 }
 
@@ -209,39 +218,44 @@ func TestCheckpointNilIsDisabled(t *testing.T) {
 	if ck != nil {
 		t.Fatal("nil store must yield a nil checkpoint")
 	}
-	if ck.Key() != "" {
-		t.Fatal("nil checkpoint key")
-	}
-	if n, err := ck.Len(); err != nil || n != 0 {
-		t.Fatalf("nil checkpoint Len = %d, %v", n, err)
-	}
 	if err := ck.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	var v float64
-	if ck.load(0, &v) {
+	if _, ok := ck.LoadRaw(0); ok {
 		t.Fatal("nil checkpoint reported a hit")
 	}
-	ck.save(0, 1.0) // must not panic
-	g := indexedGrid(t, 3)
-	if _, err := Run(context.Background(), g, cleanJob, Options{Workers: 2, Checkpoint: ck}); err != nil {
+	ck.SaveRaw(0, []byte("x")) // must not panic
+	if _, err := RunJob(context.Background(), testJobSpec(), nil, Options{Workers: 2, Checkpoint: ck}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// An entry that is not a cell value's encoding reads as a miss: the cell
+// is solved again and the run's output is unchanged.
 func TestCheckpointUndecodablePayloadIsMiss(t *testing.T) {
+	spec := testJobSpec()
+	want, err := RunJob(context.Background(), spec, nil, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	store, err := diskcache.OpenCheckpoint(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const key = "gob-mismatch"
-	if err := store.Put(key, 0, []byte("not gob at all")); err != nil {
+	if err := store.Put(spec.Fingerprint(), 0, []byte("not gob at all")); err != nil {
 		t.Fatal(err)
 	}
-	ck := NewCheckpoint(store, key)
-	var v float64
-	if ck.load(0, &v) {
-		t.Fatal("undecodable payload read as a hit")
+	ob := obs.New()
+	got, err := RunJob(context.Background(), spec, nil,
+		Options{Workers: 1, Checkpoint: NewCheckpoint(store, spec.Fingerprint()), Obs: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run over an undecodable checkpoint diverged:\n got %v\nwant %v", got, want)
+	}
+	if r := ob.Counter("runner_cells_resumed_total").Value(); r != 0 {
+		t.Fatalf("undecodable payload read as a hit (%d resumed)", r)
 	}
 }
 
@@ -249,12 +263,20 @@ func ExampleNewCheckpoint() {
 	dir, _ := os.MkdirTemp("", "ckpt")
 	defer os.RemoveAll(dir)
 	store, _ := diskcache.OpenCheckpoint(dir)
-	g, _ := Indexed("i", 3)
-	out, _ := Run(context.Background(), g,
-		func(_ context.Context, p Point, _ *rng.Source) (float64, error) {
-			v, _ := p.Value("i")
-			return v * v, nil
-		}, Options{Checkpoint: NewCheckpoint(store, "example-run v1")})
-	fmt.Println(out)
-	// Output: [0 1 4]
+	spec := JobSpec{
+		Schema: JobSpecSchemaVersion, Kind: JobKindFluidSweep,
+		Base: Key{Scheme: scheme.MTCD, Params: fluid.PaperParams, K: 10, Lambda0: 1},
+		Dims: []Dim{{Name: "p", Values: []float64{0.3, 0.6, 0.9}}},
+	}
+	ckpt := NewCheckpoint(store, spec.Fingerprint())
+	for run := 1; run <= 2; run++ {
+		reg := obs.New()
+		if _, err := RunJob(context.Background(), spec, nil, Options{Checkpoint: ckpt, Obs: reg}); err != nil {
+			fmt.Println(err)
+		}
+		fmt.Printf("run %d: %d of 3 cells replayed\n", run, reg.Counter("runner_cells_resumed_total").Value())
+	}
+	// Output:
+	// run 1: 0 of 3 cells replayed
+	// run 2: 3 of 3 cells replayed
 }

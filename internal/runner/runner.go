@@ -191,10 +191,11 @@ type Options struct {
 	// a fresh copy of the cell's stream, so a cell that succeeds on any
 	// attempt produces exactly the bits a first-attempt success would.
 	Retries int
-	// Checkpoint, when non-nil, persists each completed cell through the
-	// disk tier and replays already-persisted cells instead of re-running
-	// them, so a killed run resumes to byte-identical results. See
-	// NewCheckpoint.
+	// Checkpoint, when non-nil, makes the job executors (RunJob,
+	// RunJobPayloads) persist each completed cell's payload and replay
+	// already-persisted cells instead of re-running them, so a killed run
+	// resumes to byte-identical results. Run itself, which has no encoding
+	// for its cells, ignores it. See NewCheckpoint.
 	Checkpoint *Checkpoint
 	// Hooks observe progress.
 	Hooks Hooks
@@ -260,7 +261,6 @@ func Run[T any](ctx context.Context, g Grid, job func(ctx context.Context, p Poi
 		completedC  = ob.Counter("runner_cells_completed_total")
 		failedC     = ob.Counter("runner_cells_failed_total")
 		retriedC    = ob.Counter("runner_cell_retries_total")
-		resumedC    = ob.Counter("runner_cells_resumed_total")
 		tracing     = ob.Tracing()
 	)
 	if ob != nil {
@@ -334,14 +334,6 @@ func Run[T any](ctx context.Context, g Grid, job func(ctx context.Context, p Poi
 					return
 				}
 				p := g.Point(i)
-				// A previously checkpointed cell is replayed, not re-run:
-				// gob round-trips the floats bit-exactly, so the resumed
-				// run's output is byte-identical to an uninterrupted one.
-				if opts.Checkpoint.load(i, &out[i]) {
-					resumedC.Inc()
-					finish(p, 0, nil)
-					continue
-				}
 				var (
 					cellStart time.Time
 					sp        obs.Span
@@ -379,7 +371,6 @@ func Run[T any](ctx context.Context, g Grid, job func(ctx context.Context, p Poi
 					continue
 				}
 				out[i] = v
-				opts.Checkpoint.save(i, v)
 				finish(p, dur, nil)
 			}
 		}()

@@ -48,17 +48,6 @@ func (s SimScheme) String() string {
 	}
 }
 
-// Sym returns the analytical-model identifier with the same name, linking
-// a simulator scheme to its fluid model (scheme.New / scheme.Evaluate).
-func (s SimScheme) Sym() (Scheme, error) {
-	switch s {
-	case SimMTCD, SimMTSD, SimMFCD, SimCMFSD:
-		return Scheme(s.String()), nil
-	default:
-		return "", fmt.Errorf("scheme: unknown scheme %d", int(s))
-	}
-}
-
 // ParseSim converts a scheme name to its simulator identifier.
 func ParseSim(s string) (SimScheme, error) {
 	for _, sc := range SimSchemes {

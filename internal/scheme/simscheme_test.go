@@ -31,17 +31,3 @@ func TestSimSchemeStringRoundTrip(t *testing.T) {
 		t.Errorf("invalid String() = %q", s)
 	}
 }
-
-// TestSimSchemeSym checks the bridge to the analytical-model identifiers.
-func TestSimSchemeSym(t *testing.T) {
-	want := map[SimScheme]Scheme{SimMTCD: MTCD, SimMTSD: MTSD, SimMFCD: MFCD, SimCMFSD: CMFSD}
-	for sc, sym := range want {
-		got, err := sc.Sym()
-		if err != nil || got != sym {
-			t.Errorf("%v.Sym() = %v, %v; want %v", sc, got, err, sym)
-		}
-	}
-	if _, err := SimScheme(-1).Sym(); err == nil {
-		t.Error("Sym accepted an invalid scheme")
-	}
-}

@@ -29,11 +29,11 @@ func ulpsApart(a, b float64) uint64 {
 func checkMergeMatchesAdd(t *testing.T, xs []float64, chunks [][]float64) {
 	t.Helper()
 	var want Summary
-	want.AddAll(xs)
+	addAll(&want, xs)
 	var got Summary
 	for _, chunk := range chunks {
 		var part Summary
-		part.AddAll(chunk)
+		addAll(&part, chunk)
 		got.Merge(&part)
 	}
 	if got.N() != want.N() {
@@ -89,7 +89,7 @@ func TestMergeMatchesSingleStream(t *testing.T) {
 func TestMergeEdgeCases(t *testing.T) {
 	// Merging an empty summary is a no-op.
 	var s, empty Summary
-	s.AddAll([]float64{1, 2, 3})
+	addAll(&s, []float64{1, 2, 3})
 	before := s
 	s.Merge(&empty)
 	if s != before {

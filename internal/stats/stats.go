@@ -1,13 +1,12 @@
 // Package stats provides the summary statistics, distribution functions and
 // accumulators used by the fluid-model experiments and the simulators:
-// streaming moments, confidence intervals, time-weighted averages,
-// histograms, and exact PMFs for the binomial correlation model.
+// streaming moments, confidence intervals, time-weighted averages, and the
+// exact binomial PMF of the correlation model.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates streaming sample moments (Welford's algorithm) so that
@@ -36,13 +35,6 @@ func (s *Summary) Add(x float64) {
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-}
-
-// AddAll records every value in xs.
-func (s *Summary) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
 }
 
 // N returns the number of observations.
@@ -155,89 +147,6 @@ func (w *TimeWeighted) MeanUntil(t float64) float64 {
 	return area / t
 }
 
-// Histogram is a fixed-width bucket histogram over [lo, hi); out-of-range
-// observations are counted in the under/over bins.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	Under   int
-	Over    int
-	total   int
-}
-
-// NewHistogram returns a histogram with n equal buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if !(hi > lo) || n <= 0 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Buckets)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Buckets) { // guard against FP rounding at the top edge
-			i--
-		}
-		h.Buckets[i]++
-	}
-}
-
-// Total returns the number of observations, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// Quantile returns an approximate q-quantile (0 <= q <= 1) from the bucket
-// midpoints, ignoring out-of-range observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	in := h.total - h.Under - h.Over
-	if in == 0 {
-		return math.NaN()
-	}
-	target := q * float64(in)
-	cum := 0.0
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		cum += float64(c)
-		if cum >= target {
-			return h.Lo + (float64(i)+0.5)*width
-		}
-	}
-	return h.Hi - 0.5*width
-}
-
-// Mean returns the sample mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Median returns the sample median of xs (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return 0.5 * (cp[n/2-1] + cp[n/2])
-}
-
 // BinomialCoeff returns C(n, k) as a float64, computed multiplicatively to
 // avoid factorial overflow. Returns 0 for k < 0 or k > n.
 func BinomialCoeff(n, k int) float64 {
@@ -296,20 +205,6 @@ func logFactorial(n int) float64 {
 	x := float64(n)
 	return x*math.Log(x) - x + 0.5*math.Log(2*math.Pi*x) +
 		1/(12*x) - 1/(360*x*x*x)
-}
-
-// PoissonPMF returns P[X = k] for X ~ Poisson(mean).
-func PoissonPMF(k int, mean float64) float64 {
-	if k < 0 || mean < 0 {
-		return 0
-	}
-	if mean == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	return math.Exp(float64(k)*math.Log(mean) - mean - logFactorial(k))
 }
 
 // RelErr returns |got-want| / max(|want|, floor): a relative error with an

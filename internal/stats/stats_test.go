@@ -10,9 +10,15 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+func addAll(s *Summary, xs []float64) {
+	for _, x := range xs {
+		s.Add(x)
+	}
+}
+
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	s.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	addAll(&s, []float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if s.N() != 8 {
 		t.Fatalf("N = %d", s.N())
 	}
@@ -71,7 +77,7 @@ func TestSummaryMergeMatchesSequential(t *testing.T) {
 
 func TestSummaryMergeWithEmpty(t *testing.T) {
 	var a, b Summary
-	a.AddAll([]float64{1, 2, 3})
+	addAll(&a, []float64{1, 2, 3})
 	mean := a.Mean()
 	a.Merge(&b) // merging empty is a no-op
 	if a.N() != 3 || a.Mean() != mean {
@@ -117,68 +123,6 @@ func TestTimeWeightedPanicsOnRegression(t *testing.T) {
 	var w TimeWeighted
 	w.Observe(5, 1)
 	w.Observe(4, 1)
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	if h.Total() != 12 || h.Under != 1 || h.Over != 1 {
-		t.Fatalf("total/under/over = %d/%d/%d", h.Total(), h.Under, h.Over)
-	}
-	for i, c := range h.Buckets {
-		if c != 1 {
-			t.Fatalf("bucket %d count %d, want 1", i, c)
-		}
-	}
-}
-
-func TestHistogramTopEdge(t *testing.T) {
-	h := NewHistogram(0, 1, 3)
-	h.Add(math.Nextafter(1, 0)) // just below hi must land in the last bucket
-	if h.Buckets[2] != 1 {
-		t.Fatalf("top-edge observation lost: %v", h.Buckets)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Fatalf("median estimate %v", med)
-	}
-	if !math.IsNaN(NewHistogram(0, 1, 1).Quantile(0.5)) {
-		t.Fatal("quantile of empty histogram should be NaN")
-	}
-}
-
-func TestMeanMedian(t *testing.T) {
-	if Mean(nil) != 0 || Median(nil) != 0 {
-		t.Fatal("empty slices should yield 0")
-	}
-	if got := Mean([]float64{1, 2, 3, 4}); !almost(got, 2.5, 1e-12) {
-		t.Fatalf("mean %v", got)
-	}
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Fatalf("odd median %v", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); !almost(got, 2.5, 1e-12) {
-		t.Fatalf("even median %v", got)
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Median mutated its input")
-	}
 }
 
 func TestBinomialCoeff(t *testing.T) {
@@ -237,22 +181,6 @@ func TestBinomialPMFMatchesCoeffForm(t *testing.T) {
 		if got := BinomialPMF(n, k, p); RelErr(got, want, 1e-15) > 1e-9 {
 			t.Fatalf("PMF(%d,%d,%v) = %v, want %v", n, k, p, got, want)
 		}
-	}
-}
-
-func TestPoissonPMF(t *testing.T) {
-	if got := PoissonPMF(0, 0); got != 1 {
-		t.Fatalf("PoissonPMF(0,0) = %v", got)
-	}
-	if got := PoissonPMF(3, 0); got != 0 {
-		t.Fatalf("PoissonPMF(3,0) = %v", got)
-	}
-	sum := 0.0
-	for k := 0; k < 200; k++ {
-		sum += PoissonPMF(k, 12)
-	}
-	if !almost(sum, 1, 1e-9) {
-		t.Fatalf("Poisson PMF sum = %v", sum)
 	}
 }
 

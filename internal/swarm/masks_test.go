@@ -166,8 +166,8 @@ func checkConservation(t *testing.T, s *sim) {
 	}
 	// Every slot is the origin, live or free; every counted arrival has
 	// departed or is still here.
-	if got := 1 + len(s.order) + len(tb.free); got != tb.len() {
-		t.Fatalf("round %d: origin + %d live + %d free != %d slots", s.round, len(s.order), len(tb.free), tb.len())
+	if got := 1 + len(s.order) + len(tb.free); got != len(tb.id) {
+		t.Fatalf("round %d: origin + %d live + %d free != %d slots", s.round, len(s.order), len(tb.free), len(tb.id))
 	}
 	if r := s.res; r.ArrivedUsers != r.CompletedUsers+r.AbortedUsers+countedPresent {
 		t.Fatalf("round %d: %d arrived != %d completed + %d aborted + %d present",

@@ -87,9 +87,6 @@ func newPeerTable(k, chunks int) *peerTable {
 	}
 }
 
-// len returns the number of slots ever allocated (live + free).
-func (t *peerTable) len() int { return len(t.id) }
-
 // alloc returns a zeroed slot, recycling a free one when available.
 func (t *peerTable) alloc() int32 {
 	if n := len(t.free); n > 0 {
@@ -231,10 +228,6 @@ func (t *peerTable) hasChunk(s int32, c int32) bool {
 
 func (t *peerTable) setChunk(s int32, c int32) {
 	t.have[int(s)*t.chunkWords+int(c>>6)] |= 1 << (uint(c) & 63)
-}
-
-func (t *peerTable) schedChunk(s int32, c int32) bool {
-	return t.sched[int(s)*t.chunkWords+int(c>>6)]&(1<<(uint(c)&63)) != 0
 }
 
 func (t *peerTable) setSched(s int32, c int32) {

@@ -39,16 +39,6 @@ func (t *Table) MustAddRow(cells ...string) {
 	}
 }
 
-// AddFloats appends a row of formatted floats after a leading label.
-func (t *Table) AddFloats(label string, format string, vals ...float64) error {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(format, v))
-	}
-	return t.AddRow(cells...)
-}
-
 // Fmt formats one float with the table's default precision.
 func Fmt(v float64) string { return fmt.Sprintf("%.4g", v) }
 

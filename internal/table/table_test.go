@@ -34,19 +34,6 @@ func TestMustAddRowPanics(t *testing.T) {
 	New("x", "a").MustAddRow("1", "2")
 }
 
-func TestAddFloats(t *testing.T) {
-	tb := New("x", "label", "v1", "v2")
-	if err := tb.AddFloats("row", "%.2f", 1.234, 5.678); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Rows[0][1] != "1.23" || tb.Rows[0][2] != "5.68" {
-		t.Fatalf("formatted row = %v", tb.Rows[0])
-	}
-	if err := tb.AddFloats("bad", "%.2f", 1.0); err == nil {
-		t.Fatal("arity mismatch accepted")
-	}
-}
-
 func TestASCIIOutput(t *testing.T) {
 	out := sample().String()
 	if !strings.Contains(out, "# demo") {

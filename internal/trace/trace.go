@@ -1,18 +1,15 @@
 // Package trace records named time series from simulations and fluid
-// integrations — population trajectories, ρ evolution — and compares or
-// exports them. It backs the transient (flash-crowd) experiments, where
+// integrations — population trajectories, ρ evolution — and compares
+// them. It backs the transient (flash-crowd) experiments, where
 // the object of interest is the path to steady state rather than the fixed
 // point itself.
 package trace
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
 )
 
 // Series is one named time series with strictly increasing times.
@@ -111,7 +108,6 @@ func RMSDistance(a, b *Series, n int) (float64, error) {
 
 // Recorder collects several series under one clock.
 type Recorder struct {
-	order  []string
 	series map[string]*Series
 }
 
@@ -126,40 +122,9 @@ func (r *Recorder) Record(name string, t, v float64) error {
 	if !ok {
 		s = &Series{Name: name}
 		r.series[name] = s
-		r.order = append(r.order, name)
 	}
 	return s.Append(t, v)
 }
 
 // Series returns the named series, or nil.
 func (r *Recorder) Series(name string) *Series { return r.series[name] }
-
-// Names returns the series names in creation order.
-func (r *Recorder) Names() []string { return append([]string(nil), r.order...) }
-
-// WriteCSV exports all series resampled onto the union time grid of the
-// first series (columns: t, then one per series, linearly interpolated).
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	if len(r.order) == 0 {
-		return errors.New("trace: nothing recorded")
-	}
-	base := r.series[r.order[0]]
-	cw := csv.NewWriter(w)
-	header := append([]string{"t"}, r.order...)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	row := make([]string, len(header))
-	for i, t := range base.T {
-		_ = i
-		row[0] = strconv.FormatFloat(t, 'g', -1, 64)
-		for j, name := range r.order {
-			row[j+1] = strconv.FormatFloat(r.series[name].At(t), 'g', -1, 64)
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -9,6 +9,7 @@ import (
 
 	"mfdl/internal/core"
 	"mfdl/internal/fluid"
+	"mfdl/internal/scheme"
 )
 
 func paperSystem(t *testing.T, p float64) *core.System {
@@ -36,8 +37,8 @@ func avg(t *testing.T, sys *core.System, s core.Scheme, opts ...core.Option) flo
 func TestClaimMTCDWorseThanMTSDUnderCorrelation(t *testing.T) {
 	low := paperSystem(t, 0.05)
 	high := paperSystem(t, 1.0)
-	gapLow := avg(t, low, core.MTCD) - avg(t, low, core.MTSD)
-	gapHigh := avg(t, high, core.MTCD) - avg(t, high, core.MTSD)
+	gapLow := avg(t, low, scheme.MTCD) - avg(t, low, scheme.MTSD)
+	gapHigh := avg(t, high, scheme.MTCD) - avg(t, high, scheme.MTSD)
 	if gapLow < 0 {
 		t.Fatalf("MTCD beat MTSD at low correlation by %v", -gapLow)
 	}
@@ -53,7 +54,7 @@ func TestClaimMTCDWorseThanMTSDUnderCorrelation(t *testing.T) {
 // inefficient" / MFCD ≡ MTCD in the fluid model (paper §3.4).
 func TestClaimMFCDEquivalentToMTCD(t *testing.T) {
 	sys := paperSystem(t, 0.7)
-	if d := math.Abs(avg(t, sys, core.MFCD) - avg(t, sys, core.MTCD)); d > 1e-9 {
+	if d := math.Abs(avg(t, sys, core.MFCD) - avg(t, sys, scheme.MTCD)); d > 1e-9 {
 		t.Fatalf("MFCD and MTCD differ by %v in the fluid model", d)
 	}
 }
