@@ -65,14 +65,18 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); n[d == "" ? "." : d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }'
 
-# profile runs a small instrumented sweep with every observability sink
-# attached: a JSON metrics snapshot and a Chrome trace land in ./prof/,
-# and /debug/pprof + /metrics are served on localhost:6060 for the
-# duration of the run (try `go tool pprof http://localhost:6060/debug/pprof/profile?seconds=2`
-# from another shell while it runs).
+# profile writes two kinds of profile into ./prof/. First a small
+# instrumented sweep with every observability sink attached: a JSON metrics
+# snapshot, a Chrome trace and the table, with /debug/pprof + /metrics
+# served on localhost:6060 while it runs — about a second now that an Eq. (5)
+# evaluation is sub-microsecond, too short to attach a pprof client from
+# another shell. Then a CPU profile of the Eq. (5) kernel benchmarks
+# (BenchmarkRHS, cmfsd's Model and Mixed): inspect it with
+# `go tool pprof prof/cmfsd.test prof/fluid-cpu.pprof`.
 profile:
 	mkdir -p prof
 	go run ./cmd/sweep -dim p,rho -steps 30,30 -scheme CMFSD \
 		-metrics-out prof/sweep-metrics.json -trace-out prof/sweep-trace.json \
 		-pprof localhost:6060 -stats > prof/sweep-table.txt
-	@echo "wrote prof/sweep-metrics.json prof/sweep-trace.json prof/sweep-table.txt"
+	go test -run '^$$' -bench RHS -benchtime 2s -cpuprofile prof/fluid-cpu.pprof -o prof/cmfsd.test ./internal/cmfsd
+	@echo "wrote prof/sweep-metrics.json prof/sweep-trace.json prof/sweep-table.txt prof/fluid-cpu.pprof"

@@ -80,14 +80,6 @@ func New(p fluid.Params, corr *correlation.Model, rho float64) (*Model, error) {
 	return &Model{Params: p, Corr: corr, Rho: rho}, nil
 }
 
-// P returns the paper's P(i,j) bandwidth function.
-func (m *Model) P(i, j int) float64 {
-	if i == 1 || j == 1 {
-		return 1
-	}
-	return m.Rho
-}
-
 // Dim implements fluid.Model: K(K+1)/2 downloader groups plus K seed
 // classes.
 func (m *Model) Dim() int {
@@ -111,64 +103,78 @@ func (m *Model) YIndex(i int) int {
 	return m.Corr.K*(m.Corr.K+1)/2 + (i - 1)
 }
 
-// RHS implements fluid.Model (Eq. 5).
+// RHS implements fluid.Model (Eq. 5): the one-group case of eq5.
 func (m *Model) RHS(_ float64, s, dst []float64) {
-	k := m.Corr.K
-	mu, eta, gamma := m.Mu, m.Eta, m.Gamma
+	g := [1]Group{{Fraction: 1, Rho: m.Rho}}
+	eq5(&m.Params, m.Corr, m.Theta, g[:], s, dst)
+}
+
+// eq5 evaluates Eq. (5) for one or more peer groups sharing one service
+// pool. Group g's class-i arrivals are Fraction·λ_i, its P(i,j) is 1 for
+// j = 1 and Rho after, and every downloader stage x^{i,j} drains at θ·x.
+// The state is group-major; each block holds the K(K+1)/2 downloader cells
+// in (i,j) order, then the K seed cells. Negative components count as
+// empty.
+func eq5(p *fluid.Params, corr *correlation.Model, theta float64, groups []Group, s, dst []float64) {
+	k := corr.K
+	nx := k * (k + 1) / 2
+	mu, eta, gamma := p.Mu, p.Eta, p.Gamma
 
 	// Pooled quantities: total downloaders Σx, virtual-seed upload mass
 	// Σ(1−P)x, and real-seed mass Σy.
 	totalX, virtMass, seedMass := 0.0, 0.0, 0.0
-	for i := 1; i <= k; i++ {
-		for j := 1; j <= i; j++ {
-			x := s[m.XIndex(i, j)]
-			if x < 0 {
-				x = 0
+	for g, grp := range groups {
+		lo, hi := g*(nx+k), (g+1)*(nx+k)
+		xs, ys := s[lo:lo+nx], s[lo+nx:hi]
+		c := 0
+		for i := 1; i <= k; i++ {
+			pij := 1.0
+			for j := 1; j <= i; j++ {
+				x := nonNeg(xs[c])
+				totalX += x
+				virtMass += (1 - pij) * x
+				pij = grp.Rho
+				c++
 			}
-			totalX += x
-			virtMass += (1 - m.P(i, j)) * x
+			seedMass += nonNeg(ys[i-1])
 		}
-		y := s[m.YIndex(i)]
-		if y < 0 {
-			y = 0
-		}
-		seedMass += y
 	}
 	// Seed-like service rate per unit downloader population.
-	perCapitaSeedService := 0.0
+	perCapita := 0.0
 	if totalX > 0 {
-		perCapitaSeedService = mu * (virtMass + seedMass) / totalX
+		perCapita = mu * (virtMass + seedMass) / totalX
 	}
 
-	// flux(i,j) is the completion rate of group (i,j): TFT service received
-	// (μηP·x) plus the pooled seed-like share S^{i,j}.
-	flux := func(i, j int) float64 {
-		x := s[m.XIndex(i, j)]
-		if x < 0 {
-			x = 0
+	// Stage (i,j)'s completion rate — TFT service received (μηP·x) plus
+	// its pooled seed-like share S^{i,j} — is stage (i,j+1)'s inflow, and
+	// stage (i,i)'s is the seeds' inflow.
+	for g, grp := range groups {
+		lo, hi := g*(nx+k), (g+1)*(nx+k)
+		xs, ys := s[lo:lo+nx], s[lo+nx:hi]
+		dx, dy := dst[lo:lo+nx], dst[lo+nx:hi]
+		c := 0
+		for i := 1; i <= k; i++ {
+			in := grp.Fraction * corr.UserRate(i)
+			pij := 1.0
+			for j := 1; j <= i; j++ {
+				x := nonNeg(xs[c])
+				out := mu*eta*pij*x + x*perCapita
+				dx[c] = in - out - theta*x
+				in = out
+				pij = grp.Rho
+				c++
+			}
+			dy[i-1] = in - gamma*nonNeg(ys[i-1])
 		}
-		return mu*eta*m.P(i, j)*x + x*perCapitaSeedService
 	}
+}
 
-	for i := 1; i <= k; i++ {
-		for j := 1; j <= i; j++ {
-			out := flux(i, j)
-			in := m.Corr.UserRate(i)
-			if j > 1 {
-				in = flux(i, j-1)
-			}
-			x := s[m.XIndex(i, j)]
-			if x < 0 {
-				x = 0
-			}
-			dst[m.XIndex(i, j)] = in - out - m.Theta*x
-		}
-		y := s[m.YIndex(i)]
-		if y < 0 {
-			y = 0
-		}
-		dst[m.YIndex(i)] = flux(i, i) - gamma*y
+// nonNeg clamps a population component at zero.
+func nonNeg(x float64) float64 {
+	if x < 0 {
+		return 0
 	}
+	return x
 }
 
 // InitialState implements fluid.Model: a strictly positive warm start near

@@ -9,7 +9,7 @@ import (
 	"mfdl/internal/numeric/ode"
 )
 
-func model(t *testing.T, k int, p, rho float64) *Model {
+func model(t testing.TB, k int, p, rho float64) *Model {
 	t.Helper()
 	corr, err := correlation.New(k, p, 1)
 	if err != nil {
@@ -40,18 +40,28 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestPFunction(t *testing.T) {
-	m := model(t, 5, 0.5, 0.3)
-	if m.P(1, 1) != 1 {
-		t.Fatal("P(1,1) != 1")
-	}
-	if m.P(3, 1) != 1 {
-		t.Fatal("P(3,1) != 1")
-	}
-	if m.P(3, 2) != 0.3 {
-		t.Fatal("P(3,2) != ρ")
-	}
-	if m.P(2, 2) != 0.3 {
-		t.Fatal("P(2,2) != ρ")
+	// P(i,j) is 1 for i = 1 or j = 1 and ρ after. With one non-empty
+	// downloader group (i,j) and no seeds, the group completes at
+	// μηP·x + x·μ(1−P)x/x, which RHS hands on as the next stage's (or the
+	// seeds') inflow.
+	const rho, x = 0.3, 2.0
+	m := model(t, 5, 0.5, rho)
+	for _, c := range []struct {
+		i, j int
+		p    float64
+	}{{1, 1, 1}, {3, 1, 1}, {3, 2, rho}, {2, 2, rho}} {
+		s := make([]float64, m.Dim())
+		s[m.XIndex(c.i, c.j)] = x
+		dst := make([]float64, m.Dim())
+		m.RHS(0, s, dst)
+		next := m.YIndex(c.i)
+		if c.j < c.i {
+			next = m.XIndex(c.i, c.j+1)
+		}
+		perCapita := m.Mu * ((1 - c.p) * x) / x
+		if got, want := dst[next], m.Mu*m.Eta*c.p*x+x*perCapita; got != want {
+			t.Fatalf("P(%d,%d): outflow %v, want %v (P = %v)", c.i, c.j, got, want, c.p)
+		}
 	}
 }
 

@@ -50,13 +50,20 @@ func TestStageFluxEqualAtSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reconstruct the flux terms exactly as RHS does.
+	// Reconstruct the flux terms exactly as RHS does, with the paper's
+	// P(i,j) = 1 if i = 1 or j = 1, else ρ.
+	pij := func(i, j int) float64 {
+		if i == 1 || j == 1 {
+			return 1
+		}
+		return m.Rho
+	}
 	totalX, virtMass, seedMass := 0.0, 0.0, 0.0
 	for i := 1; i <= 8; i++ {
 		for j := 1; j <= i; j++ {
 			x := ss[m.XIndex(i, j)]
 			totalX += x
-			virtMass += (1 - m.P(i, j)) * x
+			virtMass += (1 - pij(i, j)) * x
 		}
 		seedMass += ss[m.YIndex(i)]
 	}
@@ -68,7 +75,7 @@ func TestStageFluxEqualAtSteadyState(t *testing.T) {
 		}
 		for j := 1; j <= i; j++ {
 			x := ss[m.XIndex(i, j)]
-			flux := m.Mu*m.Eta*m.P(i, j)*x + x*perCapita
+			flux := m.Mu*m.Eta*pij(i, j)*x + x*perCapita
 			if math.Abs(flux-lambda) > 1e-6+1e-4*lambda {
 				t.Fatalf("class %d stage %d flux %v, want λ=%v", i, j, flux, lambda)
 			}

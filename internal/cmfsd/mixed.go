@@ -96,66 +96,10 @@ func (m *Mixed) YIndex(g, i int) int {
 	return g*m.perGroup() + m.Corr.K*(m.Corr.K+1)/2 + (i - 1)
 }
 
-// pg returns group g's P(i,j).
-func (m *Mixed) pg(g, i, j int) float64 {
-	if i == 1 || j == 1 {
-		return 1
-	}
-	return m.Groups[g].Rho
-}
-
 // RHS implements fluid.Model: Eq. (5) with group-indexed P, one shared
 // service pool.
 func (m *Mixed) RHS(_ float64, s, dst []float64) {
-	k := m.Corr.K
-	mu, eta, gamma := m.Mu, m.Eta, m.Gamma
-	totalX, virtMass, seedMass := 0.0, 0.0, 0.0
-	for g := range m.Groups {
-		for i := 1; i <= k; i++ {
-			for j := 1; j <= i; j++ {
-				x := s[m.XIndex(g, i, j)]
-				if x < 0 {
-					x = 0
-				}
-				totalX += x
-				virtMass += (1 - m.pg(g, i, j)) * x
-			}
-			y := s[m.YIndex(g, i)]
-			if y < 0 {
-				y = 0
-			}
-			seedMass += y
-		}
-	}
-	perCapita := 0.0
-	if totalX > 0 {
-		perCapita = mu * (virtMass + seedMass) / totalX
-	}
-	for g := range m.Groups {
-		flux := func(i, j int) float64 {
-			x := s[m.XIndex(g, i, j)]
-			if x < 0 {
-				x = 0
-			}
-			return mu*eta*m.pg(g, i, j)*x + x*perCapita
-		}
-		for i := 1; i <= k; i++ {
-			rate := m.Groups[g].Fraction * m.Corr.UserRate(i)
-			for j := 1; j <= i; j++ {
-				out := flux(i, j)
-				in := rate
-				if j > 1 {
-					in = flux(i, j-1)
-				}
-				dst[m.XIndex(g, i, j)] = in - out
-			}
-			y := s[m.YIndex(g, i)]
-			if y < 0 {
-				y = 0
-			}
-			dst[m.YIndex(g, i)] = flux(i, i) - gamma*y
-		}
-	}
+	eq5(&m.Params, m.Corr, 0, m.Groups, s, dst)
 }
 
 // InitialState implements fluid.Model.

@@ -8,7 +8,7 @@ import (
 	"mfdl/internal/fluid"
 )
 
-func mixedModel(t *testing.T, p float64, groups []Group) *Mixed {
+func mixedModel(t testing.TB, p float64, groups []Group) *Mixed {
 	t.Helper()
 	corr, err := correlation.New(10, p, 1)
 	if err != nil {

@@ -20,7 +20,9 @@ import (
 	"mfdl/internal/stats"
 )
 
-// Model is a binomial file-correlation model.
+// Model is a binomial file-correlation model. Build it with New: the
+// exported fields are read-only afterwards, because New tabulates the class
+// rates λ₁..λ_K from them once and every rate accessor reads that table.
 type Model struct {
 	// K is the number of files published in the system.
 	K int
@@ -28,13 +30,21 @@ type Model struct {
 	P float64
 	// Lambda0 is the web-server visiting rate λ₀.
 	Lambda0 float64
+
+	// rates[i-1] is λ_i, computed by New.
+	rates []float64
 }
 
-// New validates and returns a correlation model.
+// New validates and returns a correlation model with its class rates
+// λ_i = λ₀·BinomialPMF(K, i, p) tabulated.
 func New(k int, p, lambda0 float64) (*Model, error) {
 	m := &Model{K: k, P: p, Lambda0: lambda0}
 	if err := m.Validate(); err != nil {
 		return nil, err
+	}
+	m.rates = make([]float64, k)
+	for i := range m.rates {
+		m.rates[i] = lambda0 * stats.BinomialPMF(k, i+1, p)
 	}
 	return m, nil
 }
@@ -59,7 +69,7 @@ func (m *Model) UserRate(i int) float64 {
 	if i < 1 || i > m.K {
 		return 0
 	}
-	return m.Lambda0 * stats.BinomialPMF(m.K, i, m.P)
+	return m.rates[i-1]
 }
 
 // TorrentClassRate returns λ_j^i, the entry rate of class-i peers into one

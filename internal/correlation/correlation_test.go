@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"mfdl/internal/stats"
 )
 
 func mustNew(t *testing.T, k int, p, l0 float64) *Model {
@@ -124,5 +126,30 @@ func TestLambda0Linearity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRatesMatchBinomialFormula pins the tabulated rates bit-for-bit to
+// the formula they cache, λ_i = λ₀·BinomialPMF(K, i, p) and λ_j^i = λ_i·i/K,
+// including the zero outside 1..K.
+func TestRatesMatchBinomialFormula(t *testing.T) {
+	const l0 = 1.7
+	for k := 1; k <= 30; k++ {
+		for _, p := range []float64{0, 1e-9, 0.3, 0.5, 1} {
+			m := mustNew(t, k, p, l0)
+			for i := -1; i <= k+1; i++ {
+				user, class := 0.0, 0.0
+				if i >= 1 && i <= k {
+					user = l0 * stats.BinomialPMF(k, i, p)
+					class = user * float64(i) / float64(k)
+				}
+				if got := m.UserRate(i); math.Float64bits(got) != math.Float64bits(user) {
+					t.Fatalf("K=%d p=%g: UserRate(%d) = %v, want %v", k, p, i, got, user)
+				}
+				if got := m.TorrentClassRate(i); math.Float64bits(got) != math.Float64bits(class) {
+					t.Fatalf("K=%d p=%g: TorrentClassRate(%d) = %v, want %v", k, p, i, got, class)
+				}
+			}
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"mfdl/internal/numeric/ode"
 )
 
-func model(t *testing.T, k int, p float64) *Model {
+func model(t testing.TB, k int, p float64) *Model {
 	t.Helper()
 	corr, err := correlation.New(k, p, 1)
 	if err != nil {
@@ -276,5 +276,31 @@ func TestEtaOneIdentity(t *testing.T) {
 		if got := res.AvgOnlinePerFile(); math.Abs(got-50) > 1e-9 {
 			t.Fatalf("p=%v: avg %v, want exactly 1/μ = 50", p, got)
 		}
+	}
+}
+
+func odeWithAborts(tb testing.TB) *ODE {
+	m := model(tb, 10, 0.9)
+	m.Theta = 0.001
+	return m.NewODE()
+}
+
+// TestRHSAllocatesNothing guards the θ > 0 solver's inner loop: an RHS
+// call must not touch the heap.
+func TestRHSAllocatesNothing(t *testing.T) {
+	o := odeWithAborts(t)
+	s, dst := o.InitialState(), make([]float64, o.Dim())
+	if n := testing.AllocsPerRun(100, func() { o.RHS(0, s, dst) }); n != 0 {
+		t.Fatalf("ODE.RHS: %v allocations per call, want 0", n)
+	}
+}
+
+func BenchmarkRHS(b *testing.B) {
+	o := odeWithAborts(b)
+	s, dst := o.InitialState(), make([]float64, o.Dim())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.RHS(0, s, dst)
 	}
 }

@@ -8,13 +8,11 @@ import (
 	"mfdl/internal/numeric/linalg"
 )
 
-// numericalJacobian computes ∂f/∂x by central differences.
-func numericalJacobian(f RHS, t float64, x []float64) *linalg.Matrix {
+// numericalJacobian fills jac with ∂f/∂x by central differences; fp, fm
+// and xp are caller-owned work slices of len(x).
+func numericalJacobian(f RHS, t float64, x []float64, jac *linalg.Matrix, fp, fm, xp []float64) {
 	n := len(x)
-	j := linalg.NewMatrix(n, n)
-	fp := make([]float64, n)
-	fm := make([]float64, n)
-	xp := append([]float64(nil), x...)
+	copy(xp, x)
 	for c := 0; c < n; c++ {
 		h := 1e-7 * math.Max(1, math.Abs(x[c]))
 		orig := xp[c]
@@ -24,10 +22,9 @@ func numericalJacobian(f RHS, t float64, x []float64) *linalg.Matrix {
 		f(t, xp, fm)
 		xp[c] = orig
 		for r := 0; r < n; r++ {
-			j.Set(r, c, (fp[r]-fm[r])/(2*h))
+			jac.Set(r, c, (fp[r]-fm[r])/(2*h))
 		}
 	}
-	return j
 }
 
 // NewtonOptions configures NewtonSteadyState.
@@ -65,14 +62,16 @@ func NewtonSteadyState(f RHS, x []float64, opt NewtonOptions) error {
 	n := len(x)
 	fx := make([]float64, n)
 	trial := make([]float64, n)
+	// Jacobian and right-hand-side workspace, reused by every iteration.
+	jac := linalg.NewMatrix(n, n)
+	fp, fm, xp, rhs := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 	f(0, x, fx)
 	resid := MaxNorm(fx)
 	for it := 0; it < opt.MaxIter; it++ {
 		if resid <= opt.Tol {
 			return nil
 		}
-		jac := numericalJacobian(f, 0, x)
-		rhs := make([]float64, n)
+		numericalJacobian(f, 0, x, jac, fp, fm, xp)
 		for i := range rhs {
 			rhs[i] = -fx[i]
 		}
