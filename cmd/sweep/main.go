@@ -32,27 +32,21 @@
 // With -checkpoint-dir every completed cell is also flushed to disk as
 // the sweep runs: a run killed mid-grid (crash, SIGKILL, power loss)
 // resumes on the next invocation from the completed cells and emits the
-// byte-identical final table. -retries re-attempts panicking cells a
-// bounded number of times before giving up on the run.
-//
-// -fabric ADDR serves the same job through a fabric.Campaign bound to ADDR
-// with -workers in-process HTTP workers — the serving `sweepd serve`
-// uses — and prints the same table, byte for byte.
+// byte-identical final table. To spread the same grid over processes or
+// machines, run it with `sweepd serve`: its table is this one, byte for
+// byte.
 package main
 
 import (
 	"context"
 	"fmt"
-	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"time"
 
 	"flag"
 
 	"mfdl/internal/experiments"
-	"mfdl/internal/fabric"
 	"mfdl/internal/fluid"
 	"mfdl/internal/gridflag"
 	"mfdl/internal/obs"
@@ -72,25 +66,23 @@ func run(args []string) error {
 	start := time.Now()
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
-		dim       = fs.String("dim", "p", "swept dimensions (comma-separated): p, rho, k, mu, gamma, eta, lambda0, theta")
-		from      = fs.String("from", "0.05", "sweep start, one value or one per dimension")
-		to        = fs.String("to", "1", "sweep end, one value or one per dimension")
-		steps     = fs.String("steps", "10", "sweep intervals, one value or one per dimension")
-		schemeF   = fs.String("scheme", "CMFSD", "scheme: MTCD, MTSD, MFCD, CMFSD")
-		k         = fs.Int("k", 10, "number of files K")
-		mu        = fs.Float64("mu", 0.02, "upload bandwidth μ")
-		eta       = fs.Float64("eta", 0.5, "sharing efficiency η")
-		gamma     = fs.Float64("gamma", 0.05, "seed departure rate γ")
-		lambda0   = fs.Float64("lambda0", 1, "visiting rate λ₀")
-		p         = fs.Float64("p", 0.9, "file correlation p")
-		rho       = fs.Float64("rho", 0, "CMFSD allocation ratio ρ")
-		theta     = fs.Float64("theta", 0, "downloader abort rate θ (0 = paper's churn-free model)")
-		workers   = fs.Int("workers", 0, "worker pool size (0 = all cores)")
-		retries   = fs.Int("retries", 0, "re-attempts for a panicking cell before the run fails")
-		ckptDir   = fs.String("checkpoint-dir", "", "flush completed cells here so a killed run resumes (empty = off)")
-		verbose   = fs.Bool("progress", false, "report per-cell progress on stderr")
-		stats     = fs.Bool("stats", false, "print cache hit rates, disk usage and per-phase wall-clock on stderr")
-		fabricAdr = fs.String("fabric", "", "run the sweep through an in-process fabric coordinator bound to this address (e.g. 127.0.0.1:0) with -workers HTTP workers; output is byte-identical to a local run")
+		dim     = fs.String("dim", "p", "swept dimensions (comma-separated): p, rho, k, mu, gamma, eta, lambda0, theta")
+		from    = fs.String("from", "0.05", "sweep start, one value or one per dimension")
+		to      = fs.String("to", "1", "sweep end, one value or one per dimension")
+		steps   = fs.String("steps", "10", "sweep intervals, one value or one per dimension")
+		schemeF = fs.String("scheme", "CMFSD", "scheme: MTCD, MTSD, MFCD, CMFSD")
+		k       = fs.Int("k", 10, "number of files K")
+		mu      = fs.Float64("mu", 0.02, "upload bandwidth μ")
+		eta     = fs.Float64("eta", 0.5, "sharing efficiency η")
+		gamma   = fs.Float64("gamma", 0.05, "seed departure rate γ")
+		lambda0 = fs.Float64("lambda0", 1, "visiting rate λ₀")
+		p       = fs.Float64("p", 0.9, "file correlation p")
+		rho     = fs.Float64("rho", 0, "CMFSD allocation ratio ρ")
+		theta   = fs.Float64("theta", 0, "downloader abort rate θ (0 = paper's churn-free model)")
+		workers = fs.Int("workers", 0, "worker pool size (0 = all cores)")
+		ckptDir = fs.String("checkpoint-dir", "", "flush completed cells here so a killed run resumes (empty = off)")
+		verbose = fs.Bool("progress", false, "report per-cell progress on stderr")
+		stats   = fs.Bool("stats", false, "print cache hit rates, disk usage and per-phase wall-clock on stderr")
 	)
 	var (
 		ofl  obs.Flags
@@ -115,9 +107,6 @@ func run(args []string) error {
 	}
 	if *workers < 0 {
 		return fmt.Errorf("workers must be >= 0, got %d", *workers)
-	}
-	if *retries < 0 {
-		return fmt.Errorf("-retries must be >= 0, got %d", *retries)
 	}
 	if _, err := gridflag.Open(&cf, "sweep", diskcache.Open); err != nil {
 		return err
@@ -147,7 +136,6 @@ func run(args []string) error {
 		Scheme:        sc,
 		Grid:          grid,
 		Options:       experiments.Options{Workers: *workers, Obs: reg},
-		Retries:       *retries,
 		CacheDir:      cf.Dir,
 		CheckpointDir: *ckptDir,
 	}
@@ -179,21 +167,7 @@ func run(args []string) error {
 	defer stop()
 	phase := reg.Gauge // nil-safe; three samples land as sweep_phase_seconds{phase=...}
 	setup := time.Since(start)
-	var res *experiments.SweepResult
-	if *fabricAdr != "" {
-		camp := &fabric.Campaign{
-			Addr: *fabricAdr, CheckpointDir: *ckptDir, LocalWorkers: *workers,
-			Coordinator: fabric.CoordinatorOptions{Obs: reg},
-			Log:         log.New(os.Stderr, "sweep: ", 0),
-		}
-		if camp.LocalWorkers == 0 {
-			camp.LocalWorkers = runtime.GOMAXPROCS(0)
-		}
-		defer camp.Close()
-		res, err = spec.Serve(ctx, camp.Serve)
-	} else {
-		res, err = experiments.Sweep(ctx, spec)
-	}
+	res, err := experiments.Sweep(ctx, spec)
 	if err != nil {
 		return err
 	}

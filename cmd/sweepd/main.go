@@ -156,7 +156,7 @@ func serve(args []string) error {
 		leaseCells  = fs.Int("lease-cells", 8, "cells granted per lease (the adaptive upper bound with -lease-target)")
 		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "lease exclusivity window; a worker silent for longer forfeits its cells")
 		leaseTarget = fs.Duration("lease-target", 0, "size each worker's leases to roughly this wall-time from its observed cell pace (0 = fixed -lease-cells batches)")
-		localW      = fs.Int("local-workers", 0, "also run this many in-process workers (0 = rely on `sweepd work` processes)")
+		localW      = fs.Int("local-workers", 0, "also run this many in-process workers (0 = rely on sweepd work processes)")
 		stats       = fs.Bool("stats", false, "print fabric progress counters on stderr")
 		fleetOut    = fs.String("fleet-out", "", "write the final fleet view (per-worker liveness, rates, stragglers) as JSON to this file")
 		progress    = fs.Duration("progress", 0, "print a fleet progress line (workers, cells/sec, stragglers) on stderr at this interval (0 = off)")

@@ -10,43 +10,42 @@ import (
 	"fmt"
 	"log"
 
-	"mfdl/internal/core"
+	"mfdl/internal/correlation"
 	"mfdl/internal/fluid"
+	"mfdl/internal/metrics"
+	"mfdl/internal/scheme"
 )
 
 func main() {
-	// A system with 10 interest-correlated files (e.g. a TV season),
-	// the paper's peer parameters, and a high file correlation: most
-	// visitors want most of the files.
-	sys, err := core.NewSystem(core.Config{
-		Params:  fluid.PaperParams, // μ=0.02, η=0.5, γ=0.05
-		K:       10,
-		Lambda0: 1,
-		P:       0.9,
-	})
+	// A system with 10 interest-correlated files (e.g. a TV season), a
+	// visiting rate λ₀ = 1 and a high file correlation: most visitors want
+	// most of the files. Peers have the paper's parameters.
+	corr, err := correlation.New(10, 0.9, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	comparisons, err := sys.Compare(core.Schemes, core.WithRho(0.1))
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("average online time per file (lower is better), p = 0.9:")
-	for _, c := range comparisons {
-		fmt.Printf("  %-6s %7.2f\n", c.Scheme, c.Result.AvgOnlinePerFile())
-	}
-
-	best, err := core.Best(comparisons)
-	if err != nil {
-		log.Fatal(err)
+	var (
+		best    scheme.Scheme
+		bestRes *metrics.SchemeResult
+	)
+	for _, sc := range scheme.Schemes {
+		res, err := scheme.Evaluate(sc, fluid.PaperParams, corr, scheme.Options{Rho: 0.1}) // μ=0.02, η=0.5, γ=0.05
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %-6s %7.2f\n", sc, res.AvgOnlinePerFile())
+		if bestRes == nil || res.AvgOnlinePerFile() < bestRes.AvgOnlinePerFile() {
+			best, bestRes = sc, res
+		}
 	}
 	fmt.Printf("\nbest scheme: %s — the paper's proposal wins when files are "+
-		"highly correlated.\n", best.Scheme)
+		"highly correlated.\n", best)
 
 	// Per-class detail for the winner: who gains, who pays.
-	fmt.Println("\nper-class online time per file under", best.Scheme, "(ρ=0.1):")
-	for _, cl := range best.Result.Classes {
+	fmt.Println("\nper-class online time per file under", best, "(ρ=0.1):")
+	for _, cl := range bestRes.Classes {
 		if cl.EntryRate == 0 {
 			continue
 		}

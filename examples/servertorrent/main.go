@@ -22,10 +22,11 @@ import (
 	"net/http/httptest"
 	"net/url"
 
-	"mfdl/internal/core"
+	"mfdl/internal/correlation"
 	"mfdl/internal/fluid"
 	"mfdl/internal/metainfo"
 	"mfdl/internal/rng"
+	"mfdl/internal/scheme"
 	"mfdl/internal/tracker"
 )
 
@@ -92,15 +93,13 @@ func main() {
 	fmt.Println(get(srv.URL + "/index"))
 
 	// --- choosing a scheme -----------------------------------------------
-	sys, err := core.NewSystem(core.Config{
-		Params: fluid.PaperParams, K: episodes, Lambda0: 1, P: 0.95,
-	})
+	corr, err := correlation.New(episodes, 0.95, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("user: fluid-model forecast for this torrent (p = 0.95):")
-	for _, sc := range []core.Scheme{core.MFCD, core.CMFSD} {
-		res, err := sys.Evaluate(sc, core.WithRho(0.1))
+	for _, sc := range []scheme.Scheme{scheme.MFCD, scheme.CMFSD} {
+		res, err := scheme.Evaluate(sc, fluid.PaperParams, corr, scheme.Options{Rho: 0.1})
 		if err != nil {
 			log.Fatal(err)
 		}

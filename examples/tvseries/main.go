@@ -18,40 +18,37 @@ import (
 	"fmt"
 	"log"
 
-	"mfdl/internal/core"
+	"mfdl/internal/correlation"
 	"mfdl/internal/fluid"
+	"mfdl/internal/metrics"
 	"mfdl/internal/scheme"
 	"mfdl/internal/swarm"
 )
 
 func main() {
 	const (
-		episodes    = 12
-		correlation = 0.95 // almost everyone wants the full season
+		episodes = 12
+		p        = 0.95 // almost everyone wants the full season
 	)
-	sys, err := core.NewSystem(core.Config{
-		Params:  fluid.PaperParams,
-		K:       episodes,
-		Lambda0: 1,
-		P:       correlation,
-	})
+	corr, err := correlation.New(episodes, p, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Printf("season of %d episodes, correlation p = %.2f\n\n", episodes, correlation)
-
-	mfcd, err := sys.Evaluate(core.MFCD)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("fluid model, online time per episode:\n")
-	fmt.Printf("  MFCD (today's clients, random chunks): %6.1f\n", mfcd.AvgOnlinePerFile())
-	for _, rho := range []float64{0.5, 0.1, 0} {
-		res, err := sys.Evaluate(core.CMFSD, core.WithRho(rho))
+	evaluate := func(sc scheme.Scheme, rho float64) *metrics.SchemeResult {
+		res, err := scheme.Evaluate(sc, fluid.PaperParams, corr, scheme.Options{Rho: rho})
 		if err != nil {
 			log.Fatal(err)
 		}
+		return res
+	}
+
+	fmt.Printf("season of %d episodes, correlation p = %.2f\n\n", episodes, p)
+
+	mfcd := evaluate(scheme.MFCD, 0)
+	fmt.Printf("fluid model, online time per episode:\n")
+	fmt.Printf("  MFCD (today's clients, random chunks): %6.1f\n", mfcd.AvgOnlinePerFile())
+	for _, rho := range []float64{0.5, 0.1, 0} {
+		res := evaluate(scheme.CMFSD, rho)
 		gain := (1 - res.AvgOnlinePerFile()/mfcd.AvgOnlinePerFile()) * 100
 		fmt.Printf("  CMFSD ρ=%.1f:                          %6.1f  (%.0f%% faster)\n",
 			rho, res.AvgOnlinePerFile(), gain)
@@ -62,7 +59,7 @@ func main() {
 	fmt.Printf("\nchunk-level swarm (16-chunk episodes, TFT + rarest-first):\n")
 	base := swarm.DefaultConfig
 	base.K = 6 // a smaller season keeps the example fast
-	base.P = correlation
+	base.P = p
 	base.Horizon = 2000
 	base.Warmup = 400
 	for _, setting := range []struct {

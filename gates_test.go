@@ -3,14 +3,17 @@ package mfdl_test
 // Static gates over the module's own source, written with the standard
 // library alone: `go list -deps -export` gives the import graph and the
 // standard library's export data, and go/parser + go/types check every
-// package from source. Two gates run in tier-1:
+// package from source. Three gates run in tier-1:
 //
 //   - TestGateImportDAG fails on an import that points up the tier list,
 //     or breaks one of the rows in importRows;
 //   - TestGateDeadCode fails on a top-level func, method, type, var or
 //     const under internal/ that no non-test code reaches, unless deadAllow
 //     lists it with its reason. An allowlist entry that is reached again,
-//     or no longer exists, fails too, so the list only shrinks.
+//     or no longer exists, fails too, so the list only shrinks;
+//   - TestGateFlagDocs fails when README's command-line reference and the
+//     flags the commands register disagree, or README names a flag no
+//     command has.
 //
 // `go test -run Gate -v .` (make gates) prints the allowlist with its
 // reasons: it is the queue for the next deletion.
@@ -30,6 +33,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -53,7 +57,7 @@ var importTiers = []tier{
 	{"leaf", []string{"internal/numeric/...", "internal/rng", "internal/stats", "internal/obs",
 		"internal/adapt", "internal/faults", "internal/trace", "internal/table"}},
 	{"model", []string{"internal/fluid", "internal/correlation", "internal/mtcd", "internal/mtsd",
-		"internal/cmfsd", "internal/scheme", "internal/metrics", "internal/core"}},
+		"internal/cmfsd", "internal/scheme", "internal/metrics"}},
 	{"contract", []string{"internal/replica"}},
 	{"backends", []string{"internal/eventsim", "internal/swarm"}},
 	{"engine", []string{"internal/runner/..."}},
@@ -216,8 +220,8 @@ func helper() int { return 1 }
 }
 
 // TestGateSeededViolations shows each gate failing: every case adds one
-// violation to synthModule, and the gates must report exactly what it
-// breaks.
+// violation to synthModule, or to a one-command README, and the gates must
+// report exactly what it breaks.
 func TestGateSeededViolations(t *testing.T) {
 	tiers := []tier{{"low", []string{"internal/low"}}, {"high", []string{"internal/high"}}, {"top", []string{"."}}}
 	rows := []importRow{{name: "low_stays_low", from: []string{"internal/low"}, never: []string{"internal/high"}}}
@@ -258,17 +262,234 @@ func TestGateSeededViolations(t *testing.T) {
 				t.Fatal(err)
 			}
 			dead, _, _ := deadProblems(p, append(slices.Clone(allow), c.allow...))
-			problems := append(importProblems(p.imports, tiers, rows), dead...)
-			if len(problems) != len(c.want) {
-				t.Fatalf("gates report %q, want %d problems", problems, len(c.want))
-			}
-			for i, want := range c.want {
-				if !strings.Contains(problems[i], want) {
-					t.Errorf("problem %d is %q, want %q", i, problems[i], want)
-				}
-			}
+			wantProblems(t, append(importProblems(p.imports, tiers, rows), dead...), c.want)
 		})
 	}
+
+	// The flag/doc gate over a one-command README: a flag the docs still
+	// name after the command dropped it, and a flag the command gained
+	// without the docs.
+	readme := "## Command-line reference\n\n### `tool`\n\n- `-a`, `-b`.\n\n## Usage\n\n" +
+		"```sh\ngo run ./cmd/tool -a \\\n    -b   # both\n```\n\nSee `-b`.\n"
+	for _, c := range []struct {
+		name, readme string
+		flags        []string
+		want         []string
+	}{
+		{name: "flags_documented", readme: readme, flags: []string{"a", "b"}},
+		{name: "stale_readme_flag", readme: readme + "Retry with `tool -gone N`.\n", flags: []string{"a", "b"},
+			want: []string{"README.md:15 names -gone, which no command registers"}},
+		{name: "undocumented_flag", readme: readme, flags: []string{"a", "b", "new"},
+			want: []string{"tool -new is undocumented"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			problems := flagDocProblems(parseFlagDocs(c.readme), []string{"tool"}, map[string][]string{"tool": c.flags})
+			wantProblems(t, problems, c.want)
+		})
+	}
+}
+
+// wantProblems checks that a gate reported one problem per want, in order,
+// each containing its want.
+func wantProblems(t *testing.T, problems, want []string) {
+	t.Helper()
+	if len(problems) != len(want) {
+		t.Fatalf("gates report %q, want %d problems", problems, len(want))
+	}
+	for i, w := range want {
+		if !strings.Contains(problems[i], w) {
+			t.Errorf("problem %d is %q, want %q", i, problems[i], w)
+		}
+	}
+}
+
+// TestGateFlagDocs checks README against the flags every command
+// registers, read from its -h output: that is where the flags gridflag and
+// obs build at run time show up, which a scan of the source cannot see.
+func TestGateFlagDocs(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs = append(dirs, e.Name())
+		}
+	}
+	doc := parseFlagDocs(string(readme))
+	registered := map[string][]string{}
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex
+	)
+	for cmd := range doc.reference {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			name, sub, _ := strings.Cut(cmd, " ")
+			args := append([]string{"run", "./cmd/" + name}, strings.Fields(sub)...)
+			out, _ := exec.Command("go", append(args, "-h")...).CombinedOutput() // -h exits non-zero
+			var flags []string
+			for _, line := range strings.Split(string(out), "\n") {
+				if rest, ok := strings.CutPrefix(line, "  -"); ok {
+					flags = append(flags, strings.Fields(rest)[0])
+				}
+			}
+			if len(flags) == 0 {
+				t.Errorf("%s -h lists no flags:\n%s", cmd, out)
+			}
+			mu.Lock()
+			registered[cmd] = flags
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	for _, problem := range flagDocProblems(doc, dirs, registered) {
+		t.Error(problem)
+	}
+}
+
+// flagDocs is what README says about flags: per command (a heading of the
+// "Command-line reference" section, "sweep" or "sweepd serve"), the flags
+// its subsection names; and, outside that section, the flags each
+// `go run ./cmd/...` line of a code block passes and the flags inline code
+// names.
+type flagDocs struct {
+	reference map[string][]string
+	runs      []flagUse
+	inline    []flagUse // cmd is empty: inline code may name any command's flag
+}
+
+// A flagUse is the flags one README line names, and the command it runs
+// ("sweepd serve", or "mfdl all" for mfdl with a positional argument).
+type flagUse struct {
+	line  int
+	cmd   string
+	flags []string
+}
+
+var (
+	codeSpan  = regexp.MustCompile("`[^`]+`")
+	flagToken = regexp.MustCompile(`(?:^|[\s(\[])-([a-z][a-z0-9-]*)`)
+	cmdRun    = regexp.MustCompile(`\./cmd/([a-z]+)((?: [a-z]+)?)`)
+)
+
+func flagTokens(code string) []string {
+	var flags []string
+	for _, m := range flagToken.FindAllStringSubmatch(code, -1) {
+		flags = append(flags, m[1])
+	}
+	return flags
+}
+
+func parseFlagDocs(readme string) flagDocs {
+	doc := flagDocs{reference: map[string][]string{}}
+	var (
+		inRef, fenced bool
+		section       string // the reference subsection being read
+		running       string // the command a continued code-block line runs
+	)
+	for i, line := range strings.Split(readme, "\n") {
+		switch {
+		case strings.HasPrefix(line, "```"):
+			fenced, running = !fenced, ""
+			continue
+		case !fenced && strings.HasPrefix(line, "## "):
+			inRef, section = line == "## Command-line reference", ""
+			continue
+		case !fenced && inRef && strings.HasPrefix(line, "### "):
+			section = strings.Trim(strings.TrimPrefix(line, "### "), "` ")
+			doc.reference[section] = []string{}
+			continue
+		}
+		code := codeSpan.FindAllString(line, -1)
+		if fenced {
+			code = []string{line}
+		}
+		for _, c := range code {
+			c = strings.Trim(c, "`")
+			switch {
+			case inRef:
+				if section != "" {
+					doc.reference[section] = append(doc.reference[section], flagTokens(c)...)
+				}
+			case fenced:
+				if m := cmdRun.FindStringSubmatch(c); m != nil {
+					running = m[1] + m[2]
+				}
+				if running != "" {
+					c, _, _ = strings.Cut(c, " #")
+					doc.runs = append(doc.runs, flagUse{i + 1, running, flagTokens(c)})
+					if !strings.HasSuffix(strings.TrimSpace(c), "\\") {
+						running = ""
+					}
+				}
+			case strings.HasPrefix(c, "go ") || strings.HasPrefix(c, "make "):
+				// the go tool's flags and make targets are not the commands'
+			default:
+				if flags := flagTokens(c); len(flags) > 0 {
+					doc.inline = append(doc.inline, flagUse{i + 1, "", flags})
+				}
+			}
+		}
+	}
+	return doc
+}
+
+// flagDocProblems compares README's flags with the registered ones: every
+// command directory has a reference subsection, each subsection names
+// exactly its command's flags, and every flag named elsewhere exists — on
+// the command a code-block line runs, or on some command for inline code.
+func flagDocProblems(doc flagDocs, dirs []string, registered map[string][]string) []string {
+	var problems []string
+	known := map[string]bool{}
+	for _, flags := range registered {
+		for _, f := range flags {
+			known[f] = true
+		}
+	}
+	for _, dir := range dirs {
+		found := false
+		for cmd := range doc.reference {
+			found = found || cmd == dir || strings.HasPrefix(cmd, dir+" ")
+		}
+		if !found {
+			problems = append(problems, fmt.Sprintf("cmd/%s has no subsection in README's command-line reference", dir))
+		}
+	}
+	for cmd, named := range doc.reference {
+		for _, f := range registered[cmd] {
+			if !slices.Contains(named, f) {
+				problems = append(problems, fmt.Sprintf("%s -%s is undocumented: name it in README's %s reference", cmd, f, cmd))
+			}
+		}
+		for _, f := range named {
+			if !slices.Contains(registered[cmd], f) {
+				problems = append(problems, fmt.Sprintf("README's %s reference names -%s, which %s does not register", cmd, f, cmd))
+			}
+		}
+	}
+	for _, u := range append(doc.runs, doc.inline...) {
+		cmd := u.cmd
+		if _, ok := registered[cmd]; !ok {
+			cmd, _, _ = strings.Cut(cmd, " ") // `mfdl all` runs mfdl; `sweepd serve` has its own flags
+		}
+		for _, f := range u.flags {
+			switch {
+			case cmd != "" && !slices.Contains(registered[cmd], f):
+				problems = append(problems, fmt.Sprintf("README.md:%d runs %s -%s, which %s does not register", u.line, cmd, f, cmd))
+			case cmd == "" && !known[f]:
+				problems = append(problems, fmt.Sprintf("README.md:%d names -%s, which no command registers", u.line, f))
+			}
+		}
+	}
+	sort.Strings(problems)
+	return problems
 }
 
 var (

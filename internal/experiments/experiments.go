@@ -47,12 +47,8 @@ import (
 )
 
 // Options is the execution-option surface shared by the whole experiment
-// family. It used to be scattered across Config (cache), SweepSpec
-// (workers, obs) and SimSettings (seed, replicas, workers, obs) with one
-// spelling per struct; those structs now embed Options, and their old
-// fields remain as deprecated pass-throughs — a non-zero deprecated field
-// takes precedence over the embedded one, so existing callers keep their
-// exact behaviour and tables stay byte-identical.
+// family: Config, SweepSpec and SimSettings each embed it, so every knob
+// has one spelling. Each experiment reads the fields it needs.
 type Options struct {
 	// Cache, when non-nil, memoizes every steady-state solve — across
 	// figures, across calls and (when the cache carries a disk tier)

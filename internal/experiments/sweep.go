@@ -43,9 +43,6 @@ type SweepSpec struct {
 	// Options is the shared execution-option surface (workers, obs, seed,
 	// cache). Options.Cache, when set, takes precedence over CacheDir.
 	Options
-	// Retries is how many times a panicking cell is re-attempted before
-	// failing the sweep (see runner.Options.Retries).
-	Retries int
 	// CacheDir, when non-empty, backs the solve cache with a persistent
 	// cross-process store in that directory: cells already solved by any
 	// previous run (or process) are decoded instead of re-solved, and
@@ -143,8 +140,7 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 		ckpt = runner.NewCheckpoint(store, job.Fingerprint())
 	}
 	cells, err := runner.RunJob(ctx, job, cache, runner.Options{
-		Workers: spec.Workers, Hooks: spec.Hooks, Obs: ob,
-		Retries: spec.Retries, Checkpoint: ckpt,
+		Workers: spec.Workers, Hooks: spec.Hooks, Obs: ob, Checkpoint: ckpt,
 	})
 	if err != nil {
 		return nil, err

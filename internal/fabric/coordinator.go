@@ -72,6 +72,14 @@ const (
 	// maxControlBody bounds the small control bodies (/v1/lease,
 	// /v1/renew): a worker name and a few integers.
 	maxControlBody = 1 << 16
+	// stragglerFactor flags a worker as a straggler on /v1/fleet when its
+	// median cell seconds exceed this multiple of the fleet median.
+	stragglerFactor = 2
+	// requestTimeout bounds how long any one fabric request may hold a
+	// handler goroutine before being answered with 503. Every endpoint is
+	// a quick lock-compute-respond, so a request this old is a stuck
+	// client or a lost connection, not legitimate work.
+	requestTimeout = 30 * time.Second
 )
 
 // CoordinatorOptions tune lease granularity and expiry.
@@ -102,16 +110,6 @@ type CoordinatorOptions struct {
 	// works even when Obs is nil: the coordinator then keeps a private
 	// registry so /metrics and /v1/fleet still render.
 	Obs *obs.Registry
-	// StragglerFactor flags a worker as a straggler on /v1/fleet when its
-	// median cell seconds exceed this multiple of the fleet median
-	// (default 2).
-	StragglerFactor float64
-	// RequestTimeout bounds how long any one fabric request may hold a
-	// handler goroutine before being answered with 503 (default 30s;
-	// negative disables the wrapper). Every endpoint is a quick
-	// lock-compute-respond, so a request this old is a stuck client or a
-	// lost connection, not legitimate work.
-	RequestTimeout time.Duration
 	// Clock overrides time.Now for lease-expiry tests.
 	Clock func() time.Time
 }
@@ -227,12 +225,6 @@ func NewCoordinator(spec runner.JobSpec, store *diskcache.CheckpointStore, opts 
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
-	}
-	if opts.StragglerFactor <= 0 {
-		opts.StragglerFactor = 2
-	}
-	if opts.RequestTimeout == 0 {
-		opts.RequestTimeout = 30 * time.Second
 	}
 	treg := opts.Obs
 	if treg == nil {
@@ -621,7 +613,7 @@ type renewRequest struct {
 //
 // Every body-carrying endpoint is capped (maxControlBody for the small
 // control messages, maxCompleteBody for cell payloads, maxTelemetryBody
-// for telemetry), and the whole surface sits behind RequestTimeout — a
+// for telemetry), and the whole surface sits behind requestTimeout — a
 // hung client gets 503, never a handler goroutine forever.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -750,10 +742,7 @@ func (c *Coordinator) Handler() http.Handler {
 		w.Header().Set("Content-Type", obs.ContentType)
 		io.WriteString(w, sb.String())
 	})
-	if c.opts.RequestTimeout > 0 {
-		return http.TimeoutHandler(mux, c.opts.RequestTimeout, "fabric: request timed out")
-	}
-	return mux
+	return http.TimeoutHandler(mux, requestTimeout, "fabric: request timed out")
 }
 
 // errOtherJob answers a lease or renewal that names another job.

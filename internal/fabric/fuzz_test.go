@@ -68,7 +68,7 @@ func FuzzCompleteBody(f *testing.F) {
 			t.Fatal(err)
 		}
 		reg := obs.New()
-		coord, err := NewCoordinator(spec, store, CoordinatorOptions{Obs: reg, RequestTimeout: -1})
+		coord, err := NewCoordinator(spec, store, CoordinatorOptions{Obs: reg})
 		if err != nil {
 			t.Fatal(err)
 		}

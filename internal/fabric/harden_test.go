@@ -393,14 +393,14 @@ func TestFleetShowsParkedWorker(t *testing.T) {
 }
 
 // WorkLoop survives transient probe failures: one blip between rounds no
-// longer reads as "coordinator retired", only GonePolls consecutive
+// longer reads as "coordinator retired", only gonePolls consecutive
 // failures do.
 func TestWorkLoopToleratesTransientProbeFailures(t *testing.T) {
 	spec := testSpec(t)
 	coord, _ := newFabric(t, spec, t.TempDir(), CoordinatorOptions{})
 	live := coord.Handler()
 
-	// The job endpoint fails twice in a row (under GonePolls=3), then
+	// The job endpoint fails twice in a row (under gonePolls = 3), then
 	// recovers. Fetch 1 is the loop's first probe, fetch 2 is Work's own
 	// spec download, so the blips land on the post-round probes 3 and 4.
 	var probes atomic.Int32
@@ -438,7 +438,7 @@ func TestWorkLoopToleratesTransientProbeFailures(t *testing.T) {
 	}
 }
 
-// Once the coordinator is down for GonePolls consecutive probes, the
+// Once the coordinator is down for gonePolls consecutive probes, the
 // loop concludes the service retired and returns nil.
 func TestWorkLoopEndsAfterSustainedProbeFailure(t *testing.T) {
 	spec := testSpec(t)

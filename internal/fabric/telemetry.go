@@ -113,7 +113,7 @@ type FleetWorker struct {
 // Fleet is the machine-readable fleet view served on GET /v1/fleet: job
 // progress plus every worker that has ever pushed telemetry, with
 // liveness state, observed rates and the straggler flag (a worker whose
-// median cell seconds exceed StragglerFactor times the fleet median).
+// median cell seconds exceed stragglerFactor times the fleet median).
 type Fleet struct {
 	Status          Status        `json:"status"`
 	Workers         []FleetWorker `json:"workers"`
@@ -199,7 +199,7 @@ func (c *Coordinator) Fleet() Fleet {
 	f := Fleet{
 		Status:          c.Status(),
 		CellSecondsP50:  finiteOrZero(fleetP50),
-		StragglerFactor: c.opts.StragglerFactor,
+		StragglerFactor: stragglerFactor,
 	}
 	c.tmu.Lock()
 	workers := make([]string, 0, len(c.telemetry))
@@ -228,7 +228,7 @@ func (c *Coordinator) Fleet() Fleet {
 		if wt.env.Parked && fw.State != WorkerLost {
 			fw.State = WorkerParked
 		}
-		if p50 > c.opts.StragglerFactor*fleetP50 && fleetP50 > 0 {
+		if p50 > stragglerFactor*fleetP50 && fleetP50 > 0 {
 			fw.Straggler = true
 		}
 		switch fw.State {

@@ -53,11 +53,6 @@ type WorkerOptions struct {
 	// coordinator answers again. Zero (the default) keeps the fail-fast
 	// behavior.
 	MaxOutage time.Duration
-	// GonePolls is how many consecutive failed job probes WorkLoop
-	// tolerates before concluding the coordinator has retired (default
-	// 3). A single transient failure between rounds no longer ends the
-	// loop.
-	GonePolls int
 	// Obs, when non-nil, receives the worker's fabric_worker_cells_total
 	// counter plus the solve cache's counters, and its full snapshot is
 	// shipped with every telemetry push so the coordinator can merge it
@@ -112,15 +107,18 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.Heartbeat == 0 {
 		o.Heartbeat = time.Second
 	}
-	if o.GonePolls <= 0 {
-		o.GonePolls = 3
-	}
 	return o
 }
 
-// backoffSalt seeds the per-worker jitter stream; a distinct constant so
-// the draw sequence is decoupled from every other RNG consumer.
-const backoffSalt = 0x6a09e667f3bcc908
+const (
+	// backoffSalt seeds the per-worker jitter stream; a distinct constant
+	// so the draw sequence is decoupled from every other RNG consumer.
+	backoffSalt = 0x6a09e667f3bcc908
+	// gonePolls is how many consecutive failed job probes WorkLoop
+	// tolerates before concluding the coordinator has retired, so one
+	// transient failure between rounds does not end the loop.
+	gonePolls = 3
+)
 
 // newWorker builds the shared per-run worker state. The jitter stream is
 // seeded from the worker's name, so a named worker's backoff schedule is
@@ -312,19 +310,9 @@ func (w *worker) renewLease(ctx context.Context, leaseID string, ttl time.Durati
 		case <-t.C:
 		}
 		rctx, cancel := context.WithTimeout(ctx, ttl/2)
-		req, err := http.NewRequestWithContext(rctx, http.MethodPost, w.base+pathRenew, bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := w.opts.Client.Do(req)
+		_, err, _ := w.attempt(rctx, http.MethodPost, pathRenew, body, nil, nil)
 		cancel()
-		if err != nil {
-			continue
-		}
-		_, _ = readAll(resp)
-		if resp.StatusCode == http.StatusConflict {
+		if errors.Is(err, errConflict) {
 			return
 		}
 	}
@@ -351,7 +339,7 @@ func WorkLoop(ctx context.Context, baseURL string, opts WorkerOptions) error {
 		// Probe the job endpoint. A failed probe might mean the
 		// coordinator retired — the normal end of service for a loop
 		// worker — or might be one transient network blip between rounds,
-		// so the loop only concludes "gone" after GonePolls consecutive
+		// so the loop only concludes "gone" after gonePolls consecutive
 		// failures.
 		var spec runner.JobSpec
 		_, err := probe.do(ctx, http.MethodGet, pathJob, nil, nil, func(data []byte) error {
@@ -364,7 +352,7 @@ func WorkLoop(ctx context.Context, baseURL string, opts WorkerOptions) error {
 				return ctx.Err()
 			}
 			fails++
-			if fails >= opts.GonePolls {
+			if fails >= gonePolls {
 				return nil
 			}
 			select {
@@ -486,18 +474,7 @@ func (w *worker) pushTelemetry(ctx context.Context) {
 	}
 	pctx, cancel := context.WithTimeout(ctx, w.opts.Heartbeat)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodPost, w.base+pathTelemetry, bytes.NewReader(body))
-	if err != nil {
-		w.pushErrs.Inc()
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.opts.Client.Do(req)
-	if err != nil {
-		w.pushErrs.Inc()
-		return
-	}
-	if _, err := readAll(resp); err != nil || resp.StatusCode >= 300 {
+	if _, err, _ := w.attempt(pctx, http.MethodPost, pathTelemetry, body, nil, nil); err != nil {
 		w.pushErrs.Inc()
 	}
 }

@@ -313,7 +313,7 @@ func CellStream(seed uint64, i int) *rng.Source {
 // RunJob executes a fluid-sweep job locally over the runner pool and
 // returns the per-cell values in grid order. cache may be nil (a private
 // in-memory cache is used); opts.Seed is overridden by the spec's seed,
-// everything else (workers, retries, hooks, obs) applies as in Run, and
+// everything else (workers, hooks, obs) applies as in Run, and
 // opts.Checkpoint replays and persists each cell as its payload
 // (EncodeCellValue), the bytes RunJobPayloads and a fabric coordinator
 // checkpoint too. The output is byte-identical to a distributed execution

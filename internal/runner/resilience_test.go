@@ -18,8 +18,8 @@ import (
 )
 
 // cleanJob is a deterministic job whose result depends on both the cell
-// value and the cell's stream, so any retry or resume bug that replays a
-// wrong stream shows up in the bits.
+// value and the cell's stream, so any resume bug that replays a wrong
+// stream shows up in the bits.
 func cleanJob(_ context.Context, p Point, src *rng.Source) (float64, error) {
 	v, _ := p.Value("i")
 	return v + src.Float64(), nil
@@ -58,51 +58,7 @@ func TestRunPanicBecomesCellError(t *testing.T) {
 	}
 }
 
-func TestRunRetriesTransientPanic(t *testing.T) {
-	g := indexedGrid(t, 8)
-	want, err := Run(context.Background(), g, cleanJob, Options{Workers: 3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var attempts atomic.Int64
-	ob := obs.New()
-	got, err := Run(context.Background(), g,
-		func(ctx context.Context, p Point, src *rng.Source) (float64, error) {
-			if p.Index == 5 && attempts.Add(1) == 1 {
-				panic("transient")
-			}
-			return cleanJob(ctx, p, src)
-		}, Options{Workers: 3, Seed: 7, Retries: 2, Obs: ob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each attempt runs on a fresh copy of the cell's stream, so the
-	// retried run must be bit-identical to the clean one.
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("retried run diverged:\n got %v\nwant %v", got, want)
-	}
-	if n := ob.Counter("runner_cell_retries_total").Value(); n != 1 {
-		t.Fatalf("retries counter = %d, want 1", n)
-	}
-}
-
-func TestRunRetriesAreBounded(t *testing.T) {
-	g := indexedGrid(t, 1)
-	var attempts atomic.Int64
-	_, err := Run(context.Background(), g,
-		func(context.Context, Point, *rng.Source) (int, error) {
-			attempts.Add(1)
-			panic("always")
-		}, Options{Workers: 1, Retries: 2})
-	var pe *CellPanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want CellPanicError, got %v", err)
-	}
-	if n := attempts.Load(); n != 3 { // 1 try + 2 retries
-		t.Fatalf("attempts = %d, want 3", n)
-	}
-}
-
+// A failing cell runs once: a job error is taken at face value.
 func TestRunDoesNotRetryPlainErrors(t *testing.T) {
 	g := indexedGrid(t, 1)
 	var attempts atomic.Int64
@@ -110,7 +66,7 @@ func TestRunDoesNotRetryPlainErrors(t *testing.T) {
 		func(context.Context, Point, *rng.Source) (int, error) {
 			attempts.Add(1)
 			return 0, errors.New("deterministic failure")
-		}, Options{Workers: 1, Retries: 5})
+		}, Options{Workers: 1})
 	if err == nil {
 		t.Fatal("want error")
 	}

@@ -185,12 +185,6 @@ type Options struct {
 	// split. Two Runs with the same seed and grid hand every cell the same
 	// stream regardless of worker count.
 	Seed uint64
-	// Retries is how many times a panicking cell is re-attempted before
-	// its CellPanicError is recorded (0 = no retries). Only panics are
-	// retried — a job error is taken at face value. Every attempt runs on
-	// a fresh copy of the cell's stream, so a cell that succeeds on any
-	// attempt produces exactly the bits a first-attempt success would.
-	Retries int
 	// Checkpoint, when non-nil, makes the job executors (RunJob,
 	// RunJobPayloads) persist each completed cell's payload and replay
 	// already-persisted cells instead of re-running them, so a killed run
@@ -260,7 +254,6 @@ func Run[T any](ctx context.Context, g Grid, job func(ctx context.Context, p Poi
 		queueWait   = ob.Gauge("runner_queue_wait_seconds")
 		completedC  = ob.Counter("runner_cells_completed_total")
 		failedC     = ob.Counter("runner_cells_failed_total")
-		retriedC    = ob.Counter("runner_cell_retries_total")
 		tracing     = ob.Tracing()
 	)
 	if ob != nil {
@@ -314,13 +307,10 @@ func Run[T any](ctx context.Context, g Grid, job func(ctx context.Context, p Poi
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// Both escape, so they are declared per worker, not per attempt
-			// (one heap object each per cell otherwise); src is reset to the
-			// cell's stream before every attempt.
-			var (
-				src rng.Source
-				pe  *CellPanicError
-			)
+			// src escapes, so it is declared per worker, not per cell (one
+			// heap object per cell otherwise); it is reset to each cell's
+			// stream before the cell runs.
+			var src rng.Source
 			for i, hi := 0, 0; ; i++ {
 				if i == hi {
 					// Claim a run of consecutive cells per atomic add.
@@ -345,21 +335,11 @@ func Run[T any](ctx context.Context, g Grid, job func(ctx context.Context, p Poi
 						sp = ob.StartSpan("cell", obs.L("cell", p.Label()))
 					}
 				}
-				// Panic isolation with bounded retries: each attempt gets a
-				// fresh copy of the cell's stream, so which attempt succeeds
-				// is unobservable in the results.
-				var (
-					v   T
-					err error
-				)
-				for attempt := 0; ; attempt++ {
-					src = srcs[i]
-					v, err = runCell(runCtx, job, p, &src)
-					if err == nil || attempt >= opts.Retries || !errors.As(err, &pe) {
-						break
-					}
-					retriedC.Inc()
-				}
+				// Panic isolation: a panicking cell becomes its CellPanicError.
+				// A cell is a pure function of its point and stream, so it
+				// runs once — a rerun would replay the panic.
+				src = srcs[i]
+				v, err := runCell(runCtx, job, p, &src)
 				var dur time.Duration
 				if ob != nil {
 					dur = time.Since(cellStart)

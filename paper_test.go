@@ -1,5 +1,5 @@
 // paper_test asserts the paper's headline conclusions end to end through
-// the public facade — each test reads like one sentence of the paper's
+// scheme.Evaluate — each test reads like one sentence of the paper's
 // abstract or conclusion, so a reviewer can map claims to checks directly.
 package mfdl_test
 
@@ -7,29 +7,37 @@ import (
 	"math"
 	"testing"
 
-	"mfdl/internal/core"
+	"mfdl/internal/correlation"
 	"mfdl/internal/fluid"
+	"mfdl/internal/metrics"
 	"mfdl/internal/scheme"
 )
 
-func paperSystem(t *testing.T, p float64) *core.System {
+// paperSystem is the paper's K = 10 server–torrent system at visiting rate
+// λ₀ = 1 and file correlation p.
+func paperSystem(t *testing.T, p float64) *correlation.Model {
 	t.Helper()
-	sys, err := core.NewSystem(core.Config{
-		Params: fluid.PaperParams, K: 10, Lambda0: 1, P: p,
-	})
+	corr, err := correlation.New(10, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys
+	return corr
 }
 
-func avg(t *testing.T, sys *core.System, s core.Scheme, opts ...core.Option) float64 {
+// evaluate solves scheme s on sys with the paper's peer parameters and
+// allocation ratio ρ (which only CMFSD reads).
+func evaluate(t *testing.T, sys *correlation.Model, s scheme.Scheme, rho float64) *metrics.SchemeResult {
 	t.Helper()
-	res, err := sys.Evaluate(s, opts...)
+	res, err := scheme.Evaluate(s, fluid.PaperParams, sys, scheme.Options{Rho: rho})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.AvgOnlinePerFile()
+	return res
+}
+
+func avg(t *testing.T, sys *correlation.Model, s scheme.Scheme, rho float64) float64 {
+	t.Helper()
+	return evaluate(t, sys, s, rho).AvgOnlinePerFile()
 }
 
 // "The performance of MTCD is worse than MTSD, especially when the files
@@ -37,8 +45,8 @@ func avg(t *testing.T, sys *core.System, s core.Scheme, opts ...core.Option) flo
 func TestClaimMTCDWorseThanMTSDUnderCorrelation(t *testing.T) {
 	low := paperSystem(t, 0.05)
 	high := paperSystem(t, 1.0)
-	gapLow := avg(t, low, scheme.MTCD) - avg(t, low, scheme.MTSD)
-	gapHigh := avg(t, high, scheme.MTCD) - avg(t, high, scheme.MTSD)
+	gapLow := avg(t, low, scheme.MTCD, 0) - avg(t, low, scheme.MTSD, 0)
+	gapHigh := avg(t, high, scheme.MTCD, 0) - avg(t, high, scheme.MTSD, 0)
 	if gapLow < 0 {
 		t.Fatalf("MTCD beat MTSD at low correlation by %v", -gapLow)
 	}
@@ -54,7 +62,7 @@ func TestClaimMTCDWorseThanMTSDUnderCorrelation(t *testing.T) {
 // inefficient" / MFCD ≡ MTCD in the fluid model (paper §3.4).
 func TestClaimMFCDEquivalentToMTCD(t *testing.T) {
 	sys := paperSystem(t, 0.7)
-	if d := math.Abs(avg(t, sys, core.MFCD) - avg(t, sys, scheme.MTCD)); d > 1e-9 {
+	if d := math.Abs(avg(t, sys, scheme.MFCD, 0) - avg(t, sys, scheme.MTCD, 0)); d > 1e-9 {
 		t.Fatalf("MFCD and MTCD differ by %v in the fluid model", d)
 	}
 }
@@ -67,8 +75,8 @@ func TestClaimCollaborationImproves(t *testing.T) {
 	gains := map[float64]float64{}
 	for _, p := range []float64{0.3, 0.9} {
 		sys := paperSystem(t, p)
-		mfcd := avg(t, sys, core.MFCD)
-		collab := avg(t, sys, core.CMFSD, core.WithRho(0))
+		mfcd := avg(t, sys, scheme.MFCD, 0)
+		collab := avg(t, sys, scheme.CMFSD, 0)
 		if collab >= mfcd {
 			t.Fatalf("p=%v: CMFSD %v not better than MFCD %v", p, collab, mfcd)
 		}
@@ -85,9 +93,9 @@ func TestClaimCollaborationImproves(t *testing.T) {
 // "Setting ρ to 0.0 will have the best system performance" (§4.2.2).
 func TestClaimRhoZeroOptimal(t *testing.T) {
 	sys := paperSystem(t, 0.9)
-	best := avg(t, sys, core.CMFSD, core.WithRho(0))
+	best := avg(t, sys, scheme.CMFSD, 0)
 	for _, rho := range []float64{0.25, 0.5, 0.75, 1} {
-		if v := avg(t, sys, core.CMFSD, core.WithRho(rho)); v < best-1e-6 {
+		if v := avg(t, sys, scheme.CMFSD, rho); v < best-1e-6 {
 			t.Fatalf("ρ=%v (%v) beat ρ=0 (%v)", rho, v, best)
 		}
 	}
@@ -97,8 +105,8 @@ func TestClaimRhoZeroOptimal(t *testing.T) {
 // virtual seeds (ρ = 1), the system performs as in MFCD" (§4.2.2).
 func TestClaimRhoOneIsMFCD(t *testing.T) {
 	sys := paperSystem(t, 0.9)
-	rho1 := avg(t, sys, core.CMFSD, core.WithRho(1))
-	mfcd := avg(t, sys, core.MFCD)
+	rho1 := avg(t, sys, scheme.CMFSD, 1)
+	mfcd := avg(t, sys, scheme.MFCD, 0)
 	if math.Abs(rho1-mfcd) > 0.01*mfcd {
 		t.Fatalf("CMFSD(ρ=1) %v vs MFCD %v", rho1, mfcd)
 	}
@@ -111,10 +119,7 @@ func TestClaimRhoOneIsMFCD(t *testing.T) {
 func TestClaimUnfairnessAtLowCorrelation(t *testing.T) {
 	unfairness := func(p, rho float64) float64 {
 		sys := paperSystem(t, p)
-		res, err := sys.Evaluate(core.CMFSD, core.WithRho(rho))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := evaluate(t, sys, scheme.CMFSD, rho)
 		c1, _ := res.Class(1)
 		c10, _ := res.Class(10)
 		return c10.DownloadPerFile() - c1.DownloadPerFile()
