@@ -105,3 +105,55 @@ func TestEvaluateAllPositive(t *testing.T) {
 		}
 	}
 }
+
+// A system with unset peer parameters, or a correlation outside [0, 1], is
+// refused before any scheme is solved.
+func TestEvaluateRejectsBadSystem(t *testing.T) {
+	corr := model(t, 0.9)
+	for _, sc := range Schemes {
+		if _, err := Evaluate(sc, fluid.Params{}, corr, Options{}); err == nil {
+			t.Fatalf("%s accepted zero parameters", sc)
+		}
+	}
+	if _, err := correlation.New(10, 2, 1); err == nil {
+		t.Fatal("p=2 accepted")
+	}
+}
+
+func TestEvaluateAllSchemes(t *testing.T) {
+	corr := model(t, 0.9)
+	for _, sc := range Schemes {
+		res, err := Evaluate(sc, fluid.PaperParams, corr, Options{Rho: 0.1})
+		if err != nil {
+			t.Fatalf("%s: %v", sc, err)
+		}
+		if string(sc) != res.Scheme {
+			t.Fatalf("scheme label %q for %s", res.Scheme, sc)
+		}
+		if avg := res.AvgOnlinePerFile(); math.IsNaN(avg) || avg <= 0 {
+			t.Fatalf("%s: bad average %v", sc, avg)
+		}
+	}
+}
+
+func TestEvaluateUnknownScheme(t *testing.T) {
+	if _, err := Evaluate(Scheme("bogus"), fluid.PaperParams, model(t, 0.5), Options{}); err == nil {
+		t.Fatal("bogus scheme evaluated")
+	}
+}
+
+// Section 3.4: MFCD is equivalent to MTCD in the fluid model.
+func TestMFCDEqualsMTCDInFluidModel(t *testing.T) {
+	corr := model(t, 0.7)
+	a, err := Evaluate(MTCD, fluid.PaperParams, corr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Evaluate(MFCD, fluid.PaperParams, corr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(a.AvgOnlinePerFile()-b.AvgOnlinePerFile()) > 1e-9 {
+		t.Fatalf("MFCD %v != MTCD %v", b.AvgOnlinePerFile(), a.AvgOnlinePerFile())
+	}
+}
