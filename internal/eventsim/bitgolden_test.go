@@ -17,8 +17,10 @@ import (
 var updateBitGolden = flag.Bool("update-bitgolden", false, "rewrite the bit-exact simulator goldens")
 
 // bitGoldenCases spans every scheme, fault injection, the Adapt
-// controller, heterogeneous bandwidth classes, flash crowds and trace
-// sampling. The digests pin the simulator bit-for-bit: any change to RNG
+// controller (cmfsd-adapt-fast with a period and thresholds tight enough
+// that one event's worth of virtual-seed accounting moves its decisions),
+// heterogeneous bandwidth classes, flash crowds (whose identical legs tie
+// exactly) and trace sampling. The digests pin the simulator bit-for-bit: any change to RNG
 // draw order, float arithmetic order, peer iteration order or event
 // tie-breaking shows up here before it reaches the experiment goldens.
 func bitGoldenCases() map[string]Config {
@@ -55,6 +57,12 @@ func bitGoldenCases() map[string]Config {
 			c.Adapt = &adaptCfg
 			c.CheaterFraction = 0.3
 		}),
+		"cmfsd-adapt-fast": mk(scheme.SimCMFSD, func(c *Config) {
+			fast := adaptCfg
+			fast.Lower, fast.Upper, fast.Period = -0.05, 0.05, 2
+			c.Adapt = &fast
+			c.CheaterFraction = 0.3
+		}),
 		"mtsd-faults": mk(scheme.SimMTSD, func(c *Config) {
 			c.Faults = chaos
 		}),
@@ -63,6 +71,20 @@ func bitGoldenCases() map[string]Config {
 			c.Faults = chaos
 		}),
 		"mtcd-bandwidth": mk(scheme.SimMTCD, func(c *Config) {
+			c.Bandwidth = []BandwidthClass{
+				{Name: "slow", Mu: 0.1, Weight: 1, Fraction: 0.5},
+				{Name: "fast", Mu: 0.4, Weight: 2, Fraction: 0.5},
+			}
+		}),
+		"mtcd-faults": mk(scheme.SimMTCD, func(c *Config) {
+			c.Faults = chaos
+		}),
+		"mtcd-flash": mk(scheme.SimMTCD, func(c *Config) {
+			c.FlashCrowd = 50
+			c.Horizon = 600
+			c.Warmup = 0
+		}),
+		"mtsd-bandwidth": mk(scheme.SimMTSD, func(c *Config) {
 			c.Bandwidth = []BandwidthClass{
 				{Name: "slow", Mu: 0.1, Weight: 1, Fraction: 0.5},
 				{Name: "fast", Mu: 0.4, Weight: 2, Fraction: 0.5},
