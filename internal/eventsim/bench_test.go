@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mfdl/internal/correlation"
+	"mfdl/internal/faults"
 	"mfdl/internal/rng"
 	"mfdl/internal/scheme"
 )
@@ -33,10 +34,15 @@ func newBenchSim(b testing.TB, cfg Config) *sim {
 	if err != nil {
 		b.Fatal(err)
 	}
+	plan, err := faults.NewPlan(cfg.Faults.Mixed(cfg.Seed), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	s := &sim{
 		cfg:  cfg,
 		corr: corr,
 		rng:  rng.New(cfg.Seed),
+		plan: plan,
 		res:  &Result{Config: cfg, Classes: make([]ClassStats, cfg.K)},
 	}
 	for i := range s.res.Classes {
@@ -73,7 +79,7 @@ func benchmarkEventsimStep(b *testing.B, sc scheme.SimScheme, n int) {
 }
 
 func BenchmarkEventsimStep(b *testing.B) {
-	for _, sc := range []scheme.SimScheme{scheme.SimCMFSD, scheme.SimMTCD} {
+	for _, sc := range []scheme.SimScheme{scheme.SimCMFSD, scheme.SimMTCD, scheme.SimMTSD} {
 		b.Run(sc.String()+"/n=1000", func(b *testing.B) { benchmarkEventsimStep(b, sc, 1_000) })
 		b.Run(sc.String()+"/n=10000", func(b *testing.B) { benchmarkEventsimStep(b, sc, 10_000) })
 		b.Run(sc.String()+"/n=100000", func(b *testing.B) {

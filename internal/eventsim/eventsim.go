@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"mfdl/internal/adapt"
 	"mfdl/internal/correlation"
@@ -216,8 +217,11 @@ const (
 )
 
 type leg struct {
-	torrent      int
-	state        legState
+	torrent int
+	state   legState
+	// heapIdx is the heap slot of the leg's pending seed timer, -1 when
+	// none; a CMFSD peer's real-seed timer uses legs[0]'s slot.
+	heapIdx      int32
 	remaining    float64
 	rate         float64
 	seedDepartAt float64
@@ -255,24 +259,33 @@ type peer struct {
 	seeding          bool    // CMFSD real-seed phase
 	seedDepartAt     float64
 
-	// pos is the peer's index in s.peers, maintained across swap-removes;
-	// heapIdx[sub] is the heap slot of the peer's pending seed timer for
-	// sub (leg index, or 0 for the CMFSD peer timer), -1 when none.
-	pos     int32
-	heapIdx []int32
+	// pos is the peer's index in s.peers, maintained across swap-removes.
+	pos int32
+	// group indexes the peer's (class, bandwidth class) column of
+	// sim.share; epoch is the last advance whose progress the peer has
+	// integrated (see integrate).
+	group int
+	epoch uint64
 }
 
-// downloadingLeg returns the active downloading leg index, or -1.
+// downloadingLeg returns the downloading leg of a sequential-scheme peer
+// (MTSD, CMFSD), or -1: only legs[cursor] can be downloading.
 func (p *peer) downloadingLeg() int {
-	if p.seeding {
+	if p.seeding || p.legs[p.cursor].state != legDownloading {
 		return -1
 	}
-	for i := range p.legs {
-		if p.legs[i].state == legDownloading {
-			return i
-		}
+	return p.cursor
+}
+
+// active returns the index range of the legs that can be downloading or
+// seeding: every leg under the concurrent schemes, only legs[cursor]
+// under the sequential ones (the legs before it are done, those after it
+// waiting).
+func (s *sim) active(p *peer) (lo, hi int) {
+	if concurrent(s.cfg.Scheme) {
+		return 0, len(p.legs)
 	}
-	return -1
+	return p.cursor, p.cursor + 1
 }
 
 // Run executes the simulation and aggregates the result.
@@ -321,12 +334,12 @@ type sim struct {
 	peers  []*peer
 	res    *Result
 
-	now        float64
-	totalRate  float64
-	classCDF   []float64
-	dlPop      stats.TimeWeighted
-	seedPop    stats.TimeWeighted
-	statsBegan bool
+	now       float64
+	totalRate float64
+	classCDF  []float64
+	dlPop     stats.TimeWeighted
+	seedPop   stats.TimeWeighted
+	perm      []int // fileSubset's permutation buffer
 
 	sumOnline, sumDownload float64
 	sumFiles               int
@@ -339,14 +352,34 @@ type sim struct {
 
 	// timers holds the pending seed-departure events (the only absolute,
 	// rate-independent times); everything rate-coupled is recomputed per
-	// event in stepOnce's fused pass.
+	// event in stepOnce's rate pass.
 	timers timerHeap
 	// dlCount / seedCount incrementally track the leg populations the
 	// former populations() scan counted (integers, so incremental
 	// maintenance is exact).
 	dlCount, seedCount int
-	// Per-event scratch for the multi-torrent rate pass.
-	seedCapBuf, weightSumBuf []float64
+
+	// Deferred progress integration: advance bumps epoch and records its
+	// dt; each peer applies that dt when it is next visited (integrate).
+	epoch uint64
+	dt    float64
+
+	// Per-torrent state of the multi-torrent schemes, kept between events
+	// (nil under CMFSD, which pools its seed service):
+	//   - seedCap[t], weightSum[t]: torrent t's seed capacity and
+	//     downloading weight, re-summed only while t is dirty (touch);
+	//   - groupWeight[g]: the download-capacity weight of one downloading
+	//     leg of group g for splitting seed service (assumption 2), the
+	//     bandwidth class's weight, divided across the legs under the
+	//     concurrent schemes, where a group is also a user class;
+	//   - share[t*len(groupWeight)+g]: groupWeight[g]/weightSum[t]·seedCap[t];
+	//   - legOf[pos*K+t]: the leg in torrent t of the peer at position
+	//     pos, -1 for none (concurrent schemes only: a sequential peer's
+	//     one active leg is legs[cursor]).
+	seedCap, weightSum, groupWeight, share []float64
+	dirty                                  []bool
+	dirtyList                              []int
+	legOf                                  []int32
 }
 
 // classSample draws a user class ∝ λ_i.
@@ -369,10 +402,11 @@ func (s *sim) classSample() int {
 	return s.cfg.K
 }
 
-// fileSubset draws a uniform random subset of size n of the K files.
+// fileSubset draws a uniform random subset of size n of the K files. The
+// result aliases a buffer the next call overwrites.
 func (s *sim) fileSubset(n int) []int {
-	perm := s.rng.Perm(s.cfg.K)
-	return perm[:n]
+	s.perm = s.rng.PermInto(s.perm, s.cfg.K)
+	return s.perm[:n]
 }
 
 // newPeer materializes an arriving user.
@@ -384,7 +418,6 @@ func (s *sim) newPeer() *peer {
 		class:        class,
 		arrivalAt:    s.now,
 		legs:         make([]leg, class),
-		heapIdx:      make([]int32, class),
 		counted:      s.now >= s.cfg.Warmup,
 		rho:          s.cfg.Rho,
 		bwClass:      -1,
@@ -392,9 +425,7 @@ func (s *sim) newPeer() *peer {
 		weight:       1,
 		abortBudget:  math.Inf(1),
 		vsQuitBudget: math.Inf(1),
-	}
-	for i := range p.heapIdx {
-		p.heapIdx[i] = -1
+		epoch:        s.epoch,
 	}
 	s.nextID++
 	if len(s.cfg.Bandwidth) > 0 {
@@ -410,6 +441,7 @@ func (s *sim) newPeer() *peer {
 			}
 		}
 	}
+	p.group = s.groupOf(class, p.bwClass)
 	if s.plan != nil {
 		// All fault draws come from per-peer streams keyed by id, so the
 		// main RNG above is untouched relative to a faults-off run.
@@ -423,7 +455,7 @@ func (s *sim) newPeer() *peer {
 		}
 	}
 	for i, f := range files {
-		p.legs[i] = leg{torrent: f, state: legWaiting, remaining: 1}
+		p.legs[i] = leg{torrent: f, state: legWaiting, heapIdx: -1, remaining: 1}
 	}
 	if concurrent(s.cfg.Scheme) {
 		for i := range p.legs {
@@ -455,10 +487,55 @@ func (s *sim) admit(p *peer) {
 	}
 	p.pos = int32(len(s.peers))
 	s.peers = append(s.peers, p)
+	if s.legOf != nil {
+		k := s.cfg.K
+		s.legOf = slices.Grow(s.legOf, k)[:len(s.legOf)+k]
+		row := s.legOf[len(s.legOf)-k:]
+		for t := range row {
+			row[t] = -1
+		}
+		for i := range p.legs {
+			row[p.legs[i].torrent] = int32(i)
+		}
+	}
 	if concurrent(s.cfg.Scheme) {
 		s.dlCount += p.class
 	} else {
 		s.dlCount++
+	}
+	s.touchPeer(p)
+}
+
+// groupOf returns the share group of a user class and bandwidth class
+// (bwClass -1 in a homogeneous run): the bandwidth class, split by user
+// class under the concurrent schemes, whose legs weigh weight/class.
+func (s *sim) groupOf(class, bwClass int) int {
+	g := max(bwClass, 0)
+	if concurrent(s.cfg.Scheme) {
+		g += (class - 1) * max(len(s.cfg.Bandwidth), 1)
+	}
+	return g
+}
+
+// touch marks torrent t's sums stale. A torrent turns dirty when an addend
+// appears, changes or vanishes (an arrival, a leg state change, a
+// departure) and when a swap-remove moves a contributing peer, which
+// changes the summation order.
+func (s *sim) touch(t int) {
+	if s.dirty == nil || s.dirty[t] {
+		return
+	}
+	s.dirty[t] = true
+	s.dirtyList = append(s.dirtyList, t)
+}
+
+// touchPeer marks every torrent p contributes to.
+func (s *sim) touchPeer(p *peer) {
+	lo, hi := s.active(p)
+	for i := lo; i < hi; i++ {
+		if st := p.legs[i].state; st == legDownloading || st == legSeeding {
+			s.touch(p.legs[i].torrent)
+		}
 	}
 }
 
@@ -487,24 +564,31 @@ func (s *sim) virtualUpload(p *peer) float64 {
 	return (1 - p.rho) * p.mu
 }
 
-// legWeight is the download-capacity weight of one downloading leg for
-// splitting seed service (assumption 2): the peer's class weight, divided
-// across its legs under the concurrent schemes.
-func (s *sim) legWeight(p *peer) float64 {
-	w := p.weight
-	if concurrent(s.cfg.Scheme) {
-		w /= float64(p.class)
-	}
-	return w
-}
-
 // The per-event rate pass in stepOnce assembles every downloading leg's
 // service rate from the two fluid-model sources (tit-for-tat η·ownUpload;
 // seed-like capacity split by download weight) and refreshes each peer's
-// virtual-seed receive rate for the Adapt Δ accounting. Rates are
-// recomputed from scratch every event in a fixed summation order: the
-// fluid coupling makes every rate depend on the whole population, and the
-// goldens pin the exact floating-point operation order.
+// virtual-seed receive rate for the Adapt Δ accounting. The fluid coupling
+// makes every rate depend on the whole population, so every rate is
+// recomputed every event, in one pass over the downloading legs. The
+// goldens pin the exact floating-point operation order; three rules keep
+// it while the pass does as little else as it can:
+//
+//   - The multi-torrent schemes keep their per-torrent sums (seedCap,
+//     weightSum) between events. They depend only on leg states and fixed
+//     per-peer values, never on progress, and a torrent is re-summed from
+//     zero in peer-position order whenever an addend or the order changes
+//     (touch): the same additions in the same order as a rescan. The share
+//     term groupWeight/weightSum·seedCap is equal for every leg of one
+//     (torrent, group), so it is computed once per re-summed torrent.
+//   - Progress integration is deferred. advance only records dt; each
+//     peer applies it (integrate) when the next pass visits it, before its
+//     rates are overwritten, so it integrates with the rates and states the
+//     advance saw. A peer the pass skips has no downloading leg and had
+//     nothing to integrate. The event's actor integrates before its handler
+//     changes it and an Adapt tick integrates every peer; nothing else
+//     changes a peer between two passes.
+//   - The CMFSD pool (one seed-like pool for all files) changes on almost
+//     every event, so it is re-summed every event.
 
 // populations counts downloading and seeding legs (a CMFSD real seed counts
 // as one seeding leg) by scanning. The event loop uses the incrementally
@@ -528,6 +612,59 @@ func (s *sim) populations() (dl, seeds int) {
 	return dl, seeds
 }
 
+// refreshSums re-sums the dirty torrents in peer-position order and
+// recomputes their share column.
+func (s *sim) refreshSums() {
+	if len(s.dirtyList) == 0 {
+		return
+	}
+	for _, t := range s.dirtyList {
+		s.seedCap[t], s.weightSum[t] = 0, 0
+	}
+	k := s.cfg.K
+	for pos, p := range s.peers {
+		if s.legOf == nil {
+			if l := &p.legs[p.cursor]; s.dirty[l.torrent] {
+				s.addLeg(p, l)
+			}
+			continue
+		}
+		row := s.legOf[pos*k : pos*k+k]
+		for _, t := range s.dirtyList {
+			if li := row[t]; li >= 0 {
+				s.addLeg(p, &p.legs[li])
+			}
+		}
+	}
+	groups := len(s.groupWeight)
+	for _, t := range s.dirtyList {
+		col := s.share[t*groups : (t+1)*groups]
+		ws, sc := s.weightSum[t], s.seedCap[t]
+		for g, w := range s.groupWeight {
+			col[g] = 0
+			if ws > 0 {
+				col[g] = w / ws * sc
+			}
+		}
+		s.dirty[t] = false
+	}
+	s.dirtyList = s.dirtyList[:0]
+}
+
+// addLeg adds one leg's addends to its torrent's sums.
+func (s *sim) addLeg(p *peer, l *leg) {
+	switch l.state {
+	case legSeeding:
+		if s.cfg.Scheme == scheme.SimMTSD {
+			s.seedCap[l.torrent] += p.mu
+		} else {
+			s.seedCap[l.torrent] += p.mu / float64(p.class)
+		}
+	case legDownloading:
+		s.weightSum[l.torrent] += s.groupWeight[p.group]
+	}
+}
+
 const never = math.MaxFloat64
 
 // run is the main event loop.
@@ -539,12 +676,38 @@ func (s *sim) run() {
 	}
 }
 
-// init seeds the flash crowd and arms the recurring timers. It reports
-// whether the event loop should run at all.
+// init allocates the per-torrent sums, seeds the flash crowd and arms the
+// recurring timers. It reports whether the event loop should run at all.
 func (s *sim) init() bool {
 	s.lambdaTot = s.corr.TotalUserRate()
 	if s.lambdaTot <= 0 {
 		return false
+	}
+	if s.cfg.Scheme != scheme.SimCMFSD {
+		k, classes, bw := s.cfg.K, 1, max(len(s.cfg.Bandwidth), 1)
+		if concurrent(s.cfg.Scheme) {
+			classes = k
+		}
+		s.groupWeight = make([]float64, classes*bw)
+		for c := 1; c <= classes; c++ {
+			for b := 0; b < bw; b++ {
+				w := 1.0
+				if len(s.cfg.Bandwidth) > 0 {
+					w = s.cfg.Bandwidth[b].Weight
+				}
+				if concurrent(s.cfg.Scheme) {
+					w /= float64(c)
+				}
+				s.groupWeight[s.groupOf(c, b)] = w
+			}
+		}
+		s.seedCap = make([]float64, k)
+		s.weightSum = make([]float64, k)
+		s.share = make([]float64, k*len(s.groupWeight))
+		s.dirty = make([]bool, k)
+		if concurrent(s.cfg.Scheme) {
+			s.legOf = make([]int32, 0, k*(s.cfg.FlashCrowd+1))
+		}
 	}
 	for i := 0; i < s.cfg.FlashCrowd; i++ {
 		s.admit(s.newPeer())
@@ -563,7 +726,7 @@ func (s *sim) init() bool {
 	return true
 }
 
-// stepOnce processes one event: a fused pass recomputes rates and scans
+// stepOnce processes one event: the rate pass recomputes rates and scans
 // the rate-coupled candidates (completions, abort and quit budgets), the
 // timer heap supplies the earliest seed departure, then the clock advances
 // and the winning event applies. It returns false once the horizon is
@@ -600,20 +763,17 @@ func (s *sim) stepOnce() bool {
 				realPool += p.mu
 				continue
 			}
-			if li := p.downloadingLeg(); li >= 0 {
+			if p.downloadingLeg() >= 0 {
 				weightSum += p.weight
 				virtPool += s.virtualUpload(p)
 			}
 		}
 		for pos, p := range s.peers {
-			p.virtDownRate = 0
-			if p.seeding {
-				continue // departure timer lives in the heap
-			}
 			li := p.downloadingLeg()
 			if li < 0 {
-				continue
+				continue // a real seed's departure timer lives in the heap
 			}
+			s.integrate(p)
 			share := 0.0
 			if weightSum > 0 {
 				share = p.weight / weightSum
@@ -645,47 +805,29 @@ func (s *sim) stepOnce() bool {
 			}
 		}
 	} else {
-		// Per-torrent accounting for the multi-torrent schemes, into
-		// reusable scratch (the former per-event allocations).
-		k := s.cfg.K
-		if cap(s.seedCapBuf) < k {
-			s.seedCapBuf = make([]float64, k)
-			s.weightSumBuf = make([]float64, k)
-		}
-		seedCap := s.seedCapBuf[:k]
-		weightSum := s.weightSumBuf[:k]
-		for i := range seedCap {
-			seedCap[i] = 0
-			weightSum[i] = 0
-		}
-		for _, p := range s.peers {
-			p.virtDownRate = 0
-			for i := range p.legs {
-				l := &p.legs[i]
-				switch l.state {
-				case legSeeding:
-					if s.cfg.Scheme == scheme.SimMTSD {
-						seedCap[l.torrent] += p.mu
-					} else {
-						seedCap[l.torrent] += p.mu / float64(p.class)
-					}
-				case legDownloading:
-					weightSum[l.torrent] += s.legWeight(p)
-				}
-			}
-		}
+		s.refreshSums()
+		groups, dt := len(s.groupWeight), s.dt
 		for pos, p := range s.peers {
+			// integrate, fused into the leg loop: each leg progresses
+			// before its rate is overwritten, the clocks tick after.
+			pending := p.epoch != s.epoch && dt > 0
+			p.epoch = s.epoch
 			anyDl := false
-			for i := range p.legs {
+			tft := 0.0
+			lo, hi := s.active(p)
+			for i := lo; i < hi; i++ {
 				l := &p.legs[i]
 				if l.state != legDownloading {
 					continue // seeding-leg timers live in the heap
 				}
-				anyDl = true
-				r := eta * s.tftUpload(p)
-				if weightSum[l.torrent] > 0 {
-					r += s.legWeight(p) / weightSum[l.torrent] * seedCap[l.torrent]
+				if !anyDl {
+					anyDl = true
+					tft = eta * s.tftUpload(p)
 				}
+				if pending {
+					l.progress(dt)
+				}
+				r := tft + s.share[l.torrent*groups+p.group]
 				l.rate = r
 				if r > 0 {
 					if tc := s.now + l.remaining/r; tc < tNext {
@@ -694,7 +836,13 @@ func (s *sim) stepOnce() bool {
 					}
 				}
 			}
-			if s.plan != nil && anyDl {
+			if !anyDl {
+				continue
+			}
+			if pending {
+				s.tick(p, dt)
+			}
+			if s.plan != nil {
 				if ta := s.now + p.abortBudget; ta < tNext {
 					tNext, kind, actor = ta, evPeerAbort, p
 					curPos, curSub = int32(pos), int32(len(p.legs))
@@ -722,6 +870,11 @@ func (s *sim) stepOnce() bool {
 	}
 
 	s.advance(tNext)
+	if actor != nil {
+		// The handler may change the actor's legs and clocks: settle the
+		// interval just advanced at the state it ran under first.
+		s.integrate(actor)
+	}
 
 	switch kind {
 	case evHorizon:
@@ -734,6 +887,7 @@ func (s *sim) stepOnce() bool {
 	case evLegDepart:
 		s.timers.pop()
 		actor.legs[actorLeg].state = legDone
+		s.touch(actor.legs[actorLeg].torrent)
 		s.seedCount--
 		s.afterLegDeparture(actor, actorLeg)
 	case evPeerDepart:
@@ -779,51 +933,68 @@ const (
 	evSample
 )
 
-// advance moves simulated time to tNext, integrating progress and
-// accumulators.
+// advance moves simulated time to tNext and accumulates the population
+// averages. It does not integrate progress: it bumps the epoch and records
+// dt, and each peer integrates that dt later (integrate).
 func (s *sim) advance(tNext float64) {
 	dt := tNext - s.now
 	if dt < 0 {
 		dt = 0
 	}
-	if dt > 0 {
-		for _, p := range s.peers {
-			if p.seeding {
-				continue
-			}
-			anyDl := false
-			for i := range p.legs {
-				l := &p.legs[i]
-				if l.state != legDownloading {
-					continue
-				}
-				anyDl = true
-				l.remaining -= l.rate * dt
-				if l.remaining < 0 {
-					l.remaining = 0
-				}
-			}
-			if anyDl {
-				p.dlAccum += dt
-				p.abortBudget -= dt
-				if vu := s.virtualUpload(p); vu > 0 {
-					p.virtUp += vu * dt
-					p.vsQuitBudget -= dt
-				}
-				p.virtDown += p.virtDownRate * dt
-			}
-		}
-	}
+	s.epoch++
+	s.dt = dt
 	if tNext >= s.cfg.Warmup {
 		obsAt := math.Max(s.now, s.cfg.Warmup)
-		dl, seeds := s.dlCount, s.seedCount
-		if !s.statsBegan {
-			s.statsBegan = true
-		}
-		s.dlPop.Observe(obsAt-s.cfg.Warmup, float64(dl))
-		s.seedPop.Observe(obsAt-s.cfg.Warmup, float64(seeds))
+		s.dlPop.Observe(obsAt-s.cfg.Warmup, float64(s.dlCount))
+		s.seedPop.Observe(obsAt-s.cfg.Warmup, float64(s.seedCount))
 	}
 	s.now = tNext
+}
+
+// integrate applies the last advance's dt to p unless p has already done
+// so: each downloading leg progresses at the rate the last rate pass gave
+// it, and a downloading peer's clocks tick. These are the operations, on
+// the same operands, of a sweep over every peer inside advance; only the
+// moment they run moves.
+func (s *sim) integrate(p *peer) {
+	if p.epoch == s.epoch {
+		return
+	}
+	p.epoch = s.epoch
+	if s.dt <= 0 || p.seeding {
+		return
+	}
+	anyDl := false
+	lo, hi := s.active(p)
+	for i := lo; i < hi; i++ {
+		if l := &p.legs[i]; l.state == legDownloading {
+			l.progress(s.dt)
+			anyDl = true
+		}
+	}
+	if anyDl {
+		s.tick(p, s.dt)
+	}
+}
+
+// progress drains dt of downloading at the leg's current rate.
+func (l *leg) progress(dt float64) {
+	l.remaining -= l.rate * dt
+	if l.remaining < 0 {
+		l.remaining = 0
+	}
+}
+
+// tick runs a downloading peer's clocks for dt: download time, the abort
+// budget and the CMFSD virtual-seed accounting.
+func (s *sim) tick(p *peer, dt float64) {
+	p.dlAccum += dt
+	p.abortBudget -= dt
+	if vu := s.virtualUpload(p); vu > 0 {
+		p.virtUp += vu * dt
+		p.vsQuitBudget -= dt
+	}
+	p.virtDown += p.virtDownRate * dt
 }
 
 // completeLeg handles a finished file download.
@@ -839,12 +1010,14 @@ func (s *sim) completeLeg(p *peer, li int) {
 		s.dlCount--
 		s.seedCount++
 		s.timers.push(l.seedDepartAt, p, int32(li))
+		s.touch(l.torrent)
 	case scheme.SimMTSD:
 		l.state = legSeeding
 		l.seedDepartAt = s.now + s.rng.Exp(s.cfg.Gamma)
 		s.dlCount--
 		s.seedCount++
 		s.timers.push(l.seedDepartAt, p, int32(li))
+		s.touch(l.torrent)
 		// The next file starts only after this seeding phase
 		// (sequential: download, seed, move on).
 	case scheme.SimCMFSD:
@@ -870,6 +1043,7 @@ func (s *sim) afterLegDeparture(p *peer, li int) {
 			p.cursor++
 			p.legs[p.cursor].state = legDownloading
 			s.dlCount++
+			s.touch(p.legs[p.cursor].torrent)
 			return
 		}
 	}
@@ -886,6 +1060,7 @@ func (s *sim) departPeer(dead *peer) {
 	// Population counters and pending seed timers for whatever the peer
 	// leaves behind (an abort can retire seeding legs mid-flight; a fired
 	// departure timer was already popped, so remove is a no-op for it).
+	s.touchPeer(dead)
 	if dead.seeding {
 		s.seedCount--
 		s.timers.remove(dead, 0)
@@ -909,6 +1084,12 @@ func (s *sim) departPeer(dead *peer) {
 	if moved != dead {
 		moved.pos = int32(i)
 		s.timers.fixPos(moved)
+		s.touchPeer(moved)
+	}
+	if s.legOf != nil {
+		k := s.cfg.K
+		copy(s.legOf[i*k:i*k+k], s.legOf[last*k:])
+		s.legOf = s.legOf[:last*k]
 	}
 	if !dead.counted {
 		return
@@ -955,10 +1136,13 @@ func (s *sim) departPeer(dead *peer) {
 	}
 }
 
-// adaptTick runs the Adapt controller on every eligible peer.
+// adaptTick runs the Adapt controller on every eligible peer. It reads
+// and resets the virtual-seed accumulators and changes ρ, so every peer
+// integrates first.
 func (s *sim) adaptTick() {
 	period := s.cfg.Adapt.Period
 	for _, p := range s.peers {
+		s.integrate(p)
 		if p.ctrl == nil || p.seeding {
 			p.virtUp, p.virtDown = 0, 0
 			continue

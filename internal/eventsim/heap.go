@@ -5,16 +5,17 @@ package eventsim
 // (MTCD/MFCD/MTSD) and real-seed peer departures (CMFSD). Those are the
 // only event times that never change once drawn, so they can wait in a
 // heap instead of being rescanned every event. Rate-coupled times
-// (completions, abort and quit budgets) must NOT live here: they are
-// recomputed from the current rates each event, and storing them as
-// absolutes would change the floating-point operation order the goldens
-// pin (see the determinism contract in DESIGN.md).
+// (completions, abort and quit budgets) must NOT live here: the rate pass
+// recomputes them from the current rates and freshly integrated progress
+// each event, and storing them as absolutes would change the
+// floating-point operation order the goldens pin (see the determinism
+// contract in DESIGN.md).
 //
 // Entries are keyed by (time, peer position, sub) — the peer's index in
 // s.peers and the candidate's scan position within the peer — so the heap
 // minimum ties exactly like the former linear candidate scan, which kept
 // the first candidate at a strictly smaller time. The heap is indexed:
-// every peer records its entries' heap slots in heapIdx[sub], giving
+// each entry's slot is kept in legs[sub].heapIdx of its peer, giving
 // O(log n) removal when an abort or quit retires a peer with pending
 // timers, and O(log n) re-keying when a swap-remove moves a peer to a new
 // position.
@@ -46,8 +47,8 @@ func (h *timerHeap) less(i, j int) bool {
 
 func (h *timerHeap) swap(i, j int) {
 	h.e[i], h.e[j] = h.e[j], h.e[i]
-	h.e[i].p.heapIdx[h.e[i].sub] = int32(i)
-	h.e[j].p.heapIdx[h.e[j].sub] = int32(j)
+	h.e[i].p.legs[h.e[i].sub].heapIdx = int32(i)
+	h.e[j].p.legs[h.e[j].sub].heapIdx = int32(j)
 }
 
 func (h *timerHeap) siftUp(i int) {
@@ -84,7 +85,7 @@ func (h *timerHeap) siftDown(i int) {
 func (h *timerHeap) push(at float64, p *peer, sub int32) {
 	i := len(h.e)
 	h.e = append(h.e, seedTimer{at: at, p: p, sub: sub})
-	p.heapIdx[sub] = int32(i)
+	p.legs[sub].heapIdx = int32(i)
 	h.siftUp(i)
 }
 
@@ -103,17 +104,17 @@ func (h *timerHeap) pop() {
 
 // remove deletes the timer of (p, sub) if one is pending.
 func (h *timerHeap) remove(p *peer, sub int32) {
-	if i := p.heapIdx[sub]; i >= 0 {
+	if i := p.legs[sub].heapIdx; i >= 0 {
 		h.removeAt(int(i))
 	}
 }
 
 func (h *timerHeap) removeAt(i int) {
-	h.e[i].p.heapIdx[h.e[i].sub] = -1
+	h.e[i].p.legs[h.e[i].sub].heapIdx = -1
 	last := len(h.e) - 1
 	if i != last {
 		h.e[i] = h.e[last]
-		h.e[i].p.heapIdx[h.e[i].sub] = int32(i)
+		h.e[i].p.legs[h.e[i].sub].heapIdx = int32(i)
 	}
 	h.e = h.e[:last]
 	if i < last {
@@ -130,8 +131,8 @@ func (h *timerHeap) removeAt(i int) {
 // their relative order (same time ordering, same position, same subs), so
 // fixing them one at a time is sound.
 func (h *timerHeap) fixPos(p *peer) {
-	for sub := range p.heapIdx {
-		if i := p.heapIdx[sub]; i >= 0 {
+	for sub := range p.legs {
+		if i := p.legs[sub].heapIdx; i >= 0 {
 			h.siftUp(int(i))
 		}
 	}

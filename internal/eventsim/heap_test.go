@@ -1,10 +1,9 @@
 package eventsim
 
 import (
+	"math"
 	"testing"
 
-	"mfdl/internal/correlation"
-	"mfdl/internal/faults"
 	"mfdl/internal/rng"
 	"mfdl/internal/scheme"
 )
@@ -21,8 +20,8 @@ func checkHeapInvariant(t *testing.T, h *timerHeap) {
 			t.Fatalf("heap violation at %d/%d", i, right)
 		}
 		e := &h.e[i]
-		if e.p.heapIdx[e.sub] != int32(i) {
-			t.Fatalf("stale heapIdx for entry %d: %d", i, e.p.heapIdx[e.sub])
+		if e.p.legs[e.sub].heapIdx != int32(i) {
+			t.Fatalf("stale heapIdx for entry %d: %d", i, e.p.legs[e.sub].heapIdx)
 		}
 	}
 }
@@ -44,8 +43,8 @@ func TestTimerHeapRandomOps(t *testing.T) {
 		found := false
 		for _, m := range peers {
 			p := m.p
-			for sub := range p.heapIdx {
-				if p.heapIdx[sub] < 0 {
+			for sub := range p.legs {
+				if p.legs[sub].heapIdx < 0 {
 					continue
 				}
 				e := seedTimer{at: m.at[sub], p: p, sub: int32(sub)}
@@ -64,9 +63,9 @@ func TestTimerHeapRandomOps(t *testing.T) {
 	}
 	newModelPeer := func() *modelPeer {
 		legs := 1 + src.Intn(4)
-		p := &peer{pos: int32(len(peers)), heapIdx: make([]int32, legs)}
-		for i := range p.heapIdx {
-			p.heapIdx[i] = -1
+		p := &peer{pos: int32(len(peers)), legs: make([]leg, legs)}
+		for i := range p.legs {
+			p.legs[i].heapIdx = -1
 		}
 		m := &modelPeer{p: p, at: make([]float64, legs)}
 		peers = append(peers, m)
@@ -79,8 +78,8 @@ func TestTimerHeapRandomOps(t *testing.T) {
 		switch op := src.Intn(10); {
 		case op < 4: // push a new timer on a random free (peer, sub)
 			m := peers[src.Intn(len(peers))]
-			sub := int32(src.Intn(len(m.p.heapIdx)))
-			if m.p.heapIdx[sub] >= 0 {
+			sub := int32(src.Intn(len(m.p.legs)))
+			if m.p.legs[sub].heapIdx >= 0 {
 				continue
 			}
 			// Coarse times force frequent ties to exercise tie-breaking.
@@ -93,7 +92,7 @@ func TestTimerHeapRandomOps(t *testing.T) {
 			}
 		case op < 8: // remove a random entry (fired abort semantics)
 			m := peers[src.Intn(len(peers))]
-			sub := int32(src.Intn(len(m.p.heapIdx)))
+			sub := int32(src.Intn(len(m.p.legs)))
 			h.remove(m.p, sub)
 		default: // simulate a swap-remove: last peer moves earlier
 			if len(peers) < 2 {
@@ -103,7 +102,7 @@ func TestTimerHeapRandomOps(t *testing.T) {
 			last := len(peers) - 1
 			moved := peers[last]
 			// Drop peers[i]'s entries first, as departPeer does.
-			for sub := range peers[i].p.heapIdx {
+			for sub := range peers[i].p.legs {
 				h.remove(peers[i].p, int32(sub))
 			}
 			peers[i] = moved
@@ -125,55 +124,143 @@ func TestTimerHeapRandomOps(t *testing.T) {
 	}
 }
 
-// TestPopulationCountersMatchScan runs full simulations and checks the
-// incrementally maintained population counters against the populations()
-// scan after every event.
-func TestPopulationCountersMatchScan(t *testing.T) {
+// oracleConfigs are the configurations the incremental-state oracles run
+// under: every scheme with aborts and slow peers (and virtual-seed quits
+// under CMFSD), plus bandwidth classes under MTCD and MTSD.
+func oracleConfigs() map[string]Config {
+	out := map[string]Config{}
 	for _, sc := range []scheme.SimScheme{scheme.SimMTCD, scheme.SimMTSD, scheme.SimMFCD, scheme.SimCMFSD} {
 		cfg := baseConfig(sc)
 		cfg.Horizon = 400
 		cfg.Warmup = 50
 		cfg.Faults.Seed = 3
 		cfg.Faults.AbortRate = 0.01
+		cfg.Faults.SlowPeerFraction = 0.2
+		cfg.Faults.SlowFactor = 0.5
 		if sc == scheme.SimCMFSD {
 			cfg.Rho = 0.4
 			cfg.Faults.SeedQuitRate = 0.05
 		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatal(err)
+		out[sc.String()] = cfg
+	}
+	for _, sc := range []scheme.SimScheme{scheme.SimMTCD, scheme.SimMTSD} {
+		cfg := baseConfig(sc)
+		cfg.Horizon = 400
+		cfg.Warmup = 50
+		cfg.Bandwidth = []BandwidthClass{
+			{Name: "slow", Mu: 0.1, Weight: 1, Fraction: 0.5},
+			{Name: "fast", Mu: 0.4, Weight: 2, Fraction: 0.5},
 		}
-		corr, err := correlation.New(cfg.K, cfg.P, cfg.Lambda0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := faults.NewPlan(cfg.Faults.Mixed(cfg.Seed), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := &sim{
-			cfg:  cfg,
-			corr: corr,
-			rng:  rng.New(cfg.Seed),
-			plan: plan,
-			res:  &Result{Config: cfg, Classes: make([]ClassStats, cfg.K)},
-		}
-		for i := range s.res.Classes {
-			s.res.Classes[i].Class = i + 1
-		}
-		if !s.init() {
-			t.Fatalf("%v: event loop refused to start", sc)
-		}
-		events := 0
-		for s.stepOnce() {
-			events++
+		out[sc.String()+"-bandwidth"] = cfg
+	}
+	return out
+}
+
+// drive runs cfg's event loop to the horizon, calling check after every
+// event.
+func drive(t *testing.T, name string, cfg Config, check func(s *sim, event int)) {
+	t.Helper()
+	s := newBenchSim(t, cfg)
+	events := 0
+	for s.stepOnce() {
+		events++
+		check(s, events)
+	}
+	if events == 0 {
+		t.Fatalf("%s: no events processed", name)
+	}
+}
+
+// TestPopulationCountersMatchScan runs full simulations and checks the
+// incrementally maintained population counters against the populations()
+// scan after every event.
+func TestPopulationCountersMatchScan(t *testing.T) {
+	for name, cfg := range oracleConfigs() {
+		drive(t, name, cfg, func(s *sim, event int) {
 			dl, seeds := s.populations()
 			if dl != s.dlCount || seeds != s.seedCount {
-				t.Fatalf("%v event %d: counters (%d,%d) != scan (%d,%d)",
-					sc, events, s.dlCount, s.seedCount, dl, seeds)
+				t.Fatalf("%s event %d: counters (%d,%d) != scan (%d,%d)",
+					name, event, s.dlCount, s.seedCount, dl, seeds)
+			}
+		})
+	}
+}
+
+// scanTorrentSums re-sums every torrent's seed capacity and downloading
+// weight from zero over every peer and leg, in the order the rate pass
+// summed them before the sums were kept between events.
+func scanTorrentSums(s *sim) (seedCap, weightSum []float64) {
+	seedCap = make([]float64, s.cfg.K)
+	weightSum = make([]float64, s.cfg.K)
+	for _, p := range s.peers {
+		for i := range p.legs {
+			l := &p.legs[i]
+			switch l.state {
+			case legSeeding:
+				if s.cfg.Scheme == scheme.SimMTSD {
+					seedCap[l.torrent] += p.mu
+				} else {
+					seedCap[l.torrent] += p.mu / float64(p.class)
+				}
+			case legDownloading:
+				weightSum[l.torrent] += legWeight(s, p)
 			}
 		}
-		if events == 0 {
-			t.Fatalf("%v: no events processed", sc)
-		}
+	}
+	return seedCap, weightSum
+}
+
+// legWeight is a leg's download-capacity weight as the rate pass computed
+// it per leg: the peer's weight, split over its legs when concurrent.
+func legWeight(s *sim, p *peer) float64 {
+	w := p.weight
+	if concurrent(s.cfg.Scheme) {
+		w /= float64(p.class)
+	}
+	return w
+}
+
+// TestTorrentSumsMatchScan checks, after every event, that the per-torrent
+// sums kept between events (brought up to date as the next rate pass would)
+// are bit-identical to a from-scratch scan, that every downloading leg's
+// cached share term is bit-identical to legWeight/weightSum·seedCap, and
+// that the torrent→leg lookup matches the legs. CMFSD pools its seed
+// service, re-summed every event, and must keep no per-torrent state.
+func TestTorrentSumsMatchScan(t *testing.T) {
+	bits := math.Float64bits
+	for name, cfg := range oracleConfigs() {
+		drive(t, name, cfg, func(s *sim, event int) {
+			if cfg.Scheme == scheme.SimCMFSD {
+				if s.seedCap != nil || s.weightSum != nil || s.legOf != nil {
+					t.Fatalf("%s: CMFSD keeps per-torrent sums", name)
+				}
+				return
+			}
+			s.refreshSums()
+			seedCap, weightSum := scanTorrentSums(s)
+			for tr := range seedCap {
+				if bits(s.seedCap[tr]) != bits(seedCap[tr]) || bits(s.weightSum[tr]) != bits(weightSum[tr]) {
+					t.Fatalf("%s event %d torrent %d: cached (%v, %v) != scan (%v, %v)",
+						name, event, tr, s.seedCap[tr], s.weightSum[tr], seedCap[tr], weightSum[tr])
+				}
+			}
+			groups := len(s.groupWeight)
+			for pos, p := range s.peers {
+				for i := range p.legs {
+					l := &p.legs[i]
+					if s.legOf != nil && s.legOf[pos*cfg.K+l.torrent] != int32(i) {
+						t.Fatalf("%s event %d: legOf[%d][%d] = %d, want %d",
+							name, event, pos, l.torrent, s.legOf[pos*cfg.K+l.torrent], i)
+					}
+					if l.state != legDownloading {
+						continue
+					}
+					want := legWeight(s, p) / weightSum[l.torrent] * seedCap[l.torrent]
+					if got := s.share[l.torrent*groups+p.group]; bits(got) != bits(want) {
+						t.Fatalf("%s event %d: share %v != %v", name, event, got, want)
+					}
+				}
+			}
+		})
 	}
 }
