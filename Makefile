@@ -1,9 +1,9 @@
 # Verification tiers. tier1 is the gate every change must keep green; it
-# includes the static gates (import DAG, dead code, flag/doc drift), which
-# `make gates` runs alone. tier2 adds static analysis, the race detector
-# over every package, and the benchmark's own smoke test. DESIGN.md, "Verification
-# tiers", says what the gates check and what the race run is there to
-# catch, package by package.
+# includes the static gates (import DAG, dead code, flag/doc drift,
+# gofmt), which `make gates` runs alone. tier2 adds static analysis, the
+# race detector over every package, and the benchmark's own smoke test.
+# DESIGN.md, "Verification tiers", says what the gates check and what the
+# race run is there to catch, package by package.
 
 .PHONY: tier1 tier2 gates bench soak profile pairs loc
 
@@ -14,8 +14,8 @@ tier2:
 	go vet ./... && go test -race -timeout 30m ./... && go -C benchmark test ./...
 
 # gates runs only the static gates (gates_test.go): the import DAG, the
-# dead-code scan and README's flag reference against every command's -h,
-# plus their seeded-violation checks. -v prints the tier
+# dead-code scan, README's flag reference against every command's -h and
+# gofmt over every .go file, plus their seeded-violation checks. -v prints the tier
 # table and the dead-code allowlist with each entry's reason — the queue
 # for the next deletion.
 gates:

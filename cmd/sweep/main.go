@@ -20,21 +20,19 @@
 // -from, -to and -steps accept either a single value (applied to every
 // dimension) or one comma-separated value per dimension.
 //
-// With -cache-dir the solves persist across invocations: a repeated run
-// over the same grid decodes every cell from disk instead of re-solving
-// it, with byte-identical output. -stats reports on stderr how many cells
-// collapsed into shared (memory) or pre-computed (disk) solves, the disk
-// store's entry count and size, and the wall-clock spent in each phase
-// (setup, solve, render). -cache-prune-age and -cache-prune-size trim the
+// With -cache-dir the solves persist across invocations, each as it
+// completes: a repeated run over the same grid decodes every cell from
+// disk instead of re-solving it, and a run killed mid-grid (crash,
+// SIGKILL, power loss) resumes on the next invocation from the cells it
+// solved — either way the output is byte-identical. -stats reports on
+// stderr how many cells collapsed into shared (memory) or pre-computed
+// (disk) solves, the disk store's entry count and size, and the
+// wall-clock spent in each phase (setup, solve, render). -cache-prune-age and -cache-prune-size trim the
 // disk store before the sweep: by entry age, or down to a byte budget
 // evicting least-recently-used entries first (reads refresh recency).
 //
-// With -checkpoint-dir every completed cell is also flushed to disk as
-// the sweep runs: a run killed mid-grid (crash, SIGKILL, power loss)
-// resumes on the next invocation from the completed cells and emits the
-// byte-identical final table. To spread the same grid over processes or
-// machines, run it with `sweepd serve`: its table is this one, byte for
-// byte.
+// To spread the same grid over processes or machines, run it with
+// `sweepd serve`: its table is this one, byte for byte.
 package main
 
 import (
@@ -80,7 +78,6 @@ func run(args []string) error {
 		rho     = fs.Float64("rho", 0, "CMFSD allocation ratio ρ")
 		theta   = fs.Float64("theta", 0, "downloader abort rate θ (0 = paper's churn-free model)")
 		workers = fs.Int("workers", 0, "worker pool size (0 = all cores)")
-		ckptDir = fs.String("checkpoint-dir", "", "flush completed cells here so a killed run resumes (empty = off)")
 		verbose = fs.Bool("progress", false, "report per-cell progress on stderr")
 		stats   = fs.Bool("stats", false, "print cache hit rates, disk usage and per-phase wall-clock on stderr")
 	)
@@ -133,11 +130,10 @@ func run(args []string) error {
 			Lambda0: *lambda0,
 		},
 		P: *p, Rho: *rho, Theta: *theta,
-		Scheme:        sc,
-		Grid:          grid,
-		Options:       experiments.Options{Workers: *workers, Obs: reg},
-		CacheDir:      cf.Dir,
-		CheckpointDir: *ckptDir,
+		Scheme:   sc,
+		Grid:     grid,
+		Options:  experiments.Options{Workers: *workers, Obs: reg},
+		CacheDir: cf.Dir,
 	}
 	if *verbose {
 		// Progress renders from the registry's completed-cell counter:

@@ -3,7 +3,7 @@ package mfdl_test
 // Static gates over the module's own source, written with the standard
 // library alone: `go list -deps -export` gives the import graph and the
 // standard library's export data, and go/parser + go/types check every
-// package from source. Three gates run in tier-1:
+// package from source. Four gates run in tier-1:
 //
 //   - TestGateImportDAG fails on an import that points up the tier list,
 //     or breaks one of the rows in importRows;
@@ -13,7 +13,9 @@ package mfdl_test
 //     or no longer exists, fails too, so the list only shrinks;
 //   - TestGateFlagDocs fails when README's command-line reference and the
 //     flags the commands register disagree, or README names a flag no
-//     command has.
+//     command has;
+//   - TestGateGofmt fails on a .go file, benchmark/ included, that
+//     go/format would rewrite — what `gofmt -l .` lists.
 //
 // `go test -run Gate -v .` (make gates) prints the allowlist with its
 // reasons: it is the queue for the next deletion.
@@ -24,11 +26,13 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/format"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"maps"
 	"os"
 	"os/exec"
@@ -131,7 +135,7 @@ var deadAllow = []allowed{
 	{"mtcd.(*Model).SteadyStateODE", oracle, "mtcd's test checks the Eq. (2) closed form against relaxation of Eq. (1)"},
 	{"eventsim.(*sim).populations", oracle, "the heap tests check the incremental leg counters against this scan"},
 	{"rng.(*Source).Perm", oracle, "TestPermIntoMatchesPerm checks PermInto's draws against it"},
-	{"runner.CellStream", oracle, "the pool and job tests check the executors' cell streams against it"},
+	{"runner.CellStream", oracle, "the pool tests check Run's cell streams against it"},
 	{"runner/diskcache.(*SampleStore).Len", oracle, "the fabric's sample-reuse test counts a cell's stored samples with it"},
 	{"fabric/chaos.(*Plan).SetClock", seam, "the blackout test drives the plan's clock"},
 	{"fabric.(*Coordinator).ObserveCellSeconds", seam, "the lease-sizing tests feed cell timings through it"},
@@ -176,7 +180,51 @@ func TestGateDeadCode(t *testing.T) {
 	}
 }
 
-// synthModule is a small module both gates pass on: an enumerator no one
+func TestGateGofmt(t *testing.T) {
+	problems, err := gofmtProblems(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, problem := range problems {
+		t.Error(problem)
+	}
+}
+
+// gofmtProblems names every .go file under root, outside dot directories,
+// whose bytes differ from go/format.Source's rendering of them.
+func gofmtProblems(root string) ([]string, error) {
+	var problems []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		out, err := format.Source(src)
+		switch {
+		case err != nil:
+			problems = append(problems, fmt.Sprintf("%s does not parse: %v", filepath.ToSlash(rel), err))
+		case !bytes.Equal(out, src):
+			problems = append(problems, filepath.ToSlash(rel)+" is not gofmt-formatted; run gofmt -w")
+		}
+		return nil
+	})
+	return problems, err
+}
+
+// synthModule is a small module the code gates pass on: an enumerator no one
 // names, methods reached only through fmt.Stringer and an interface
 // literal, and a helper reached only from an allowlisted function.
 var synthModule = map[string]string{
@@ -222,7 +270,8 @@ func helper() int { return 1 }
 
 // TestGateSeededViolations shows each gate failing: every case adds one
 // violation to synthModule, or to a one-command README, and the gates must
-// report exactly what it breaks.
+// report exactly what it breaks. The gofmt gate runs on every synthModule
+// case, so the clean module is gofmt-formatted too.
 func TestGateSeededViolations(t *testing.T) {
 	tiers := []tier{{"low", []string{"internal/low"}}, {"high", []string{"internal/high"}}, {"top", []string{"."}}}
 	rows := []importRow{{name: "low_stays_low", from: []string{"internal/low"}, never: []string{"internal/high"}}}
@@ -241,6 +290,8 @@ func TestGateSeededViolations(t *testing.T) {
 		{name: "unused_method", file: "func (*T) Unused() {}\n", want: []string{"low.(*T).Unused (1 lines) is reached by no non-test code"}},
 		{name: "stale_entry", allow: []allowed{{"low.New", oracle, "live"}}, want: []string{"allowlist entry low.New is reached by non-test code"}},
 		{name: "missing_entry", allow: []allowed{{"low.Gone", oracle, "deleted"}}, want: []string{"allowlist entry low.Gone names no declaration"}},
+		{name: "gofmt", file: "type pair struct {\n\ta int // misaligned\n\tbcde string // comments\n}\n\nvar _ = pair{}\n",
+			want: []string{"internal/low/seeded.go is not gofmt-formatted"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
@@ -263,7 +314,11 @@ func TestGateSeededViolations(t *testing.T) {
 				t.Fatal(err)
 			}
 			dead, _, _ := deadProblems(p, append(slices.Clone(allow), c.allow...))
-			wantProblems(t, append(importProblems(p.imports, tiers, rows), dead...), c.want)
+			unformatted, err := gofmtProblems(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantProblems(t, slices.Concat(importProblems(p.imports, tiers, rows), dead, unformatted), c.want)
 		})
 	}
 

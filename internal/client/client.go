@@ -99,7 +99,7 @@ type conn struct {
 	weChoking        bool // we are choking the remote (choker mode only)
 	remoteInterested bool
 	weInterested     bool
-	windowBytes      int64 // bytes received this rechoke window
+	windowBytes      int64             // bytes received this rechoke window
 	inflight         map[int]time.Time // piece -> request time
 	closed           bool
 }

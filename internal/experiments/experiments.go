@@ -59,7 +59,7 @@ type Options struct {
 	// metrics, the solve cache's counters, the replica engine's
 	// histograms. Results are byte-identical with or without it.
 	Obs *obs.Registry
-	// Seed is the base seed every cell/replica stream is split from.
+	// Seed is the base seed every replica's seed derives from.
 	Seed uint64
 	// Replicas is R, the independently seeded replicas behind every
 	// simulated table row; 0 or 1 reproduces unreplicated tables

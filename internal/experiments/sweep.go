@@ -23,8 +23,8 @@ var SweepDims = runner.KeyDims
 // scheme that ignores it).
 //
 // A SweepSpec lowers to a serializable runner.JobSpec (see JobSpec), so
-// the same study can run locally, resume from checkpoints, or be
-// distributed across fabric workers — all byte-identically.
+// the same study can run locally, resume from a persistent solve cache, or
+// be distributed across fabric workers — all byte-identically.
 type SweepSpec struct {
 	// Config is the base operating point; swept dimensions override its
 	// fields cell by cell.
@@ -46,22 +46,18 @@ type SweepSpec struct {
 	// CacheDir, when non-empty, backs the solve cache with a persistent
 	// cross-process store in that directory: cells already solved by any
 	// previous run (or process) are decoded instead of re-solved, and
-	// fresh solves are persisted for the next run. Results are
-	// byte-identical with or without it.
+	// fresh solves are persisted as they complete — so a killed sweep
+	// rerun with the same directory redoes only the solves it lost.
+	// Results are byte-identical with or without it.
 	CacheDir string
-	// CheckpointDir, when non-empty, persists each completed cell to that
-	// directory and replays persisted cells on a re-run: a killed sweep
-	// resumed with the identical spec emits a byte-identical final table.
-	// The checkpoints of a sweep that completes are cleared.
-	CheckpointDir string
 	// Hooks observe per-cell progress.
 	Hooks runner.Hooks
 }
 
 // JobSpec lowers the sweep to its serializable job description — the one
-// type the local runner, the fabric coordinator, its workers and the
-// checkpoint store all speak. Two specs that lower to the same JobSpec
-// fingerprint compute bit-identical tables.
+// type the local runner, the fabric coordinator and its workers all
+// speak. Two specs that lower to the same JobSpec fingerprint compute
+// bit-identical tables.
 func (s SweepSpec) JobSpec() runner.JobSpec {
 	return runner.JobSpec{
 		Schema: runner.JobSpecSchemaVersion,
@@ -78,8 +74,7 @@ func (s SweepSpec) JobSpec() runner.JobSpec {
 }
 
 // SweepCell is the evaluation of one grid cell. It is the runner's
-// CellValue — the exact payload that crosses checkpoint files and the
-// fabric wire.
+// CellValue — the exact payload that crosses the fabric wire.
 type SweepCell = runner.CellValue
 
 // SweepResult holds the evaluated grid in row-major cell order.
@@ -114,6 +109,8 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 			return nil, err
 		}
 	}
+	// A caller's cache keeps the registry it was wired to (and may be in
+	// use by another sweep); only a cache built here reports to spec.Obs.
 	cache := spec.Options.Cache
 	if cache == nil {
 		cache = runner.NewCache()
@@ -124,29 +121,14 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 			}
 			cache = runner.NewDiskCache(disk)
 		}
-	}
-	ob := spec.Obs
-	if ob != nil {
-		// A caller's cache keeps the registry it was wired to.
-		cache.WithObs(ob)
-	}
-	var ckpt *runner.Checkpoint
-	if spec.CheckpointDir != "" {
-		store, err := diskcache.OpenCheckpoint(spec.CheckpointDir)
-		if err != nil {
-			return nil, err
-		}
-		store.WithObs(ob)
-		ckpt = runner.NewCheckpoint(store, job.Fingerprint())
+		cache.WithObs(spec.Obs)
 	}
 	cells, err := runner.RunJob(ctx, job, cache, runner.Options{
-		Workers: spec.Workers, Hooks: spec.Hooks, Obs: ob, Checkpoint: ckpt,
+		Workers: spec.Workers, Hooks: spec.Hooks, Obs: spec.Obs,
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The sweep completed: its checkpoints have served their purpose.
-	_ = ckpt.Clear()
 	return &SweepResult{Spec: spec, Cells: cells}, nil
 }
 

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"mfdl/internal/obs"
@@ -155,6 +157,89 @@ func TestSweepDiskCacheDeterministicAndWarm(t *testing.T) {
 	}
 	if h, dm, m, n := count("diskcache_hits"), count("diskcache_misses"), count("solvecache_misses"), count("solvecache_solves"); h != m || dm != 0 || n != 0 {
 		t.Fatalf("warm run: %d disk hits / %d misses for %d memory misses, %d solves", h, dm, m, n)
+	}
+}
+
+// A sweep killed mid-grid resumes through its solve cache: the rerun
+// decodes the solves the killed run persisted, solves only the rest, and
+// renders the table of an uninterrupted run byte for byte.
+func TestSweepResumesFromSolveCache(t *testing.T) {
+	spec := SweepSpec{Config: PaperConfig, P: 0.9, Scheme: scheme.CMFSD, Grid: sweepGrid(t), Options: Options{Workers: 1}}
+	spec.Obs = obs.New()
+	plain, err := Sweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plain.Table().String()
+	distinct := spec.Obs.Counter("solvecache_solves_total").Value()
+
+	// Workers=1 makes the killed run's completed prefix deterministic.
+	spec.CacheDir = t.TempDir()
+	spec.Obs = nil
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	done, half := 0, spec.Grid.Size()/2
+	spec.Hooks = runner.Hooks{OnCell: func(runner.Point, error) {
+		if done++; done == half {
+			kill()
+		}
+	}}
+	if _, err := Sweep(ctx, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed sweep returned %v, want context.Canceled", err)
+	}
+
+	spec.Hooks = runner.Hooks{}
+	spec.Obs = obs.New()
+	resumed, err := Sweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resumed.Table().String(); got != want {
+		t.Fatalf("resumed sweep differs from an uninterrupted one:\n%s\nvs\n%s", got, want)
+	}
+	hits := spec.Obs.Counter("diskcache_hits_total").Value()
+	solves := spec.Obs.Counter("solvecache_solves_total").Value()
+	if hits < uint64(half) || solves >= distinct || hits+solves != distinct {
+		t.Fatalf("resume: %d disk hits and %d solves for %d distinct keys, %d of them solved before the kill",
+			hits, solves, distinct, half)
+	}
+}
+
+// A caller's cache keeps the registry it was wired to: Sweep reports its
+// own cells to spec.Obs but never rewires a cache it did not build — two
+// sweeps sharing one cache would otherwise race on its counters, and
+// every count would land on whichever registry wired it last.
+func TestSweepKeepsCallersCacheRegistry(t *testing.T) {
+	own, cache, grid := obs.New(), runner.NewCache(), sweepGrid(t)
+	cache.WithObs(own)
+	swept := []*obs.Registry{obs.New(), obs.New()}
+	var wg sync.WaitGroup
+	for _, reg := range swept {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := Sweep(context.Background(), SweepSpec{
+				Config: PaperConfig, P: 0.9, Scheme: scheme.CMFSD, Grid: grid,
+				Options: Options{Workers: 2, Cache: cache, Obs: reg},
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	cells := uint64(grid.Size())
+	if n := own.Counter("solvecache_misses_total").Value() + own.Counter("solvecache_hits_total").Value(); n != 2*cells {
+		t.Fatalf("the cache's own registry counted %d lookups, want %d", n, 2*cells)
+	}
+	for i, reg := range swept {
+		for _, name := range []string{"solvecache_hits_total", "solvecache_misses_total", "solvecache_solves_total"} {
+			if n := reg.Counter(name).Value(); n != 0 {
+				t.Fatalf("sweep %d's registry counted %s = %d; the caller's cache was rewired", i, name, n)
+			}
+		}
+		if n := reg.Counter("runner_cells_completed_total").Value(); n != cells {
+			t.Fatalf("sweep %d: runner_cells_completed_total = %d, want %d", i, n, cells)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"mfdl/internal/fabric/chaos"
 	"mfdl/internal/fluid"
 	"mfdl/internal/obs"
-	"mfdl/internal/rng"
 	"mfdl/internal/runner"
 	"mfdl/internal/runner/diskcache"
 	"mfdl/internal/scheme"
@@ -40,7 +39,7 @@ func init() {
 			}
 			return &runner.Job{
 				Cells: len(spec.Dims[0].Values),
-				Evaluate: func(ctx context.Context, env runner.JobEnv, cell int, src *rng.Source) ([]byte, error) {
+				Evaluate: func(ctx context.Context, env runner.JobEnv, cell int) ([]byte, error) {
 					select {
 					case <-ctx.Done():
 						return nil, ctx.Err()

@@ -1,5 +1,5 @@
 // Package diskcache holds the runner's three persistent stores: the solve
-// cache's disk tier (Store), per-cell checkpoints of interrupted runs
+// cache's disk tier (Store), a fabric coordinator's per-cell checkpoints
 // (CheckpointStore) and simulator replica samples (SampleStore), each a
 // layout over one keyed atomic file store. DESIGN.md, "Keyed atomic file
 // store", has the layout table and the durability contract.
@@ -178,9 +178,10 @@ func DecodeEntry(data []byte) (Entry, error) {
 	return e, nil
 }
 
-// CheckpointStore persists per-cell results of interrupted runs — one
-// subdirectory per run key, one file per completed cell — so a run killed
-// at any instant resumes cleanly. Checkpoints are cleared, never pruned.
+// CheckpointStore persists the cells a fabric coordinator has collected —
+// one subdirectory per run key, one file per completed cell — so a
+// coordinator killed at any instant resumes cleanly. Checkpoints are
+// cleared, never pruned.
 type CheckpointStore struct{ fileStore }
 
 // OpenCheckpoint ensures dir exists and returns a checkpoint store over
@@ -191,13 +192,6 @@ func OpenCheckpoint(dir string) (*CheckpointStore, error) {
 		return nil, err
 	}
 	return &CheckpointStore{fs}, nil
-}
-
-// WithObs counts the store's traffic in the registry (nil is a no-op) as
-// checkpoint_{hits,misses,stores,corrupt,evicted}_total.
-func (s *CheckpointStore) WithObs(reg *obs.Registry) *CheckpointStore {
-	s.observe(reg)
-	return s
 }
 
 func (s *CheckpointStore) cellPath(runKey string, cell int) string {

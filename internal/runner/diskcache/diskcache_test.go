@@ -124,8 +124,10 @@ var checkpoint = kit{
 				p, ok := s.Get(key, n)
 				return string(p), ok
 			},
-			path:    s.cellPath,
-			observe: func(reg *obs.Registry) { s.WithObs(reg) },
+			path: s.cellPath,
+			// The coordinator keeps its own fabric_* counters and wires
+			// none on its store; the shared file store still counts.
+			observe: s.observe,
 			count:   s.count, clear: s.Clear,
 		}, nil
 	},

@@ -6,13 +6,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-
-	"mfdl/internal/rng"
 )
 
 // init registers the fluid-sweep kind: one steady-state solve per grid
-// cell, payload gob-encoded CellValue — exactly the bytes the checkpoint
-// store and the fabric wire have always carried.
+// cell, payload gob-encoded CellValue — exactly the bytes the fabric wire
+// and its checkpoint store have always carried.
 func init() {
 	RegisterJobKind(JobKind{Name: JobKindFluidSweep, Validate: validateFluidSweep, Prepare: prepareFluidSweep})
 }
@@ -53,8 +51,8 @@ func prepareFluidSweep(s JobSpec) (*Job, error) {
 	}
 	return &Job{
 		Cells: g.Size(),
-		Evaluate: func(_ context.Context, env JobEnv, cell int, src *rng.Source) ([]byte, error) {
-			v, err := s.EvaluateCell(env.Cache, g.Point(cell), src)
+		Evaluate: func(_ context.Context, env JobEnv, cell int) ([]byte, error) {
+			v, err := s.EvaluateCell(env.Cache, g.Point(cell))
 			if err != nil {
 				return nil, err
 			}

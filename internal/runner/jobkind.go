@@ -53,24 +53,22 @@ type JobKind struct {
 }
 
 // Job is a JobSpec validated and decoded once for execution: the cell
-// count, the per-cell closures and the cell streams. It is immutable after
-// Prepare and safe for concurrent use — one Job serves every cell of a
-// run, locally or in a fabric worker or coordinator.
+// count and the per-cell closures. It is immutable after Prepare and safe
+// for concurrent use — one Job serves every cell of a run, locally or in a
+// fabric worker or coordinator.
 type Job struct {
 	// Cells is how many executable cells the spec fans out to: the grid
 	// size for a plain sweep, times the replica count for a replicated
-	// kind. It is the unit the fabric leases and the checkpoint store
+	// kind. It is the unit the fabric leases and its checkpoint store
 	// indexes.
 	Cells int
 	// Evaluate computes cell i's payload — opaque bytes chosen by the kind
 	// (gob for fluid cells, canonical JSON for replica samples). The
-	// payload is what crosses checkpoint files and the fabric wire, so it
-	// must be a pure function of (spec, cell): two processes evaluating the
-	// same cell of equal specs must produce identical bytes. src is the
-	// cell's pre-split random stream (see Stream); kinds that draw nothing
-	// from it must still accept it, because deriving it is part of the
-	// determinism contract every executor honors.
-	Evaluate func(ctx context.Context, env JobEnv, cell int, src *rng.Source) ([]byte, error)
+	// payload is what crosses the fabric wire and its checkpoint files, so
+	// it must be a pure function of (spec, cell): two processes evaluating
+	// the same cell of equal specs must produce identical bytes. env only
+	// decides how much is recomputed, never the bytes.
+	Evaluate func(ctx context.Context, env JobEnv, cell int) ([]byte, error)
 	// SampleRef, when non-nil, maps a cell to its sample-store identity —
 	// the (key, seed) pair under which the cell's payload is persisted in
 	// a diskcache.SampleStore. Executors that hold a sample store use it
@@ -79,9 +77,7 @@ type Job struct {
 	// always computed.
 	SampleRef func(cell int) (key string, seed uint64, ok bool)
 
-	spec        JobSpec
-	streamsOnce sync.Once
-	streams     []rng.Source
+	spec JobSpec
 }
 
 // Spec returns the job's spec, carrying the handle that lets the
@@ -89,26 +85,9 @@ type Job struct {
 // JobSpec.CellCount) reach this Job without preparing again.
 func (j *Job) Spec() JobSpec { return j.spec }
 
-// Stream returns the random stream cell i receives — the i-th split of the
-// seed's parent stream, exactly what Run hands cell i and what
-// CellStream(seed, i) derives standalone. All of the job's streams are
-// split in one pass on first use; each call returns a fresh copy, so a cell
-// evaluated twice draws the same values twice.
-func (j *Job) Stream(cell int) *rng.Source {
-	j.streamsOnce.Do(func() {
-		parent := rng.New(j.spec.Seed)
-		j.streams = make([]rng.Source, j.Cells)
-		for i := range j.streams {
-			j.streams[i] = *parent.Split()
-		}
-	})
-	src := j.streams[cell]
-	return &src
-}
-
-// EvaluateCell evaluates one cell with its own stream — what a fabric
-// worker runs per leased cell, and what keeps a distributed run
-// byte-identical to a local one.
+// EvaluateCell evaluates one bounds-checked cell — what a fabric worker
+// runs per leased cell. It calls the Evaluate RunJobPayloads calls for
+// every cell, so a distributed run is byte-identical to a local one.
 func (j *Job) EvaluateCell(ctx context.Context, env JobEnv, cell int) ([]byte, error) {
 	if cell < 0 || cell >= j.Cells {
 		return nil, fmt.Errorf("runner: cell %d outside job of %d", cell, j.Cells)
@@ -116,7 +95,7 @@ func (j *Job) EvaluateCell(ctx context.Context, env JobEnv, cell int) ([]byte, e
 	if env.Cache == nil {
 		env.Cache = NewCache()
 	}
-	return j.Evaluate(ctx, env, cell, j.Stream(cell))
+	return j.Evaluate(ctx, env, cell)
 }
 
 var (
@@ -188,10 +167,8 @@ func EvaluateJobCell(ctx context.Context, spec JobSpec, env JobEnv, cell int) ([
 
 // RunJobPayloads executes every cell of the job locally over the runner
 // pool and returns the raw per-cell payloads in cell order — the generic
-// executor every kind shares. opts.Seed is overridden by the spec's seed;
-// opts.Checkpoint, when set, replays and persists the payload bytes
-// verbatim, so a checkpoint written by a fabric coordinator and one
-// written here are interchangeable.
+// executor every kind shares. The payloads are the bytes a fabric
+// coordinator collects for the same spec.
 func RunJobPayloads(ctx context.Context, spec JobSpec, env JobEnv, opts Options) ([][]byte, error) {
 	job, err := spec.Prepare()
 	if err != nil {
@@ -204,9 +181,7 @@ func RunJobPayloads(ctx context.Context, spec JobSpec, env JobEnv, opts Options)
 	if env.Cache == nil {
 		env.Cache = NewCache()
 	}
-	opts.Seed = spec.Seed
-	raw := func(payload []byte) ([]byte, error) { return payload, nil }
-	return Run(ctx, g, resumable(opts, raw, raw, func(ctx context.Context, p Point, src *rng.Source) ([]byte, error) {
-		return job.Evaluate(ctx, env, p.Index, src)
-	}), opts)
+	return Run(ctx, g, func(ctx context.Context, p Point, _ *rng.Source) ([]byte, error) {
+		return job.Evaluate(ctx, env, p.Index)
+	}, opts)
 }

@@ -48,10 +48,9 @@ type JobSpec struct {
 	// Dims are the swept dimensions in grid order; names come from
 	// KeyDims.
 	Dims []Dim `json:"dims"`
-	// Seed is the base seed from which every cell's random stream is
-	// split (see CellStream). Fluid solves draw nothing from it, but it is
-	// part of the job identity so that simulation-backed kinds inherit the
-	// same resume and distribution semantics unchanged.
+	// Seed is the base seed a simulation-backed kind derives its replica
+	// seeds from (replica.SeedOf). Fluid solves draw nothing from it, but
+	// it is part of the job identity all the same.
 	Seed uint64 `json:"seed"`
 	// Replicas is carried for the same reason: fluid cells ignore it, a
 	// simulation-backed kind fans each cell into this many independently
@@ -211,7 +210,7 @@ func (s JobSpec) CellKey(p Point) (Key, error) {
 }
 
 // CellValue is the evaluation of one JobSpec cell — the payload that
-// crosses checkpoint files and the fabric wire. Floats travel as gob,
+// crosses the fabric wire and its checkpoint files. Floats travel as gob,
 // which round-trips their bit patterns exactly.
 type CellValue struct {
 	// Values are the swept dimension values, in grid dimension order.
@@ -222,12 +221,8 @@ type CellValue struct {
 
 // EvaluateCell computes one cell of the job through the given solve cache
 // (which must be non-nil; share one cache across cells to pool coinciding
-// solves). src is the cell's split random stream — a fluid solve draws
-// nothing from it, but deriving it (see CellStream) is part of the
-// determinism contract every executor honors, so simulation-backed kinds
-// can rely on it.
-func (s JobSpec) EvaluateCell(cache *Cache, p Point, src *rng.Source) (CellValue, error) {
-	_ = src
+// solves).
+func (s JobSpec) EvaluateCell(cache *Cache, p Point) (CellValue, error) {
 	key, err := s.CellKey(p)
 	if err != nil {
 		return CellValue{}, err
@@ -299,8 +294,7 @@ func ParseJobSpec(data []byte) (JobSpec, error) {
 
 // CellStream returns the random stream cell i receives under base seed —
 // the i-th split of the seed's parent stream, exactly what Run hands cell
-// i at any worker count. It costs i splits; Job.Stream serves the same
-// streams from one pass over the whole job and is what executors use.
+// i at any worker count. It costs i splits.
 func CellStream(seed uint64, i int) *rng.Source {
 	parent := rng.New(seed)
 	var src *rng.Source
@@ -312,13 +306,12 @@ func CellStream(seed uint64, i int) *rng.Source {
 
 // RunJob executes a fluid-sweep job locally over the runner pool and
 // returns the per-cell values in grid order. cache may be nil (a private
-// in-memory cache is used); opts.Seed is overridden by the spec's seed,
-// everything else (workers, hooks, obs) applies as in Run, and
-// opts.Checkpoint replays and persists each cell as its payload
-// (EncodeCellValue), the bytes RunJobPayloads and a fabric coordinator
-// checkpoint too. The output is byte-identical to a distributed execution
-// of the same spec at any worker count. Other kinds return their payloads
-// through RunJobPayloads and decode them themselves.
+// in-memory cache is used); opts (workers, hooks, obs) applies as in Run.
+// A cache backed by a disk store is what lets a killed sweep resume:
+// the rerun decodes every solve the killed one persisted. The output is
+// byte-identical to a distributed execution of the same spec at any
+// worker count. Other kinds return their payloads through RunJobPayloads
+// and decode them themselves.
 func RunJob(ctx context.Context, spec JobSpec, cache *Cache, opts Options) ([]CellValue, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -334,8 +327,7 @@ func RunJob(ctx context.Context, spec JobSpec, cache *Cache, opts Options) ([]Ce
 	if cache == nil {
 		cache = NewCache()
 	}
-	opts.Seed = spec.Seed
-	return Run(ctx, g, resumable(opts, EncodeCellValue, DecodeCellValue, func(_ context.Context, p Point, src *rng.Source) (CellValue, error) {
-		return spec.EvaluateCell(cache, p, src)
-	}), opts)
+	return Run(ctx, g, func(_ context.Context, p Point, _ *rng.Source) (CellValue, error) {
+		return spec.EvaluateCell(cache, p)
+	}, opts)
 }

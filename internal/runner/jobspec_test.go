@@ -149,7 +149,7 @@ func TestRunJobMatchesManualEvaluation(t *testing.T) {
 	}
 	cache := NewCache()
 	for i := range cells {
-		want, err := spec.EvaluateCell(cache, g.Point(i), nil)
+		want, err := spec.EvaluateCell(cache, g.Point(i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -181,11 +181,11 @@ func TestMemoryHitAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache, p := NewCache(), g.Point(3)
-	if _, err := spec.EvaluateCell(cache, p, nil); err != nil {
+	if _, err := spec.EvaluateCell(cache, p); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := spec.EvaluateCell(cache, p, nil); err != nil {
+		if _, err := spec.EvaluateCell(cache, p); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -185,12 +185,6 @@ type Options struct {
 	// split. Two Runs with the same seed and grid hand every cell the same
 	// stream regardless of worker count.
 	Seed uint64
-	// Checkpoint, when non-nil, makes the job executors (RunJob,
-	// RunJobPayloads) persist each completed cell's payload and replay
-	// already-persisted cells instead of re-running them, so a killed run
-	// resumes to byte-identical results. Run itself, which has no encoding
-	// for its cells, ignores it. See NewCheckpoint.
-	Checkpoint *Checkpoint
 	// Hooks observe progress.
 	Hooks Hooks
 	// Obs, when non-nil, receives the run's metrics: runner_cells /
@@ -226,8 +220,8 @@ func Run[T any](ctx context.Context, g Grid, job func(ctx context.Context, p Poi
 	// Derive one independent stream per cell, in cell order, before any
 	// worker starts: the assignment cell -> stream is then a pure function
 	// of (seed, grid), untouched by scheduling. CellStream reproduces the
-	// i-th stream standalone — remote fabric workers depend on the two
-	// derivations staying identical.
+	// i-th stream standalone, and the pool tests hold the two derivations
+	// equal.
 	parent := rng.New(opts.Seed)
 	srcs := make([]rng.Source, n)
 	for i := range srcs {
@@ -416,4 +410,21 @@ func runCell[T any](ctx context.Context, job func(ctx context.Context, p Point, 
 		}
 	}()
 	return job(ctx, p, src)
+}
+
+// CellPanicError is the failure Run reports for a cell whose job
+// panicked: the panic is recovered on the worker, so a crashing cell
+// fails that cell (and, through the usual first-error rule, the run's
+// error value) instead of killing the whole process.
+type CellPanicError struct {
+	// Cell is the panicking cell's label.
+	Cell string
+	// Value is the recovered panic value.
+	Value any
+	// Stack is the goroutine stack captured at recovery.
+	Stack []byte
+}
+
+func (e *CellPanicError) Error() string {
+	return fmt.Sprintf("runner: cell %s panicked: %v", e.Cell, e.Value)
 }

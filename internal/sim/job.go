@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"mfdl/internal/replica"
-	"mfdl/internal/rng"
 	"mfdl/internal/runner"
 	"mfdl/internal/scheme"
 )
@@ -249,7 +248,7 @@ func prepareJob(spec runner.JobSpec) (*runner.Job, error) {
 	seed, n := spec.Seed, d.off[len(d.sims)]
 	return &runner.Job{
 		Cells: n,
-		Evaluate: func(ctx context.Context, env runner.JobEnv, i int, _ *rng.Source) ([]byte, error) {
+		Evaluate: func(ctx context.Context, env runner.JobEnv, i int) ([]byte, error) {
 			cell, rep := locate(d.off, i)
 			var key string
 			if env.Samples != nil {
@@ -282,7 +281,7 @@ func prepareJob(spec runner.JobSpec) (*runner.Job, error) {
 // reduces each grid cell's replicas into an Agg — numerically identical
 // to RunSequential over the same cells at the spec's fixed replica count,
 // and byte-identical whether the payloads were computed here, replayed
-// from a checkpoint, or assembled by a fabric coordinator.
+// from the sample store, or assembled by a fabric coordinator.
 func RunJob(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, opts runner.Options) ([]replica.Agg, error) {
 	if spec.Kind != JobKindSimReplica {
 		return nil, fmt.Errorf("sim: spec kind %q is not %q", spec.Kind, JobKindSimReplica)
