@@ -1,11 +1,14 @@
-// Mini-swarm: real bytes over the real protocol. A seed and three peers
-// exchange a 6-file torrent through the wire protocol (handshake, bitfield,
-// request/piece with SHA-1 verification) — no simulation, actual transfers
-// over in-process connections:
+// Mini-swarm: real bytes over the real protocol, found through a real
+// tracker. A seed and three peers exchange a 6-file torrent: each peer
+// listens on TCP, announces to an in-process HTTP tracker, and dials the
+// peers it returns (the paper's Section 3.1 loop); pieces move over the
+// wire protocol (handshake, bitfield, request/piece with SHA-1
+// verification) — no simulation:
 //
 //   - "alice" downloads sequentially (CMFSD's download side),
 //   - "bob" downloads concurrently (MFCD, stock client behaviour),
-//   - "carol" is connected ONLY to alice — she can complete because a
+//   - "carol" arrives after the seed has announced "stopped", so the
+//     tracker hands her only alice and bob — she can complete because a
 //     sequential downloader holds complete files early and serves them,
 //     which is exactly the partial-seed behaviour the paper's CMFSD
 //     exploits.
@@ -17,13 +20,18 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"net"
+	"net/http/httptest"
+	"os"
 	"time"
 
 	"mfdl/internal/client"
 	"mfdl/internal/metainfo"
 	"mfdl/internal/rng"
 	"mfdl/internal/storage"
+	"mfdl/internal/tracker"
 )
 
 const (
@@ -33,7 +41,24 @@ const (
 )
 
 func main() {
-	// Publisher: synthesize a season and hash it into a torrent.
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// peer is one swarm member listening on a loopback port.
+type peer struct {
+	name string
+	id   [20]byte
+	c    *client.Client
+	ln   net.Listener
+}
+
+func (p *peer) port() int { return p.ln.Addr().(*net.TCPAddr).Port }
+
+func run(w io.Writer) error {
+	// Publisher: synthesize a season, hash it into a torrent and publish
+	// it on the tracker.
 	src := rng.New(7)
 	content := make([]byte, episodes*fileSize)
 	for i := range content {
@@ -45,62 +70,86 @@ func main() {
 	}
 	meta, err := metainfo.Build("season", "/announce", pieceLen, files, metainfo.BytesSource(content))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	hash, _ := meta.Info.InfoHash()
-	fmt.Printf("torrent: %d files, %d pieces, info-hash %x…\n\n",
+	reg := tracker.NewRegistry(1)
+	hash, err := reg.Publish(meta)
+	if err != nil {
+		return err
+	}
+	srv := httptest.NewServer(tracker.Handler(reg))
+	defer srv.Close()
+	announce := srv.URL + "/announce"
+	fmt.Fprintf(w, "torrent: %d files, %d pieces, info-hash %x…\n\n",
 		episodes, meta.Info.NumPieces(), hash[:4])
 
-	seed := peer("seed", meta, content, client.PolicySequential)
-	alice := peer("alice", meta, nil, client.PolicySequential)
-	bob := peer("bob", meta, nil, client.PolicyConcurrent)
-	carol := peer("carol", meta, nil, client.PolicySequential)
+	var peers []*peer
 	defer func() {
-		for _, c := range []*client.Client{seed, alice, bob, carol} {
-			c.Close()
+		for _, p := range peers {
+			p.ln.Close()
+			p.c.Close()
 		}
 	}()
-
-	must(client.Connect(alice, seed))
-	must(client.Connect(bob, seed))
-	must(client.Connect(carol, alice)) // carol never talks to the seed
+	join := func(name string, full []byte, policy client.Policy) (*peer, error) {
+		st, err := storage.New(&meta.Info)
+		if full != nil {
+			st, err = storage.NewSeeded(&meta.Info, metainfo.BytesSource(full))
+		}
+		if err != nil {
+			return nil, err
+		}
+		p := &peer{name: name}
+		copy(p.id[:], name)
+		if p.c, err = client.New(client.Config{Info: &meta.Info, Store: st, PeerID: p.id, Policy: policy}); err != nil {
+			return nil, err
+		}
+		if p.ln, err = client.Listen(p.c, "127.0.0.1:0"); err != nil {
+			return nil, err
+		}
+		peers = append(peers, p)
+		return p, p.c.Bootstrap(announce, "127.0.0.1", p.port())
+	}
 
 	start := time.Now()
-	for _, who := range []struct {
-		name string
-		c    *client.Client
-	}{{"alice", alice}, {"bob", bob}, {"carol", carol}} {
+	seed, err := join("seed", content, client.PolicySequential)
+	if err != nil {
+		return err
+	}
+	alice, err := join("alice", nil, client.PolicySequential)
+	if err != nil {
+		return err
+	}
+	bob, err := join("bob", nil, client.PolicyConcurrent)
+	if err != nil {
+		return err
+	}
+	// The seed leaves the tracker's peer list but keeps serving the
+	// connections it has: carol never learns its address.
+	if _, err := client.Announce(announce, hash, seed.id, "127.0.0.1", seed.port(), 0, "stopped"); err != nil {
+		return err
+	}
+	carol, err := join("carol", nil, client.PolicySequential)
+	if err != nil {
+		return err
+	}
+
+	for _, p := range []*peer{alice, bob, carol} {
 		select {
-		case <-who.c.Done():
-			fmt.Printf("%-6s complete and verified after %v\n", who.name, time.Since(start).Round(time.Millisecond))
+		case <-p.c.Done():
+			fmt.Fprintf(w, "%-6s complete and verified after %v\n", p.name, time.Since(start).Round(time.Millisecond))
 		case <-time.After(30 * time.Second):
-			log.Fatalf("%s stalled: %v", who.name, who.c.Errors())
+			return fmt.Errorf("%s stalled: %v", p.name, p.c.Errors())
+		}
+	}
+	for _, p := range peers {
+		if errs := p.c.Errors(); len(errs) > 0 {
+			return fmt.Errorf("%s: connection errors: %v", p.name, errs)
 		}
 	}
 
-	fmt.Println("\ncarol completed without ever contacting the seed: alice's")
-	fmt.Println("sequentially-finished episodes made her a usable partial seed —")
-	fmt.Println("the mechanism CMFSD's collaboration is built on.")
-}
-
-func peer(name string, meta *metainfo.MetaInfo, full []byte, policy client.Policy) *client.Client {
-	var st *storage.Store
-	var err error
-	if full != nil {
-		st, err = storage.NewSeeded(&meta.Info, metainfo.BytesSource(full))
-	} else {
-		st, err = storage.New(&meta.Info)
-	}
-	must(err)
-	var id [20]byte
-	copy(id[:], name)
-	c, err := client.New(client.Config{Info: &meta.Info, Store: st, PeerID: id, Policy: policy})
-	must(err)
-	return c
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Fprintln(w, "\ncarol completed without ever contacting the seed: the tracker")
+	fmt.Fprintln(w, "gave her only alice and bob, and alice's sequentially-finished")
+	fmt.Fprintln(w, "episodes made her a usable partial seed — the mechanism CMFSD's")
+	fmt.Fprintln(w, "collaboration is built on.")
+	return nil
 }

@@ -20,8 +20,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 
+	"mfdl/internal/client"
 	"mfdl/internal/correlation"
 	"mfdl/internal/fluid"
 	"mfdl/internal/metainfo"
@@ -81,13 +81,15 @@ func main() {
 
 	// --- the swarm fills -------------------------------------------------
 	for i := 0; i < 8; i++ {
-		left := "1"
-		event := "started"
+		left, event := int64(1), "started"
 		if i < 3 { // three peers already finished and seed
-			left = "0"
-			event = "completed"
+			left, event = 0, "completed"
 		}
-		announce(srv.URL, infoHash, fmt.Sprintf("peer%02d", i), left, event)
+		var id [20]byte
+		copy(id[:], fmt.Sprintf("peer%02d", i))
+		if _, err := client.Announce(srv.URL+"/announce", infoHash, id, "127.0.0.1", 6881, left, event); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Println("\nafter 8 peers joined (3 seeding):")
 	fmt.Println(get(srv.URL + "/index"))
@@ -119,14 +121,4 @@ func get(rawURL string) string {
 		log.Fatal(err)
 	}
 	return string(body)
-}
-
-func announce(base string, h tracker.InfoHash, id, left, event string) {
-	q := url.Values{}
-	q.Set("info_hash", string(h[:]))
-	q.Set("peer_id", id)
-	q.Set("port", "6881")
-	q.Set("left", left)
-	q.Set("event", event)
-	_ = get(base + "/announce?" + q.Encode())
 }

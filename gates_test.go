@@ -107,7 +107,6 @@ var importRows = []importRow{
 const (
 	oracle = "(a)" // reference or oracle: a test of other live code compares against it
 	seam   = "(b)" // test seam: a test of live code needs it
-	island = "(c)" // BitTorrent island: ROADMAP keeps the paper's Figure 1 stack whole
 )
 
 // An allowed entry names a declaration the dead-code gate tolerates.
@@ -139,19 +138,6 @@ var deadAllow = []allowed{
 	{"runner/diskcache.(*SampleStore).Len", oracle, "the fabric's sample-reuse test counts a cell's stored samples with it"},
 	{"fabric/chaos.(*Plan).SetClock", seam, "the blackout test drives the plan's clock"},
 	{"fabric.(*Coordinator).ObserveCellSeconds", seam, "the lease-sizing tests feed cell timings through it"},
-	{"bencode.Canonical", island, "canonical re-encoding of a bencoded value"},
-	{"wire.Bitfield.Count", island, "pieces held in a bitfield"},
-	{"storage.(*Store).Info", island, "the torrent a store holds"},
-	{"storage.(*Store).Get", island, "read back a verified piece"},
-	{"storage.(*Store).Count", island, "verified pieces held"},
-	{"storage.(*Store).Complete", island, "whether every piece is held"},
-	{"storage.(*Store).FileComplete", island, "whether one file's pieces are all held"},
-	{"storage.(*Store).CompletedFiles", island, "the files whose pieces are all held"},
-	{"storage.(*Store).AssembleFile", island, "one file's bytes from its pieces"},
-	{"client.Listen", island, "accept inbound peer connections"},
-	{"client.AnnounceWithRetry", island, "tracker announce with backoff, documented in README"},
-	{"client.Reconnect", island, "re-dial a dropped peer, documented in README"},
-	{"client.(*Client).Bootstrap", island, "announce, then dial the peers the tracker returns"},
 }
 
 func TestGateImportDAG(t *testing.T) {
@@ -170,7 +156,7 @@ func TestGateDeadCode(t *testing.T) {
 	for _, problem := range problems {
 		t.Error(problem)
 	}
-	t.Logf("allowlist: %d entries keep %d lines alive, doc comments included; (a) reference or oracle, (b) test seam, (c) BitTorrent island", len(deadAllow), keptLines)
+	t.Logf("allowlist: %d entries keep %d lines alive, doc comments included; (a) reference or oracle, (b) test seam", len(deadAllow), keptLines)
 	for i, a := range deadAllow {
 		lines := 0
 		if kept[i] != nil {

@@ -231,17 +231,3 @@ func (d *decoder) dict() (map[string]any, error) {
 		out[key] = v
 	}
 }
-
-// Canonical reports whether data is the canonical encoding of its own
-// decoded value — a cheap integrity check for info dictionaries.
-func Canonical(data []byte) bool {
-	v, err := Unmarshal(data)
-	if err != nil {
-		return false
-	}
-	re, err := Marshal(v)
-	if err != nil {
-		return false
-	}
-	return string(re) == string(data)
-}

@@ -177,18 +177,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestCanonical(t *testing.T) {
-	if !Canonical([]byte("d3:cow3:mooe")) {
-		t.Fatal("canonical input rejected")
-	}
-	if Canonical([]byte("i03e")) {
-		t.Fatal("malformed input accepted")
-	}
-	if Canonical([]byte("")) {
-		t.Fatal("empty input accepted")
-	}
-}
-
 func BenchmarkMarshalDict(b *testing.B) {
 	v := map[string]any{
 		"announce": "http://tracker.example/announce",

@@ -13,11 +13,13 @@
 //     holds, a sequential peer that has finished its first file is exactly
 //     the paper's "partial seed" for that file's subtorrent.
 //
-// The client is deliberately small: no tracker integration (callers wire
-// connections themselves or via internal/tracker), no endgame mode, no
-// tit-for-tat throttling (every interested peer is unchoked) — bandwidth
-// competition is the fluid models' and simulators' job; this package proves
-// the protocol path end to end.
+// Peers find each other through internal/tracker: Listen accepts inbound
+// connections, and Bootstrap announces and dials the peers the tracker
+// returns (session.go). The client is deliberately small: no endgame mode
+// and no tit-for-tat throttling — it unchokes every interested peer, and
+// honours a remote's choke. Bandwidth competition, tit-for-tat included, is
+// the fluid models' and the chunk simulator's (internal/swarm) job; this
+// package proves the protocol path end to end.
 package client
 
 import (
@@ -54,16 +56,6 @@ type Config struct {
 	// Files lists requested file indices in download order; nil means
 	// all files in torrent order.
 	Files []int
-	// MaxOutstanding bounds in-flight piece requests per connection
-	// (default 4).
-	MaxOutstanding int
-	// UnchokeSlots, when positive, enables the tit-for-tat choker with
-	// that many slots (including the optimistic one). Zero keeps the
-	// simple always-unchoke behaviour.
-	UnchokeSlots int
-	// RechokeEvery is the choker period (default 100ms; only used when
-	// UnchokeSlots > 0).
-	RechokeEvery time.Duration
 	// RequestTimeout, when positive, bounds how long a piece request may
 	// stay in flight: a per-connection watchdog drops timed-out requests
 	// and immediately re-requests the pieces (on this or any other
@@ -72,19 +64,19 @@ type Config struct {
 	RequestTimeout time.Duration
 }
 
+// maxOutstanding bounds in-flight piece requests per connection.
+const maxOutstanding = 4
+
 // Client is one peer. Create with New, attach connections with AddConn.
 type Client struct {
 	cfg      Config
 	infoHash [20]byte
 	wanted   []int // piece indices in request order
 
-	mu             sync.Mutex
-	conns          map[*conn]struct{}
-	done           chan struct{}
-	errs           []error
-	chokerQuit     chan struct{}
-	closeOnce      sync.Once
-	optimisticTurn int
+	mu    sync.Mutex
+	conns map[*conn]struct{}
+	done  chan struct{}
+	errs  []error
 }
 
 type conn struct {
@@ -94,14 +86,11 @@ type conn struct {
 	quit       chan struct{}
 	remoteHave wire.Bitfield
 
-	mu               sync.Mutex
-	remoteChoking    bool // remote is choking us
-	weChoking        bool // we are choking the remote (choker mode only)
-	remoteInterested bool
-	weInterested     bool
-	windowBytes      int64             // bytes received this rechoke window
-	inflight         map[int]time.Time // piece -> request time
-	closed           bool
+	mu            sync.Mutex
+	remoteChoking bool // remote is choking us
+	weInterested  bool
+	inflight      map[int]time.Time // piece -> request time
+	closed        bool
 }
 
 // New validates the configuration and returns an idle client.
@@ -111,9 +100,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	if err := cfg.Info.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.MaxOutstanding <= 0 {
-		cfg.MaxOutstanding = 4
 	}
 	files := cfg.Files
 	if files == nil {
@@ -171,22 +157,15 @@ func New(cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RechokeEvery <= 0 {
-		cfg.RechokeEvery = 100 * time.Millisecond
-	}
 	c := &Client{
-		cfg:        cfg,
-		infoHash:   h,
-		wanted:     wanted,
-		conns:      map[*conn]struct{}{},
-		done:       make(chan struct{}),
-		chokerQuit: make(chan struct{}),
+		cfg:      cfg,
+		infoHash: h,
+		wanted:   wanted,
+		conns:    map[*conn]struct{}{},
+		done:     make(chan struct{}),
 	}
 	if c.complete() {
 		close(c.done)
-	}
-	if cfg.UnchokeSlots > 0 {
-		c.startChoker()
 	}
 	return c, nil
 }
@@ -213,9 +192,8 @@ func (c *Client) Errors() []error {
 	return append([]error(nil), c.errs...)
 }
 
-// Close terminates all connections and stops the choker.
+// Close terminates all connections.
 func (c *Client) Close() {
-	c.closeOnce.Do(func() { close(c.chokerQuit) })
 	c.mu.Lock()
 	conns := make([]*conn, 0, len(c.conns))
 	for pc := range c.conns {
@@ -258,7 +236,6 @@ func (c *Client) AddConn(nc net.Conn) error {
 		quit:          make(chan struct{}),
 		remoteHave:    wire.NewBitfield(c.cfg.Info.NumPieces()),
 		remoteChoking: true,
-		weChoking:     c.cfg.UnchokeSlots > 0, // choker mode starts choked
 		inflight:      map[int]time.Time{},
 	}
 	c.mu.Lock()
@@ -408,18 +385,9 @@ func (pc *conn) handle(msg *wire.Message) error {
 		pc.mu.Unlock()
 		return pc.updateInterestAndRequest()
 	case wire.MsgInterested:
-		pc.mu.Lock()
-		pc.remoteInterested = true
-		pc.mu.Unlock()
-		if pc.c.cfg.UnchokeSlots > 0 {
-			// The choker decides at the next rechoke tick.
-			return nil
-		}
+		// No choker: every interested remote is unchoked at once.
 		return pc.send(&wire.Message{Type: wire.MsgUnchoke})
 	case wire.MsgNotInterested:
-		pc.mu.Lock()
-		pc.remoteInterested = false
-		pc.mu.Unlock()
 		return nil
 	case wire.MsgChoke:
 		pc.mu.Lock()
@@ -433,14 +401,6 @@ func (pc *conn) handle(msg *wire.Message) error {
 		pc.mu.Unlock()
 		return pc.updateInterestAndRequest()
 	case wire.MsgRequest:
-		if pc.c.cfg.UnchokeSlots > 0 {
-			pc.mu.Lock()
-			choking := pc.weChoking
-			pc.mu.Unlock()
-			if choking {
-				return nil // requests while choked are dropped (BEP-3)
-			}
-		}
 		block, err := pc.c.cfg.Store.Block(int(msg.Index), int64(msg.Begin), int64(msg.Length))
 		if err != nil {
 			return fmt.Errorf("client: request for %d/%d+%d: %w", msg.Index, msg.Begin, msg.Length, err)
@@ -468,7 +428,6 @@ func (pc *conn) onPiece(msg *wire.Message) error {
 	}
 	pc.mu.Lock()
 	delete(pc.inflight, p)
-	pc.windowBytes += int64(len(msg.Payload))
 	pc.mu.Unlock()
 	// Tell every neighbor.
 	pc.c.mu.Lock()
@@ -527,13 +486,13 @@ func (pc *conn) nextWanted(n int) []int {
 // full.
 func (pc *conn) updateInterestAndRequest() error {
 	c := pc.c
-	want := pc.nextWanted(c.cfg.MaxOutstanding)
+	want := pc.nextWanted(maxOutstanding)
 	pc.mu.Lock()
 	interested := len(want) > 0
 	sendInterested := interested && !pc.weInterested
 	pc.weInterested = interested || pc.weInterested
 	choked := pc.remoteChoking
-	room := c.cfg.MaxOutstanding - len(pc.inflight)
+	room := maxOutstanding - len(pc.inflight)
 	pc.mu.Unlock()
 
 	if sendInterested {
@@ -565,16 +524,4 @@ func (pc *conn) updateInterestAndRequest() error {
 		}
 	}
 	return nil
-}
-
-// Connect dials two clients together over an in-memory duplex pipe and
-// registers the connection on both. Useful for in-process swarms and tests.
-func Connect(a, b *Client) error {
-	ca, cb := net.Pipe()
-	errc := make(chan error, 1)
-	go func() { errc <- b.AddConn(cb) }()
-	if err := a.AddConn(ca); err != nil {
-		return err
-	}
-	return <-errc
 }

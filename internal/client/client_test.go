@@ -57,13 +57,47 @@ func leechClient(t *testing.T, m *metainfo.MetaInfo, policy Policy, files []int,
 	return c
 }
 
+// Connect dials two clients together over an in-memory duplex pipe and
+// registers the connection on both.
+func Connect(a, b *Client) error {
+	ca, cb := net.Pipe()
+	errc := make(chan error, 1)
+	go func() { errc <- b.AddConn(cb) }()
+	if err := a.AddConn(ca); err != nil {
+		return err
+	}
+	return <-errc
+}
+
+// held counts the pieces c's store holds.
+func held(c *Client) int {
+	n := 0
+	for p := 0; p < c.cfg.Info.NumPieces(); p++ {
+		if c.cfg.Store.Has(p) {
+			n++
+		}
+	}
+	return n
+}
+
+// fileHeld reports whether c's store holds every piece of file f.
+func fileHeld(c *Client, f int) bool {
+	r := c.cfg.Info.FilePieces()[f]
+	for p := r.First; p <= r.Last; p++ {
+		if !c.cfg.Store.Has(p) {
+			return false
+		}
+	}
+	return true
+}
+
 func waitDone(t *testing.T, c *Client, within time.Duration) {
 	t.Helper()
 	select {
 	case <-c.Done():
 	case <-time.After(within):
 		t.Fatalf("download did not complete in %v (errors: %v, have %d/%d)",
-			within, c.Errors(), c.cfg.Store.Count(), c.cfg.Info.NumPieces())
+			within, c.Errors(), held(c), c.cfg.Info.NumPieces())
 	}
 }
 
@@ -99,17 +133,16 @@ func TestSingleLeecherDownloadsFromSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, leech, 10*time.Second)
-	// Every file reassembles to the original content.
-	var off int64
-	for f := range m.Info.Files {
-		got, err := leech.cfg.Store.AssembleFile(f)
+	// Every piece reads back as the original content.
+	for p := 0; p < m.Info.NumPieces(); p++ {
+		off, n := int64(p)*m.Info.PieceLength, leech.cfg.Store.PieceSize(p)
+		got, err := leech.cfg.Store.Block(p, 0, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, data[off:off+m.Info.Files[f].Length]) {
-			t.Fatalf("file %d content corrupted", f)
+		if !bytes.Equal(got, data[off:off+n]) {
+			t.Fatalf("piece %d content corrupted", p)
 		}
-		off += m.Info.Files[f].Length
 	}
 }
 
@@ -158,12 +191,12 @@ func TestPartialFileSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, leech, 10*time.Second)
-	if !leech.cfg.Store.FileComplete(0) || !leech.cfg.Store.FileComplete(2) {
+	if !fileHeld(leech, 0) || !fileHeld(leech, 2) {
 		t.Fatal("requested files incomplete")
 	}
 	// File 1 may share boundary pieces but must not be fully fetched
 	// unless it shares every piece (it doesn't at these sizes).
-	if leech.cfg.Store.FileComplete(1) && leech.cfg.Store.FileComplete(3) {
+	if fileHeld(leech, 1) && fileHeld(leech, 3) {
 		t.Fatal("unrequested files downloaded")
 	}
 }
@@ -185,15 +218,15 @@ func TestSequentialCompletesFilesInOrder(t *testing.T) {
 	}
 	// Wait until at least half the pieces landed, then snapshot.
 	deadline := time.Now().Add(10 * time.Second)
-	for st.Count() < m.Info.NumPieces()/2 {
+	for held(leech) < m.Info.NumPieces()/2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("stalled at %d pieces (errors %v)", st.Count(), leech.Errors())
+			t.Fatalf("stalled at %d pieces (errors %v)", held(leech), leech.Errors())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !st.FileComplete(0) {
+	if !fileHeld(leech, 0) {
 		t.Fatalf("sequential policy: file 0 incomplete at %d/%d pieces",
-			st.Count(), m.Info.NumPieces())
+			held(leech), m.Info.NumPieces())
 	}
 	waitDone(t, leech, 10*time.Second)
 }
@@ -282,72 +315,6 @@ func TestInfoHashMismatchRejected(t *testing.T) {
 	}
 }
 
-func TestChokerLimitsAndRotates(t *testing.T) {
-	// A seed with 2 unchoke slots serving 4 leechers: tit-for-tat plus the
-	// rotating optimistic slot must still let everyone finish.
-	m, data := torrent(t, 2, 4096, 512)
-	st, err := storage.NewSeeded(&m.Info, metainfo.BytesSource(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed, err := New(Config{
-		Info: &m.Info, Store: st, PeerID: [20]byte{'S'},
-		UnchokeSlots: 2, RechokeEvery: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seed.Close()
-	var leeches []*Client
-	for i := 0; i < 4; i++ {
-		l := leechClient(t, m, PolicySequential, nil, byte('k'+i))
-		defer l.Close()
-		if err := Connect(l, seed); err != nil {
-			t.Fatal(err)
-		}
-		leeches = append(leeches, l)
-	}
-	for i, l := range leeches {
-		select {
-		case <-l.Done():
-		case <-time.After(30 * time.Second):
-			t.Fatalf("leecher %d starved under choker: %v", i, l.Errors())
-		}
-	}
-}
-
-func TestChokedRequestsAreDropped(t *testing.T) {
-	// Against a choking seed that never rechokes (absurdly long period),
-	// a leecher must stay incomplete: requests before unchoke are dropped.
-	m, data := torrent(t, 1, 1024, 256)
-	st, err := storage.NewSeeded(&m.Info, metainfo.BytesSource(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed, err := New(Config{
-		Info: &m.Info, Store: st, PeerID: [20]byte{'S'},
-		UnchokeSlots: 1, RechokeEvery: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seed.Close()
-	l := leechClient(t, m, PolicySequential, nil, 'z')
-	defer l.Close()
-	if err := Connect(l, seed); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-l.Done():
-		t.Fatal("download completed despite permanent choke")
-	case <-time.After(300 * time.Millisecond):
-		// Expected: still choked, nothing transferred.
-	}
-	if l.cfg.Store.Count() != 0 {
-		t.Fatalf("%d pieces leaked through a choked connection", l.cfg.Store.Count())
-	}
-}
-
 func TestFailoverWhenPeerDies(t *testing.T) {
 	// Leecher connected to two seeds; the first dies mid-download. The
 	// in-flight pieces must be re-requested from the survivor.
@@ -366,7 +333,7 @@ func TestFailoverWhenPeerDies(t *testing.T) {
 	}
 	// Kill seed A once a few pieces have landed.
 	deadline := time.Now().Add(10 * time.Second)
-	for leech.cfg.Store.Count() < 4 {
+	for held(leech) < 4 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no initial progress: %v", leech.Errors())
 		}

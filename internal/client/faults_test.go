@@ -2,12 +2,10 @@ package client
 
 import (
 	"encoding/binary"
-	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,115 +174,57 @@ func TestRequestWatchdogRerequests(t *testing.T) {
 	}
 }
 
-// trackerOKBody is a minimal valid bencoded announce response.
-const trackerOKBody = "d8:completei1e10:incompletei2e8:intervali1800e5:peerslee"
+// TestRemoteChokeBlocksRequests: against a remote that holds every piece
+// but never unchokes, the client declares interest and then waits — it
+// must never send a request while choked.
+func TestRemoteChokeBlocksRequests(t *testing.T) {
+	m, _ := torrent(t, 1, 1024, 256)
+	leech := leechClient(t, m, PolicySequential, nil, 'z')
+	defer leech.Close()
 
-func TestAnnounceWithRetryRecoversFrom5xx(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			http.Error(w, "overloaded", http.StatusServiceUnavailable)
-			return
-		}
-		_, _ = w.Write([]byte(trackerOKBody))
-	}))
-	defer srv.Close()
-
-	var waits []time.Duration
-	resp, err := AnnounceWithRetry(srv.URL, [20]byte{1}, [20]byte{2}, "127.0.0.1", 6881, 1, "started",
-		RetryPolicy{Tries: 5, BaseDelay: 10 * time.Millisecond, Seed: 1,
-			Sleep: func(d time.Duration) { waits = append(waits, d) }})
-	if err != nil {
+	ours, theirs := net.Pipe()
+	attach := make(chan error, 1)
+	go func() { attach <- leech.AddConn(ours) }()
+	msgs := evilPeer(t, theirs, leech.infoHash, m.Info.NumPieces())
+	if err := <-attach; err != nil {
 		t.Fatal(err)
 	}
-	if resp.Complete != 1 || resp.Incomplete != 2 || resp.Interval != 1800*time.Second {
-		t.Fatalf("parsed response %+v", resp)
-	}
-	if n := calls.Load(); n != 3 {
-		t.Fatalf("tracker saw %d announces, want 3", n)
-	}
-	if len(waits) != 2 {
-		t.Fatalf("backoffs = %v, want 2 waits", waits)
-	}
-	// Exponential shape with jitter in [0.5, 1.0]: attempt k waits within
-	// (0, base<<k] and at least half of it.
-	for k, d := range waits {
-		hi := 10 * time.Millisecond << uint(k)
-		if d < hi/2 || d > hi {
-			t.Fatalf("backoff %d = %v outside [%v, %v]", k, d, hi/2, hi)
+
+	interested := false
+	quiet := time.After(300 * time.Millisecond)
+	for {
+		select {
+		case msg, ok := <-msgs:
+			if !ok {
+				t.Fatal("choked connection died")
+			}
+			switch msg.Type {
+			case wire.MsgInterested:
+				interested = true
+			case wire.MsgRequest:
+				t.Fatalf("request for piece %d while choked", msg.Index)
+			}
+		case <-quiet:
+			if !interested {
+				t.Fatal("client never declared interest in a full remote")
+			}
+			if n := held(leech); n != 0 {
+				t.Fatalf("%d pieces arrived over a choked connection", n)
+			}
+			return
 		}
 	}
 }
 
-func TestAnnounceWithRetryGivesUp(t *testing.T) {
-	var calls atomic.Int64
+// TestAnnounceSurfacesHTTPStatus: a tracker behind a broken proxy answers
+// with an HTTP error; Announce must fail and name the status.
+func TestAnnounceSurfacesHTTPStatus(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
 		http.Error(w, "down", http.StatusBadGateway)
 	}))
 	defer srv.Close()
-	_, err := AnnounceWithRetry(srv.URL, [20]byte{1}, [20]byte{2}, "127.0.0.1", 6881, 1, "",
-		RetryPolicy{Tries: 3, BaseDelay: time.Millisecond, Sleep: func(time.Duration) {}})
-	if err == nil {
-		t.Fatal("permanently broken tracker reported success")
-	}
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusBadGateway {
-		t.Fatalf("error %v, want StatusError 502", err)
-	}
-	if n := calls.Load(); n != 3 {
-		t.Fatalf("tracker saw %d announces, want 3", n)
-	}
-}
-
-func TestAnnounceWithRetryDoesNotRetryRejections(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		_, _ = w.Write([]byte("d14:failure reason12:unregisterede"))
-	}))
-	defer srv.Close()
-	_, err := AnnounceWithRetry(srv.URL, [20]byte{1}, [20]byte{2}, "127.0.0.1", 6881, 1, "",
-		RetryPolicy{Tries: 5, BaseDelay: time.Millisecond, Sleep: func(time.Duration) {}})
-	if err == nil || !strings.Contains(err.Error(), "unregistered") {
-		t.Fatalf("err = %v, want tracker failure reason", err)
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("application-level rejection retried: %d announces", n)
-	}
-}
-
-func TestReconnectRetriesDial(t *testing.T) {
-	m, data := torrent(t, 1, 1024, 256)
-	seed := seedClient(t, m, data)
-	defer seed.Close()
-	leech := leechClient(t, m, PolicySequential, nil, 'r')
-	defer leech.Close()
-
-	ln, err := Listen(seed, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if err := Reconnect(leech, ln.Addr().String(), 3,
-		RetryPolicy{BaseDelay: time.Millisecond, Sleep: func(time.Duration) {}}); err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, leech, 10*time.Second)
-
-	// A dead address exhausts the attempts and reports the last error.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := dead.Addr().String()
-	dead.Close()
-	waits := 0
-	if err := Reconnect(leech, addr, 2,
-		RetryPolicy{BaseDelay: time.Millisecond, Sleep: func(time.Duration) { waits++ }}); err == nil {
-		t.Fatal("reconnect to a dead address succeeded")
-	}
-	if waits != 1 {
-		t.Fatalf("backoffs = %d, want 1", waits)
+	_, err := Announce(srv.URL, [20]byte{1}, [20]byte{2}, "127.0.0.1", 6881, 1, "started")
+	if err == nil || !strings.Contains(err.Error(), "502") {
+		t.Fatalf("err = %v, want an error naming HTTP 502", err)
 	}
 }

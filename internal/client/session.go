@@ -1,7 +1,6 @@
 package client
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"mfdl/internal/bencode"
-	"mfdl/internal/rng"
 )
 
 // This file connects the peer to the paper's centralized components
@@ -60,95 +58,6 @@ type TrackerResponse struct {
 // wedging the peer forever.
 var announceClient = &http.Client{Timeout: 10 * time.Second}
 
-// StatusError is an announce answered with an HTTP error status. It is
-// the retryable class of tracker failure for 5xx codes: the tracker (or a
-// proxy in front of it) is broken, not our request.
-type StatusError struct {
-	Code int
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("client: tracker returned HTTP %d", e.Code)
-}
-
-// retryableAnnounceError reports whether an announce failure is worth
-// retrying: transport errors and server-side (5xx / 429) statuses are;
-// malformed responses and explicit tracker failure reasons are not — the
-// tracker answered, it just said no.
-func retryableAnnounceError(err error) bool {
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Code >= 500 || se.Code == http.StatusTooManyRequests
-	}
-	var ue *url.Error
-	return errors.As(err, &ue)
-}
-
-// RetryPolicy shapes AnnounceWithRetry's backoff.
-type RetryPolicy struct {
-	// Tries is the total number of attempts (<= 1 means a single try).
-	Tries int
-	// BaseDelay is the wait after the first failure; it doubles per
-	// attempt (default 100ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 5s).
-	MaxDelay time.Duration
-	// Seed drives the deterministic jitter stream.
-	Seed uint64
-	// Sleep replaces time.Sleep in tests; nil uses the real clock.
-	Sleep func(time.Duration)
-}
-
-// backoff returns the wait before retry number attempt (0-based): an
-// exponentially growing delay with multiplicative jitter in [0.5, 1.0]
-// drawn from a deterministic stream, so synchronized peers fan out instead
-// of hammering a recovering tracker in lockstep.
-func (p RetryPolicy) backoff(src *rng.Source, attempt int) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	max := p.MaxDelay
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	d := base << uint(attempt)
-	if d <= 0 || d > max {
-		d = max
-	}
-	return time.Duration((0.5 + 0.5*src.Float64()) * float64(d))
-}
-
-// AnnounceWithRetry announces like Announce but survives transient
-// tracker outages: transport errors and 5xx responses are retried up to
-// pol.Tries times with exponential backoff plus deterministic jitter.
-// Application-level rejections (bencoded failure reasons, 4xx) fail
-// immediately.
-func AnnounceWithRetry(trackerURL string, infoHash, peerID [20]byte, ip string, port int, left int64, event string, pol RetryPolicy) (*TrackerResponse, error) {
-	tries := pol.Tries
-	if tries < 1 {
-		tries = 1
-	}
-	sleep := pol.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	src := rng.New(pol.Seed)
-	var lastErr error
-	for attempt := 0; attempt < tries; attempt++ {
-		resp, err := Announce(trackerURL, infoHash, peerID, ip, port, left, event)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !retryableAnnounceError(err) || attempt == tries-1 {
-			break
-		}
-		sleep(pol.backoff(src, attempt))
-	}
-	return nil, lastErr
-}
-
 // Announce performs one HTTP announce against trackerURL (the /announce
 // endpoint) and parses the bencoded response.
 func Announce(trackerURL string, infoHash, peerID [20]byte, ip string, port int, left int64, event string) (*TrackerResponse, error) {
@@ -175,7 +84,7 @@ func Announce(trackerURL string, infoHash, peerID [20]byte, ip string, port int,
 		return nil, err
 	}
 	if resp.StatusCode >= 400 {
-		return nil, &StatusError{Code: resp.StatusCode}
+		return nil, fmt.Errorf("client: tracker returned HTTP %d", resp.StatusCode)
 	}
 	v, err := bencode.Unmarshal(body)
 	if err != nil {
@@ -275,33 +184,4 @@ func (c *Client) Bootstrap(announceURL, ip string, port int) error {
 		return fmt.Errorf("client: no advertised peer reachable: %w", lastErr)
 	}
 	return nil
-}
-
-// Reconnect dials addr and attaches the connection to c, retrying the
-// dial+handshake up to tries times with the policy's backoff. It is the
-// recovery path after a peer connection drops: the surviving client calls
-// Reconnect to rebuild the link instead of waiting for the next announce.
-func Reconnect(c *Client, addr string, tries int, pol RetryPolicy) error {
-	if tries < 1 {
-		tries = 1
-	}
-	sleep := pol.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	src := rng.New(pol.Seed)
-	var lastErr error
-	for attempt := 0; attempt < tries; attempt++ {
-		nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
-		if err == nil {
-			if err = c.AddConn(nc); err == nil {
-				return nil
-			}
-		}
-		lastErr = err
-		if attempt < tries-1 {
-			sleep(pol.backoff(src, attempt))
-		}
-	}
-	return fmt.Errorf("client: reconnect %s: %w", addr, lastErr)
 }

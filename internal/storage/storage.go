@@ -1,8 +1,7 @@
 // Package storage holds a torrent's pieces during transfer: every incoming
 // piece is verified against the metainfo's SHA-1 hashes before being
-// admitted, per-file completion is tracked through the multi-file piece
-// layout, and completed files can be assembled back into byte streams. The
-// store is memory-backed — the simulators and the in-process client move
+// admitted, and held pieces are served back as blocks and advertised as a
+// bitfield. The store is memory-backed — the in-process client moves
 // synthetic content — but hides that behind the same piece/offset geometry
 // a disk-backed implementation would use.
 package storage
@@ -24,7 +23,6 @@ type Store struct {
 	mu     sync.RWMutex
 	pieces [][]byte
 	have   wire.Bitfield
-	ranges []metainfo.PieceRange
 }
 
 // New returns an empty store for the torrent.
@@ -39,7 +37,6 @@ func New(info *metainfo.Info) (*Store, error) {
 		info:   info,
 		pieces: make([][]byte, info.NumPieces()),
 		have:   wire.NewBitfield(info.NumPieces()),
-		ranges: info.FilePieces(),
 	}, nil
 }
 
@@ -66,9 +63,6 @@ func NewSeeded(info *metainfo.Info, src metainfo.DataSource) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Info returns the torrent metadata.
-func (s *Store) Info() *metainfo.Info { return s.info }
 
 // PieceSize returns the byte length of piece p (the last piece is short).
 func (s *Store) PieceSize(p int) int64 {
@@ -109,16 +103,6 @@ func (s *Store) Put(p int, data []byte) error {
 	return nil
 }
 
-// Get returns a copy of piece p, or an error if missing.
-func (s *Store) Get(p int) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if p < 0 || p >= len(s.pieces) || s.pieces[p] == nil {
-		return nil, fmt.Errorf("storage: piece %d not held", p)
-	}
-	return append([]byte(nil), s.pieces[p]...), nil
-}
-
 // Block returns length bytes of piece p starting at begin.
 func (s *Store) Block(p int, begin, length int64) ([]byte, error) {
 	s.mu.RLock()
@@ -145,68 +129,4 @@ func (s *Store) Bitfield() wire.Bitfield {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.have.Clone()
-}
-
-// Count returns the number of held pieces.
-func (s *Store) Count() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.have.Count()
-}
-
-// Complete reports whether every piece is held.
-func (s *Store) Complete() bool { return s.Count() == s.info.NumPieces() }
-
-// FileComplete reports whether every piece overlapping file f is held.
-func (s *Store) FileComplete(f int) bool {
-	if f < 0 || f >= len(s.ranges) {
-		return false
-	}
-	r := s.ranges[f]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for p := r.First; p <= r.Last; p++ {
-		if !s.have.Has(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// CompletedFiles returns the number of fully-held files.
-func (s *Store) CompletedFiles() int {
-	n := 0
-	for f := range s.ranges {
-		if s.FileComplete(f) {
-			n++
-		}
-	}
-	return n
-}
-
-// AssembleFile reconstructs file f's bytes from the held pieces.
-func (s *Store) AssembleFile(f int) ([]byte, error) {
-	if f < 0 || f >= len(s.info.Files) {
-		return nil, fmt.Errorf("storage: file %d out of range", f)
-	}
-	if !s.FileComplete(f) {
-		return nil, fmt.Errorf("storage: file %d incomplete", f)
-	}
-	var offset int64
-	for i := 0; i < f; i++ {
-		offset += s.info.Files[i].Length
-	}
-	length := s.info.Files[f].Length
-	out := make([]byte, length)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for written := int64(0); written < length; {
-		abs := offset + written
-		p := int(abs / s.info.PieceLength)
-		within := abs % s.info.PieceLength
-		piece := s.pieces[p]
-		n := copy(out[written:], piece[within:])
-		written += int64(n)
-	}
-	return out, nil
 }

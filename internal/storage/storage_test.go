@@ -29,6 +29,16 @@ func buildTorrent(t *testing.T) (*metainfo.MetaInfo, []byte) {
 	return m, data
 }
 
+// allHeld reports whether s holds every piece of the torrent.
+func allHeld(s *Store) bool {
+	for p := 0; p < s.info.NumPieces(); p++ {
+		if !s.Has(p) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Fatal("nil info accepted")
@@ -47,25 +57,25 @@ func TestPutGetVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Has(0) || s.Complete() {
+	if s.Has(0) {
 		t.Fatal("empty store claims pieces")
 	}
 	piece0 := data[:256]
 	if err := s.Put(0, piece0); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Has(0) || s.Count() != 1 {
-		t.Fatal("piece 0 not recorded")
+	if !s.Has(0) || s.Has(1) {
+		t.Fatal("piece 0 not recorded alone")
 	}
-	back, err := s.Get(0)
+	back, err := s.Block(0, 0, 256)
 	if err != nil || !bytes.Equal(back, piece0) {
-		t.Fatalf("get: %v", err)
+		t.Fatalf("block: %v", err)
 	}
 	// Mutating the returned slice must not corrupt the store.
 	back[0] ^= 0xFF
-	again, _ := s.Get(0)
+	again, _ := s.Block(0, 0, 256)
 	if again[0] == back[0] {
-		t.Fatal("Get aliases internal storage")
+		t.Fatal("Block aliases internal storage")
 	}
 }
 
@@ -107,11 +117,8 @@ func TestNewSeededCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Complete() {
+	if !allHeld(s) {
 		t.Fatal("seeded store incomplete")
-	}
-	if s.CompletedFiles() != 3 {
-		t.Fatalf("completed files %d", s.CompletedFiles())
 	}
 }
 
@@ -131,57 +138,6 @@ func TestBlockReads(t *testing.T) {
 	empty, _ := New(&m.Info)
 	if _, err := empty.Block(1, 0, 10); err == nil {
 		t.Fatal("block from missing piece accepted")
-	}
-}
-
-func TestFileCompletionTracking(t *testing.T) {
-	m, data := buildTorrent(t)
-	s, _ := New(&m.Info)
-	// File 0 covers pieces 0..3 (boundary piece 3 shared with file 1).
-	for p := 0; p <= 3; p++ {
-		end := (p + 1) * 256
-		if end > len(data) {
-			end = len(data)
-		}
-		if err := s.Put(p, data[p*256:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !s.FileComplete(0) {
-		t.Fatal("file 0 should be complete")
-	}
-	if s.FileComplete(1) || s.FileComplete(2) {
-		t.Fatal("other files should be incomplete")
-	}
-	if s.CompletedFiles() != 1 {
-		t.Fatalf("completed files %d", s.CompletedFiles())
-	}
-	if s.FileComplete(-1) || s.FileComplete(3) {
-		t.Fatal("out-of-range file complete")
-	}
-}
-
-func TestAssembleFile(t *testing.T) {
-	m, data := buildTorrent(t)
-	s, _ := NewSeeded(&m.Info, metainfo.BytesSource(data))
-	a, err := s.AssembleFile(0)
-	if err != nil || !bytes.Equal(a, data[:1000]) {
-		t.Fatalf("file 0: %v", err)
-	}
-	b, err := s.AssembleFile(1)
-	if err != nil || !bytes.Equal(b, data[1000:1700]) {
-		t.Fatalf("file 1: %v", err)
-	}
-	c, err := s.AssembleFile(2)
-	if err != nil || !bytes.Equal(c, data[1700:]) {
-		t.Fatalf("file 2: %v", err)
-	}
-	empty, _ := New(&m.Info)
-	if _, err := empty.AssembleFile(0); err == nil {
-		t.Fatal("assembled incomplete file")
-	}
-	if _, err := s.AssembleFile(9); err == nil {
-		t.Fatal("assembled out-of-range file")
 	}
 }
 
@@ -205,7 +161,7 @@ func TestConcurrentPuts(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if !s.Complete() {
+	if !allHeld(s) {
 		t.Fatal("concurrent puts lost pieces")
 	}
 }

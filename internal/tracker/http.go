@@ -171,8 +171,8 @@ func announceFromQuery(r *Registry, req *http.Request) (*AnnounceResponse, error
 		}
 	}
 	ip := q.Get("ip")
-	if ip == "" {
-		ip = req.RemoteAddr
+	if ip == "" { // the connection's host; its source port is not the peer's
+		ip, _, _ = net.SplitHostPort(req.RemoteAddr)
 	}
 	return r.Announce(AnnounceRequest{
 		InfoHash: h,

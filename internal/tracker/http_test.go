@@ -1,6 +1,7 @@
 package tracker
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -201,16 +202,21 @@ func TestHTTPFullClientFlow(t *testing.T) {
 
 func TestHTTPCompactAnnounce(t *testing.T) {
 	srv, _, h := newServer(t)
-	// Two peers with IPv4 addresses; one with an unparseable address.
+	// Two peers with IPv4 addresses, one with an unparseable address, and
+	// one with no ip parameter: the tracker takes the host of its
+	// connection's remote address, without the port.
 	for _, p := range []struct{ id, ip, port string }{
 		{"p1", "10.0.0.1", "6881"},
 		{"p2", "10.0.0.2", "6882"},
 		{"p3", "not-an-ip", "6883"},
+		{"p4", "", "6884"},
 	} {
 		q := url.Values{}
 		q.Set("info_hash", string(h[:]))
 		q.Set("peer_id", p.id)
-		q.Set("ip", p.ip)
+		if p.ip != "" {
+			q.Set("ip", p.ip)
+		}
 		q.Set("port", p.port)
 		q.Set("left", "100")
 		get(t, srv.URL+"/announce?"+q.Encode())
@@ -231,13 +237,19 @@ func TestHTTPCompactAnnounce(t *testing.T) {
 	if !ok {
 		t.Fatalf("compact peers not a string: %T", v.(map[string]any)["peers"])
 	}
-	if len(packed)%6 != 0 || len(packed) != 12 { // 2 parseable peers
-		t.Fatalf("packed length %d, want 12", len(packed))
+	if len(packed) != 18 { // 3 parseable peers
+		t.Fatalf("packed length %d, want 18", len(packed))
 	}
-	// First entry decodes back to an IP:port we announced.
-	ip := net.IPv4(packed[0], packed[1], packed[2], packed[3]).String()
-	port := int(packed[4])<<8 | int(packed[5])
-	if (ip != "10.0.0.1" && ip != "10.0.0.2") || (port != 6881 && port != 6882) {
-		t.Fatalf("decoded %s:%d", ip, port)
+	// Every entry decodes back to an IP:port we announced.
+	got := map[string]bool{}
+	for i := 0; i < len(packed); i += 6 {
+		ip := net.IPv4(packed[i], packed[i+1], packed[i+2], packed[i+3]).String()
+		port := int(packed[i+4])<<8 | int(packed[i+5])
+		got[fmt.Sprintf("%s:%d", ip, port)] = true
+	}
+	for _, want := range []string{"10.0.0.1:6881", "10.0.0.2:6882", "127.0.0.1:6884"} {
+		if !got[want] {
+			t.Fatalf("decoded %v, missing %s", got, want)
+		}
 	}
 }

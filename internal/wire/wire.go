@@ -207,16 +207,5 @@ func (b Bitfield) Set(i int) {
 	b[i/8] |= 1 << (7 - uint(i%8))
 }
 
-// Count returns the number of set pieces.
-func (b Bitfield) Count() int {
-	n := 0
-	for _, by := range b {
-		for ; by != 0; by &= by - 1 {
-			n++
-		}
-	}
-	return n
-}
-
 // Clone returns a copy.
 func (b Bitfield) Clone() Bitfield { return append(Bitfield(nil), b...) }
