@@ -7,14 +7,15 @@
 //
 // Subcommands:
 //
+//	params     print the Table-1 parameter glossary
+//	validate   K = 1 degeneracy check against the Qiu–Srikant closed form
 //	fig2       Figure 2: avg online time per file vs correlation, MTCD vs MTSD
 //	fig3       Figure 3: per-class times at p = 0.1 and p = 1.0
 //	fig4a      Figure 4(a): CMFSD avg online time per file over a p × ρ grid
 //	fig4b      Figure 4(b): per-class times at p = 0.9, CMFSD vs MFCD
 //	fig4c      Figure 4(c): per-class times at p = 0.1, CMFSD vs MFCD
-//	validate   K = 1 degeneracy check against the Qiu–Srikant closed form
-//	stability  spectral abscissas of the fluid fixed points
 //	crossover  per-class correlation where MTCD stops beating MTSD
+//	stability  spectral abscissas of the fluid fixed points
 //	eta        η-sensitivity ablation of the MTCD curve
 //	cheating   fluid mixed-population sweep: obedient vs ρ=1 cheaters
 //	kscaling   collaboration gain vs number of files K
@@ -22,9 +23,9 @@
 //	churn      download time under deterministic chaos: downloader aborts and
 //	           virtual-seed quits, fluid vs simulation (-chaos-seed,
 //	           -abort-rate, -quit-rate; not in 'all')
-//	report     write every artifact above to -out as CSV files
-//	params     print the Table-1 parameter glossary
-//	all        everything above in paper order (except simvalidate and churn)
+//	report     write every table above except params, simvalidate and churn
+//	           to -out as CSV files, each the table its subcommand prints
+//	all        everything above in this order (except simvalidate and churn)
 //
 // Flags select the model parameters (defaults are the paper's) and the
 // output format (ascii, csv, tsv, markdown). simvalidate and churn are the
@@ -42,17 +43,22 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"mfdl/internal/experiments"
 	"mfdl/internal/fluid"
 	"mfdl/internal/gridflag"
 	"mfdl/internal/obs"
+	"mfdl/internal/rng"
 	"mfdl/internal/runner"
 	"mfdl/internal/runner/diskcache"
 	"mfdl/internal/table"
@@ -63,6 +69,166 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mfdl:", err)
 		os.Exit(1)
 	}
+}
+
+// env is what an artifact's tables are generated from: the parsed flags,
+// the shared solve cache inside cfg and the simulator settings.
+type env struct {
+	ctx           context.Context
+	cfg           experiments.Config
+	set           experiments.SimSettings
+	steps         int
+	chaos         uint64
+	aborts, quits string
+}
+
+// artifact is one subcommand: the tables it prints, whether 'all' runs
+// it, and the CSV file names 'report' writes its tables under, one per
+// table (none keeps it out of 'report').
+type artifact struct {
+	name   string
+	all    bool
+	files  []string
+	tables func(e *env) ([]*table.Table, error)
+}
+
+// one passes an experiment's single table on, or its error.
+func one(res interface{ Table() *table.Table }, err error) ([]*table.Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []*table.Table{res.Table()}, nil
+}
+
+// artifacts is the one ordered list of mfdl's subcommands. The usage line
+// lists it, 'all' runs its all entries in this order, and 'report' writes
+// the entries with files in this order.
+var artifacts = []artifact{
+	{"params", true, nil, func(e *env) ([]*table.Table, error) {
+		tb := table.New("Table 1: parameters of the BitTorrent fluid model",
+			"symbol", "meaning", "paper value")
+		tb.MustAddRow("K", "number of files in the system", fmt.Sprintf("%d", e.cfg.K))
+		tb.MustAddRow("λ₀", "web-server visiting rate", table.Fmt(e.cfg.Lambda0))
+		tb.MustAddRow("p", "per-file request probability (file correlation)", "swept")
+		tb.MustAddRow("μ", "peer upload bandwidth", table.Fmt(e.cfg.Mu))
+		tb.MustAddRow("η", "downloader sharing efficiency", table.Fmt(e.cfg.Eta))
+		tb.MustAddRow("γ", "seed departure rate", table.Fmt(e.cfg.Gamma))
+		tb.MustAddRow("ρ", "CMFSD bandwidth allocation ratio", "swept")
+		return []*table.Table{tb}, nil
+	}},
+	{"validate", true, []string{"validate"}, func(e *env) ([]*table.Table, error) {
+		return one(experiments.Validate(e.cfg))
+	}},
+	{"fig2", true, []string{"fig2"}, func(e *env) ([]*table.Table, error) {
+		return one(experiments.Fig2(e.cfg, experiments.PGrid(0, 1, e.steps)))
+	}},
+	{"fig3", true, []string{"fig3_p01", "fig3_p10"}, func(e *env) ([]*table.Table, error) {
+		var tbs []*table.Table
+		for _, p := range []float64{0.1, 1.0} {
+			r, err := experiments.Fig3(e.cfg, p)
+			if err != nil {
+				return nil, err
+			}
+			tbs = append(tbs, r.Table())
+		}
+		return tbs, nil
+	}},
+	{"fig4a", true, []string{"fig4a"}, func(e *env) ([]*table.Table, error) {
+		return one(experiments.Fig4A(e.ctx, e.cfg,
+			experiments.PGrid(0.1, 1, e.steps/2), experiments.PGrid(0, 1, 10)))
+	}},
+	{"fig4b", true, []string{"fig4b"}, func(e *env) ([]*table.Table, error) {
+		return one(experiments.Fig4BC(e.cfg, 0.9, 0.1, 0.9))
+	}},
+	{"fig4c", true, []string{"fig4c"}, func(e *env) ([]*table.Table, error) {
+		return one(experiments.Fig4BC(e.cfg, 0.1, 0.1, 0.9))
+	}},
+	{"crossover", true, []string{"crossover"}, func(e *env) ([]*table.Table, error) {
+		return one(experiments.Crossover(e.cfg))
+	}},
+	{"stability", true, []string{"stability"}, func(e *env) ([]*table.Table, error) {
+		_, tb, err := experiments.StabilityTable(e.cfg)
+		return []*table.Table{tb}, err
+	}},
+	{"eta", true, []string{"eta_ablation"}, func(e *env) ([]*table.Table, error) {
+		return one(experiments.EtaAblation(e.ctx, e.cfg,
+			[]float64{0.25, 0.5, 0.75, 1.0}, experiments.PGrid(0, 1, e.steps)))
+	}},
+	{"cheating", true, []string{"cheating"}, func(e *env) ([]*table.Table, error) {
+		return one(experiments.CheatingSweep(e.cfg, 0.9, 0,
+			[]float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}))
+	}},
+	{"kscaling", true, []string{"kscaling"}, func(e *env) ([]*table.Table, error) {
+		return one(experiments.KScaling(e.cfg, 0.9, []int{1, 2, 3, 5, 8, 10, 12, 15, 20}))
+	}},
+	{"simvalidate", false, nil, func(e *env) ([]*table.Table, error) {
+		return one(experiments.SimValidate(e.ctx, e.set, []float64{0.5, 0.9}))
+	}},
+	{"churn", false, nil, func(e *env) ([]*table.Table, error) {
+		// An empty list skips its axis; ChurnSweep rejects a negative
+		// rate before simulating anything.
+		thetas, err := gridflag.List("abort-rate", e.aborts)
+		if err != nil {
+			return nil, err
+		}
+		quits, err := gridflag.List("quit-rate", e.quits)
+		if err != nil {
+			return nil, err
+		}
+		if len(thetas) == 0 && len(quits) == 0 {
+			return nil, fmt.Errorf("churn: both -abort-rate and -quit-rate are empty, nothing to sweep")
+		}
+		res, err := experiments.ChurnSweep(e.ctx, e.set, 0.9, e.chaos, thetas, quits)
+		if err != nil {
+			return nil, err
+		}
+		return res.Tables(), nil
+	}},
+}
+
+// writeReport generates the tables of every artifact with files in
+// parallel over the runner pool (they share e.cfg's solve cache), then
+// writes them as CSV into dir one at a time in list order, printing each
+// path, so the listing and the directory contents are deterministic.
+func writeReport(e *env, dir string) error {
+	var arts []artifact
+	for _, a := range artifacts {
+		if len(a.files) > 0 {
+			arts = append(arts, a)
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	grid, err := runner.Indexed("artifact", len(arts))
+	if err != nil {
+		return err
+	}
+	tables, err := runner.Run(e.ctx, grid,
+		func(_ context.Context, pt runner.Point, _ *rng.Source) ([]*table.Table, error) {
+			tbs, err := arts[pt.Index].tables(e)
+			if err != nil {
+				return nil, fmt.Errorf("report %s: %w", arts[pt.Index].name, err)
+			}
+			return tbs, nil
+		}, runner.Options{})
+	if err != nil {
+		return err
+	}
+	for i, a := range arts {
+		for j, name := range a.files {
+			var csv bytes.Buffer
+			if err := tables[i][j].WriteCSV(&csv); err != nil {
+				return err
+			}
+			path := filepath.Join(dir, name+".csv")
+			if err := os.WriteFile(path, csv.Bytes(), 0o666); err != nil {
+				return err
+			}
+			fmt.Println(path)
+		}
+	}
+	return nil
 }
 
 func run(args []string) error {
@@ -93,7 +259,11 @@ func run(args []string) error {
 	rf.Register(fs)
 	sf.Register(fs, "keyed replica-sample store for the simulator subcommands: re-runs with more replicas replay stored samples instead of resampling (empty = off)")
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: mfdl [flags] fig2|fig3|fig4a|fig4b|fig4c|validate|stability|crossover|eta|cheating|kscaling|simvalidate|churn|report|params|all")
+		names := make([]string, len(artifacts))
+		for i, a := range artifacts {
+			names[i] = a.name
+		}
+		fmt.Fprintf(fs.Output(), "usage: mfdl [flags] %s|report|all\n", strings.Join(names, "|"))
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -104,10 +274,13 @@ func run(args []string) error {
 		return fmt.Errorf("expected exactly one subcommand, got %d", fs.NArg())
 	}
 	// Strict flag validation, in cmd/sweep's rejection style: model floats
-	// must be finite, the replica count positive, the worker count
-	// non-negative and the format known.
+	// must be finite, the grid resolution and the replica count positive,
+	// the worker count non-negative and the format known.
 	if err := gridflag.Finite(fs, "mu", "eta", "gamma", "lambda0"); err != nil {
 		return err
+	}
+	if *steps < 1 {
+		return fmt.Errorf("-steps must be >= 1, got %d", *steps)
 	}
 	simOpts, err := rf.Options()
 	if err != nil {
@@ -159,141 +332,10 @@ func run(args []string) error {
 		Params: cfg.Params, K: cfg.K, Lambda0: cfg.Lambda0,
 		Horizon: 4000, Warmup: 800, Options: simOpts,
 	}
-	emit := func(tb *table.Table) error {
-		if err := tb.Write(os.Stdout, string(ofmt)); err != nil {
-			return err
-		}
-		fmt.Println()
-		return nil
-	}
-	// show emits an experiment's table, or passes its error on.
-	show := func(res interface{ Table() *table.Table }, err error) error {
-		if err != nil {
-			return err
-		}
-		return emit(res.Table())
-	}
-	cmds := map[string]func() error{
-		"fig2": func() error {
-			return show(experiments.Fig2(cfg, experiments.PGrid(0, 1, *steps)))
-		},
-		"fig3": func() error {
-			for _, p := range []float64{0.1, 1.0} {
-				if err := show(experiments.Fig3(cfg, p)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		"fig4a": func() error {
-			return show(experiments.Fig4A(ctx, cfg,
-				experiments.PGrid(0.1, 1, *steps/2), experiments.PGrid(0, 1, 10)))
-		},
-		"fig4b": func() error {
-			return show(experiments.Fig4BC(cfg, 0.9, 0.1, 0.9))
-		},
-		"fig4c": func() error {
-			return show(experiments.Fig4BC(cfg, 0.1, 0.1, 0.9))
-		},
-		"validate": func() error {
-			return show(experiments.Validate(cfg))
-		},
-		"stability": func() error {
-			_, tb, err := experiments.StabilityTable(cfg)
-			if err != nil {
-				return err
-			}
-			return emit(tb)
-		},
-		"crossover": func() error {
-			return show(experiments.Crossover(cfg))
-		},
-		"eta": func() error {
-			return show(experiments.EtaAblation(ctx, cfg,
-				[]float64{0.25, 0.5, 0.75, 1.0}, experiments.PGrid(0, 1, *steps)))
-		},
-		"kscaling": func() error {
-			return show(experiments.KScaling(cfg, 0.9, []int{1, 2, 3, 5, 8, 10, 12, 15, 20}))
-		},
-		"cheating": func() error {
-			return show(experiments.CheatingSweep(cfg, 0.9, 0,
-				[]float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}))
-		},
-		"simvalidate": func() error {
-			return show(experiments.SimValidate(ctx, set, []float64{0.5, 0.9}))
-		},
-		"churn": func() error {
-			// An empty list skips its axis; ChurnSweep rejects a negative
-			// rate before simulating anything.
-			thetas, err := gridflag.List("abort-rate", *abortsFl)
-			if err != nil {
-				return err
-			}
-			quits, err := gridflag.List("quit-rate", *quitsFl)
-			if err != nil {
-				return err
-			}
-			if len(thetas) == 0 && len(quits) == 0 {
-				return fmt.Errorf("churn: both -abort-rate and -quit-rate are empty, nothing to sweep")
-			}
-			res, err := experiments.ChurnSweep(ctx, set, 0.9, *chaos, thetas, quits)
-			if err != nil {
-				return err
-			}
-			for _, tb := range res.Tables() {
-				if err := emit(tb); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		"report": func() error {
-			files, err := experiments.Report(ctx, cfg, *out)
-			if err != nil {
-				return err
-			}
-			for _, f := range files {
-				fmt.Println(f)
-			}
-			return nil
-		},
-		"params": func() error {
-			tb := table.New("Table 1: parameters of the BitTorrent fluid model",
-				"symbol", "meaning", "paper value")
-			tb.MustAddRow("K", "number of files in the system", fmt.Sprintf("%d", cfg.K))
-			tb.MustAddRow("λ₀", "web-server visiting rate", table.Fmt(cfg.Lambda0))
-			tb.MustAddRow("p", "per-file request probability (file correlation)", "swept")
-			tb.MustAddRow("μ", "peer upload bandwidth", table.Fmt(cfg.Mu))
-			tb.MustAddRow("η", "downloader sharing efficiency", table.Fmt(cfg.Eta))
-			tb.MustAddRow("γ", "seed departure rate", table.Fmt(cfg.Gamma))
-			tb.MustAddRow("ρ", "CMFSD bandwidth allocation ratio", "swept")
-			return emit(tb)
-		},
-	}
-	// runPhase times one subcommand into the registry's per-phase gauge;
-	// with -stats each phase's wall-clock also lands on stderr, rendered
-	// from that gauge.
-	runPhase := func(sub string) error {
-		var start time.Time
-		var sp obs.Span
-		if reg != nil {
-			start = time.Now()
-			sp = reg.StartSpan("phase", obs.L("phase", sub))
-		}
-		err := cmds[sub]()
-		if reg != nil {
-			reg.Gauge("mfdl_phase_seconds", obs.L("phase", sub)).Set(time.Since(start).Seconds())
-			sp.End()
-		}
-		if *stats {
-			ms := reg.Gauge("mfdl_phase_seconds", obs.L("phase", sub)).Value() * 1000
-			fmt.Fprintf(os.Stderr, "mfdl: phase %-9s %8.1fms\n", sub, ms)
-		}
-		return err
-	}
-	// report renders the cache summary from the registry's solvecache_* /
-	// diskcache_* counters (mirrored by the cache tiers via WithObs).
-	report := func() {
+	// cacheSummary renders the -stats cache summary from the registry's
+	// solvecache_* / diskcache_* counters (mirrored by the cache tiers via
+	// WithObs).
+	cacheSummary := func() {
 		if !*stats {
 			return
 		}
@@ -308,27 +350,76 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "; %d solved\n", count("solvecache_solves_total"))
 	}
+	e := &env{
+		ctx: ctx, cfg: cfg, set: set, steps: *steps,
+		chaos: *chaos, aborts: *abortsFl, quits: *quitsFl,
+	}
+	// runPhase times one subcommand into the registry's per-phase gauge;
+	// with -stats each phase's wall-clock also lands on stderr, rendered
+	// from that gauge.
+	runPhase := func(sub string, f func() error) error {
+		var start time.Time
+		var sp obs.Span
+		if reg != nil {
+			start = time.Now()
+			sp = reg.StartSpan("phase", obs.L("phase", sub))
+		}
+		err := f()
+		if reg != nil {
+			reg.Gauge("mfdl_phase_seconds", obs.L("phase", sub)).Set(time.Since(start).Seconds())
+			sp.End()
+		}
+		if *stats {
+			ms := reg.Gauge("mfdl_phase_seconds", obs.L("phase", sub)).Value() * 1000
+			fmt.Fprintf(os.Stderr, "mfdl: phase %-9s %8.1fms\n", sub, ms)
+		}
+		return err
+	}
+	// show prints an artifact's tables to stdout, each followed by a blank
+	// line.
+	show := func(a artifact) func() error {
+		return func() error {
+			tbs, err := a.tables(e)
+			if err != nil {
+				return err
+			}
+			for _, tb := range tbs {
+				if err := tb.Write(os.Stdout, string(ofmt)); err != nil {
+					return err
+				}
+				fmt.Println()
+			}
+			return nil
+		}
+	}
 	// The subcommands run inside a closure so the metrics snapshot and
 	// trace stream are flushed on every return path.
 	runErr := func() error {
-		name := fs.Arg(0)
-		if name == "all" {
-			for _, sub := range []string{"params", "validate", "fig2", "fig3", "fig4a", "fig4b", "fig4c", "crossover", "stability", "eta", "cheating", "kscaling"} {
-				if err := runPhase(sub); err != nil {
-					return fmt.Errorf("%s: %w", sub, err)
+		switch name := fs.Arg(0); name {
+		case "all":
+			for _, a := range artifacts {
+				if !a.all {
+					continue
+				}
+				if err := runPhase(a.name, show(a)); err != nil {
+					return fmt.Errorf("%s: %w", a.name, err)
 				}
 			}
-			report()
-			return nil
+		case "report":
+			if err := runPhase(name, func() error { return writeReport(e, *out) }); err != nil {
+				return err
+			}
+		default:
+			i := slices.IndexFunc(artifacts, func(a artifact) bool { return a.name == name })
+			if i < 0 {
+				fs.Usage()
+				return fmt.Errorf("unknown subcommand %q", name)
+			}
+			if err := runPhase(name, show(artifacts[i])); err != nil {
+				return err
+			}
 		}
-		if _, ok := cmds[name]; !ok {
-			fs.Usage()
-			return fmt.Errorf("unknown subcommand %q", name)
-		}
-		if err := runPhase(name); err != nil {
-			return err
-		}
-		report()
+		cacheSummary()
 		return nil
 	}()
 	if ferr := finishObs(); runErr == nil {

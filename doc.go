@@ -21,7 +21,7 @@
 // cmd/sweep and cmd/mfdl).
 //
 // The experiments API is context-first: grid studies (Fig4A, EtaAblation,
-// Report, SwarmCompare, Sweep) and every simulator-backed experiment
+// SwarmCompare, Sweep) and every simulator-backed experiment
 // (SimValidate, AdaptSweep, AdaptParams, Transient, Hetero) take a
 // context.Context and fan out over the runner, so long surfaces are
 // cancellable and parallel while rendering byte-identical tables at any

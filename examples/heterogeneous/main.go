@@ -16,6 +16,7 @@ import (
 	"log"
 
 	"mfdl/internal/fluid"
+	"mfdl/internal/numeric/ode"
 )
 
 func main() {
@@ -45,7 +46,7 @@ func show(title string, classes []fluid.Class) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ss, err := fluid.SteadyState(m, fluid.SteadyStateOptions{MaxTime: 2e6})
+	ss, err := fluid.SteadyState(m, ode.SteadyStateOptions{MaxTime: 2e6})
 	if err != nil {
 		log.Fatal(err)
 	}

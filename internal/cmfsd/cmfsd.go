@@ -193,10 +193,9 @@ func (m *Model) InitialState() []float64 {
 
 var _ fluid.Model = (*Model)(nil)
 
-// SteadyState finds Eq. (5)'s fixed point: a short RK4 relaxation into the
-// basin followed by damped-Newton polishing (with a pure-relaxation
-// fallback inside fluid.SteadyStateHybrid).
-func (m *Model) SteadyState(opt ode.SteadyStateOptions) ([]float64, error) {
+// eq5Options is opt with Eq. (5)'s solver settings — unit steps, a 5e6
+// horizon and a 1e-11 tolerance — in the fields it leaves unset.
+func eq5Options(opt ode.SteadyStateOptions) ode.SteadyStateOptions {
 	if opt.Step <= 0 {
 		opt.Step = 1
 	}
@@ -206,23 +205,21 @@ func (m *Model) SteadyState(opt ode.SteadyStateOptions) ([]float64, error) {
 	if opt.Tol <= 0 {
 		opt.Tol = 1e-11
 	}
-	return fluid.SteadyStateHybrid(m, opt)
+	return opt
+}
+
+// SteadyState finds Eq. (5)'s fixed point: a short RK4 relaxation into the
+// basin followed by damped-Newton polishing (with a pure-relaxation
+// fallback inside fluid.SteadyStateHybrid).
+func (m *Model) SteadyState(opt ode.SteadyStateOptions) ([]float64, error) {
+	return fluid.SteadyStateHybrid(m, eq5Options(opt))
 }
 
 // SteadyStateRelaxed relaxes Eq. (5) all the way down with fixed-step RK4 —
 // slower than SteadyState but with no Newton step; kept for
 // cross-validation.
 func (m *Model) SteadyStateRelaxed(opt ode.SteadyStateOptions) ([]float64, error) {
-	if opt.Step <= 0 {
-		opt.Step = 1
-	}
-	if opt.MaxTime <= 0 {
-		opt.MaxTime = 5e6
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-11
-	}
-	return fluid.SteadyState(m, opt)
+	return fluid.SteadyState(m, eq5Options(opt))
 }
 
 // Evaluate relaxes the model and converts the fixed point into per-class

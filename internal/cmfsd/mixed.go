@@ -151,8 +151,7 @@ func (r *MixedResult) AvgOnlinePerFile() float64 {
 // Evaluate solves the mixed model (hybrid relax-then-Newton) and reports
 // per-group metrics.
 func (m *Mixed) Evaluate() (*MixedResult, error) {
-	opt := ode.SteadyStateOptions{Step: 1, MaxTime: 5e6, Tol: 1e-11}
-	ss, err := fluid.SteadyStateHybrid(m, opt)
+	ss, err := fluid.SteadyStateHybrid(m, eq5Options(ode.SteadyStateOptions{}))
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"mfdl/internal/correlation"
 	"mfdl/internal/fluid"
+	"mfdl/internal/numeric/ode"
 )
 
 func mixedModel(t testing.TB, p float64, groups []Group) *Mixed {
@@ -153,7 +154,7 @@ func TestMixedSeedFlowBalance(t *testing.T) {
 		{Name: "obedient", Fraction: 0.6, Rho: 0.2},
 		{Name: "cheater", Fraction: 0.4, Rho: 1},
 	})
-	ss, err := fluid.SteadyState(m, fluid.SteadyStateOptions{Step: 1, MaxTime: 5e6, Tol: 1e-11})
+	ss, err := fluid.SteadyState(m, ode.SteadyStateOptions{Step: 1, MaxTime: 5e6, Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
 	}

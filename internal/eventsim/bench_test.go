@@ -34,7 +34,7 @@ func newBenchSim(b testing.TB, cfg Config) *sim {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := faults.NewPlan(cfg.Faults.Mixed(cfg.Seed), nil)
+	plan, err := faults.NewPlan(cfg.Faults.Mixed(cfg.Seed))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -300,7 +300,7 @@ func Run(cfg Config) (*Result, error) {
 	// The fault plan mixes the sim seed into the chaos seed so replicas
 	// (distinct sim seeds) draw decorrelated faults while each (seed,
 	// chaos-seed) pair stays fully deterministic.
-	plan, err := faults.NewPlan(cfg.Faults.Mixed(cfg.Seed), nil)
+	plan, err := faults.NewPlan(cfg.Faults.Mixed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +451,6 @@ func (s *sim) newPeer() *peer {
 		}
 		if f := s.plan.UploadFactor(p.id); f < 1 {
 			p.mu *= f
-			s.plan.NoteSlowPeer()
 		}
 	}
 	for i, f := range files {
@@ -895,12 +894,10 @@ func (s *sim) stepOnce() bool {
 		s.departPeer(actor)
 	case evPeerAbort:
 		actor.aborted = true
-		s.plan.NoteAbort()
 		s.departPeer(actor)
 	case evVsQuit:
 		actor.vsQuit = true
 		s.res.SeedQuits++
-		s.plan.NoteSeedQuit()
 	case evAdapt:
 		s.adaptTick()
 		s.nextAdapt = s.now + s.cfg.Adapt.Period

@@ -6,6 +6,7 @@ import (
 
 	"mfdl/internal/adapt"
 	"mfdl/internal/fluid"
+	"mfdl/internal/numeric/ode"
 	"mfdl/internal/scheme"
 	"mfdl/internal/stats"
 )
@@ -407,7 +408,7 @@ func TestHeterogeneousMatchesMultiClassFluid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := fluid.SteadyState(fm, fluid.SteadyStateOptions{MaxTime: 2e6})
+	ss, err := fluid.SteadyState(fm, ode.SteadyStateOptions{MaxTime: 2e6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"mfdl/internal/obs"
 )
 
 // churnSettings is a fast operating point with enough completions for the
@@ -117,5 +119,36 @@ func TestChurnSweepDeterministic(t *testing.T) {
 	pooled := render(8)
 	if serial != pooled {
 		t.Fatalf("churn tables differ across worker counts:\n-- workers=1 --\n%s\n-- workers=8 --\n%s", serial, pooled)
+	}
+}
+
+// With a registry, ChurnSweep records the aborts and seed quits its rows
+// report on faults_aborts_total and faults_seed_quits_total.
+func TestChurnSweepCountsFaults(t *testing.T) {
+	set := churnSettings()
+	set.Horizon = 1200
+	set.Warmup = 300
+	set.Replicas = 2
+	set.Obs = obs.New()
+	res, err := ChurnSweep(context.Background(), set, 1, 7,
+		[]float64{0.03}, []float64{0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aborts, quits uint64
+	for _, row := range res.Rows {
+		aborts += uint64(row.Aborted)
+	}
+	for _, row := range res.QuitRows {
+		quits += uint64(row.SeedQuits)
+	}
+	if aborts == 0 || quits == 0 {
+		t.Fatalf("no faults to count: %d aborts, %d seed quits", aborts, quits)
+	}
+	if got := set.Obs.Counter("faults_aborts_total").Value(); got != aborts {
+		t.Errorf("faults_aborts_total = %d, want %d", got, aborts)
+	}
+	if got := set.Obs.Counter("faults_seed_quits_total").Value(); got != quits {
+		t.Errorf("faults_seed_quits_total = %d, want %d", got, quits)
 	}
 }

@@ -21,7 +21,6 @@
 //	Crossover   — per-class correlation threshold where MTCD stops beating
 //	              MTSD
 //	CheatingSweep — mixed obedient/cheater fluid populations
-//	Report      — every fluid artifact exported as CSV
 //
 // Every function returns both structured series (for tests and benchmarks)
 // and a *table.Table rendering of exactly the rows the paper plots.
@@ -37,6 +36,7 @@ import (
 	"mfdl/internal/fluid"
 	"mfdl/internal/metrics"
 	"mfdl/internal/mtcd"
+	"mfdl/internal/numeric/ode"
 	"mfdl/internal/numeric/rootfind"
 	"mfdl/internal/obs"
 	"mfdl/internal/rng"
@@ -586,7 +586,7 @@ func StabilityTable(cfg Config) ([]StabilityRow, *table.Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			ss, err := mf.SteadyState(fluid.SteadyStateOptions{})
+			ss, err := mf.SteadyState(ode.SteadyStateOptions{})
 			if err != nil {
 				return nil, nil, err
 			}

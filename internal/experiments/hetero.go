@@ -6,6 +6,7 @@ import (
 
 	"mfdl/internal/eventsim"
 	"mfdl/internal/fluid"
+	"mfdl/internal/numeric/ode"
 	"mfdl/internal/replica"
 	"mfdl/internal/scheme"
 	"mfdl/internal/sim"
@@ -57,7 +58,7 @@ func Hetero(ctx context.Context, set SimSettings, lambda0 float64, classes []Het
 	if err != nil {
 		return nil, err
 	}
-	ss, err := fluid.SteadyState(fm, fluid.SteadyStateOptions{MaxTime: 2e6})
+	ss, err := fluid.SteadyState(fm, ode.SteadyStateOptions{MaxTime: 2e6})
 	if err != nil {
 		return nil, err
 	}

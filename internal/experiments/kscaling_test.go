@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -40,33 +37,5 @@ func TestKScalingShape(t *testing.T) {
 func TestKScalingRejectsBadConfig(t *testing.T) {
 	if _, err := KScaling(PaperConfig, 0.9, []int{0}); err == nil {
 		t.Fatal("K=0 accepted")
-	}
-}
-
-func TestReportWritesAllArtifacts(t *testing.T) {
-	dir := t.TempDir()
-	files, err := Report(context.Background(), PaperConfig, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 12 {
-		t.Fatalf("wrote %d artifacts, want 12", len(files))
-	}
-	for _, f := range files {
-		info, err := os.Stat(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Size() == 0 {
-			t.Fatalf("%s is empty", f)
-		}
-	}
-	// Spot-check one artifact's content.
-	data, err := os.ReadFile(filepath.Join(dir, "fig2.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "p,MTCD,MTSD") {
-		t.Fatalf("fig2.csv header missing:\n%s", data)
 	}
 }

@@ -14,16 +14,14 @@
 //     eight.
 //
 // The simulators (internal/eventsim, internal/swarm) consume the plan via
-// small hooks at arrival/transfer time. Observability is optional: pass an
-// obs.Registry to NewPlan and the plan maintains faults_* counters, pass
-// nil and every Note* call is a no-op.
+// small hooks at arrival/transfer time and count the aborts, seed quits
+// and lost chunks it causes in their own results.
 package faults
 
 import (
 	"fmt"
 	"math"
 
-	"mfdl/internal/obs"
 	"mfdl/internal/rng"
 )
 
@@ -130,29 +128,18 @@ const (
 // unconditionally.
 type Plan struct {
 	cfg Config
-
-	aborts    *obs.Counter
-	seedQuits *obs.Counter
-	slow      *obs.Counter
-	lost      *obs.Counter
 }
 
 // NewPlan validates cfg and builds its plan; a disabled configuration
-// yields nil (inject nothing) without error. The registry may be nil.
-func NewPlan(cfg Config, ob *obs.Registry) (*Plan, error) {
+// yields nil (inject nothing) without error.
+func NewPlan(cfg Config) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if !cfg.Enabled() {
 		return nil, nil
 	}
-	return &Plan{
-		cfg:       cfg,
-		aborts:    ob.Counter("faults_aborts_total"),
-		seedQuits: ob.Counter("faults_seed_quits_total"),
-		slow:      ob.Counter("faults_slow_peers_total"),
-		lost:      ob.Counter("faults_messages_lost_total"),
-	}, nil
+	return &Plan{cfg: cfg}, nil
 }
 
 // stream is the dedicated rng stream for one (kind, entity) pair.
@@ -208,35 +195,4 @@ func (p *Plan) LossProb() float64 {
 		return 0
 	}
 	return p.cfg.MessageLoss
-}
-
-// Note* record injected events on the faults_* counters. All are no-ops
-// on a nil plan or a nil registry, and safe for concurrent use.
-
-// NoteAbort records one injected downloader abort.
-func (p *Plan) NoteAbort() {
-	if p != nil {
-		p.aborts.Inc()
-	}
-}
-
-// NoteSeedQuit records one virtual seed quitting early.
-func (p *Plan) NoteSeedQuit() {
-	if p != nil {
-		p.seedQuits.Inc()
-	}
-}
-
-// NoteSlowPeer records one peer entering throttled.
-func (p *Plan) NoteSlowPeer() {
-	if p != nil {
-		p.slow.Inc()
-	}
-}
-
-// NoteLoss records one lost message.
-func (p *Plan) NoteLoss() {
-	if p != nil {
-		p.lost.Inc()
-	}
 }

@@ -4,13 +4,11 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"mfdl/internal/obs"
 )
 
 func mustPlan(t *testing.T, cfg Config) *Plan {
 	t.Helper()
-	p, err := NewPlan(cfg, nil)
+	p, err := NewPlan(cfg)
 	if err != nil {
 		t.Fatalf("NewPlan(%+v): %v", cfg, err)
 	}
@@ -86,7 +84,7 @@ func TestAbortAfterMean(t *testing.T) {
 }
 
 func TestDisabledAndNil(t *testing.T) {
-	p, err := NewPlan(Config{Seed: 3}, nil)
+	p, err := NewPlan(Config{Seed: 3})
 	if err != nil {
 		t.Fatalf("disabled config: %v", err)
 	}
@@ -100,10 +98,6 @@ func TestDisabledAndNil(t *testing.T) {
 	if p.UploadFactor(1) != 1 || p.LossProb() != 0 {
 		t.Fatalf("nil plan must be a no-op")
 	}
-	p.NoteAbort()
-	p.NoteSeedQuit()
-	p.NoteLoss()
-	p.NoteSlowPeer()
 }
 
 func TestValidateRejects(t *testing.T) {
@@ -142,7 +136,7 @@ func TestUnmodelledFaultsRejected(t *testing.T) {
 		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "not modelled") {
 			t.Errorf("Validate(%+v) = %v, want a not-modelled error", cfg, err)
 		}
-		if _, err := NewPlan(cfg, nil); err == nil {
+		if _, err := NewPlan(cfg); err == nil {
 			t.Errorf("NewPlan(%+v) accepted an unmodelled fault", cfg)
 		}
 	}
@@ -160,27 +154,5 @@ func TestMixed(t *testing.T) {
 	}
 	if base.Mixed(1).AbortRate != base.AbortRate {
 		t.Fatalf("Mixed must only change the seed")
-	}
-}
-
-func TestCountersLandInRegistry(t *testing.T) {
-	ob := obs.New()
-	p, err := NewPlan(Config{Seed: 1, AbortRate: 0.5}, ob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.NoteAbort()
-	p.NoteAbort()
-	p.NoteAbort()
-	p.NoteSeedQuit()
-	p.NoteLoss()
-	if got := ob.Counter("faults_aborts_total").Value(); got != 3 {
-		t.Fatalf("faults_aborts_total = %d, want 3", got)
-	}
-	if got := ob.Counter("faults_seed_quits_total").Value(); got != 1 {
-		t.Fatalf("faults_seed_quits_total = %d, want 1", got)
-	}
-	if got := ob.Counter("faults_messages_lost_total").Value(); got != 1 {
-		t.Fatalf("faults_messages_lost_total = %d, want 1", got)
 	}
 }

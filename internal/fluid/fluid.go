@@ -1,8 +1,8 @@
 // Package fluid provides the shared fluid-model framework used by every
 // downloading-scheme model in this repository (Section 2 of the paper): a
 // Model interface over autonomous ODE systems, steady-state solvers,
-// finite-difference Jacobians with eigenvalue-based stability reports, and
-// the Qiu–Srikant single-torrent model with its closed forms.
+// eigenvalue-based stability reports (over ode.Jacobian), and the
+// Qiu–Srikant single-torrent model with its closed forms.
 //
 // Conventions: populations are continuous ("fluid") peer counts; time is in
 // the same unit as 1/μ (the paper uses file-per-time-unit bandwidths, e.g.
@@ -12,7 +12,6 @@ package fluid
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"mfdl/internal/numeric/linalg"
 	"mfdl/internal/numeric/ode"
@@ -63,12 +62,9 @@ type Model interface {
 	InitialState() []float64
 }
 
-// SteadyStateOptions re-exports the ODE relaxation knobs.
-type SteadyStateOptions = ode.SteadyStateOptions
-
 // SteadyState relaxes the model to its fixed point with RK4 and returns the
 // steady-state vector.
-func SteadyState(m Model, opt SteadyStateOptions) ([]float64, error) {
+func SteadyState(m Model, opt ode.SteadyStateOptions) ([]float64, error) {
 	x := m.InitialState()
 	if len(x) != m.Dim() {
 		return nil, errors.New("fluid: InitialState dimension mismatch")
@@ -77,18 +73,26 @@ func SteadyState(m Model, opt SteadyStateOptions) ([]float64, error) {
 	if _, err := ode.SteadyState(stepper, m.RHS, x, opt); err != nil {
 		return nil, err
 	}
+	if err := clampDust(x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// clampDust zeroes the tiny negative dust (above −1e-6) that relaxation
+// or Newton can leave in components whose fixed point is 0, and rejects a
+// genuinely negative component.
+func clampDust(x []float64) error {
 	for i, v := range x {
-		// Relaxation can leave tiny negative dust in components whose
-		// fixed point is 0; clamp it, but reject genuinely negative states.
 		if v < 0 {
 			if v > -1e-6 {
 				x[i] = 0
 				continue
 			}
-			return nil, fmt.Errorf("fluid: negative steady-state component %d = %v", i, v)
+			return fmt.Errorf("fluid: negative steady-state component %d = %v", i, v)
 		}
 	}
-	return x, nil
+	return nil
 }
 
 // SteadyStateHybrid finds the fixed point by a short RK4 relaxation into
@@ -96,7 +100,7 @@ func SteadyState(m Model, opt SteadyStateOptions) ([]float64, error) {
 // an order of magnitude faster than relaxing all the way down for the
 // larger models (CMFSD's 65 states, the mixed-population variants). It
 // falls back to full relaxation when Newton stalls.
-func SteadyStateHybrid(m Model, opt SteadyStateOptions) ([]float64, error) {
+func SteadyStateHybrid(m Model, opt ode.SteadyStateOptions) ([]float64, error) {
 	coarse := opt
 	if coarse.Tol <= 0 || coarse.Tol < 1e-4 {
 		coarse.Tol = 1e-4
@@ -114,60 +118,17 @@ func SteadyStateHybrid(m Model, opt SteadyStateOptions) ([]float64, error) {
 		tol = 1e-12
 	}
 	polished := append([]float64(nil), x...)
-	if err := ode.NewtonSteadyState(m.RHS, polished, ode.NewtonOptions{Tol: tol}); err == nil {
-		ok := true
-		for i, v := range polished {
-			if v < 0 {
-				if v > -1e-6 {
-					polished[i] = 0
-					continue
-				}
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return polished, nil
-		}
+	if ode.NewtonSteadyState(m.RHS, polished, tol) == nil && clampDust(polished) == nil {
+		return polished, nil
 	}
 	// Newton left the physical region or stalled: finish by relaxation.
-	fine := opt
-	if _, err := ode.SteadyState(stepper, m.RHS, x, fine); err != nil {
+	if _, err := ode.SteadyState(stepper, m.RHS, x, opt); err != nil {
 		return nil, err
 	}
-	for i, v := range x {
-		if v < 0 {
-			if v > -1e-6 {
-				x[i] = 0
-				continue
-			}
-			return nil, fmt.Errorf("fluid: negative steady-state component %d = %v", i, v)
-		}
+	if err := clampDust(x); err != nil {
+		return nil, err
 	}
 	return x, nil
-}
-
-// Jacobian computes the finite-difference Jacobian ∂f/∂x of the model at
-// state x using central differences.
-func Jacobian(m Model, x []float64) *linalg.Matrix {
-	n := m.Dim()
-	j := linalg.NewMatrix(n, n)
-	fPlus := make([]float64, n)
-	fMinus := make([]float64, n)
-	xp := append([]float64(nil), x...)
-	for col := 0; col < n; col++ {
-		h := 1e-6 * math.Max(1, math.Abs(x[col]))
-		orig := xp[col]
-		xp[col] = orig + h
-		m.RHS(0, xp, fPlus)
-		xp[col] = orig - h
-		m.RHS(0, xp, fMinus)
-		xp[col] = orig
-		for row := 0; row < n; row++ {
-			j.Set(row, col, (fPlus[row]-fMinus[row])/(2*h))
-		}
-	}
-	return j
 }
 
 // StabilityReport describes the linearization of a model at a fixed point.
@@ -184,7 +145,9 @@ type StabilityReport struct {
 // Stability linearizes the model at state x and reports eigenvalue-based
 // local stability.
 func Stability(m Model, x []float64) (*StabilityReport, error) {
-	j := Jacobian(m, x)
+	n := m.Dim()
+	j := linalg.NewMatrix(n, n)
+	ode.Jacobian(m.RHS, x, 1e-6, j, make([]float64, n), make([]float64, n), make([]float64, n))
 	eigs, err := linalg.Eigenvalues(j)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"mfdl/internal/numeric/linalg"
+	"mfdl/internal/numeric/ode"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -79,7 +82,7 @@ func TestSingleTorrentSteadyStateMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SteadyState(m, SteadyStateOptions{})
+	got, err := SteadyState(m, ode.SteadyStateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +150,7 @@ func TestDownloadConstrainedRegime(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.C = 0.001 // far below μη
-	got, err := SteadyState(m, SteadyStateOptions{MaxTime: 5e6})
+	got, err := SteadyState(m, ode.SteadyStateOptions{MaxTime: 5e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func TestAbortRateReducesCompletions(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Theta = 0.01
-	got, err := SteadyState(m, SteadyStateOptions{})
+	got, err := SteadyState(m, ode.SteadyStateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +181,7 @@ func TestStabilityOfSingleTorrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := SteadyState(m, SteadyStateOptions{})
+	ss, err := SteadyState(m, ode.SteadyStateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +204,8 @@ func TestJacobianMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := Jacobian(m, []float64{30, 20})
+	j := linalg.NewMatrix(2, 2)
+	ode.Jacobian(m.RHS, []float64{30, 20}, 1e-6, j, make([]float64, 2), make([]float64, 2), make([]float64, 2))
 	want := [2][2]float64{
 		{-m.Mu * m.Eta, -m.Mu},
 		{m.Mu * m.Eta, m.Mu - m.Gamma},
@@ -231,11 +235,11 @@ func TestSteadyStateHybridMatchesRelaxation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, err := SteadyStateHybrid(m, SteadyStateOptions{})
+	hybrid, err := SteadyStateHybrid(m, ode.SteadyStateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	relaxed, err := SteadyState(m, SteadyStateOptions{})
+	relaxed, err := SteadyState(m, ode.SteadyStateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +261,7 @@ func TestSteadyStateHybridMultiClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := SteadyStateHybrid(m, SteadyStateOptions{MaxTime: 2e6})
+	ss, err := SteadyStateHybrid(m, ode.SteadyStateOptions{MaxTime: 2e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,10 +284,10 @@ func TestSteadyStateRejectsDimensionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &badDim{*st}
-	if _, err := SteadyState(bad, SteadyStateOptions{}); err == nil {
+	if _, err := SteadyState(bad, ode.SteadyStateOptions{}); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
-	if _, err := SteadyStateHybrid(bad, SteadyStateOptions{}); err == nil {
+	if _, err := SteadyStateHybrid(bad, ode.SteadyStateOptions{}); err == nil {
 		t.Fatal("hybrid dimension mismatch accepted")
 	}
 }

@@ -3,6 +3,8 @@ package fluid
 import (
 	"math"
 	"testing"
+
+	"mfdl/internal/numeric/ode"
 )
 
 func paperClass(name string, lambda float64) Class {
@@ -29,7 +31,7 @@ func TestMultiClassHomogeneousMatchesSingleTorrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := SteadyState(m, SteadyStateOptions{})
+	ss, err := SteadyState(m, ode.SteadyStateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +49,11 @@ func TestMultiClassSplitIsNeutral(t *testing.T) {
 	// per-class times.
 	whole, _ := NewMultiClass(0.5, []Class{paperClass("all", 2)})
 	split, _ := NewMultiClass(0.5, []Class{paperClass("a", 1), paperClass("b", 1)})
-	ssW, err := SteadyState(whole, SteadyStateOptions{})
+	ssW, err := SteadyState(whole, ode.SteadyStateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssS, err := SteadyState(split, SteadyStateOptions{})
+	ssS, err := SteadyState(split, ode.SteadyStateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestMultiClassFlowConservation(t *testing.T) {
 		{Name: "broadband", Mu: 0.04, C: 4, Lambda: 1, Gamma: 0.05},
 		{Name: "dsl", Mu: 0.01, C: 1, Lambda: 2, Gamma: 0.05},
 	})
-	ss, err := SteadyState(m, SteadyStateOptions{MaxTime: 2e6})
+	ss, err := SteadyState(m, ode.SteadyStateOptions{MaxTime: 2e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestMultiClassFasterUploadersDownloadFaster(t *testing.T) {
 		{Name: "broadband", Mu: 0.04, C: 2, Lambda: 1, Gamma: 0.05},
 		{Name: "dsl", Mu: 0.01, C: 2, Lambda: 1, Gamma: 0.05},
 	})
-	ss, err := SteadyState(m, SteadyStateOptions{MaxTime: 2e6})
+	ss, err := SteadyState(m, ode.SteadyStateOptions{MaxTime: 2e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestMultiClassDownloadCapacityBiasesSeedService(t *testing.T) {
 		{Name: "fat-pipe", Mu: 0.02, C: 8, Lambda: 1, Gamma: 0.05},
 		{Name: "thin-pipe", Mu: 0.02, C: 1, Lambda: 1, Gamma: 0.05},
 	})
-	ss, err := SteadyState(m, SteadyStateOptions{MaxTime: 2e6})
+	ss, err := SteadyState(m, ode.SteadyStateOptions{MaxTime: 2e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestMultiClassStability(t *testing.T) {
 		{Name: "a", Mu: 0.04, C: 4, Lambda: 1, Gamma: 0.05},
 		{Name: "b", Mu: 0.01, C: 1, Lambda: 2, Gamma: 0.08},
 	})
-	ss, err := SteadyState(m, SteadyStateOptions{MaxTime: 2e6})
+	ss, err := SteadyState(m, ode.SteadyStateOptions{MaxTime: 2e6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"mfdl/internal/numeric/ode"
 )
 
 // SingleTorrent is the Qiu–Srikant single-file single-torrent fluid model
@@ -90,12 +92,13 @@ func (m *SingleTorrent) InitialState() []float64 {
 // case (θ > 0 or a finite download bandwidth c) where no closed form
 // exists. The RHS is homogeneous of degree 1 in (λ, x, y), so the
 // per-peer times x/λ and (x+y)/λ are λ-invariant; callers that only need
-// times can solve at λ = 1 for the best numerical conditioning.
-func (m *SingleTorrent) SteadyStateNumeric(opt SteadyStateOptions) (x, y float64, err error) {
+// times can solve at λ = 1 for the best numerical conditioning. The
+// solver runs at the ode.SteadyStateOptions defaults.
+func (m *SingleTorrent) SteadyStateNumeric() (x, y float64, err error) {
 	if err := m.Validate(); err != nil {
 		return 0, 0, err
 	}
-	ss, err := SteadyStateHybrid(m, opt)
+	ss, err := SteadyStateHybrid(m, ode.SteadyStateOptions{})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -127,7 +127,7 @@ func (m *Model) evaluateTheta() (*metrics.SchemeResult, error) {
 		// torrent with aborts. Its RHS is homogeneous of degree 1 in
 		// (λ, x, y), so per-file times are λ-invariant; solve at λ = 1.
 		st := &fluid.SingleTorrent{Params: m.Params, Lambda: 1, Theta: m.Theta}
-		x, y, err := st.SteadyStateNumeric(fluid.SteadyStateOptions{})
+		x, y, err := st.SteadyStateNumeric()
 		if err != nil {
 			return nil, fmt.Errorf("mtcd: θ>0 single-torrent limit: %w", err)
 		}

@@ -62,7 +62,7 @@ func (m *Model) Evaluate() (*metrics.SchemeResult, error) {
 		// λ = 1. y/λ is the completion fraction times 1/γ — aborters
 		// never seed, so the per-file online time shrinks accordingly.
 		st := &fluid.SingleTorrent{Params: m.Params, Lambda: 1, Theta: m.Theta}
-		x, y, err := st.SteadyStateNumeric(fluid.SteadyStateOptions{})
+		x, y, err := st.SteadyStateNumeric()
 		if err != nil {
 			return nil, fmt.Errorf("mtsd: θ>0 relaxation: %w", err)
 		}

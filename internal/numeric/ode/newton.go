@@ -8,18 +8,20 @@ import (
 	"mfdl/internal/numeric/linalg"
 )
 
-// numericalJacobian fills jac with ∂f/∂x by central differences; fp, fm
-// and xp are caller-owned work slices of len(x).
-func numericalJacobian(f RHS, t float64, x []float64, jac *linalg.Matrix, fp, fm, xp []float64) {
+// Jacobian fills jac with ∂f/∂x of the autonomous f at x (evaluated at
+// t = 0) by central differences, perturbing component c by
+// rel·max(1, |x[c]|); fp, fm and xp are caller-owned work slices of
+// len(x).
+func Jacobian(f RHS, x []float64, rel float64, jac *linalg.Matrix, fp, fm, xp []float64) {
 	n := len(x)
 	copy(xp, x)
 	for c := 0; c < n; c++ {
-		h := 1e-7 * math.Max(1, math.Abs(x[c]))
+		h := rel * math.Max(1, math.Abs(x[c]))
 		orig := xp[c]
 		xp[c] = orig + h
-		f(t, xp, fp)
+		f(0, xp, fp)
 		xp[c] = orig - h
-		f(t, xp, fm)
+		f(0, xp, fm)
 		xp[c] = orig
 		for r := 0; r < n; r++ {
 			jac.Set(r, c, (fp[r]-fm[r])/(2*h))
@@ -27,38 +29,16 @@ func numericalJacobian(f RHS, t float64, x []float64, jac *linalg.Matrix, fp, fm
 	}
 }
 
-// NewtonOptions configures NewtonSteadyState.
-type NewtonOptions struct {
-	// Tol is the residual tolerance ‖f(x)‖∞ (default 1e-12).
-	Tol float64
-	// MaxIter bounds the Newton iterations (default 200).
-	MaxIter int
-	// Damping is the backtracking shrink factor (default 0.5) applied
-	// until the residual decreases; at most 30 halvings per iteration.
-	Damping float64
-}
-
-func (o *NewtonOptions) defaults() {
-	if o.Tol <= 0 {
-		o.Tol = 1e-12
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200
-	}
-	if o.Damping <= 0 || o.Damping >= 1 {
-		o.Damping = 0.5
-	}
-}
-
 // ErrNewtonFailed is returned when the damped Newton iteration stalls.
 var ErrNewtonFailed = errors.New("ode: Newton steady-state iteration failed")
 
 // NewtonSteadyState solves f(x) = 0 directly by damped Newton iteration
-// from the supplied starting state (modified in place). It is vastly
-// faster than time relaxation when the starting point is in the basin —
-// callers typically warm-start it with a short relaxation.
-func NewtonSteadyState(f RHS, x []float64, opt NewtonOptions) error {
-	opt.defaults()
+// from the supplied starting state (modified in place), until the residual
+// ‖f(x)‖∞ is at most tol. Each of at most 200 iterations backtracks,
+// halving the step up to 30 times, until the residual decreases. It is
+// vastly faster than time relaxation when the starting point is in the
+// basin — callers typically warm-start it with a short relaxation.
+func NewtonSteadyState(f RHS, x []float64, tol float64) error {
 	n := len(x)
 	fx := make([]float64, n)
 	trial := make([]float64, n)
@@ -67,11 +47,11 @@ func NewtonSteadyState(f RHS, x []float64, opt NewtonOptions) error {
 	fp, fm, xp, rhs := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 	f(0, x, fx)
 	resid := MaxNorm(fx)
-	for it := 0; it < opt.MaxIter; it++ {
-		if resid <= opt.Tol {
+	for it := 0; it < 200; it++ {
+		if resid <= tol {
 			return nil
 		}
-		numericalJacobian(f, 0, x, jac, fp, fm, xp)
+		Jacobian(f, x, 1e-7, jac, fp, fm, xp)
 		for i := range rhs {
 			rhs[i] = -fx[i]
 		}
@@ -93,13 +73,13 @@ func NewtonSteadyState(f RHS, x []float64, opt NewtonOptions) error {
 				improved = true
 				break
 			}
-			step *= opt.Damping
+			step *= 0.5
 		}
 		if !improved {
 			return ErrNewtonFailed
 		}
 	}
-	if resid <= opt.Tol {
+	if resid <= tol {
 		return nil
 	}
 	return ErrNewtonFailed

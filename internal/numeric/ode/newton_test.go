@@ -11,7 +11,7 @@ func TestNewtonSteadyStateLinear(t *testing.T) {
 		dst[1] = 3 - x[1]
 	}
 	x := []float64{100, -100}
-	if err := NewtonSteadyState(rhs, x, NewtonOptions{}); err != nil {
+	if err := NewtonSteadyState(rhs, x, 1e-12); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(x[0]-2) > 1e-10 || math.Abs(x[1]-3) > 1e-10 {
@@ -23,7 +23,7 @@ func TestNewtonSteadyStateNonlinear(t *testing.T) {
 	// Logistic: f(x) = x(1-x); from 0.2 Newton must find x = 1 or x = 0 —
 	// with damping from 0.2 it converges to a root with zero residual.
 	x := []float64{0.2}
-	if err := NewtonSteadyState(logistic, x, NewtonOptions{}); err != nil {
+	if err := NewtonSteadyState(logistic, x, 1e-12); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(x[0]) > 1e-9 && math.Abs(x[0]-1) > 1e-9 {
@@ -34,7 +34,7 @@ func TestNewtonSteadyStateNonlinear(t *testing.T) {
 func TestNewtonSteadyStateFailsOnRootlessSystem(t *testing.T) {
 	rhs := func(t float64, x, dst []float64) { dst[0] = 1 + x[0]*x[0] }
 	x := []float64{0}
-	if err := NewtonSteadyState(rhs, x, NewtonOptions{MaxIter: 30}); err == nil {
+	if err := NewtonSteadyState(rhs, x, 1e-12); err == nil {
 		t.Fatal("rootless system converged")
 	}
 }
@@ -52,7 +52,7 @@ func TestNewtonMatchesRelaxation(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := []float64{1, 1, 1}
-	if err := NewtonSteadyState(rhs, b, NewtonOptions{}); err != nil {
+	if err := NewtonSteadyState(rhs, b, 1e-12); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a {
@@ -70,7 +70,7 @@ func BenchmarkNewtonSteadyState(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		x := make([]float64, 20)
-		if err := NewtonSteadyState(rhs, x, NewtonOptions{}); err != nil {
+		if err := NewtonSteadyState(rhs, x, 1e-12); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -137,10 +137,11 @@ type SteadyStateOptions struct {
 	Tol float64
 	// MaxTime bounds the simulated time (default 1e6).
 	MaxTime float64
-	// CheckEvery is the number of steps between convergence checks
-	// (default 16).
-	CheckEvery int
 }
+
+// checkEvery is the number of steps SteadyState takes between
+// convergence checks.
+const checkEvery = 16
 
 func (o *SteadyStateOptions) defaults() {
 	if o.Step <= 0 {
@@ -151,9 +152,6 @@ func (o *SteadyStateOptions) defaults() {
 	}
 	if o.MaxTime <= 0 {
 		o.MaxTime = 1e6
-	}
-	if o.CheckEvery <= 0 {
-		o.CheckEvery = 16
 	}
 }
 
@@ -172,7 +170,7 @@ func SteadyState(s *RK4, f RHS, x []float64, opt SteadyStateOptions) (float64, e
 	resid := make([]float64, dim)
 	t := 0.0
 	for t < opt.MaxTime {
-		for i := 0; i < opt.CheckEvery && t < opt.MaxTime; i++ {
+		for i := 0; i < checkEvery && t < opt.MaxTime; i++ {
 			s.Step(f, t, x, opt.Step)
 			t += opt.Step
 		}

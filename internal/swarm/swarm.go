@@ -355,7 +355,7 @@ func newSim(cfg Config) (*sim, error) {
 	}
 	// Mixing the sim seed into the chaos seed decorrelates replicas while
 	// keeping each (seed, chaos-seed) pair fully deterministic.
-	plan, err := faults.NewPlan(cfg.Faults.Mixed(cfg.Seed), nil)
+	plan, err := faults.NewPlan(cfg.Faults.Mixed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +457,6 @@ func (s *sim) addPeer() {
 		}
 		if f := s.plan.UploadFactor(id); f < 1 {
 			t.uploadFactor[slot] = f
-			s.plan.NoteSlowPeer()
 		}
 	}
 	if s.cfg.Scheme == scheme.SimCMFSD {
@@ -590,7 +589,6 @@ func (s *sim) step() {
 		if s.lossSrc != nil && s.lossSrc.Bernoulli(s.plan.LossProb()) {
 			// Injected delivery loss: the chunk is sent but never lands.
 			s.res.ChunksLost++
-			s.plan.NoteLoss()
 			continue
 		}
 		t.setChunk(tr.to, tr.chunk)
@@ -635,14 +633,12 @@ func (s *sim) step() {
 				if t.vsQuitLeft[p] == 0 {
 					t.vsQuit[p] = true
 					s.res.SeedQuits++
-					s.plan.NoteSeedQuit()
 				}
 			}
 			if t.abortLeft[p] > 0 {
 				t.abortLeft[p]--
 				if t.abortLeft[p] == 0 {
 					t.aborted[p] = true
-					s.plan.NoteAbort()
 					s.depart(p)
 					t.freeSlot(p)
 					continue
