@@ -1,7 +1,8 @@
 # Verification tiers. tier1 is the gate every change must keep green; it
 # includes the static gates (import DAG, dead code, flag/doc drift,
-# gofmt), which `make gates` runs alone. tier2 adds static analysis, the
-# race detector over every package, and the benchmark's own smoke test.
+# gofmt), which `make gates` runs alone. tier2 adds static analysis (go
+# vet, also cross-compiled for arm64, where Go fuses x*y + z into an FMA),
+# the race detector over every package, and the benchmark's own smoke test.
 # DESIGN.md, "Verification tiers", says what the gates check and what the
 # race run is there to catch, package by package.
 
@@ -11,7 +12,7 @@ tier1:
 	go build ./... && go test ./...
 
 tier2:
-	go vet ./... && go test -race -timeout 30m ./... && go -C benchmark test ./...
+	go vet ./... && GOARCH=arm64 go vet ./... && go test -race -timeout 30m ./... && go -C benchmark test ./...
 
 # gates runs only the static gates (gates_test.go): the import DAG, the
 # dead-code scan, README's flag reference against every command's -h and

@@ -31,20 +31,24 @@ type Model struct {
 	// Lambda0 is the web-server visiting rate λ₀.
 	Lambda0 float64
 
-	// rates[i-1] is λ_i, computed by New.
-	rates []float64
+	// rates[i-1] is λ_i and cdf[i-1] is λ_1+…+λ_i, computed by New.
+	rates, cdf []float64
 }
 
 // New validates and returns a correlation model with its class rates
-// λ_i = λ₀·BinomialPMF(K, i, p) tabulated.
+// λ_i = λ₀·BinomialPMF(K, i, p) and their running sums tabulated.
 func New(k int, p, lambda0 float64) (*Model, error) {
 	m := &Model{K: k, P: p, Lambda0: lambda0}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	m.rates = make([]float64, k)
+	m.cdf = make([]float64, k)
+	acc := 0.0
 	for i := range m.rates {
 		m.rates[i] = lambda0 * stats.BinomialPMF(k, i+1, p)
+		acc += m.rates[i]
+		m.cdf[i] = acc
 	}
 	return m, nil
 }
@@ -86,10 +90,16 @@ func (m *Model) TorrentClassRate(i int) float64 {
 
 // TotalUserRate returns Σ_{i≥1} λ_i = λ₀·(1−(1−p)^K), the rate of users who
 // request at least one file.
-func (m *Model) TotalUserRate() float64 {
-	s := 0.0
-	for i := 1; i <= m.K; i++ {
-		s += m.UserRate(i)
+func (m *Model) TotalUserRate() float64 { return m.cdf[m.K-1] }
+
+// Class maps u uniform on [0,1) to a user class drawn ∝ λ_i: the first i
+// with u·Σλ ≤ λ_1+…+λ_i. Both simulators draw arrivals' classes with it.
+func (m *Model) Class(u float64) int {
+	x := u * m.TotalUserRate()
+	for i, c := range m.cdf {
+		if x <= c {
+			return i + 1
+		}
 	}
-	return s
+	return m.K
 }

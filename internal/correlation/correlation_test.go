@@ -153,3 +153,29 @@ func TestRatesMatchBinomialFormula(t *testing.T) {
 		}
 	}
 }
+
+// TestClassDrawsProportionalToRates maps an even grid of u through Class:
+// each class must take its λ_i/Σλ share of the grid, to within one point.
+func TestClassDrawsProportionalToRates(t *testing.T) {
+	m, err := New(5, 0.4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10000
+	counts := make([]int, m.K+1)
+	for j := 0; j < n; j++ {
+		counts[m.Class((float64(j)+0.5)/n)]++
+	}
+	if counts[0] != 0 {
+		t.Fatalf("class 0 drawn %d times", counts[0])
+	}
+	for i := 1; i <= m.K; i++ {
+		want := n * m.UserRate(i) / m.TotalUserRate()
+		if math.Abs(float64(counts[i])-want) > 1 {
+			t.Errorf("class %d drawn %d times, want %.1f", i, counts[i], want)
+		}
+	}
+	if got := m.Class(math.Nextafter(1, 0)); got != m.K {
+		t.Errorf("Class(1⁻) = %d, want %d", got, m.K)
+	}
+}

@@ -3,9 +3,6 @@ package eventsim
 import (
 	"testing"
 
-	"mfdl/internal/correlation"
-	"mfdl/internal/faults"
-	"mfdl/internal/rng"
 	"mfdl/internal/scheme"
 )
 
@@ -24,34 +21,17 @@ func benchConfig(sc scheme.SimScheme, n int) Config {
 }
 
 // newBenchSim builds and initializes a sim without draining its event
-// loop (mirrors Run's setup).
+// loop.
 func newBenchSim(b testing.TB, cfg Config) *sim {
 	b.Helper()
-	if err := cfg.Validate(); err != nil {
-		b.Fatal(err)
-	}
-	corr, err := correlation.New(cfg.K, cfg.P, cfg.Lambda0)
+	s, err := newSim(cfg)
 	if err != nil {
 		b.Fatal(err)
-	}
-	plan, err := faults.NewPlan(cfg.Faults.Mixed(cfg.Seed))
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := &sim{
-		cfg:  cfg,
-		corr: corr,
-		rng:  rng.New(cfg.Seed),
-		plan: plan,
-		res:  &Result{Config: cfg, Classes: make([]ClassStats, cfg.K)},
-	}
-	for i := range s.res.Classes {
-		s.res.Classes[i].Class = i + 1
 	}
 	if !s.init() {
 		b.Fatal("event loop refused to start")
 	}
-	return s
+	return &s
 }
 
 // benchmarkEventsimStep measures one event at a population of about n

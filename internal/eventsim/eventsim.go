@@ -13,6 +13,9 @@
 // predictions with an independent mechanism (experiment E9 in DESIGN.md)
 // and (b) evaluate the Adapt controller and cheating peers (E8), which are
 // per-peer and dynamic and therefore outside the fluid model.
+//
+// Users are accounted in a replica.Ledger, the same one internal/swarm
+// keeps: Result embeds the replica.Outcome it fills, in simulated time.
 package eventsim
 
 import (
@@ -25,9 +28,9 @@ import (
 	"mfdl/internal/correlation"
 	"mfdl/internal/faults"
 	"mfdl/internal/fluid"
+	"mfdl/internal/replica"
 	"mfdl/internal/rng"
 	"mfdl/internal/scheme"
-	"mfdl/internal/stats"
 	"mfdl/internal/trace"
 )
 
@@ -138,7 +141,10 @@ func (c Config) Validate() error {
 	}
 	if len(c.Bandwidth) > 0 {
 		sum := 0.0
-		for _, b := range c.Bandwidth {
+		for i, b := range c.Bandwidth {
+			if slices.ContainsFunc(c.Bandwidth[:i], func(o BandwidthClass) bool { return o.Name == b.Name }) {
+				return fmt.Errorf("eventsim: bandwidth class %q named twice", b.Name)
+			}
 			if b.Mu <= 0 || b.Weight <= 0 {
 				return fmt.Errorf("eventsim: bandwidth class %q needs positive μ and weight", b.Name)
 			}
@@ -154,56 +160,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ClassStats aggregates departed users of one class. With fault injection
-// the time summaries include aborted users' partial times (Little's law
-// with churn); Completed counts only full completions.
-type ClassStats struct {
-	Class        int
-	Completed    int
-	OnlineTime   stats.Summary
-	DownloadTime stats.Summary
-}
-
-// BandwidthStats aggregates completed users of one bandwidth class.
-type BandwidthStats struct {
-	Name         string
-	Completed    int
-	OnlineTime   stats.Summary
-	DownloadTime stats.Summary
-}
-
-// Result is the outcome of one run.
+// Result is the outcome of one run: the user ledger's totals, in simulated
+// time units, and the population trace.
 type Result struct {
 	Config Config
-	// Classes holds per-class statistics for classes 1..K.
-	Classes []ClassStats
-	// ArrivedUsers and CompletedUsers count users arriving after warmup
-	// (completed = departed before the horizon).
-	ArrivedUsers, CompletedUsers int
-	// AbortedUsers counts counted users removed by an injected abort.
-	// Aborted users contribute their (partial) online and download times
-	// to the averages — Little's law with churn charges aborters' time in
-	// system, exactly as the fluid θ·x term does — but never to Completed.
-	AbortedUsers int
-	// SeedQuits counts injected virtual-seed departures (CMFSD).
-	SeedQuits int
-	// AvgOnlinePerFile is Σ online time / Σ files requested over counted
-	// completed users (the paper's metric).
-	AvgOnlinePerFile float64
-	// AvgDownloadPerFile is the same aggregation over download times.
-	AvgDownloadPerFile float64
-	// MeanDownloaders and MeanSeeds are time-averaged leg populations
-	// after warmup.
-	MeanDownloaders, MeanSeeds float64
-	// FinalRho summarizes the ρ of CMFSD peers alive or completed after
-	// warmup (only meaningful with Adapt or cheaters).
-	FinalRho stats.Summary
+	// Outcome holds the user statistics; Bandwidth is parallel to
+	// Config.Bandwidth. FinalRho counts every multi-file CMFSD peer that
+	// departed after warmup, completed or aborted, cheaters (pinned at
+	// ρ = 1) included.
+	replica.Outcome
 	// Trace holds the sampled "downloaders" and "seeds" population
 	// series when Config.SampleEvery > 0, else nil.
 	Trace *trace.Recorder
-	// Bandwidth holds per-bandwidth-class statistics (parallel to
-	// Config.Bandwidth; empty for homogeneous runs).
-	Bandwidth []BandwidthStats
 }
 
 // legState is the lifecycle of one requested file.
@@ -290,39 +258,45 @@ func (s *sim) active(p *peer) (lo, hi int) {
 
 // Run executes the simulation and aggregates the result.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newSim(cfg)
+	if err != nil {
 		return nil, err
+	}
+	s.run()
+	s.ledger.Finish(cfg.Horizon - cfg.Warmup)
+	return s.res, nil
+}
+
+// newSim validates cfg and returns a sim at t = 0, which run drives. It
+// returns the sim by value so that Run's copy can live on the stack.
+func newSim(cfg Config) (sim, error) {
+	if err := cfg.Validate(); err != nil {
+		return sim{}, err
 	}
 	corr, err := correlation.New(cfg.K, cfg.P, cfg.Lambda0)
 	if err != nil {
-		return nil, err
+		return sim{}, err
 	}
 	// The fault plan mixes the sim seed into the chaos seed so replicas
 	// (distinct sim seeds) draw decorrelated faults while each (seed,
 	// chaos-seed) pair stays fully deterministic.
 	plan, err := faults.NewPlan(cfg.Faults.Mixed(cfg.Seed))
 	if err != nil {
-		return nil, err
+		return sim{}, err
 	}
-	s := &sim{
-		cfg:  cfg,
-		corr: corr,
-		rng:  rng.New(cfg.Seed),
-		plan: plan,
-		res: &Result{
-			Config:  cfg,
-			Classes: make([]ClassStats, cfg.K),
-		},
+	res := &Result{Config: cfg}
+	names := make([]string, len(cfg.Bandwidth))
+	for i, b := range cfg.Bandwidth {
+		names[i] = b.Name
 	}
-	for i := range s.res.Classes {
-		s.res.Classes[i].Class = i + 1
-	}
-	for _, b := range cfg.Bandwidth {
-		s.res.Bandwidth = append(s.res.Bandwidth, BandwidthStats{Name: b.Name})
-	}
-	s.run()
-	s.finish()
-	return s.res, nil
+	return sim{
+		cfg:    cfg,
+		corr:   corr,
+		rng:    rng.New(cfg.Seed),
+		plan:   plan,
+		res:    res,
+		ledger: replica.NewLedger(&res.Outcome, cfg.K, names...),
+	}, nil
 }
 
 type sim struct {
@@ -333,19 +307,12 @@ type sim struct {
 	nextID uint64
 	peers  []*peer
 	res    *Result
+	ledger replica.Ledger
 
-	now       float64
-	totalRate float64
-	classCDF  []float64
-	dlPop     stats.TimeWeighted
-	seedPop   stats.TimeWeighted
-	perm      []int // fileSubset's permutation buffer
-
-	sumOnline, sumDownload float64
-	sumFiles               int
+	now  float64
+	perm []int // fileSubset's permutation buffer
 
 	// Event-loop state (owned by init/stepOnce).
-	lambdaTot   float64
 	nextArrival float64
 	nextAdapt   float64
 	nextSample  float64
@@ -382,26 +349,6 @@ type sim struct {
 	legOf                                  []int32
 }
 
-// classSample draws a user class ∝ λ_i.
-func (s *sim) classSample() int {
-	if s.classCDF == nil {
-		s.classCDF = make([]float64, s.cfg.K)
-		acc := 0.0
-		for i := 1; i <= s.cfg.K; i++ {
-			acc += s.corr.UserRate(i)
-			s.classCDF[i-1] = acc
-		}
-		s.totalRate = acc
-	}
-	u := s.rng.Float64() * s.totalRate
-	for i, c := range s.classCDF {
-		if u <= c {
-			return i + 1
-		}
-	}
-	return s.cfg.K
-}
-
 // fileSubset draws a uniform random subset of size n of the K files. The
 // result aliases a buffer the next call overwrites.
 func (s *sim) fileSubset(n int) []int {
@@ -411,7 +358,7 @@ func (s *sim) fileSubset(n int) []int {
 
 // newPeer materializes an arriving user.
 func (s *sim) newPeer() *peer {
-	class := s.classSample()
+	class := s.corr.Class(s.rng.Float64())
 	files := s.fileSubset(class)
 	p := &peer{
 		id:           s.nextID,
@@ -482,7 +429,7 @@ func (s *sim) newPeer() *peer {
 // position index and the incremental leg-population counters.
 func (s *sim) admit(p *peer) {
 	if p.counted {
-		s.res.ArrivedUsers++
+		s.ledger.Arrive()
 	}
 	p.pos = int32(len(s.peers))
 	s.peers = append(s.peers, p)
@@ -678,8 +625,7 @@ func (s *sim) run() {
 // init allocates the per-torrent sums, seeds the flash crowd and arms the
 // recurring timers. It reports whether the event loop should run at all.
 func (s *sim) init() bool {
-	s.lambdaTot = s.corr.TotalUserRate()
-	if s.lambdaTot <= 0 {
+	if s.corr.TotalUserRate() <= 0 {
 		return false
 	}
 	if s.cfg.Scheme != scheme.SimCMFSD {
@@ -717,7 +663,7 @@ func (s *sim) init() bool {
 		s.samplePopulations()
 		s.nextSample = s.cfg.SampleEvery
 	}
-	s.nextArrival = s.rng.Exp(s.lambdaTot)
+	s.nextArrival = s.rng.Exp(s.corr.TotalUserRate())
 	s.nextAdapt = never
 	if s.cfg.Scheme == scheme.SimCMFSD && s.cfg.Adapt != nil {
 		s.nextAdapt = s.cfg.Adapt.Period
@@ -880,7 +826,7 @@ func (s *sim) stepOnce() bool {
 		return false
 	case evArrival:
 		s.admit(s.newPeer())
-		s.nextArrival = s.now + s.rng.Exp(s.lambdaTot)
+		s.nextArrival = s.now + s.rng.Exp(s.corr.TotalUserRate())
 	case evCompletion:
 		s.completeLeg(actor, actorLeg)
 	case evLegDepart:
@@ -942,8 +888,7 @@ func (s *sim) advance(tNext float64) {
 	s.dt = dt
 	if tNext >= s.cfg.Warmup {
 		obsAt := math.Max(s.now, s.cfg.Warmup)
-		s.dlPop.Observe(obsAt-s.cfg.Warmup, float64(s.dlCount))
-		s.seedPop.Observe(obsAt-s.cfg.Warmup, float64(s.seedCount))
+		s.ledger.Observe(obsAt-s.cfg.Warmup, s.dlCount, s.seedCount)
 	}
 	s.now = tNext
 }
@@ -1091,33 +1036,8 @@ func (s *sim) departPeer(dead *peer) {
 	if !dead.counted {
 		return
 	}
-	online := s.now - dead.arrivalAt
-	download := dead.dlAccum
-	cs := &s.res.Classes[dead.class-1]
-	if dead.aborted {
-		s.res.AbortedUsers++
-	} else {
-		cs.Completed++
-		s.res.CompletedUsers++
-	}
-	cs.OnlineTime.Add(online)
-	cs.DownloadTime.Add(download)
-	if dead.bwClass >= 0 && dead.bwClass < len(s.res.Bandwidth) {
-		bs := &s.res.Bandwidth[dead.bwClass]
-		if !dead.aborted {
-			bs.Completed++
-		}
-		bs.OnlineTime.Add(online)
-		bs.DownloadTime.Add(download)
-	}
-	s.sumOnline += online
-	s.sumDownload += download
-	// Per-file averages divide by torrent entries, matching the fluid
-	// model's x/λ Little's-law accounting: an aborted sequential user
-	// charges only the files it actually started — torrents never entered
-	// contribute neither time nor a file. Completed users (and aborted
-	// concurrent ones, whose legs all start at arrival) charge the full
-	// class size.
+	// An aborted user started every leg not still waiting: all of them
+	// under the concurrent schemes, those up to the cursor otherwise.
 	files := dead.class
 	if dead.aborted {
 		files = 0
@@ -1127,10 +1047,13 @@ func (s *sim) departPeer(dead *peer) {
 			}
 		}
 	}
-	s.sumFiles += files
-	if s.cfg.Scheme == scheme.SimCMFSD && dead.class > 1 {
-		s.res.FinalRho.Add(dead.rho)
-	}
+	s.ledger.Depart(replica.Departure{
+		Class: dead.class, BwClass: dead.bwClass,
+		Online: s.now - dead.arrivalAt, Download: dead.dlAccum,
+		Files: files, Aborted: dead.aborted,
+		// Every multi-file CMFSD peer's ρ counts, a cheater's pinned 1 too.
+		Rho: dead.rho, CountRho: s.cfg.Scheme == scheme.SimCMFSD && dead.class > 1,
+	})
 }
 
 // adaptTick runs the Adapt controller on every eligible peer. It reads
@@ -1150,19 +1073,4 @@ func (s *sim) adaptTick() {
 		}
 		p.virtUp, p.virtDown = 0, 0
 	}
-}
-
-// finish computes the aggregate metrics. Peers still in flight at the
-// horizon are censored (not counted).
-func (s *sim) finish() {
-	if s.sumFiles > 0 {
-		s.res.AvgOnlinePerFile = s.sumOnline / float64(s.sumFiles)
-		s.res.AvgDownloadPerFile = s.sumDownload / float64(s.sumFiles)
-	} else {
-		s.res.AvgOnlinePerFile = math.NaN()
-		s.res.AvgDownloadPerFile = math.NaN()
-	}
-	span := s.cfg.Horizon - s.cfg.Warmup
-	s.res.MeanDownloaders = s.dlPop.MeanUntil(span)
-	s.res.MeanSeeds = s.seedPop.MeanUntil(span)
 }

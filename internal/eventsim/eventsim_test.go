@@ -7,6 +7,7 @@ import (
 	"mfdl/internal/adapt"
 	"mfdl/internal/fluid"
 	"mfdl/internal/numeric/ode"
+	"mfdl/internal/replica"
 	"mfdl/internal/scheme"
 	"mfdl/internal/stats"
 )
@@ -57,6 +58,12 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Warmup = c.Horizon },
 		func(c *Config) { c.CheaterFraction = 2 },
 		func(c *Config) { c.Adapt = &adapt.Config{} },
+		func(c *Config) {
+			c.Bandwidth = []BandwidthClass{
+				{Name: "a", Mu: 0.1, Weight: 1, Fraction: 0.5},
+				{Name: "a", Mu: 0.4, Weight: 1, Fraction: 0.5},
+			}
+		},
 	}
 	for i, mutate := range cases {
 		bad := baseConfig(scheme.SimMTSD)
@@ -441,5 +448,41 @@ func TestBandwidthValidation(t *testing.T) {
 	cfg.Bandwidth = []BandwidthClass{{Name: "a", Mu: 0, Weight: 1, Fraction: 1}}
 	if cfg.Validate() == nil {
 		t.Fatal("zero μ accepted")
+	}
+}
+
+// TestEmptyBandwidthClassLeftOutOfReplicaMean runs a 1 % bandwidth class
+// that some replicas never see depart: its replica mean must average the
+// replicas it departed in, not a 0 standing in for each of the others.
+func TestEmptyBandwidthClassLeftOutOfReplicaMean(t *testing.T) {
+	cfg := Config{
+		Params: fastParams, K: 3, Lambda0: 1, P: 0.5, Scheme: scheme.SimMTSD,
+		Horizon: 200, Warmup: 100,
+		Bandwidth: []BandwidthClass{
+			{Name: "common", Mu: 0.2, Weight: 1, Fraction: 0.99},
+			{Name: "rare", Mu: 0.2, Weight: 1, Fraction: 0.01},
+		},
+	}
+	var samples []replica.Sample
+	var want stats.Summary
+	for _, seed := range replica.Seeds(1, 1, 8)[0] {
+		cfg.Seed = seed
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples = append(samples, res.Sample())
+		if rare := res.Bandwidth[1].DownloadTime; rare.N() > 0 {
+			want.Add(rare.Mean())
+		}
+	}
+	if want.N() == 0 || want.N() == len(samples) {
+		t.Fatalf("the rare class departed in %d of %d replicas; the check needs both kinds", want.N(), len(samples))
+	}
+	key := replica.BandwidthKey("rare", replica.DownloadPerFile)
+	got := replica.Reduce(samples).Values[key]
+	if got.N() != want.N() || got.Mean() != want.Mean() {
+		t.Errorf("%s: mean %v over %d replicas, want %v over the %d it departed in",
+			key, got.Mean(), got.N(), want.Mean(), want.N())
 	}
 }

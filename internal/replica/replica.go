@@ -2,11 +2,12 @@
 // implements and the replica engine (internal/sim) consumes. A backend
 // reruns a fixed configuration at the seed it is given and reports each
 // run as a Sample of named metrics, written under the standard keys by
-// Outcome.Sample; it links neither the engine nor the worker pool nor the
-// stores. Beside Sample and Sim the contract holds the sample codec (the
-// bytes the sample store persists and the fabric carries), the seed
-// derivation every executor shares, and Reduce, which folds a cell's
-// samples into mean / 95% confidence interval / min / max per metric:
+// Outcome.Sample from the Outcome its user Ledger fills; it links neither
+// the engine nor the worker pool nor the stores. Beside Sample and Sim the
+// contract holds the sample codec (the bytes the sample store persists and
+// the fabric carries), the seed derivation every executor shares, and
+// Reduce, which folds a cell's samples into mean / 95% confidence interval
+// / min / max per metric:
 //
 //	res, err := eventsim.Run(cfg) // cfg.Seed is the replica's seed
 //	samples = append(samples, res.Sample())
@@ -66,8 +67,8 @@ const (
 	// keys): users who left mid-download and virtual seeds that quit.
 	Aborted   = "aborted"
 	SeedQuits = "seed_quits"
-	// Chunks counts chunk transfers (a Counts key of the chunk-level
-	// simulator only).
+	// Chunks counts chunk transfers (a Counts key the chunk-level
+	// simulator adds to its Outcome's sample).
 	Chunks = "chunks"
 )
 
@@ -91,71 +92,81 @@ type Sample struct {
 	Summaries map[string]stats.Summary
 }
 
-// Outcome is one simulator run in the contract's terms. Both backends
-// fill one from their result and call Sample, so the key schema is
-// written once.
+// Outcome is one simulator run in the contract's terms, filled by a
+// Ledger. Both backends embed one in their Result, so Sample writes the key
+// schema once.
 type Outcome struct {
-	OnlinePerFile, DownloadPerFile float64
-	MeanDownloaders, MeanSeeds     float64
-	// FinalRho is the per-peer distribution of final allocation ratios.
-	FinalRho                               stats.Summary
-	Completed, Arrived, Aborted, SeedQuits int
-	// Chunks is the number of chunk transfers; nil for a flow-level run.
-	Chunks *int
-	// Classes holds the per-class statistics (a class nobody completed is
-	// left out); Bandwidth the per-bandwidth-class ones, flow level only.
+	// ArrivedUsers counts users arriving after warmup; CompletedUsers and
+	// AbortedUsers those who left complete or by an injected abort before
+	// the horizon (the rest are censored). SeedQuits counts injected
+	// virtual-seed departures (CMFSD).
+	ArrivedUsers, CompletedUsers, AbortedUsers, SeedQuits int
+	// AvgOnlinePerFile (the paper's metric) and AvgDownloadPerFile are
+	// Σ time / Σ files started over the counted departures, aborted ones
+	// included as the fluid θ·x term charges them; NaN when none departed.
+	AvgOnlinePerFile, AvgDownloadPerFile float64
+	// MeanDownloaders and MeanSeeds are time-averaged populations.
+	MeanDownloaders, MeanSeeds float64
+	// FinalRho is the per-peer distribution of final allocation ratios
+	// over the departures whose ρ the simulator counts (Departure.CountRho).
+	FinalRho stats.Summary
+	// Classes holds the file-count classes 1..K, Bandwidth the bandwidth
+	// classes (flow level only).
 	Classes, Bandwidth []Class
 }
 
-// Class is the statistics of one group of users: a file-count class,
-// keyed by ClassKey(ID, …), or a bandwidth class, keyed by
-// BandwidthKey(Name, …).
+// Class is the statistics of one group of counted departures: a
+// file-count class, keyed by ClassKey(Class, …), or a bandwidth class,
+// keyed by BandwidthKey(Name, …). Completed counts full completions; the
+// time summaries include aborted users.
 type Class struct {
-	ID               int
-	Name             string
-	Completed        int
-	Online, Download stats.Summary
+	Class                    int
+	Name                     string
+	Completed                int
+	OnlineTime, DownloadTime stats.Summary
 }
 
 // Sample flattens the outcome under the standard keys: scalar aggregates,
 // post-warmup counts, and the per-class and per-bandwidth-class summaries
-// for pooled merging.
+// for pooled merging. A file-count class nobody completed and a bandwidth
+// class nobody left are left out, so Reduce averages only the replicas
+// that observed them.
 func (o Outcome) Sample() Sample {
 	s := Sample{
 		Values: map[string]float64{
-			OnlinePerFile:   o.OnlinePerFile,
-			DownloadPerFile: o.DownloadPerFile,
+			OnlinePerFile:   o.AvgOnlinePerFile,
+			DownloadPerFile: o.AvgDownloadPerFile,
 			MeanDownloaders: o.MeanDownloaders,
 			MeanSeeds:       o.MeanSeeds,
 			FinalRho:        o.FinalRho.Mean(),
 		},
 		Counts: map[string]float64{
-			Completed: float64(o.Completed),
-			Arrived:   float64(o.Arrived),
-			Aborted:   float64(o.Aborted),
+			Completed: float64(o.CompletedUsers),
+			Arrived:   float64(o.ArrivedUsers),
+			Aborted:   float64(o.AbortedUsers),
 			SeedQuits: float64(o.SeedQuits),
 		},
 		Summaries: map[string]stats.Summary{
 			FinalRho: o.FinalRho,
 		},
 	}
-	if o.Chunks != nil {
-		s.Counts[Chunks] = float64(*o.Chunks)
-	}
 	for _, c := range o.Classes {
 		if c.Completed == 0 {
 			continue
 		}
-		s.Counts[ClassKey(c.ID, Completed)] = float64(c.Completed)
-		s.Summaries[ClassKey(c.ID, OnlinePerFile)] = c.Online
-		s.Summaries[ClassKey(c.ID, DownloadPerFile)] = c.Download
+		s.Counts[ClassKey(c.Class, Completed)] = float64(c.Completed)
+		s.Summaries[ClassKey(c.Class, OnlinePerFile)] = c.OnlineTime
+		s.Summaries[ClassKey(c.Class, DownloadPerFile)] = c.DownloadTime
 	}
 	for _, b := range o.Bandwidth {
-		s.Values[BandwidthKey(b.Name, OnlinePerFile)] = b.Online.Mean()
-		s.Values[BandwidthKey(b.Name, DownloadPerFile)] = b.Download.Mean()
+		if b.OnlineTime.N() == 0 {
+			continue
+		}
+		s.Values[BandwidthKey(b.Name, OnlinePerFile)] = b.OnlineTime.Mean()
+		s.Values[BandwidthKey(b.Name, DownloadPerFile)] = b.DownloadTime.Mean()
 		s.Counts[BandwidthKey(b.Name, Completed)] = float64(b.Completed)
-		s.Summaries[BandwidthKey(b.Name, OnlinePerFile)] = b.Online
-		s.Summaries[BandwidthKey(b.Name, DownloadPerFile)] = b.Download
+		s.Summaries[BandwidthKey(b.Name, OnlinePerFile)] = b.OnlineTime
+		s.Summaries[BandwidthKey(b.Name, DownloadPerFile)] = b.DownloadTime
 	}
 	return s
 }

@@ -98,25 +98,20 @@ func New(sc scheme.SimScheme, cfg Config) (replica.Sim, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if chunk := c.Chunk; chunk != nil {
-		return replica.SimFunc(func(_ context.Context, r replica.Rep) (replica.Sample, error) {
-			run := *chunk
-			run.Seed = r.Seed
-			res, err := swarm.Run(run)
-			if err != nil {
-				return replica.Sample{}, err
-			}
-			return res.Sample(), nil
-		}), nil
+	if c.Chunk != nil {
+		return rerun(*c.Chunk, func(c swarm.Config, s uint64) swarm.Config { c.Seed = s; return c }, swarm.Run), nil
 	}
-	flow := c.Flow
+	return rerun(*c.Flow, func(c eventsim.Config, s uint64) eventsim.Config { c.Seed = s; return c }, eventsim.Run), nil
+}
+
+// rerun adapts a simulator's Run to replica.Sim: every replica runs cfg
+// with its seed field set, by reseed, to the replica's seed.
+func rerun[C any, R interface{ Sample() replica.Sample }](cfg C, reseed func(C, uint64) C, run func(C) (R, error)) replica.Sim {
 	return replica.SimFunc(func(_ context.Context, r replica.Rep) (replica.Sample, error) {
-		run := *flow
-		run.Seed = r.Seed
-		res, err := eventsim.Run(run)
+		res, err := run(reseed(cfg, r.Seed))
 		if err != nil {
 			return replica.Sample{}, err
 		}
 		return res.Sample(), nil
-	}), nil
+	})
 }

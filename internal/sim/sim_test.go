@@ -72,6 +72,37 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestFinalRhoRule pins whose final ρ each simulator counts, with every
+// CMFSD peer a cheater pinned at ρ = 1: the flow-level simulator counts
+// cheaters, so its FinalRho reads exactly 1; the chunk-level one counts
+// obedient peers only, so it has no entries.
+func TestFinalRhoRule(t *testing.T) {
+	flow, chunk := flowConfig(), chunkConfig()
+	flow.CheaterFraction, chunk.CheaterFraction = 1, 1
+	for _, c := range []struct {
+		name     string
+		cfg      Config
+		counted  bool
+		wantMean float64
+	}{
+		{"eventsim counts cheaters", Config{Flow: flow}, true, 1},
+		{"swarm leaves cheaters out", Config{Chunk: chunk}, false, 0},
+	} {
+		s, err := New(scheme.SimCMFSD, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sample, err := s.Simulate(context.Background(), replica.Rep{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rho := sample.Summaries[replica.FinalRho]
+		if (rho.N() > 0) != c.counted || (c.counted && rho.Mean() != c.wantMean) {
+			t.Errorf("%s: final ρ over %d peers, mean %v", c.name, rho.N(), rho.Mean())
+		}
+	}
+}
+
 func TestNewErrors(t *testing.T) {
 	if _, err := New(scheme.SimCMFSD, Config{}); err == nil {
 		t.Error("New accepted an empty Config")

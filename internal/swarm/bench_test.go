@@ -35,7 +35,7 @@ func newBenchSwarm(b testing.TB, cfg Config) *sim {
 func injectBench(s *sim, n int) {
 	t := s.t
 	for i := 0; i < n; i++ {
-		class := s.sampleClass()
+		class := s.corr.Class(s.rng.Float64())
 		s.permBuf = s.rng.PermInto(s.permBuf, s.cfg.K)
 		slot := t.alloc()
 		t.id[slot] = s.nextID

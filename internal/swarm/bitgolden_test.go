@@ -92,7 +92,7 @@ func digestResult(r *Result) string {
 		b(r.MeanDownloaders), b(r.MeanSeeds), b(r.FinalRho.Mean()), r.FinalRho.N())
 	for _, cs := range r.Classes {
 		fmt.Fprintf(&sb, " c%d=%d/%s/%s", cs.Class, cs.Completed,
-			b(cs.OnlineRounds.Mean()), b(cs.DownloadRounds.Mean()))
+			b(cs.OnlineTime.Mean()), b(cs.DownloadTime.Mean()))
 	}
 	if r.Trace != nil {
 		for _, name := range []string{"downloaders", "seeds"} {

@@ -190,7 +190,7 @@ func driveChecked(t *testing.T, cfg Config) *sim {
 		checkMasks(t, s)
 		checkConservation(t, s)
 	}
-	s.finish()
+	s.ledger.Finish(float64(cfg.Horizon - cfg.Warmup))
 	return s
 }
 
@@ -226,11 +226,16 @@ func TestMasksAndConservationEveryRound(t *testing.T) {
 			// Little's law over the measured window: N̄ = λ·T̄, the mean
 			// population against arrival rate × mean time online. Peers
 			// straddling either edge of the window make it approximate.
-			departed := s.res.CompletedUsers + s.res.AbortedUsers
+			departed, sumOnline := 0, 0.0
+			for _, c := range s.res.Classes {
+				departed += c.OnlineTime.N()
+				sumOnline += c.OnlineTime.Mean() * float64(c.OnlineTime.N())
+			}
 			n := s.res.MeanDownloaders + s.res.MeanSeeds
-			lt := s.totalRate * s.sumOnline / float64(departed)
+			lambda := s.corr.TotalUserRate()
+			lt := lambda * sumOnline / float64(departed)
 			if departed == 0 || math.Abs(n-lt) > 0.2*lt {
-				t.Errorf("Little's law: mean population %.2f, λ·T̄ = %.3f × %.2f = %.2f", n, s.totalRate, s.sumOnline/float64(departed), lt)
+				t.Errorf("Little's law: mean population %.2f, λ·T̄ = %.3f × %.2f = %.2f", n, lambda, sumOnline/float64(departed), lt)
 			}
 		})
 	}

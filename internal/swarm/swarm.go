@@ -30,7 +30,9 @@
 //
 // Peer state lives in a struct-of-arrays table (soa.go) so a steady-state
 // round allocates nothing; the layout and the determinism contract the
-// refactor preserves are documented in DESIGN.md.
+// refactor preserves are documented in DESIGN.md. Users are accounted in a
+// replica.Ledger, the same one internal/eventsim keeps: Result embeds the
+// replica.Outcome it fills, in rounds.
 package swarm
 
 import (
@@ -42,9 +44,9 @@ import (
 	"mfdl/internal/adapt"
 	"mfdl/internal/correlation"
 	"mfdl/internal/faults"
+	"mfdl/internal/replica"
 	"mfdl/internal/rng"
 	"mfdl/internal/scheme"
-	"mfdl/internal/stats"
 	"mfdl/internal/trace"
 )
 
@@ -84,8 +86,8 @@ type Config struct {
 	// MaxNeighbors bounds each peer's neighbor set (the origin seed is
 	// always known).
 	MaxNeighbors int
-	// OriginUpload is the origin seed's upload bandwidth (defaults to
-	// UploadPerRound).
+	// OriginUpload is the origin seed's upload bandwidth in chunks per
+	// round; 0 means UploadPerRound.
 	OriginUpload int
 	// Horizon is the number of rounds to simulate.
 	Horizon int
@@ -154,6 +156,9 @@ func (c Config) Validate() error {
 	if c.MaxNeighbors < 1 {
 		return errors.New("swarm: MaxNeighbors must be >= 1")
 	}
+	if c.OriginUpload < 0 {
+		return errors.New("swarm: OriginUpload must be non-negative")
+	}
 	if c.Horizon < 1 {
 		return errors.New("swarm: Horizon must be >= 1")
 	}
@@ -189,41 +194,29 @@ var DefaultConfig = Config{
 	Seed:            1,
 }
 
-// ClassStats aggregates completed users of one class.
-type ClassStats struct {
-	Class          int
-	Completed      int
-	OnlineRounds   stats.Summary
-	DownloadRounds stats.Summary
-}
-
-// Result is the outcome of one swarm run.
+// Result is the outcome of one swarm run: the user ledger's totals, in
+// rounds, plus the chunk counters and the population trace.
 type Result struct {
 	Config Config
-	// Classes holds classes 1..K.
-	Classes []ClassStats
-	// ArrivedUsers / CompletedUsers count post-warmup users.
-	ArrivedUsers, CompletedUsers int
-	// AvgOnlinePerFile and AvgDownloadPerFile are the paper's aggregation
-	// in rounds per file.
-	AvgOnlinePerFile, AvgDownloadPerFile float64
-	// MeanDownloaders / MeanSeeds are time-averaged populations.
-	MeanDownloaders, MeanSeeds float64
-	// FinalRho summarizes completed obedient multi-file peers' final ρ.
-	FinalRho stats.Summary
-	// ChunksTransferred counts every chunk delivery (excluding origin).
+	// Outcome holds the user statistics. FinalRho counts the obedient
+	// multi-file CMFSD peers that departed after warmup, completed or
+	// aborted; cheaters are left out.
+	replica.Outcome
+	// ChunksTransferred counts every chunk delivery, the origin's included.
 	ChunksTransferred int
-	// AbortedUsers counts counted users removed by an injected abort;
-	// their partial online/download rounds stay in the averages but not
-	// in Completed.
-	AbortedUsers int
-	// SeedQuits counts injected virtual-seed departures (CMFSD).
-	SeedQuits int
 	// ChunksLost counts scheduled deliveries dropped by injected loss.
 	ChunksLost int
 	// Trace holds "downloaders" and "seeds" series when
 	// Config.SampleEvery > 0, else nil.
 	Trace *trace.Recorder
+}
+
+// Sample flattens the run under the replica contract's standard keys,
+// chunk transfers included. Time-like metrics are in rounds.
+func (r *Result) Sample() replica.Sample {
+	s := r.Outcome.Sample()
+	s.Counts[replica.Chunks] = float64(r.ChunksTransferred)
+	return s
 }
 
 type peerState uint8
@@ -317,14 +310,8 @@ type sim struct {
 	poolBuf      []int32
 	permBuf      []int
 
-	res       *Result
-	dlPop     stats.TimeWeighted
-	seedPop   stats.TimeWeighted
-	sumOnline float64
-	sumDl     float64
-	sumFiles  int
-	classCDF  []float64
-	totalRate float64
+	res    *Result
+	ledger replica.Ledger
 }
 
 // Run executes one swarm simulation.
@@ -336,7 +323,7 @@ func Run(cfg Config) (*Result, error) {
 	for s.round = 0; s.round < s.cfg.Horizon; s.round++ {
 		s.step()
 	}
-	s.finish()
+	s.ledger.Finish(float64(s.cfg.Horizon - s.cfg.Warmup))
 	return s.res, nil
 }
 
@@ -359,18 +346,17 @@ func newSim(cfg Config) (*sim, error) {
 	if err != nil {
 		return nil, err
 	}
+	res := &Result{Config: cfg}
 	s := &sim{
-		cfg:  cfg,
-		corr: corr,
-		rng:  rng.New(cfg.Seed),
-		plan: plan,
-		res:  &Result{Config: cfg, Classes: make([]ClassStats, cfg.K)},
+		cfg:    cfg,
+		corr:   corr,
+		rng:    rng.New(cfg.Seed),
+		plan:   plan,
+		res:    res,
+		ledger: replica.NewLedger(&res.Outcome, cfg.K),
 	}
 	if plan != nil && plan.LossProb() > 0 {
 		s.lossSrc = plan.LossStream(0)
-	}
-	for i := range s.res.Classes {
-		s.res.Classes[i].Class = i + 1
 	}
 	s.setup()
 	return s, nil
@@ -398,27 +384,10 @@ func (s *sim) setup() {
 	s.setMasks(origin) // the origin never changes: set once
 	s.origin = origin
 	s.nextID = 1
-	acc := 0.0
-	s.classCDF = make([]float64, s.cfg.K)
-	for i := 1; i <= s.cfg.K; i++ {
-		acc += s.corr.UserRate(i)
-		s.classCDF[i-1] = acc
-	}
-	s.totalRate = acc
-}
-
-func (s *sim) sampleClass() int {
-	u := s.rng.Float64() * s.totalRate
-	for i, c := range s.classCDF {
-		if u <= c {
-			return i + 1
-		}
-	}
-	return s.cfg.K
 }
 
 func (s *sim) arrive() {
-	n := s.rng.Poisson(s.totalRate)
+	n := s.rng.Poisson(s.corr.TotalUserRate())
 	for i := 0; i < n; i++ {
 		s.addPeer()
 	}
@@ -429,7 +398,7 @@ func (s *sim) arrive() {
 // sequence is identical to the pre-SoA engine's (see DESIGN.md).
 func (s *sim) addPeer() {
 	t := s.t
-	class := s.sampleClass()
+	class := s.corr.Class(s.rng.Float64())
 	s.permBuf = s.rng.PermInto(s.permBuf, s.cfg.K)
 	slot := t.alloc()
 	t.id[slot] = s.nextID
@@ -485,7 +454,7 @@ func (s *sim) addPeer() {
 	}
 	t.neighbors[slot] = append(t.neighbors[slot], s.origin)
 	if t.counted[slot] {
-		s.res.ArrivedUsers++
+		s.ledger.Arrive()
 	}
 	s.order = append(s.order, slot)
 }
@@ -545,8 +514,7 @@ func (s *sim) step() {
 			}
 		}
 		if s.round >= s.cfg.Warmup {
-			s.dlPop.Observe(float64(s.round-s.cfg.Warmup), float64(dl))
-			s.seedPop.Observe(float64(s.round-s.cfg.Warmup), float64(sd))
+			s.ledger.Observe(float64(s.round-s.cfg.Warmup), dl, sd)
 		}
 		if s.cfg.SampleEvery > 0 && s.round%s.cfg.SampleEvery == 0 {
 			if s.res.Trace == nil {
@@ -739,33 +707,19 @@ func (s *sim) depart(dead int32) {
 	if !t.counted[dead] {
 		return
 	}
-	online := float64(s.round - t.arrival[dead] + 1)
-	cs := &s.res.Classes[t.class[dead]-1]
-	if t.aborted[dead] {
-		s.res.AbortedUsers++
-	} else {
-		cs.Completed++
-		s.res.CompletedUsers++
-	}
-	cs.OnlineRounds.Add(online)
-	cs.DownloadRounds.Add(float64(t.downloadRounds[dead]))
-	s.sumOnline += online
-	s.sumDl += float64(t.downloadRounds[dead])
-	// Per-file averages divide by files actually started (the fluid
-	// model's per-torrent-entry accounting): an aborted sequential
-	// downloader never charges the files past its cursor. MFCD starts
-	// every file at arrival, and completed users started them all.
+	// MFCD starts every file at arrival; an aborted sequential downloader
+	// never started the files past its cursor.
 	files := int(t.class[dead])
 	if t.aborted[dead] && s.cfg.Scheme != scheme.SimMFCD {
-		files = int(t.cursor[dead]) + 1
-		if files > int(t.class[dead]) {
-			files = int(t.class[dead])
-		}
+		files = min(int(t.cursor[dead])+1, files)
 	}
-	s.sumFiles += files
-	if s.cfg.Scheme == scheme.SimCMFSD && t.class[dead] > 1 && !t.cheater[dead] {
-		s.res.FinalRho.Add(t.rho[dead])
-	}
+	s.ledger.Depart(replica.Departure{
+		Class: int(t.class[dead]), BwClass: -1,
+		Online: float64(s.round - t.arrival[dead] + 1), Download: float64(t.downloadRounds[dead]),
+		Files: files, Aborted: t.aborted[dead],
+		// Only obedient multi-file CMFSD peers' ρ counts: cheaters are left out.
+		Rho: t.rho[dead], CountRho: s.cfg.Scheme == scheme.SimCMFSD && t.class[dead] > 1 && !t.cheater[dead],
+	})
 }
 
 // tftUnchoke returns the peers p unchokes with its tit-for-tat budget: the
@@ -928,18 +882,4 @@ func (s *sim) pickChunk(q, p int32, virtual bool) int32 {
 		}
 	}
 	return best
-}
-
-// finish aggregates the run.
-func (s *sim) finish() {
-	if s.sumFiles > 0 {
-		s.res.AvgOnlinePerFile = s.sumOnline / float64(s.sumFiles)
-		s.res.AvgDownloadPerFile = s.sumDl / float64(s.sumFiles)
-	} else {
-		s.res.AvgOnlinePerFile = math.NaN()
-		s.res.AvgDownloadPerFile = math.NaN()
-	}
-	span := float64(s.cfg.Horizon - s.cfg.Warmup)
-	s.res.MeanDownloaders = s.dlPop.MeanUntil(span)
-	s.res.MeanSeeds = s.seedPop.MeanUntil(span)
 }

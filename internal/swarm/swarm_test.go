@@ -44,6 +44,7 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.MaxNeighbors = 0 },
 		func(c *Config) { c.Horizon = 0 },
 		func(c *Config) { c.Warmup = c.Horizon },
+		func(c *Config) { c.OriginUpload = -3 },
 	}
 	for i, mutate := range cases {
 		bad := cfgWith(mutate)
@@ -95,7 +96,7 @@ func TestClassTotalsConsistent(t *testing.T) {
 	total := 0
 	for _, cs := range res.Classes {
 		total += cs.Completed
-		if cs.Completed > 0 && cs.OnlineRounds.Mean() < cs.DownloadRounds.Mean() {
+		if cs.Completed > 0 && cs.OnlineTime.Mean() < cs.DownloadTime.Mean() {
 			t.Fatalf("class %d online < download", cs.Class)
 		}
 	}
@@ -119,9 +120,9 @@ func TestDownloadScalesWithClass(t *testing.T) {
 		if c1.Completed < 20 || c3.Completed < 20 {
 			t.Fatalf("%v: thin classes (%d, %d)", sc, c1.Completed, c3.Completed)
 		}
-		if c3.DownloadRounds.Mean() <= c1.DownloadRounds.Mean() {
+		if c3.DownloadTime.Mean() <= c1.DownloadTime.Mean() {
 			t.Fatalf("%v: class-3 download %v not larger than class-1 %v",
-				sc, c3.DownloadRounds.Mean(), c1.DownloadRounds.Mean())
+				sc, c3.DownloadTime.Mean(), c1.DownloadTime.Mean())
 		}
 	}
 }
