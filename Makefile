@@ -2,17 +2,33 @@
 # includes the static gates (import DAG, dead code, flag/doc drift,
 # gofmt), which `make gates` runs alone. tier2 adds static analysis (go
 # vet, also cross-compiled for arm64, where Go fuses x*y + z into an FMA),
-# the race detector over every package, and the benchmark's own smoke test.
+# the race detector over every package, every native fuzzer for 5s, and
+# the benchmark's own smoke test.
 # DESIGN.md, "Verification tiers", says what the gates check and what the
 # race run is there to catch, package by package.
 
-.PHONY: tier1 tier2 gates bench soak profile pairs loc
+.PHONY: tier1 tier2 gates fuzz bench soak profile pairs loc
 
 tier1:
 	go build ./... && go test ./...
 
 tier2:
-	go vet ./... && GOARCH=arm64 go vet ./... && go test -race -timeout 30m ./... && go -C benchmark test ./...
+	go vet ./... && GOARCH=arm64 go vet ./... && go test -race -timeout 30m ./... && \
+		$(MAKE) fuzz FUZZTIME=5s && go -C benchmark test ./...
+
+# fuzz runs every native fuzzer in the module (`go test -list '^Fuzz'`
+# finds them: the bencode and metainfo decoders, the solve-entry decoder,
+# the fabric's batched completion body and the sim-replica spec parser)
+# for FUZZTIME each, one at a time, offline; their seed corpora already
+# run in tier1. A failing input lands in the package's testdata/fuzz/.
+FUZZTIME ?= 10s
+fuzz:
+	go test -list '^Fuzz' ./... | \
+		awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
+		while read pkg fn; do \
+			echo "fuzz $$pkg $$fn for $(FUZZTIME)"; \
+			go test -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done
 
 # gates runs only the static gates (gates_test.go): the import DAG, the
 # dead-code scan, README's flag reference against every command's -h and

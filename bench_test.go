@@ -207,8 +207,8 @@ func BenchmarkSwarmCompare(b *testing.B) {
 	base.Horizon = 800
 	base.Warmup = 200
 	for i := 0; i < b.N; i++ {
-		base.Seed = uint64(i + 1)
-		if _, err := experiments.SwarmCompare(context.Background(), base, []float64{0, 1}, 1, nil); err != nil {
+		opts := experiments.Options{Seed: uint64(i + 1), Replicas: 1}
+		if _, err := experiments.SwarmCompare(context.Background(), base, []float64{0, 1}, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -150,8 +150,7 @@ func run(args []string) error {
 			base.TFTEfficiency = *eta
 			base.Horizon = int(*horizon)
 			base.Warmup = int(*warmup)
-			base.Seed = *seed
-			return show(experiments.SwarmCompare(ctx, base, []float64{0, 0.25, 0.5, 0.75, 1}, *replicas, ob))
+			return show(experiments.SwarmCompare(ctx, base, []float64{0, 0.25, 0.5, 0.75, 1}, set.Options))
 		case "adaptparams":
 			res, err := experiments.AdaptParams(ctx, set, *p, 0.8,
 				[]float64{0.05, 0.1, 0.25, 0.5},

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -84,6 +86,29 @@ func TestSwarmSubcommand(t *testing.T) {
 	}
 	if !strings.Contains(out, "Chunk-level") || !strings.Contains(out, "MFCD") {
 		t.Fatalf("swarm output:\n%s", out)
+	}
+}
+
+// -workers reaches every simulated table, the chunk-level one included:
+// with more cores than asked for, the pool still runs one worker.
+func TestSwarmHonoursWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	if _, err := capture(t, func() error {
+		return run([]string{"-workers", "1", "-metrics-out", metrics, "-horizon", "60", "-warmup", "10", "swarm"})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct{ Gauges map[string]float64 }
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := snap.Gauges["runner_workers"]; !ok || got != 1 {
+		t.Errorf("runner_workers = %v (present %v), want -workers 1", got, ok)
 	}
 }
 

@@ -39,13 +39,13 @@
 //
 // This file is flag parsing and output. The serving — listener and
 // -addr-file, chaos middleware, local workers, -progress, -fleet-out and
-// the temporary stores — is a fabric.Campaign, and -ci-target is the
-// replica engine's own per-row stopping loop (sim.RunRounds): each round
-// is a fresh job at the same address serving only the replicas of the
+// the temporary checkpoint store — is a fabric.Campaign, and -ci-target is
+// the replica engine's one stopping executor (sim.RunRounds): each round
+// is a fresh job at the same address serving only the new replicas of the
 // rows whose CI95 of -ci-metric still misses the target, so workers
-// started with `work -loop` follow the rounds. Simulation cells persist in
-// a keyed sample store (-sample-dir), so a later serve with more replicas
-// simulates only the new ones.
+// started with `work -loop` follow the rounds. With -sample-dir,
+// simulation cells persist in a keyed sample store, so a later serve with
+// more replicas simulates only the new ones; without it there is no store.
 //
 // -lease-target sizes each worker's leases to roughly that wall-time from
 // its observed pace. With -addr-file the actual listen address (useful
@@ -150,7 +150,7 @@ func serve(args []string) error {
 		ps      = fs.String("ps", "0.5,0.9", "simvalidate: comma-separated file correlations, one scheme matrix per value")
 		horizon = fs.Float64("horizon", 4000, "simvalidate: simulated horizon")
 		warmup  = fs.Float64("warmup", 800, "simvalidate: measurement warmup")
-		smplDir = fs.String("sample-dir", "", "simvalidate: keyed replica-sample store; later serves with more replicas replay stored samples (empty = private temp dir, no reuse)")
+		smplDir = fs.String("sample-dir", "", "simvalidate: keyed replica-sample store; later serves with more replicas replay stored samples (empty = no store)")
 		// Fabric flags.
 		ckptDir     = fs.String("checkpoint-dir", "", "checkpoint store for completed cells; a restarted coordinator resumes from it (empty = private temp dir, no resume)")
 		leaseCells  = fs.Int("lease-cells", 8, "cells granted per lease (the adaptive upper bound with -lease-target)")
@@ -190,6 +190,10 @@ func serve(args []string) error {
 	if err != nil {
 		return err
 	}
+	reg, finishObs, err := ofl.Setup(*stats)
+	if err != nil {
+		return err
+	}
 	// Lower the job before anything opens: every invalid value is an error
 	// here, and the campaign's listener only opens once there is a job.
 	params := fluid.Params{Mu: *mu, Eta: *eta, Gamma: *gamma}
@@ -223,6 +227,7 @@ func serve(args []string) error {
 		if err != nil {
 			return err
 		}
+		opts.Obs = reg
 		plan, err := experiments.PlanSimValidate(experiments.SimSettings{
 			Params: params, K: *k, Lambda0: *lambda0,
 			Horizon: *horizon, Warmup: *warmup, Options: opts,
@@ -237,10 +242,6 @@ func serve(args []string) error {
 		return fmt.Errorf("unknown -job %q (want fluid or simvalidate)", *job)
 	}
 
-	reg, finishObs, err := ofl.Setup(*stats)
-	if err != nil {
-		return err
-	}
 	// Coordinator-side spans carry the serve process's real pid, so a
 	// -trace-out file interleaves cleanly with the worker spans shipped
 	// in over telemetry (each tagged with its own origin pid).
@@ -283,7 +284,7 @@ func serve(args []string) error {
 			count("fabric_cells_completed_total"),
 			count("fabric_cells_duplicate_total"),
 			count("fabric_cells_resumed_total"))
-		if *job == "simvalidate" {
+		if *job == "simvalidate" && *smplDir != "" {
 			fmt.Fprintf(os.Stderr, "sweepd: sample store: %d hits / %d misses (%d stored, %d corrupt, %d evicted)\n",
 				count("samplestore_hits_total"), count("samplestore_misses_total"), count("samplestore_stores_total"),
 				count("samplestore_corrupt_total"), count("samplestore_evicted_total"))

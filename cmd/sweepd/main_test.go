@@ -183,10 +183,32 @@ func TestServeFluidMatchesSweep(t *testing.T) {
 	}
 }
 
-// Local and distributed sequential stopping are one rule: `serve -job
-// simvalidate -ci-target` prints exactly the table mfdl simvalidate's
-// code path prints at the same seed, replicas, target and bound, with rows
-// that stop at different replica counts, and both store the same samples.
+// ciTargetTable is what `serve -job simvalidate` prints at the flags of
+// TestSimValidateCITargetMatchesLocal: which replicas a round serves must
+// not move a byte of it.
+const ciTargetTable = `# Fluid model vs flow-level simulation: average online time per file
+scheme  p     rho  fluid  simulated  ±95%        rel err  completed
+--------------------------------------------------------------------
+MTSD    0.50  -    8      8.715      ±0.01897    8.9%     395      
+MTCD    0.50  -    9.6    10.16      ±0.02237    5.8%     1603     
+MFCD    0.50  -    9.6    10.13      ±0.01152    5.5%     390      
+CMFSD   0.50  0.0  5.347  5.362      ±0.01993    0.3%     883      
+CMFSD   0.50  0.5  6.872  6.869      ±0.01621    0.0%     1692     
+CMFSD   0.50  1.0  9.6    9.607      ±0.01964    0.1%     1556     
+MTSD    0.90  -    8      8.338      ±0.02925    4.2%     1368     
+MTCD    0.90  -    9.778  10.21      ±0.01721    4.4%     1292     
+MFCD    0.90  -    9.778  10.2       ±0.02115    4.3%     1335     
+CMFSD   0.90  0.0  5.189  5.209      ±0.003396   0.4%     418      
+CMFSD   0.90  0.5  6.779  6.771      ±0.00268    0.1%     371      
+CMFSD   0.90  1.0  9.778  9.799      ±0.01653    0.2%     305      
+`
+
+// Local and distributed sequential stopping are one executor: `serve -job
+// simvalidate -ci-target` prints exactly the table mfdl simvalidate's code
+// path prints at the same seed, replicas, target and bound, with rows that
+// stop at different replica counts. Every round leases only the replicas
+// it adds, so no cell is resumed from the sample store and both sides
+// simulate and store each of the 62 replicas once.
 func TestSimValidateCITargetMatchesLocal(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.json")
@@ -224,8 +246,10 @@ func TestSimValidateCITargetMatchesLocal(t *testing.T) {
 	if out != want.String() {
 		t.Fatalf("distributed table differs from the local one:\n%s\nwant:\n%s", out, want.String())
 	}
+	if out != ciTargetTable {
+		t.Fatalf("served table differs from the recorded one:\n%s\nwant:\n%s", out, ciTargetTable)
+	}
 
-	localStores := reg.Counter("samplestore_stores_total").Value()
 	data, err := os.ReadFile(metrics)
 	if err != nil {
 		t.Fatal(err)
@@ -234,8 +258,17 @@ func TestSimValidateCITargetMatchesLocal(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if served := snap.Counters["samplestore_stores_total"]; served != float64(localStores) {
-		t.Errorf("served run stored %v samples, local run %d", served, localStores)
+	for name, want := range map[string]float64{
+		"fabric_cells_completed_total": 62,
+		"fabric_cells_resumed_total":   0,
+		"samplestore_stores_total":     62,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("served run: %s = %v, want %v", name, got, want)
+		}
+	}
+	if n := reg.Counter("samplestore_stores_total").Value(); n != 62 {
+		t.Errorf("local run stored %d samples, want 62", n)
 	}
 
 	// The rows really stopped apart (replayed from the local store).
@@ -243,8 +276,11 @@ func TestSimValidateCITargetMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggs, err := sim.RunJobStopping(context.Background(), plan.Spec, runner.JobEnv{Samples: store}, 0,
-		sim.Stopping{Metric: replica.OnlinePerFile, Target: 0.02, MaxReplicas: 8})
+	aggs, err := sim.RunRounds(context.Background(), plan.Spec,
+		sim.Stopping{Metric: replica.OnlinePerFile, Target: 0.02, MaxReplicas: 8}, nil,
+		func(ctx context.Context, round runner.JobSpec) ([][]byte, error) {
+			return runner.RunJobPayloads(ctx, round, runner.JobEnv{Samples: store}, runner.Options{})
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +293,7 @@ func TestSimValidateCITargetMatchesLocal(t *testing.T) {
 	if len(counts) < 2 {
 		t.Errorf("every row stopped at the same replica count %v; the test needs rows that stop apart", counts)
 	}
-	if uint64(total) != localStores {
-		t.Errorf("rows spent %d replicas but %d samples were stored", total, localStores)
+	if total != 62 {
+		t.Errorf("rows spent %d replicas, want 62", total)
 	}
 }

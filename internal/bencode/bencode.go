@@ -136,15 +136,15 @@ func (d *decoder) integer() (int64, error) {
 		return 0, errTruncated
 	}
 	s := string(d.data[d.pos:end])
-	if s == "" {
-		return 0, errors.New("bencode: empty integer")
-	}
 	if s == "-0" {
 		return 0, errors.New("bencode: negative zero")
 	}
 	digits := s
 	if strings.HasPrefix(s, "-") {
 		digits = s[1:]
+	}
+	if digits == "" || digits[0] < '0' || digits[0] > '9' { // ParseInt would take a "+"
+		return 0, fmt.Errorf("bencode: bad integer %q", s)
 	}
 	if len(digits) > 1 && digits[0] == '0' {
 		return 0, fmt.Errorf("bencode: leading zero in integer %q", s)

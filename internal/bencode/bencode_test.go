@@ -90,6 +90,7 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 		"ie",                      // empty integer
 		"i03e",                    // leading zero
 		"i-0e",                    // negative zero
+		"i+0e",                    // explicit plus sign
 		"i3ei4e",                  // trailing garbage
 		"5:spam",                  // truncated string
 		"01:a",                    // leading zero in length

@@ -465,8 +465,8 @@ func TestEmptyBandwidthClassLeftOutOfReplicaMean(t *testing.T) {
 	}
 	var samples []replica.Sample
 	var want stats.Summary
-	for _, seed := range replica.Seeds(1, 1, 8)[0] {
-		cfg.Seed = seed
+	for rep := range 8 {
+		cfg.Seed = replica.SeedOf(1, 0, rep)
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

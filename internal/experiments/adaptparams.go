@@ -42,7 +42,7 @@ type AdaptParamsResult struct {
 // AdaptParams sweeps the controller parameters. thresholds are symmetric
 // |φ| values as fractions of μ; steps are (υ₁, υ₂) pairs; periods are
 // observation windows. All settings × {clean, cheated} are the cells of one
-// sim-replica job (see runSimJob), led by the final ρ.
+// sim-replica job (see runCells), led by the final ρ.
 func AdaptParams(ctx context.Context, set SimSettings, p, cheaterFraction float64,
 	thresholds, stepUps, periods []float64) (*AdaptParamsResult, error) {
 	res := &AdaptParamsResult{Settings: set, P: p, CheaterFraction: cheaterFraction}

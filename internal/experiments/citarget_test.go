@@ -36,3 +36,17 @@ func TestCITargetShowsCIColumn(t *testing.T) {
 		}
 	}
 }
+
+// A stopping metric no row reports is a misnamed one: the run fails naming
+// it instead of reading the absent key's CI95 of 0 as converged and
+// printing every row at R = 2.
+func TestCITargetRejectsUnknownMetric(t *testing.T) {
+	set := DefaultSimSettings
+	set.Horizon, set.Warmup = 300, 50
+	set.Replicas, set.CITarget, set.ReplicasMax = 2, 1e-9, 16
+	set.CIMetric = "onlien_per_file"
+	_, err := SimValidate(context.Background(), set, []float64{0.9})
+	if err == nil || !strings.Contains(err.Error(), `"onlien_per_file"`) {
+		t.Fatalf("misnamed -ci-metric: err = %v, want one naming it", err)
+	}
+}

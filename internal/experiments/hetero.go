@@ -46,7 +46,7 @@ type HeteroClass struct {
 
 // Hetero runs the heterogeneous-swarm validation: one torrent (K = 1),
 // the given bandwidth classes, MTSD peers. The simulation side is a
-// one-cell sim-replica job (see runSimJob), led by the download time.
+// one-cell sim-replica job (see runCells), led by the download time.
 func Hetero(ctx context.Context, set SimSettings, lambda0 float64, classes []HeteroClass) (*HeteroResult, error) {
 	bw := make([]eventsim.BandwidthClass, len(classes))
 	fl := make([]fluid.Class, len(classes))

@@ -74,7 +74,7 @@ func TestSwarmCompareGolden(t *testing.T) {
 	base.Horizon = 800
 	base.Warmup = 200
 	base.Seed = 7
-	res, err := SwarmCompare(context.Background(), base, []float64{0, 1}, 1, nil)
+	res, err := SwarmCompare(context.Background(), base, []float64{0, 1}, Options{Seed: base.Seed, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ type replicatedCase struct {
 }
 
 // replicatedCases are the simulator-backed experiments at the golden
-// operating points. SwarmCompare takes its horizon, seed, replica count and
-// registry from the settings.
+// operating points. SwarmCompare takes its horizon from the settings and
+// its execution options from their Options.
 func replicatedCases() []replicatedCase {
 	return []replicatedCase{
 		{"simvalidate", true, 6, func(ctx context.Context, set SimSettings) (*table.Table, error) {
@@ -155,10 +155,10 @@ func replicatedCases() []replicatedCase {
 			}
 			return res.Table(), nil
 		}},
-		{"swarmcompare", false, 4, func(ctx context.Context, set SimSettings) (*table.Table, error) {
+		{"swarmcompare", true, 4, func(ctx context.Context, set SimSettings) (*table.Table, error) {
 			base := swarm.DefaultConfig
-			base.Horizon, base.Warmup, base.Seed = int(set.Horizon), int(set.Warmup), set.Seed
-			res, err := SwarmCompare(ctx, base, []float64{0, 1}, set.Replicas, set.Obs)
+			base.Horizon, base.Warmup = int(set.Horizon), int(set.Warmup)
+			res, err := SwarmCompare(ctx, base, []float64{0, 1}, set.Options)
 			if err != nil {
 				return nil, err
 			}

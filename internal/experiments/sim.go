@@ -8,7 +8,6 @@ import (
 	"mfdl/internal/adapt"
 	"mfdl/internal/eventsim"
 	"mfdl/internal/fluid"
-	"mfdl/internal/obs"
 	"mfdl/internal/replica"
 	"mfdl/internal/runner"
 	"mfdl/internal/scheme"
@@ -48,10 +47,10 @@ var DefaultSimSettings = SimSettings{
 	Options: Options{Seed: 1},
 }
 
-// replicated reports whether every table row runs at least two replicas,
-// and so has error bars: a fixed count above one, or sequential stopping,
-// whose rows start at two.
-func (s SimSettings) replicated() bool { return s.Replicas > 1 || s.CITarget > 0 }
+// replicated reports whether every simulated table row runs at least two
+// replicas, and so has error bars: a fixed count above one, or sequential
+// stopping, whose rows start at two.
+func (o Options) replicated() bool { return o.Replicas > 1 || o.CITarget > 0 }
 
 // stopping assembles the sequential-stopping rule for these settings;
 // metric is the experiment's headline metric, overridden by CIMetric.
@@ -62,29 +61,26 @@ func (s SimSettings) stopping(metric string) sim.Stopping {
 	return sim.Stopping{Metric: metric, Target: s.CITarget, MaxReplicas: s.ReplicasMax}
 }
 
-// runSimJob executes a sim-replica job for these settings through the job
-// layer — the same execution path a fabric coordinator drives — so an
-// attached sample store (Options.Samples) is shared between local and
-// distributed runs: a re-run with more replicas replays every stored
-// sample. With CITarget set the replica counts grow per cell under the
-// sequential-stopping rule, led by metric unless CIMetric names another;
-// otherwise the spec's fixed count runs.
-func (s SimSettings) runSimJob(ctx context.Context, spec runner.JobSpec, metric string) ([]replica.Agg, error) {
-	env := runner.JobEnv{Samples: s.Options.Samples, Obs: s.Obs}
-	if stop := s.stopping(metric); stop.Enabled() {
-		return sim.RunJobStopping(ctx, spec, env, s.Workers, stop)
-	}
-	return sim.RunJob(ctx, spec, env, runner.Options{Workers: s.Workers, Obs: s.Obs})
+// serve executes one round of a sim-replica job locally through the job
+// layer — the cells a fabric coordinator would lease — so an attached
+// sample store (Options.Samples) is shared between local and distributed
+// runs: a re-run with more replicas replays every stored sample.
+func (s SimSettings) serve(ctx context.Context, round runner.JobSpec) ([][]byte, error) {
+	return runner.RunJobPayloads(ctx, round, runner.JobEnv{Samples: s.Samples, Obs: s.Obs},
+		runner.Options{Workers: s.Workers, Obs: s.Obs})
 }
 
 // runCells lowers cells into a sim-replica job at these settings' seed and
-// replica count and runs it (see runSimJob).
+// replica count and runs it through sim.RunRounds, every round served
+// locally. With CITarget set the replica counts grow per cell under the
+// sequential-stopping rule, led by metric unless CIMetric names another;
+// otherwise the spec's fixed count runs in one round.
 func (s SimSettings) runCells(ctx context.Context, cells []sim.JobCell, metric string) ([]replica.Agg, error) {
 	spec, err := sim.NewJobSpec(cells, s.Seed, s.Replicas)
 	if err != nil {
 		return nil, err
 	}
-	return s.runSimJob(ctx, spec, metric)
+	return sim.RunRounds(ctx, spec, s.stopping(metric), s.Obs, s.serve)
 }
 
 // adaptCell is one CMFSD flow-level cell with the Adapt controller on every
@@ -245,17 +241,9 @@ func PlanSimValidate(set SimSettings, ps []float64) (*SimValidatePlan, error) {
 // time per file, as SimValidate is) with every round's spec served by
 // serve — see sim.RunRounds — and folds the aggregates into the result.
 func (pl *SimValidatePlan) Serve(ctx context.Context, serve func(context.Context, runner.JobSpec) ([][]byte, error)) (*SimValidateResult, error) {
-	aggs, err := sim.RunRounds(ctx, pl.Spec, pl.set.stopping(replica.OnlinePerFile), serve)
+	aggs, err := sim.RunRounds(ctx, pl.Spec, pl.set.stopping(replica.OnlinePerFile), pl.set.Obs, serve)
 	if err != nil {
 		return nil, err
-	}
-	return pl.result(aggs)
-}
-
-// result folds the per-cell aggregates into the experiment result.
-func (pl *SimValidatePlan) result(aggs []replica.Agg) (*SimValidateResult, error) {
-	if len(aggs) != len(pl.specs) {
-		return nil, fmt.Errorf("experiments: SimValidate has %d aggregates, want %d", len(aggs), len(pl.specs))
 	}
 	res := &SimValidateResult{Settings: pl.set}
 	for i, agg := range aggs {
@@ -279,7 +267,7 @@ func (pl *SimValidatePlan) result(aggs []replica.Agg) (*SimValidateResult, error
 // the simulations — the expensive part — run as a sim-replica job:
 // R = max(1, Settings.Replicas) independently seeded replicas per row, all
 // rows and replicas sharing one worker pool, with Options.Samples and
-// Options.CITarget honoured (see runSimJob). The result table is identical
+// Options.CITarget honoured (see runCells). The result table is identical
 // at every worker count; with R = 1 it is identical to the unreplicated
 // tables this function produced before the replica engine existed.
 // Canceling ctx aborts the remaining simulations.
@@ -291,11 +279,7 @@ func SimValidate(ctx context.Context, set SimSettings, ps []float64) (*SimValida
 	if err != nil {
 		return nil, err
 	}
-	aggs, err := set.runSimJob(ctx, plan.Spec, replica.OnlinePerFile)
-	if err != nil {
-		return nil, err
-	}
-	return plan.result(aggs)
+	return plan.Serve(ctx, set.serve)
 }
 
 // Table renders the fluid-vs-simulation comparison. With more than one
@@ -340,7 +324,7 @@ type AdaptSweepResult struct {
 // under increasing cheater fractions: obedient peers should converge to
 // small ρ in a healthy swarm and drift toward ρ = 1 (MFCD behaviour) as
 // cheating spreads. Every fraction is one cell of a sim-replica job (see
-// runSimJob), led by the final ρ.
+// runCells), led by the final ρ.
 func AdaptSweep(ctx context.Context, set SimSettings, p float64, ac adapt.Config, cheaterFractions []float64) (*AdaptSweepResult, error) {
 	res := &AdaptSweepResult{Settings: set, P: p, Adapt: ac}
 	if len(cheaterFractions) == 0 {
@@ -395,23 +379,23 @@ type SwarmRow struct {
 
 // SwarmCompareResult is the chunk-level MFCD-vs-CMFSD comparison.
 type SwarmCompareResult struct {
-	Config   swarm.Config
-	Replicas int
-	Rows     []SwarmRow
+	Config  swarm.Config
+	Options Options
+	Rows    []SwarmRow
 }
 
 // SwarmCompare runs the chunk-level simulator for MFCD, MTSD and CMFSD
 // over a ρ grid with otherwise identical parameters — the mechanism-level
 // replay of Figure 4(a)'s ordering plus the multi-torrent sequential
-// behaviour embedded in one swarm. Every row runs max(1, replicas)
-// independently seeded replicas; rows and replicas fan out over one
-// worker pool, the base config's seed anchors the seed derivation, and
+// behaviour embedded in one swarm. Every row is one cell of a sim-replica
+// job (see runCells) under opts: opts.Seed anchors the seed derivation
+// (base's own Seed is not read), opts.Replicas, Workers, Samples,
+// CITarget and Obs are honoured like every simulated experiment's, and
 // the table is byte-identical at any worker count (and, with one replica,
 // to the pre-replica-engine serial sweep). Canceling ctx aborts the
-// remaining runs. ob, when non-nil, instruments the replica fan-out
-// (results are byte-identical with or without it).
-func SwarmCompare(ctx context.Context, base swarm.Config, rhos []float64, replicas int, ob *obs.Registry) (*SwarmCompareResult, error) {
-	res := &SwarmCompareResult{Config: base, Replicas: replicas}
+// remaining runs.
+func SwarmCompare(ctx context.Context, base swarm.Config, rhos []float64, opts Options) (*SwarmCompareResult, error) {
+	res := &SwarmCompareResult{Config: base, Options: opts}
 	type rowSpec struct {
 		scheme scheme.SimScheme
 		rho    float64 // NaN for the schemes that ignore ρ
@@ -431,11 +415,7 @@ func SwarmCompare(ctx context.Context, base swarm.Config, rhos []float64, replic
 		}
 		cells[i] = sim.JobCell{Scheme: sp.scheme, Config: sim.Config{Chunk: &c}}
 	}
-	spec, err := sim.NewJobSpec(cells, base.Seed, replicas)
-	if err != nil {
-		return nil, err
-	}
-	aggs, err := sim.RunJob(ctx, spec, runner.JobEnv{Obs: ob}, runner.Options{Obs: ob})
+	aggs, err := SimSettings{Options: opts}.runCells(ctx, cells, replica.OnlinePerFile)
 	if err != nil {
 		return nil, err
 	}
@@ -451,13 +431,13 @@ func SwarmCompare(ctx context.Context, base swarm.Config, rhos []float64, replic
 	return res, nil
 }
 
-// Table renders the chunk-level comparison; with more than one replica a
-// ±95% column follows the online-rounds mean.
+// Table renders the chunk-level comparison; replicated options add a
+// ±95% column after the online-rounds mean.
 func (r *SwarmCompareResult) Table() *table.Table {
 	tb := newCITable(
 		fmt.Sprintf("Chunk-level swarm: online rounds per file (K=%d, %d chunks/file, p=%.1f, η=%.2f)",
 			r.Config.K, r.Config.ChunksPerFile, r.Config.P, r.Config.TFTEfficiency),
-		r.Replicas > 1, "scheme", "rho", "online rounds/file", "±95%", "completed")
+		r.Options.replicated(), "scheme", "rho", "online rounds/file", "±95%", "completed")
 	for _, row := range r.Rows {
 		rho := "-"
 		if !math.IsNaN(row.Rho) {

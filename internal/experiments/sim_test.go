@@ -66,7 +66,7 @@ func TestSwarmCompareOrdering(t *testing.T) {
 	base := swarm.DefaultConfig
 	base.Horizon = 2000
 	base.Warmup = 300
-	res, err := SwarmCompare(context.Background(), base, []float64{0, 1}, 1, nil)
+	res, err := SwarmCompare(context.Background(), base, []float64{0, 1}, Options{Seed: base.Seed, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,8 @@ import (
 	"mfdl/internal/eventsim"
 	"mfdl/internal/numeric/ode"
 	"mfdl/internal/replica"
+	"mfdl/internal/rng"
+	"mfdl/internal/runner"
 	"mfdl/internal/scheme"
 	"mfdl/internal/sim"
 	"mfdl/internal/table"
@@ -102,48 +104,64 @@ func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) 
 
 	// Simulated paths: independently seeded replicas, each compared
 	// against the (fully built, read-only) fluid trajectory, under the
-	// settings' stopping rule led by the downloader distance. Replica 0's
-	// trace leaves the engine out of band for the table. This is the one
-	// experiment that calls the replica engine directly rather than
-	// running a sim-replica job: its replicas' output is a trace compared
-	// in-process with the fluid path, and no job payload carries a trace.
+	// settings' stopping rule led by the downloader distance. The path is
+	// one sim-replica cell, and RunRounds grows it like any other, but its
+	// rounds are served here rather than by the job kind: a replica's
+	// output is a trace compared in-process with the fluid path, and no
+	// job payload carries a trace. Replica 0's trace leaves the round out
+	// of band for the table.
+	spec, err := sim.NewJobSpec([]sim.JobCell{{Scheme: scheme.SimCMFSD, Config: sim.Config{Flow: &eventsim.Config{
+		Params: set.Params, K: set.K, Lambda0: set.Lambda0, P: p, Rho: rho,
+		Horizon: set.Horizon, FlashCrowd: flash, SampleEvery: sampleEvery,
+	}}}}, set.Seed, set.Replicas)
+	if err != nil {
+		return nil, err
+	}
 	scale := float64(flash)
 	if scale < 1 {
 		scale = 1
 	}
 	var first *trace.Recorder
-	aggs, err := sim.RunSequential(ctx, 1, func(int) replica.Sim {
-		return replica.SimFunc(func(_ context.Context, rep replica.Rep) (replica.Sample, error) {
-			sc := eventsim.Config{
-				Params: set.Params, K: set.K, Lambda0: set.Lambda0, P: p,
-				Scheme: scheme.SimCMFSD, Rho: rho,
-				Horizon: set.Horizon, Warmup: 0, Seed: rep.Seed,
-				FlashCrowd: flash, SampleEvery: sampleEvery,
-			}
+	aggs, err := sim.RunRounds(ctx, spec, set.stopping(transientRMSDownloaders), set.Obs, func(ctx context.Context, round runner.JobSpec) ([][]byte, error) {
+		params, err := sim.Params(round)
+		if err != nil {
+			return nil, err
+		}
+		reps, err := sim.Reps(round)
+		if err != nil {
+			return nil, err
+		}
+		grid, err := runner.Indexed("replica", len(reps))
+		if err != nil {
+			return nil, err
+		}
+		return runner.Run(ctx, grid, func(_ context.Context, pt runner.Point, _ *rng.Source) ([]byte, error) {
+			rep := reps[pt.Index]
+			sc := *params.Cells[rep.Cell].Config.Flow
+			sc.Seed = rep.Seed
 			out, err := eventsim.Run(sc)
 			if err != nil {
-				return replica.Sample{}, err
+				return nil, err
 			}
 			if rep.Replica == 0 {
 				first = out.Trace
 			}
 			dDl, err := trace.RMSDistance(fluidRec.Series("downloaders"), out.Trace.Series("downloaders"), 200)
 			if err != nil {
-				return replica.Sample{}, err
+				return nil, err
 			}
 			dSeeds, err := trace.RMSDistance(fluidRec.Series("seeds"), out.Trace.Series("seeds"), 200)
 			if err != nil {
-				return replica.Sample{}, err
+				return nil, err
 			}
 			peakT, _ := out.Trace.Series("downloaders").Max()
-			return replica.Sample{Values: map[string]float64{
+			return replica.EncodeSample(replica.Sample{Values: map[string]float64{
 				transientRMSDownloaders: dDl / scale,
 				transientRMSSeeds:       dSeeds / scale,
 				transientPeakSimT:       peakT,
-			}}, nil
-		})
-	}, sim.Options{Replicas: set.Replicas, Workers: set.Workers, Seed: set.Seed, Obs: set.Obs},
-		set.stopping(transientRMSDownloaders))
+			}})
+		}, runner.Options{Workers: set.Workers, Seed: set.Seed, Obs: set.Obs})
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -22,17 +20,20 @@ import (
 
 // Campaign serves a sequence of jobs of any kind at one address, with a
 // fresh Coordinator per job behind a swappable handler. A run in rounds
-// calls Serve per round; WorkLoop workers follow, and the shared sample
-// store lets a round's coordinator mark every replica an earlier round
-// drew as done without leasing it. Set the fields before the first Serve,
-// which opens the listener once its spec is valid; Serve calls must not
-// overlap, and Close releases everything.
+// (sim.RunRounds) calls Serve per round, each round a spec of only its new
+// replicas, and WorkLoop workers follow. Set the fields before the first
+// Serve, which opens the listener once its spec is valid; Serve calls must
+// not overlap, and Close releases everything.
 type Campaign struct {
 	Addr     string // listen address; port 0 picks a free port
 	AddrFile string // receives the actual listen address once it is up
-	// CheckpointDir and SampleDir hold completed cells and replica
-	// samples; empty means a private temp dir that Close removes.
-	CheckpointDir, SampleDir string
+	// CheckpointDir holds completed cells; empty means a private temp dir
+	// that Close removes.
+	CheckpointDir string
+	// SampleDir, when set, is the keyed replica-sample store the
+	// coordinator and the local workers share, so a later campaign with
+	// more replicas replays every sample drawn here; empty means no store.
+	SampleDir string
 	// LocalWorkers run in process beside any remote workers, each with a
 	// private registry as a separate worker process would have, so the
 	// fleet /metrics view counts it once.
@@ -47,7 +48,7 @@ type Campaign struct {
 
 	ckpt    *diskcache.CheckpointStore
 	samples *diskcache.SampleStore
-	tmp     string // private store root, removed by Close
+	tmp     string // private checkpoint dir, removed by Close
 	srv     *http.Server
 	url     string
 	stop    context.CancelFunc
@@ -105,7 +106,7 @@ func (c *Campaign) Status() Status {
 }
 
 // Close stops serving, waits for the serving goroutines, and removes the
-// private temp directories.
+// private checkpoint directory.
 func (c *Campaign) Close() error {
 	var err error
 	if c.srv != nil {
@@ -133,26 +134,26 @@ func (c *Campaign) logf(format string, args ...any) {
 	}
 }
 
-// openStores opens the checkpoint and sample stores on first use.
+// openStores opens the checkpoint store, and the sample store if a
+// directory is set, on first use.
 func (c *Campaign) openStores() error {
 	if c.ckpt != nil {
 		return nil
 	}
-	ckptDir, sampleDir := c.CheckpointDir, c.SampleDir
-	if ckptDir == "" || sampleDir == "" {
-		tmp, err := os.MkdirTemp("", "fabric-campaign-*")
-		if err != nil {
+	var err error
+	if c.SampleDir != "" {
+		if c.samples, err = diskcache.OpenSamples(c.SampleDir); err != nil {
 			return err
 		}
-		c.tmp = tmp
-		ckptDir = cmp.Or(ckptDir, filepath.Join(tmp, "checkpoints"))
-		sampleDir = cmp.Or(sampleDir, filepath.Join(tmp, "samples"))
+		c.samples.WithObs(c.Coordinator.Obs)
 	}
-	var err error
-	if c.samples, err = diskcache.OpenSamples(sampleDir); err != nil {
-		return err
+	ckptDir := c.CheckpointDir
+	if ckptDir == "" {
+		if ckptDir, err = os.MkdirTemp("", "fabric-campaign-*"); err != nil {
+			return err
+		}
+		c.tmp = ckptDir
 	}
-	c.samples.WithObs(c.Coordinator.Obs)
 	c.ckpt, err = diskcache.OpenCheckpoint(ckptDir)
 	return err
 }

@@ -18,14 +18,16 @@ import (
 )
 
 // One campaign serves jobs of any kind in sequence at one address: a fluid
-// sweep, then two rounds of a sim-replica job. Every job's payloads are the
-// local run's bytes, and the second round, at twice the replicas, leases
-// only the replicas the first round did not draw.
+// sweep, then a sim-replica job twice, the second time at twice the
+// replicas. Every job's payloads are the local run's bytes, and with a
+// sample directory the second, larger job leases only the replicas the
+// first did not draw.
 func TestCampaignServesJobsInSequence(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.New()
 	camp := &Campaign{
 		Addr: "127.0.0.1:0", AddrFile: filepath.Join(dir, "addr"),
+		SampleDir:    filepath.Join(dir, "samples"),
 		LocalWorkers: 2, FleetOut: filepath.Join(dir, "fleet.json"),
 		Coordinator: CoordinatorOptions{Obs: reg},
 	}
@@ -45,7 +47,7 @@ func TestCampaignServesJobsInSequence(t *testing.T) {
 		}
 	}
 	if n := reg.Counter("fabric_cells_resumed_total").Value(); n != 4 {
-		t.Errorf("round two resumed %d cells from the sample store, want round one's 4", n)
+		t.Errorf("the larger job resumed %d cells from the sample store, want the first one's 4", n)
 	}
 	if st := camp.Status(); st.Done != 8 || st.Total != 8 {
 		t.Errorf("last job status %+v, want 8/8 done", st)

@@ -1,12 +1,16 @@
 package replica_test
 
-// These tests drive the replica engine (internal/sim) through the contract
-// alone — SimFunc backends, Rep seeds, Agg and Reduce — and so pin what
-// the contract promises a backend: replica 0 at the base seed, reduction in
-// replica order at any worker count, and samples that are drawn once.
+// These tests drive the one replica executor, sim.RunRounds, through the
+// contract alone — SimFunc backends, Rep seeds, Agg and Reduce — and so pin
+// what the contract promises a backend: replica 0 at the base seed,
+// reduction in replica order at any worker count, and samples that are
+// drawn once. Each round is served by serveWith, a fake executor built
+// from sim.Reps that runs the round's replicas on SimFunc backends instead
+// of on the simulators the spec names.
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -15,15 +19,73 @@ import (
 	"sync"
 	"testing"
 
+	"mfdl/internal/eventsim"
+	"mfdl/internal/fluid"
+	"mfdl/internal/obs"
 	"mfdl/internal/replica"
+	"mfdl/internal/rng"
+	"mfdl/internal/runner"
 	"mfdl/internal/runner/diskcache"
+	"mfdl/internal/scheme"
 	"mfdl/internal/sim"
 	"mfdl/internal/stats"
 )
 
-// run is the engine at a fixed replica count.
-func run(ctx context.Context, cells int, s func(int) replica.Sim, opts sim.Options) ([]replica.Agg, error) {
-	return sim.RunSequential(ctx, cells, s, opts, sim.Stopping{})
+// flowCell is a small flow-level cell at correlation p; its tiny horizon
+// keeps the tests that really simulate it fast.
+func flowCell(p float64) sim.JobCell {
+	return sim.JobCell{Scheme: scheme.SimMTSD, Config: sim.Config{Flow: &eventsim.Config{
+		Params: fluid.Params{Mu: 0.2, Eta: 0.5, Gamma: 0.5}, K: 2, Lambda0: 1, P: p,
+		Horizon: 120, Warmup: 20,
+	}}}
+}
+
+// spec is a sim-replica job of cells grid cells at seed and r replicas.
+func spec(t *testing.T, cells int, seed uint64, r int) runner.JobSpec {
+	t.Helper()
+	jc := make([]sim.JobCell, cells)
+	for i := range jc {
+		jc[i] = flowCell(0.5 + 0.1*float64(i))
+	}
+	s, err := sim.NewJobSpec(jc, seed, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// serveWith is a fake executor: it runs every replica a round names
+// (sim.Reps) on s(cell) over one pool of workers and returns the encoded
+// samples in executable-cell order, labelling an error with its replica.
+func serveWith(s func(cell int) replica.Sim, workers int) func(context.Context, runner.JobSpec) ([][]byte, error) {
+	return func(ctx context.Context, round runner.JobSpec) ([][]byte, error) {
+		reps, err := sim.Reps(round)
+		if err != nil {
+			return nil, err
+		}
+		grid, err := runner.Indexed("replica", len(reps))
+		if err != nil {
+			return nil, err
+		}
+		return runner.Run(ctx, grid, func(ctx context.Context, pt runner.Point, _ *rng.Source) ([]byte, error) {
+			r := reps[pt.Index]
+			sample, err := s(r.Cell).Simulate(ctx, r)
+			if err != nil {
+				return nil, fmt.Errorf("cell %d replica %d: %w", r.Cell, r.Replica, err)
+			}
+			return replica.EncodeSample(sample)
+		}, runner.Options{Workers: workers})
+	}
+}
+
+// rounds runs RunRounds over cells grid cells served by s.
+func rounds(ctx context.Context, t *testing.T, cells int, s func(int) replica.Sim, seed uint64, r, workers int, stop sim.Stopping) ([]replica.Agg, error) {
+	return sim.RunRounds(ctx, spec(t, cells, seed, r), stop, nil, serveWith(s, workers))
+}
+
+// run is the executor at a fixed replica count.
+func run(ctx context.Context, t *testing.T, cells int, s func(int) replica.Sim, seed uint64, r, workers int) ([]replica.Agg, error) {
+	return rounds(ctx, t, cells, s, seed, r, workers, sim.Stopping{})
 }
 
 // echoSim emits deterministic metrics derived from the replica identity,
@@ -44,7 +106,7 @@ func echoSim(cell int) replica.Sim {
 
 func TestRunAggregation(t *testing.T) {
 	const cells, r = 3, 4
-	aggs, err := run(context.Background(), cells, echoSim, sim.Options{Replicas: r, Seed: 9})
+	aggs, err := run(context.Background(), t, cells, echoSim, 9, r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +154,12 @@ func TestRunAggregation(t *testing.T) {
 	}
 }
 
-// TestRunWorkerCountInvariance is the engine's core guarantee: for fixed
+// TestRunWorkerCountInvariance is the executor's core guarantee: for fixed
 // (seed, R), the reduction is bit-identical at any worker count.
 func TestRunWorkerCountInvariance(t *testing.T) {
 	runAt := func(workers int) []replica.Agg {
 		t.Helper()
-		aggs, err := run(context.Background(), 4, echoSim,
-			sim.Options{Replicas: 5, Workers: workers, Seed: 1234})
+		aggs, err := run(context.Background(), t, 4, echoSim, 1234, 5, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,16 +178,19 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 func TestRunReplicaZeroSeed(t *testing.T) {
 	const base = uint64(77)
 	var got []uint64
-	_, err := run(context.Background(), 3, func(int) replica.Sim {
+	_, err := run(context.Background(), t, 3, func(int) replica.Sim {
 		return replica.SimFunc(func(_ context.Context, r replica.Rep) (replica.Sample, error) {
 			if r.Replica == 0 {
 				got = append(got, r.Seed)
 			}
 			return replica.Sample{}, nil
 		})
-	}, sim.Options{Replicas: 1, Workers: 1, Seed: base})
+	}, base, 1, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("ran %d replica-0 runs, want one per cell", len(got))
 	}
 	for i, s := range got {
 		if s != base {
@@ -135,31 +199,43 @@ func TestRunReplicaZeroSeed(t *testing.T) {
 	}
 }
 
+// RunRounds refuses what is not the start of a stopping run, and a
+// round's error — labelled by its executor — reaches the caller unchanged.
 func TestRunErrors(t *testing.T) {
 	ctx := context.Background()
-	if _, err := run(ctx, 1, echoSim, sim.Options{Replicas: -1}); err == nil {
+	serve := serveWith(echoSim, 1)
+	if _, err := sim.RunRounds(ctx, runner.JobSpec{Kind: "fluid-sweep"}, sim.Stopping{}, nil, serve); err == nil {
+		t.Error("a spec of another kind accepted")
+	}
+	negative := spec(t, 1, 1, 1)
+	negative.Replicas = -1
+	if _, err := sim.RunRounds(ctx, negative, sim.Stopping{}, nil, serve); err == nil {
 		t.Error("negative Replicas accepted")
 	}
-	if _, err := run(ctx, -1, echoSim, sim.Options{}); err == nil {
-		t.Error("negative cells accepted")
+	p, err := sim.Params(spec(t, 2, 1, 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := run(ctx, 1, func(int) replica.Sim { return nil }, sim.Options{}); err == nil {
-		t.Error("nil sim accepted")
+	p.Replicas = []int{1, 2}
+	perCell := spec(t, 2, 1, 0)
+	if perCell.Params, err = json.Marshal(p); err != nil {
+		t.Fatal(err)
 	}
-	if aggs, err := run(ctx, 0, echoSim, sim.Options{}); err != nil || aggs != nil {
-		t.Errorf("0 cells: got (%v, %v), want (nil, nil)", aggs, err)
+	if _, err := sim.RunRounds(ctx, perCell, sim.Stopping{}, nil, serve); err == nil {
+		t.Error("a spec with per-cell counts accepted as a start")
 	}
-	// A replica error is labeled with its (cell, replica, seed) and
-	// propagated; the lowest flattened index wins.
+	if _, err := sim.NewJobSpec(nil, 1, 1); err == nil {
+		t.Error("a job of no cells accepted")
+	}
 	boom := errors.New("boom")
-	_, err := run(ctx, 2, func(cell int) replica.Sim {
+	_, err = run(ctx, t, 2, func(cell int) replica.Sim {
 		return replica.SimFunc(func(_ context.Context, r replica.Rep) (replica.Sample, error) {
 			if r.Cell == 1 && r.Replica == 2 {
 				return replica.Sample{}, boom
 			}
 			return replica.Sample{}, nil
 		})
-	}, sim.Options{Replicas: 3, Workers: 1, Seed: 5})
+	}, 5, 3, 1)
 	if !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
@@ -171,27 +247,26 @@ func TestRunErrors(t *testing.T) {
 func TestRunContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := run(ctx, 2, echoSim, sim.Options{Replicas: 2})
+	_, err := run(ctx, t, 2, echoSim, 0, 2, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
-// Reduce over a cell's raw samples must equal the Agg the engine computes
-// for the same cell — the equivalence that lets the fabric reduce shipped
-// samples.
+// Reduce over a cell's raw samples, drawn at the SeedOf seeds, must equal
+// the Agg the executor computes for the same cell — the equivalence that
+// lets any executor reduce shipped samples.
 func TestReduceMatchesRun(t *testing.T) {
 	const cells, r = 3, 4
-	aggs, err := run(context.Background(), cells, echoSim, sim.Options{Replicas: r, Seed: 11})
+	aggs, err := run(context.Background(), t, cells, echoSim, 11, r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := replica.Seeds(11, cells, r)
 	for c := 0; c < cells; c++ {
 		samples := make([]replica.Sample, r)
 		for j := 0; j < r; j++ {
 			s, err := echoSim(c).Simulate(context.Background(),
-				replica.Rep{Cell: c, Replica: j, Seed: seeds[c][j]})
+				replica.Rep{Cell: c, Replica: j, Seed: replica.SeedOf(11, c, j)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,17 +332,16 @@ func TestSequentialDisabledEqualsRun(t *testing.T) {
 		{Target: 0.5},             // no metric
 		{Metric: "v", Target: -1}, // non-positive target
 	} {
-		opts := sim.Options{Replicas: 3, Seed: 5}
-		want, err := run(context.Background(), 4, echoSim, opts)
+		want, err := run(context.Background(), t, 4, echoSim, 5, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sim.RunSequential(context.Background(), 4, echoSim, opts, stop)
+		got, err := rounds(context.Background(), t, 4, echoSim, 5, 3, 0, stop)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("stop=%+v: RunSequential != fixed-R run", stop)
+			t.Fatalf("stop=%+v: RunRounds != fixed-R run", stop)
 		}
 		if got[0].Replicas != 3 {
 			t.Fatalf("stop=%+v: R = %d, want the fixed 3", stop, got[0].Replicas)
@@ -285,8 +359,7 @@ func TestSequentialGrowsOnlyNoisyCells(t *testing.T) {
 		}
 		return float64(100 * rep) // noisy: CI95 stays far above target
 	})
-	aggs, err := sim.RunSequential(context.Background(), 2, cs.sim,
-		sim.Options{Replicas: 2, Seed: 3},
+	aggs, err := rounds(context.Background(), t, 2, cs.sim, 3, 2, 0,
 		sim.Stopping{Metric: "m", Target: 0.01, MaxReplicas: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -314,8 +387,7 @@ func TestSequentialGrowsOnlyNoisyCells(t *testing.T) {
 // MaxReplicas below the start is raised to the start.
 func TestSequentialStartFloor(t *testing.T) {
 	cs := newCountingSim(func(cell, rep int) float64 { return float64(rep) })
-	aggs, err := sim.RunSequential(context.Background(), 1, cs.sim,
-		sim.Options{Replicas: 1, Seed: 3},
+	aggs, err := rounds(context.Background(), t, 1, cs.sim, 3, 1, 0,
 		sim.Stopping{Metric: "m", Target: 0.01, MaxReplicas: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -325,82 +397,61 @@ func TestSequentialStartFloor(t *testing.T) {
 	}
 }
 
-// The sample-store contract: R grows, it never resamples. A second run
-// over the same store — even one starting at a higher replica count —
-// simulates only the replicas the store has not seen.
+// The sample-store contract: R grows, it never resamples. Served by the
+// job kind over a store, a run simulates each replica once; an identical
+// re-run simulates nothing and reduces to the same aggregates; and a run
+// allowed to grow further simulates only the replicas the store has not
+// seen.
 func TestSequentialReusesStoredSamples(t *testing.T) {
 	store, err := diskcache.OpenSamples(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	value := func(cell, rep int) float64 {
-		if cell == 0 {
-			return 7
+	// Real flow-level cells; a target no CI reaches grows both to the bound.
+	job := spec(t, 2, 3, 2)
+	runOnce := func(maxR int) ([]replica.Agg, uint64) {
+		t.Helper()
+		reg := obs.New()
+		env := runner.JobEnv{Samples: store, Obs: reg}
+		aggs, err := sim.RunRounds(context.Background(), job,
+			sim.Stopping{Metric: replica.OnlinePerFile, Target: 1e-12, MaxReplicas: maxR}, nil,
+			func(ctx context.Context, round runner.JobSpec) ([][]byte, error) {
+				return runner.RunJobPayloads(ctx, round, env, runner.Options{})
+			})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return float64(100 * rep)
+		return aggs, reg.Histogram("replica_simulate_seconds", obs.LatencyBuckets).Count()
 	}
-	key := func(cell int) string { return fmt.Sprintf("cell-%d", cell) }
-	stop := sim.Stopping{Metric: "m", Target: 0.01, MaxReplicas: 8}
-
-	first := newCountingSim(value)
-	want, err := sim.RunSequential(context.Background(), 2, first.sim,
-		sim.Options{Replicas: 2, Seed: 3, Samples: store, SampleKey: key}, stop)
-	if err != nil {
-		t.Fatal(err)
+	want, sims := runOnce(8)
+	if sims != 16 || want[0].Replicas != 8 || want[1].Replicas != 8 {
+		t.Fatalf("first run simulated %d replicas to R = %d, %d; want 16 to 8, 8",
+			sims, want[0].Replicas, want[1].Replicas)
 	}
-	if first.total() != 10 || first.maxRuns() > 1 {
-		t.Fatalf("first run simulated %d replicas (max %d per pair), want 10 distinct",
-			first.total(), first.maxRuns())
-	}
-
-	// Identical re-run: every sample replays, nothing simulates, and the
-	// aggregates are bit-identical to the first run's.
-	second := newCountingSim(value)
-	got, err := sim.RunSequential(context.Background(), 2, second.sim,
-		sim.Options{Replicas: 2, Seed: 3, Samples: store, SampleKey: key}, stop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.total() != 0 {
-		t.Errorf("re-run simulated %d replicas, want 0", second.total())
+	got, sims := runOnce(8)
+	if sims != 0 {
+		t.Errorf("re-run simulated %d replicas, want 0", sims)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("replayed aggregates differ from computed ones")
 	}
-
-	// Growing the start to 4 only costs the converged cell its two missing
-	// replicas; the noisy cell's 8 stored samples all replay.
-	third := newCountingSim(value)
-	if _, err := sim.RunSequential(context.Background(), 2, third.sim,
-		sim.Options{Replicas: 4, Seed: 3, Samples: store, SampleKey: key}, stop); err != nil {
-		t.Fatal(err)
-	}
-	if third.total() != 2 {
-		t.Errorf("grown run simulated %d replicas, want 2 (cell 0, replicas 2..3)", third.total())
-	}
-	for pair, n := range third.runs {
-		if pair[0] != 0 || pair[1] < 2 || n != 1 {
-			t.Errorf("grown run simulated unexpected pair %v ×%d", pair, n)
-		}
+	// Growing the bound to 16 costs each cell only replicas 8..15.
+	if _, sims := runOnce(16); sims != 16 {
+		t.Errorf("grown run simulated %d replicas, want 16 (replicas 8..15 of two cells)", sims)
 	}
 }
 
+// RunRounds refuses a stopping metric that no cell reports: an absent key
+// reads as CI95 0, so a misspelt name would otherwise stop every cell at
+// the start.
 func TestSequentialErrors(t *testing.T) {
-	stop := sim.Stopping{Metric: "m", Target: 0.1, MaxReplicas: 4}
-	if _, err := sim.RunSequential(context.Background(), 1, echoSim,
-		sim.Options{Replicas: -1}, stop); err == nil {
-		t.Error("negative Replicas accepted")
+	_, err := rounds(context.Background(), t, 2, echoSim, 1, 2, 0,
+		sim.Stopping{Metric: "absent", Target: 0.1, MaxReplicas: 4})
+	if err == nil || !strings.Contains(err.Error(), `"absent"`) {
+		t.Errorf("misnamed stopping metric: err = %v, want one naming it", err)
 	}
-	if _, err := sim.RunSequential(context.Background(), -1, echoSim,
-		sim.Options{}, stop); err == nil {
-		t.Error("negative cells accepted")
-	}
-	if _, err := sim.RunSequential(context.Background(), 1,
-		func(int) replica.Sim { return nil }, sim.Options{}, stop); err == nil {
-		t.Error("nil sim accepted")
-	}
-	if aggs, err := sim.RunSequential(context.Background(), 0, echoSim,
-		sim.Options{}, stop); err != nil || len(aggs) != 0 {
-		t.Errorf("zero cells: %v, %v", aggs, err)
+	if _, err := rounds(context.Background(), t, 2, echoSim, 1, 2, 0,
+		sim.Stopping{Metric: "v", Target: 0.1, MaxReplicas: 4}); err != nil {
+		t.Errorf("a metric the cells report: %v", err)
 	}
 }

@@ -5,9 +5,9 @@
 // Outcome.Sample from the Outcome its user Ledger fills; it links neither
 // the engine nor the worker pool nor the stores. Beside Sample and Sim the
 // contract holds the sample codec (the bytes the sample store persists and
-// the fabric carries), the seed derivation every executor shares, and
-// Reduce, which folds a cell's samples into mean / 95% confidence interval
-// / min / max per metric:
+// the fabric carries), the one seed rule every executor shares (SeedOf),
+// and Reduce, which folds a cell's samples into mean / 95% confidence
+// interval / min / max per metric:
 //
 //	res, err := eventsim.Run(cfg) // cfg.Seed is the replica's seed
 //	samples = append(samples, res.Sample())
@@ -17,7 +17,8 @@
 // # Seed derivation
 //
 // Replica seeds are a pure function of (base seed, cell index, replica
-// index), untouched by scheduling or worker count:
+// index), untouched by scheduling or worker count; SeedOf computes the
+// seed of any one index:
 //
 //   - cell i owns the i-th Split of the base seed's stream (the same
 //     scheme internal/runner uses for per-cell streams);
@@ -27,7 +28,9 @@
 //     stream.
 //
 // Growing R therefore extends a smaller run: the first replicas of an
-// R = 8 run are seeded identically to an R = 4 run.
+// R = 8 run are seeded identically to an R = 4 run, and a sequential-
+// stopping round that draws only replicas 4..7 of a cell seeds them
+// exactly as the one-shot R = 8 run does.
 //
 // # Determinism
 //
@@ -41,7 +44,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mfdl/internal/rng"
 	"mfdl/internal/stats"
 )
 
@@ -229,27 +231,6 @@ func (a Agg) Count(key string) float64 { return a.Counts[key] }
 
 // Summary returns the pooled within-run summary of a metric.
 func (a Agg) Summary(key string) stats.Summary { return a.Summaries[key] }
-
-// Seeds returns the replica seeds of every cell under base: element
-// [i][j] seeds replica j of cell i. The scheme is documented in the
-// package comment (and DESIGN.md); in particular [i][0] == base for every
-// cell, and for fixed base the first columns do not move as r grows.
-func Seeds(base uint64, cells, r int) [][]uint64 {
-	if cells < 0 || r < 1 {
-		panic(fmt.Sprintf("replica: Seeds(cells=%d, r=%d)", cells, r))
-	}
-	parent := rng.New(base)
-	out := make([][]uint64, cells)
-	for i := range out {
-		src := parent.Split()
-		out[i] = make([]uint64, r)
-		out[i][0] = base
-		for j := 1; j < r; j++ {
-			out[i][j] = src.Uint64()
-		}
-	}
-	return out
-}
 
 // Reduce folds one cell's samples, in replica order, into an Agg — the one
 // reduction every executor applies, so samples gathered through any route

@@ -128,11 +128,11 @@ func DecodeSample(data []byte) (Sample, error) {
 	return s, nil
 }
 
-// SeedOf returns the seed of replica rep of cell under base — element
-// [cell][rep] of Seeds(base, cell+1, rep+1), computed standalone. A remote
-// worker can therefore rebuild any single replica's seed without
-// enumerating the others, which is what lets the fabric hand out
-// (cell, replica) pairs individually.
+// SeedOf returns the seed of replica rep of cell under base — the one seed
+// rule, documented in the package comment. It is computed for the one
+// index alone, so any executor can seed any single replica without
+// enumerating the others: a fabric worker handed one (cell, replica) pair,
+// and a stopping round that starts a cell at its first new replica.
 func SeedOf(base uint64, cell, rep int) uint64 {
 	if cell < 0 || rep < 0 {
 		panic(fmt.Sprintf("replica: SeedOf(cell=%d, rep=%d)", cell, rep))

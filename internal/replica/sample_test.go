@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mfdl/internal/rng"
 	"mfdl/internal/stats"
 )
 
@@ -116,17 +117,24 @@ func TestSampleDecodeRejections(t *testing.T) {
 	}
 }
 
-// SeedOf must agree with Seeds at every (cell, replica) index — it is the
-// same derivation computed standalone, and the fabric depends on that to
-// hand out single replicas.
+// SeedOf must agree at every (cell, replica) index with the derivation
+// the package documents, run in order: cell i takes the i-th Split of the
+// base seed's stream, replica 0 runs at the base seed and replica j >= 1 at
+// the j-th Uint64 of the cell's stream. It is that derivation computed for
+// one index alone, which the fabric depends on to hand out single replicas
+// and a round to start a cell at any replica.
 func TestSeedOfMatchesSeeds(t *testing.T) {
 	const cells, r = 5, 7
 	for _, base := range []uint64{0, 1, 42, ^uint64(0)} {
-		grid := Seeds(base, cells, r)
+		parent := rng.New(base)
 		for i := 0; i < cells; i++ {
+			src, want := parent.Split(), base
 			for j := 0; j < r; j++ {
-				if got := SeedOf(base, i, j); got != grid[i][j] {
-					t.Errorf("SeedOf(%d, %d, %d) = %#x, want %#x", base, i, j, got, grid[i][j])
+				if j > 0 {
+					want = src.Uint64()
+				}
+				if got := SeedOf(base, i, j); got != want {
+					t.Errorf("SeedOf(%d, %d, %d) = %#x, want %#x", base, i, j, got, want)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -279,11 +280,16 @@ func (s JobSpec) Canonical() ([]byte, error) {
 }
 
 // ParseJobSpec decodes and prepares a JobSpec from its JSON encoding; the
-// returned spec carries its Job.
+// returned spec carries its Job. Params must arrive in the compact form
+// Canonical renders them in: the fingerprint hashes their bytes, so any
+// other form would change the job's identity on its next trip.
 func ParseJobSpec(data []byte) (JobSpec, error) {
 	var s JobSpec
 	if err := json.Unmarshal(data, &s); err != nil {
 		return JobSpec{}, fmt.Errorf("runner: job spec: %w", err)
+	}
+	if canon, err := json.Marshal(s.Params); len(s.Params) > 0 && (err != nil || !bytes.Equal(canon, s.Params)) {
+		return JobSpec{}, fmt.Errorf("runner: job params are not in canonical form")
 	}
 	job, err := s.Prepare()
 	if err != nil {

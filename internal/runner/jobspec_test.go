@@ -54,6 +54,20 @@ func TestJobSpecCanonicalRoundTrip(t *testing.T) {
 	}
 }
 
+// Params in any form but the compact one Canonical renders would hash to
+// another fingerprint after one trip through Canonical, so parsing refuses
+// them.
+func TestParseJobSpecRejectsNonCanonicalParams(t *testing.T) {
+	data, err := testJobSpec().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data[:len(data)-1], []byte(`,"params":{ "a":1}}`)...)
+	if _, err := ParseJobSpec(data); err == nil || !strings.Contains(err.Error(), "canonical") {
+		t.Fatalf("ParseJobSpec(%s) = %v, want a canonical-form error", data, err)
+	}
+}
+
 func TestJobSpecFingerprintSeparatesIdentity(t *testing.T) {
 	base := testJobSpec()
 	mutations := map[string]func(*JobSpec){

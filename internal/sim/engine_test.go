@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"mfdl/internal/replica"
@@ -50,5 +51,10 @@ func TestSequentialDrivesRounds(t *testing.T) {
 		return nil, boom
 	}); err != boom {
 		t.Errorf("round error = %v, want it returned", err)
+	}
+	// A metric no cell reports is a misnamed one, not a converged run.
+	_, err = sequential(context.Background(), 2, 1, Stopping{Metric: "mm", Target: 0.01, MaxReplicas: 8}, run)
+	if err == nil || !strings.Contains(err.Error(), `"mm"`) {
+		t.Errorf("absent stopping metric: err = %v, want one naming it", err)
 	}
 }

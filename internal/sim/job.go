@@ -1,19 +1,23 @@
 // The sim-replica job kind: simulator replica batches as distributable
 // jobs. A spec's params carry one simulator configuration per grid cell;
 // the executable cells are the (grid cell × replica index) pairs, seeded
-// by the replica engine's derivation scheme, so every executor — RunJob,
-// RunJobStopping, RunRounds, a fabric worker — draws the same samples,
-// byte-identical at any worker count, with R = 1 pinned to the
-// unreplicated goldens.
+// by replica.SeedOf, so every executor — RunJob, a round of RunRounds, a
+// fabric worker — draws the same samples, byte-identical at any worker
+// count, with R = 1 pinned to the unreplicated goldens.
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"sync"
+	"time"
 
+	"mfdl/internal/obs"
 	"mfdl/internal/replica"
 	"mfdl/internal/runner"
 	"mfdl/internal/scheme"
@@ -54,12 +58,16 @@ type JobParams struct {
 	// Cells holds one simulator configuration per grid cell, in cell
 	// order.
 	Cells []JobCell `json:"cells"`
-	// Replicas, when present, gives every grid cell its own replica count,
-	// in cell order, and the spec's Replicas is then 0. Uniform counts are
-	// always spelled as the spec's Replicas with this field absent, so a
-	// uniform job has one encoding, and its fingerprint and sample keys
-	// match those that checkpoints and sample stores already hold.
+	// Replicas, when present, gives every grid cell its own replica count
+	// and the spec's Replicas is 0. Uniform counts are always spelled as
+	// the spec's Replicas, so a uniform job has one encoding. A count may
+	// be 0 only beside a First above 0: a cell that has stopped growing.
 	Replicas []int `json:"replicas,omitempty"`
+	// First, when present, gives every grid cell the index of the first
+	// replica it draws; absent means 0 for every cell, the only spelling
+	// of that. Only RunRounds sets it, so that a round names only the
+	// replicas it adds.
+	First []int `json:"first,omitempty"`
 }
 
 // NewJobSpec lowers a list of simulator cells into a runnable JobSpec:
@@ -111,41 +119,103 @@ func newSpec(p JobParams, seed uint64, replicas int) (runner.JobSpec, error) {
 	return job.Spec(), nil
 }
 
-// Params decodes a sim-replica spec's cell configurations.
+// Params decodes a sim-replica spec's cell configurations. Decoding is
+// strict: a field this build does not know is an error, never silently
+// dropped.
 func Params(spec runner.JobSpec) (JobParams, error) {
 	if spec.Kind != JobKindSimReplica {
 		return JobParams{}, fmt.Errorf("sim: spec kind %q is not %q", spec.Kind, JobKindSimReplica)
 	}
+	dec := json.NewDecoder(bytes.NewReader(spec.Params))
+	dec.DisallowUnknownFields()
 	var p JobParams
-	if err := json.Unmarshal(spec.Params, &p); err != nil {
+	if err := dec.Decode(&p); err != nil {
 		return JobParams{}, fmt.Errorf("sim: job params: %w", err)
 	}
 	return p, nil
 }
 
-// offsets returns where every grid cell's executable cells start, plus the
-// total: grid cell i owns [off[i], off[i+1]), its replicas in order. The
-// counts are perCell when present, else replicas (0 meaning 1, as in the
-// replica engine) for every cell.
-func offsets(replicas int, perCell []int, cells int) []int {
-	off := make([]int, cells+1)
-	for i := range cells {
-		r := max(replicas, 1)
-		if len(perCell) > 0 {
-			r = perCell[i]
-		}
-		off[i+1] = off[i] + r
-	}
-	return off
+// layout places a spec's executable cells: grid cell c owns executable
+// cells [off[c], off[c+1]), which draw its replicas first[c], first[c]+1,
+// … in order, each seeded replica.SeedOf(seed, c, replica).
+type layout struct {
+	seed       uint64
+	first, off []int
 }
 
-// locate maps executable cell e to its grid cell and replica index.
-func locate(off []int, e int) (cell, rep int) {
-	cell, found := slices.BinarySearch(off, e)
-	if !found {
-		cell--
+// newLayout checks the spelling of the per-cell counts (p.Replicas, else
+// the spec's Replicas, 0 meaning 1) and first indices and sums them — the
+// one place that does, so the one that refuses an int overflow.
+func newLayout(spec runner.JobSpec, p JobParams) (layout, error) {
+	n := len(p.Cells)
+	if k := len(p.Replicas); k > 0 && (spec.Replicas != 0 || k != n ||
+		slices.Min(p.Replicas) < 0 || slices.Min(p.Replicas) == slices.Max(p.Replicas)) {
+		return layout{}, fmt.Errorf("sim: per-cell replica counts %v beside replicas %d for %d cells are not canonical",
+			p.Replicas, spec.Replicas, n)
 	}
-	return cell, e - off[cell]
+	if k := len(p.First); k > 0 && (k != n || slices.Min(p.First) < 0 || slices.Max(p.First) == 0) {
+		return layout{}, fmt.Errorf("sim: first replica indices %v for %d cells are not canonical", p.First, n)
+	}
+	l := layout{seed: spec.Seed, first: p.First, off: make([]int, n+1)}
+	if l.first == nil {
+		l.first = make([]int, n)
+	}
+	for c := range n {
+		count := max(spec.Replicas, 1)
+		if len(p.Replicas) > 0 {
+			count = p.Replicas[c]
+		}
+		if count == 0 && l.first[c] == 0 {
+			return layout{}, fmt.Errorf("sim: job cell %d draws no replica", c)
+		}
+		if count > math.MaxInt-l.off[c] || count > math.MaxInt-l.first[c] {
+			return layout{}, fmt.Errorf("sim: job replica counts overflow at cell %d", c)
+		}
+		l.off[c+1] = l.off[c] + count
+	}
+	return l, nil
+}
+
+// cells is the number of executable cells.
+func (l layout) cells() int { return l.off[len(l.off)-1] }
+
+// rep is the replica executable cell e draws: the one mapping from
+// executable cells to replicas, which evaluation, sample keys and Reps
+// read.
+func (l layout) rep(e int) replica.Rep {
+	pos, _ := slices.BinarySearch(l.off, e+1) // first offset past e
+	c := pos - 1
+	r := l.first[c] + e - l.off[c]
+	return replica.Rep{Cell: c, Replica: r, Seed: replica.SeedOf(l.seed, c, r)}
+}
+
+// specLayout validates a sim-replica spec and returns its params and
+// layout.
+func specLayout(spec runner.JobSpec) (JobParams, layout, error) {
+	if _, err := spec.Prepare(); err != nil {
+		return JobParams{}, layout{}, err
+	}
+	p, err := Params(spec)
+	if err != nil {
+		return JobParams{}, layout{}, err
+	}
+	l, err := newLayout(spec, p)
+	return p, l, err
+}
+
+// Reps lists the replica every executable cell of a sim-replica spec
+// draws, in executable-cell order — for a round of RunRounds, the ones it
+// adds — for executors that run a spec's cells themselves.
+func Reps(spec runner.JobSpec) ([]replica.Rep, error) {
+	_, l, err := specLayout(spec)
+	if err != nil {
+		return nil, err
+	}
+	reps := make([]replica.Rep, l.cells())
+	for e := range reps {
+		reps[e] = l.rep(e)
+	}
+	return reps, nil
 }
 
 // init registers the sim-replica kind. The registration reaches every
@@ -159,13 +229,13 @@ func init() {
 
 // decoded is a sim-replica spec's params decoded once: per grid cell the
 // simulator and the sample-store key, the two things every replica of the
-// cell shares, and the executable-cell offsets. The keys cost a JSON
+// cell shares, and the executable-cell layout. The keys cost a JSON
 // encoding per cell and only executors that hold a sample store need
 // them, so they are rendered on first use.
 type decoded struct {
+	layout
 	params JobParams
 	sims   []replica.Sim
-	off    []int
 
 	keysOnce sync.Once
 	keys     []string
@@ -209,15 +279,11 @@ func decodeCells(spec runner.JobSpec) (*decoded, error) {
 			return nil, fmt.Errorf("sim: job cell axis value %d is %v, want %d", i, v, i)
 		}
 	}
-	// Per-cell counts have one spelling: one count >= 1 per cell, not all
-	// equal (uniform counts are the spec's Replicas), beside Replicas 0.
-	if n := len(p.Replicas); n > 0 && (spec.Replicas != 0 || n != len(p.Cells) ||
-		slices.Min(p.Replicas) < 1 || slices.Min(p.Replicas) == slices.Max(p.Replicas)) {
-		return nil, fmt.Errorf("sim: per-cell replica counts %v beside replicas %d for %d cells are not canonical",
-			p.Replicas, spec.Replicas, len(p.Cells))
+	l, err := newLayout(spec, p)
+	if err != nil {
+		return nil, err
 	}
-	d := &decoded{params: p, sims: make([]replica.Sim, len(p.Cells)),
-		off: offsets(spec.Replicas, p.Replicas, len(p.Cells))}
+	d := &decoded{layout: l, params: p, sims: make([]replica.Sim, len(p.Cells))}
 	for i, c := range p.Cells {
 		_, embScheme, embSeed, err := c.Config.pick()
 		if err == nil && *embSeed != 0 {
@@ -234,54 +300,71 @@ func decodeCells(spec runner.JobSpec) (*decoded, error) {
 	return d, nil
 }
 
-// prepareJob decodes the spec once into its executable cells: cell e is
-// replica e-off[c] of the grid cell c owning it, seeded
-// replica.SeedOf(spec.Seed, c, rep) — exactly what the replica engine
-// derives for the same cells. The payload is the canonical sample
-// encoding, and the sample store (env.Samples) is consulted before
-// simulating, so stored samples are replayed identically everywhere.
+// prepareJob decodes the spec once into its executable cells, each the
+// replica its layout names; the payload is the canonical sample encoding.
+// A sample in env.Samples under (cell key, seed) that still decodes is
+// replayed, and a fresh one is stored, best-effort.
 func prepareJob(spec runner.JobSpec) (*runner.Job, error) {
 	d, err := decodeCells(spec)
 	if err != nil {
 		return nil, err
 	}
-	seed, n := spec.Seed, d.off[len(d.sims)]
+	n := d.cells()
 	return &runner.Job{
 		Cells: n,
 		Evaluate: func(ctx context.Context, env runner.JobEnv, i int) ([]byte, error) {
-			cell, rep := locate(d.off, i)
+			r, store, ob := d.rep(i), env.Samples, env.Obs
 			var key string
-			if env.Samples != nil {
-				k, err := d.key(cell)
+			if store != nil {
+				k, err := d.key(r.Cell)
 				if err != nil {
 					return nil, err
 				}
 				key = k
+				if payload, ok := store.Get(key, r.Seed); ok {
+					if sample, err := replica.DecodeSample(payload); err == nil {
+						return replica.EncodeSample(sample)
+					}
+				}
 			}
-			sample, err := simulateStored(ctx, d.sims[cell],
-				replica.Rep{Cell: cell, Replica: rep, Seed: replica.SeedOf(seed, cell, rep)},
-				key, env.Samples, env.Obs)
+			var (
+				simStart time.Time
+				sp       obs.Span
+			)
+			if ob != nil {
+				simStart = time.Now()
+				if ob.Tracing() {
+					sp = ob.StartSpan("simulate",
+						obs.L("cell", strconv.Itoa(r.Cell)), obs.L("replica", strconv.Itoa(r.Replica)))
+				}
+			}
+			sample, err := d.sims[r.Cell].Simulate(ctx, r)
+			if ob != nil {
+				ob.Histogram("replica_simulate_seconds", obs.LatencyBuckets).Since(simStart)
+				sp.End()
+			}
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("cell %d replica %d (seed %d): %w", r.Cell, r.Replica, r.Seed, err)
 			}
-			return replica.EncodeSample(sample)
+			payload, err := replica.EncodeSample(sample)
+			if err == nil && store != nil {
+				_ = store.Put(key, r.Seed, payload)
+			}
+			return payload, err
 		},
 		SampleRef: func(i int) (string, uint64, bool) {
 			if i < 0 || i >= n {
 				return "", 0, false
 			}
-			cell, rep := locate(d.off, i)
-			key, err := d.key(cell)
-			return key, replica.SeedOf(seed, cell, rep), err == nil
+			r := d.rep(i)
+			key, err := d.key(r.Cell)
+			return key, r.Seed, err == nil
 		},
 	}, nil
 }
 
 // RunJob executes a sim-replica job locally over the runner pool and
-// reduces each grid cell's replicas into an Agg — numerically identical
-// to RunSequential over the same cells at the spec's fixed replica count,
-// and byte-identical whether the payloads were computed here, replayed
-// from the sample store, or assembled by a fabric coordinator.
+// reduces each grid cell's replicas into an Agg, timed into env.Obs.
 func RunJob(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, opts runner.Options) ([]replica.Agg, error) {
 	if spec.Kind != JobKindSimReplica {
 		return nil, fmt.Errorf("sim: spec kind %q is not %q", spec.Kind, JobKindSimReplica)
@@ -290,104 +373,44 @@ func RunJob(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, opts ru
 	if err != nil {
 		return nil, err
 	}
-	return ReduceJob(spec, payloads)
-}
-
-// RunJobStopping executes a sim-replica job through the stopping loop in
-// memory (RunSequential), seeded as RunJob is. env.Samples, keyed exactly
-// as the fabric keys them, lets every round and every later re-run replay
-// the samples already drawn. A disabled rule runs the spec's fixed
-// replica count.
-func RunJobStopping(ctx context.Context, spec runner.JobSpec, env runner.JobEnv, workers int, stop Stopping) ([]replica.Agg, error) {
-	d, err := uniformJob(spec)
+	have, err := samplesOf(spec, payloads)
 	if err != nil {
 		return nil, err
 	}
-	opts := Options{
-		Replicas: spec.Replicas, Workers: workers,
-		Seed: spec.Seed, Obs: env.Obs,
-	}
-	if env.Samples != nil {
-		if _, err := d.key(0); err != nil {
-			return nil, err
-		}
-		opts.Samples = env.Samples
-		opts.SampleKey = func(cell int) string { return d.keys[cell] }
-	}
-	return RunSequential(ctx, len(d.sims), func(cell int) replica.Sim {
-		return d.sims[cell]
-	}, opts, stop)
-}
-
-// RunRounds executes a sim-replica job through the stopping loop with each
-// round's spec — lowered to the round's per-cell replica counts — served
-// by serve, which returns its payloads in executable-cell order
-// (runner.RunJobPayloads, or a fabric campaign's Serve). With a sample
-// store behind serve the aggregates equal RunJobStopping's.
-func RunRounds(ctx context.Context, spec runner.JobSpec, stop Stopping, serve func(context.Context, runner.JobSpec) ([][]byte, error)) ([]replica.Agg, error) {
-	d, err := uniformJob(spec)
-	if err != nil {
-		return nil, err
-	}
-	return sequential(ctx, len(d.sims), spec.Replicas, stop, func(ctx context.Context, want []int) ([]replica.Agg, error) {
-		p, r := JobParams{Cells: d.params.Cells}, want[0]
-		if slices.Min(want) != slices.Max(want) {
-			p.Replicas, r = want, 0
-		}
-		roundSpec, err := newSpec(p, spec.Seed, r)
-		if err != nil {
-			return nil, err
-		}
-		payloads, err := serve(ctx, roundSpec)
-		if err != nil {
-			return nil, err
-		}
-		return ReduceJob(roundSpec, payloads)
-	})
-}
-
-// uniformJob validates and decodes a spec whose cells share one replica
-// count, the start of a stopping run. Prepare makes the generic checks
-// (schema, replicas, grid), free for a spec that carries its job.
-func uniformJob(spec runner.JobSpec) (*decoded, error) {
-	if _, err := spec.Prepare(); err != nil {
-		return nil, err
-	}
-	d, err := decodeCells(spec)
-	if err == nil && len(d.params.Replicas) > 0 {
-		err = fmt.Errorf("sim: a stopping run starts from a uniform replica count")
-	}
-	return d, err
+	return reduceCells(have, env.Obs), nil
 }
 
 // ReduceJob folds a sim-replica job's payloads — in executable-cell order,
 // as returned by RunJobPayloads or Coordinator.Payloads — into per-grid-
 // cell aggregates via the replica engine's reduction.
 func ReduceJob(spec runner.JobSpec, payloads [][]byte) ([]replica.Agg, error) {
-	p, err := Params(spec)
+	have, err := samplesOf(spec, payloads)
 	if err != nil {
 		return nil, err
 	}
-	job, err := spec.Prepare()
+	return reduceCells(have, nil), nil
+}
+
+// samplesOf decodes a sim-replica job's payloads, in executable-cell
+// order, into every grid cell's samples in replica order.
+func samplesOf(spec runner.JobSpec, payloads [][]byte) ([][]replica.Sample, error) {
+	p, l, err := specLayout(spec)
 	if err != nil {
 		return nil, err
 	}
-	if len(payloads) != job.Cells {
-		return nil, fmt.Errorf("sim: job has %d payloads, want %d", len(payloads), job.Cells)
+	if len(payloads) != l.cells() {
+		return nil, fmt.Errorf("sim: job has %d payloads, want %d", len(payloads), l.cells())
 	}
-	off := offsets(spec.Replicas, p.Replicas, len(p.Cells))
-	out := make([]replica.Agg, len(off)-1)
-	samples := make([]replica.Sample, 0, off[1])
-	for cell := range out {
-		samples = samples[:0]
-		for e := off[cell]; e < off[cell+1]; e++ {
+	out := make([][]replica.Sample, len(p.Cells))
+	for c := range out {
+		out[c] = make([]replica.Sample, 0, l.off[c+1]-l.off[c])
+		for e := l.off[c]; e < l.off[c+1]; e++ {
 			s, err := replica.DecodeSample(payloads[e])
 			if err != nil {
-				return nil, fmt.Errorf("sim: cell %d replica %d: %w", cell, e-off[cell], err)
+				return nil, fmt.Errorf("sim: cell %d replica %d: %w", c, l.first[c]+e-l.off[c], err)
 			}
-			samples = append(samples, s)
+			out[c] = append(out[c], s)
 		}
-		out[cell] = replica.Reduce(samples)
 	}
 	return out, nil
 }

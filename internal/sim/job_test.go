@@ -16,7 +16,7 @@ import (
 )
 
 // testJobCells builds a fast two-cell flow-level grid (p = 0.5, 0.9).
-func testJobCells(t *testing.T) []JobCell {
+func testJobCells(t testing.TB) []JobCell {
 	t.Helper()
 	mk := func(p float64) JobCell {
 		cfg := *flowConfig()
@@ -114,6 +114,10 @@ func TestNewJobSpecErrors(t *testing.T) {
 	if _, err := NewJobSpec([]JobCell{both}, 1, 1); err == nil {
 		t.Error("cell with both simulators accepted")
 	}
+	// Two cells of 2^62 replicas sum past the largest int.
+	if _, err := NewJobSpec(good, 1, 1<<62); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Errorf("replica total overflowing int: err = %v", err)
+	}
 }
 
 // Hand-built specs that dodge NewJobSpec's normalization are rejected by
@@ -161,6 +165,11 @@ func TestValidateJobRejections(t *testing.T) {
 			s.Params = []byte("{")
 			return s
 		}(), "job params"},
+		{"unknown-field", func() runner.JobSpec {
+			s := base
+			s.Params = append([]byte(`{"later":1,`), base.Params[1:]...)
+			return s
+		}(), "unknown field"},
 	}
 	wrongAxis := base
 	wrongAxis.Dims = []runner.Dim{{Name: "p", Values: []float64{0, 1}}}
@@ -195,7 +204,8 @@ func TestParamsWrongKind(t *testing.T) {
 }
 
 // The job route is the replica engine: RunJob over a spec equals the
-// engine's fixed-R run over the same simulators, bit for bit.
+// reduction, in replica order, of every cell's simulator run directly at
+// the SeedOf seeds, bit for bit.
 func TestRunJobMatchesReplicaRun(t *testing.T) {
 	spec := testJobSpec(t, 9, 3)
 	got, err := RunJob(context.Background(), spec, runner.JobEnv{}, runner.Options{Workers: 2})
@@ -206,20 +216,21 @@ func TestRunJobMatchesReplicaRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sims := make([]replica.Sim, len(p.Cells))
-	for i, c := range p.Cells {
-		if sims[i], err = New(c.Scheme, c.Config); err != nil {
+	for cell, c := range p.Cells {
+		s, err := New(c.Scheme, c.Config)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want, err := RunSequential(context.Background(), len(p.Cells),
-		func(cell int) replica.Sim { return sims[cell] },
-		Options{Replicas: 3, Seed: 9, Workers: 2}, Stopping{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("RunJob != the engine's fixed-R run")
+		samples := make([]replica.Sample, 3)
+		for rep := range samples {
+			if samples[rep], err = s.Simulate(context.Background(),
+				replica.Rep{Cell: cell, Replica: rep, Seed: replica.SeedOf(9, cell, rep)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := replica.Reduce(samples); !reflect.DeepEqual(got[cell], want) {
+			t.Fatalf("cell %d: RunJob != the reduction of its direct runs", cell)
+		}
 	}
 }
 
@@ -285,10 +296,17 @@ func TestRunJobReusesStoredSamples(t *testing.T) {
 	}
 }
 
-// RunJobStopping keys the store exactly as the fabric's per-cell evaluate
-// path does: samples drawn under sequential stopping replay in a plain
-// RunJob of the same spec, and vice versa.
-func TestRunJobStoppingSharesSampleKeys(t *testing.T) {
+// localServe serves every round through the job layer in this process.
+func localServe(env runner.JobEnv) func(context.Context, runner.JobSpec) ([][]byte, error) {
+	return func(ctx context.Context, round runner.JobSpec) ([][]byte, error) {
+		return runner.RunJobPayloads(ctx, round, env, runner.Options{})
+	}
+}
+
+// RunRounds keys the store exactly as the fabric's per-cell evaluate path
+// does: samples drawn under sequential stopping replay in a plain RunJob
+// of the same spec, and vice versa.
+func TestRunRoundsSharesSampleKeys(t *testing.T) {
 	store, err := diskcache.OpenSamples(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +319,7 @@ func TestRunJobStoppingSharesSampleKeys(t *testing.T) {
 	// A huge target converges every cell at the starting R = 2, so the
 	// store ends up with exactly the samples RunJob(R=2) needs.
 	stop := Stopping{Metric: replica.OnlinePerFile, Target: 1e9, MaxReplicas: 4}
-	seq, err := RunJobStopping(context.Background(), spec, env, 0, stop)
+	seq, err := RunRounds(context.Background(), spec, stop, nil, localServe(env))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,18 +329,19 @@ func TestRunJobStoppingSharesSampleKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h, n := hits.Value()-hitsBefore, stores.Value()-storesBefore; h != 4 || n != 0 {
-		t.Fatalf("RunJob after RunJobStopping: %d hits, %d new stores — keys diverge", h, n)
+		t.Fatalf("RunJob after RunRounds: %d hits, %d new stores — keys diverge", h, n)
 	}
 	if !reflect.DeepEqual(seq, plain) {
 		t.Fatal("sequential and plain aggregates differ at equal R")
 	}
 }
 
-// A disabled stopping rule makes RunJobStopping numerically identical to
-// RunJob.
-func TestRunJobStoppingDisabledMatchesRunJob(t *testing.T) {
+// A disabled stopping rule makes RunRounds one round, numerically
+// identical to RunJob, and the reduction is timed once per cell.
+func TestRunRoundsDisabledMatchesRunJob(t *testing.T) {
 	spec := testJobSpec(t, 5, 2)
-	seq, err := RunJobStopping(context.Background(), spec, runner.JobEnv{}, 0, Stopping{})
+	reg := obs.New()
+	seq, err := RunRounds(context.Background(), spec, Stopping{}, reg, localServe(runner.JobEnv{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,6 +351,9 @@ func TestRunJobStoppingDisabledMatchesRunJob(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, plain) {
 		t.Fatal("disabled stopping diverges from RunJob")
+	}
+	if n := reg.Histogram("replica_reduce_seconds", obs.LatencyBuckets).Count(); n != 2 {
+		t.Errorf("replica_reduce_seconds counted %d reductions, want one per cell", n)
 	}
 }
 
@@ -350,32 +372,49 @@ func TestReduceJobErrors(t *testing.T) {
 	}
 }
 
-// Per-cell replica counts have one spelling: one count >= 1 per cell, not
-// all equal, beside a zero spec Replicas. A valid spec fans every grid cell
-// out to its own count, replicas in order, seeded as the engine seeds them.
+// Per-cell replica counts and first indices have one spelling each: one
+// count >= 0 per cell, not all equal, beside a zero spec Replicas; one
+// index >= 0 per cell, not all zero; and a count of 0 only for a cell that
+// has drawn before. A valid spec fans every grid cell out to its own
+// count, replicas in order from its first index, seeded by SeedOf.
 func TestPerCellReplicaCounts(t *testing.T) {
-	withCounts := func(replicas int, counts []int) runner.JobSpec {
+	withFirst := func(replicas int, counts, first []int) runner.JobSpec {
 		spec := testJobSpec(t, 7, replicas)
 		p, err := Params(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Replicas = counts
+		p.Replicas, p.First = counts, first
 		if spec.Params, err = json.Marshal(p); err != nil {
 			t.Fatal(err)
 		}
 		return spec
 	}
+	withCounts := func(replicas int, counts []int) runner.JobSpec { return withFirst(replicas, counts, nil) }
 	for name, spec := range map[string]runner.JobSpec{
 		"uniform":        withCounts(0, []int{3, 3}),
 		"beside-spec-R":  withCounts(2, []int{2, 4}),
 		"short":          withCounts(0, []int{2}),
 		"zero-count":     withCounts(0, []int{0, 2}),
 		"negative-count": withCounts(0, []int{-1, 2}),
+		"zero-first":     withFirst(2, nil, []int{0, 0}),
+		"short-first":    withFirst(2, nil, []int{2}),
+		"negative-first": withFirst(2, nil, []int{-1, 2}),
+		"zero-at-zero":   withFirst(0, []int{0, 2}, []int{0, 2}),
+		"index-overflow": withFirst(2, nil, []int{math.MaxInt - 1, 0}),
 	} {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("%s: per-cell counts accepted", name)
 		}
+	}
+	// A later round: cell 0 has stopped at 2, cell 1 adds replicas 2 and 3.
+	reps, err := Reps(withFirst(0, []int{0, 2}, []int{2, 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []replica.Rep{{Cell: 1, Replica: 2, Seed: replica.SeedOf(7, 1, 2)},
+		{Cell: 1, Replica: 3, Seed: replica.SeedOf(7, 1, 3)}}; !reflect.DeepEqual(reps, want) {
+		t.Errorf("round reps %+v, want %+v", reps, want)
 	}
 	job, err := withCounts(0, []int{2, 3}).Prepare()
 	if err != nil {
@@ -392,11 +431,14 @@ func TestPerCellReplicaCounts(t *testing.T) {
 	}
 }
 
-// RunRounds is the stopping loop served one round spec at a time. Served by
-// RunJobPayloads over a sample store it returns exactly RunJobStopping's
-// aggregates; the rows stop at different replica counts; the first round
-// is the input spec byte for byte; and no replica is simulated twice.
-func TestRunRoundsMatchesRunJobStopping(t *testing.T) {
+// RunRounds is the stopping loop served one round spec at a time, and a
+// round names only the replicas it adds. Served by RunJobPayloads without
+// a sample store, every (cell, replica) is simulated exactly once; the
+// rows stop at different replica counts with the aggregates of one
+// RunJob at those counts; the first round is the input spec byte for
+// byte; and a later round gives the stopped row no replica and the
+// growing one only its new ones.
+func TestRunRoundsDrawsEachReplicaOnce(t *testing.T) {
 	ctx := context.Background()
 	spec := testJobSpec(t, 11, 2)
 	start, err := RunJob(ctx, spec, runner.JobEnv{}, runner.Options{})
@@ -412,33 +454,35 @@ func TestRunRoundsMatchesRunJobStopping(t *testing.T) {
 	}
 	// Between the two: one row stops at the start, the other grows.
 	stop := Stopping{Metric: replica.OnlinePerFile, Target: (lo + hi) / 2, MaxReplicas: 8}
-	want, err := RunJobStopping(ctx, spec, runner.JobEnv{}, 0, stop)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	store, err := diskcache.OpenSamples(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.New()
-	store.WithObs(reg)
 	var rounds []runner.JobSpec
-	got, err := RunRounds(ctx, spec, stop, func(ctx context.Context, round runner.JobSpec) ([][]byte, error) {
+	serve := localServe(runner.JobEnv{Obs: reg})
+	got, err := RunRounds(ctx, spec, stop, nil, func(ctx context.Context, round runner.JobSpec) ([][]byte, error) {
 		rounds = append(rounds, round)
-		return runner.RunJobPayloads(ctx, round, runner.JobEnv{Samples: store}, runner.Options{})
+		return serve(ctx, round)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("RunRounds aggregates differ from RunJobStopping's")
-	}
 	if got[0].Replicas == got[1].Replicas {
 		t.Fatalf("both rows stopped at R=%d; want per-row stopping", got[0].Replicas)
 	}
-	if n := reg.Counter("samplestore_stores_total").Value(); n != uint64(got[0].Replicas+got[1].Replicas) {
-		t.Errorf("stored %d samples for %d replicas: a round resampled", n, got[0].Replicas+got[1].Replicas)
+	total := got[0].Replicas + got[1].Replicas
+	if n := reg.Histogram("replica_simulate_seconds", obs.LatencyBuckets).Count(); n != uint64(total) {
+		t.Errorf("simulated %d replicas for %d drawn: a round resampled", n, total)
+	}
+	var oneShot JobParams
+	if oneShot, err = Params(spec); err != nil {
+		t.Fatal(err)
+	}
+	oneShot.Replicas = []int{got[0].Replicas, got[1].Replicas}
+	final, err := newSpec(oneShot, spec.Seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := RunJob(ctx, final, runner.JobEnv{}, runner.Options{}); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunRounds aggregates differ from one RunJob at the final counts (%v)", err)
 	}
 	first, err := rounds[0].Canonical()
 	if err != nil {
@@ -447,7 +491,20 @@ func TestRunRoundsMatchesRunJobStopping(t *testing.T) {
 	if orig, _ := spec.Canonical(); string(first) != string(orig) {
 		t.Errorf("first round re-encoded the uniform spec:\n%s\nvs\n%s", first, orig)
 	}
-	if p, err := Params(rounds[1]); err != nil || len(p.Replicas) != 2 {
-		t.Errorf("second round carries per-cell counts %v (%v), want one per cell", p.Replicas, err)
+	reps, err := Reps(rounds[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := 0
+	if got[0].Replicas > got[1].Replicas {
+		stopped = 1
+	}
+	if len(reps) != 2 {
+		t.Fatalf("second round draws %d replicas, want the growing row's 2", len(reps))
+	}
+	for i, r := range reps {
+		if r.Cell == stopped || r.Replica != 2+i || r.Seed != replica.SeedOf(11, r.Cell, r.Replica) {
+			t.Errorf("second round executable cell %d draws %+v, want the growing row's replica %d", i, r, 2+i)
+		}
 	}
 }

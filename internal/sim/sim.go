@@ -1,21 +1,20 @@
 // Package sim composes the simulator backends with the job layer. New
 // turns a scheme plus a flow-level (internal/eventsim) or chunk-level
-// (internal/swarm) configuration into a replica.Sim; the replica engine
-// fans replicas out over the runner pool, replays them from the sample
-// store and grows them under sequential stopping; and the sim-replica job
+// (internal/swarm) configuration into a replica.Sim; the sim-replica job
 // kind makes every simulated table distributable, checkpointable and
-// replayable. The backends implement only the internal/replica contract.
+// replayable from the sample store; and RunRounds grows replica counts
+// under sequential stopping. The backends implement only the
+// internal/replica contract.
 //
 //	spec, err := sim.NewJobSpec([]sim.JobCell{{Scheme: scheme.SimCMFSD,
 //	    Config: sim.Config{Flow: &eventsim.Config{...}}}}, seed, replicas)
 //	aggs, err := sim.RunJob(ctx, spec, runner.JobEnv{}, runner.Options{})
 //
-// The engine has one stopping loop, which sets each round's per-cell
-// replica counts and leaves the round to its caller: RunSequential runs
-// it in memory (RunJobStopping over a spec's cells), RunRounds serves
-// each round as the spec lowered to per-cell replica counts through any
-// executor. The params carry those counts beside the cells only when they
-// differ, so a uniform spec keeps its bytes, fingerprint and sample keys.
+// There is one stopping executor, RunRounds. Each of its rounds is a spec
+// of only the replicas the round adds — per-cell counts and first replica
+// indices in the params, absent when trivial, so every spec NewJobSpec
+// builds keeps its bytes — served by any function that returns the
+// payloads: RunJobPayloads locally, a fabric campaign distributed.
 //
 // The concrete packages remain available for callers that need
 // simulator-specific machinery (result structs, traces, population series).
