@@ -91,14 +91,15 @@ loc:
 # another shell. Then a CPU profile of the Eq. (5) kernel benchmarks
 # (BenchmarkRHS, cmfsd's Model and Mixed): inspect it with
 # `go tool pprof prof/cmfsd.test prof/fluid-cpu.pprof`. Last a CPU profile
-# of one flow-level simulator event (BenchmarkEventsimStep, every scheme at
-# 10^3 and 10^4 peers): `go tool pprof prof/eventsim.test
-# prof/eventsim-cpu.pprof`.
+# of the flow-level simulator: one event (BenchmarkEventsimStep, every
+# scheme at 10^3 and 10^4 peers) and whole runs of the benchmark's flow_sim
+# configurations (BenchmarkEventsimFlowMix): `go tool pprof
+# prof/eventsim.test prof/eventsim-cpu.pprof`.
 profile:
 	mkdir -p prof
 	go run ./cmd/sweep -dim p,rho -steps 30,30 -scheme CMFSD \
 		-metrics-out prof/sweep-metrics.json -trace-out prof/sweep-trace.json \
 		-pprof localhost:6060 -stats > prof/sweep-table.txt
 	go test -run '^$$' -bench RHS -benchtime 2s -cpuprofile prof/fluid-cpu.pprof -o prof/cmfsd.test ./internal/cmfsd
-	go test -short -run '^$$' -bench EventsimStep -benchtime 1s -cpuprofile prof/eventsim-cpu.pprof -o prof/eventsim.test ./internal/eventsim
+	go test -short -run '^$$' -bench 'EventsimStep|EventsimFlowMix' -benchtime 1s -cpuprofile prof/eventsim-cpu.pprof -o prof/eventsim.test ./internal/eventsim
 	@echo "wrote prof/sweep-metrics.json prof/sweep-trace.json prof/sweep-table.txt prof/fluid-cpu.pprof prof/eventsim-cpu.pprof"

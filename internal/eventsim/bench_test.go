@@ -70,3 +70,27 @@ func BenchmarkEventsimStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEventsimFlowMix runs the benchmark's flow_sim configurations:
+// the four schemes at p = 0.5 and 0.9 at the E9 validation point (K 10,
+// μ 0.2, η 0.5, γ 0.5, ρ 0.3, horizon 4000, warmup 800), one full Run of
+// each per iteration.
+func BenchmarkEventsimFlowMix(b *testing.B) {
+	var cfgs []Config
+	for _, sc := range []scheme.SimScheme{scheme.SimMTCD, scheme.SimMTSD, scheme.SimMFCD, scheme.SimCMFSD} {
+		for _, p := range []float64{0.5, 0.9} {
+			cfg := baseConfig(sc)
+			cfg.P, cfg.Rho = p, 0.3
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j, cfg := range cfgs {
+			cfg.Seed = uint64(i*len(cfgs) + j + 1)
+			if _, err := Run(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -180,80 +180,36 @@ type legState uint8
 const (
 	legWaiting legState = iota
 	legDownloading
-	legSeeding // per-torrent seeding (MTCD/MFCD/MTSD)
+	// legSeeding is a leg's per-torrent seeding (MTCD/MFCD/MTSD); under
+	// CMFSD it marks the real-seed phase after the last file.
+	legSeeding
 	legDone
 )
 
+// leg is one active leg slot: a downloading or seeding file, or one that
+// is done or not yet started.
 type leg struct {
-	torrent int
-	state   legState
-	// heapIdx is the heap slot of the leg's pending seed timer, -1 when
-	// none; a CMFSD peer's real-seed timer uses legs[0]'s slot.
-	heapIdx      int32
-	remaining    float64
-	rate         float64
-	seedDepartAt float64
+	remaining, rate float64
+	torrent         int32
+	state           legState
 }
 
+// peer is the cold part of a user's state: what only the user's own
+// events, the fault plan, the Adapt controller and the ledger read.
 type peer struct {
 	id        uint64
-	class     int
 	arrivalAt float64
-	legs      []leg
-	cursor    int // current leg for sequential schemes
-	finished  int
-	rho       float64
-	ctrl      *adapt.Controller
-	cheater   bool
+	bwClass   int  // index into Config.Bandwidth, -1 when homogeneous
 	counted   bool // arrived after warmup: include in statistics
+	aborted   bool
+	ctrl      *adapt.Controller
 
-	// Fault state: remaining downloading time until an injected abort,
-	// remaining virtual-seeding time until an injected quit (both +Inf
-	// when faults are off), and the outcome flags.
-	abortBudget  float64
-	vsQuitBudget float64
-	vsQuit       bool
-	aborted      bool
-
-	// Bandwidth class (index into Config.Bandwidth, -1 when homogeneous).
-	bwClass int
-	mu      float64 // upload bandwidth
-	weight  float64 // download-capacity weight for seed-service split
-
-	lastCompletionAt float64
-	dlAccum          float64
-	virtUp, virtDown float64
-	virtDownRate     float64 // current virtual-seed receive rate
-	seeding          bool    // CMFSD real-seed phase
-	seedDepartAt     float64
-
-	// pos is the peer's index in s.peers, maintained across swap-removes.
-	pos int32
-	// group indexes the peer's (class, bandwidth class) column of
-	// sim.share; epoch is the last advance whose progress the peer has
-	// integrated (see integrate).
-	group int
-	epoch uint64
-}
-
-// downloadingLeg returns the downloading leg of a sequential-scheme peer
-// (MTSD, CMFSD), or -1: only legs[cursor] can be downloading.
-func (p *peer) downloadingLeg() int {
-	if p.seeding || p.legs[p.cursor].state != legDownloading {
-		return -1
-	}
-	return p.cursor
-}
-
-// active returns the index range of the legs that can be downloading or
-// seeding: every leg under the concurrent schemes, only legs[cursor]
-// under the sequential ones (the legs before it are done, those after it
-// waiting).
-func (s *sim) active(p *peer) (lo, hi int) {
-	if concurrent(s.cfg.Scheme) {
-		return 0, len(p.legs)
-	}
-	return p.cursor, p.cursor + 1
+	// Fault budgets: remaining downloading time until an injected abort
+	// and remaining virtual-seeding time until an injected quit, both +Inf
+	// and left unticked when faults are off.
+	abortBudget, vsQuitBudget float64
+	// CMFSD virtual-seed accounting, kept only for the Adapt controller.
+	virtUp, virtDown, virtDownRate float64
 }
 
 // Run executes the simulation and aggregates the result.
@@ -305,7 +261,6 @@ type sim struct {
 	rng    *rng.Source
 	plan   *faults.Plan // nil when faults are disabled
 	nextID uint64
-	peers  []*peer
 	res    *Result
 	ledger replica.Ledger
 
@@ -322,8 +277,8 @@ type sim struct {
 	// event in stepOnce's rate pass.
 	timers timerHeap
 	// dlCount / seedCount incrementally track the leg populations the
-	// former populations() scan counted (integers, so incremental
-	// maintenance is exact).
+	// populations() scan counts (integers, so incremental maintenance is
+	// exact).
 	dlCount, seedCount int
 
 	// Deferred progress integration: advance bumps epoch and records its
@@ -331,8 +286,33 @@ type sim struct {
 	epoch uint64
 	dt    float64
 
+	// Peer state in dense columns indexed by position (DESIGN §4c). A
+	// departure swap-removes: the last position moves into the vacated one
+	// in every column, slab, addend column and timer slot at once.
+	//   - peers: the cold state.
+	//   - class, group (the column of share), finished files, cursor (the
+	//     current file of a sequential peer, 0 under the concurrent
+	//     schemes); μ, the download weight, ρ, the upload columns tft and
+	//     vu (see setUploads), vsQuit (virtual seeding stopped by a fault),
+	//     epochs (the last advance the position has integrated) and dlTime
+	//     (downloading time for the ledger).
+	//   - legs: w slots per position, the active legs (see active): every
+	//     requested file under the concurrent schemes (w = K), the cursor
+	//     file under the sequential ones (w = 1). files: the K requested
+	//     torrents in request order, -1 past the class.
+	peers                          []peer
+	class, group, finished, cursor []int32
+	mu, weight, rho, tft, vu       []float64
+	vsQuit                         []bool
+	epochs                         []uint64
+	dlTime                         []float64
+	w                              int
+	legs                           []leg
+	files                          []int32
+
 	// Per-torrent state of the multi-torrent schemes, kept between events
-	// (nil under CMFSD, which pools its seed service):
+	// (nil under CMFSD, which pools its seed service and re-sums the pool
+	// every event), and the addend columns every scheme keeps:
 	//   - seedCap[t], weightSum[t]: torrent t's seed capacity and
 	//     downloading weight, re-summed only while t is dirty (touch);
 	//   - groupWeight[g]: the download-capacity weight of one downloading
@@ -340,13 +320,30 @@ type sim struct {
 	//     bandwidth class's weight, divided across the legs under the
 	//     concurrent schemes, where a group is also a user class;
 	//   - share[t*len(groupWeight)+g]: groupWeight[g]/weightSum[t]·seedCap[t];
-	//   - legOf[pos*K+t]: the leg in torrent t of the peer at position
-	//     pos, -1 for none (concurrent schemes only: a sequential peer's
-	//     one active leg is legs[cursor]).
+	//   - wAdd[t*capPos+pos], cAdd[t*capPos+pos]: the addends position pos
+	//     contributes to weightSum[t] and seedCap[t], 0 when it has none;
+	//     under CMFSD one row, a downloader's weight and a real seed's μ.
+	//     capPos, the columns' stride, doubles when the positions fill it.
 	seedCap, weightSum, groupWeight, share []float64
 	dirty                                  []bool
 	dirtyList                              []int
-	legOf                                  []int32
+	wAdd, cAdd                             []float64
+	capPos                                 int
+}
+
+// active returns the active leg slots of position pos: the first class of
+// its w slots under the concurrent schemes, the one cursor slot under the
+// sequential ones.
+func (s *sim) active(pos int) []leg {
+	return s.legs[pos*s.w : pos*s.w+min(s.w, int(s.class[pos]))]
+}
+
+// swapOut swap-removes run i from a column of n entries per position: the
+// last run moves over it and the column shrinks by one run.
+func swapOut[T any](c []T, i, n int) []T {
+	last := len(c) - n
+	copy(c[i*n:i*n+n], c[last:])
+	return c[:last]
 }
 
 // fileSubset draws a uniform random subset of size n of the K files. The
@@ -356,100 +353,107 @@ func (s *sim) fileSubset(n int) []int {
 	return s.perm[:n]
 }
 
-// newPeer materializes an arriving user.
-func (s *sim) newPeer() *peer {
+// arrive materializes an arriving user at the next position, maintaining
+// the incremental leg-population counters and the torrent addends.
+func (s *sim) arrive() {
 	class := s.corr.Class(s.rng.Float64())
 	files := s.fileSubset(class)
-	p := &peer{
+	p := peer{
 		id:           s.nextID,
-		class:        class,
 		arrivalAt:    s.now,
-		legs:         make([]leg, class),
-		counted:      s.now >= s.cfg.Warmup,
-		rho:          s.cfg.Rho,
 		bwClass:      -1,
-		mu:           s.cfg.Mu,
-		weight:       1,
+		counted:      s.now >= s.cfg.Warmup,
 		abortBudget:  math.Inf(1),
 		vsQuitBudget: math.Inf(1),
-		epoch:        s.epoch,
 	}
 	s.nextID++
+	mu, weight, rho := s.cfg.Mu, 1.0, s.cfg.Rho
 	if len(s.cfg.Bandwidth) > 0 {
 		u := s.rng.Float64()
 		acc := 0.0
 		for i, b := range s.cfg.Bandwidth {
 			acc += b.Fraction
 			if u <= acc || i == len(s.cfg.Bandwidth)-1 {
-				p.bwClass = i
-				p.mu = b.Mu
-				p.weight = b.Weight
+				p.bwClass, mu, weight = i, b.Mu, b.Weight
 				break
 			}
 		}
 	}
-	p.group = s.groupOf(class, p.bwClass)
 	if s.plan != nil {
 		// All fault draws come from per-peer streams keyed by id, so the
 		// main RNG above is untouched relative to a faults-off run.
 		p.abortBudget = s.plan.AbortAfter(p.id)
-		if s.cfg.Scheme == scheme.SimCMFSD && p.class > 1 {
+		if s.cfg.Scheme == scheme.SimCMFSD && class > 1 {
 			p.vsQuitBudget = s.plan.SeedQuitAfter(p.id)
 		}
 		if f := s.plan.UploadFactor(p.id); f < 1 {
-			p.mu *= f
+			mu *= f
 		}
-	}
-	for i, f := range files {
-		p.legs[i] = leg{torrent: f, state: legWaiting, heapIdx: -1, remaining: 1}
-	}
-	if concurrent(s.cfg.Scheme) {
-		for i := range p.legs {
-			p.legs[i].state = legDownloading
-		}
-	} else {
-		p.legs[0].state = legDownloading
 	}
 	if s.cfg.Scheme == scheme.SimCMFSD {
 		if s.rng.Bernoulli(s.cfg.CheaterFraction) {
-			p.cheater = true
-			p.rho = 1
+			rho = 1 // a cheater pins ρ = 1
 		} else if s.cfg.Adapt != nil {
 			ctrl, err := adapt.NewController(*s.cfg.Adapt)
 			if err == nil {
 				p.ctrl = ctrl
-				p.rho = ctrl.Rho()
+				rho = ctrl.Rho()
 			}
 		}
 	}
-	return p
-}
-
-// admit adds a materialized peer to the swarm, maintaining the peer's
-// position index and the incremental leg-population counters.
-func (s *sim) admit(p *peer) {
 	if p.counted {
 		s.ledger.Arrive()
 	}
-	p.pos = int32(len(s.peers))
+
+	pos := len(s.peers)
 	s.peers = append(s.peers, p)
-	if s.legOf != nil {
-		k := s.cfg.K
-		s.legOf = slices.Grow(s.legOf, k)[:len(s.legOf)+k]
-		row := s.legOf[len(s.legOf)-k:]
-		for t := range row {
-			row[t] = -1
+	s.class = append(s.class, int32(class))
+	s.group = append(s.group, int32(s.groupOf(class, p.bwClass)))
+	s.finished = append(s.finished, 0)
+	s.cursor = append(s.cursor, 0)
+	s.mu = append(s.mu, mu)
+	s.weight = append(s.weight, weight)
+	s.rho = append(s.rho, rho)
+	s.tft = append(s.tft, 0)
+	s.vu = append(s.vu, 0)
+	s.vsQuit = append(s.vsQuit, false)
+	s.epochs = append(s.epochs, s.epoch)
+	s.dlTime = append(s.dlTime, 0)
+	for i := range s.cfg.K {
+		f := int32(-1)
+		if i < class {
+			f = int32(files[i])
 		}
-		for i := range p.legs {
-			row[p.legs[i].torrent] = int32(i)
+		s.files = append(s.files, f)
+	}
+	for i := range s.w {
+		l := leg{remaining: 1, torrent: -1}
+		if i < class {
+			l.torrent, l.state = int32(files[i]), legDownloading
 		}
+		s.legs = append(s.legs, l)
 	}
-	if concurrent(s.cfg.Scheme) {
-		s.dlCount += p.class
-	} else {
-		s.dlCount++
+	s.setUploads(pos)
+	s.timers.addPos()
+	if pos == s.capPos {
+		s.growAddends()
 	}
-	s.touchPeer(p)
+	for sl := range s.active(pos) {
+		s.setAddend(pos, sl)
+	}
+	s.dlCount += len(s.active(pos))
+}
+
+// growAddends doubles the stride of the torrent addend columns, keeping
+// every torrent's run of positions.
+func (s *sim) growAddends() {
+	rows, c := len(s.wAdd)/s.capPos, 2*s.capPos
+	w, sc := make([]float64, rows*c), make([]float64, rows*c)
+	for t := range rows {
+		copy(w[t*c:], s.wAdd[t*s.capPos:(t+1)*s.capPos])
+		copy(sc[t*c:], s.cAdd[t*s.capPos:(t+1)*s.capPos])
+	}
+	s.wAdd, s.cAdd, s.capPos = w, sc, c
 }
 
 // groupOf returns the share group of a user class and bandwidth class
@@ -475,39 +479,57 @@ func (s *sim) touch(t int) {
 	s.dirtyList = append(s.dirtyList, t)
 }
 
-// touchPeer marks every torrent p contributes to.
-func (s *sim) touchPeer(p *peer) {
-	lo, hi := s.active(p)
-	for i := lo; i < hi; i++ {
-		if st := p.legs[i].state; st == legDownloading || st == legSeeding {
-			s.touch(p.legs[i].torrent)
+// touchPeer marks every torrent the peer at pos contributes to.
+func (s *sim) touchPeer(pos int) {
+	for _, l := range s.active(pos) {
+		if l.state == legDownloading || l.state == legSeeding {
+			s.touch(int(l.torrent))
 		}
 	}
 }
 
-// tftUpload returns the upload bandwidth a downloading peer devotes to
-// tit-for-tat in its current torrent.
-func (s *sim) tftUpload(p *peer) float64 {
-	switch s.cfg.Scheme {
-	case scheme.SimMTCD, scheme.SimMFCD:
-		return p.mu / float64(p.class)
-	case scheme.SimMTSD:
-		return p.mu
-	default: // CMFSD
-		if p.class == 1 || p.finished == 0 {
-			return p.mu
-		}
-		return p.rho * p.mu
+// setAddend writes what leg slot sl of position pos adds, in its current
+// state, to its torrent's sums, or under CMFSD to the pool's: a
+// downloading leg's weight, a seeding leg's capacity, 0 otherwise. It
+// marks the torrent dirty. Every leg state change goes through it.
+func (s *sim) setAddend(pos, sl int) {
+	l := &s.legs[pos*s.w+sl]
+	w, c := 0.0, 0.0
+	switch l.state {
+	case legSeeding:
+		c = s.mu[pos]
+	case legDownloading:
+		w = s.weight[pos]
 	}
+	if concurrent(s.cfg.Scheme) {
+		w /= float64(s.class[pos])
+		c /= float64(s.class[pos])
+	}
+	t := int(l.torrent)
+	if s.cfg.Scheme == scheme.SimCMFSD {
+		t = 0 // the one pool
+	}
+	s.wAdd[t*s.capPos+pos], s.cAdd[t*s.capPos+pos] = w, c
+	s.touch(t)
 }
 
-// virtualUpload returns the CMFSD virtual-seed bandwidth of a downloading
-// peer (zero for other schemes and for peers with nothing finished).
-func (s *sim) virtualUpload(p *peer) float64 {
-	if s.cfg.Scheme != scheme.SimCMFSD || p.class == 1 || p.finished == 0 || p.seeding || p.vsQuit {
-		return 0
+// setUploads recomputes the upload columns of the peer at pos from its
+// class, finished count, ρ, μ, real-seed phase and vsQuit; every change to
+// one of them calls it. tft is the upload bandwidth a downloading peer
+// devotes to tit-for-tat in its current torrent; vu its CMFSD virtual-seed
+// bandwidth (zero for other schemes and for peers with nothing finished).
+func (s *sim) setUploads(pos int) {
+	mu, class, finished := s.mu[pos], s.class[pos], s.finished[pos]
+	s.tft[pos], s.vu[pos] = mu, 0
+	switch {
+	case concurrent(s.cfg.Scheme):
+		s.tft[pos] = mu / float64(class)
+	case s.cfg.Scheme == scheme.SimCMFSD && class > 1 && finished > 0:
+		s.tft[pos] = s.rho[pos] * mu
+		if s.legs[pos].state != legSeeding && !s.vsQuit[pos] {
+			s.vu[pos] = (1 - s.rho[pos]) * mu
+		}
 	}
-	return (1 - p.rho) * p.mu
 }
 
 // The per-event rate pass in stepOnce assembles every downloading leg's
@@ -541,13 +563,9 @@ func (s *sim) virtualUpload(p *peer) float64 {
 // maintained dlCount/seedCount instead; this scan remains as the oracle the
 // consistency tests compare the counters against.
 func (s *sim) populations() (dl, seeds int) {
-	for _, p := range s.peers {
-		if p.seeding {
-			seeds++
-			continue
-		}
-		for i := range p.legs {
-			switch p.legs[i].state {
+	for pos := range s.peers {
+		for _, l := range s.active(pos) {
+			switch l.state {
 			case legDownloading:
 				dl++
 			case legSeeding:
@@ -558,34 +576,22 @@ func (s *sim) populations() (dl, seeds int) {
 	return dl, seeds
 }
 
-// refreshSums re-sums the dirty torrents in peer-position order and
-// recomputes their share column.
+// refreshSums re-sums the dirty torrents from their addend columns in
+// position order and recomputes their share column. A position without a
+// leg in the torrent adds +0, which leaves the non-negative running sum's
+// bits unchanged, so the sums are a rescan's.
 func (s *sim) refreshSums() {
-	if len(s.dirtyList) == 0 {
-		return
-	}
+	n, groups := len(s.peers), len(s.groupWeight)
 	for _, t := range s.dirtyList {
-		s.seedCap[t], s.weightSum[t] = 0, 0
-	}
-	k := s.cfg.K
-	for pos, p := range s.peers {
-		if s.legOf == nil {
-			if l := &p.legs[p.cursor]; s.dirty[l.torrent] {
-				s.addLeg(p, l)
-			}
-			continue
+		ws, sc := 0.0, 0.0
+		for _, a := range s.wAdd[t*s.capPos : t*s.capPos+n] {
+			ws += a
 		}
-		row := s.legOf[pos*k : pos*k+k]
-		for _, t := range s.dirtyList {
-			if li := row[t]; li >= 0 {
-				s.addLeg(p, &p.legs[li])
-			}
+		for _, a := range s.cAdd[t*s.capPos : t*s.capPos+n] {
+			sc += a
 		}
-	}
-	groups := len(s.groupWeight)
-	for _, t := range s.dirtyList {
+		s.weightSum[t], s.seedCap[t] = ws, sc
 		col := s.share[t*groups : (t+1)*groups]
-		ws, sc := s.weightSum[t], s.seedCap[t]
 		for g, w := range s.groupWeight {
 			col[g] = 0
 			if ws > 0 {
@@ -595,20 +601,6 @@ func (s *sim) refreshSums() {
 		s.dirty[t] = false
 	}
 	s.dirtyList = s.dirtyList[:0]
-}
-
-// addLeg adds one leg's addends to its torrent's sums.
-func (s *sim) addLeg(p *peer, l *leg) {
-	switch l.state {
-	case legSeeding:
-		if s.cfg.Scheme == scheme.SimMTSD {
-			s.seedCap[l.torrent] += p.mu
-		} else {
-			s.seedCap[l.torrent] += p.mu / float64(p.class)
-		}
-	case legDownloading:
-		s.weightSum[l.torrent] += s.groupWeight[p.group]
-	}
 }
 
 const never = math.MaxFloat64
@@ -628,7 +620,14 @@ func (s *sim) init() bool {
 	if s.corr.TotalUserRate() <= 0 {
 		return false
 	}
+	s.w = 1
+	if concurrent(s.cfg.Scheme) {
+		s.w = s.cfg.K
+	}
+	s.timers.w = s.w
+	rows := 1 // CMFSD's one pool
 	if s.cfg.Scheme != scheme.SimCMFSD {
+		rows = s.cfg.K
 		k, classes, bw := s.cfg.K, 1, max(len(s.cfg.Bandwidth), 1)
 		if concurrent(s.cfg.Scheme) {
 			classes = k
@@ -650,12 +649,11 @@ func (s *sim) init() bool {
 		s.weightSum = make([]float64, k)
 		s.share = make([]float64, k*len(s.groupWeight))
 		s.dirty = make([]bool, k)
-		if concurrent(s.cfg.Scheme) {
-			s.legOf = make([]int32, 0, k*(s.cfg.FlashCrowd+1))
-		}
 	}
+	s.capPos = 16
+	s.wAdd, s.cAdd = make([]float64, rows*s.capPos), make([]float64, rows*s.capPos)
 	for i := 0; i < s.cfg.FlashCrowd; i++ {
-		s.admit(s.newPeer())
+		s.arrive()
 	}
 	s.nextSample = never
 	if s.cfg.SampleEvery > 0 {
@@ -680,19 +678,18 @@ func (s *sim) init() bool {
 // Candidate selection replicates the former linear scan's tie-breaking
 // exactly: that scan kept the first candidate at a strictly smaller time,
 // i.e. the lexicographic minimum of (time, scan position), where scan
-// position is (source group, peer index, sub-candidate index within the
-// peer). The heap orders its entries by the same key, and the strict <
-// comparisons below reproduce the group order horizon < arrival < peer
-// candidates < adapt < sample.
+// position is (source group, peer position, sub-candidate within the
+// peer: its active leg slots, then its abort, then its quit). The heap
+// orders its entries by the same key, and the strict < comparisons below
+// reproduce the group order horizon < arrival < peer candidates < adapt <
+// sample.
 func (s *sim) stepOnce() bool {
 	tNext := s.cfg.Horizon
 	kind := evHorizon
-	var actor *peer
-	var actorLeg int
-	// Scan position of the current best when it is a peer candidate;
-	// (-1, -1) otherwise, so a seed timer never wins a tie against an
-	// earlier source group.
-	curPos, curSub := int32(-1), int32(-1)
+	// actor is the position of the current best when it is a peer
+	// candidate and curSub its sub-candidate; -1 otherwise, so a seed
+	// timer never wins a tie against an earlier source group.
+	actor, actorLeg, curSub := -1, 0, int32(-1)
 	if s.nextArrival < tNext {
 		tNext, kind = s.nextArrival, evArrival
 	}
@@ -701,35 +698,48 @@ func (s *sim) stepOnce() bool {
 	if s.cfg.Scheme == scheme.SimCMFSD {
 		// Pooled seed-like service: virtual seeds plus real seeds,
 		// split over all downloaders by weight (Eq. 5's S term; equal
-		// weights make it per capita).
+		// weights make it per capita). A CMFSD position has one leg slot.
+		// Three sums over the pool's addend row (a downloader's weight, a
+		// real seed's μ, +0 elsewhere) and the virtual-upload column (+0
+		// but for virtual seeds), in position order.
+		n := len(s.peers)
+		legs, weight, wAdd, cAdd, vu := s.legs, s.weight, s.wAdd[:n], s.cAdd[:n], s.vu[:n]
 		virtPool, realPool, weightSum := 0.0, 0.0, 0.0
-		for _, p := range s.peers {
-			if p.seeding {
-				realPool += p.mu
-				continue
-			}
-			if p.downloadingLeg() >= 0 {
-				weightSum += p.weight
-				virtPool += s.virtualUpload(p)
-			}
+		for pos := range vu {
+			weightSum += wAdd[pos]
+			realPool += cAdd[pos]
+			virtPool += vu[pos]
 		}
-		for pos, p := range s.peers {
-			li := p.downloadingLeg()
-			if li < 0 {
+		// Equal weights give equal shares: the quotient of the last weight
+		// seen is reused while the weight repeats.
+		pool, now, dt, epoch, adaptOn := virtPool+realPool, s.now, s.dt, s.epoch, s.cfg.Adapt != nil
+		share, shareOf, lim := 0.0, math.NaN(), reach(tNext, now)
+		for pos := range legs {
+			l := &legs[pos]
+			if l.state != legDownloading {
 				continue // a real seed's departure timer lives in the heap
 			}
-			s.integrate(p)
-			share := 0.0
-			if weightSum > 0 {
-				share = p.weight / weightSum
+			if s.epochs[pos] != epoch { // integrate, inlined
+				s.epochs[pos] = epoch
+				if dt > 0 {
+					l.progress(dt)
+					s.tick(pos, dt)
+				}
 			}
-			l := &p.legs[li]
-			l.rate = eta*s.tftUpload(p) + share*(virtPool+realPool)
-			p.virtDownRate = share * virtPool
-			if l.rate > 0 {
-				if tc := s.now + l.remaining/l.rate; tc < tNext {
-					tNext, kind, actor, actorLeg = tc, evCompletion, p, li
-					curPos, curSub = int32(pos), int32(li)
+			if w := weight[pos]; w != shareOf {
+				share, shareOf = 0, w
+				if weightSum > 0 {
+					share = w / weightSum
+				}
+			}
+			l.rate = eta*s.tft[pos] + share*pool
+			if adaptOn {
+				s.peers[pos].virtDownRate = share * virtPool
+			}
+			if l.rate > 0 && l.remaining <= lim*l.rate {
+				if tc := now + l.remaining/l.rate; tc < tNext {
+					tNext, kind, actor, actorLeg, curSub = tc, evCompletion, pos, 0, 0
+					lim = reach(tNext, now)
 				}
 			}
 			if s.plan != nil {
@@ -737,47 +747,45 @@ func (s *sim) stepOnce() bool {
 				// the matching activity is in progress, so the injected
 				// lifetimes are exponential in activity time — the same
 				// clock the fluid θ·x term runs on.
-				if ta := s.now + p.abortBudget; ta < tNext {
-					tNext, kind, actor = ta, evPeerAbort, p
-					curPos, curSub = int32(pos), int32(len(p.legs))
+				p := &s.peers[pos]
+				if ta := now + p.abortBudget; ta < tNext {
+					tNext, kind, actor, curSub = ta, evPeerAbort, pos, 1
 				}
-				if s.virtualUpload(p) > 0 {
-					if tq := s.now + p.vsQuitBudget; tq < tNext {
-						tNext, kind, actor = tq, evVsQuit, p
-						curPos, curSub = int32(pos), int32(len(p.legs))+1
+				if vu[pos] > 0 {
+					if tq := now + p.vsQuitBudget; tq < tNext {
+						tNext, kind, actor, curSub = tq, evVsQuit, pos, 2
 					}
 				}
 			}
 		}
 	} else {
 		s.refreshSums()
-		groups, dt := len(s.groupWeight), s.dt
-		for pos, p := range s.peers {
+		// Locals, not fields: the leg stores below would make the compiler
+		// reload every field of s on each leg.
+		groups, dt, now, share, epoch := len(s.groupWeight), s.dt, s.now, s.share, s.epoch
+		lim := reach(tNext, now)
+		for pos := range s.peers {
 			// integrate, fused into the leg loop: each leg progresses
 			// before its rate is overwritten, the clocks tick after.
-			pending := p.epoch != s.epoch && dt > 0
-			p.epoch = s.epoch
-			anyDl := false
-			tft := 0.0
-			lo, hi := s.active(p)
-			for i := lo; i < hi; i++ {
-				l := &p.legs[i]
+			pending := s.epochs[pos] != epoch && dt > 0
+			s.epochs[pos] = epoch
+			anyDl, tft := false, eta*s.tft[pos]
+			legs, g := s.active(pos), int(s.group[pos])
+			for i := range legs {
+				l := &legs[i]
 				if l.state != legDownloading {
 					continue // seeding-leg timers live in the heap
 				}
-				if !anyDl {
-					anyDl = true
-					tft = eta * s.tftUpload(p)
-				}
+				anyDl = true
 				if pending {
 					l.progress(dt)
 				}
-				r := tft + s.share[l.torrent*groups+p.group]
+				r := tft + share[int(l.torrent)*groups+g]
 				l.rate = r
-				if r > 0 {
-					if tc := s.now + l.remaining/r; tc < tNext {
-						tNext, kind, actor, actorLeg = tc, evCompletion, p, i
-						curPos, curSub = int32(pos), int32(i)
+				if r > 0 && l.remaining <= lim*r {
+					if tc := now + l.remaining/r; tc < tNext {
+						tNext, kind, actor, actorLeg, curSub = tc, evCompletion, pos, i, int32(i)
+						lim = reach(tNext, now)
 					}
 				}
 			}
@@ -785,12 +793,11 @@ func (s *sim) stepOnce() bool {
 				continue
 			}
 			if pending {
-				s.tick(p, dt)
+				s.tick(pos, dt)
 			}
 			if s.plan != nil {
-				if ta := s.now + p.abortBudget; ta < tNext {
-					tNext, kind, actor = ta, evPeerAbort, p
-					curPos, curSub = int32(pos), int32(len(p.legs))
+				if ta := now + s.peers[pos].abortBudget; ta < tNext {
+					tNext, kind, actor, curSub = ta, evPeerAbort, pos, int32(len(legs))
 				}
 			}
 		}
@@ -798,8 +805,8 @@ func (s *sim) stepOnce() bool {
 
 	if h, ok := s.timers.min(); ok {
 		if h.at < tNext ||
-			(h.at == tNext && (h.p.pos < curPos || (h.p.pos == curPos && h.sub < curSub))) {
-			tNext, actor = h.at, h.p
+			(h.at == tNext && (int(h.pos) < actor || (int(h.pos) == actor && h.sub < curSub))) {
+			tNext, actor = h.at, int(h.pos)
 			if s.cfg.Scheme == scheme.SimCMFSD {
 				kind = evPeerDepart
 			} else {
@@ -815,7 +822,7 @@ func (s *sim) stepOnce() bool {
 	}
 
 	s.advance(tNext)
-	if actor != nil {
+	if actor >= 0 {
 		// The handler may change the actor's legs and clocks: settle the
 		// interval just advanced at the state it ran under first.
 		s.integrate(actor)
@@ -825,24 +832,25 @@ func (s *sim) stepOnce() bool {
 	case evHorizon:
 		return false
 	case evArrival:
-		s.admit(s.newPeer())
+		s.arrive()
 		s.nextArrival = s.now + s.rng.Exp(s.corr.TotalUserRate())
 	case evCompletion:
 		s.completeLeg(actor, actorLeg)
 	case evLegDepart:
 		s.timers.pop()
-		actor.legs[actorLeg].state = legDone
-		s.touch(actor.legs[actorLeg].torrent)
+		s.legs[actor*s.w+actorLeg].state = legDone
+		s.setAddend(actor, actorLeg)
 		s.seedCount--
-		s.afterLegDeparture(actor, actorLeg)
+		s.afterLegDeparture(actor)
 	case evPeerDepart:
 		s.timers.pop()
 		s.departPeer(actor)
 	case evPeerAbort:
-		actor.aborted = true
+		s.peers[actor].aborted = true
 		s.departPeer(actor)
 	case evVsQuit:
-		actor.vsQuit = true
+		s.vsQuit[actor] = true
+		s.setUploads(actor)
 		s.res.SeedQuits++
 	case evAdapt:
 		s.adaptTick()
@@ -893,29 +901,29 @@ func (s *sim) advance(tNext float64) {
 	s.now = tNext
 }
 
-// integrate applies the last advance's dt to p unless p has already done
-// so: each downloading leg progresses at the rate the last rate pass gave
-// it, and a downloading peer's clocks tick. These are the operations, on
-// the same operands, of a sweep over every peer inside advance; only the
-// moment they run moves.
-func (s *sim) integrate(p *peer) {
-	if p.epoch == s.epoch {
+// integrate applies the last advance's dt to the peer at pos unless it has
+// already done so: each downloading leg progresses at the rate the last
+// rate pass gave it, and a downloading peer's clocks tick. These are the
+// operations, on the same operands, of a sweep over every peer inside
+// advance; only the moment they run moves.
+func (s *sim) integrate(pos int) {
+	if s.epochs[pos] == s.epoch {
 		return
 	}
-	p.epoch = s.epoch
-	if s.dt <= 0 || p.seeding {
+	s.epochs[pos] = s.epoch
+	if s.dt <= 0 {
 		return
 	}
 	anyDl := false
-	lo, hi := s.active(p)
-	for i := lo; i < hi; i++ {
-		if l := &p.legs[i]; l.state == legDownloading {
+	legs := s.active(pos)
+	for i := range legs {
+		if l := &legs[i]; l.state == legDownloading {
 			l.progress(s.dt)
 			anyDl = true
 		}
 	}
 	if anyDl {
-		s.tick(p, s.dt)
+		s.tick(pos, s.dt)
 	}
 }
 
@@ -927,133 +935,124 @@ func (l *leg) progress(dt float64) {
 	}
 }
 
-// tick runs a downloading peer's clocks for dt: download time, the abort
-// budget and the CMFSD virtual-seed accounting.
-func (s *sim) tick(p *peer, dt float64) {
-	p.dlAccum += dt
+// tick runs a downloading peer's clocks for dt: download time, and the
+// abort budget and the CMFSD virtual-seed accounting when faults or the
+// Adapt controller read them.
+func (s *sim) tick(pos int, dt float64) {
+	s.dlTime[pos] += dt
+	if s.plan == nil && s.cfg.Adapt == nil {
+		return
+	}
+	p := &s.peers[pos]
 	p.abortBudget -= dt
-	if vu := s.virtualUpload(p); vu > 0 {
+	if vu := s.vu[pos]; vu > 0 {
 		p.virtUp += vu * dt
 		p.vsQuitBudget -= dt
 	}
 	p.virtDown += p.virtDownRate * dt
 }
 
-// completeLeg handles a finished file download.
-func (s *sim) completeLeg(p *peer, li int) {
-	l := &p.legs[li]
+// completeLeg handles a finished file download in leg slot sl.
+func (s *sim) completeLeg(pos, sl int) {
+	l := &s.legs[pos*s.w+sl]
 	l.remaining = 0
-	p.finished++
-	p.lastCompletionAt = s.now
-	switch s.cfg.Scheme {
-	case scheme.SimMTCD, scheme.SimMFCD:
+	s.finished[pos]++
+	s.dlCount--
+	if s.cfg.Scheme == scheme.SimCMFSD && s.finished[pos] < s.class[pos] {
+		s.nextFile(pos)
+	} else {
+		// Seed the file, or under CMFSD, after the last file, as a real
+		// seed. A sequential peer starts its next file only after this
+		// seeding phase (download, seed, move on).
 		l.state = legSeeding
-		l.seedDepartAt = s.now + s.rng.Exp(s.cfg.Gamma)
-		s.dlCount--
 		s.seedCount++
-		s.timers.push(l.seedDepartAt, p, int32(li))
-		s.touch(l.torrent)
-	case scheme.SimMTSD:
-		l.state = legSeeding
-		l.seedDepartAt = s.now + s.rng.Exp(s.cfg.Gamma)
-		s.dlCount--
-		s.seedCount++
-		s.timers.push(l.seedDepartAt, p, int32(li))
-		s.touch(l.torrent)
-		// The next file starts only after this seeding phase
-		// (sequential: download, seed, move on).
-	case scheme.SimCMFSD:
-		l.state = legDone
-		s.dlCount--
-		if p.finished == p.class {
-			p.seeding = true
-			p.seedDepartAt = s.now + s.rng.Exp(s.cfg.Gamma)
-			s.seedCount++
-			s.timers.push(p.seedDepartAt, p, 0)
-		} else {
-			p.cursor++
-			p.legs[p.cursor].state = legDownloading
-			s.dlCount++
-		}
+		s.timers.push(s.now+s.rng.Exp(s.cfg.Gamma), int32(pos), int32(sl))
+		s.setAddend(pos, sl)
 	}
+	s.setUploads(pos)
 }
 
-// afterLegDeparture resumes a sequential peer or retires a concurrent one.
-func (s *sim) afterLegDeparture(p *peer, li int) {
-	if s.cfg.Scheme == scheme.SimMTSD {
-		if li == p.cursor && p.cursor+1 < len(p.legs) {
-			p.cursor++
-			p.legs[p.cursor].state = legDownloading
-			s.dlCount++
-			s.touch(p.legs[p.cursor].torrent)
+// nextFile moves a sequential peer's cursor to its next file, which starts
+// downloading.
+func (s *sim) nextFile(pos int) {
+	s.cursor[pos]++
+	s.legs[pos] = leg{remaining: 1, torrent: s.files[pos*s.cfg.K+int(s.cursor[pos])], state: legDownloading}
+	s.dlCount++
+	s.setAddend(pos, 0)
+}
+
+// afterLegDeparture resumes a sequential peer or retires one whose legs
+// are all done.
+func (s *sim) afterLegDeparture(pos int) {
+	if s.cfg.Scheme == scheme.SimMTSD && s.cursor[pos]+1 < s.class[pos] {
+		s.nextFile(pos)
+		return
+	}
+	for _, l := range s.active(pos) {
+		if l.state != legDone {
 			return
 		}
 	}
-	for i := range p.legs {
-		if p.legs[i].state != legDone {
-			return
-		}
-	}
-	s.departPeer(p)
+	s.departPeer(pos)
 }
 
-// departPeer removes the peer and records its statistics.
-func (s *sim) departPeer(dead *peer) {
+// departPeer records the statistics of the peer at pos and swap-removes it.
+func (s *sim) departPeer(pos int) {
 	// Population counters and pending seed timers for whatever the peer
 	// leaves behind (an abort can retire seeding legs mid-flight; a fired
 	// departure timer was already popped, so remove is a no-op for it).
-	s.touchPeer(dead)
-	if dead.seeding {
-		s.seedCount--
-		s.timers.remove(dead, 0)
-	}
-	for i := range dead.legs {
-		switch dead.legs[i].state {
+	s.touchPeer(pos)
+	for sl, l := range s.active(pos) {
+		switch l.state {
 		case legDownloading:
 			s.dlCount--
 		case legSeeding:
 			s.seedCount--
-			s.timers.remove(dead, int32(i))
+			s.timers.remove(int32(pos), int32(sl))
 		}
 	}
-	// Swap-remove from the peer list; the moved peer's position key
-	// decreased, so its pending timers re-sift in the heap.
-	i := int(dead.pos)
+	if p := &s.peers[pos]; p.counted {
+		// An aborted user started every leg not still waiting: all of them
+		// under the concurrent schemes, those up to the cursor otherwise.
+		class, files := int(s.class[pos]), int(s.class[pos])
+		if p.aborted {
+			files = int(s.cursor[pos]) + len(s.active(pos))
+		}
+		s.ledger.Depart(replica.Departure{
+			Class: class, BwClass: p.bwClass,
+			Online: s.now - p.arrivalAt, Download: s.dlTime[pos],
+			Files: files, Aborted: p.aborted,
+			// Every multi-file CMFSD peer's ρ counts, a cheater's pinned 1 too.
+			Rho: s.rho[pos], CountRho: s.cfg.Scheme == scheme.SimCMFSD && class > 1,
+		})
+	}
+	// Swap-remove: the last position moves into pos in every column; its
+	// timer keys decreased, so its pending timers re-sift in the heap.
 	last := len(s.peers) - 1
-	moved := s.peers[last]
-	s.peers[i] = moved
-	s.peers = s.peers[:last]
-	if moved != dead {
-		moved.pos = int32(i)
-		s.timers.fixPos(moved)
-		s.touchPeer(moved)
+	s.peers = swapOut(s.peers, pos, 1)
+	s.class = swapOut(s.class, pos, 1)
+	s.group = swapOut(s.group, pos, 1)
+	s.finished = swapOut(s.finished, pos, 1)
+	s.cursor = swapOut(s.cursor, pos, 1)
+	s.mu = swapOut(s.mu, pos, 1)
+	s.weight = swapOut(s.weight, pos, 1)
+	s.rho = swapOut(s.rho, pos, 1)
+	s.tft = swapOut(s.tft, pos, 1)
+	s.vu = swapOut(s.vu, pos, 1)
+	s.vsQuit = swapOut(s.vsQuit, pos, 1)
+	s.epochs = swapOut(s.epochs, pos, 1)
+	s.dlTime = swapOut(s.dlTime, pos, 1)
+	s.legs = swapOut(s.legs, pos, s.w)
+	s.files = swapOut(s.files, pos, s.cfg.K)
+	s.timers.swapOut(int32(pos), int32(last))
+	for t := range len(s.wAdd) / s.capPos {
+		i, j := t*s.capPos+pos, t*s.capPos+last
+		s.wAdd[i], s.cAdd[i] = s.wAdd[j], s.cAdd[j]
+		s.wAdd[j], s.cAdd[j] = 0, 0
 	}
-	if s.legOf != nil {
-		k := s.cfg.K
-		copy(s.legOf[i*k:i*k+k], s.legOf[last*k:])
-		s.legOf = s.legOf[:last*k]
+	if pos != last {
+		s.touchPeer(pos)
 	}
-	if !dead.counted {
-		return
-	}
-	// An aborted user started every leg not still waiting: all of them
-	// under the concurrent schemes, those up to the cursor otherwise.
-	files := dead.class
-	if dead.aborted {
-		files = 0
-		for i := range dead.legs {
-			if dead.legs[i].state != legWaiting {
-				files++
-			}
-		}
-	}
-	s.ledger.Depart(replica.Departure{
-		Class: dead.class, BwClass: dead.bwClass,
-		Online: s.now - dead.arrivalAt, Download: dead.dlAccum,
-		Files: files, Aborted: dead.aborted,
-		// Every multi-file CMFSD peer's ρ counts, a cheater's pinned 1 too.
-		Rho: dead.rho, CountRho: s.cfg.Scheme == scheme.SimCMFSD && dead.class > 1,
-	})
 }
 
 // adaptTick runs the Adapt controller on every eligible peer. It reads
@@ -1061,16 +1060,23 @@ func (s *sim) departPeer(dead *peer) {
 // integrates first.
 func (s *sim) adaptTick() {
 	period := s.cfg.Adapt.Period
-	for _, p := range s.peers {
-		s.integrate(p)
-		if p.ctrl == nil || p.seeding {
-			p.virtUp, p.virtDown = 0, 0
-			continue
-		}
-		if p.finished >= 1 && p.class > 1 {
+	for pos := range s.peers {
+		s.integrate(pos)
+		p := &s.peers[pos]
+		if p.ctrl != nil && s.legs[pos].state != legSeeding && s.finished[pos] >= 1 && s.class[pos] > 1 {
 			delta := (p.virtUp - p.virtDown) / period
-			p.rho = p.ctrl.Observe(delta)
+			s.rho[pos] = p.ctrl.Observe(delta)
+			s.setUploads(pos)
 		}
 		p.virtUp, p.virtDown = 0, 0
 	}
 }
+
+// reach bounds the completion times that can still beat tNext: a leg with
+// remaining > reach·rate completes at now + remaining/rate ≥ tNext, so the
+// rate pass skips its division. The pass recomputes it when a completion
+// lowers tNext; a stale, larger reach only divides more. Each rounding below errs by at most a
+// factor 1 ± 2⁻⁵³, which the 1 + 2⁻²⁰ slack covers: remaining > reach·rate
+// gives remaining/rate > tNext − now even after rounding, and now plus a
+// quantity past tNext − now rounds to tNext or above.
+func reach(tNext, now float64) float64 { return (tNext - now) * (1 + 0x1p-20) }

@@ -11,25 +11,26 @@ package eventsim
 // floating-point operation order the goldens pin (see the determinism
 // contract in DESIGN.md).
 //
-// Entries are keyed by (time, peer position, sub) — the peer's index in
-// s.peers and the candidate's scan position within the peer — so the heap
-// minimum ties exactly like the former linear candidate scan, which kept
-// the first candidate at a strictly smaller time. The heap is indexed:
-// each entry's slot is kept in legs[sub].heapIdx of its peer, giving
-// O(log n) removal when an abort or quit retires a peer with pending
-// timers, and O(log n) re-keying when a swap-remove moves a peer to a new
-// position.
+// Entries are keyed by (time, peer position, sub) — sub is the leg slot
+// the timer belongs to, 0 for a CMFSD peer timer — so the heap minimum
+// ties exactly like the former linear candidate scan, which kept the first
+// candidate at a strictly smaller time. The heap is indexed: slot holds
+// each (position, sub)'s heap index, a column of w entries per position
+// kept in step with the simulator's swap-removes, giving O(log n) removal
+// when an abort retires a peer with pending timers, and O(log n)
+// re-keying when a swap-remove moves a peer to a new position.
 type timerHeap struct {
 	e []seedTimer
+	// w is the number of subs per position; slot[pos*w+sub] is the heap
+	// index of (pos, sub)'s pending timer, -1 when none.
+	w    int
+	slot []int32
 }
 
-// seedTimer is one pending seed-departure event. sub is the leg index for
-// leg timers and 0 for a CMFSD peer timer (CMFSD never has leg timers, so
-// the sub spaces cannot collide).
+// seedTimer is one pending seed-departure event.
 type seedTimer struct {
-	at  float64
-	p   *peer
-	sub int32
+	at       float64
+	pos, sub int32
 }
 
 // less orders entries by (time, peer position, sub): the tie-break order
@@ -39,16 +40,21 @@ func (h *timerHeap) less(i, j int) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.p.pos != b.p.pos {
-		return a.p.pos < b.p.pos
+	if a.pos != b.pos {
+		return a.pos < b.pos
 	}
 	return a.sub < b.sub
 }
 
+// index records that entry i sits at heap index i.
+func (h *timerHeap) index(i int) {
+	h.slot[int(h.e[i].pos)*h.w+int(h.e[i].sub)] = int32(i)
+}
+
 func (h *timerHeap) swap(i, j int) {
 	h.e[i], h.e[j] = h.e[j], h.e[i]
-	h.e[i].p.legs[h.e[i].sub].heapIdx = int32(i)
-	h.e[j].p.legs[h.e[j].sub].heapIdx = int32(j)
+	h.index(i)
+	h.index(j)
 }
 
 func (h *timerHeap) siftUp(i int) {
@@ -81,11 +87,18 @@ func (h *timerHeap) siftDown(i int) {
 	}
 }
 
-// push inserts a timer for (p, sub) firing at the given time.
-func (h *timerHeap) push(at float64, p *peer, sub int32) {
+// addPos appends the timer slots of a new last position.
+func (h *timerHeap) addPos() {
+	for range h.w {
+		h.slot = append(h.slot, -1)
+	}
+}
+
+// push inserts a timer for (pos, sub) firing at the given time.
+func (h *timerHeap) push(at float64, pos, sub int32) {
 	i := len(h.e)
-	h.e = append(h.e, seedTimer{at: at, p: p, sub: sub})
-	p.legs[sub].heapIdx = int32(i)
+	h.e = append(h.e, seedTimer{at: at, pos: pos, sub: sub})
+	h.index(i)
 	h.siftUp(i)
 }
 
@@ -102,19 +115,19 @@ func (h *timerHeap) pop() {
 	h.removeAt(0)
 }
 
-// remove deletes the timer of (p, sub) if one is pending.
-func (h *timerHeap) remove(p *peer, sub int32) {
-	if i := p.legs[sub].heapIdx; i >= 0 {
+// remove deletes the timer of (pos, sub) if one is pending.
+func (h *timerHeap) remove(pos, sub int32) {
+	if i := h.slot[int(pos)*h.w+int(sub)]; i >= 0 {
 		h.removeAt(int(i))
 	}
 }
 
 func (h *timerHeap) removeAt(i int) {
-	h.e[i].p.legs[h.e[i].sub].heapIdx = -1
+	h.slot[int(h.e[i].pos)*h.w+int(h.e[i].sub)] = -1
 	last := len(h.e) - 1
 	if i != last {
 		h.e[i] = h.e[last]
-		h.e[i].p.legs[h.e[i].sub].heapIdx = int32(i)
+		h.index(i)
 	}
 	h.e = h.e[:last]
 	if i < last {
@@ -124,16 +137,28 @@ func (h *timerHeap) removeAt(i int) {
 	}
 }
 
-// fixPos restores the heap invariant for every pending timer of a peer
-// whose position in s.peers just changed. Positions only decrease (a
-// swap-remove moves the tail peer to an earlier index), so every affected
-// key decreased and sifting up suffices. Entries of the same peer keep
-// their relative order (same time ordering, same position, same subs), so
-// fixing them one at a time is sound.
-func (h *timerHeap) fixPos(p *peer) {
-	for sub := range p.legs {
-		if i := p.legs[sub].heapIdx; i >= 0 {
-			h.siftUp(int(i))
+// swapOut follows a swap-remove that moves the last position, from, into
+// position to, whose timers must already be removed: from's pending
+// timers are re-keyed to position to and its slots dropped. Positions only
+// decrease, so every re-keyed entry's key decreased and sifting up
+// suffices. Entries of the same peer keep their relative order (same
+// times, same position, same subs), so fixing them one at a time is
+// sound.
+func (h *timerHeap) swapOut(to, from int32) {
+	w := int32(h.w)
+	if to != from {
+		moved := h.slot[to*w : to*w+w]
+		copy(moved, h.slot[from*w:])
+		for _, i := range moved {
+			if i >= 0 {
+				h.e[i].pos = to
+			}
+		}
+		for sub := range moved {
+			if i := moved[sub]; i >= 0 {
+				h.siftUp(int(i))
+			}
 		}
 	}
+	h.slot = h.slot[:from*w]
 }

@@ -30,6 +30,7 @@ func TestCITargetShowsCIColumn(t *testing.T) {
 		"adaptparams": (&AdaptParamsResult{Settings: set}).Table(),
 		"churn":       (&ChurnSweepResult{Settings: set}).Table(),
 		"churn quits": (&ChurnSweepResult{Settings: set}).QuitTable(),
+		"hetero":      (&HeteroResult{Options: set.Options}).Table(),
 	} {
 		if !strings.Contains(tb.String(), "±95%") {
 			t.Errorf("%s table hides its ±95%% column under CITarget:\n%s", name, tb.String())

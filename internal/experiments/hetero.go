@@ -19,7 +19,7 @@ type HeteroRow struct {
 	Name          string
 	FluidDownload float64
 	// SimDownload is the across-replica mean download time; SimCI95 its
-	// 95% confidence half-width (0 when Replicas <= 1).
+	// 95% confidence half-width (0 for a single replica).
 	SimDownload float64
 	SimCI95     float64
 	RelErr      float64
@@ -31,9 +31,9 @@ type HeteroRow struct {
 // model validated by the event simulator on a single heterogeneous
 // torrent.
 type HeteroResult struct {
-	Eta      float64
-	Replicas int
-	Rows     []HeteroRow
+	Eta     float64
+	Options Options
+	Rows    []HeteroRow
 }
 
 // HeteroClass describes one class for the E15 experiment.
@@ -79,7 +79,7 @@ func Hetero(ctx context.Context, set SimSettings, lambda0 float64, classes []Het
 		return nil, err
 	}
 	agg := aggs[0]
-	res := &HeteroResult{Eta: set.Params.Eta, Replicas: set.Replicas}
+	res := &HeteroResult{Eta: set.Params.Eta, Options: set.Options}
 	for i, c := range classes {
 		got := agg.Mean(replica.BandwidthKey(c.Name, replica.DownloadPerFile))
 		res.Rows = append(res.Rows, HeteroRow{
@@ -94,11 +94,11 @@ func Hetero(ctx context.Context, set SimSettings, lambda0 float64, classes []Het
 	return res, nil
 }
 
-// Table renders the heterogeneous validation; with more than one replica
-// a ±95% column follows the simulated mean.
+// Table renders the heterogeneous validation; replicated options add a
+// ±95% column after the simulated mean.
 func (r *HeteroResult) Table() *table.Table {
 	tb := newCITable(fmt.Sprintf("Heterogeneous swarm: multi-class fluid vs simulation (η=%.2f)", r.Eta),
-		r.Replicas > 1, "class", "fluid download", "sim download", "±95%", "rel err", "completed")
+		r.Options.replicated(), "class", "fluid download", "sim download", "±95%", "rel err", "completed")
 	for _, row := range r.Rows {
 		tb.add(row.Name, table.Fmt(row.FluidDownload), table.Fmt(row.SimDownload), ciCell(row.SimCI95),
 			fmt.Sprintf("%.1f%%", 100*row.RelErr), fmt.Sprintf("%d", row.Completed))

@@ -143,9 +143,19 @@ type layout struct {
 	first, off []int
 }
 
+// MaxJobCells caps a sim-replica job's executable cells (its replicas
+// summed over its grid cells) and the replica indices any cell draws up
+// to. A coordinator keeps state for every executable cell and a replica's
+// seed derivation walks its index, so an uncapped count in a served spec
+// would exhaust a coordinator's memory or pin a worker; 2^20 is far past
+// any stopping rule's replica budget.
+const MaxJobCells = 1 << 20
+
 // newLayout checks the spelling of the per-cell counts (p.Replicas, else
 // the spec's Replicas, 0 meaning 1) and first indices and sums them — the
-// one place that does, so the one that refuses an int overflow.
+// one place that does, so the one that refuses an int overflow and a job
+// past MaxJobCells. Every spec reaches it through Prepare, ParseJobSpec's
+// included.
 func newLayout(spec runner.JobSpec, p JobParams) (layout, error) {
 	n := len(p.Cells)
 	if k := len(p.Replicas); k > 0 && (spec.Replicas != 0 || k != n ||
@@ -160,6 +170,7 @@ func newLayout(spec runner.JobSpec, p JobParams) (layout, error) {
 	if l.first == nil {
 		l.first = make([]int, n)
 	}
+	lastRep := 0
 	for c := range n {
 		count := max(spec.Replicas, 1)
 		if len(p.Replicas) > 0 {
@@ -172,6 +183,11 @@ func newLayout(spec runner.JobSpec, p JobParams) (layout, error) {
 			return layout{}, fmt.Errorf("sim: job replica counts overflow at cell %d", c)
 		}
 		l.off[c+1] = l.off[c] + count
+		lastRep = max(lastRep, l.first[c]+count)
+	}
+	if l.cells() > MaxJobCells || lastRep > MaxJobCells {
+		return layout{}, fmt.Errorf("sim: job of %d executable cells drawing replicas below index %d is past the cap of %d",
+			l.cells(), lastRep, MaxJobCells)
 	}
 	return l, nil
 }

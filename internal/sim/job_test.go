@@ -120,6 +120,47 @@ func TestNewJobSpecErrors(t *testing.T) {
 	}
 }
 
+// A job past MaxJobCells executable cells or replica indices is refused
+// where a spec is built and, for a served spec, where it is parsed.
+func TestJobCellCap(t *testing.T) {
+	one := testJobCells(t)[:1]
+	for _, replicas := range []int{1 << 40, MaxJobCells + 1} {
+		if _, err := NewJobSpec(one, 1, replicas); err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Errorf("one cell of %d replicas: err = %v, want the cap", replicas, err)
+		}
+	}
+	if _, err := NewJobSpec(testJobCells(t), 1, MaxJobCells/2+1); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Errorf("two cells past the cap together: err = %v", err)
+	}
+	if _, err := NewJobSpec(one, 1, MaxJobCells); err != nil {
+		t.Errorf("one cell at the cap: %v", err)
+	}
+	spec, err := NewJobSpec(one, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Params(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.First = []int{1 << 40}
+	late := spec
+	if late.Params, err = json.Marshal(p); err != nil {
+		t.Fatal(err)
+	}
+	many := spec
+	many.Replicas = 1 << 40
+	for name, s := range map[string]runner.JobSpec{"replicas": many, "first index": late} {
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runner.ParseJobSpec(data); err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Errorf("served spec past the cap by its %s: err = %v", name, err)
+		}
+	}
+}
+
 // Hand-built specs that dodge NewJobSpec's normalization are rejected by
 // Validate — the same gate ParseJobSpec, the coordinator and every worker
 // apply before executing anything.
