@@ -94,7 +94,10 @@ loc:
 # of the flow-level simulator: one event (BenchmarkEventsimStep, every
 # scheme at 10^3 and 10^4 peers) and whole runs of the benchmark's flow_sim
 # configurations (BenchmarkEventsimFlowMix): `go tool pprof
-# prof/eventsim.test prof/eventsim-cpu.pprof`.
+# prof/eventsim.test prof/eventsim-cpu.pprof`. Then the fabric at
+# fabric_fine's shape (BenchmarkFabricSimReplica: sub-millisecond
+# sim-replica cells, two in-process workers, one shared sample store):
+# `go tool pprof prof/fabric.test prof/fabric-cpu.pprof`.
 profile:
 	mkdir -p prof
 	go run ./cmd/sweep -dim p,rho -steps 30,30 -scheme CMFSD \
@@ -102,4 +105,5 @@ profile:
 		-pprof localhost:6060 -stats > prof/sweep-table.txt
 	go test -run '^$$' -bench RHS -benchtime 2s -cpuprofile prof/fluid-cpu.pprof -o prof/cmfsd.test ./internal/cmfsd
 	go test -short -run '^$$' -bench 'EventsimStep|EventsimFlowMix' -benchtime 1s -cpuprofile prof/eventsim-cpu.pprof -o prof/eventsim.test ./internal/eventsim
-	@echo "wrote prof/sweep-metrics.json prof/sweep-trace.json prof/sweep-table.txt prof/fluid-cpu.pprof prof/eventsim-cpu.pprof"
+	go test -run '^$$' -bench FabricSimReplica -benchtime 2s -cpuprofile prof/fabric-cpu.pprof -o prof/fabric.test ./internal/fabric
+	@echo "wrote prof/sweep-metrics.json prof/sweep-trace.json prof/sweep-table.txt prof/fluid-cpu.pprof prof/eventsim-cpu.pprof prof/fabric-cpu.pprof"

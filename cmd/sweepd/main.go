@@ -4,7 +4,8 @@
 // solve cells, and post results back. The final table is byte-identical to
 // the same experiment run locally, at any worker count, even across worker
 // crashes: expired leases are re-issued (work stealing) and completed
-// cells persist in the coordinator's checkpoint store, so a restarted
+// cells persist in the coordinator's checkpoint store (simulator replicas
+// served with -sample-dir in the sample store instead), so a restarted
 // coordinator resumes instead of recomputing.
 //
 // Usage — two terminals:
@@ -152,7 +153,7 @@ func serve(args []string) error {
 		warmup  = fs.Float64("warmup", 800, "simvalidate: measurement warmup")
 		smplDir = fs.String("sample-dir", "", "simvalidate: keyed replica-sample store; later serves with more replicas replay stored samples (empty = no store)")
 		// Fabric flags.
-		ckptDir     = fs.String("checkpoint-dir", "", "checkpoint store for completed cells; a restarted coordinator resumes from it (empty = private temp dir, no resume)")
+		ckptDir     = fs.String("checkpoint-dir", "", "checkpoint store for completed cells that -sample-dir does not keep; a restarted coordinator resumes from it (empty = private temp dir, no resume)")
 		leaseCells  = fs.Int("lease-cells", 8, "cells granted per lease (the adaptive upper bound with -lease-target)")
 		leaseTTL    = fs.Duration("lease-ttl", 30*time.Second, "lease exclusivity window; a worker silent for longer forfeits its cells")
 		leaseTarget = fs.Duration("lease-target", 0, "size each worker's leases to roughly this wall-time from its observed cell pace (0 = fixed -lease-cells batches)")

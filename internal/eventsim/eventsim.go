@@ -124,10 +124,10 @@ func (c Config) Validate() error {
 	if c.CheaterFraction < 0 || c.CheaterFraction > 1 {
 		return fmt.Errorf("eventsim: cheater fraction %v outside [0,1]", c.CheaterFraction)
 	}
-	if c.Horizon <= 0 {
-		return errors.New("eventsim: horizon must be positive")
+	if !(c.Horizon > 0) || math.IsInf(c.Horizon, 1) {
+		return errors.New("eventsim: horizon must be positive and finite")
 	}
-	if c.Warmup < 0 || c.Warmup >= c.Horizon {
+	if !(c.Warmup >= 0) || c.Warmup >= c.Horizon {
 		return fmt.Errorf("eventsim: warmup %v outside [0, horizon)", c.Warmup)
 	}
 	if c.FlashCrowd < 0 {

@@ -55,7 +55,10 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Scheme = scheme.SimScheme(9) },
 		func(c *Config) { c.Rho = -1 },
 		func(c *Config) { c.Horizon = 0 },
+		func(c *Config) { c.Horizon = math.NaN() },
+		func(c *Config) { c.Horizon = math.Inf(1) },
 		func(c *Config) { c.Warmup = c.Horizon },
+		func(c *Config) { c.Warmup = math.NaN() },
 		func(c *Config) { c.CheaterFraction = 2 },
 		func(c *Config) { c.Adapt = &adapt.Config{} },
 		func(c *Config) {

@@ -144,6 +144,59 @@ func BenchmarkSimReplicaThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkFabricSimReplica is the benchmark's fabric_fine workload at
+// package level: a sim-replica job of sub-millisecond MTCD cells (K 4,
+// horizon 120) served to two in-process workers that share the
+// coordinator's sample store, as `sweepd serve -local-workers 2
+// -sample-dir D` runs it, timed until Payloads has every cell. Protocol
+// round trips and store writes are most of a cell here, so this is the
+// target `make profile` profiles for the fabric.
+func BenchmarkFabricSimReplica(b *testing.B) {
+	spec := simTestSpec(b, 11, 48) // 2 grid cells × R=48 = 96 executable cells
+	cells, err := spec.CellCount()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		store, err := diskcache.OpenCheckpoint(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples, err := diskcache.OpenSamples(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		coord, err := NewCoordinator(spec, store, CoordinatorOptions{Samples: samples})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := httptest.NewServer(coord.Handler())
+		wctx, cancel := context.WithCancel(ctx)
+		errs := make(chan error, 2)
+		for w := 0; w < 2; w++ {
+			go func() {
+				errs <- Work(wctx, srv.URL, WorkerOptions{Name: fmt.Sprintf("bench-w%d", w), Samples: samples, Heartbeat: -1})
+			}()
+		}
+		if _, err := coord.Payloads(ctx); err != nil {
+			b.Fatal(err)
+		}
+		// A worker still in its idle poll is released, as sweepd serve
+		// releases its local workers once the job is done.
+		b.StopTimer()
+		cancel()
+		for w := 0; w < 2; w++ {
+			if err := <-errs; err != nil && wctx.Err() == nil {
+				b.Fatal(err)
+			}
+		}
+		srv.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(cells*b.N)/b.Elapsed().Seconds(), "cells/sec")
+}
+
 // BenchmarkCompleteParallel drives Coordinator.Complete from 1, 4 and 8
 // goroutines on pre-built entries of a sim-replica job, checkpoint and
 // sample store attached — the coordinator's share of a completion with

@@ -27,12 +27,12 @@ import (
 type Campaign struct {
 	Addr     string // listen address; port 0 picks a free port
 	AddrFile string // receives the actual listen address once it is up
-	// CheckpointDir holds completed cells; empty means a private temp dir
-	// that Close removes.
+	// CheckpointDir holds completed cells that have no replica sample in
+	// SampleDir; empty means a private temp dir that Close removes.
 	CheckpointDir string
-	// SampleDir, when set, is the keyed replica-sample store the
-	// coordinator and the local workers share, so a later campaign with
-	// more replicas replays every sample drawn here; empty means no store.
+	// SampleDir, when set, is the replica-sample store that keeps sim
+	// cells, shared by the coordinator and the local workers, so a later
+	// campaign replays every sample drawn here; empty means no store.
 	SampleDir string
 	// LocalWorkers run in process beside any remote workers, each with a
 	// private registry as a separate worker process would have, so the

@@ -7,9 +7,9 @@
 //
 //   - The job travels as runner.JobSpec's canonical JSON; its Fingerprint
 //     is the run identity on the wire and on disk.
-//   - A completed cell travels as the diskcache.Entry envelope — the exact
-//     bytes the coordinator persists, so the checkpoint store doubles as
-//     the wire format and the shared resume state.
+//   - A completed cell travels as the diskcache.Entry envelope and is kept
+//     once, the result and the resume state: as its replica sample when it
+//     has one and the coordinator a sample store, else as that checkpoint.
 //   - Cell streams are pre-split per cell (runner.Job.Stream), so a grid
 //     computed by one process or twenty, in any interleaving, is
 //     byte-identical.
@@ -18,6 +18,8 @@
 // its cells are re-issued to whoever asks next (work stealing). Because
 // completions are idempotent — keyed by (fingerprint, cell), duplicates
 // acknowledged and dropped — a slow worker racing its thief is harmless.
+// A duplicate is also a free replication: its payload is compared with the
+// kept copy, and a mismatch fails the job's Payloads.
 //
 // A Campaign is the serving shell around coordinators: one address, one
 // checkpoint and sample store, local workers, progress and fleet output,
@@ -97,12 +99,12 @@ type CoordinatorOptions struct {
 	// to LeaseCells) and spend less time on protocol round trips. A worker
 	// with no observations yet falls back to the fixed LeaseCells batch.
 	TargetLeaseSeconds float64
-	// Samples, when non-nil, bridges the checkpoint store to the keyed
-	// replica-sample store for kinds that declare a SampleRef: cells whose
-	// samples are already stored are marked done at startup without ever
-	// being leased, and every completed cell's payload is written back, so
-	// a re-run with a larger replica count only distributes the new
-	// replicas.
+	// Samples, when non-nil, keeps the cells of kinds that declare a
+	// SampleRef instead of the checkpoint store: cells already stored are
+	// marked done at startup without ever being leased, so a re-run with a
+	// larger replica count only distributes the new replicas. A sample
+	// pruned before Payloads reads it is a missing cell; on resume it runs
+	// again.
 	Samples *diskcache.SampleStore
 	// Obs, when non-nil, receives the coordinator's counters
 	// (fabric_leases_*, fabric_cells_*) and the per-worker
@@ -145,10 +147,10 @@ func (p *pace) observe(sec float64) {
 }
 
 // Coordinator owns the authoritative state of one distributed job: which
-// cells are idle, leased or done. All completed cells live in the
-// checkpoint store under the job's fingerprint, which makes the
-// coordinator itself restartable — reopening the same store resumes with
-// every previously completed cell already marked done.
+// cells are idle, leased or done. Every completed cell is kept on disk (see
+// stored), which makes the coordinator itself restartable — reopening the
+// same stores resumes with every previously completed cell already marked
+// done.
 //
 // mu guards the cell, lease and pace state and nothing else: no store is
 // read or written, and nothing is encoded, while it is held.
@@ -176,11 +178,15 @@ type Coordinator struct {
 	doneCh    chan struct{}
 	pace      map[string]*pace
 	fleet     pace
+	// divergent is the lowest cell whose audit found two different
+	// payloads, or -1.
+	divergent int
 
 	obsGranted   *obs.Counter
 	obsExpired   *obs.Counter
 	obsCompleted *obs.Counter
 	obsDuplicate *obs.Counter
+	obsDivergent *obs.Counter
 	obsResumed   *obs.Counter
 	obsForeign   *obs.Counter
 	obsRenewed   *obs.Counter
@@ -199,9 +205,8 @@ type Coordinator struct {
 }
 
 // NewCoordinator validates the spec and prepares the job for distribution.
-// The store is required: it is both where completions land and what a
-// restarted coordinator resumes from. Cells already checkpointed under the
-// job's fingerprint are marked done immediately (counted as
+// The store is required: it keeps the cells opts.Samples does not. Cells
+// already kept in either store are marked done immediately (counted as
 // fabric_cells_resumed_total).
 func NewCoordinator(spec runner.JobSpec, store *diskcache.CheckpointStore, opts CoordinatorOptions) (*Coordinator, error) {
 	if store == nil {
@@ -233,17 +238,19 @@ func NewCoordinator(spec runner.JobSpec, store *diskcache.CheckpointStore, opts 
 	c := &Coordinator{
 		spec: spec, specJSON: specJSON, fp: spec.Fingerprint(), job: job,
 		store: store, opts: opts,
-		state:   make([]cellState, job.Cells),
-		writing: map[int]chan struct{}{},
-		leases:  map[string]*lease{},
-		doneCh:  make(chan struct{}),
-		pace:    map[string]*pace{},
-		fleet:   pace{hist: treg.Histogram("fabric_cell_seconds", obs.LatencyBuckets)},
+		state:     make([]cellState, job.Cells),
+		writing:   map[int]chan struct{}{},
+		leases:    map[string]*lease{},
+		doneCh:    make(chan struct{}),
+		pace:      map[string]*pace{},
+		fleet:     pace{hist: treg.Histogram("fabric_cell_seconds", obs.LatencyBuckets)},
+		divergent: -1,
 
 		obsGranted:   treg.Counter("fabric_leases_granted_total"),
 		obsExpired:   treg.Counter("fabric_leases_expired_total"),
 		obsCompleted: treg.Counter("fabric_cells_completed_total"),
 		obsDuplicate: treg.Counter("fabric_cells_duplicate_total"),
+		obsDivergent: treg.Counter("fabric_cells_divergent_total"),
 		obsResumed:   treg.Counter("fabric_cells_resumed_total"),
 		obsForeign:   treg.Counter("fabric_cells_foreign_total"),
 		obsRenewed:   treg.Counter("fabric_leases_renewed_total"),
@@ -256,26 +263,11 @@ func NewCoordinator(spec runner.JobSpec, store *diskcache.CheckpointStore, opts 
 		obsTelemetryUnmerged: treg.Counter("fabric_telemetry_unmerged_total"),
 	}
 	for i := range c.state {
-		if _, ok := store.Get(c.fp, i); ok {
+		if _, ok := c.stored(i); ok {
 			c.state[i] = cellDone
 			c.done++
 			c.obsResumed.Inc()
 			continue
-		}
-		// A cell whose sample is already in the replica-sample store needs
-		// no worker: copy the stored payload into the checkpoint so the
-		// run's own bookkeeping (and Payloads assembly) sees it as
-		// done. This is what makes a doubled -replicas re-run distribute
-		// only the new replicas.
-		if key, seed, ok := c.sampleRef(i); ok {
-			if payload, hit := opts.Samples.Get(key, seed); hit {
-				if store.Put(c.fp, i, payload) == nil {
-					c.state[i] = cellDone
-					c.done++
-					c.obsResumed.Inc()
-					continue
-				}
-			}
 		}
 		c.pending = append(c.pending, i)
 	}
@@ -292,6 +284,18 @@ func (c *Coordinator) sampleRef(cell int) (key string, seed uint64, ok bool) {
 		return "", 0, false
 	}
 	return c.job.SampleRef(cell)
+}
+
+// stored reads cell's kept copy: its replica sample when it has one, else
+// its checkpoint, which also serves entries written before samples were
+// kept alone.
+func (c *Coordinator) stored(cell int) ([]byte, bool) {
+	if key, seed, ok := c.sampleRef(cell); ok {
+		if payload, hit := c.opts.Samples.Get(key, seed); hit {
+			return payload, true
+		}
+	}
+	return c.store.Get(c.fp, cell)
 }
 
 // reapLocked re-queues the unfinished cells of every expired lease.
@@ -438,7 +442,7 @@ func (c *Coordinator) observeLocked(worker string, sec float64) {
 // is rejected before it can touch the store. Completions are accepted
 // regardless of lease state (a worker outliving its stolen lease still
 // contributes), and repeats are acknowledged as duplicates rather than
-// errors.
+// errors, once audited against the kept copy.
 func (c *Coordinator) Complete(e diskcache.Entry) (duplicate bool, err error) {
 	return c.complete(e, "", 0)
 }
@@ -472,6 +476,9 @@ func (c *Coordinator) complete(e diskcache.Entry, worker string, sec float64) (d
 	if c.state[e.Cell] == cellDone {
 		c.mu.Unlock()
 		c.obsDuplicate.Inc()
+		if kept, ok := c.stored(e.Cell); ok && !bytes.Equal(kept, e.Payload) {
+			c.diverge(e.Cell)
+		}
 		return true, nil
 	}
 	claim := make(chan struct{})
@@ -500,21 +507,34 @@ func (c *Coordinator) complete(e diskcache.Entry, worker string, sec float64) (d
 	return false, err
 }
 
-// persist writes a claimed cell to the checkpoint store and, best-effort,
-// through to the replica-sample store, so a later run over the same
-// configurations — even a different grid or spec — finds the sample
-// without redistributing it. A worker sharing the coordinator's sample
-// store has already stored it; it is not written twice.
+// persist keeps a claimed cell: as its replica sample when it has one, so
+// a later run over the same configurations — even a different grid or
+// spec — finds it without redistributing it, else as its checkpoint. A
+// worker sharing the sample store has already stored the same bytes; they
+// are not written twice. Different stored bytes are a divergence.
 func (c *Coordinator) persist(e diskcache.Entry) error {
-	if err := c.store.PutEntry(e); err != nil {
-		return err
+	key, seed, ok := c.sampleRef(e.Cell)
+	if !ok {
+		return c.store.PutEntry(e)
 	}
-	if key, seed, ok := c.sampleRef(e.Cell); ok {
-		if _, stored := c.opts.Samples.Get(key, seed); !stored {
-			_ = c.opts.Samples.Put(key, seed, e.Payload)
+	if kept, hit := c.opts.Samples.Get(key, seed); hit {
+		if bytes.Equal(kept, e.Payload) {
+			return nil
 		}
+		c.diverge(e.Cell)
 	}
-	return nil
+	return c.opts.Samples.Put(key, seed, e.Payload)
+}
+
+// diverge records that cell was completed with two different payloads.
+// A cell is a pure function of (spec, cell), so one of them is wrong.
+func (c *Coordinator) diverge(cell int) {
+	c.obsDivergent.Inc()
+	c.mu.Lock()
+	if c.divergent < 0 || cell < c.divergent {
+		c.divergent = cell
+	}
+	c.mu.Unlock()
 }
 
 // Status is a point-in-time summary of the job's progress.
@@ -553,17 +573,24 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 
 // Payloads waits for completion and returns every cell's raw payload
 // bytes in cell order — the one result path for every kind (sim.ReduceJob
-// and experiments.SweepSpec.Serve decode it). On success the job's
-// checkpoints are cleared.
+// and experiments.SweepSpec.Serve decode it). It fails if any cell was
+// completed with two different payloads. On success the job's checkpoints
+// are cleared; replica samples stay.
 func (c *Coordinator) Payloads(ctx context.Context) ([][]byte, error) {
 	if err := c.Wait(ctx); err != nil {
 		return nil, err
 	}
+	c.mu.Lock()
+	divergent := c.divergent
+	c.mu.Unlock()
+	if divergent >= 0 {
+		return nil, fmt.Errorf("fabric: cell %d was completed with two different payloads", divergent)
+	}
 	out := make([][]byte, len(c.state))
 	for i := range out {
-		payload, ok := c.store.Get(c.fp, i)
+		payload, ok := c.stored(i)
 		if !ok {
-			return nil, fmt.Errorf("fabric: cell %d missing from the checkpoint store", i)
+			return nil, fmt.Errorf("fabric: cell %d missing from the stores", i)
 		}
 		out[i] = payload
 	}

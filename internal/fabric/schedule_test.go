@@ -200,7 +200,8 @@ func (p *schedPath) crash(w *schedWorker) {
 	if _, stored := p.store.Get(p.fp, cell); !stored {
 		p.commits++
 	}
-	if err := p.store.Put(p.fp, cell, p.want[cell]); err != nil {
+	e := diskcache.Entry{Schema: diskcache.CheckpointSchemaVersion, Key: p.fp, Cell: cell, Payload: p.want[cell]}
+	if err := p.store.PutEntry(e); err != nil {
 		p.t.Fatal(err)
 	}
 	p.start()

@@ -214,15 +214,9 @@ func (s *CheckpointStore) Get(runKey string, cell int) (payload []byte, ok bool)
 	return payload, ok
 }
 
-// Put checkpoints one cell's payload, replacing any previous entry.
-func (s *CheckpointStore) Put(runKey string, cell int, payload []byte) error {
-	return s.PutEntry(Entry{
-		Schema: CheckpointSchemaVersion, Key: runKey, Cell: cell, Payload: payload,
-	})
-}
-
-// PutEntry persists a pre-assembled entry of the current schema under its
-// own key and cell: the path a coordinator takes with an envelope off the wire.
+// PutEntry checkpoints an entry of the current schema under its own key
+// and cell, replacing any previous entry: the path a coordinator takes
+// with an envelope off the wire.
 func (s *CheckpointStore) PutEntry(e Entry) error {
 	if e.Schema != CheckpointSchemaVersion {
 		return fmt.Errorf("diskcache: entry schema %d, this build speaks %d", e.Schema, CheckpointSchemaVersion)

@@ -118,8 +118,10 @@ var checkpoint = kit{
 			return handle{}, err
 		}
 		return handle{
-			put:    func(key string, n int, v string) error { return s.Put(key, n, []byte(v)) },
-			putNil: func() error { return s.Put("k", 0, nil) },
+			put: func(key string, n int, v string) error {
+				return s.PutEntry(Entry{Schema: CheckpointSchemaVersion, Key: key, Cell: n, Payload: []byte(v)})
+			},
+			putNil: func() error { return s.PutEntry(Entry{Schema: CheckpointSchemaVersion, Key: "k"}) },
 			get: func(key string, n int) (string, bool) {
 				p, ok := s.Get(key, n)
 				return string(p), ok
