@@ -97,7 +97,10 @@ loc:
 # prof/eventsim.test prof/eventsim-cpu.pprof`. Then the fabric at
 # fabric_fine's shape (BenchmarkFabricSimReplica: sub-millisecond
 # sim-replica cells, two in-process workers, one shared sample store):
-# `go tool pprof prof/fabric.test prof/fabric-cpu.pprof`.
+# `go tool pprof prof/fabric.test prof/fabric-cpu.pprof`. Last the
+# chunk-level swarm at chunk_sim's two sizes (BenchmarkSwarmRun: whole
+# MFCD and CMFSD runs at ~250 and at 3-6k peers, arrivals included):
+# `go tool pprof prof/swarm.test prof/swarm-cpu.pprof`.
 profile:
 	mkdir -p prof
 	go run ./cmd/sweep -dim p,rho -steps 30,30 -scheme CMFSD \
@@ -106,4 +109,5 @@ profile:
 	go test -run '^$$' -bench RHS -benchtime 2s -cpuprofile prof/fluid-cpu.pprof -o prof/cmfsd.test ./internal/cmfsd
 	go test -short -run '^$$' -bench 'EventsimStep|EventsimFlowMix' -benchtime 1s -cpuprofile prof/eventsim-cpu.pprof -o prof/eventsim.test ./internal/eventsim
 	go test -run '^$$' -bench FabricSimReplica -benchtime 2s -cpuprofile prof/fabric-cpu.pprof -o prof/fabric.test ./internal/fabric
-	@echo "wrote prof/sweep-metrics.json prof/sweep-trace.json prof/sweep-table.txt prof/fluid-cpu.pprof prof/eventsim-cpu.pprof prof/fabric-cpu.pprof"
+	go test -run '^$$' -bench SwarmRun -benchtime 2x -cpuprofile prof/swarm-cpu.pprof -o prof/swarm.test ./internal/swarm
+	@echo "wrote prof/sweep-metrics.json prof/sweep-trace.json prof/sweep-table.txt prof/fluid-cpu.pprof prof/eventsim-cpu.pprof prof/fabric-cpu.pprof prof/swarm-cpu.pprof"

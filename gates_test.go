@@ -133,7 +133,6 @@ var deadAllow = []allowed{
 	{"cmfsd.(*Model).SteadyStateRelaxed", oracle, "cmfsd's invariants test checks the hybrid solve against pure relaxation"},
 	{"mtcd.(*Model).SteadyStateODE", oracle, "mtcd's test checks the Eq. (2) closed form against relaxation of Eq. (1)"},
 	{"eventsim.(*sim).populations", oracle, "the heap tests check the incremental leg counters against this scan"},
-	{"rng.(*Source).Perm", oracle, "TestPermIntoMatchesPerm checks PermInto's draws against it"},
 	{"runner.CellStream", oracle, "the pool tests check Run's cell streams against it"},
 	{"runner/diskcache.(*SampleStore).Len", oracle, "the fabric's sample-reuse test counts a cell's stored samples with it"},
 	{"fabric/chaos.(*Plan).SetClock", seam, "the blackout test drives the plan's clock"},

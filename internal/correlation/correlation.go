@@ -16,6 +16,7 @@ package correlation
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"mfdl/internal/stats"
 )
@@ -53,16 +54,16 @@ func New(k int, p, lambda0 float64) (*Model, error) {
 	return m, nil
 }
 
-// Validate checks the model parameters.
+// Validate checks the model parameters; NaN fails every check.
 func (m *Model) Validate() error {
 	if m.K < 1 {
 		return errors.New("correlation: K must be >= 1")
 	}
-	if m.P < 0 || m.P > 1 {
+	if !(m.P >= 0 && m.P <= 1) {
 		return fmt.Errorf("correlation: p = %v outside [0,1]", m.P)
 	}
-	if m.Lambda0 <= 0 {
-		return fmt.Errorf("correlation: λ₀ = %v must be positive", m.Lambda0)
+	if !(m.Lambda0 > 0) || math.IsInf(m.Lambda0, 1) {
+		return fmt.Errorf("correlation: λ₀ = %v must be positive and finite", m.Lambda0)
 	}
 	return nil
 }

@@ -30,6 +30,11 @@ func TestValidation(t *testing.T) {
 	if _, err := New(10, 0.5, 0); err == nil {
 		t.Fatal("λ₀=0 accepted")
 	}
+	for _, c := range []struct{ p, l0 float64 }{{math.NaN(), 1}, {0.5, math.NaN()}, {0.5, math.Inf(1)}} {
+		if _, err := New(10, c.p, c.l0); err == nil {
+			t.Fatalf("p=%v λ₀=%v accepted", c.p, c.l0)
+		}
+	}
 	if _, err := New(10, 0.5, 1); err != nil {
 		t.Fatal("valid model rejected")
 	}

@@ -96,7 +96,8 @@ type BandwidthClass struct {
 	Fraction float64
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. The float checks are written so
+// that NaN fails them: a comparison with NaN is false either way round.
 func (c Config) Validate() error {
 	if err := c.Params.Validate(); err != nil {
 		return err
@@ -104,16 +105,16 @@ func (c Config) Validate() error {
 	if c.K < 1 {
 		return fmt.Errorf("eventsim: K = %d must be >= 1", c.K)
 	}
-	if c.Lambda0 <= 0 {
-		return errors.New("eventsim: λ₀ must be positive")
+	if !(c.Lambda0 > 0) || math.IsInf(c.Lambda0, 1) {
+		return fmt.Errorf("eventsim: λ₀ = %v must be positive and finite", c.Lambda0)
 	}
-	if c.P <= 0 || c.P > 1 {
+	if !(c.P > 0 && c.P <= 1) {
 		return fmt.Errorf("eventsim: p = %v outside (0,1]", c.P)
 	}
 	if c.Scheme < scheme.SimMTCD || c.Scheme > scheme.SimCMFSD {
 		return fmt.Errorf("eventsim: unknown scheme %d", int(c.Scheme))
 	}
-	if c.Rho < 0 || c.Rho > 1 {
+	if !(c.Rho >= 0 && c.Rho <= 1) {
 		return fmt.Errorf("eventsim: ρ = %v outside [0,1]", c.Rho)
 	}
 	if c.Adapt != nil {
@@ -121,7 +122,7 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.CheaterFraction < 0 || c.CheaterFraction > 1 {
+	if !(c.CheaterFraction >= 0 && c.CheaterFraction <= 1) {
 		return fmt.Errorf("eventsim: cheater fraction %v outside [0,1]", c.CheaterFraction)
 	}
 	if !(c.Horizon > 0) || math.IsInf(c.Horizon, 1) {
@@ -145,10 +146,10 @@ func (c Config) Validate() error {
 			if slices.ContainsFunc(c.Bandwidth[:i], func(o BandwidthClass) bool { return o.Name == b.Name }) {
 				return fmt.Errorf("eventsim: bandwidth class %q named twice", b.Name)
 			}
-			if b.Mu <= 0 || b.Weight <= 0 {
+			if !(b.Mu > 0 && b.Weight > 0) {
 				return fmt.Errorf("eventsim: bandwidth class %q needs positive μ and weight", b.Name)
 			}
-			if b.Fraction < 0 {
+			if !(b.Fraction >= 0) {
 				return fmt.Errorf("eventsim: bandwidth class %q has negative fraction", b.Name)
 			}
 			sum += b.Fraction

@@ -12,6 +12,7 @@ package fluid
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"mfdl/internal/numeric/linalg"
 	"mfdl/internal/numeric/ode"
@@ -32,16 +33,17 @@ type Params struct {
 // PaperParams are the parameter values used in every figure of the paper.
 var PaperParams = Params{Mu: 0.02, Eta: 0.5, Gamma: 0.05}
 
-// Validate checks rate positivity.
+// Validate checks that the rates are positive and finite; NaN fails
+// every check.
 func (p Params) Validate() error {
-	if p.Mu <= 0 {
-		return fmt.Errorf("fluid: μ = %v must be positive", p.Mu)
+	if !(p.Mu > 0) || math.IsInf(p.Mu, 1) {
+		return fmt.Errorf("fluid: μ = %v must be positive and finite", p.Mu)
 	}
-	if p.Eta <= 0 || p.Eta > 1 {
+	if !(p.Eta > 0 && p.Eta <= 1) {
 		return fmt.Errorf("fluid: η = %v outside (0,1]", p.Eta)
 	}
-	if p.Gamma <= 0 {
-		return fmt.Errorf("fluid: γ = %v must be positive", p.Gamma)
+	if !(p.Gamma > 0) || math.IsInf(p.Gamma, 1) {
+		return fmt.Errorf("fluid: γ = %v must be positive and finite", p.Gamma)
 	}
 	return nil
 }

@@ -18,6 +18,11 @@ func TestParamsValidate(t *testing.T) {
 		{Mu: 0.02, Eta: 0, Gamma: 0.05},
 		{Mu: 0.02, Eta: 1.5, Gamma: 0.05},
 		{Mu: 0.02, Eta: 0.5, Gamma: 0},
+		{Mu: math.NaN(), Eta: 0.5, Gamma: 0.05},
+		{Mu: 0.02, Eta: math.NaN(), Gamma: 0.05},
+		{Mu: 0.02, Eta: 0.5, Gamma: math.NaN()},
+		{Mu: math.Inf(1), Eta: 0.5, Gamma: 0.05},
+		{Mu: 0.02, Eta: 0.5, Gamma: math.Inf(1)},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

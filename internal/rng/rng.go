@@ -58,13 +58,22 @@ func (s *Source) Split() *Source {
 	return NewStream(s.next64(), s.next()|1)
 }
 
+// pcgStep is the generator itself: it advances state on stream inc and
+// returns the new state with the 32 permuted output bits of the old one.
+// Source.next and the fused loop of ShuffleSlice both step through it,
+// so there is one PCG.
+func pcgStep(state, inc uint64) (next, out uint64) {
+	xorshifted := uint32(((state >> 18) ^ state) >> 27)
+	rot := int(state >> 59)
+	// A right rotation by rot: x>>rot | x<<(-rot&31), as one instruction.
+	return state*pcgMultiplier + inc, uint64(bits.RotateLeft32(xorshifted, -rot))
+}
+
 // next advances the state and returns 32 permuted bits.
 func (s *Source) next() uint64 {
-	old := s.state
-	s.state = old*pcgMultiplier + s.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return uint64(xorshifted>>rot | xorshifted<<((-rot)&31))
+	var out uint64
+	s.state, out = pcgStep(s.state, s.inc)
+	return out
 }
 
 // next64 returns 64 random bits by combining two 32-bit outputs.
@@ -91,52 +100,57 @@ func (s *Source) Intn(n int) int {
 	}
 	bound := uint64(n)
 	for {
-		v := s.next64()
-		hi, lo := bits.Mul64(v, bound)
-		if lo >= bound || lo >= (-bound)%bound {
-			return int(hi)
+		if j, ok := bounded(s.next64(), bound); ok {
+			return int(j)
 		}
 	}
 }
 
-// Perm returns a uniformly random permutation of [0, n) (Fisher–Yates).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
+// bounded is Lemire's rejection test: it maps the 64-bit draw v to
+// j in [0, bound) and reports whether v is accepted; a rejected v must be
+// replaced by a fresh draw. Intn and the fused loop of ShuffleSlice both
+// test through it, so there is one rejection rule.
+func bounded(v, bound uint64) (j uint64, ok bool) {
+	hi, lo := bits.Mul64(v, bound)
+	return hi, lo >= bound || lo >= (-bound)%bound
 }
 
 // PermInto fills dst with a pseudo-random permutation of [0, n) and
 // returns it, growing dst only when its capacity is below n — and then
 // geometrically, so a caller whose n creeps upward (one permutation per
 // arrival into a growing swarm) reallocates O(log n) times, not every
-// call. The draw sequence is identical to Perm's, so the two are
-// interchangeable in deterministic simulations; PermInto exists for hot
-// paths that must not allocate per call.
+// call. It is ShuffleSlice of the identity: the permutation, the draws
+// and the final state of a Fisher–Yates shuffle on Intn.
 func (s *Source) PermInto(dst []int, n int) []int {
 	dst = slices.Grow(dst[:0], n)[:n]
 	for i := range dst {
 		dst[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
+	ShuffleSlice(s, dst)
 	return dst
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
+// ShuffleSlice shuffles x in place: Fisher–Yates with j drawn by
+// Intn(i+1) for i = len(x)−1 down to 1, so it leaves x and s exactly as
+// that loop would. It keeps the generator state in a local and steps it
+// with pcgStep and bounded directly instead of a method call chain per
+// draw: the hot paths that draw one swap per element (a swarm arrival's
+// neighbour sample, a seed's random unchoke) spend much of their time
+// here. hi<<32|lo is next64's draw: the first output is the high half.
+func ShuffleSlice[E any](s *Source, x []E) {
+	state, inc := s.state, s.inc
+	for i := len(x) - 1; i > 0; i-- {
+		for {
+			var hi, lo uint64
+			state, hi = pcgStep(state, inc)
+			state, lo = pcgStep(state, inc)
+			if j, ok := bounded(hi<<32|lo, uint64(i+1)); ok {
+				x[i], x[j] = x[j], x[i]
+				break
+			}
+		}
 	}
+	s.state = state
 }
 
 // Exp returns an exponential variate with rate lambda (mean 1/lambda).

@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"math/big"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -197,7 +199,7 @@ func TestPermIsPermutation(t *testing.T) {
 	s := New(15)
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%64) + 1
-		p := s.Perm(n)
+		p := s.PermInto(nil, n)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
@@ -219,7 +221,7 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	for _, v := range vals {
 		sum += v
 	}
-	s.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	ShuffleSlice(s, vals)
 	got := 0
 	for _, v := range vals {
 		got += v
@@ -265,27 +267,125 @@ func BenchmarkExp(b *testing.B) {
 	}
 }
 
+// refPerm is the reference Fisher–Yates PermInto's fused loop must
+// reproduce: the identity, then for i = n−1 down to 1 a swap with
+// Intn(i+1), one method call per draw.
+func refPerm(s *Source, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := s.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// TestPermIntoMatchesPerm checks PermInto against refPerm for every n in
+// [0, 5000) in steps, through one buffer that shrinks and grows: the same
+// entries, and the same state afterwards (the next Uint64 of both sources
+// agrees), so a caller sees the draw sequence of the reference.
 func TestPermIntoMatchesPerm(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-		a := New(42)
-		b := New(42)
-		var buf []int
-		for round := 0; round < 3; round++ {
-			want := a.Perm(n)
-			buf = b.PermInto(buf, n)
-			if len(buf) != len(want) {
-				t.Fatalf("n=%d round=%d: length %d, want %d", n, round, len(buf), len(want))
+	a := New(42)
+	b := New(42)
+	var buf []int
+	for n := 0; n < 5000; n += 1 + n/16 {
+		for _, m := range []int{n, n / 3} {
+			want := refPerm(a, m)
+			buf = b.PermInto(buf, m)
+			if !slices.Equal(buf, want) {
+				t.Fatalf("n=%d: PermInto = %v, reference %v", m, buf, want)
 			}
-			for i := range want {
-				if buf[i] != want[i] {
-					t.Fatalf("n=%d round=%d: PermInto[%d] = %d, Perm[%d] = %d", n, round, i, buf[i], i, want[i])
-				}
+			if x, y := a.Uint64(), b.Uint64(); x != y {
+				t.Fatalf("n=%d: next Uint64 %016x after PermInto, %016x after the reference", m, y, x)
 			}
 		}
-		// The two sources must remain in lockstep: identical draw counts.
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("n=%d: draw sequences diverged after permutations", n)
+	}
+}
+
+// TestShuffleSliceMatchesPerm checks the fused loop on another element
+// type against refPerm: Fisher–Yates applies the same swaps to any values,
+// so x[k] must end up as the value that started at refPerm's k-th entry,
+// and the state afterwards must agree.
+func TestShuffleSliceMatchesPerm(t *testing.T) {
+	a := New(9)
+	b := New(9)
+	for _, n := range []int{0, 1, 2, 3, 25, 300, 4999} {
+		got := make([]int32, n)
+		for i := range got {
+			got[i] = int32(i * 3)
 		}
+		ShuffleSlice(b, got)
+		for k, i := range refPerm(a, n) {
+			if got[k] != int32(i*3) {
+				t.Fatalf("n=%d: ShuffleSlice[%d] = %d, want %d", n, k, got[k], i*3)
+			}
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("n=%d: next Uint64 %016x after ShuffleSlice, %016x after the reference", n, y, x)
+		}
+	}
+}
+
+// mulInverse returns the inverse of odd b modulo 2^64 (Newton's
+// iteration: each step doubles the correct low bits).
+func mulInverse(b uint64) uint64 {
+	x := b // correct to 3 bits for odd b
+	for i := 0; i < 5; i++ {
+		x *= 2 - b*x
+	}
+	return x
+}
+
+// TestBoundedRejection drives bounded with crafted draws around its
+// rejection threshold 2^64 mod bound, which the stream golden almost never
+// reaches, and checks every answer against the definition in big integers:
+// j = ⌊v·bound / 2^64⌋, accepted iff v·bound mod 2^64 ≥ 2^64 mod bound.
+func TestBoundedRejection(t *testing.T) {
+	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	check := func(v, bound uint64, wantOK bool) {
+		t.Helper()
+		prod := new(big.Int).Mul(new(big.Int).SetUint64(v), new(big.Int).SetUint64(bound))
+		hi, lo := new(big.Int).DivMod(prod, two64, new(big.Int))
+		threshold := new(big.Int).Mod(two64, new(big.Int).SetUint64(bound))
+		ok := lo.Cmp(threshold) >= 0
+		if ok != wantOK {
+			t.Fatalf("v=%#x bound=%d: reference says ok=%v, test expected %v", v, bound, ok, wantOK)
+		}
+		j, gotOK := bounded(v, bound)
+		if gotOK != ok || (ok && j != hi.Uint64()) {
+			t.Errorf("bounded(%#x, %d) = (%d, %v), want (%d, %v)", v, bound, j, gotOK, hi.Uint64(), ok)
+		}
+	}
+	for _, bound := range []uint64{3, 5, 25, 4999, 1<<62 + 1, 1<<63 + 1, math.MaxUint64} {
+		threshold := -bound % bound
+		inv := mulInverse(bound)
+		// v·bound mod 2^64 = lo exactly when v = lo·bound⁻¹.
+		check(0, bound, false)
+		check((threshold-1)*inv, bound, false)
+		check(threshold*inv, bound, true)
+		check((threshold+1)*inv, bound, true)
+		check(math.MaxUint64, bound, true)
+	}
+	// An even bound: 6 = 2·3 has no inverse, but v = 0 still rejects and
+	// a power of two never does.
+	check(0, 6, false)
+	check(1<<62, 6, true)
+	check(0, 1<<20, true)
+	src := New(3)
+	for i := 0; i < 2000; i++ {
+		v, bound := src.Uint64(), src.Uint64()>>uint(src.Intn(64))|1
+		_, ok := bounded(v, bound)
+		check(v, bound, ok)
+	}
+}
+
+func BenchmarkPermInto(b *testing.B) {
+	s := New(1)
+	var buf []int
+	for i := 0; i < b.N; i++ {
+		buf = s.PermInto(buf, 3000)
 	}
 }
 

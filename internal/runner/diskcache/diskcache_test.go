@@ -565,6 +565,38 @@ func getRefreshesRecency(t *testing.T, k kit) {
 	e.hits(id(1), 1, `{"v":1}`)
 }
 
+// Only the first hit on an entry touches it, once per open store: a
+// served cell's sample is read more than once in a run, and the touch
+// orders only the next open's prune. A reopened store touches again.
+func getTouchesOnce(t *testing.T, k kit) {
+	e := k.start(t)
+	e.fill(1)
+	path := e.path(id(0), 0)
+	mtime := func() time.Duration {
+		e.Helper()
+		info, err := os.Stat(path)
+		if err != nil {
+			e.Fatal(err)
+		}
+		return time.Since(info.ModTime())
+	}
+	e.age(path, 2*time.Hour)
+	e.hits(id(0), 0, `{"v":0}`)
+	if mtime() > time.Hour {
+		t.Fatal("the first hit left the entry backdated")
+	}
+	e.age(path, 2*time.Hour)
+	e.hits(id(0), 0, `{"v":0}`)
+	if mtime() < time.Hour {
+		t.Fatal("a second hit in the same store touched the entry again")
+	}
+	e.reopen()
+	e.hits(id(0), 0, `{"v":0}`)
+	if mtime() > time.Hour {
+		t.Fatal("the first hit after a reopen left the entry backdated")
+	}
+}
+
 func pruneZeroOptionsIsNoop(t *testing.T, k kit) {
 	e := k.start(t)
 	e.fill(3)
@@ -700,6 +732,7 @@ func TestUsage(t *testing.T)                      { usage(t, solve) }
 func TestPruneByAge(t *testing.T)                 { pruneByAge(t, solve) }
 func TestPruneBySizeEvictsLRU(t *testing.T)       { pruneBySizeEvictsLRU(t, solve) }
 func TestGetRefreshesRecency(t *testing.T)        { getRefreshesRecency(t, solve) }
+func TestGetTouchesOnce(t *testing.T)             { getTouchesOnce(t, solve) }
 func TestPruneZeroOptionsIsNoop(t *testing.T)     { pruneZeroOptionsIsNoop(t, solve) }
 func TestPruneRemovesStaleTempFiles(t *testing.T) { pruneRemovesStaleTempFiles(t, solve) }
 
@@ -725,6 +758,7 @@ func TestSampleStoreUsage(t *testing.T)                  { usage(t, samples) }
 func TestSampleStorePruneByAge(t *testing.T)             { pruneByAge(t, samples) }
 func TestSampleStorePruneBySizeEvictsLRU(t *testing.T)   { pruneBySizeEvictsLRU(t, samples) }
 func TestSampleStoreGetRefreshesRecency(t *testing.T)    { getRefreshesRecency(t, samples) }
+func TestSampleStoreGetTouchesOnce(t *testing.T)         { getTouchesOnce(t, samples) }
 func TestSampleStorePruneZeroOptionsIsNoop(t *testing.T) { pruneZeroOptionsIsNoop(t, samples) }
 func TestSampleStorePruneRemovesStaleTempFiles(t *testing.T) {
 	pruneRemovesStaleTempFiles(t, samples)

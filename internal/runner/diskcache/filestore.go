@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"mfdl/internal/obs"
@@ -20,8 +21,9 @@ type layout struct {
 	counters string // prefix of <counters>_{hits,misses,stores,corrupt,evicted}_total
 	sub      string // prefix of per-key subdirectory names; "" keeps entries in the root
 	file     string // glob of entry files inside their directory
-	// touch makes a hit refresh the entry's mtime, so prune's oldest-first
-	// order is least recently used, not least recently written.
+	// touch makes the first hit on an entry refresh its mtime, so prune's
+	// oldest-first order is least recently used, not least recently
+	// written.
 	touch bool
 }
 
@@ -31,6 +33,10 @@ type layout struct {
 type fileStore struct {
 	layout
 	dir string
+	// touched holds the paths a hit has already touched. The touch only
+	// orders Prune, which runs when a store is opened, and to the next
+	// open an entry's first touch in this one says as much as its last.
+	touched *touchSet
 	// nil (no-op) until observe attaches a registry.
 	hits, misses, stores, corrupt, evicted *obs.Counter
 }
@@ -43,7 +49,24 @@ func open(dir, what string, l layout) (fileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fileStore{}, fmt.Errorf("diskcache: %w", err)
 	}
-	return fileStore{layout: l, dir: dir}, nil
+	return fileStore{layout: l, dir: dir, touched: &touchSet{seen: map[string]struct{}{}}}, nil
+}
+
+// touchSet is a set of paths safe for concurrent use.
+type touchSet struct {
+	mu   sync.Mutex
+	seen map[string]struct{}
+}
+
+// first adds path and reports whether it was new.
+func (ts *touchSet) first(path string) bool {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if _, ok := ts.seen[path]; ok {
+		return false
+	}
+	ts.seen[path] = struct{}{}
+	return true
 }
 
 func (s *fileStore) observe(reg *obs.Registry) {
@@ -99,9 +122,11 @@ func (s *fileStore) read(path string, judge func(data []byte) verdict) bool {
 		return false
 	}
 	if s.touch {
-		// Best effort: a read-only directory still serves hits.
-		now := time.Now()
-		_ = os.Chtimes(path, now, now)
+		if s.touched.first(path) {
+			// Best effort: a read-only directory still serves hits.
+			now := time.Now()
+			_ = os.Chtimes(path, now, now)
+		}
 	}
 	s.hits.Inc()
 	return true

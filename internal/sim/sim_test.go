@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,6 +69,47 @@ func TestConfigValidate(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want substring %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestConfigRejectsNonFinite sets one float field of each simulator's
+// configuration to NaN or ±Inf: Validate must refuse it, under the
+// simulator's own prefix, rather than let Run return a result with no
+// arrivals or NaN statistics. A nil setter means the simulator has no
+// such field.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		flow  func(*eventsim.Config, float64)
+		chunk func(*swarm.Config, float64)
+	}{
+		{"Lambda0", func(c *eventsim.Config, v float64) { c.Lambda0 = v }, func(c *swarm.Config, v float64) { c.Lambda0 = v }},
+		{"P", func(c *eventsim.Config, v float64) { c.P = v }, func(c *swarm.Config, v float64) { c.P = v }},
+		{"Rho", func(c *eventsim.Config, v float64) { c.Rho = v }, func(c *swarm.Config, v float64) { c.Rho = v }},
+		{"CheaterFraction", func(c *eventsim.Config, v float64) { c.CheaterFraction = v }, func(c *swarm.Config, v float64) { c.CheaterFraction = v }},
+		{"TFTEfficiency", nil, func(c *swarm.Config, v float64) { c.TFTEfficiency = v }},
+		{"Gamma", func(c *eventsim.Config, v float64) { c.Gamma = v }, func(c *swarm.Config, v float64) { c.Gamma = v }},
+		{"Mu", func(c *eventsim.Config, v float64) { c.Mu = v }, nil},
+		{"Eta", func(c *eventsim.Config, v float64) { c.Eta = v }, nil},
+	}
+	for _, c := range cases {
+		for _, v := range []float64{nan, inf, -inf} {
+			if c.flow != nil {
+				cfg := flowConfig()
+				c.flow(cfg, v)
+				if err := cfg.Validate(); err == nil || !strings.HasPrefix(err.Error(), "eventsim: ") && !strings.HasPrefix(err.Error(), "fluid: ") {
+					t.Errorf("eventsim %s = %v: Validate returned %v", c.field, v, err)
+				}
+			}
+			if c.chunk != nil {
+				cfg := chunkConfig()
+				c.chunk(cfg, v)
+				if err := cfg.Validate(); err == nil || !strings.HasPrefix(err.Error(), "swarm: ") {
+					t.Errorf("swarm %s = %v: Validate returned %v", c.field, v, err)
+				}
+			}
 		}
 	}
 }

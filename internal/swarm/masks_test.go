@@ -81,7 +81,7 @@ func refInterested(s *sim, q, p int32, virtualOnly bool) bool {
 	return pc[f] > 0
 }
 
-// checkMasks compares the masks of every live peer, and interested over
+// checkMasks compares the masks of every live peer, and wants over
 // every link an unchoke can scan, with the oracle on the same state.
 func checkMasks(t *testing.T, s *sim) {
 	t.Helper()
@@ -98,8 +98,8 @@ func checkMasks(t *testing.T, s *sim) {
 		}
 		for _, p := range s.t.neighbors[q] { // ends with the origin
 			for _, virtualOnly := range []bool{false, true} {
-				if got, want := s.interested(q, p, virtualOnly), refInterested(s, q, p, virtualOnly); got != want {
-					t.Fatalf("round %d: interested(%d, %d, %v) = %v, reference %v", s.round, q, p, virtualOnly, got, want)
+				if got, want := s.t.wants(q, s.t.offerOf(p, virtualOnly)), refInterested(s, q, p, virtualOnly); got != want {
+					t.Fatalf("round %d: wants(%d, offer of %d, %v) = %v, reference %v", s.round, q, p, virtualOnly, got, want)
 				}
 			}
 		}

@@ -22,21 +22,41 @@ func (a rankEntry) before(b rankEntry) bool {
 
 // selectTop moves the best min(n, len(e)) entries to the front of e, in
 // rank order, and returns how many that is. The rest stay in e[n:] in no
-// particular order.
+// particular order. It is one pass: the first n entries are
+// insertion-sorted, then each later entry that ranks before the current
+// last of them displaces it into the tail and is inserted in its place.
+// The order is strict and total, so the front is the sorted ranking's
+// first n whatever order the tail is left in, and nth over the tail
+// finds the same rank as well.
 func selectTop(e []rankEntry, n int) int {
 	if n > len(e) {
 		n = len(e)
 	}
-	for i := 0; i < n; i++ {
-		best := i
-		for j := i + 1; j < len(e); j++ {
-			if e[j].before(e[best]) {
-				best = j
-			}
+	if n == 0 {
+		return 0
+	}
+	top := e[:n]
+	for i := 1; i < n; i++ {
+		insertLast(top[:i+1])
+	}
+	for j := n; j < len(e); j++ {
+		if e[j].before(top[n-1]) {
+			top[n-1], e[j] = e[j], top[n-1]
+			insertLast(top)
 		}
-		e[i], e[best] = e[best], e[i]
 	}
 	return n
+}
+
+// insertLast moves the last entry of e, whose other entries are in rank
+// order, back to its rank.
+func insertLast(e []rankEntry) {
+	x := e[len(e)-1]
+	i := len(e) - 1
+	for ; i > 0 && x.before(e[i-1]); i-- {
+		e[i] = e[i-1]
+	}
+	e[i] = x
 }
 
 // nth returns the entry a full sort of e would leave at index k, by

@@ -255,10 +255,11 @@ func (t *peerTable) recvNowAdd(s int32, from int64) {
 	t.recvNow[s] = append(log, recvPair{from: from, n: 1})
 }
 
-// recvCount returns how many chunks slot s received from the peer with
-// unique id from during the previous round (the tit-for-tat ranking key).
-func (t *peerTable) recvCount(s int32, from int64) int32 {
-	for _, p := range t.recvLast[s] {
+// recvCount returns how many chunks the receive log records from the peer
+// with unique id from; on a slot's recvLast, what it received during the
+// previous round (the tit-for-tat ranking key).
+func recvCount(log []recvPair, from int64) int32 {
+	for _, p := range log {
 		if p.from == from {
 			return p.n
 		}

@@ -106,7 +106,8 @@ type Config struct {
 	Faults faults.Config
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. The float checks are written so
+// that NaN fails them: a comparison with NaN is false either way round.
 func (c Config) Validate() error {
 	if c.K < 1 {
 		return fmt.Errorf("swarm: K = %d must be >= 1", c.K)
@@ -114,10 +115,10 @@ func (c Config) Validate() error {
 	if c.ChunksPerFile < 1 {
 		return errors.New("swarm: ChunksPerFile must be >= 1")
 	}
-	if c.Lambda0 <= 0 {
-		return errors.New("swarm: Lambda0 must be positive")
+	if !(c.Lambda0 > 0) || math.IsInf(c.Lambda0, 1) {
+		return fmt.Errorf("swarm: Lambda0 = %v must be positive and finite", c.Lambda0)
 	}
-	if c.P <= 0 || c.P > 1 {
+	if !(c.P > 0 && c.P <= 1) {
 		return fmt.Errorf("swarm: p = %v outside (0,1]", c.P)
 	}
 	switch c.Scheme {
@@ -127,7 +128,7 @@ func (c Config) Validate() error {
 		// only (internal/eventsim); in a shared swarm it would be MFCD.
 		return fmt.Errorf("swarm: unknown scheme %d", int(c.Scheme))
 	}
-	if c.Rho < 0 || c.Rho > 1 {
+	if !(c.Rho >= 0 && c.Rho <= 1) {
 		return fmt.Errorf("swarm: ρ = %v outside [0,1]", c.Rho)
 	}
 	if c.Adapt != nil {
@@ -135,13 +136,13 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.CheaterFraction < 0 || c.CheaterFraction > 1 {
-		return errors.New("swarm: cheater fraction outside [0,1]")
+	if !(c.CheaterFraction >= 0 && c.CheaterFraction <= 1) {
+		return fmt.Errorf("swarm: cheater fraction %v outside [0,1]", c.CheaterFraction)
 	}
 	if c.UploadPerRound < 1 {
 		return errors.New("swarm: UploadPerRound must be >= 1")
 	}
-	if c.TFTEfficiency <= 0 || c.TFTEfficiency > 1 {
+	if !(c.TFTEfficiency > 0 && c.TFTEfficiency <= 1) {
 		return fmt.Errorf("swarm: η = %v outside (0,1]", c.TFTEfficiency)
 	}
 	if c.Slots < 2 {
@@ -150,7 +151,7 @@ func (c Config) Validate() error {
 	if c.OptimisticEvery < 1 {
 		return errors.New("swarm: OptimisticEvery must be >= 1")
 	}
-	if c.Gamma <= 0 || c.Gamma > 1 {
+	if !(c.Gamma > 0 && c.Gamma <= 1) {
 		return fmt.Errorf("swarm: Gamma = %v outside (0,1]", c.Gamma)
 	}
 	if c.MaxNeighbors < 1 {
@@ -266,16 +267,18 @@ func (s *sim) setMasks(p int32) {
 	}
 }
 
-// interested reports whether q could use any chunk p is offering (only
-// from p's finished files when virtualOnly), judged at file granularity:
-// a cheap over-approximation, a useless unchoke just transfers nothing.
-// A peer that is not downloading wants nothing, so callers need no state
-// check of their own. It is the hottest predicate in the simulator — every
-// unchoke decision scans it across the neighbor set.
-func (s *sim) interested(q, p int32, virtualOnly bool) bool {
-	offer := s.t.offerOf(p, virtualOnly)
-	for i, w := range s.t.wantOf(q) {
-		if w&offer[i] != 0 {
+// wants reports whether slot q could use any chunk from the files in
+// offer, an uploader's offerOf mask, judged at file granularity: a cheap
+// over-approximation, a useless unchoke just transfers nothing. A peer
+// that is not downloading wants nothing, so callers need no state check
+// of their own. It is the hottest predicate in the simulator — every
+// unchoke scans it across the neighbor set — so the unchokes read the
+// uploader's mask once and each neighbor costs one AND per mask word.
+// offer is a mask, fileWords long, so its length is want's stride.
+func (t *peerTable) wants(q int32, offer []uint64) bool {
+	base := int(q) * len(offer)
+	for i, o := range offer {
+		if t.want[base+i]&o != 0 {
 			return true
 		}
 	}
@@ -728,9 +731,11 @@ func (s *sim) depart(dead int32) {
 func (s *sim) tftUnchoke(p int32) []int32 {
 	t := s.t
 	e := s.rankBuf[:0]
+	offer, recv := t.offerOf(p, false), t.recvLast[p]
 	for _, q := range t.neighbors[p] {
-		if q != p && s.interested(q, p, false) {
-			e = append(e, rankEntry{slot: q, key: t.recvCount(p, t.id[q]), id: t.id[q]})
+		if q != p && t.wants(q, offer) {
+			id := t.id[q]
+			e = append(e, rankEntry{slot: q, key: recvCount(recv, id), id: id})
 		}
 	}
 	s.rankBuf = e
@@ -772,7 +777,7 @@ func (s *sim) stillInterested(p, q int32, qGen uint32) bool {
 	}
 	for _, r := range t.neighbors[p] {
 		if r == q {
-			return s.interested(q, p, false)
+			return t.wants(q, t.offerOf(p, false))
 		}
 	}
 	return false
@@ -788,8 +793,9 @@ func (s *sim) altruisticUnchoke(p int32, virtualOnly bool) []int32 {
 	if p == s.origin {
 		neighbors = s.order
 	}
+	offer := t.offerOf(p, virtualOnly)
 	for _, q := range neighbors {
-		if q != p && s.interested(q, p, virtualOnly) {
+		if q != p && t.wants(q, offer) {
 			s.poolBuf = append(s.poolBuf, q)
 		}
 	}
@@ -800,12 +806,10 @@ func (s *sim) altruisticUnchoke(p int32, virtualOnly bool) []int32 {
 	if n > len(s.poolBuf) {
 		n = len(s.poolBuf)
 	}
-	// Inline Fisher–Yates, draw-for-draw identical to rng.Shuffle without
-	// the swap closure allocation.
-	for i := len(s.poolBuf) - 1; i > 0; i-- {
-		j := s.rng.Intn(i + 1)
-		s.poolBuf[i], s.poolBuf[j] = s.poolBuf[j], s.poolBuf[i]
-	}
+	// The whole pool is shuffled, draw-for-draw what rng.Shuffle does, for
+	// its first n: the origin's pool is the swarm, so this is one draw per
+	// live downloader a round.
+	rng.ShuffleSlice(s.rng, s.poolBuf)
 	return s.poolBuf[:n]
 }
 
@@ -850,6 +854,7 @@ func (s *sim) serve(p int32, targets []int32, budget int, virtual bool, efficien
 // former boolean-slice scan made.
 func (s *sim) pickChunk(q, p int32, virtual bool) int32 {
 	t := s.t
+	counts := s.chunkCount
 	best := int32(-1)
 	bestCount := int32(math.MaxInt32)
 	cpf := int32(s.cfg.ChunksPerFile)
@@ -873,9 +878,8 @@ func (s *sim) pickChunk(q, p int32, virtual bool) int32 {
 				for cand != 0 {
 					c := base + int32(bits.TrailingZeros64(cand))
 					cand &= cand - 1
-					if s.chunkCount[c] < bestCount {
-						bestCount = s.chunkCount[c]
-						best = c
+					if n := counts[c]; n < bestCount {
+						bestCount, best = n, c
 					}
 				}
 			}

@@ -208,7 +208,7 @@ func (r *Registry) Announce(req AnnounceRequest) (*AnnounceResponse, error) {
 	if want > len(others) {
 		want = len(others)
 	}
-	r.rng.Shuffle(len(others), func(i, j int) { others[i], others[j] = others[j], others[i] })
+	rng.ShuffleSlice(r.rng, others)
 	resp.Peers = others[:want]
 	return resp, nil
 }
