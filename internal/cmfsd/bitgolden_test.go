@@ -46,6 +46,15 @@ func fluidGoldenLines(t *testing.T) []string {
 		}
 		return c
 	}
+	cmfsdLine := func(k int, p, rho, l0, theta float64) string {
+		m, err := New(fluid.PaperParams, corr(k, p, l0), rho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Theta = theta
+		ss, err := m.SteadyState(ode.SteadyStateOptions{})
+		return fmt.Sprintf("cmfsd K=%d p=%g rho=%g l0=%g theta=%g: %s", k, p, rho, l0, theta, stateDigest(ss, err))
+	}
 	var lines []string
 	// CMFSD, Eq. (5), with and without aborts.
 	for _, k := range []int{1, 3, 10} {
@@ -53,17 +62,18 @@ func fluidGoldenLines(t *testing.T) []string {
 			for _, rho := range []float64{0, 0.5, 1} {
 				for _, l0 := range []float64{1, 4} {
 					for _, theta := range []float64{0, 0.001} {
-						m, err := New(fluid.PaperParams, corr(k, p, l0), rho)
-						if err != nil {
-							t.Fatal(err)
-						}
-						m.Theta = theta
-						ss, err := m.SteadyState(ode.SteadyStateOptions{})
-						lines = append(lines, fmt.Sprintf("cmfsd K=%d p=%g rho=%g l0=%g theta=%g: %s",
-							k, p, rho, l0, theta, stateDigest(ss, err)))
+						lines = append(lines, cmfsdLine(k, p, rho, l0, theta))
 					}
 				}
 			}
+		}
+	}
+	// Interior points of a Fig. 4(a) surface (K = 10, λ₀ = 1, θ = 0, the
+	// fluid_cold benchmark's shape), with ρ and p off the grid above, where
+	// no P(i,j) is 0, 1/2 or 1.
+	for _, p := range []float64{0.37, 0.93} {
+		for _, rho := range []float64{0.07, 0.33, 0.81} {
+			lines = append(lines, cmfsdLine(10, p, rho, 1, 0))
 		}
 	}
 	// Mixed: the cheating experiment's obedient (ρ = 0) and cheater (ρ = 1)
