@@ -89,8 +89,9 @@ loc:
 # served on localhost:6060 while it runs — about a second now that an Eq. (5)
 # evaluation is sub-microsecond, too short to attach a pprof client from
 # another shell. Then a CPU profile of the Eq. (5) kernel benchmarks
-# (BenchmarkRHS, cmfsd's Model and Mixed): inspect it with
-# `go tool pprof prof/cmfsd.test prof/fluid-cpu.pprof`. Last a CPU profile
+# (BenchmarkRHS, cmfsd's Model and Mixed) and of whole solves at
+# fluid_cold's shape (BenchmarkColdSurface, a 9 × 9 p × ρ grid at K = 10):
+# inspect it with `go tool pprof prof/cmfsd.test prof/fluid-cpu.pprof`. Last a CPU profile
 # of the flow-level simulator: one event (BenchmarkEventsimStep, every
 # scheme at 10^3 and 10^4 peers) and whole runs of the benchmark's flow_sim
 # configurations (BenchmarkEventsimFlowMix): `go tool pprof
@@ -106,7 +107,7 @@ profile:
 	go run ./cmd/sweep -dim p,rho -steps 30,30 -scheme CMFSD \
 		-metrics-out prof/sweep-metrics.json -trace-out prof/sweep-trace.json \
 		-pprof localhost:6060 -stats > prof/sweep-table.txt
-	go test -run '^$$' -bench RHS -benchtime 2s -cpuprofile prof/fluid-cpu.pprof -o prof/cmfsd.test ./internal/cmfsd
+	go test -run '^$$' -bench 'RHS|ColdSurface' -benchtime 2s -cpuprofile prof/fluid-cpu.pprof -o prof/cmfsd.test ./internal/cmfsd
 	go test -short -run '^$$' -bench 'EventsimStep|EventsimFlowMix' -benchtime 1s -cpuprofile prof/eventsim-cpu.pprof -o prof/eventsim.test ./internal/eventsim
 	go test -run '^$$' -bench FabricSimReplica -benchtime 2s -cpuprofile prof/fabric-cpu.pprof -o prof/fabric.test ./internal/fabric
 	go test -run '^$$' -bench SwarmRun -benchtime 2x -cpuprofile prof/swarm-cpu.pprof -o prof/swarm.test ./internal/swarm

@@ -71,7 +71,7 @@ func New(p fluid.Params, corr *correlation.Model, rho float64) (*Model, error) {
 	if err := corr.Validate(); err != nil {
 		return nil, err
 	}
-	if rho < 0 || rho > 1 {
+	if !(rho >= 0 && rho <= 1) {
 		return nil, fmt.Errorf("cmfsd: ρ = %v outside [0,1]", rho)
 	}
 	if corr.P == 0 {
@@ -115,57 +115,71 @@ func (m *Model) RHS(_ float64, s, dst []float64) {
 // The state is group-major; each block holds the K(K+1)/2 downloader cells
 // in (i,j) order, then the K seed cells. Negative components count as
 // empty.
+//
+// Every sum runs in (group, i, j) order and every product keeps its
+// left-to-right association, so the loops' shape may change without a bit
+// of the result moving (DESIGN.md, "Fluid solver").
 func eq5(p *fluid.Params, corr *correlation.Model, theta float64, groups []Group, s, dst []float64) {
 	k := corr.K
 	nx := k * (k + 1) / 2
-	mu, eta, gamma := p.Mu, p.Eta, p.Gamma
 
 	// Pooled quantities: total downloaders Σx, virtual-seed upload mass
 	// Σ(1−P)x, and real-seed mass Σy.
 	totalX, virtMass, seedMass := 0.0, 0.0, 0.0
 	for g, grp := range groups {
-		lo, hi := g*(nx+k), (g+1)*(nx+k)
-		xs, ys := s[lo:lo+nx], s[lo+nx:hi]
-		c := 0
-		for i := 1; i <= k; i++ {
-			pij := 1.0
-			for j := 1; j <= i; j++ {
-				x := nonNeg(xs[c])
-				totalX += x
-				virtMass += (1 - pij) * x
-				pij = grp.Rho
-				c++
-			}
-			seedMass += nonNeg(ys[i-1])
-		}
+		blk := s[g*(nx+k) : (g+1)*(nx+k)]
+		totalX, virtMass, seedMass = pool(blk[:nx], blk[nx:], 1-grp.Rho, totalX, virtMass, seedMass)
 	}
 	// Seed-like service rate per unit downloader population.
 	perCapita := 0.0
 	if totalX > 0 {
-		perCapita = mu * (virtMass + seedMass) / totalX
+		perCapita = p.Mu * (virtMass + seedMass) / totalX
 	}
-
-	// Stage (i,j)'s completion rate — TFT service received (μηP·x) plus
-	// its pooled seed-like share S^{i,j} — is stage (i,j+1)'s inflow, and
-	// stage (i,i)'s is the seeds' inflow.
 	for g, grp := range groups {
-		lo, hi := g*(nx+k), (g+1)*(nx+k)
-		xs, ys := s[lo:lo+nx], s[lo+nx:hi]
-		dx, dy := dst[lo:lo+nx], dst[lo+nx:hi]
-		c := 0
-		for i := 1; i <= k; i++ {
-			in := grp.Fraction * corr.UserRate(i)
-			pij := 1.0
-			for j := 1; j <= i; j++ {
-				x := nonNeg(xs[c])
-				out := mu*eta*pij*x + x*perCapita
-				dx[c] = in - out - theta*x
-				in = out
-				pij = grp.Rho
-				c++
-			}
-			dy[i-1] = in - gamma*nonNeg(ys[i-1])
+		blk, out := s[g*(nx+k):(g+1)*(nx+k)], dst[g*(nx+k):(g+1)*(nx+k)]
+		flows(p, corr, grp, theta, perCapita, blk[:nx], blk[nx:], out[:nx], out[nx:])
+	}
+}
+
+// pool adds one group's downloader cells xs and seed cells ys, with
+// virt = 1−ρ, to the pooled sums Σx, Σ(1−P)x and Σy and returns them. A
+// j = 1 stage has P = 1, so its (1−P)x would add an exact +0 to Σ(1−P)x:
+// it adds to Σx alone. Inlined into eq5, the inner loop's index would be
+// spilled to the stack on every iteration.
+//
+//go:noinline
+func pool(xs, ys []float64, virt, totalX, virtMass, seedMass float64) (float64, float64, float64) {
+	for i, y := range ys {
+		totalX += nonNeg(xs[0])
+		for _, x := range xs[1 : i+1] {
+			x = nonNeg(x)
+			totalX += x
+			virtMass += virt * x
 		}
+		xs = xs[i+1:]
+		seedMass += nonNeg(y)
+	}
+	return totalX, virtMass, seedMass
+}
+
+// flows writes one group's derivatives dx (downloader cells) and dy (seed
+// cells): stage (i,j)'s completion rate — TFT service received (μηP·x)
+// plus its pooled seed-like share S^{i,j} = x·perCapita — is stage
+// (i,j+1)'s inflow, and stage (i,i)'s is the seeds' inflow.
+func flows(p *fluid.Params, corr *correlation.Model, grp Group, theta, perCapita float64, xs, ys, dx, dy []float64) {
+	tft := p.Mu * p.Eta     // μηP(i,1) = μη
+	tftRho := tft * grp.Rho // μηP(i,j) = μηρ for j > 1
+	for i, y := range ys {
+		in, rate := grp.Fraction*corr.UserRate(i+1), tft
+		xi, di := xs[:i+1], dx[:i+1]
+		for j, x := range xi {
+			x = nonNeg(x)
+			done := rate*x + x*perCapita
+			di[j] = in - done - theta*x
+			in, rate = done, tftRho
+		}
+		xs, dx = xs[i+1:], dx[i+1:]
+		dy[i] = in - p.Gamma*nonNeg(y)
 	}
 }
 

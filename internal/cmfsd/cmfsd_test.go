@@ -33,6 +33,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(fluid.PaperParams, corr, 1.1); err == nil {
 		t.Fatal("ρ>1 accepted")
 	}
+	if _, err := New(fluid.PaperParams, corr, math.NaN()); err == nil {
+		t.Fatal("ρ=NaN accepted")
+	}
 	zeroP, _ := correlation.New(10, 0, 1)
 	if _, err := New(fluid.PaperParams, zeroP, 0.5); err == nil {
 		t.Fatal("p=0 accepted")

@@ -37,7 +37,7 @@ type Mixed struct {
 }
 
 // NewMixed validates and returns a mixed-population model. Fractions must
-// sum to 1.
+// sum to 1. Every range test is written so that NaN fails it.
 func NewMixed(p fluid.Params, corr *correlation.Model, groups []Group) (*Mixed, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -56,15 +56,15 @@ func NewMixed(p fluid.Params, corr *correlation.Model, groups []Group) (*Mixed, 
 	}
 	sum := 0.0
 	for _, g := range groups {
-		if g.Fraction < 0 || g.Fraction > 1 {
+		if !(g.Fraction >= 0 && g.Fraction <= 1) {
 			return nil, fmt.Errorf("cmfsd: group %q fraction %v outside [0,1]", g.Name, g.Fraction)
 		}
-		if g.Rho < 0 || g.Rho > 1 {
+		if !(g.Rho >= 0 && g.Rho <= 1) {
 			return nil, fmt.Errorf("cmfsd: group %q ρ = %v outside [0,1]", g.Name, g.Rho)
 		}
 		sum += g.Fraction
 	}
-	if math.Abs(sum-1) > 1e-9 {
+	if !(math.Abs(sum-1) <= 1e-9) {
 		return nil, fmt.Errorf("cmfsd: group fractions sum to %v, want 1", sum)
 	}
 	return &Mixed{Params: p, Corr: corr, Groups: groups}, nil

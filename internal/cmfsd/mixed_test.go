@@ -36,6 +36,12 @@ func TestMixedValidation(t *testing.T) {
 	if _, err := NewMixed(fluid.PaperParams, nil, []Group{{Fraction: 1, Rho: 0}}); err == nil {
 		t.Fatal("nil correlation accepted")
 	}
+	if _, err := NewMixed(fluid.PaperParams, corr, []Group{{Fraction: 1, Rho: math.NaN()}}); err == nil {
+		t.Fatal("ρ=NaN accepted")
+	}
+	if _, err := NewMixed(fluid.PaperParams, corr, []Group{{Fraction: math.NaN(), Rho: 0}}); err == nil {
+		t.Fatal("fraction NaN accepted")
+	}
 }
 
 func TestMixedSingleGroupMatchesPlainModel(t *testing.T) {

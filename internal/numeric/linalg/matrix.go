@@ -89,88 +89,96 @@ func (m *Matrix) String() string {
 // singular matrix.
 var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
-// LU is an LU factorization with partial pivoting: P·A = L·U.
+// LU is an LU factorization with partial pivoting: P·A = L·U. Its zero
+// value is ready for Factor.
 type LU struct {
 	lu    *Matrix
 	pivot []int
 	sign  float64
 }
 
-// NewLU factors the square matrix a. a is not modified.
-func NewLU(a *Matrix) (*LU, error) {
+// Factor factors the square matrix a in place: a is overwritten with L
+// (unit diagonal, not stored) below the diagonal and U on and above it, and
+// f keeps it. f reuses its pivot storage, so refactoring a matrix of the
+// same size allocates nothing.
+func (f *LU) Factor(a *Matrix) error {
 	if a.Rows != a.Cols {
-		return nil, errors.New("linalg: LU requires a square matrix")
+		return errors.New("linalg: LU requires a square matrix")
 	}
 	n := a.Rows
-	f := &LU{lu: a.Clone(), pivot: make([]int, n), sign: 1}
-	lu := f.lu
+	if cap(f.pivot) < n {
+		f.pivot = make([]int, n)
+	}
+	f.lu, f.pivot, f.sign = a, f.pivot[:n], 1
 	for i := range f.pivot {
 		f.pivot[i] = i
 	}
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest |entry| in column k at/below the diagonal.
-		p, maxVal := k, math.Abs(lu.At(k, k))
+		p, maxVal := k, math.Abs(a.Data[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if v := math.Abs(lu.At(i, k)); v > maxVal {
+			if v := math.Abs(a.Data[i*n+k]); v > maxVal {
 				p, maxVal = i, v
 			}
 		}
 		if maxVal == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
+		rowK := a.Data[k*n : (k+1)*n]
 		if p != k {
-			for j := 0; j < n; j++ {
-				lu.Data[p*n+j], lu.Data[k*n+j] = lu.Data[k*n+j], lu.Data[p*n+j]
+			rowP := a.Data[p*n : (p+1)*n]
+			for j := range rowK {
+				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
 			f.pivot[p], f.pivot[k] = f.pivot[k], f.pivot[p]
 			f.sign = -f.sign
 		}
-		inv := 1 / lu.At(k, k)
+		inv, uk := 1/rowK[k], rowK[k+1:]
 		for i := k + 1; i < n; i++ {
-			m := lu.At(i, k) * inv
-			lu.Set(i, k, m)
+			m := a.Data[i*n+k] * inv
+			a.Data[i*n+k] = m
 			if m == 0 {
 				continue
 			}
-			for j := k + 1; j < n; j++ {
-				lu.Data[i*n+j] -= m * lu.Data[k*n+j]
+			row := a.Data[i*n+k+1 : (i+1)*n][:len(uk)]
+			for j, u := range uk {
+				row[j] -= m * u
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
-// Solve returns x with A·x = b.
-func (f *LU) Solve(b []float64) ([]float64, error) {
+// Solve writes into x the solution of A·x = b; x must not alias b.
+func (f *LU) Solve(x, b []float64) error {
 	n := f.lu.Rows
-	if len(b) != n {
-		return nil, errors.New("linalg: rhs length mismatch")
+	if len(b) != n || len(x) != n {
+		return errors.New("linalg: rhs length mismatch")
 	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.pivot[i]]
+	for i, p := range f.pivot {
+		x[i] = b[p]
 	}
 	// Forward substitution (unit lower triangle).
 	for i := 1; i < n; i++ {
 		s := x[i]
-		for j := 0; j < i; j++ {
-			s -= f.lu.At(i, j) * x[j]
+		for j, l := range f.lu.Data[i*n : i*n+i] {
+			s -= l * x[j]
 		}
 		x[i] = s
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
+		row := f.lu.Data[i*n : (i+1)*n]
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= f.lu.At(i, j) * x[j]
+			s -= row[j] * x[j]
 		}
-		d := f.lu.At(i, i)
-		if d == 0 {
-			return nil, ErrSingular
+		if row[i] == 0 {
+			return ErrSingular
 		}
-		x[i] = s / d
+		x[i] = s / row[i]
 	}
-	return x, nil
+	return nil
 }
 
 // Det returns det(A).
@@ -180,13 +188,4 @@ func (f *LU) Det() float64 {
 		d *= f.lu.At(i, i)
 	}
 	return d
-}
-
-// Solve solves A·x = b by LU with partial pivoting.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
 }

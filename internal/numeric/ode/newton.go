@@ -38,13 +38,17 @@ var ErrNewtonFailed = errors.New("ode: Newton steady-state iteration failed")
 // halving the step up to 30 times, until the residual decreases. It is
 // vastly faster than time relaxation when the starting point is in the
 // basin — callers typically warm-start it with a short relaxation.
+//
+// The solve allocates one workspace, the Jacobian and seven vectors, and
+// no iteration allocates: each rebuilds the Jacobian in the same matrix
+// and factors it there, in place.
 func NewtonSteadyState(f RHS, x []float64, tol float64) error {
 	n := len(x)
-	fx := make([]float64, n)
-	trial := make([]float64, n)
-	// Jacobian and right-hand-side workspace, reused by every iteration.
-	jac := linalg.NewMatrix(n, n)
-	fp, fm, xp, rhs := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	w := make([]float64, n*n+7*n)
+	jac := &linalg.Matrix{Rows: n, Cols: n, Data: w[:n*n]}
+	vec := func(i int) []float64 { return w[n*n+i*n : n*n+(i+1)*n] }
+	fx, trial, rhs, delta, fp, fm, xp := vec(0), vec(1), vec(2), vec(3), vec(4), vec(5), vec(6)
+	var lu linalg.LU
 	f(0, x, fx)
 	resid := MaxNorm(fx)
 	for it := 0; it < 200; it++ {
@@ -55,7 +59,10 @@ func NewtonSteadyState(f RHS, x []float64, tol float64) error {
 		for i := range rhs {
 			rhs[i] = -fx[i]
 		}
-		delta, err := linalg.Solve(jac, rhs)
+		err := lu.Factor(jac)
+		if err == nil {
+			err = lu.Solve(delta, rhs)
+		}
 		if err != nil {
 			return fmt.Errorf("ode: Newton Jacobian solve: %w", err)
 		}

@@ -62,15 +62,49 @@ func TestNewtonMatchesRelaxation(t *testing.T) {
 	}
 }
 
-func BenchmarkNewtonSteadyState(b *testing.B) {
-	rhs := func(t float64, x, dst []float64) {
-		for i := range x {
-			dst[i] = 1 - x[i] - 0.01*x[i]*x[(i+1)%len(x)]
-		}
+// coupledDecay is dx_i/dt = 1 − x_i − 0.01·x_i·x_{i+1}, a fixed point near
+// x = 1.
+func coupledDecay(t float64, x, dst []float64) {
+	for i := range x {
+		dst[i] = 1 - x[i] - 0.01*x[i]*x[(i+1)%len(x)]
 	}
+}
+
+// TestNewtonAllocatesPerSolveOnly solves coupledDecay from starts that
+// take different numbers of iterations and checks each solve allocates
+// the same: the workspace is made once, and no iteration allocates.
+func TestNewtonAllocatesPerSolveOnly(t *testing.T) {
+	allocs := map[float64]bool{}
+	iters := map[int]bool{}
+	for _, start := range []float64{0.9, 0, 5, 200} {
+		evals := 0
+		counting := func(t float64, x, dst []float64) { evals++; coupledDecay(t, x, dst) }
+		x := make([]float64, 20)
+		solve := func() {
+			for i := range x {
+				x[i] = start
+			}
+			if err := NewtonSteadyState(counting, x, 1e-12); err != nil {
+				t.Fatal(err)
+			}
+		}
+		solve()
+		iters[evals/(2*len(x))] = true
+		allocs[testing.AllocsPerRun(5, solve)] = true
+	}
+	if len(iters) < 2 {
+		t.Fatalf("every start took the same number of iterations %v: the test needs different lengths", iters)
+	}
+	if len(allocs) != 1 {
+		t.Fatalf("allocations per solve differ with the iteration count: %v", allocs)
+	}
+}
+
+func BenchmarkNewtonSteadyState(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		x := make([]float64, 20)
-		if err := NewtonSteadyState(rhs, x, 1e-12); err != nil {
+		if err := NewtonSteadyState(coupledDecay, x, 1e-12); err != nil {
 			b.Fatal(err)
 		}
 	}

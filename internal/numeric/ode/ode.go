@@ -37,35 +37,52 @@ func NewRK4(dim int) *RK4 {
 }
 
 // Step advances x from time t by h in place, using scratch storage owned by
-// the stepper, so an RK4 is not safe for concurrent use.
+// the stepper, so an RK4 is not safe for concurrent use. It allocates
+// nothing.
 func (s *RK4) Step(f RHS, t float64, x []float64, h float64) {
-	f(t, x, s.k1)
-	for i := range x {
-		s.tmp[i] = x[i] + 0.5*h*s.k1[i]
+	n := len(x)
+	k1, k2, k3, k4, tmp := s.k1[:n], s.k2[:n], s.k3[:n], s.k4[:n], s.tmp[:n]
+	half, sixth := 0.5*h, h/6
+	f(t, x, k1)
+	for i, xi := range x {
+		tmp[i] = xi + half*k1[i]
 	}
-	f(t+0.5*h, s.tmp, s.k2)
-	for i := range x {
-		s.tmp[i] = x[i] + 0.5*h*s.k2[i]
+	f(t+half, tmp, k2)
+	for i, xi := range x {
+		tmp[i] = xi + half*k2[i]
 	}
-	f(t+0.5*h, s.tmp, s.k3)
-	for i := range x {
-		s.tmp[i] = x[i] + h*s.k3[i]
+	f(t+half, tmp, k3)
+	for i, xi := range x {
+		tmp[i] = xi + h*k3[i]
 	}
-	f(t+h, s.tmp, s.k4)
+	f(t+h, tmp, k4)
 	for i := range x {
-		x[i] += h / 6 * (s.k1[i] + 2*s.k2[i] + 2*s.k3[i] + s.k4[i])
+		x[i] += sixth * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
 	}
+}
+
+// checkSpan rejects a fixed-step integration from t0 to t1 with step h
+// unless h is positive and finite, t0 and t1 are finite and t1 >= t0;
+// every comparison is written so that NaN fails it.
+func checkSpan(t0, t1, h float64) error {
+	if !(h > 0 && h <= math.MaxFloat64) {
+		return fmt.Errorf("ode: step size %v must be positive and finite", h)
+	}
+	if !(math.Abs(t0) <= math.MaxFloat64 && math.Abs(t1) <= math.MaxFloat64) {
+		return fmt.Errorf("ode: time span [%v, %v] must be finite", t0, t1)
+	}
+	if !(t1 >= t0) {
+		return errors.New("ode: t1 must be >= t0")
+	}
+	return nil
 }
 
 // Integrate advances x in place from t0 to t1 with fixed steps of size h
 // (the final step is shortened to land exactly on t1). It returns the final
-// time. h must be positive and t1 >= t0.
+// time. h must be positive and finite, t0 and t1 finite with t1 >= t0.
 func Integrate(s *RK4, f RHS, t0, t1 float64, x []float64, h float64) (float64, error) {
-	if h <= 0 {
-		return t0, errors.New("ode: step size must be positive")
-	}
-	if t1 < t0 {
-		return t0, errors.New("ode: t1 must be >= t0")
+	if err := checkSpan(t0, t1, h); err != nil {
+		return t0, err
 	}
 	t := t0
 	for t < t1 {
@@ -89,17 +106,14 @@ type Sample struct {
 // every 'every' steps (and always the initial and final states). The initial
 // state x is not modified; the returned samples own their storage.
 func Trajectory(s *RK4, f RHS, t0, t1 float64, x []float64, h float64, every int) ([]Sample, error) {
+	if err := checkSpan(t0, t1, h); err != nil {
+		return nil, err
+	}
 	if every <= 0 {
 		every = 1
 	}
 	cur := append([]float64(nil), x...)
 	out := []Sample{{T: t0, X: append([]float64(nil), cur...)}}
-	if h <= 0 {
-		return nil, errors.New("ode: step size must be positive")
-	}
-	if t1 < t0 {
-		return nil, errors.New("ode: t1 must be >= t0")
-	}
 	t := t0
 	n := 0
 	for t < t1 {
