@@ -7,7 +7,7 @@
 # DESIGN.md, "Verification tiers", says what the gates check and what the
 # race run is there to catch, package by package.
 
-.PHONY: tier1 tier2 gates fuzz bench soak profile pairs loc
+.PHONY: tier1 tier2 gates regolden fuzz bench soak profile pairs loc
 
 tier1:
 	go build ./... && go test ./...
@@ -18,7 +18,8 @@ tier2:
 
 # fuzz runs every native fuzzer in the module (`go test -list '^Fuzz'`
 # finds them: the bencode and metainfo decoders, the solve-entry decoder,
-# the fabric's batched completion body and the sim-replica spec parser)
+# the fabric's batched completion body, the sim-replica and fluid-sweep
+# spec parsers and the telemetry snapshot decoder)
 # for FUZZTIME each, one at a time, offline; their seed corpora already
 # run in tier1. A failing input lands in the package's testdata/fuzz/.
 FUZZTIME ?= 10s
@@ -31,12 +32,26 @@ fuzz:
 		done
 
 # gates runs only the static gates (gates_test.go): the import DAG, the
-# dead-code scan, README's flag reference against every command's -h and
-# gofmt over every .go file, plus their seeded-violation checks. -v prints the tier
+# dead-code scan, README's flag reference against every command's -h,
+# gofmt over every .go file and the golden manifest (testdata/GOLDENS)
+# against the golden files and their schema constants, plus their
+# seeded-violation checks. -v prints the tier
 # table and the dead-code allowlist with each entry's reason — the queue
 # for the next deletion.
 gates:
 	go test -count=1 -run Gate -v .
+
+# regolden re-derives every golden file on purpose (DESIGN.md §10b, "Goldens"):
+# bump the schema constant that covers what moves, run this, review the
+# diff and list every moved line in CHANGES.md. It runs every package the
+# manifest lists with the one golden flag, -update (never with -short:
+# regolden runs those packages as tier-1 does), then rewrites the manifest's hashes and constant
+# values. That rewrite refuses a golden that moved while every constant on
+# its line kept its value, and names the constant to bump. On an unchanged
+# tree it leaves `git status` clean.
+regolden:
+	go test -count=1 $$(awk '$$1 !~ /^#/ && NF { sub(/\/testdata\/.*/, "", $$1); print "./" $$1 }' testdata/GOLDENS | sort -u) -update
+	go test -count=1 -run TestGateGoldens . -update
 
 # soak runs the chaos soak (part of tier2's race run) on its own: a
 # distributed sim-replica sweep with four workers plus one killed

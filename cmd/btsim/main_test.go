@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"mfdl/internal/golden"
 )
 
 func capture(t *testing.T, f func() error) (string, error) {
@@ -199,13 +201,7 @@ func TestReplicatedRunGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_run_r3.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != string(want) {
-		t.Errorf("run output diverged from golden\n--- got ---\n%s--- want ---\n%s", out, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "golden_run_r3.txt"), out)
 }
 
 // TestRunWorkerInvariance checks the CLI-level determinism promise: same

@@ -3,7 +3,7 @@ package mfdl_test
 // Static gates over the module's own source, written with the standard
 // library alone: `go list -deps -export` gives the import graph and the
 // standard library's export data, and go/parser + go/types check every
-// package from source. Four gates run in tier-1:
+// package from source. Five gates run in tier-1:
 //
 //   - TestGateImportDAG fails on an import that points up the tier list,
 //     or breaks one of the rows in importRows;
@@ -15,13 +15,19 @@ package mfdl_test
 //     flags the commands register disagree, or README names a flag no
 //     command has;
 //   - TestGateGofmt fails on a .go file, benchmark/ included, that
-//     go/format would rewrite — what `gofmt -l .` lists.
+//     go/format would rewrite — what `gofmt -l .` lists;
+//   - TestGateGoldens fails when testdata/GOLDENS and the golden files
+//     disagree: a file's sha256 moved while every schema constant on its
+//     line kept its value, a file under a testdata/ directory is unlisted,
+//     or a line names a constant no package declares. Under -update
+//     (make regolden) it rewrites the manifest, unless one of these holds.
 //
 // `go test -run Gate -v .` (make gates) prints the allowlist with its
 // reasons: it is the queue for the next deletion.
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,6 +49,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mfdl/internal/golden"
 )
 
 // A tier is one rung of the import DAG. A package may import packages of
@@ -59,7 +67,7 @@ type tier struct {
 // keeps it from reaching into the rest.
 var importTiers = []tier{
 	{"leaf", []string{"internal/numeric/...", "internal/rng", "internal/stats", "internal/obs",
-		"internal/adapt", "internal/faults", "internal/trace", "internal/table"}},
+		"internal/adapt", "internal/faults", "internal/trace", "internal/table", "internal/golden"}},
 	{"model", []string{"internal/fluid", "internal/correlation", "internal/mtcd", "internal/mtsd",
 		"internal/cmfsd", "internal/scheme", "internal/metrics"}},
 	{"contract", []string{"internal/replica"}},
@@ -137,6 +145,7 @@ var deadAllow = []allowed{
 	{"runner/diskcache.(*SampleStore).Len", oracle, "the fabric's sample-reuse test counts a cell's stored samples with it"},
 	{"fabric/chaos.(*Plan).SetClock", seam, "the blackout test drives the plan's clock"},
 	{"fabric.(*Coordinator).ObserveCellSeconds", seam, "the lease-sizing tests feed cell timings through it"},
+	{"golden.Check", seam, "every golden test compares, and under -update writes, its file through it"},
 }
 
 func TestGateImportDAG(t *testing.T) {
@@ -209,6 +218,121 @@ func gofmtProblems(root string) ([]string, error) {
 	return problems, err
 }
 
+// goldensPath is the golden manifest, relative to the module root.
+const goldensPath = "testdata/GOLDENS"
+
+const goldensHeader = `# Every golden file under a testdata/ directory: its path, its sha256, and
+# the schema constants (pkg.Name=value) whose bump makes results stored from
+# its old bytes miss, or none. make regolden rewrites it; DESIGN.md §10b.
+`
+
+// goldenExempt reports the testdata files that are no test's output: the
+// manifest, fuzz corpora, and diskcache's fixtures, which pin bytes earlier
+// builds wrote and are never regenerated.
+func goldenExempt(rel string) bool {
+	return rel == goldensPath || strings.Contains(rel, "testdata/fuzz/") ||
+		strings.HasPrefix(rel, "internal/runner/diskcache/testdata/parent/")
+}
+
+func TestGateGoldens(t *testing.T) {
+	problems, manifest, err := goldenProblems(loadRepo(t), ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, problem := range problems {
+		t.Error(problem)
+	}
+	if len(problems) == 0 {
+		golden.Check(t, goldensPath, manifest)
+	}
+}
+
+// goldenProblems checks the manifest under root against the files there
+// and the constants p declares, named pkg.Name with pkg the directory
+// under internal/. It returns one problem per file whose hash moved while
+// every constant on its line kept its recorded value, per listed file that
+// is gone, per named constant p lacks, and per file under a testdata/
+// directory the manifest does not list; and the manifest rendered from
+// today's hashes and values.
+func goldenProblems(p *program, root string) (problems []string, manifest string, err error) {
+	data, err := os.ReadFile(filepath.Join(root, goldensPath))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, "", err
+	}
+	consts := map[string]string{}
+	for _, c := range p.pkgs {
+		if pkg, ok := strings.CutPrefix(c.rel, "internal/"); ok {
+			for _, name := range c.types.Scope().Names() {
+				if k, ok := c.types.Scope().Lookup(name).(*types.Const); ok {
+					consts[pkg+"."+name] = k.Val().ExactString()
+				}
+			}
+		}
+	}
+	listed := map[string]bool{}
+	var lines []string
+	for _, line := range strings.Split(string(data), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+			continue
+		}
+		if len(fields) < 3 {
+			problems = append(problems, fmt.Sprintf("%s: %q is not \"path sha256 pkg.Name=value ...\" or \"path sha256 none\"", goldensPath, line))
+			continue
+		}
+		path, recorded, covers := fields[0], fields[1], fields[2:]
+		listed[path] = true
+		content, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(path)))
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s lists %s: %v", goldensPath, path, err))
+			continue
+		}
+		if covers[0] == "none" {
+			covers = nil
+		}
+		now, kept, names := []string{}, 0, []string{}
+		for _, c := range covers {
+			name, value, _ := strings.Cut(c, "=")
+			v, ok := consts[name]
+			if !ok {
+				problems = append(problems, fmt.Sprintf("%s names %s for %s, and no package declares that constant", goldensPath, name, path))
+				continue
+			}
+			now, names = append(now, name+"="+v), append(names, name)
+			if v == value {
+				kept++
+			}
+		}
+		sum := fmt.Sprintf("%x", sha256.Sum256(content))
+		if sum != recorded && len(covers) > 0 && kept == len(covers) {
+			problems = append(problems, fmt.Sprintf("%s changed with no schema bump (%s as recorded): bump %s, or restore the file",
+				path, strings.Join(covers, " "), strings.Join(names, " or ")))
+		}
+		if len(now) == 0 {
+			now = []string{"none"}
+		}
+		lines = append(lines, path+" "+sum+" "+strings.Join(now, " ")+"\n")
+	}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		inTestdata := strings.HasPrefix(rel, "testdata/") || strings.Contains(rel, "/testdata/")
+		if !d.IsDir() && inTestdata && !goldenExempt(rel) && !listed[rel] {
+			problems = append(problems, fmt.Sprintf("%s is in no line of %s: add it with the schema constant that covers it, or none", rel, goldensPath))
+		}
+		return nil
+	})
+	sort.Strings(problems)
+	sort.Strings(lines)
+	return problems, goldensHeader + strings.Join(lines, ""), err
+}
+
 // synthModule is a small module the code gates pass on: an enumerator no one
 // names, methods reached only through fmt.Stringer and an interface
 // literal, and a helper reached only from an allowlisted function.
@@ -254,9 +378,10 @@ func helper() int { return 1 }
 }
 
 // TestGateSeededViolations shows each gate failing: every case adds one
-// violation to synthModule, or to a one-command README, and the gates must
-// report exactly what it breaks. The gofmt gate runs on every synthModule
-// case, so the clean module is gofmt-formatted too.
+// violation to synthModule, to a golden tree beside it, or to a
+// one-command README, and the gates must report exactly what it breaks.
+// The gofmt gate runs on every synthModule case, so the clean module is
+// gofmt-formatted too.
 func TestGateSeededViolations(t *testing.T) {
 	tiers := []tier{{"low", []string{"internal/low"}}, {"high", []string{"internal/high"}}, {"top", []string{"."}}}
 	rows := []importRow{{name: "low_stays_low", from: []string{"internal/low"}, never: []string{"internal/high"}}}
@@ -280,20 +405,11 @@ func TestGateSeededViolations(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			dir := t.TempDir()
 			files := maps.Clone(synthModule)
 			if c.file != "" {
 				files["internal/low/seeded.go"] = "package low\n\n" + c.file
 			}
-			for name, src := range files {
-				path := filepath.Join(dir, filepath.FromSlash(name))
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
+			dir := writeFiles(t, files)
 			p, err := loadProgram(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -306,6 +422,51 @@ func TestGateSeededViolations(t *testing.T) {
 			wantProblems(t, slices.Concat(importProblems(p.imports, tiers, rows), dead, unformatted), c.want)
 		})
 	}
+
+	// The golden gate, with synthModule's schema constant low.Schema at 2
+	// and one golden whose manifest line records it: a seeded case edits
+	// the golden, adds one, or names a constant that does not exist.
+	t.Run("goldens", func(t *testing.T) {
+		t.Parallel()
+		files := maps.Clone(synthModule)
+		files["internal/low/schema.go"] = "package low\n\nconst Schema = 2\n"
+		p, err := loadProgram(writeFiles(t, files))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const gold = "internal/low/testdata/golden.txt"
+		line := func(content, covers string) string {
+			return fmt.Sprintf("%s %x %s\n", gold, sha256.Sum256([]byte(content)), covers)
+		}
+		for _, c := range []struct {
+			name, content, manifest, extra string // extra: one more testdata file
+			want                           []string
+		}{
+			{name: "goldens_listed", content: "v1\n", manifest: line("v1\n", "low.Schema=2"), extra: "internal/low/testdata/fuzz/FuzzX/seed"},
+			{name: "golden_bumped", content: "v2\n", manifest: line("v1\n", "low.Schema=1")},
+			{name: "golden_without_bump", content: "v2\n", manifest: line("v1\n", "low.Schema=2"), want: []string{
+				gold + " changed with no schema bump (low.Schema=2 as recorded): bump low.Schema"}},
+			{name: "unlisted_golden", content: "v1\n", manifest: line("v1\n", "low.Schema=2"), extra: "internal/low/testdata/golden_new.txt",
+				want: []string{"internal/low/testdata/golden_new.txt is in no line of testdata/GOLDENS"}},
+			{name: "missing_constant", content: "v1\n", manifest: line("v1\n", "low.Gone=1"),
+				want: []string{"testdata/GOLDENS names low.Gone for " + gold + ", and no package declares that constant"}},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				tree := map[string]string{gold: c.content, goldensPath: c.manifest}
+				if c.extra != "" {
+					tree[c.extra] = "x"
+				}
+				problems, manifest, err := goldenProblems(p, writeFiles(t, tree))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantProblems(t, problems, c.want)
+				if rewritten := line(c.content, "low.Schema=2"); len(c.want) == 0 && !strings.HasSuffix(manifest, "\n"+rewritten) {
+					t.Errorf("rewritten manifest:\n%s\nwant its line %q", manifest, rewritten)
+				}
+			})
+		}
+	})
 
 	// The flag/doc gate over a one-command README: a flag the docs still
 	// name after the command dropped it, and a flag the command gained
@@ -328,6 +489,23 @@ func TestGateSeededViolations(t *testing.T) {
 			wantProblems(t, problems, c.want)
 		})
 	}
+}
+
+// writeFiles writes files, keyed by slash-separated relative path, under a
+// fresh temporary directory and returns it.
+func writeFiles(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, src := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }
 
 // wantProblems checks that a gate reported one problem per want, in order,

@@ -3,21 +3,18 @@ package cmfsd
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"flag"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"mfdl/internal/correlation"
 	"mfdl/internal/fluid"
+	"mfdl/internal/golden"
 	"mfdl/internal/mtcd"
 	"mfdl/internal/numeric/ode"
 )
-
-var updateFluidGolden = flag.Bool("update", false, "rewrite testdata/fluid_bitgolden.txt")
 
 // stateDigest is the sha256 of the steady-state vector's Float64bits in
 // little-endian order: any change to an iterate's arithmetic shows up here,
@@ -112,33 +109,8 @@ func fluidGoldenLines(t *testing.T) []string {
 }
 
 // TestFluidBitGolden pins the fluid solvers' steady states bit-for-bit.
-// Regenerate (a reviewed act: it means the iterates changed) with
-// go test ./internal/cmfsd -run FluidBitGolden -update.
+// Regenerating it is a reviewed act: it means the iterates changed
+// (make regolden, DESIGN.md §10b).
 func TestFluidBitGolden(t *testing.T) {
-	got := strings.Join(fluidGoldenLines(t), "\n") + "\n"
-	path := filepath.Join("testdata", "fluid_bitgolden.txt")
-	if *updateFluidGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing fluid bit golden (run with -update): %v", err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Errorf("line %d drifted:\n got  %s\n want %s", i+1, gl[i], wl[i])
-			}
-		}
-		if len(gl) != len(wl) {
-			t.Errorf("golden has %d lines, got %d", len(wl), len(gl))
-		}
-	}
+	golden.Check(t, filepath.Join("testdata", "fluid_bitgolden.txt"), strings.Join(fluidGoldenLines(t), "\n")+"\n")
 }

@@ -1,20 +1,18 @@
 package eventsim
 
 import (
-	"flag"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"mfdl/internal/adapt"
 	"mfdl/internal/faults"
+	"mfdl/internal/golden"
 	"mfdl/internal/scheme"
 )
-
-var updateBitGolden = flag.Bool("update-bitgolden", false, "rewrite the bit-exact simulator goldens")
 
 // bitGoldenCases spans every scheme, fault injection, the Adapt
 // controller (cmfsd-adapt-fast with a period and thresholds tight enough
@@ -131,21 +129,15 @@ func digestResult(r *Result) string {
 }
 
 // TestBitGolden pins the flow-level simulator bit-for-bit across the
-// configuration matrix. Regenerate (a reviewed act) with
-// go test ./internal/eventsim -run BitGolden -update-bitgolden.
+// configuration matrix. Regenerating it is a reviewed act (make regolden,
+// DESIGN.md §10b).
 func TestBitGolden(t *testing.T) {
 	cases := bitGoldenCases()
 	names := make([]string, 0, len(cases))
 	for name := range cases {
 		names = append(names, name)
 	}
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
+	sort.Strings(names)
 	var sb strings.Builder
 	for _, name := range names {
 		res, err := Run(cases[name])
@@ -154,22 +146,5 @@ func TestBitGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&sb, "%s: %s\n", name, digestResult(res))
 	}
-	got := sb.String()
-	path := filepath.Join("testdata", "bitgolden.txt")
-	if *updateBitGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing bit golden (run with -update-bitgolden): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("bit-exact simulator golden drifted.\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "bitgolden.txt"), sb.String())
 }

@@ -3,12 +3,12 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"mfdl/internal/adapt"
 	"mfdl/internal/fluid"
+	"mfdl/internal/golden"
 	"mfdl/internal/obs"
 	"mfdl/internal/runner/diskcache"
 	"mfdl/internal/swarm"
@@ -40,24 +40,12 @@ func render(t *testing.T, tb *table.Table) string {
 	return buf.String()
 }
 
-// checkGolden compares got against testdata/<name> byte-for-byte.
-func checkGolden(t *testing.T, name, got string) {
-	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("%s: output diverged from pre-refactor golden\n--- got ---\n%s--- want ---\n%s", name, got, want)
-	}
-}
-
 func TestSimValidateGolden(t *testing.T) {
 	res, err := SimValidate(context.Background(), goldenSettings(), []float64{0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "golden_simvalidate.txt", render(t, res.Table()))
+	golden.Check(t, filepath.Join("testdata", "golden_simvalidate.txt"), render(t, res.Table()))
 }
 
 func TestAdaptSweepGolden(t *testing.T) {
@@ -66,7 +54,7 @@ func TestAdaptSweepGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "golden_adaptsweep.txt", render(t, res.Table()))
+	golden.Check(t, filepath.Join("testdata", "golden_adaptsweep.txt"), render(t, res.Table()))
 }
 
 func TestSwarmCompareGolden(t *testing.T) {
@@ -78,7 +66,7 @@ func TestSwarmCompareGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "golden_swarmcompare.txt", render(t, res.Table()))
+	golden.Check(t, filepath.Join("testdata", "golden_swarmcompare.txt"), render(t, res.Table()))
 }
 
 func TestTransientGolden(t *testing.T) {
@@ -88,7 +76,7 @@ func TestTransientGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "golden_transient.txt", render(t, res.Table()))
+	golden.Check(t, filepath.Join("testdata", "golden_transient.txt"), render(t, res.Table()))
 }
 
 func TestHeteroGolden(t *testing.T) {
@@ -96,7 +84,7 @@ func TestHeteroGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "golden_hetero.txt", render(t, res.Table()))
+	golden.Check(t, filepath.Join("testdata", "golden_hetero.txt"), render(t, res.Table()))
 }
 
 func TestAdaptParamsGolden(t *testing.T) {
@@ -108,7 +96,7 @@ func TestAdaptParamsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "golden_adaptparams.txt", render(t, res.Table()))
+	golden.Check(t, filepath.Join("testdata", "golden_adaptparams.txt"), render(t, res.Table()))
 }
 
 // replicatedCase is one simulator-backed experiment rendered from a
@@ -194,7 +182,7 @@ func TestReplicatedGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, "golden_r3_"+tc.name+".txt", render(t, tb))
+			golden.Check(t, filepath.Join("testdata", "golden_r3_"+tc.name+".txt"), render(t, tb))
 		})
 	}
 }

@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"mfdl/internal/golden"
 	"mfdl/internal/runner"
 	"mfdl/internal/scheme"
 	"mfdl/internal/sim"
@@ -59,11 +59,5 @@ func TestSpecIdentityGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := specIdentity(t, "E9 plan", plan.Spec) + specIdentity(t, "chunk", chunk)
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_spec_identity.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("spec identity diverged from the golden\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "golden_spec_identity.txt"), got)
 }

@@ -2,22 +2,19 @@ package chaos
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mfdl/internal/golden"
 	"mfdl/internal/obs"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden fault schedule")
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
@@ -82,22 +79,7 @@ func TestFaultScheduleGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := formatSchedule(p)
-	path := filepath.Join("testdata", "schedule_golden.txt")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden: %v (run with -update to create it)", err)
-	}
-	if got != string(want) {
-		t.Fatalf("fault schedule drifted from the golden:\n got:\n%s\nwant:\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "schedule_golden.txt"), got)
 	// Sanity: the golden exercises every kind at least once.
 	for _, kind := range []string{"drop=true", "err5xx=true", "corrupt=true"} {
 		if !strings.Contains(got, kind) {

@@ -233,6 +233,9 @@ func TestResidualAtFixedPoint(t *testing.T) {
 	if r := Residual(m, []float64{x, y}); r > 1e-12 {
 		t.Fatalf("residual at analytic fixed point = %v", r)
 	}
+	if r := Residual(m, []float64{x, math.NaN()}); !math.IsNaN(r) {
+		t.Fatalf("residual of a NaN state = %v, want NaN", r)
+	}
 }
 
 func TestSteadyStateHybridMatchesRelaxation(t *testing.T) {

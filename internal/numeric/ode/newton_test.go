@@ -31,11 +31,23 @@ func TestNewtonSteadyStateNonlinear(t *testing.T) {
 	}
 }
 
+// The second system has its root at 1, where it is NaN: x − 1 up to 0.5,
+// NaN above. A trial whose residual is NaN must not pass for a converged
+// one; before MaxNorm saw NaN, Newton returned x ≈ 1 − 3e-11 and no error.
 func TestNewtonSteadyStateFailsOnRootlessSystem(t *testing.T) {
-	rhs := func(t float64, x, dst []float64) { dst[0] = 1 + x[0]*x[0] }
-	x := []float64{0}
-	if err := NewtonSteadyState(rhs, x, 1e-12); err == nil {
-		t.Fatal("rootless system converged")
+	for name, rhs := range map[string]RHS{
+		"1+x²": func(_ float64, x, dst []float64) { dst[0] = 1 + x[0]*x[0] },
+		"x-1, NaN above 0.5": func(_ float64, x, dst []float64) {
+			dst[0] = x[0] - 1
+			if x[0] > 0.5 {
+				dst[0] = math.NaN()
+			}
+		},
+	} {
+		x := []float64{0}
+		if err := NewtonSteadyState(rhs, x, 1e-12); err == nil {
+			t.Errorf("%s: rootless system converged to x = %v", name, x[0])
+		}
 	}
 }
 

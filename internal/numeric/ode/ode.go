@@ -62,8 +62,9 @@ func (s *RK4) Step(f RHS, t float64, x []float64, h float64) {
 }
 
 // checkSpan rejects a fixed-step integration from t0 to t1 with step h
-// unless h is positive and finite, t0 and t1 are finite and t1 >= t0;
-// every comparison is written so that NaN fails it.
+// unless h is positive and finite, t0 and t1 are finite, t1 >= t0, and h
+// spans a float at max(|t0|, |t1|), below which `t += h` can stop
+// advancing; every comparison is written so that NaN fails it.
 func checkSpan(t0, t1, h float64) error {
 	if !(h > 0 && h <= math.MaxFloat64) {
 		return fmt.Errorf("ode: step size %v must be positive and finite", h)
@@ -73,6 +74,9 @@ func checkSpan(t0, t1, h float64) error {
 	}
 	if !(t1 >= t0) {
 		return errors.New("ode: t1 must be >= t0")
+	}
+	if m := math.Max(math.Abs(t0), math.Abs(t1)); !(h >= math.Nextafter(m, math.Inf(1))-m) {
+		return fmt.Errorf("ode: step size %v is below the spacing of floats at t = %v", h, m)
 	}
 	return nil
 }
@@ -131,12 +135,14 @@ func Trajectory(s *RK4, f RHS, t0, t1 float64, x []float64, h float64, every int
 	return out, nil
 }
 
-// MaxNorm returns the infinity norm of v.
+// MaxNorm returns the infinity norm of v, or NaN if any component is NaN.
 func MaxNorm(v []float64) float64 {
 	m := 0.0
 	for _, x := range v {
 		if a := math.Abs(x); a > m {
 			m = a
+		} else if a != a {
+			return a
 		}
 	}
 	return m
@@ -177,9 +183,12 @@ var ErrNoConvergence = errors.New("ode: steady state not reached within MaxTime"
 // below tolerance, returning the fixed point and the simulated time spent.
 // x is modified in place. The RHS must be autonomous in the sense that its
 // explicit t-dependence vanishes in the long run (all fluid models here are
-// autonomous).
+// autonomous). Step and MaxTime must pass Integrate's span check.
 func SteadyState(s *RK4, f RHS, x []float64, opt SteadyStateOptions) (float64, error) {
 	opt.defaults()
+	if err := checkSpan(0, opt.MaxTime, opt.Step); err != nil {
+		return 0, err
+	}
 	dim := len(x)
 	resid := make([]float64, dim)
 	t := 0.0

@@ -85,7 +85,9 @@ func TestIntegrateFinalPartialStep(t *testing.T) {
 // badSpans are fixed-step integrations Integrate and Trajectory must
 // refuse. Before they were refused, a NaN h ran one NaN step and returned
 // a NaN time with no error, a NaN t1 returned at once with x untouched,
-// and t1 = +Inf never returned.
+// and t1 = +Inf never returned; neither did a step below the spacing of
+// floats at t, where `t += h` stops advancing: at once at 1e17, or at
+// 2^53 + 4, where a step of 1 ties and rounds back to t.
 var badSpans = []struct {
 	name      string
 	t0, t1, h float64
@@ -99,13 +101,27 @@ var badSpans = []struct {
 	{"t1=NaN", 0, math.NaN(), 0.1},
 	{"t0=-Inf", math.Inf(-1), 1, 0.1},
 	{"t1=+Inf", 0, math.Inf(1), 0.1},
+	{"h<ulp(t0)", 1e17, 1e17 + 1e3, 1},
+	{"h=ulp(t)/2", 1<<53 + 2, 1<<53 + 6, 1},
+}
+
+// bounded wraps f so that it fails the test after 10^5 evaluations: a span
+// that should have been refused fails fast instead of hanging.
+func bounded(t *testing.T, f RHS) RHS {
+	n := 0
+	return func(tt float64, x, dst []float64) {
+		if n++; n > 1e5 {
+			t.Fatalf("10^5 RHS evaluations, now at t = %v: the span was not refused", tt)
+		}
+		f(tt, x, dst)
+	}
 }
 
 func TestIntegrateRejectsBadArgs(t *testing.T) {
 	for _, c := range badSpans {
 		t.Run(c.name, func(t *testing.T) {
 			x := []float64{1}
-			if _, err := Integrate(NewRK4(1), expDecay, c.t0, c.t1, x, c.h); err == nil {
+			if _, err := Integrate(NewRK4(1), bounded(t, expDecay), c.t0, c.t1, x, c.h); err == nil {
 				t.Fatalf("t0=%v t1=%v h=%v accepted", c.t0, c.t1, c.h)
 			}
 			if x[0] != 1 {
@@ -118,10 +134,24 @@ func TestIntegrateRejectsBadArgs(t *testing.T) {
 func TestTrajectoryRejectsBadArgs(t *testing.T) {
 	for _, c := range badSpans {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Trajectory(NewRK4(1), expDecay, c.t0, c.t1, []float64{1}, c.h, 1); err == nil {
+			if _, err := Trajectory(NewRK4(1), bounded(t, expDecay), c.t0, c.t1, []float64{1}, c.h, 1); err == nil {
 				t.Fatalf("t0=%v t1=%v h=%v accepted", c.t0, c.t1, c.h)
 			}
 		})
+	}
+}
+
+// SteadyState steps t from 0 to MaxTime itself, so its defaulted options
+// pass the same span check: each of these never returned before.
+func TestSteadyStateRejectsBadOptions(t *testing.T) {
+	grow := func(_ float64, _, dst []float64) { dst[0] = 1 }
+	for _, opt := range []SteadyStateOptions{
+		{Step: 1, MaxTime: 1e17},
+		{MaxTime: math.Inf(1)},
+	} {
+		if _, err := SteadyState(NewRK4(1), bounded(t, grow), []float64{0}, opt); err == nil {
+			t.Errorf("%+v accepted", opt)
+		}
 	}
 }
 
@@ -204,6 +234,12 @@ func TestMaxNorm(t *testing.T) {
 	}
 	if got := MaxNorm([]float64{1, -7, 3}); got != 7 {
 		t.Fatalf("MaxNorm = %v", got)
+	}
+	nan := math.NaN()
+	for _, v := range [][]float64{{nan}, {nan, 7}, {1, nan, 7}, {7, nan}} {
+		if got := MaxNorm(v); !math.IsNaN(got) {
+			t.Errorf("MaxNorm(%v) = %v, want NaN", v, got)
+		}
 	}
 }
 

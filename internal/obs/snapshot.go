@@ -158,9 +158,9 @@ func (s *Snapshot) normalize() {
 	})
 }
 
-// validate checks structural sanity: schema version, legal names and
-// label keys, known kinds, bucket slices matching the bounds, parseable
-// float strings, and no duplicate families or series.
+// validate checks a normalized snapshot: schema version, legal names and
+// label keys with none repeated, known kinds, bucket slices matching the
+// bounds, parseable float strings, and no duplicate families or series.
 func (s *Snapshot) validate() error {
 	if s.Schema != SnapshotSchemaVersion {
 		return fmt.Errorf("obs: snapshot schema %d, this build speaks %d", s.Schema, SnapshotSchemaVersion)
@@ -190,12 +190,12 @@ func (s *Snapshot) validate() error {
 		seenSeries := map[string]bool{}
 		for si := range f.Series {
 			se := &f.Series[si]
-			for _, l := range se.Labels {
-				if !validLabelKey(l.Key) {
-					return fmt.Errorf("obs: snapshot family %q has invalid label key %q", f.Name, l.Key)
+			for i, l := range se.Labels {
+				if !validLabelKey(l.Key) || i > 0 && se.Labels[i-1].Key == l.Key {
+					return fmt.Errorf("obs: snapshot family %q has an invalid or repeated label key %q", f.Name, l.Key)
 				}
 			}
-			sig := signature(sortedLabels(f.Name, se.Labels))
+			sig := signature(se.Labels)
 			if seenSeries[sig] {
 				return fmt.Errorf("obs: snapshot family %q has duplicate series {%s}", f.Name, sig)
 			}

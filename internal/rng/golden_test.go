@@ -1,16 +1,14 @@
 package rng
 
 import (
-	"flag"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/stream.txt")
+	"mfdl/internal/golden"
+)
 
 // goldenStream renders a fixed tour of one seed's stream: every variate
 // the simulators draw, in one sequence, so a change to any generator's
@@ -60,26 +58,8 @@ func goldenStream(seed uint64) string {
 
 // TestGoldenStream pins the generator bit-for-bit for two seeds, so an
 // rng micro-optimisation that changes a value or a draw count fails here
-// before it reaches a simulator digest. Regenerating it (go test
-// ./internal/rng -run GoldenStream -update-golden) is a re-golden event
-// for every simulator.
+// before it reaches a simulator digest. Regenerating it is a re-golden
+// event for every simulator (make regolden, DESIGN.md §10b).
 func TestGoldenStream(t *testing.T) {
-	got := goldenStream(1) + goldenStream(20260930)
-	path := filepath.Join("testdata", "stream.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update-golden): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("rng stream drifted.\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "stream.txt"), goldenStream(1)+goldenStream(20260930))
 }

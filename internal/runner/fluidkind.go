@@ -16,8 +16,8 @@ func init() {
 }
 
 // validateFluidSweep holds the fluid-specific half of JobSpec.Validate:
-// the base operating point must be finite, every swept dimension must name
-// a knob of the solve Key, and there is no params payload to carry.
+// a finite base operating point, every swept dimension a knob of the solve
+// Key, at most MaxJobCells cells, and no params payload to carry.
 func validateFluidSweep(s JobSpec) error {
 	if len(s.Params) > 0 {
 		return fmt.Errorf("runner: %s jobs carry no params", JobKindFluidSweep)
@@ -30,10 +30,13 @@ func validateFluidSweep(s JobSpec) error {
 			return fmt.Errorf("runner: job base parameter %v is not finite", v)
 		}
 	}
-	probe := s.Base
+	probe, cells := s.Base, 1
 	for _, d := range s.Dims {
 		if err := SetKeyDim(&probe, d.Name, d.Values[0]); err != nil {
 			return err
+		}
+		if cells *= len(d.Values); cells > MaxJobCells {
+			return fmt.Errorf("runner: job of more than %d cells is past the cap", MaxJobCells)
 		}
 	}
 	return nil

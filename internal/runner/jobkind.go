@@ -52,6 +52,12 @@ type JobKind struct {
 	SampleRef func(spec JobSpec, cell int) (key string, seed uint64, ok bool)
 }
 
+// MaxJobCells caps every kind's Job.Cells, and the replica indices a
+// sim-replica cell draws: a coordinator keeps state per cell and a seed
+// derivation walks the index, so an uncapped served spec could exhaust
+// its memory or pin a worker. 2^20 is far past any real job.
+const MaxJobCells = 1 << 20
+
 // Job is a JobSpec validated and decoded once for execution: the cell
 // count and the per-cell closures. It is immutable after Prepare and safe
 // for concurrent use — one Job serves every cell of a run, locally or in a

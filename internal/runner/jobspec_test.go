@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -102,6 +103,57 @@ func TestJobSpecValidateRejects(t *testing.T) {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid spec", name)
 		}
+	}
+}
+
+// hugeFluidSpecs are 7 KB fluid-sweep specs whose grids overflow an int:
+// the eight key dims at 256 values each multiply to 2^64, which wrapped to
+// 0 cells, and with the last at 128 to 2^63, which wrapped to math.MinInt,
+// a length fabric.NewCoordinator then allocated its cell states with.
+func hugeFluidSpecs() []JobSpec {
+	var specs []JobSpec
+	for _, last := range []int{256, 128} {
+		s := testJobSpec()
+		s.Dims = nil
+		for i, name := range KeyDims {
+			values := make([]float64, 256)
+			if i == len(KeyDims)-1 {
+				values = values[:last]
+			}
+			for j := range values {
+				values[j] = float64(j + 1)
+			}
+			s.Dims = append(s.Dims, Dim{Name: name, Values: values})
+		}
+		specs = append(specs, s)
+	}
+	return specs
+}
+
+// A grid whose size overflows an int, or a fluid-sweep job past
+// MaxJobCells, is refused on every path in: NewGrid, Validate and
+// ParseJobSpec.
+func TestJobCellsBounded(t *testing.T) {
+	for _, s := range hugeFluidSpecs() {
+		if _, err := NewGrid(s.Dims...); err == nil {
+			t.Errorf("NewGrid accepted %d dims whose sizes overflow an int", len(s.Dims))
+		}
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec, err := ParseJobSpec(data); err == nil {
+			t.Errorf("a %d-byte spec whose grid overflows an int parsed to %d cells", len(data), spec.job.Cells)
+		}
+	}
+	s := testJobSpec()
+	s.Dims = []Dim{{Name: "p", Values: make([]float64, 1024)}, {Name: "rho", Values: make([]float64, 1024)}}
+	if n, err := s.CellCount(); err != nil || n != MaxJobCells {
+		t.Fatalf("a job of exactly MaxJobCells cells: %d cells, %v", n, err)
+	}
+	s.Dims[1].Values = make([]float64, 1025)
+	if err := s.Validate(); err == nil {
+		t.Errorf("a job of %d cells validated, past the cap of %d", 1024*1025, MaxJobCells)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -52,9 +53,10 @@ type Grid struct {
 }
 
 // NewGrid validates the dimensions and returns a Grid. Every dimension
-// needs a unique non-empty name and at least one value.
+// needs a unique non-empty name and a value; the size must fit an int.
 func NewGrid(dims ...Dim) (Grid, error) {
 	seen := map[string]bool{}
+	size := 1
 	for _, d := range dims {
 		if d.Name == "" {
 			return Grid{}, fmt.Errorf("runner: dimension with empty name")
@@ -66,6 +68,10 @@ func NewGrid(dims ...Dim) (Grid, error) {
 		if len(d.Values) == 0 {
 			return Grid{}, fmt.Errorf("runner: dimension %q has no values", d.Name)
 		}
+		if size > math.MaxInt/len(d.Values) {
+			return Grid{}, fmt.Errorf("runner: grid of more than %d cells", math.MaxInt)
+		}
+		size *= len(d.Values)
 	}
 	copied := make([]Dim, len(dims))
 	for i, d := range dims {

@@ -2,13 +2,13 @@ package sim
 
 import (
 	"encoding/hex"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"mfdl/internal/eventsim"
 	"mfdl/internal/faults"
 	"mfdl/internal/fluid"
+	"mfdl/internal/golden"
 	"mfdl/internal/replica"
 	"mfdl/internal/scheme"
 	"mfdl/internal/swarm"
@@ -67,11 +67,5 @@ func goldenSamples(t *testing.T) string {
 // TestSampleBytesGolden pins both backends' sample bytes: a changed key or
 // value would make every stored sample and checkpointed payload miss.
 func TestSampleBytesGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_samples.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := goldenSamples(t); got != string(want) {
-		t.Errorf("sample bytes diverged from the golden\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "golden_samples.txt"), goldenSamples(t))
 }

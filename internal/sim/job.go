@@ -143,18 +143,10 @@ type layout struct {
 	first, off []int
 }
 
-// MaxJobCells caps a sim-replica job's executable cells (its replicas
-// summed over its grid cells) and the replica indices any cell draws up
-// to. A coordinator keeps state for every executable cell and a replica's
-// seed derivation walks its index, so an uncapped count in a served spec
-// would exhaust a coordinator's memory or pin a worker; 2^20 is far past
-// any stopping rule's replica budget.
-const MaxJobCells = 1 << 20
-
 // newLayout checks the spelling of the per-cell counts (p.Replicas, else
 // the spec's Replicas, 0 meaning 1) and first indices and sums them — the
 // one place that does, so the one that refuses an int overflow and a job
-// past MaxJobCells. Every spec reaches it through Prepare, ParseJobSpec's
+// past runner.MaxJobCells. Every spec reaches it through Prepare, ParseJobSpec's
 // included.
 func newLayout(spec runner.JobSpec, p JobParams) (layout, error) {
 	n := len(p.Cells)
@@ -185,9 +177,9 @@ func newLayout(spec runner.JobSpec, p JobParams) (layout, error) {
 		l.off[c+1] = l.off[c] + count
 		lastRep = max(lastRep, l.first[c]+count)
 	}
-	if l.cells() > MaxJobCells || lastRep > MaxJobCells {
+	if l.cells() > runner.MaxJobCells || lastRep > runner.MaxJobCells {
 		return layout{}, fmt.Errorf("sim: job of %d executable cells drawing replicas below index %d is past the cap of %d",
-			l.cells(), lastRep, MaxJobCells)
+			l.cells(), lastRep, runner.MaxJobCells)
 	}
 	return l, nil
 }

@@ -120,19 +120,19 @@ func TestNewJobSpecErrors(t *testing.T) {
 	}
 }
 
-// A job past MaxJobCells executable cells or replica indices is refused
+// A job past runner.MaxJobCells executable cells or replica indices is refused
 // where a spec is built and, for a served spec, where it is parsed.
 func TestJobCellCap(t *testing.T) {
 	one := testJobCells(t)[:1]
-	for _, replicas := range []int{1 << 40, MaxJobCells + 1} {
+	for _, replicas := range []int{1 << 40, runner.MaxJobCells + 1} {
 		if _, err := NewJobSpec(one, 1, replicas); err == nil || !strings.Contains(err.Error(), "cap") {
 			t.Errorf("one cell of %d replicas: err = %v, want the cap", replicas, err)
 		}
 	}
-	if _, err := NewJobSpec(testJobCells(t), 1, MaxJobCells/2+1); err == nil || !strings.Contains(err.Error(), "cap") {
+	if _, err := NewJobSpec(testJobCells(t), 1, runner.MaxJobCells/2+1); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Errorf("two cells past the cap together: err = %v", err)
 	}
-	if _, err := NewJobSpec(one, 1, MaxJobCells); err != nil {
+	if _, err := NewJobSpec(one, 1, runner.MaxJobCells); err != nil {
 		t.Errorf("one cell at the cap: %v", err)
 	}
 	spec, err := NewJobSpec(one, 1, 2)
