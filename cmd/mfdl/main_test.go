@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mfdl/internal/golden"
 )
 
 // capture runs f with os.Stdout redirected and returns what it printed.
@@ -75,6 +77,17 @@ func TestFig2CSV(t *testing.T) {
 	if !strings.Contains(out, "p,MTCD,MTSD") {
 		t.Fatalf("csv header missing:\n%s", out)
 	}
+}
+
+// The paper's printed fluid tables — every table 'all' prints, at the
+// default flags — pinned byte for byte. They are re-derived from solves a
+// disk cache keeps, so the golden moves only with that store's schema.
+func TestAllCSVGolden(t *testing.T) {
+	out, err := capture(t, func() error { return run([]string{"-format", "csv", "all"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "testdata/golden_all.csv", out)
 }
 
 func TestValidateSubcommand(t *testing.T) {
