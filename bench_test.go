@@ -23,9 +23,9 @@ import (
 // BenchmarkFig2 regenerates Figure 2: average online time per file vs file
 // correlation, MTCD vs MTSD (experiment E2).
 func BenchmarkFig2(b *testing.B) {
-	grid := experiments.PGrid(0, 1, 20)
+	grid := runner.Linspace(0, 1, 20)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig2(experiments.PaperConfig, grid); err != nil {
+		if _, err := experiments.Fig2(context.Background(), experiments.PaperConfig, grid); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func BenchmarkCheatingSweep(b *testing.B) {
 // BenchmarkKScaling regenerates the collaboration-gain-vs-K study (E14).
 func BenchmarkKScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.KScaling(experiments.PaperConfig, 0.9,
+		if _, err := experiments.KScaling(context.Background(), experiments.PaperConfig, 0.9,
 			[]int{2, 5, 10}); err != nil {
 			b.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func BenchmarkKScaling(b *testing.B) {
 // E10).
 func BenchmarkEtaAblation(b *testing.B) {
 	etas := []float64{0.25, 0.5, 0.75, 1.0}
-	grid := experiments.PGrid(0, 1, 20)
+	grid := runner.Linspace(0, 1, 20)
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.EtaAblation(context.Background(), experiments.PaperConfig, etas, grid); err != nil {
 			b.Fatal(err)

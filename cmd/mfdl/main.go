@@ -120,7 +120,7 @@ var artifacts = []artifact{
 		return one(experiments.Validate(e.cfg))
 	}},
 	{"fig2", true, []string{"fig2"}, func(e *env) ([]*table.Table, error) {
-		return one(experiments.Fig2(e.cfg, experiments.PGrid(0, 1, e.steps)))
+		return one(experiments.Fig2(e.ctx, e.cfg, runner.Linspace(0, 1, e.steps)))
 	}},
 	{"fig3", true, []string{"fig3_p01", "fig3_p10"}, func(e *env) ([]*table.Table, error) {
 		var tbs []*table.Table
@@ -135,7 +135,7 @@ var artifacts = []artifact{
 	}},
 	{"fig4a", true, []string{"fig4a"}, func(e *env) ([]*table.Table, error) {
 		return one(experiments.Fig4A(e.ctx, e.cfg,
-			experiments.PGrid(0.1, 1, e.steps/2), experiments.PGrid(0, 1, 10)))
+			runner.Linspace(0.1, 1, e.steps/2), runner.Linspace(0, 1, 10)))
 	}},
 	{"fig4b", true, []string{"fig4b"}, func(e *env) ([]*table.Table, error) {
 		return one(experiments.Fig4BC(e.cfg, 0.9, 0.1, 0.9))
@@ -152,14 +152,14 @@ var artifacts = []artifact{
 	}},
 	{"eta", true, []string{"eta_ablation"}, func(e *env) ([]*table.Table, error) {
 		return one(experiments.EtaAblation(e.ctx, e.cfg,
-			[]float64{0.25, 0.5, 0.75, 1.0}, experiments.PGrid(0, 1, e.steps)))
+			[]float64{0.25, 0.5, 0.75, 1.0}, runner.Linspace(0, 1, e.steps)))
 	}},
 	{"cheating", true, []string{"cheating"}, func(e *env) ([]*table.Table, error) {
 		return one(experiments.CheatingSweep(e.cfg, 0.9, 0,
 			[]float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}))
 	}},
 	{"kscaling", true, []string{"kscaling"}, func(e *env) ([]*table.Table, error) {
-		return one(experiments.KScaling(e.cfg, 0.9, []int{1, 2, 3, 5, 8, 10, 12, 15, 20}))
+		return one(experiments.KScaling(e.ctx, e.cfg, 0.9, []int{1, 2, 3, 5, 8, 10, 12, 15, 20}))
 	}},
 	{"simvalidate", false, nil, func(e *env) ([]*table.Table, error) {
 		return one(experiments.SimValidate(e.ctx, e.set, []float64{0.5, 0.9}))

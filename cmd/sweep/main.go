@@ -45,12 +45,10 @@ import (
 	"flag"
 
 	"mfdl/internal/experiments"
-	"mfdl/internal/fluid"
 	"mfdl/internal/gridflag"
 	"mfdl/internal/obs"
 	"mfdl/internal/runner"
 	"mfdl/internal/runner/diskcache"
-	"mfdl/internal/scheme"
 )
 
 func main() {
@@ -64,28 +62,17 @@ func run(args []string) error {
 	start := time.Now()
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
-		dim     = fs.String("dim", "p", "swept dimensions (comma-separated): p, rho, k, mu, gamma, eta, lambda0, theta")
-		from    = fs.String("from", "0.05", "sweep start, one value or one per dimension")
-		to      = fs.String("to", "1", "sweep end, one value or one per dimension")
-		steps   = fs.String("steps", "10", "sweep intervals, one value or one per dimension")
-		schemeF = fs.String("scheme", "CMFSD", "scheme: MTCD, MTSD, MFCD, CMFSD")
-		k       = fs.Int("k", 10, "number of files K")
-		mu      = fs.Float64("mu", 0.02, "upload bandwidth μ")
-		eta     = fs.Float64("eta", 0.5, "sharing efficiency η")
-		gamma   = fs.Float64("gamma", 0.05, "seed departure rate γ")
-		lambda0 = fs.Float64("lambda0", 1, "visiting rate λ₀")
-		p       = fs.Float64("p", 0.9, "file correlation p")
-		rho     = fs.Float64("rho", 0, "CMFSD allocation ratio ρ")
-		theta   = fs.Float64("theta", 0, "downloader abort rate θ (0 = paper's churn-free model)")
 		workers = fs.Int("workers", 0, "worker pool size (0 = all cores)")
 		verbose = fs.Bool("progress", false, "report per-cell progress on stderr")
 		stats   = fs.Bool("stats", false, "print cache hit rates, disk usage and per-phase wall-clock on stderr")
 	)
 	var (
+		ff   gridflag.Fluid
 		ofl  obs.Flags
 		ofmt gridflag.Format
 		cf   = gridflag.Store{Name: "cache"}
 	)
+	ff.Register(fs, "")
 	ofl.Register(fs)
 	ofmt.Register(fs)
 	cf.Register(fs, "persistent solve-cache directory shared across runs (empty = in-memory only)")
@@ -95,7 +82,7 @@ func run(args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	sc, err := scheme.Parse(*schemeF)
+	spec, err := ff.Spec()
 	if err != nil {
 		return err
 	}
@@ -109,11 +96,6 @@ func run(args []string) error {
 		return err
 	}
 
-	grid, err := gridflag.Grid(*dim, *from, *to, *steps)
-	if err != nil {
-		return err
-	}
-
 	// A registry exists only when something will consume it (-stats and
 	// -progress render from it; -metrics-out/-trace-out/-pprof export
 	// it). Otherwise spec.Obs stays nil and every instrumentation site in
@@ -123,23 +105,12 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	spec := experiments.SweepSpec{
-		Config: experiments.Config{
-			Params:  fluid.Params{Mu: *mu, Eta: *eta, Gamma: *gamma},
-			K:       *k,
-			Lambda0: *lambda0,
-		},
-		P: *p, Rho: *rho, Theta: *theta,
-		Scheme:   sc,
-		Grid:     grid,
-		Options:  experiments.Options{Workers: *workers, Obs: reg},
-		CacheDir: cf.Dir,
-	}
+	spec.Options, spec.CacheDir = experiments.Options{Workers: *workers, Obs: reg}, cf.Dir
 	if *verbose {
 		// Progress renders from the registry's completed-cell counter:
 		// cells/sec over the solve phase so far, and the ETA for the rest
 		// of the grid at that rate.
-		total := grid.Size()
+		total := spec.Grid.Size()
 		completed := reg.Counter("runner_cells_completed_total")
 		failed := reg.Counter("runner_cells_failed_total")
 		solveStart := time.Now()

@@ -97,6 +97,9 @@ func TestSweepRejections(t *testing.T) {
 		{"-from", "zero"},                       // unparsable bound
 		{"-fabric", "127.0.0.1:0"},              // removed: distribute with sweepd serve
 		{"-retries", "1"},                       // removed: a cell is a pure function, a rerun replays its panic
+		{"-rho", "2"},                           // ρ out of range
+		// k = 1.25 is not a file count; SetKeyDim would round it to 1.
+		{"-dim", "k", "-from", "1", "-to", "2", "-steps", "4"},
 	}
 	for i, args := range cases {
 		if _, err := capture(t, func() error { return run(args) }); err == nil {

@@ -72,11 +72,9 @@ import (
 	"mfdl/internal/experiments"
 	"mfdl/internal/fabric"
 	"mfdl/internal/fabric/chaos"
-	"mfdl/internal/fluid"
 	"mfdl/internal/gridflag"
 	"mfdl/internal/obs"
 	"mfdl/internal/replica"
-	"mfdl/internal/scheme"
 	"mfdl/internal/table"
 )
 
@@ -134,19 +132,6 @@ func serve(args []string) error {
 		addr     = fs.String("addr", "127.0.0.1:8700", "coordinator listen address (port 0 picks a free port)")
 		addrFile = fs.String("addr-file", "", "write the actual listen address to this file (for scripts using port 0)")
 		job      = fs.String("job", "fluid", "job kind to serve: fluid (steady-state sweep) or simvalidate (fluid-vs-simulation)")
-		dim      = fs.String("dim", "p", "fluid: swept dimensions (comma-separated): p, rho, k, mu, gamma, eta, lambda0, theta")
-		from     = fs.String("from", "0.05", "fluid: sweep start, one value or one per dimension")
-		to       = fs.String("to", "1", "fluid: sweep end, one value or one per dimension")
-		steps    = fs.String("steps", "10", "fluid: sweep intervals, one value or one per dimension")
-		schemeF  = fs.String("scheme", "CMFSD", "fluid: scheme: MTCD, MTSD, MFCD, CMFSD")
-		k        = fs.Int("k", 10, "number of files K")
-		mu       = fs.Float64("mu", 0.02, "upload bandwidth μ")
-		eta      = fs.Float64("eta", 0.5, "sharing efficiency η")
-		gamma    = fs.Float64("gamma", 0.05, "seed departure rate γ")
-		lambda0  = fs.Float64("lambda0", 1, "visiting rate λ₀")
-		p        = fs.Float64("p", 0.9, "fluid: file correlation p")
-		rho      = fs.Float64("rho", 0, "fluid: CMFSD allocation ratio ρ")
-		theta    = fs.Float64("theta", 0, "fluid: downloader abort rate θ (0 = paper's churn-free model)")
 		// Simulation flags (-job simvalidate).
 		ps      = fs.String("ps", "0.5,0.9", "simvalidate: comma-separated file correlations, one scheme matrix per value")
 		horizon = fs.Float64("horizon", 4000, "simvalidate: simulated horizon")
@@ -168,10 +153,12 @@ func serve(args []string) error {
 		chaosBlack = fs.String("chaos-blackout", "", "chaos: comma-separated start-end elapsed-time windows (e.g. 2s-4s,30s-35s) during which every request is rejected with 503")
 	)
 	var (
+		ff   gridflag.Fluid
 		ofl  obs.Flags
 		ofmt gridflag.Format
 		rf   = gridflag.Replicas{Seed: 1, Replicas: 1, CIMetric: replica.OnlinePerFile, ReplicasMax: 64}
 	)
+	ff.Register(fs, "fluid: ")
 	ofl.Register(fs)
 	ofmt.Register(fs)
 	rf.Register(fs)
@@ -197,23 +184,11 @@ func serve(args []string) error {
 	}
 	// Lower the job before anything opens: every invalid value is an error
 	// here, and the campaign's listener only opens once there is a job.
-	params := fluid.Params{Mu: *mu, Eta: *eta, Gamma: *gamma}
 	var runJob func(context.Context, *fabric.Campaign) (interface{ Table() *table.Table }, error)
 	switch *job {
 	case "fluid":
-		grid, err := gridflag.Grid(*dim, *from, *to, *steps)
+		spec, err := ff.Spec()
 		if err != nil {
-			return err
-		}
-		sc, err := scheme.Parse(*schemeF)
-		if err != nil {
-			return err
-		}
-		spec := experiments.SweepSpec{
-			Config: experiments.Config{Params: params, K: *k, Lambda0: *lambda0},
-			P:      *p, Rho: *rho, Theta: *theta, Scheme: sc, Grid: grid,
-		}
-		if err := spec.Config.Validate(); err != nil {
 			return err
 		}
 		runJob = func(ctx context.Context, camp *fabric.Campaign) (interface{ Table() *table.Table }, error) {
@@ -229,8 +204,9 @@ func serve(args []string) error {
 			return err
 		}
 		opts.Obs = reg
+		cfg := ff.Config()
 		plan, err := experiments.PlanSimValidate(experiments.SimSettings{
-			Params: params, K: *k, Lambda0: *lambda0,
+			Params: cfg.Params, K: cfg.K, Lambda0: cfg.Lambda0,
 			Horizon: *horizon, Warmup: *warmup, Options: opts,
 		}, psList)
 		if err != nil {

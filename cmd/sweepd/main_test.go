@@ -149,6 +149,9 @@ func TestServeRejectsBeforeListening(t *testing.T) {
 		{"-k", "0"},
 		{"-mu", "NaN"},
 		{"-gamma", "-1"},
+		{"-rho", "2"},
+		{"-theta", "-1"},
+		{"-dim", "k", "-from", "1", "-to", "2", "-steps", "4"},
 		{"-job", "simvalidate", "-replicas", "0"},
 		{"-job", "simvalidate", "-ci-target", "-1"},
 		{"-job", "simvalidate", "-ci-target", "NaN"},

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"testing"
+
+	"mfdl/internal/runner"
 )
 
 // Every experiment must surface configuration errors instead of panicking
@@ -10,7 +12,7 @@ import (
 func TestExperimentsRejectBadConfig(t *testing.T) {
 	bad := PaperConfig
 	bad.K = 0
-	if _, err := Fig2(bad, PGrid(0, 1, 2)); err == nil {
+	if _, err := Fig2(context.Background(), bad, runner.Linspace(0, 1, 2)); err == nil {
 		t.Fatal("Fig2 accepted K=0")
 	}
 	if _, err := Fig3(bad, 0.5); err == nil {

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"mfdl/internal/cmfsd"
 	"mfdl/internal/correlation"
@@ -39,7 +40,6 @@ import (
 	"mfdl/internal/numeric/ode"
 	"mfdl/internal/numeric/rootfind"
 	"mfdl/internal/obs"
-	"mfdl/internal/rng"
 	"mfdl/internal/runner"
 	"mfdl/internal/runner/diskcache"
 	"mfdl/internal/scheme"
@@ -52,8 +52,8 @@ import (
 type Options struct {
 	// Cache, when non-nil, memoizes every steady-state solve — across
 	// figures, across calls and (when the cache carries a disk tier)
-	// across processes. Nil solves directly (or through whatever the
-	// concrete experiment wires, e.g. SweepSpec.CacheDir).
+	// across processes. Nil gives each call a fresh in-memory cache (or
+	// whatever the concrete experiment wires, e.g. SweepSpec.CacheDir).
 	Cache *runner.Cache
 	// Obs, when non-nil, instruments the run: the runner pool's cell
 	// metrics, the solve cache's counters, the replica engine's
@@ -122,31 +122,72 @@ func (c Config) corr(p float64) (*correlation.Model, error) {
 	return correlation.New(c.K, p, c.Lambda0)
 }
 
-// eval solves one scheme at one operating point, through the shared cache
-// when the Config carries one.
+// eval solves one scheme at one operating point through the Config's
+// solve cache, or a fresh one when it carries none.
 func (c Config) eval(sc scheme.Scheme, p, rho float64) (*metrics.SchemeResult, error) {
-	if c.Cache != nil {
-		return c.Cache.Evaluate(runner.Key{
-			Scheme: sc, Params: c.Params, K: c.K, P: p, Lambda0: c.Lambda0, Rho: rho,
-		})
+	cache := c.Cache
+	if cache == nil {
+		cache = runner.NewCache()
 	}
-	corr, err := c.corr(p)
+	return cache.Evaluate(runner.Key{
+		Scheme: sc, Params: c.Params, K: c.K, P: p, Lambda0: c.Lambda0, Rho: rho,
+	})
+}
+
+// onlineGrid evaluates sc's average online time per file over the grid of
+// dims at cfg's operating point and correlation p — one Sweep with
+// cfg.Options — in row-major cell order. No user arrives at p = 0, so
+// there every scheme is the single-torrent limit: the p dimension's zero
+// values are filled from that closed form outside the grid.
+func onlineGrid(ctx context.Context, cfg Config, sc scheme.Scheme, p float64, dims ...runner.Dim) ([]float64, error) {
+	empty := func(d runner.Dim) bool { return len(d.Values) == 0 }
+	if slices.ContainsFunc(dims, empty) {
+		return nil, nil
+	}
+	full, err := runner.NewGrid(dims...)
 	if err != nil {
 		return nil, err
 	}
-	return scheme.Evaluate(sc, c.Params, corr, scheme.Options{Rho: rho})
-}
-
-// PGrid returns n+1 evenly spaced correlation values from lo to hi.
-func PGrid(lo, hi float64, n int) []float64 {
-	if n < 1 {
-		n = 1
+	spec := SweepSpec{Config: cfg, P: p, Scheme: sc, Options: cfg.Options}
+	swept := slices.Clone(dims)
+	for i, d := range swept {
+		if d.Name == "p" {
+			swept[i].Values = slices.DeleteFunc(slices.Clone(d.Values), func(v float64) bool { return v == 0 })
+		}
 	}
-	out := make([]float64, n+1)
-	for i := 0; i <= n; i++ {
-		out[i] = lo + (hi-lo)*float64(i)/float64(n)
+	var cells []SweepCell
+	if !slices.ContainsFunc(swept, empty) {
+		if spec.Grid, err = runner.NewGrid(swept...); err != nil {
+			return nil, err
+		}
+		sw, err := Sweep(ctx, spec)
+		if err != nil {
+			return nil, err
+		}
+		cells = sw.Cells
 	}
-	return out
+	spec.Grid = full
+	job := spec.JobSpec()
+	out := make([]float64, full.Size())
+	for i := range out {
+		pt := full.Point(i)
+		if v, ok := pt.Value("p"); !ok || v != 0 {
+			out[i], cells = cells[0].AvgOnline, cells[1:]
+			continue
+		}
+		key, err := job.CellKey(pt)
+		if err != nil {
+			return nil, err
+		}
+		st, err := fluid.NewSingleTorrent(key.Params, 1)
+		if err != nil {
+			return nil, err
+		}
+		if out[i], err = st.OnlineTime(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Fig2Point is one x-position of Figure 2.
@@ -163,39 +204,24 @@ type Fig2Result struct {
 }
 
 // Fig2 evaluates the MTCD and MTSD average online time per file over the
-// given correlation grid (Figure 2 of the paper).
-func Fig2(cfg Config, pGrid []float64) (*Fig2Result, error) {
+// given correlation grid (Figure 2 of the paper): one p Sweep per scheme
+// with cfg.Options.
+func Fig2(ctx context.Context, cfg Config, pGrid []float64) (*Fig2Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	ps := runner.Dim{Name: "p", Values: pGrid}
+	mtcd, err := onlineGrid(ctx, cfg, scheme.MTCD, 0, ps)
+	if err != nil {
+		return nil, err
+	}
+	mtsd, err := onlineGrid(ctx, cfg, scheme.MTSD, 0, ps)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig2Result{Config: cfg}
-	for _, p := range pGrid {
-		pt := Fig2Point{P: p}
-		if p == 0 {
-			// No arrivals: both schemes degenerate to the single-torrent
-			// limit.
-			st, err := fluid.NewSingleTorrent(cfg.Params, 1)
-			if err != nil {
-				return nil, err
-			}
-			t, err := st.OnlineTime()
-			if err != nil {
-				return nil, err
-			}
-			pt.MTCDOnline, pt.MTSDOnline = t, t
-		} else {
-			rc, err := cfg.eval(scheme.MTCD, p, 0)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: MTCD at p=%v: %w", p, err)
-			}
-			rs, err := cfg.eval(scheme.MTSD, p, 0)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: MTSD at p=%v: %w", p, err)
-			}
-			pt.MTCDOnline = rc.AvgOnlinePerFile()
-			pt.MTSDOnline = rs.AvgOnlinePerFile()
-		}
-		res.Points = append(res.Points, pt)
+	for i, p := range pGrid {
+		res.Points = append(res.Points, Fig2Point{P: p, MTCDOnline: mtcd[i], MTSDOnline: mtsd[i]})
 	}
 	return res, nil
 }
@@ -279,35 +305,21 @@ type Fig4AResult struct {
 }
 
 // Fig4A evaluates the CMFSD average online time per file over the given
-// correlation and allocation-ratio grids (Figure 4(a)). The surface is a
-// p × ρ Sweep with cfg.Options: cells are independent 65-state relaxations
-// fanned out over the runner pool, and canceling ctx aborts the remaining
-// cells promptly.
+// correlation and allocation-ratio grids (Figure 4(a)): a p × ρ Sweep with
+// cfg.Options, whose cells fan out over the runner pool; canceling ctx
+// aborts the remaining cells promptly.
 func Fig4A(ctx context.Context, cfg Config, pGrid, rhoGrid []float64) (*Fig4AResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	online, err := onlineGrid(ctx, cfg, scheme.CMFSD, 0,
+		runner.Dim{Name: "p", Values: pGrid}, runner.Dim{Name: "rho", Values: rhoGrid})
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig4AResult{Config: cfg, PGrid: pGrid, RhoGrid: rhoGrid}
-	res.Online = make([][]float64, len(pGrid))
-	for i := range res.Online {
-		res.Online[i] = make([]float64, len(rhoGrid))
-	}
-	if len(pGrid) == 0 || len(rhoGrid) == 0 {
-		return res, nil
-	}
-	grid, err := runner.NewGrid(
-		runner.Dim{Name: "p", Values: pGrid},
-		runner.Dim{Name: "rho", Values: rhoGrid},
-	)
-	if err != nil {
-		return nil, err
-	}
-	sw, err := Sweep(ctx, SweepSpec{Config: cfg, Scheme: scheme.CMFSD, Grid: grid, Options: cfg.Options})
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range sw.Cells {
-		res.Online[i/len(rhoGrid)][i%len(rhoGrid)] = c.AvgOnline
+	for i := range pGrid {
+		res.Online = append(res.Online, online[i*len(rhoGrid):(i+1)*len(rhoGrid)])
 	}
 	return res, nil
 }
@@ -481,47 +493,18 @@ type EtaAblationResult struct {
 	Online [][]float64
 }
 
-// EtaAblation runs the η sensitivity study (E10). The η × p grid of MTCD
-// solves fans out over the runner pool — each cell is independent — and
-// the result is byte-identical to the serial Fig-2 replay it replaces.
+// EtaAblation runs the η sensitivity study (E10): an η × p Sweep of MTCD
+// with cfg.Options.
 func EtaAblation(ctx context.Context, cfg Config, etas, pGrid []float64) (*EtaAblationResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	online, err := onlineGrid(ctx, cfg, scheme.MTCD, 0,
+		runner.Dim{Name: "eta", Values: etas}, runner.Dim{Name: "p", Values: pGrid})
+	if err != nil {
+		return nil, err
+	}
 	res := &EtaAblationResult{Config: cfg, Etas: etas, PGrid: pGrid}
-	if len(etas) == 0 || len(pGrid) == 0 {
-		return res, nil
-	}
-	grid, err := runner.NewGrid(
-		runner.Dim{Name: "eta", Values: etas},
-		runner.Dim{Name: "p", Values: pGrid},
-	)
-	if err != nil {
-		return nil, err
-	}
-	online, err := runner.Run(ctx, grid,
-		func(_ context.Context, pt runner.Point, _ *rng.Source) (float64, error) {
-			eta, _ := pt.Value("eta")
-			p, _ := pt.Value("p")
-			c := cfg
-			c.Eta = eta
-			if p == 0 {
-				// No arrivals: the single-torrent limit, as in Fig2.
-				st, err := fluid.NewSingleTorrent(c.Params, 1)
-				if err != nil {
-					return 0, err
-				}
-				return st.OnlineTime()
-			}
-			r, err := c.eval(scheme.MTCD, p, 0)
-			if err != nil {
-				return 0, fmt.Errorf("experiments: η=%v: %w", eta, err)
-			}
-			return r.AvgOnlinePerFile(), nil
-		}, runner.Options{})
-	if err != nil {
-		return nil, err
-	}
 	for e := range etas {
 		res.Online = append(res.Online, online[e*len(pGrid):(e+1)*len(pGrid)])
 	}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"mfdl/internal/runner"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -23,24 +25,8 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestPGrid(t *testing.T) {
-	g := PGrid(0, 1, 4)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	if len(g) != 5 {
-		t.Fatalf("grid %v", g)
-	}
-	for i := range want {
-		if math.Abs(g[i]-want[i]) > 1e-12 {
-			t.Fatalf("grid %v", g)
-		}
-	}
-	if g := PGrid(0, 1, 0); len(g) != 2 {
-		t.Fatalf("degenerate grid %v", g)
-	}
-}
-
 func TestFig2Shape(t *testing.T) {
-	res, err := Fig2(PaperConfig, PGrid(0, 1, 10))
+	res, err := Fig2(context.Background(), PaperConfig, runner.Linspace(0, 1, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

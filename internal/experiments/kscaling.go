@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"mfdl/internal/rng"
 	"mfdl/internal/runner"
 	"mfdl/internal/scheme"
 	"mfdl/internal/table"
@@ -27,49 +26,27 @@ type KScalingResult struct {
 	Rows   []KScalingRow
 }
 
-// KScaling evaluates MFCD vs CMFSD(ρ=0) over torrent sizes. The per-K
-// relaxations are independent, so they run in parallel on the runner pool.
-func KScaling(cfg Config, p float64, ks []int) (*KScalingResult, error) {
+// KScaling evaluates MFCD vs CMFSD(ρ=0) over torrent sizes: one k Sweep
+// per scheme with cfg.Options.
+func KScaling(ctx context.Context, cfg Config, p float64, ks []int) (*KScalingResult, error) {
+	k := runner.Dim{Name: "k"}
+	for _, n := range ks {
+		k.Values = append(k.Values, float64(n))
+	}
+	mfcd, err := onlineGrid(ctx, cfg, scheme.MFCD, p, k)
+	if err != nil {
+		return nil, err
+	}
+	collab, err := onlineGrid(ctx, cfg, scheme.CMFSD, p, k)
+	if err != nil {
+		return nil, err
+	}
 	res := &KScalingResult{Config: cfg, P: p}
-	if len(ks) == 0 {
-		return res, nil
+	for i, n := range ks {
+		row := KScalingRow{K: n, MFCD: mfcd[i], CMFSD: collab[i]}
+		row.GainPercent = 100 * (1 - row.CMFSD/row.MFCD)
+		res.Rows = append(res.Rows, row)
 	}
-	grid, err := runner.Indexed("k", len(ks))
-	if err != nil {
-		return nil, err
-	}
-	rows, err := runner.Run(context.Background(), grid,
-		func(_ context.Context, pt runner.Point, _ *rng.Source) (KScalingRow, error) {
-			k := ks[pt.Index]
-			c := cfg
-			c.K = k
-			if err := c.Validate(); err != nil {
-				return KScalingRow{}, err
-			}
-			corr, err := c.corr(p)
-			if err != nil {
-				return KScalingRow{}, err
-			}
-			mfcd, err := scheme.Evaluate(scheme.MFCD, c.Params, corr, scheme.Options{})
-			if err != nil {
-				return KScalingRow{}, fmt.Errorf("experiments: MFCD K=%d: %w", k, err)
-			}
-			collab, err := scheme.Evaluate(scheme.CMFSD, c.Params, corr, scheme.Options{Rho: 0})
-			if err != nil {
-				return KScalingRow{}, fmt.Errorf("experiments: CMFSD K=%d: %w", k, err)
-			}
-			row := KScalingRow{
-				K:     k,
-				MFCD:  mfcd.AvgOnlinePerFile(),
-				CMFSD: collab.AvgOnlinePerFile(),
-			}
-			row.GainPercent = 100 * (1 - row.CMFSD/row.MFCD)
-			return row, nil
-		}, runner.Options{})
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = rows
 	return res, nil
 }
 

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestKScalingShape(t *testing.T) {
-	res, err := KScaling(PaperConfig, 0.9, []int{1, 2, 5, 10, 15})
+	res, err := KScaling(context.Background(), PaperConfig, 0.9, []int{1, 2, 5, 10, 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestKScalingShape(t *testing.T) {
 }
 
 func TestKScalingRejectsBadConfig(t *testing.T) {
-	if _, err := KScaling(PaperConfig, 0.9, []int{0}); err == nil {
+	if _, err := KScaling(context.Background(), PaperConfig, 0.9, []int{0}); err == nil {
 		t.Fatal("K=0 accepted")
 	}
 }

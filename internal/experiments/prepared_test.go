@@ -36,9 +36,9 @@ func TestPreparedJobMatchesSpecTakingEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fig. 4a's surface as the sweep CLI lowers it, coarser in -short mode.
-	pGrid, rhoGrid := PGrid(0.1, 1, 9), PGrid(0, 1, 10)
+	pGrid, rhoGrid := runner.Linspace(0.1, 1, 9), runner.Linspace(0, 1, 10)
 	if testing.Short() {
-		pGrid, rhoGrid = PGrid(0.1, 1, 2), PGrid(0, 1, 2)
+		pGrid, rhoGrid = runner.Linspace(0.1, 1, 2), runner.Linspace(0, 1, 2)
 	}
 	grid, err := runner.NewGrid(runner.Dim{Name: "p", Values: pGrid}, runner.Dim{Name: "rho", Values: rhoGrid})
 	if err != nil {

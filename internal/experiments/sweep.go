@@ -11,11 +11,6 @@ import (
 	"mfdl/internal/table"
 )
 
-// SweepDims lists the dimension names Sweep understands: every swept axis
-// maps onto one knob of the server–torrent system. It aliases the runner's
-// job-dimension list — the sweep is just a JobSpec in experiment clothing.
-var SweepDims = runner.KeyDims
-
 // SweepSpec describes a multi-dimensional parameter study of one scheme:
 // a base operating point plus an N-dimensional grid of overrides. Cells
 // are independent steady-state solves, so Sweep fans them out over a
@@ -38,7 +33,8 @@ type SweepSpec struct {
 	Theta float64
 	// Scheme is the evaluated scheme.
 	Scheme scheme.Scheme
-	// Grid holds the swept dimensions; names must come from SweepDims.
+	// Grid holds the swept dimensions; names must come from
+	// runner.KeyDims.
 	Grid runner.Grid
 	// Options is the shared execution-option surface (workers, obs, seed,
 	// cache). Options.Cache, when set, takes precedence over CacheDir.
@@ -83,32 +79,11 @@ type SweepResult struct {
 	Cells []SweepCell
 }
 
-// applyDim overrides one knob of a solve key, keeping the experiment
-// package's error vocabulary over the runner's job-dimension table.
-func applyDim(key *runner.Key, name string, v float64) error {
-	if err := runner.SetKeyDim(key, name, v); err != nil {
-		return fmt.Errorf("experiments: unknown sweep dimension %q (have %s)",
-			name, strings.Join(SweepDims, ", "))
-	}
-	return nil
-}
-
 // Sweep evaluates the scheme over every cell of the grid. Results are
 // deterministic: cell order, values and errors are independent of the
 // worker count — and of whether the cells were computed locally or by
 // fabric workers against the same JobSpec.
 func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
-	if err := spec.Config.Validate(); err != nil {
-		return nil, err
-	}
-	job := spec.JobSpec()
-	// Reject unknown dimensions before spinning up the pool.
-	for _, d := range spec.Grid.Dims() {
-		probe := job.Base
-		if err := applyDim(&probe, d.Name, d.Values[0]); err != nil {
-			return nil, err
-		}
-	}
 	// A caller's cache keeps the registry it was wired to (and may be in
 	// use by another sweep); only a cache built here reports to spec.Obs.
 	cache := spec.Options.Cache
@@ -123,7 +98,7 @@ func Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 		}
 		cache.WithObs(spec.Obs)
 	}
-	cells, err := runner.RunJob(ctx, job, cache, runner.Options{
+	cells, err := runner.RunJob(ctx, spec.JobSpec(), cache, runner.Options{
 		Workers: spec.Workers, Hooks: spec.Hooks, Obs: spec.Obs,
 	})
 	if err != nil {

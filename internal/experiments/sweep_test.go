@@ -256,7 +256,7 @@ func TestSweepKDimensionMatchesDirectEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks, err := KScaling(PaperConfig, 0.9, []int{2, 5, 10})
+	ks, err := KScaling(context.Background(), PaperConfig, 0.9, []int{2, 5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,5 +264,43 @@ func TestSweepKDimensionMatchesDirectEvaluation(t *testing.T) {
 		if c.AvgOnline != ks.Rows[i].CMFSD {
 			t.Fatalf("k=%v: sweep %v != kscaling %v", c.Values[0], c.AvgOnline, ks.Rows[i].CMFSD)
 		}
+	}
+}
+
+// Fig. 2, E10 and E14 are fluid sweeps run with the caller's Options:
+// their cells go through the runner pool (Obs counts them) and their
+// solves through the caller's cache, so a second run solves nothing. The
+// p = 0 cells are the single-torrent closed form and never reach a grid.
+func TestFluidGridsRunAsSweeps(t *testing.T) {
+	reg, ctx := obs.New(), context.Background()
+	cfg := PaperConfig
+	cfg.Options = Options{Workers: 2, Obs: reg, Cache: runner.NewCache().WithObs(reg)}
+	ps := []float64{0, 0.5, 1}
+	grids := func() {
+		t.Helper()
+		fig2, err := Fig2(ctx, cfg, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt := fig2.Points[0]; pt.MTCDOnline != 80 || pt.MTSDOnline != 80 {
+			t.Fatalf("p = 0: MTCD %v, MTSD %v; want the closed form's 80", pt.MTCDOnline, pt.MTSDOnline)
+		}
+		if _, err := EtaAblation(ctx, cfg, []float64{0.25, 0.5}, ps); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := KScaling(ctx, cfg, 0.9, []int{1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := func(name string) uint64 { return reg.Counter(name).Value() }
+	// Fig. 2: 2 schemes × 2 p; E10: 2 η × 2 p, of which η = 0.5 is Fig. 2's
+	// MTCD; E14: 2 schemes × 3 k.
+	grids()
+	if cells, solves := count("runner_cells_completed_total"), count("solvecache_solves_total"); cells != 14 || solves != 12 {
+		t.Fatalf("first run: %d cells and %d solves, want 14 and 12", cells, solves)
+	}
+	grids()
+	if cells, solves := count("runner_cells_completed_total"), count("solvecache_solves_total"); cells != 28 || solves != 12 {
+		t.Fatalf("second run: %d cells and %d solves in all, want 28 and still 12", cells, solves)
 	}
 }

@@ -5,6 +5,8 @@
 //   - the sweep grid (Grid): -dim names plus -from/-to/-steps lists of one
 //     value per dimension or a single value broadcast to all, and the
 //     plain comma lists (List) and finite floats (Finite) other flags take;
+//   - Fluid: a fluid sweep's grid, -scheme and operating point (-k, -mu,
+//     -eta, -gamma, -lambda0, -p, -rho, -theta), lowered to a SweepSpec;
 //   - Format: -format;
 //   - Replicas: -seed, -replicas, -ci-target, -ci-metric, -replicas-max;
 //   - Store: -<name>-dir, -<name>-prune-age, -<name>-prune-size for the
@@ -25,9 +27,11 @@ import (
 	"time"
 
 	"mfdl/internal/experiments"
+	"mfdl/internal/fluid"
 	"mfdl/internal/obs"
 	"mfdl/internal/runner"
 	"mfdl/internal/runner/diskcache"
+	"mfdl/internal/scheme"
 )
 
 // parse splits a comma-separated list and converts every element; a blank
@@ -108,6 +112,60 @@ func Grid(dim, from, to, steps string) (runner.Grid, error) {
 		dims[i] = runner.Dim{Name: name, Values: runner.Linspace(froms[i], tos[i], stepsN[i])}
 	}
 	return runner.NewGrid(dims...)
+}
+
+// Fluid is a fluid sweep's flags: the grid, the scheme and the operating
+// point the swept dimensions override.
+type Fluid struct {
+	Dim, From, To, Steps, Scheme           string
+	K                                      int
+	Mu, Eta, Gamma, Lambda0, P, Rho, Theta float64
+}
+
+// Register declares the thirteen flags. prefix opens the help of the flags
+// only a fluid sweep reads (sweepd serve, which also serves simulations,
+// passes "fluid: "); the model flags -k, -mu, -eta, -gamma and -lambda0
+// carry none.
+func (f *Fluid) Register(fs *flag.FlagSet, prefix string) {
+	fs.StringVar(&f.Dim, "dim", "p", prefix+"swept dimensions (comma-separated): "+strings.Join(runner.KeyDims, ", "))
+	fs.StringVar(&f.From, "from", "0.05", prefix+"sweep start, one value or one per dimension")
+	fs.StringVar(&f.To, "to", "1", prefix+"sweep end, one value or one per dimension")
+	fs.StringVar(&f.Steps, "steps", "10", prefix+"sweep intervals, one value or one per dimension")
+	fs.StringVar(&f.Scheme, "scheme", "CMFSD", prefix+"scheme: MTCD, MTSD, MFCD, CMFSD")
+	fs.IntVar(&f.K, "k", 10, "number of files K")
+	fs.Float64Var(&f.Mu, "mu", 0.02, "upload bandwidth μ")
+	fs.Float64Var(&f.Eta, "eta", 0.5, "sharing efficiency η")
+	fs.Float64Var(&f.Gamma, "gamma", 0.05, "seed departure rate γ")
+	fs.Float64Var(&f.Lambda0, "lambda0", 1, "visiting rate λ₀")
+	fs.Float64Var(&f.P, "p", 0.9, prefix+"file correlation p")
+	fs.Float64Var(&f.Rho, "rho", 0, prefix+"CMFSD allocation ratio ρ")
+	fs.Float64Var(&f.Theta, "theta", 0, prefix+"downloader abort rate θ (0 = paper's churn-free model)")
+}
+
+// Config returns the model flags as an experiment configuration.
+func (f *Fluid) Config() experiments.Config {
+	return experiments.Config{
+		Params: fluid.Params{Mu: f.Mu, Eta: f.Eta, Gamma: f.Gamma},
+		K:      f.K, Lambda0: f.Lambda0,
+	}
+}
+
+// Spec lowers the flags to a SweepSpec whose job validates, so a value
+// any cell's solve would refuse is an error before the first cell runs.
+func (f *Fluid) Spec() (experiments.SweepSpec, error) {
+	grid, err := Grid(f.Dim, f.From, f.To, f.Steps)
+	if err != nil {
+		return experiments.SweepSpec{}, err
+	}
+	sc, err := scheme.Parse(f.Scheme)
+	if err != nil {
+		return experiments.SweepSpec{}, err
+	}
+	spec := experiments.SweepSpec{Config: f.Config(), P: f.P, Rho: f.Rho, Theta: f.Theta, Scheme: sc, Grid: grid}
+	if err := spec.JobSpec().Validate(); err != nil {
+		return experiments.SweepSpec{}, err
+	}
+	return spec, nil
 }
 
 // Finite rejects a NaN or infinite value in any of the named float flags

@@ -145,3 +145,36 @@ func TestStoreFamily(t *testing.T) {
 		}
 	}
 }
+
+func TestFluidFamily(t *testing.T) {
+	var f Fluid
+	parseFlags(t, func(fs *flag.FlagSet) { f.Register(fs, "fluid: ") })
+	spec, err := f.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Config.K != 10 || spec.P != 0.9 || spec.Config.Gamma != 0.05 || spec.Scheme != "CMFSD" || spec.Grid.Size() != 11 {
+		t.Errorf("defaults lowered to %+v", spec)
+	}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	f.Register(fs, "fluid: ")
+	for name, prefixed := range map[string]bool{"dim": true, "scheme": true, "theta": true, "k": false, "lambda0": false} {
+		if got := strings.HasPrefix(fs.Lookup(name).Usage, "fluid: "); got != prefixed {
+			t.Errorf("-%s: prefixed %v, want %v", name, got, prefixed)
+		}
+	}
+	for _, args := range [][]string{
+		{"-scheme", "FTP"},
+		{"-dim", "flux"},
+		{"-k", "0"},
+		{"-rho", "2"},
+		{"-theta", "-1"},
+		{"-dim", "k", "-from", "1", "-to", "2", "-steps", "4"},
+	} {
+		var f Fluid
+		parseFlags(t, func(fs *flag.FlagSet) { f.Register(fs, "") }, args...)
+		if _, err := f.Spec(); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}

@@ -129,7 +129,7 @@ func (s JobSpec) validate() (JobKind, error) {
 	if s.Replicas < 0 {
 		return JobKind{}, fmt.Errorf("runner: job replicas %d must be >= 0", s.Replicas)
 	}
-	if _, err := s.Grid(); err != nil {
+	if err := checkDims(s.Dims); err != nil {
 		return JobKind{}, err
 	}
 	for _, d := range s.Dims {

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -103,6 +104,47 @@ func TestJobSpecValidateRejects(t *testing.T) {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid spec", name)
 		}
+	}
+}
+
+// A fluid-sweep spec is refused on any value a cell's solve would refuse,
+// before a cell runs: the k = 1.25 that SetKeyDim rounded to 1 and the
+// ρ = 2 that failed only at its first cell both parsed. A base value a
+// swept dimension overrides is not a cell's, so it is not checked.
+func TestFluidSweepRefusesOutOfDomain(t *testing.T) {
+	dim := func(name string, values ...float64) func(*JobSpec) {
+		return func(s *JobSpec) { s.Dims = append(s.Dims, Dim{Name: name, Values: values}) }
+	}
+	cmfsd := func(s *JobSpec) { s.Base.Scheme = scheme.CMFSD }
+	for name, mutate := range map[string]func(*JobSpec){
+		"k not an integer": dim("k", 1, 1.25, 1.5, 1.75, 2),
+		"k past the cap":   dim("k", 2, maxKeyK+1),
+		"K below 1":        func(s *JobSpec) { s.Base.K = 0 },
+		"rho above 1":      func(s *JobSpec) { cmfsd(s); s.Base.Rho = 2 },
+		"rho dim below 0":  dim("rho", 0, -0.5),
+		"theta negative":   func(s *JobSpec) { s.Base.Theta = -1 },
+		"theta infinite":   func(s *JobSpec) { s.Base.Theta = math.Inf(1) },
+		"p above 1":        func(s *JobSpec) { s.Dims[0].Values[2] = 2 },
+		"eta above 1":      dim("eta", 0.5, 1.5),
+		"mu zero":          func(s *JobSpec) { s.Base.Params.Mu = 0 },
+		"lambda0 zero":     func(s *JobSpec) { s.Dims[1].Values[1] = 0 },
+		"unknown scheme":   func(s *JobSpec) { s.Base.Scheme = "FTP" },
+		"CMFSD at p = 0":   func(s *JobSpec) { cmfsd(s); s.Dims[0].Values[0] = 0 },
+	} {
+		spec := testJobSpec()
+		mutate(&spec)
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, spec)
+		}
+	}
+	spec := testJobSpec()
+	spec.Base.Scheme, spec.Base.P = scheme.CMFSD, 0 // every cell's p comes from the p dim
+	spec.Dims = append(spec.Dims, Dim{Name: "k", Values: []float64{1, 2, maxKeyK}})
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = validateFluidSweep(spec) }); n != 0 {
+		t.Errorf("validating a fluid-sweep spec allocates %v times", n)
 	}
 }
 

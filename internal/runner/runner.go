@@ -55,29 +55,38 @@ type Grid struct {
 // NewGrid validates the dimensions and returns a Grid. Every dimension
 // needs a unique non-empty name and a value; the size must fit an int.
 func NewGrid(dims ...Dim) (Grid, error) {
-	seen := map[string]bool{}
-	size := 1
-	for _, d := range dims {
-		if d.Name == "" {
-			return Grid{}, fmt.Errorf("runner: dimension with empty name")
-		}
-		if seen[d.Name] {
-			return Grid{}, fmt.Errorf("runner: duplicate dimension %q", d.Name)
-		}
-		seen[d.Name] = true
-		if len(d.Values) == 0 {
-			return Grid{}, fmt.Errorf("runner: dimension %q has no values", d.Name)
-		}
-		if size > math.MaxInt/len(d.Values) {
-			return Grid{}, fmt.Errorf("runner: grid of more than %d cells", math.MaxInt)
-		}
-		size *= len(d.Values)
+	if err := checkDims(dims); err != nil {
+		return Grid{}, err
 	}
 	copied := make([]Dim, len(dims))
 	for i, d := range dims {
 		copied[i] = Dim{Name: d.Name, Values: append([]float64(nil), d.Values...)}
 	}
 	return Grid{dims: copied}, nil
+}
+
+// checkDims makes NewGrid's checks without building the grid, so a spec
+// validates without copying its dimensions.
+func checkDims(dims []Dim) error {
+	seen := map[string]bool{}
+	size := 1
+	for _, d := range dims {
+		if d.Name == "" {
+			return fmt.Errorf("runner: dimension with empty name")
+		}
+		if seen[d.Name] {
+			return fmt.Errorf("runner: duplicate dimension %q", d.Name)
+		}
+		seen[d.Name] = true
+		if len(d.Values) == 0 {
+			return fmt.Errorf("runner: dimension %q has no values", d.Name)
+		}
+		if size > math.MaxInt/len(d.Values) {
+			return fmt.Errorf("runner: grid of more than %d cells", math.MaxInt)
+		}
+		size *= len(d.Values)
+	}
+	return nil
 }
 
 // Indexed returns a one-dimensional grid whose cells are the integers
