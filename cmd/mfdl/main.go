@@ -58,7 +58,6 @@ import (
 	"mfdl/internal/fluid"
 	"mfdl/internal/gridflag"
 	"mfdl/internal/obs"
-	"mfdl/internal/rng"
 	"mfdl/internal/runner"
 	"mfdl/internal/runner/diskcache"
 	"mfdl/internal/table"
@@ -186,39 +185,25 @@ var artifacts = []artifact{
 	}},
 }
 
-// writeReport generates the tables of every artifact with files in
-// parallel over the runner pool (they share e.cfg's solve cache), then
-// writes them as CSV into dir one at a time in list order, printing each
-// path, so the listing and the directory contents are deterministic.
+// writeReport generates the tables of every artifact with files in list
+// order (each grid is parallel inside, and all share e.cfg's solve cache)
+// and writes them as CSV into dir, printing each path, so the listing and
+// the directory contents are deterministic.
 func writeReport(e *env, dir string) error {
-	var arts []artifact
-	for _, a := range artifacts {
-		if len(a.files) > 0 {
-			arts = append(arts, a)
-		}
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	grid, err := runner.Indexed("artifact", len(arts))
-	if err != nil {
-		return err
-	}
-	tables, err := runner.Run(e.ctx, grid,
-		func(_ context.Context, pt runner.Point, _ *rng.Source) ([]*table.Table, error) {
-			tbs, err := arts[pt.Index].tables(e)
-			if err != nil {
-				return nil, fmt.Errorf("report %s: %w", arts[pt.Index].name, err)
-			}
-			return tbs, nil
-		}, runner.Options{})
-	if err != nil {
-		return err
-	}
-	for i, a := range arts {
+	for _, a := range artifacts {
+		if len(a.files) == 0 {
+			continue
+		}
+		tbs, err := a.tables(e)
+		if err != nil {
+			return fmt.Errorf("report %s: %w", a.name, err)
+		}
 		for j, name := range a.files {
 			var csv bytes.Buffer
-			if err := tables[i][j].WriteCSV(&csv); err != nil {
+			if err := tbs[j].WriteCSV(&csv); err != nil {
 				return err
 			}
 			path := filepath.Join(dir, name+".csv")
@@ -303,8 +288,8 @@ func run(args []string) error {
 		return err
 	}
 	// One solve cache for the whole invocation: 'all' and 'report' reuse
-	// solves across figures, and -cache-dir extends the reuse across
-	// processes.
+	// solves across figures, the simulator subcommands' fluid predictions
+	// go through it too, and -cache-dir extends the reuse across processes.
 	cache := runner.NewCache()
 	if *cacheDir != "" {
 		disk, err := diskcache.Open(*cacheDir)
@@ -320,7 +305,7 @@ func run(args []string) error {
 	if simOpts.Samples, err = sf.Samples("mfdl", reg); err != nil {
 		return err
 	}
-	simOpts.Workers, simOpts.Obs = *workers, reg
+	simOpts.Workers, simOpts.Obs, simOpts.Cache = *workers, reg, cache
 	cfg := experiments.Config{
 		Params:  fluid.Params{Mu: *mu, Eta: *eta, Gamma: *gamma},
 		K:       *k,

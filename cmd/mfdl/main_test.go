@@ -260,18 +260,48 @@ func TestReportMatchesSubcommands(t *testing.T) {
 // A second invocation with the same -cache-dir must reuse every solve
 // from disk (0 solved) and print byte-identical tables.
 func TestCacheDirAcrossInvocations(t *testing.T) {
-	dir := t.TempDir()
-	first, err := capture(t, func() error { return run([]string{"-cache-dir", dir, "fig4b"}) })
-	if err != nil {
-		t.Fatal(err)
+	rerunSolvesNothing(t, "fig4b")
+}
+
+// simvalidate's fluid predictions go through mfdl's one solve cache: the
+// first run solves and stores its 12 rows' models, and a rerun with the
+// same -cache-dir reads them back. The time-rescaled validation point and
+// a sample store keep both runs short.
+func TestSimValidateCacheDirAcrossInvocations(t *testing.T) {
+	first := rerunSolvesNothing(t, "-mu", "0.2", "-gamma", "0.5", "-sample-dir", t.TempDir(), "simvalidate")
+	if !strings.Contains(first, "(12 stored, 0 corrupt, 0 evicted); 12 solved") {
+		t.Fatalf("first run's -stats report:\n%s", first)
 	}
+}
+
+// rerunSolvesNothing runs mfdl -stats args twice with one -cache-dir and
+// demands byte-identical stdout and 0 solves on the second run. It
+// returns the first run's stderr.
+func rerunSolvesNothing(t *testing.T, args ...string) string {
+	t.Helper()
+	args = append([]string{"-cache-dir", t.TempDir(), "-stats"}, args...)
+	first, firstErr := captureBoth(t, args)
+	second, stderr := captureBoth(t, args)
+	if second != first {
+		t.Fatalf("cached rerun differs:\n%s\nvs\n%s", second, first)
+	}
+	if sub := args[len(args)-1]; !strings.Contains(stderr, "; 0 solved") || !strings.Contains(stderr, "mfdl: phase "+sub) {
+		t.Fatalf("-stats report:\n%s", stderr)
+	}
+	return firstErr
+}
+
+// captureBoth runs mfdl args and returns what it printed to stdout and to
+// stderr.
+func captureBoth(t *testing.T, args []string) (stdout, stderr string) {
+	t.Helper()
 	oldErr := os.Stderr
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	os.Stderr = w
-	second, runErr := capture(t, func() error { return run([]string{"-cache-dir", dir, "-stats", "fig4b"}) })
+	stdout, runErr := capture(t, func() error { return run(args) })
 	w.Close()
 	os.Stderr = oldErr
 	if runErr != nil {
@@ -286,13 +316,7 @@ func TestCacheDirAcrossInvocations(t *testing.T) {
 			break
 		}
 	}
-	if second != first {
-		t.Fatalf("cached rerun differs:\n%s\nvs\n%s", second, first)
-	}
-	stderr := sb.String()
-	if !strings.Contains(stderr, "; 0 solved") || !strings.Contains(stderr, "mfdl: phase fig4b") {
-		t.Fatalf("-stats report:\n%s", stderr)
-	}
+	return stdout, sb.String()
 }
 
 func TestRejectsUnwritableCacheDir(t *testing.T) {

@@ -57,6 +57,35 @@ func TestSweepEtaMTCD(t *testing.T) {
 	}
 }
 
+// p = 0 is an ordinary cell for every scheme: no user requests a second
+// file, so each reads the single-torrent limit T + 1/γ online and T
+// downloading per file — mfdl eta's p = 0 row, 140/80/60/50 over η.
+func TestSweepSingleTorrentLimitAtPZero(t *testing.T) {
+	out, err := capture(t, func() error {
+		return run([]string{"-dim", "eta,p", "-from", "0.25,0", "-to", "1,1", "-steps", "3,2",
+			"-scheme", "MTCD", "-format", "csv"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []string{"0.25,0,140,120", "0.5,0,80,60", "0.75,0,60,40", "1,0,50,30"} {
+		if !strings.Contains(out, "\n"+row+"\n") {
+			t.Errorf("MTCD η × p sweep lacks row %s:\n%s", row, out)
+		}
+	}
+	for _, sc := range []string{"MTCD", "MTSD", "MFCD", "CMFSD"} {
+		out, err := capture(t, func() error {
+			return run([]string{"-dim", "p", "-from", "0", "-to", "1", "-steps", "4", "-scheme", sc, "-format", "csv"})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", sc, err)
+		}
+		if !strings.Contains(out, "\n0,80,60\n") {
+			t.Errorf("%s at p = 0 is not 80 online, 60 download per file:\n%s", sc, out)
+		}
+	}
+}
+
 func TestSweepKDimension(t *testing.T) {
 	if _, err := capture(t, func() error {
 		return run([]string{"-dim", "k", "-from", "2", "-to", "6", "-steps", "2", "-scheme", "MTSD"})

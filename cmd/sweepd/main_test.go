@@ -57,11 +57,12 @@ func capture(t *testing.T, f func() error) (string, error) {
 	return <-out, runErr
 }
 
-// sweepTable renders the plain local sweep of sweepd's default model over
-// a p × rho grid — what `sweep` prints for the same flags.
-func sweepTable(t *testing.T, steps, format string) string {
+// sweepTable renders the plain local CMFSD sweep of sweepd's default
+// model over the dims grid from the given lower bound to 1 — what `sweep`
+// prints for the same flags.
+func sweepTable(t *testing.T, dims, from, steps, format string) string {
 	t.Helper()
-	grid, err := gridflag.Grid("p,rho", "0.05", "1", steps)
+	grid, err := gridflag.Grid(dims, from, "1", steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func sweepTable(t *testing.T, steps, format string) string {
 // and all three processes exit 0 — including the worker still polling when
 // the coordinator finishes and exits — on every one of five runs.
 func TestTwoProcessSmoke(t *testing.T) {
-	want := sweepTable(t, "9,3", "ascii")
+	want := sweepTable(t, "p,rho", "0.05", "9,3", "ascii")
 	command := func(args ...string) (*exec.Cmd, *bytes.Buffer, *bytes.Buffer) {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), runAsSweepd+"=1")
@@ -181,8 +182,26 @@ func TestServeFluidMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sweepTable(t, "4,3", "csv"); out != want {
+	if want := sweepTable(t, "p,rho", "0.05", "4,3", "csv"); out != want {
 		t.Fatalf("served table differs from the local sweep:\n%s\nwant:\n%s", out, want)
+	}
+}
+
+// p = 0 is an ordinary CMFSD cell, served as it is swept locally: the
+// single-torrent limit, 80 per file at the paper's parameters.
+func TestServeFluidPZeroMatchesSweep(t *testing.T) {
+	out, err := capture(t, func() error {
+		return run([]string{"serve", "-addr", "127.0.0.1:0", "-local-workers", "2",
+			"-dim", "p", "-from", "0", "-to", "1", "-steps", "4", "-format", "csv"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sweepTable(t, "p", "0", "4", "csv"); out != want {
+		t.Fatalf("served table differs from the local sweep:\n%s\nwant:\n%s", out, want)
+	}
+	if !strings.Contains(out, "\n0,80,60\n") {
+		t.Fatalf("p = 0 row is not the single-torrent limit 80, 60:\n%s", out)
 	}
 }
 

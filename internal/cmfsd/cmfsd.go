@@ -1,6 +1,5 @@
 // Package cmfsd implements Collaborative Multi-File torrent Sequential
-// Downloading, the paper's proposed scheme (Section 3.5, Eq. 5), and the
-// MFCD baseline it is compared against (Section 3.4).
+// Downloading, the paper's proposed scheme (Section 3.5, Eq. 5).
 //
 // Under CMFSD, K interest-correlated files live in one torrent with K
 // subtorrents. A class-i peer (requesting i files) downloads them
@@ -35,15 +34,15 @@ import (
 	"mfdl/internal/correlation"
 	"mfdl/internal/fluid"
 	"mfdl/internal/metrics"
-	"mfdl/internal/mtcd"
 	"mfdl/internal/numeric/ode"
 )
 
 // Scheme is the scheme name reported in results.
 const Scheme = "CMFSD"
 
-// MFCDScheme is the name reported for the MFCD baseline.
-const MFCDScheme = "MFCD"
+// ErrEmptyTorrent is New's and NewMixed's refusal of p = 0, checked after
+// every other input: no user arrives, so Eq. (5) has no downloader mass.
+var ErrEmptyTorrent = errors.New("cmfsd: p = 0 gives an empty torrent")
 
 // Model is the CMFSD fluid model for one multi-file torrent.
 type Model struct {
@@ -75,7 +74,7 @@ func New(p fluid.Params, corr *correlation.Model, rho float64) (*Model, error) {
 		return nil, fmt.Errorf("cmfsd: ρ = %v outside [0,1]", rho)
 	}
 	if corr.P == 0 {
-		return nil, errors.New("cmfsd: p = 0 gives an empty torrent")
+		return nil, ErrEmptyTorrent
 	}
 	return &Model{Params: p, Corr: corr, Rho: rho}, nil
 }
@@ -276,22 +275,6 @@ func (m *Model) MetricsFromState(ss []float64) (*metrics.SchemeResult, error) {
 		}
 		res.Classes = append(res.Classes, pc)
 	}
-	return res, nil
-}
-
-// EvaluateMFCD returns the MFCD baseline metrics for the same torrent: the
-// paper (Section 3.4) shows MFCD is equivalent to MTCD in the fluid model,
-// with subtorrent class entry rates λ_j^i = λ₀·C(K−1,i−1)·pⁱ·(1−p)^{K−i}.
-func EvaluateMFCD(p fluid.Params, corr *correlation.Model) (*metrics.SchemeResult, error) {
-	m, err := mtcd.New(p, corr)
-	if err != nil {
-		return nil, err
-	}
-	res, err := m.Evaluate()
-	if err != nil {
-		return nil, err
-	}
-	res.Scheme = MFCDScheme
 	return res, nil
 }
 

@@ -6,8 +6,25 @@ import (
 
 	"mfdl/internal/correlation"
 	"mfdl/internal/fluid"
+	"mfdl/internal/metrics"
+	"mfdl/internal/mtcd"
 	"mfdl/internal/numeric/ode"
 )
+
+// evalMFCD evaluates the MFCD baseline at the paper's parameters: in the
+// fluid model MFCD is MTCD (Section 3.4).
+func evalMFCD(t testing.TB, corr *correlation.Model) *metrics.SchemeResult {
+	t.Helper()
+	m, err := mtcd.New(fluid.PaperParams, corr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func model(t testing.TB, k int, p, rho float64) *Model {
 	t.Helper()
@@ -161,10 +178,7 @@ func TestRho1EquivalentToMFCD(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%v: %v", p, err)
 		}
-		mfcd, err := EvaluateMFCD(fluid.PaperParams, m.Corr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mfcd := evalMFCD(t, m.Corr)
 		got := res.AvgOnlinePerFile()
 		want := mfcd.AvgOnlinePerFile()
 		if math.Abs(got-want) > 0.02*want {
@@ -196,10 +210,7 @@ func TestRho0BeatsMFCDAtHighCorrelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mfcd, err := EvaluateMFCD(fluid.PaperParams, m.Corr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mfcd := evalMFCD(t, m.Corr)
 	if res.AvgOnlinePerFile() >= 0.8*mfcd.AvgOnlinePerFile() {
 		t.Fatalf("ρ=0 avg %v not clearly better than MFCD %v",
 			res.AvgOnlinePerFile(), mfcd.AvgOnlinePerFile())

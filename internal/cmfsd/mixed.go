@@ -49,7 +49,7 @@ func NewMixed(p fluid.Params, corr *correlation.Model, groups []Group) (*Mixed, 
 		return nil, err
 	}
 	if corr.P == 0 {
-		return nil, errors.New("cmfsd: p = 0 gives an empty torrent")
+		return nil, ErrEmptyTorrent
 	}
 	if len(groups) == 0 {
 		return nil, errors.New("cmfsd: no groups")
@@ -130,22 +130,14 @@ type MixedResult struct {
 	Groups []GroupResult
 }
 
-// AvgOnlinePerFile aggregates the paper's metric over every group.
+// AvgOnlinePerFile aggregates the paper's metric over every group's
+// classes, group by group.
 func (r *MixedResult) AvgOnlinePerFile() float64 {
-	num, den := 0.0, 0.0
+	var all metrics.SchemeResult
 	for _, g := range r.Groups {
-		for _, c := range g.Result.Classes {
-			if c.EntryRate <= 0 {
-				continue
-			}
-			num += c.EntryRate * c.OnlineTime
-			den += c.EntryRate * float64(c.Class)
-		}
+		all.Classes = append(all.Classes, g.Result.Classes...)
 	}
-	if den == 0 {
-		return math.NaN()
-	}
-	return num / den
+	return all.AvgOnlinePerFile()
 }
 
 // Evaluate solves the mixed model (hybrid relax-then-Newton) and reports

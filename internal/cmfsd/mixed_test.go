@@ -145,10 +145,7 @@ func TestAllCheatersEqualsMFCD(t *testing.T) {
 		t.Fatal(err)
 	}
 	corr, _ := correlation.New(10, 0.9, 1)
-	mfcd, err := EvaluateMFCD(fluid.PaperParams, corr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mfcd := evalMFCD(t, corr)
 	got, want := res.AvgOnlinePerFile(), mfcd.AvgOnlinePerFile()
 	if math.Abs(got-want) > 0.02*want {
 		t.Fatalf("all-cheater torrent %v != MFCD %v", got, want)

@@ -8,7 +8,6 @@ import (
 	"mfdl/internal/eventsim"
 	"mfdl/internal/faults"
 	"mfdl/internal/replica"
-	"mfdl/internal/runner"
 	"mfdl/internal/scheme"
 	"mfdl/internal/sim"
 	"mfdl/internal/stats"
@@ -58,13 +57,12 @@ type ChurnSweepResult struct {
 
 // churnSpec is one planned simulation cell of either axis.
 type churnSpec struct {
-	scheme    string
-	theta     float64
-	rho       float64 // NaN for the non-CMFSD schemes
-	fluid     float64
-	simScheme scheme.SimScheme
-	quitAxis  bool
-	quitRate  float64
+	scheme   scheme.SimScheme
+	theta    float64
+	rho      float64 // NaN for the non-CMFSD schemes
+	fluid    float64
+	quitAxis bool
+	quitRate float64
 }
 
 // ChurnSweep measures resilience to churn. For every abort rate θ in
@@ -86,12 +84,9 @@ type churnSpec struct {
 // within the usual finite-size error.
 func ChurnSweep(ctx context.Context, set SimSettings, p float64, chaosSeed uint64, thetas, quitRates []float64) (*ChurnSweepResult, error) {
 	res := &ChurnSweepResult{Settings: set, P: p, ChaosSeed: chaosSeed}
-	cache := runner.NewCache()
+	cache := set.cache()
 	predict := func(sc scheme.Scheme, rho, theta float64) (float64, error) {
-		r, err := cache.Evaluate(runner.Key{
-			Scheme: sc, Params: set.Params,
-			K: set.K, P: p, Lambda0: set.Lambda0, Rho: rho, Theta: theta,
-		})
+		r, err := cache.Evaluate(set.fluidKey(sc, p, rho, theta))
 		if err != nil {
 			return 0, err
 		}
@@ -99,28 +94,23 @@ func ChurnSweep(ctx context.Context, set SimSettings, p float64, chaosSeed uint6
 	}
 	var specs []churnSpec
 	for _, th := range thetas {
-		plan := []struct {
-			scheme    scheme.Scheme
-			rho       float64
-			simScheme scheme.SimScheme
+		for _, pl := range []struct {
+			scheme scheme.Scheme
+			rho    float64 // NaN: the scheme has no ρ
 		}{
-			{scheme.MTSD, math.NaN(), scheme.SimMTSD},
-			{scheme.MTCD, math.NaN(), scheme.SimMTCD},
-			{scheme.CMFSD, 0.5, scheme.SimCMFSD},
-		}
-		for _, pl := range plan {
-			rho := pl.rho
-			if math.IsNaN(rho) {
-				rho = 0
-			}
-			fluidVal, err := predict(pl.scheme, rho, th)
+			{scheme.MTSD, math.NaN()},
+			{scheme.MTCD, math.NaN()},
+			{scheme.CMFSD, 0.5},
+		} {
+			fluidVal, err := predict(pl.scheme, pl.rho, th)
 			if err != nil {
 				return nil, err
 			}
-			specs = append(specs, churnSpec{
-				scheme: pl.simScheme.String(), theta: th, rho: pl.rho,
-				fluid: fluidVal, simScheme: pl.simScheme,
-			})
+			sc, err := scheme.ParseSim(string(pl.scheme))
+			if err != nil {
+				return nil, err
+			}
+			specs = append(specs, churnSpec{scheme: sc, theta: th, rho: pl.rho, fluid: fluidVal})
 		}
 	}
 	if len(quitRates) > 0 {
@@ -130,8 +120,8 @@ func ChurnSweep(ctx context.Context, set SimSettings, p float64, chaosSeed uint6
 		}
 		for _, q := range quitRates {
 			specs = append(specs, churnSpec{
-				scheme: scheme.SimCMFSD.String(), rho: 0.5, fluid: ideal,
-				simScheme: scheme.SimCMFSD, quitAxis: true, quitRate: q,
+				scheme: scheme.SimCMFSD, rho: 0.5, fluid: ideal,
+				quitAxis: true, quitRate: q,
 			})
 		}
 	}
@@ -154,7 +144,7 @@ func ChurnSweep(ctx context.Context, set SimSettings, p float64, chaosSeed uint6
 		if !math.IsNaN(sp.rho) {
 			sc.Rho = sp.rho
 		}
-		cells[i] = sim.JobCell{Scheme: sp.simScheme, Config: sim.Config{Flow: &sc}}
+		cells[i] = sim.JobCell{Scheme: sp.scheme, Config: sim.Config{Flow: &sc}}
 	}
 	// The fault plan rides inside the configs (Faults.Seed), so it is part
 	// of every cell's job and sample-store identity: a different chaos seed
@@ -181,7 +171,7 @@ func ChurnSweep(ctx context.Context, set SimSettings, p float64, chaosSeed uint6
 			continue
 		}
 		res.Rows = append(res.Rows, ChurnRow{
-			Scheme: sp.scheme, Theta: sp.theta, Rho: sp.rho,
+			Scheme: sp.scheme.String(), Theta: sp.theta, Rho: sp.rho,
 			Fluid:     sp.fluid,
 			Simulated: simulated,
 			SimCI95:   agg.CI95(replica.DownloadPerFile),

@@ -122,70 +122,41 @@ func (c Config) corr(p float64) (*correlation.Model, error) {
 	return correlation.New(c.K, p, c.Lambda0)
 }
 
-// eval solves one scheme at one operating point through the Config's
-// solve cache, or a fresh one when it carries none.
-func (c Config) eval(sc scheme.Scheme, p, rho float64) (*metrics.SchemeResult, error) {
-	cache := c.Cache
-	if cache == nil {
-		cache = runner.NewCache()
+// cache is the solve cache the options carry, or a fresh one when they
+// carry none.
+func (o Options) cache() *runner.Cache {
+	if o.Cache != nil {
+		return o.Cache
 	}
-	return cache.Evaluate(runner.Key{
+	return runner.NewCache()
+}
+
+// eval solves one scheme at one operating point through the Config's
+// solve cache.
+func (c Config) eval(sc scheme.Scheme, p, rho float64) (*metrics.SchemeResult, error) {
+	return c.cache().Evaluate(runner.Key{
 		Scheme: sc, Params: c.Params, K: c.K, P: p, Lambda0: c.Lambda0, Rho: rho,
 	})
 }
 
 // onlineGrid evaluates sc's average online time per file over the grid of
 // dims at cfg's operating point and correlation p — one Sweep with
-// cfg.Options — in row-major cell order. No user arrives at p = 0, so
-// there every scheme is the single-torrent limit: the p dimension's zero
-// values are filled from that closed form outside the grid.
+// cfg.Options — in row-major cell order.
 func onlineGrid(ctx context.Context, cfg Config, sc scheme.Scheme, p float64, dims ...runner.Dim) ([]float64, error) {
-	empty := func(d runner.Dim) bool { return len(d.Values) == 0 }
-	if slices.ContainsFunc(dims, empty) {
+	if slices.ContainsFunc(dims, func(d runner.Dim) bool { return len(d.Values) == 0 }) {
 		return nil, nil
 	}
-	full, err := runner.NewGrid(dims...)
+	grid, err := runner.NewGrid(dims...)
 	if err != nil {
 		return nil, err
 	}
-	spec := SweepSpec{Config: cfg, P: p, Scheme: sc, Options: cfg.Options}
-	swept := slices.Clone(dims)
-	for i, d := range swept {
-		if d.Name == "p" {
-			swept[i].Values = slices.DeleteFunc(slices.Clone(d.Values), func(v float64) bool { return v == 0 })
-		}
+	sw, err := Sweep(ctx, SweepSpec{Config: cfg, P: p, Scheme: sc, Grid: grid, Options: cfg.Options})
+	if err != nil {
+		return nil, err
 	}
-	var cells []SweepCell
-	if !slices.ContainsFunc(swept, empty) {
-		if spec.Grid, err = runner.NewGrid(swept...); err != nil {
-			return nil, err
-		}
-		sw, err := Sweep(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		cells = sw.Cells
-	}
-	spec.Grid = full
-	job := spec.JobSpec()
-	out := make([]float64, full.Size())
-	for i := range out {
-		pt := full.Point(i)
-		if v, ok := pt.Value("p"); !ok || v != 0 {
-			out[i], cells = cells[0].AvgOnline, cells[1:]
-			continue
-		}
-		key, err := job.CellKey(pt)
-		if err != nil {
-			return nil, err
-		}
-		st, err := fluid.NewSingleTorrent(key.Params, 1)
-		if err != nil {
-			return nil, err
-		}
-		if out[i], err = st.OnlineTime(); err != nil {
-			return nil, err
-		}
+	out := make([]float64, len(sw.Cells))
+	for i, c := range sw.Cells {
+		out[i] = c.AvgOnline
 	}
 	return out, nil
 }
@@ -434,7 +405,7 @@ func Validate(cfg Config) (*ValidationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tDl, err := st.DownloadTime()
+	tDl, err := st.SingleDownloadTime()
 	if err != nil {
 		return nil, err
 	}
@@ -604,9 +575,9 @@ func Crossover(cfg Config) (*CrossoverResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	tSingle := (cfg.Gamma - cfg.Mu) / (cfg.Gamma * cfg.Mu * cfg.Eta)
-	if !cfg.UploadConstrained() {
-		return nil, fluid.ErrNotUploadConstrained
+	tSingle, err := cfg.SingleDownloadTime()
+	if err != nil {
+		return nil, err
 	}
 	res := &CrossoverResult{Config: cfg, PStar: make([]float64, cfg.K)}
 	for i := 1; i <= cfg.K; i++ {

@@ -47,6 +47,15 @@ var DefaultSimSettings = SimSettings{
 	Options: Options{Seed: 1},
 }
 
+// fluidKey is the solve key of sc's fluid model at the settings'
+// operating point; a NaN ρ (a scheme without one) solves at 0.
+func (s SimSettings) fluidKey(sc scheme.Scheme, p, rho, theta float64) runner.Key {
+	if math.IsNaN(rho) {
+		rho = 0
+	}
+	return runner.Key{Scheme: sc, Params: s.Params, K: s.K, P: p, Lambda0: s.Lambda0, Rho: rho, Theta: theta}
+}
+
 // replicated reports whether every simulated table row runs at least two
 // replicas, and so has error bars: a fixed count above one, or sequential
 // stopping, whose rows start at two.
@@ -153,10 +162,9 @@ type SimValidateResult struct {
 // simValidateSpec is one planned row: a scheme/ρ setting at one
 // correlation, with its fluid prediction attached.
 type simValidateSpec struct {
-	scheme    string
-	p, rho    float64 // rho is NaN for the non-CMFSD schemes
-	fluid     float64
-	simScheme scheme.SimScheme
+	scheme scheme.SimScheme
+	p, rho float64 // rho is NaN for the non-CMFSD schemes
+	fluid  float64
 }
 
 // SimValidatePlan is the job-layer decomposition of SimValidate: the
@@ -175,45 +183,29 @@ type SimValidatePlan struct {
 // lowers the simulation matrix — every scheme at every correlation in ps —
 // into a sim-replica JobSpec. ps must be non-empty.
 func PlanSimValidate(set SimSettings, ps []float64) (*SimValidatePlan, error) {
-	cache := runner.NewCache()
-	predict := func(sc scheme.Scheme, p, rho float64) (float64, error) {
-		r, err := cache.Evaluate(runner.Key{
-			Scheme: sc, Params: set.Params,
-			K: set.K, P: p, Lambda0: set.Lambda0, Rho: rho,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return r.AvgOnlinePerFile(), nil
-	}
+	cache := set.cache()
 	var specs []simValidateSpec
 	for _, p := range ps {
-		plan := []struct {
-			scheme    scheme.Scheme
-			rho       float64
-			simScheme scheme.SimScheme
+		for _, pl := range []struct {
+			scheme scheme.Scheme
+			rho    float64 // NaN: the scheme has no ρ
 		}{
-			{scheme.MTSD, math.NaN(), scheme.SimMTSD},
-			{scheme.MTCD, math.NaN(), scheme.SimMTCD},
-			// In the fluid model MFCD coincides with MTCD (Section 3.4).
-			{scheme.MTCD, math.NaN(), scheme.SimMFCD},
-			{scheme.CMFSD, 0, scheme.SimCMFSD},
-			{scheme.CMFSD, 0.5, scheme.SimCMFSD},
-			{scheme.CMFSD, 1, scheme.SimCMFSD},
-		}
-		for _, pl := range plan {
-			rho := pl.rho
-			if math.IsNaN(rho) {
-				rho = 0
-			}
-			fluidVal, err := predict(pl.scheme, p, rho)
+			{scheme.MTSD, math.NaN()},
+			{scheme.MTCD, math.NaN()},
+			{scheme.MFCD, math.NaN()},
+			{scheme.CMFSD, 0},
+			{scheme.CMFSD, 0.5},
+			{scheme.CMFSD, 1},
+		} {
+			r, err := cache.Evaluate(set.fluidKey(pl.scheme, p, pl.rho, 0))
 			if err != nil {
 				return nil, err
 			}
-			specs = append(specs, simValidateSpec{
-				scheme: pl.simScheme.String(), p: p, rho: pl.rho,
-				fluid: fluidVal, simScheme: pl.simScheme,
-			})
+			sc, err := scheme.ParseSim(string(pl.scheme))
+			if err != nil {
+				return nil, err
+			}
+			specs = append(specs, simValidateSpec{scheme: sc, p: p, rho: pl.rho, fluid: r.AvgOnlinePerFile()})
 		}
 	}
 	if len(specs) == 0 {
@@ -228,7 +220,7 @@ func PlanSimValidate(set SimSettings, ps []float64) (*SimValidatePlan, error) {
 		if !math.IsNaN(sp.rho) {
 			sc.Rho = sp.rho
 		}
-		cells[i] = sim.JobCell{Scheme: sp.simScheme, Config: sim.Config{Flow: &sc}}
+		cells[i] = sim.JobCell{Scheme: sp.scheme, Config: sim.Config{Flow: &sc}}
 	}
 	spec, err := sim.NewJobSpec(cells, set.Seed, set.Replicas)
 	if err != nil {
@@ -250,7 +242,7 @@ func (pl *SimValidatePlan) Serve(ctx context.Context, serve func(context.Context
 		sp := pl.specs[i]
 		simulated := agg.Mean(replica.OnlinePerFile)
 		res.Rows = append(res.Rows, SimValidateRow{
-			Scheme: sp.scheme, P: sp.p, Rho: sp.rho,
+			Scheme: sp.scheme.String(), P: sp.p, Rho: sp.rho,
 			Fluid:     sp.fluid,
 			Simulated: simulated,
 			SimCI95:   agg.CI95(replica.OnlinePerFile),

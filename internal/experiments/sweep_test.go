@@ -293,14 +293,14 @@ func TestFluidGridsRunAsSweeps(t *testing.T) {
 		}
 	}
 	count := func(name string) uint64 { return reg.Counter(name).Value() }
-	// Fig. 2: 2 schemes × 2 p; E10: 2 η × 2 p, of which η = 0.5 is Fig. 2's
-	// MTCD; E14: 2 schemes × 3 k.
+	// p = 0 is an ordinary cell. Fig. 2: 2 schemes × 3 p; E10: 2 η × 3 p,
+	// of which η = 0.5 is Fig. 2's MTCD; E14: 2 schemes × 3 k.
 	grids()
-	if cells, solves := count("runner_cells_completed_total"), count("solvecache_solves_total"); cells != 14 || solves != 12 {
-		t.Fatalf("first run: %d cells and %d solves, want 14 and 12", cells, solves)
+	if cells, solves := count("runner_cells_completed_total"), count("solvecache_solves_total"); cells != 18 || solves != 15 {
+		t.Fatalf("first run: %d cells and %d solves, want 18 and 15", cells, solves)
 	}
 	grids()
-	if cells, solves := count("runner_cells_completed_total"), count("solvecache_solves_total"); cells != 28 || solves != 12 {
-		t.Fatalf("second run: %d cells and %d solves in all, want 28 and still 12", cells, solves)
+	if cells, solves := count("runner_cells_completed_total"), count("solvecache_solves_total"); cells != 36 || solves != 15 {
+		t.Fatalf("second run: %d cells and %d solves in all, want 36 and still 15", cells, solves)
 	}
 }

@@ -160,7 +160,7 @@ func Transient(ctx context.Context, set SimSettings, p, rho float64, flash int) 
 				transientRMSSeeds:       dSeeds / scale,
 				transientPeakSimT:       peakT,
 			}})
-		}, runner.Options{Workers: set.Workers, Seed: set.Seed, Obs: set.Obs})
+		}, runner.Options{Workers: set.Workers, Obs: set.Obs})
 	})
 	if err != nil {
 		return nil, err

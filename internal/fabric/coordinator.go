@@ -10,8 +10,9 @@
 //   - A completed cell travels as the diskcache.Entry envelope and is kept
 //     once, the result and the resume state: as its replica sample when it
 //     has one and the coordinator a sample store, else as that checkpoint.
-//   - Cell streams are pre-split per cell (runner.Job.Stream), so a grid
-//     computed by one process or twenty, in any interleaving, is
+//   - A cell is a pure function of the spec and its index
+//     (runner.Job.Evaluate; a replica's seed derives from the spec), so a
+//     grid computed by one process or twenty, in any interleaving, is
 //     byte-identical.
 //
 // Leases expire: a worker that dies mid-lease simply stops renewing, and

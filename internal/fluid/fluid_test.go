@@ -65,20 +65,13 @@ func TestSingleTorrentClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tDl, err := m.DownloadTime()
+	tDl, err := m.SingleDownloadTime()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// (0.05-0.02)/(0.05·0.02·0.5) = 60.
 	if math.Abs(tDl-60) > 1e-12 {
 		t.Fatalf("download time %v, want 60", tDl)
-	}
-	tOn, err := m.OnlineTime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tOn-80) > 1e-12 {
-		t.Fatalf("online time %v, want 80", tOn)
 	}
 }
 
@@ -107,7 +100,7 @@ func TestSingleTorrentLittleLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tDl, _ := m.DownloadTime()
+	tDl, _ := m.SingleDownloadTime()
 	if math.Abs(x/m.Lambda-tDl) > 1e-12 {
 		t.Fatalf("Little's law broken: x/λ = %v, T = %v", x/m.Lambda, tDl)
 	}
@@ -115,14 +108,11 @@ func TestSingleTorrentLittleLaw(t *testing.T) {
 
 func TestClosedFormRequiresUploadConstraint(t *testing.T) {
 	m := &SingleTorrent{Params: Params{Mu: 0.1, Eta: 0.5, Gamma: 0.05}, Lambda: 1}
-	if _, err := m.DownloadTime(); err != ErrNotUploadConstrained {
+	if _, err := m.SingleDownloadTime(); err != ErrNotUploadConstrained {
 		t.Fatalf("err = %v, want ErrNotUploadConstrained", err)
 	}
 	if _, _, err := m.SteadyStateClosed(); err != ErrNotUploadConstrained {
 		t.Fatalf("err = %v", err)
-	}
-	if _, err := m.OnlineTime(); err == nil {
-		t.Fatal("online time with γ<μ accepted")
 	}
 }
 
@@ -137,8 +127,8 @@ func TestLambdaHomogeneity(t *testing.T) {
 		}
 		xa, ya, _ := a.SteadyStateClosed()
 		xb, yb, _ := b.SteadyStateClosed()
-		ta, _ := a.DownloadTime()
-		tb, _ := b.DownloadTime()
+		ta, _ := a.SingleDownloadTime()
+		tb, _ := b.SingleDownloadTime()
 		return math.Abs(xb-scale*xa) < 1e-9 &&
 			math.Abs(yb-scale*ya) < 1e-9 && ta == tb
 	}

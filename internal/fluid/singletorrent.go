@@ -16,7 +16,7 @@ import (
 //
 // with x downloaders and y seeds. The paper's Eq. (3) is the special case
 // θ = 0, c = ∞ (download bandwidth never binds); that case has the closed
-// forms implemented by DownloadTime and SteadyStateClosed.
+// forms implemented by Params.SingleDownloadTime and SteadyStateClosed.
 type SingleTorrent struct {
 	Params
 	// Lambda is the peer arrival rate λ.
@@ -121,21 +121,14 @@ func (m *SingleTorrent) SteadyStateClosed() (x, y float64, err error) {
 	return x, y, nil
 }
 
-// DownloadTime returns the paper's Eq. (4) average download time
-// T = (γ−μ)/(γμη) (Little's law on the downloader population).
-func (m *SingleTorrent) DownloadTime() (float64, error) {
-	if !m.UploadConstrained() {
+// SingleDownloadTime returns the paper's Eq. (4) average download time
+// T = (γ−μ)/(γμη) of the Qiu–Srikant single torrent (Little's law on the
+// downloader population). It is the single-torrent limit every scheme
+// reduces to: MTSD's per-file time, and MTCD's once no user requests a
+// second file.
+func (p Params) SingleDownloadTime() (float64, error) {
+	if !p.UploadConstrained() {
 		return 0, ErrNotUploadConstrained
 	}
-	return (m.Gamma - m.Mu) / (m.Gamma * m.Mu * m.Eta), nil
-}
-
-// OnlineTime returns the mean downloader residence plus the mean seeding
-// time 1/γ.
-func (m *SingleTorrent) OnlineTime() (float64, error) {
-	t, err := m.DownloadTime()
-	if err != nil {
-		return 0, err
-	}
-	return t + 1/m.Gamma, nil
+	return (p.Gamma - p.Mu) / (p.Gamma * p.Mu * p.Eta), nil
 }

@@ -71,9 +71,13 @@ func (r *SchemeResult) Class(i int) (PerClass, bool) {
 	return r.Classes[i-1], true
 }
 
-// totalWeighted returns Σ λ_i·f(class_i) over classes with positive rate,
-// and Σ i·λ_i (the file-request rate).
-func (r *SchemeResult) totalWeighted(f func(PerClass) float64) (num, files float64) {
+// perFileAverage is the paper's aggregation of f over the classes:
+// Σ λ_i·f(c_i) / Σ i·λ_i over the classes with a positive entry rate λ_i.
+// When no class has one, it returns class 1's per-file f: the limit as
+// p → 0+, where λ₁ ∝ p carries all the weight. A result with no classes
+// averages to NaN.
+func (r *SchemeResult) perFileAverage(f func(PerClass) float64) float64 {
+	num, files := 0.0, 0.0
 	for _, c := range r.Classes {
 		if c.EntryRate <= 0 {
 			continue
@@ -81,25 +85,22 @@ func (r *SchemeResult) totalWeighted(f func(PerClass) float64) (num, files float
 		num += c.EntryRate * f(c)
 		files += c.EntryRate * float64(c.Class)
 	}
-	return num, files
+	switch {
+	case files != 0:
+		return num / files
+	case len(r.Classes) == 0:
+		return math.NaN()
+	}
+	return f(r.Classes[0]) / float64(r.Classes[0].Class)
 }
 
 // AvgOnlinePerFile returns the paper's headline metric: total user online
-// time per unit time, divided by the total file-request rate. NaN when no
-// class has a positive entry rate.
+// time per unit time, divided by the total file-request rate.
 func (r *SchemeResult) AvgOnlinePerFile() float64 {
-	num, files := r.totalWeighted(func(c PerClass) float64 { return c.OnlineTime })
-	if files == 0 {
-		return math.NaN()
-	}
-	return num / files
+	return r.perFileAverage(func(c PerClass) float64 { return c.OnlineTime })
 }
 
 // AvgDownloadPerFile is the same aggregation over download times.
 func (r *SchemeResult) AvgDownloadPerFile() float64 {
-	num, files := r.totalWeighted(func(c PerClass) float64 { return c.DownloadTime })
-	if files == 0 {
-		return math.NaN()
-	}
-	return num / files
+	return r.perFileAverage(func(c PerClass) float64 { return c.DownloadTime })
 }

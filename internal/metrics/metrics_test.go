@@ -54,6 +54,20 @@ func TestAvgEmptyIsNaN(t *testing.T) {
 	}
 }
 
+// With no class arriving (p = 0) the average is class 1's per-file time,
+// its limit as p → 0+, whatever the other classes carry.
+func TestAvgAllZeroWeightIsClassOne(t *testing.T) {
+	r := twoClassResult()
+	r.Classes[0].EntryRate, r.Classes[1].EntryRate = 0, 0
+	r.Classes[1].OnlineTime = math.NaN()
+	if got := r.AvgOnlinePerFile(); got != 80 {
+		t.Fatalf("avg online = %v, want class 1's 80", got)
+	}
+	if got := r.AvgDownloadPerFile(); got != 60 {
+		t.Fatalf("avg download = %v, want class 1's 60", got)
+	}
+}
+
 func TestClassLookup(t *testing.T) {
 	r := twoClassResult()
 	c, ok := r.Class(2)

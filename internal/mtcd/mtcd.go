@@ -72,10 +72,7 @@ func (m *Model) SharedFactor() (float64, error) {
 	}
 	if sum <= 0 {
 		// p = 0 limit: only class-1 mass remains and A → T.
-		if !m.UploadConstrained() {
-			return 0, fluid.ErrNotUploadConstrained
-		}
-		return (m.Gamma - m.Mu) / (m.Gamma * m.Mu * m.Eta), nil
+		return m.SingleDownloadTime()
 	}
 	a := (m.Gamma*sum - m.Mu*weighted) / (m.Gamma * m.Mu * m.Eta * sum)
 	if a <= 0 {

@@ -42,14 +42,6 @@ func New(p fluid.Params, corr *correlation.Model) (*Model, error) {
 	return &Model{Params: p, Corr: corr}, nil
 }
 
-// SingleDownloadTime returns T = (γ−μ)/(γμη), the per-file download time.
-func (m *Model) SingleDownloadTime() (float64, error) {
-	if !m.UploadConstrained() {
-		return 0, fluid.ErrNotUploadConstrained
-	}
-	return (m.Gamma - m.Mu) / (m.Gamma * m.Mu * m.Eta), nil
-}
-
 // Evaluate returns the steady-state per-class metrics (Eq. 4). Every class
 // has the same per-file times; the correlation model only weights the
 // average.

@@ -69,8 +69,8 @@ const maxKeyK = 1 << 10
 
 // check refuses what the key's solve would refuse — the scheme, the
 // fluid parameters, the correlation model (K >= 1, p in [0, 1], λ₀ > 0),
-// ρ in [0, 1], θ finite and >= 0, and CMFSD's empty torrent at p = 0 — and
-// K past maxKeyK, without building a model. NaN fails every check.
+// ρ in [0, 1] and θ finite and >= 0 — and K past maxKeyK, without
+// building a model. NaN fails every check.
 func (k *Key) check() error {
 	corr := correlation.Model{K: k.K, P: k.P, Lambda0: k.Lambda0}
 	_, err := scheme.Parse(string(k.Scheme))
@@ -83,8 +83,6 @@ func (k *Key) check() error {
 		return fmt.Errorf("ρ = %v outside [0,1]", k.Rho)
 	case !(k.Theta >= 0) || math.IsInf(k.Theta, 1):
 		return fmt.Errorf("θ = %v must be a finite rate >= 0", k.Theta)
-	case k.Scheme == scheme.CMFSD && k.P == 0:
-		return fmt.Errorf("p = 0 gives CMFSD an empty torrent")
 	}
 	return nil
 }

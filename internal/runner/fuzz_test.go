@@ -20,7 +20,15 @@ func FuzzFluidSweepSpec(f *testing.F) {
 	fractionalK.Base.Scheme = scheme.CMFSD
 	fractionalK.Dims = []Dim{{Name: "k", Values: []float64{1, 1.25, 1.5, 1.75, 2}}}
 	rhoTwo.Base.Scheme, rhoTwo.Base.Rho = scheme.CMFSD, 2
-	for _, s := range append(hugeFluidSpecs(), testJobSpec(), fractionalK, rhoTwo) {
+	// And one p = 0 spec per scheme, the single-torrent limit every scheme
+	// accepts.
+	seeds := append(hugeFluidSpecs(), testJobSpec(), fractionalK, rhoTwo)
+	for _, sc := range scheme.Schemes {
+		s := testJobSpec()
+		s.Base.Scheme, s.Dims[0].Values[0] = sc, 0
+		seeds = append(seeds, s)
+	}
+	for _, s := range seeds {
 		data, err := json.Marshal(s)
 		if err != nil {
 			f.Fatal(err)

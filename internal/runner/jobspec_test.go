@@ -129,7 +129,6 @@ func TestFluidSweepRefusesOutOfDomain(t *testing.T) {
 		"mu zero":          func(s *JobSpec) { s.Base.Params.Mu = 0 },
 		"lambda0 zero":     func(s *JobSpec) { s.Dims[1].Values[1] = 0 },
 		"unknown scheme":   func(s *JobSpec) { s.Base.Scheme = "FTP" },
-		"CMFSD at p = 0":   func(s *JobSpec) { cmfsd(s); s.Dims[0].Values[0] = 0 },
 	} {
 		spec := testJobSpec()
 		mutate(&spec)
@@ -137,8 +136,13 @@ func TestFluidSweepRefusesOutOfDomain(t *testing.T) {
 			t.Errorf("%s: Validate accepted %+v", name, spec)
 		}
 	}
+	// p = 0 is the single-torrent limit of every scheme, CMFSD included.
 	spec := testJobSpec()
-	spec.Base.Scheme, spec.Base.P = scheme.CMFSD, 0 // every cell's p comes from the p dim
+	cmfsd(&spec)
+	spec.Dims[0].Values[0] = 0
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("CMFSD at p = 0: %v", err)
+	}
 	spec.Dims = append(spec.Dims, Dim{Name: "k", Values: []float64{1, 2, maxKeyK}})
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)

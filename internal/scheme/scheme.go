@@ -2,11 +2,14 @@
 // downloading schemes. Every scheme package exposes its own constructor
 // with a slightly different signature (mtcd.New and mtsd.New take the
 // fluid parameters and a correlation model; cmfsd.New additionally takes
-// the allocation ratio ρ; MFCD has no model type at all, only the
-// cmfsd.EvaluateMFCD function). Callers that dispatch on a Scheme value —
-// the CLIs, the experiment generators, the sweep runner — previously each
-// re-implemented the same switch statement. scheme.New is that switch,
-// written once: it returns a Model exposing the common Evaluate surface.
+// the allocation ratio ρ). Callers that dispatch on a Scheme value — the
+// CLIs, the experiment generators, the sweep runner — go through New, the
+// one switch over them, which returns a Model exposing the common Evaluate
+// surface.
+//
+// New also decides where schemes coincide, once: MFCD is MTCD in the fluid
+// model (Section 3.4), and CMFSD at p = 0, where no user requests a second
+// file, is the single torrent MTSD is there.
 //
 // The concrete constructors remain available for callers that need the
 // scheme-specific machinery (ODE right-hand sides, steady-state vectors,
@@ -14,6 +17,7 @@
 package scheme
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -74,31 +78,29 @@ type Model interface {
 	Evaluate() (*metrics.SchemeResult, error)
 }
 
-// mfcdModel adapts the MFCD closed form (a function, not a type) to the
-// Model interface.
-type mfcdModel struct {
-	params fluid.Params
-	corr   *correlation.Model
-	theta  float64
+// relabeled is another scheme's model reporting under this scheme's name.
+type relabeled struct {
+	Model
+	name Scheme
 }
 
-func (m mfcdModel) Evaluate() (*metrics.SchemeResult, error) {
-	if m.theta == 0 {
-		return cmfsd.EvaluateMFCD(m.params, m.corr)
-	}
-	// MFCD ≡ MTCD in the fluid model; the equivalence carries the abort
-	// term along, so the θ > 0 path relabels the MTCD result too.
-	mt, err := mtcd.New(m.params, m.corr)
+func (r relabeled) Evaluate() (*metrics.SchemeResult, error) {
+	res, err := r.Model.Evaluate()
 	if err != nil {
 		return nil, err
 	}
-	mt.Theta = m.theta
-	res, err := mt.Evaluate()
-	if err != nil {
-		return nil, err
-	}
-	res.Scheme = cmfsd.MFCDScheme
+	res.Scheme = string(r.name)
 	return res, nil
+}
+
+// relabel builds scheme from's model to report as scheme as: where two
+// schemes coincide in the fluid model, one model serves both names.
+func relabel(from, as Scheme, params fluid.Params, corr *correlation.Model, opts Options) (Model, error) {
+	m, err := New(from, params, corr, opts)
+	if err != nil {
+		return nil, err
+	}
+	return relabeled{m, as}, nil
 }
 
 // New constructs the model for the named scheme. It is the single dispatch
@@ -123,15 +125,15 @@ func New(s Scheme, params fluid.Params, corr *correlation.Model, opts Options) (
 		m.Theta = opts.Theta
 		return m, nil
 	case MFCD:
-		if err := params.Validate(); err != nil {
-			return nil, err
-		}
-		if err := corr.Validate(); err != nil {
-			return nil, err
-		}
-		return mfcdModel{params: params, corr: corr, theta: opts.Theta}, nil
+		// MFCD ≡ MTCD in the fluid model (Section 3.4).
+		return relabel(MTCD, MFCD, params, corr, opts)
 	case CMFSD:
 		m, err := cmfsd.New(params, corr, opts.Rho)
+		if errors.Is(err, cmfsd.ErrEmptyTorrent) {
+			// At p = 0 no user requests a second file, so no peer ever
+			// serves a virtual seed: CMFSD is the single torrent, as MTSD is.
+			return relabel(MTSD, CMFSD, params, corr, opts)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"mfdl/internal/cmfsd"
@@ -57,11 +58,7 @@ func TestNewMatchesConcreteConstructors(t *testing.T) {
 		}
 		want[sc] = res.AvgOnlinePerFile()
 	}
-	mfcd, err := cmfsd.EvaluateMFCD(params, corr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want[MFCD] = mfcd.AvgOnlinePerFile()
+	want[MFCD] = want[MTCD] // MFCD ≡ MTCD in the fluid model
 
 	for _, sc := range Schemes {
 		res, err := Evaluate(sc, params, corr, Options{Rho: 0.3})
@@ -155,5 +152,49 @@ func TestMFCDEqualsMTCDInFluidModel(t *testing.T) {
 	}
 	if math.Abs(a.AvgOnlinePerFile()-b.AvgOnlinePerFile()) > 1e-9 {
 		t.Fatalf("MFCD %v != MTCD %v", b.AvgOnlinePerFile(), a.AvgOnlinePerFile())
+	}
+}
+
+// At p = 0 no user requests a second file, and every scheme is the single
+// torrent: T + 1/γ = 80 online and T = 60 downloading per file at the
+// paper's parameters. CMFSD there is MTSD under its own name, θ included,
+// and still refuses every ρ and parameter cmfsd.New refuses.
+func TestSingleTorrentLimitAtPZero(t *testing.T) {
+	corr := model(t, 0)
+	for _, sc := range Schemes {
+		res, err := Evaluate(sc, fluid.PaperParams, corr, Options{Rho: 0.5})
+		if err != nil {
+			t.Fatalf("%s: %v", sc, err)
+		}
+		if res.Scheme != string(sc) || res.AvgOnlinePerFile() != 80 || res.AvgDownloadPerFile() != 60 {
+			t.Errorf("%s at p = 0: %q reads %v online, %v download per file; want 80 and 60",
+				sc, res.Scheme, res.AvgOnlinePerFile(), res.AvgDownloadPerFile())
+		}
+	}
+	want, err := Evaluate(MTSD, fluid.PaperParams, corr, Options{Theta: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Evaluate(CMFSD, fluid.PaperParams, corr, Options{Theta: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Classes, want.Classes) {
+		t.Errorf("CMFSD at p = 0, θ = 0.001: %+v, want MTSD's %+v", got.Classes, want.Classes)
+	}
+	for _, bad := range []struct {
+		params fluid.Params
+		corr   *correlation.Model
+		opts   Options
+	}{
+		{fluid.PaperParams, corr, Options{Rho: 2}},
+		{fluid.PaperParams, corr, Options{Rho: math.NaN()}},
+		{fluid.PaperParams, corr, Options{Theta: -1}},
+		{fluid.Params{}, corr, Options{}},
+		{fluid.PaperParams, nil, Options{}},
+	} {
+		if _, err := New(CMFSD, bad.params, bad.corr, bad.opts); err == nil {
+			t.Errorf("CMFSD at p = 0 accepted %+v, %+v", bad.params, bad.opts)
+		}
 	}
 }
